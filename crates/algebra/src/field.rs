@@ -155,6 +155,16 @@ impl Fq {
         Ok(self.mul(a, self.inv(b)?))
     }
 
+    /// Evaluates `a_0 + a_1 x + … + a_f x^f` at the residue `x` by Horner's
+    /// rule, with the coefficients given low to high.
+    #[inline]
+    pub fn horner(&self, coeffs: &[u64], x: u64) -> u64 {
+        coeffs
+            .iter()
+            .rev()
+            .fold(0, |acc, &c| self.add(self.mul(acc, x), c))
+    }
+
     /// Iterator over all field elements `0, 1, …, q-1`.
     pub fn elements(&self) -> impl Iterator<Item = u64> {
         0..self.q

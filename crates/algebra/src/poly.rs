@@ -79,12 +79,7 @@ impl Polynomial {
     /// assert_eq!(p.eval(2), (1 + 4 + 12) % 7);
     /// ```
     pub fn eval(&self, x: u64) -> u64 {
-        let x = self.field.reduce(x);
-        let mut acc = 0u64;
-        for &c in self.coeffs.iter().rev() {
-            acc = self.field.add(self.field.mul(acc, x), c);
-        }
-        acc
+        self.field.horner(&self.coeffs, self.field.reduce(x))
     }
 
     /// The number of points of `F_q` on which `self` and `other` agree.
@@ -109,28 +104,36 @@ impl Polynomial {
     ///
     /// # Panics
     ///
-    /// Panics if `index >= q^(f+1)` (the caller — the parameter derivation in
-    /// [`crate::sequence`] — guarantees `m <= q^(f+1)`).
+    /// Panics if `index >= q^(f+1)`.
     pub fn from_lex_index(field: Fq, f: usize, index: u64) -> Self {
+        let mut coeffs = vec![0u64; f + 1];
+        Self::write_lex_coefficients(field, index, &mut coeffs);
+        Self { field, coeffs }
+    }
+
+    /// Writes the coefficients of the polynomial with lexicographic index
+    /// `index` into `out` — the allocation-free core of
+    /// [`Polynomial::from_lex_index`], with degree bound `f = out.len() - 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= q^(f+1)` (the parameter derivation in
+    /// [`crate::sequence`] guarantees `m <= q^(f+1)`).
+    pub(crate) fn write_lex_coefficients(field: Fq, index: u64, out: &mut [u64]) {
         let q = field.size();
-        let capacity = q.checked_pow((f + 1) as u32);
-        if let Some(cap) = capacity {
+        if let Some(cap) = q.checked_pow(out.len() as u32) {
             assert!(
                 index < cap,
-                "polynomial index {index} out of range for q={q}, f={f}"
+                "polynomial index {index} out of range for q={q}, f={}",
+                out.len().saturating_sub(1)
             );
         }
-        let mut digits = vec![0u64; f + 1];
         let mut rest = index;
         // Fill from least significant digit = a_f upward so that a_0 is the
         // most significant digit of `index` in base q.
-        for slot in (0..=f).rev() {
-            digits[slot] = rest % q;
+        for digit in out.iter_mut().rev() {
+            *digit = rest % q;
             rest /= q;
-        }
-        Self {
-            field,
-            coeffs: digits,
         }
     }
 

@@ -307,11 +307,27 @@ impl SequenceFamily {
     ///
     /// Panics if `color >= m`.
     pub fn polynomial(&self, color: u64) -> Polynomial {
+        let mut coeffs = vec![0u64; self.params.f as usize + 1];
+        self.coefficients(color, &mut coeffs);
+        Polynomial::new(self.params.field(), coeffs)
+    }
+
+    /// Writes the `f + 1` coefficients `a_0, …, a_f` of
+    /// [`polynomial(color)`](Self::polynomial) into `out` without
+    /// allocating — the one color → polynomial mapping, shared by
+    /// `polynomial` and the conflict scan of Algorithm 1, which evaluates
+    /// the coefficients with [`Fq::horner`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `color >= m` or `out.len() != f + 1`.
+    pub fn coefficients(&self, color: u64, out: &mut [u64]) {
         assert!(
             color < self.params.m,
             "input color {color} out of range [0, {})",
             self.params.m
         );
+        assert_eq!(out.len() as u64, self.params.f + 1, "need f + 1 slots");
         // Constant polynomials have lexicographic indices that are multiples
         // of q^f (all digits except the leading/constant coefficient are 0).
         let c = color as u128;
@@ -324,7 +340,7 @@ impl SequenceFamily {
             // first non-zero constant polynomial, so shifting by one suffices.
             None => c + 1,
         };
-        Polynomial::from_lex_index(self.params.field(), self.params.f as usize, index as u64)
+        Polynomial::write_lex_coefficients(self.params.field(), index as u64, out);
     }
 
     /// The `x`-th trial of input color `color`: `(x mod k, p_color(x))`.
@@ -353,23 +369,16 @@ impl SequenceFamily {
     /// Batches have size `k`, except possibly the last one which has size
     /// `q - k⌊q/k⌋` as described in the paper.
     pub fn batch(&self, color: u64, batch: u64) -> Vec<Trial> {
-        let mut out = Vec::with_capacity(self.params.k as usize);
-        self.batch_into(color, batch, &mut out);
-        out
-    }
-
-    /// Appends batch `batch` of color `color`'s trial sequence to `out`
-    /// — the allocation-free variant of [`batch`](Self::batch) for hot
-    /// receive loops that pool many neighbours' batches in one buffer.
-    pub fn batch_into(&self, color: u64, batch: u64, out: &mut Vec<Trial>) {
         assert!(batch < self.params.rounds, "batch index out of range");
         let p = self.polynomial(color);
         let start = batch * self.params.k;
         let end = (start + self.params.k).min(self.params.q);
-        out.extend((start..end).map(|x| Trial {
-            slot: x % self.params.k,
-            value: p.eval(x),
-        }));
+        (start..end)
+            .map(|x| Trial {
+                slot: x % self.params.k,
+                value: p.eval(x),
+            })
+            .collect()
     }
 
     /// Number of batches `R`.
@@ -479,6 +488,25 @@ mod tests {
         // All but the last batch have size exactly k.
         for b in 0..fam.num_batches() - 1 {
             assert_eq!(fam.batch(7, b).len() as u64, fam.params().k);
+        }
+    }
+
+    #[test]
+    fn coefficients_are_distinct_and_non_constant() {
+        // Both parameterizations; the one-shot field has m = q^f = 25, so
+        // its last color is mapped past the constant polynomial a_0 = 1.
+        for fam in [
+            SequenceFamily::derive(8, 4096, 0, 3).unwrap(),
+            SequenceFamily::new(SequenceParams::derive_one_shot(2, 25).unwrap()),
+        ] {
+            let p = fam.params();
+            let mut seen = std::collections::HashSet::new();
+            let mut coeffs = vec![0u64; p.f as usize + 1];
+            for color in 0..p.m {
+                fam.coefficients(color, &mut coeffs);
+                assert!(coeffs[1..].iter().any(|&c| c != 0), "constant p_{color}");
+                assert!(seen.insert(coeffs.clone()), "p_{color} repeats");
+            }
         }
     }
 

@@ -9,14 +9,17 @@
 //!
 //! [`delta_squared_from_ids`] iterates the reduction until it stops making
 //! progress (or a target palette is reached) and reports the number of
-//! iterations, which the experiments compare against `log* n`.
+//! iterations, which the experiments compare against `log* n`.  Whether a
+//! step makes progress is a function of its parameters alone, so the fixed
+//! point is detected before simulating the step, not after.
 
 use dcme_algebra::logstar::log_star;
-use dcme_congest::{RunMetrics, Topology};
+use dcme_algebra::sequence::SequenceParams;
+use dcme_congest::{ExecutionMode, RunMetrics, Topology};
 use dcme_graphs::coloring::Coloring;
 
-use crate::corollary;
 use crate::error::ColoringError;
+use crate::trial;
 
 /// The result of the iterated Linial reduction.
 #[derive(Debug, Clone)]
@@ -69,12 +72,17 @@ pub fn reduce_iteratively(
                 break;
             }
         }
-        let step = corollary::linial_color_reduction(topology, &current)?;
-        let next_palette = step.params.encoded_colors();
-        if next_palette >= current.palette() {
+        // The parameters of Corollary 1.2 (1), as
+        // `corollary::linial_color_reduction` derives them.
+        let params = SequenceParams::derive_one_shot(topology.max_degree(), current.palette())?;
+        if params.encoded_colors() >= current.palette() {
             // No further progress: we have reached the O(Δ²) fixed point.
+            // The step is not simulated, but its input is still checked, so
+            // an improper coloring is rejected rather than returned.
+            trial::check_input(topology, &current, &params)?;
             break;
         }
+        let step = trial::run_with_params(topology, &current, params, ExecutionMode::Sequential)?;
         iterations += 1;
         total_rounds += step.metrics.rounds;
         metrics.merge(&step.metrics);
@@ -141,6 +149,27 @@ mod tests {
 
         let strict = delta_squared_from_ids(&g, None).unwrap();
         assert!(strict.coloring.palette() < 500);
+    }
+
+    #[test]
+    fn improper_input_is_rejected_even_at_the_fixed_point() {
+        // Δ = 2 and 3 input colors: the one-shot palette (25) does not
+        // shrink the input, so no step runs — the input must still be
+        // checked, not returned as a proper "fixed point".
+        let g = generators::ring(8);
+        let bad = Coloring::new(vec![0, 0, 1, 2, 0, 1, 0, 1], 3);
+        let err = reduce_iteratively(&g, &bad, None).unwrap_err();
+        assert!(matches!(err, ColoringError::ImproperInput(_)), "{err:?}");
+        // The `target` exit happens before any check, as it always has.
+        let out = reduce_iteratively(&g, &bad, Some(3)).unwrap();
+        assert_eq!(out.iterations, 0);
+        assert_eq!(out.coloring, bad);
+        // A short input is rejected at the fixed point too.
+        let short = Coloring::new(vec![0, 1, 2], 3);
+        assert!(matches!(
+            reduce_iteratively(&g, &short, None),
+            Err(ColoringError::InputSizeMismatch { .. })
+        ));
     }
 
     #[test]

@@ -165,12 +165,15 @@ pub struct TrialNodeOutput {
 pub struct TrialNode {
     family: Arc<SequenceFamily>,
     input_color: u64,
+    /// Coefficients of the node's own polynomial `p_i`, derived once.
+    own_coeffs: Box<[u64]>,
     /// Ports of neighbours that are already permanently colored, with their
     /// adopted trial, in announcement order (each port announces once).
     colored_neighbors: Vec<(usize, Trial)>,
-    /// Reusable flat pool of every active neighbour's current batch — the
-    /// per-round scratch of the batched conflict scan in `receive`.
-    trial_pool: Vec<Trial>,
+    /// Per-round scratch of the conflict scan in `receive`: the `f + 1`
+    /// polynomial coefficients of every neighbour active this round, packed
+    /// back to back (at most `Δ·(f + 1)` words).
+    active_coeffs: Vec<u64>,
     /// The adopted trial and the iteration in which it was adopted.
     adopted: Option<(Trial, u64)>,
     /// Whether the adopted color has been announced (the node halts right
@@ -187,12 +190,19 @@ pub struct TrialNode {
 
 impl TrialNode {
     /// Creates the state machine for a node with the given input color.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input_color` is outside the family's input palette.
     pub fn new(family: Arc<SequenceFamily>, input_color: u64) -> Self {
+        let mut own_coeffs = vec![0u64; family.params().f as usize + 1].into_boxed_slice();
+        family.coefficients(input_color, &mut own_coeffs);
         Self {
             family,
             input_color,
+            own_coeffs,
             colored_neighbors: Vec::new(),
-            trial_pool: Vec::new(),
+            active_coeffs: Vec::new(),
             adopted: None,
             announced: false,
             out_ports: Vec::new(),
@@ -203,10 +213,6 @@ impl TrialNode {
 
     fn q(&self) -> u64 {
         self.family.params().q
-    }
-
-    fn defect(&self) -> usize {
-        self.family.params().d as usize
     }
 }
 
@@ -266,42 +272,55 @@ impl NodeAlgorithm for TrialNode {
 
         // Active round: the current iteration is the simulator round.
         let iteration = ctx.round;
-        let params = self.family.params();
+        let params = *self.family.params();
         if iteration >= params.rounds {
             // Theory guarantees this cannot happen; if it does, stay active
             // so the driver's round cap reports non-termination.
             return;
         }
 
-        // Pool every active neighbour's current batch into one flat,
-        // reusable buffer.  Within a batch the trial slots `x mod k` are
-        // pairwise distinct, so a neighbour's batch contains a given pair
-        // at most once — counting equality matches over the flat pool is
-        // exactly the old per-batch `contains` count, as one branchless
-        // linear scan instead of nested early-exit loops.
-        self.trial_pool.clear();
+        // Every active neighbour's polynomial, as coefficients: its whole
+        // current batch is determined by them.
+        let width = params.f as usize + 1;
+        self.active_coeffs.clear();
         for slot in inbox.slots().iter().flatten() {
             if let TrialMessage::Active { input_color } = slot {
+                let at = self.active_coeffs.len();
+                self.active_coeffs.resize(at + width, 0);
                 self.family
-                    .batch_into(*input_color, iteration, &mut self.trial_pool);
+                    .coefficients(*input_color, &mut self.active_coeffs[at..]);
             }
         }
 
-        let my_batch = self.family.batch(self.input_color, iteration);
-        let d = self.defect();
-
-        for trial in my_batch {
-            let same_round_conflicts: usize = self
-                .trial_pool
-                .iter()
-                .map(|&t| usize::from(t == trial))
-                .sum();
-            let colored_conflicts: usize = self
+        // Slot-aligned scan.  The slots `x mod k` are pairwise distinct
+        // within a batch, so a neighbour's batch can contain our trial at
+        // position `x` only as its own trial at `x`: one evaluation per
+        // active neighbour counts the same-round conflicts of that trial
+        // exactly, and the first position with at most `d` conflicts in
+        // all is the first d-proper trial of the batch.  Each neighbour
+        // blocks at most `f` positions (Lemma 2.1), so the scan ends after
+        // a few; a position is dropped once it has more than `d`.
+        let field = params.field();
+        let d = params.d as usize;
+        let start = iteration * params.k;
+        let end = (start + params.k).min(params.q);
+        for x in start..end {
+            let trial = Trial {
+                slot: x % params.k,
+                value: field.horner(&self.own_coeffs, x),
+            };
+            let mut conflicts = self
                 .colored_neighbors
                 .iter()
-                .map(|&(_, t)| usize::from(t == trial))
-                .sum();
-            if same_round_conflicts + colored_conflicts <= d {
+                .filter(|&&(_, t)| t == trial)
+                .count();
+            for coeffs in self.active_coeffs.chunks_exact(width) {
+                if conflicts > d {
+                    break;
+                }
+                conflicts += usize::from(field.horner(coeffs, x) == trial.value);
+            }
+            if conflicts <= d {
                 // Adopt.  Orient edges towards neighbours already colored
                 // with the same pair.
                 self.adopted = Some((trial, iteration));
@@ -368,18 +387,14 @@ pub fn run(
     run_with_params(topology, input, params, config.mode)
 }
 
-/// Runs Algorithm 1 with explicitly supplied [`SequenceParams`].
-///
-/// This is the entry point for parameterizations that do not come from
-/// [`SequenceParams::derive`], most notably the tight single-round Linial
-/// step of Remark 2.2 ([`SequenceParams::derive_one_shot`]).  The parameters'
-/// `m` must equal the input coloring's palette.
-pub fn run_with_params(
+/// The checks [`run_with_params`] makes before simulating: the input
+/// coloring covers the graph, its palette is the parameters' `m`, and it is
+/// proper.
+pub(crate) fn check_input(
     topology: &Topology,
     input: &Coloring,
-    params: SequenceParams,
-    mode: ExecutionMode,
-) -> Result<TrialOutcome, ColoringError> {
+    params: &SequenceParams,
+) -> Result<(), ColoringError> {
     if input.len() != topology.num_nodes() {
         return Err(ColoringError::InputSizeMismatch {
             nodes: topology.num_nodes(),
@@ -395,7 +410,22 @@ pub fn run_with_params(
             ),
         });
     }
-    verify::check_proper(topology, input).map_err(ColoringError::ImproperInput)?;
+    verify::check_proper(topology, input).map_err(ColoringError::ImproperInput)
+}
+
+/// Runs Algorithm 1 with explicitly supplied [`SequenceParams`].
+///
+/// This is the entry point for parameterizations that do not come from
+/// [`SequenceParams::derive`], most notably the tight single-round Linial
+/// step of Remark 2.2 ([`SequenceParams::derive_one_shot`]).  The parameters'
+/// `m` must equal the input coloring's palette.
+pub fn run_with_params(
+    topology: &Topology,
+    input: &Coloring,
+    params: SequenceParams,
+    mode: ExecutionMode,
+) -> Result<TrialOutcome, ColoringError> {
+    check_input(topology, input, &params)?;
 
     let family = Arc::new(SequenceFamily::new(params));
 

@@ -3,10 +3,57 @@
 
 use proptest::prelude::*;
 
-use dcme_algebra::sequence::{SequenceFamily, SequenceParams};
+use dcme_algebra::sequence::{SequenceFamily, SequenceParams, Trial};
+use dcme_coloring::trial::TrialOutcome;
 use dcme_coloring::{corollary, reduction, trial, TrialConfig};
-use dcme_congest::ExecutionMode;
+use dcme_congest::{ExecutionMode, Topology};
 use dcme_graphs::{coloring::Coloring, generators, verify};
+
+/// An oracle for Algorithm 1 built only from [`SequenceFamily::batch`] and
+/// the run's outputs.  A node `v` in part `r` must hold the first trial of
+/// its batch `r` with at most `d` conflicts.  The conflicts of a trial are
+/// the neighbours still active in batch `r` (part ≥ r) whose batch `r`
+/// contains it, plus the neighbours colored with it in an earlier batch
+/// (part < r).  `batch` yields the short last batch when `k` does not
+/// divide `q`, and the whole sequence in one batch when `k > q`.
+fn check_first_d_proper_trial(
+    g: &Topology,
+    input: &Coloring,
+    out: &TrialOutcome,
+) -> Result<(), TestCaseError> {
+    let params = out.params;
+    let fam = SequenceFamily::new(params);
+    let colors = out.coloring().colors();
+    let parts = &out.result.partition;
+    for v in 0..g.num_nodes() {
+        let r = parts[v];
+        let (active, colored): (Vec<usize>, Vec<usize>) =
+            g.neighbors(v).iter().partition(|&&u| parts[u] >= r);
+        let active: Vec<Vec<Trial>> = active
+            .into_iter()
+            .map(|u| fam.batch(input.color(u), r))
+            .collect();
+        let first = fam.batch(input.color(v), r).into_iter().find(|t| {
+            let same_round = active.iter().filter(|b| b.contains(t)).count();
+            let earlier = colored
+                .iter()
+                .filter(|&&u| colors[u] == t.encode(params.q))
+                .count();
+            same_round + earlier <= params.d as usize
+        });
+        prop_assert_eq!(
+            first.map(|t| t.encode(params.q)),
+            Some(colors[v]),
+            "node {} in part {} (k = {}, q = {}, d = {})",
+            v,
+            r,
+            params.k,
+            params.q,
+            params.d
+        );
+    }
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -28,6 +75,13 @@ proptest! {
         prop_assert!(out.metrics.rounds <= out.params.rounds + 1);
         let report = dcme_congest::BandwidthReport::check(n, &out.metrics, 6);
         prop_assert!(report.within_congest);
+        // Unless k is 1 or q, it does not divide the prime q: the last
+        // batch is short.
+        check_first_d_proper_trial(&g, &ids, &out)?;
+        // k = 1 as well, where blocking by already-colored neighbours is
+        // common (a random k mostly finishes in the first batch).
+        let one = trial::run(&g, &ids, TrialConfig::proper(1)).unwrap();
+        check_first_d_proper_trial(&g, &ids, &one)?;
     }
 
     /// The defective variant: defect ≤ d for the one-round setting and a
@@ -46,10 +100,14 @@ proptest! {
 
         let one = corollary::defective_one_round(&g, &ids, d).unwrap();
         prop_assert!(verify::check_defective(&g, one.coloring(), d as usize).is_ok());
+        // k = X > q: one batch holding the whole sequence.
+        prop_assert!(one.params.k > one.params.q);
+        check_first_d_proper_trial(&g, &ids, &one)?;
 
         let out = corollary::outdegree_coloring(&g, &ids, d).unwrap();
         prop_assert!(verify::check_outdegree_orientation(&g, &out.result.oriented, d as usize).is_ok());
         prop_assert!(verify::check_partition_degree(&g, &out.result, d as usize).is_ok());
+        check_first_d_proper_trial(&g, &ids, &out)?;
     }
 
     /// Trial sequences: distinct input colors never collide in more than f
