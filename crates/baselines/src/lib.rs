@@ -37,8 +37,8 @@
 //! vs. the randomized folklore vs. the modern randomized state of the art.
 //! The randomized algorithms are ordinary [`dcme_congest::NodeAlgorithm`]s
 //! with bit-exact [`dcme_congest::WireMessage`] encodings, so they run
-//! unchanged on the sequential, pooled and sharded executors and over the
-//! socket transports — bit-for-bit, for a fixed seed.
+//! unchanged on the sequential and sharded executors and over the socket
+//! transports — bit-for-bit, for a fixed seed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,8 +3,8 @@
 //!
 //! Everything here exists to make *randomized* CONGEST algorithms behave
 //! like first-class citizens of the engine, which demands executor
-//! independence: the sequential, pooled and sharded executors (and the
-//! socket transports underneath them) must produce **bit-identical** runs
+//! independence: the sequential and sharded executors (and the socket
+//! transports underneath them) must produce **bit-identical** runs
 //! for a fixed seed.  The engine guarantees that only for algorithms that
 //! are deterministic functions of their explicit state, so all randomness is
 //! drawn from *stateless per-round streams*: [`round_rng`] derives a fresh

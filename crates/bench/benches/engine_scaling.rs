@@ -9,6 +9,11 @@
 //! during the tail almost every node is halted, so an engine that still pays
 //! `O(n)` per round is dominated by overhead rather than useful work.
 //!
+//! The `seq` rows time the single-threaded driver.  The `par*` rows time
+//! `ExecutionMode::Parallel { threads }`, i.e. the threaded driver on a
+//! `threads`-shard `ShardedTopology` — including the per-run build of that
+//! shard topology from the `Topology`.
+//!
 //! Run the full-size configuration (`n = 100_000`) with `cargo bench --bench
 //! engine_scaling`; set `ENGINE_SCALING_SMOKE=1` (as CI does) for a
 //! seconds-sized smoke run on `n = 2_000`.

@@ -24,8 +24,8 @@ use std::io::Write;
 
 use dcme_bench::workloads;
 use dcme_congest::{
-    ChromeTraceSink, Fanout, JsonLinesWriter, PooledExecutor, RoundSeries, SequentialExecutor,
-    ShardedExecutor, Simulator, SimulatorConfig, SocketLoopback, TraceSink,
+    ChromeTraceSink, Fanout, JsonLinesWriter, RoundSeries, SequentialExecutor, ShardedExecutor,
+    Simulator, SimulatorConfig, SocketLoopback, TraceSink,
 };
 
 struct Args {
@@ -44,7 +44,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: exp_trace [--n N] [--shards S] [--graph ring|circulant4] [--tail T] \
-         [--seed SEED] [--max-rounds R] [--mode seq|pooled|sharded|socket|mesh] \
+         [--seed SEED] [--max-rounds R] [--mode seq|sharded|socket|mesh] \
          [--out TRACE.json] [--series ROUNDS.jsonl] [--label LABEL]\n\
          \x20      --mode mesh runs the worker protocol in-process over TCP loopback\n\
          \x20      with the direct worker-to-worker data mesh, merging each worker's\n\
@@ -90,10 +90,7 @@ fn parse_args() -> Args {
             _ => usage(),
         }
     }
-    if !matches!(
-        args.mode.as_str(),
-        "seq" | "pooled" | "sharded" | "socket" | "mesh"
-    ) {
+    if !matches!(args.mode.as_str(), "seq" | "sharded" | "socket" | "mesh") {
         eprintln!("unknown --mode {:?}", args.mode);
         usage()
     }
@@ -214,7 +211,6 @@ fn run(args: &Args) -> std::io::Result<()> {
     let t = std::time::Instant::now();
     let outcome = match args.mode.as_str() {
         "seq" => sim.run_with_executor(nodes, &SequentialExecutor),
-        "pooled" => sim.run_with_executor(nodes, &PooledExecutor::new(args.shards.max(2))),
         "sharded" => sim.run_with_executor(nodes, &ShardedExecutor::new()),
         "socket" => sim.run_with_executor(
             nodes,

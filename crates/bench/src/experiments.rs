@@ -691,7 +691,7 @@ pub fn transport_backends(scale: Scale) -> Table {
 /// EB — the randomized baselines across executors and transport backends:
 /// for a fixed seed, the HNT ultrafast structure and the D1LC degree+1 list
 /// coloring must produce identical colorings, round counts and message
-/// counters on the sequential, pooled and sharded executors, under both the
+/// counters on the sequential and sharded executors, under both the
 /// in-process staging queues and the wire-codec'd socket loopback.  The
 /// runner *asserts* the bit-for-bit agreement before reporting each row, so
 /// a diverging backend fails the experiment instead of printing a lie.
@@ -699,8 +699,8 @@ pub fn eb_randomized_baselines(scale: Scale) -> Table {
     use dcme_baselines::degree_plus_one::DegreePlusOneNode;
     use dcme_baselines::ultrafast::UltrafastNode;
     use dcme_congest::{
-        NodeAlgorithm, PooledExecutor, RunOutcome, SequentialExecutor, ShardedExecutor,
-        ShardedTopology, Simulator, SimulatorConfig, SocketLoopback,
+        NodeAlgorithm, RunOutcome, SequentialExecutor, ShardedExecutor, ShardedTopology, Simulator,
+        SimulatorConfig, SocketLoopback,
     };
 
     let mut t = Table::new(
@@ -738,10 +738,6 @@ pub fn eb_randomized_baselines(scale: Scale) -> Table {
         let reference: RunOutcome<Option<u64>> =
             Simulator::with_config(g, config).run_with_executor(mk(), &SequentialExecutor);
         let mut runs = vec![
-            (
-                "pooled(4)",
-                Simulator::with_config(g, config).run_with_executor(mk(), &PooledExecutor::new(4)),
-            ),
             (
                 "sharded+inproc",
                 Simulator::with_config(&sharded, config)
@@ -1123,7 +1119,7 @@ mod tests {
         // The runner itself asserts the fixed-seed bit-exactness; here we
         // additionally pin that every backend row made it into the table.
         let eb = eb_randomized_baselines(Scale::Quick);
-        let backends = if cfg!(unix) { 5 } else { 4 };
+        let backends = if cfg!(unix) { 4 } else { 3 };
         // 2 graphs × 2 algorithms × backends.
         assert_eq!(eb.rows.len(), 2 * 2 * backends);
         assert!(eb.rows.iter().all(|r| r[7] == "true"));

@@ -161,8 +161,9 @@ impl<'a, M> Inbox<'a, M> {
 pub trait NodeAlgorithm: Send {
     /// The message type exchanged over edges.
     ///
-    /// `Sync` is required because the pooled executor's workers read their
-    /// nodes' inbox slots concurrently from the shared round arena; message
+    /// `Send + Sync` are required because the threaded driver hands
+    /// messages between shard threads through a transport they all share
+    /// ([`TransportMessage`](crate::transport::TransportMessage)); message
     /// types are plain data in practice, so the bound is automatic.
     ///
     /// [`WireMessage`](crate::wire::WireMessage) is required because in

@@ -1,107 +1,112 @@
-//! Round-loop execution strategies behind the [`Executor`] seam.
+//! The round engine: one round kernel behind the [`Executor`] seam, and the
+//! drivers that run it.
 //!
 //! The [`Simulator`](crate::Simulator) owns the *what* of a run (topology,
 //! node state machines, metrics); an [`Executor`] owns the *how* of driving
-//! the synchronous send → deliver → receive loop.  Three strategies ship
-//! today:
+//! the synchronous send → deliver → receive loop.
 //!
-//! * [`SequentialExecutor`] — the reference implementation: one thread, one
-//!   pass over the active set per phase.
-//! * [`PooledExecutor`] — a persistent worker pool: scoped threads are
-//!   spawned **once per run** and coordinate the per-round phases through a
-//!   poison-aware phase barrier, instead of re-chunking and re-spawning
-//!   threads twice per round.
-//! * [`ShardedExecutor`] — runs a [`ShardedTopology`]: one worker per
-//!   shard, each owning its shard's inbox slots outright (no shared arena
-//!   lock); only cross-shard messages travel, through per-shard-pair
-//!   staging queues.  See the protocol below.
+//! # One kernel
 //!
-//! All strategies are generic over [`TopologyView`] (sequential and pooled
-//! run on either representation; sharded requires the shard structure),
-//! share the per-run [`RoundState`] arena and are required to be
-//! *bit-for-bit equivalent*: same outputs, same metrics (up to wall-clock
-//! phase timings), regardless of thread or shard count.  Tests assert this.
+//! Every round of every run is executed by a crate-private `ShardKernel`:
+//! one shard's nodes, contexts and inbox slots, plus its touched-slot list,
+//! compact active list and counters.  It runs a round in three calls —
+//!
+//! 1. **send + route**: clear the slots filled last round, ask every active
+//!    node for its outbox, and route each message to its destination slot
+//!    (a shard's [`dest_slot_from`](ShardTopologyView::dest_slot_from)
+//!    remap table, or a whole graph's [`TopologyView`] lookups) — into the
+//!    shard's own slots, or to a cross-shard sink the driver passes in
+//!    (followed, for drivers with a transport, by a timed flush);
+//! 2. **deliver**: fill the shard's slots from a drain the driver passes in
+//!    (messages other shards routed here);
+//! 3. **receive + compact**: hand every active node its inbox — a
+//!    zero-copy [`Inbox`] view of its own slots — and drop the nodes that
+//!    halted from the active list.
+//!
+//! The kernel is the only place the engine calls [`NodeAlgorithm::send`] and
+//! [`NodeAlgorithm::receive`], takes the phase, flush and drain timings
+//! ([`PhaseTimings`]: send = clear + compute + intra-shard routing, deliver
+//! = cross-shard drain, receive = receive + compaction) and builds the
+//! per-shard trace events.  [`TraceSink::enabled`] is read once per kernel,
+//! so an untraced run constructs no events.
+//!
+//! # Three drivers
+//!
+//! * [`SequentialExecutor`] runs one kernel over the whole graph on the
+//!   caller's thread, with no barriers.  The graph is its only shard, so
+//!   every message is routed straight into a slot, found through the
+//!   generic [`TopologyView`] lookups (`neighbor_at` → `reverse_port` →
+//!   `port_range`); no remap table is built.
+//! * [`ShardedExecutor`] runs one kernel per shard of a
+//!   [`ShardedTopology`], each on its own thread, and moves cross-shard
+//!   messages through a pluggable [`Transport`] (see the protocol below).
+//!   [`ExecutionMode::Parallel`](crate::ExecutionMode::Parallel) selects it
+//!   on a `threads`-shard topology built from the simulator's view.
+//! * [`serve_shard_with`](crate::transport::serve_shard_with) runs one
+//!   kernel per worker process over that worker's
+//!   [`ShardSliceTopology`](crate::sharded::ShardSliceTopology), with the
+//!   round decided by coordinator frames.
+//!
+//! All drivers are required to be *bit-for-bit equivalent*: same outputs,
+//! same metrics (up to wall-clock timings and backend-describing transport
+//! counters), regardless of thread, shard or process count.  Tests assert
+//! this against an independent reference loop.
 //!
 //! # The zero-allocation round loop
 //!
-//! All per-round buffers live in [`RoundState`], allocated once per run and
-//! recycled every round:
+//! Inbox slots live in the [`RoundState`] arena: a flat, CSR-indexed vector
+//! with one slot per directed edge, allocated once per run.  A message from
+//! `v` over port `p` lands in the slot of the reverse port at the receiving
+//! endpoint.  Each kernel owns a contiguous sub-range of the arena (its
+//! shard's nodes' slots) and clears only the slots it filled (its touched
+//! list), so quiet rounds cost `O(active)` rather than `O(n + m)`; its
+//! active list shrinks as nodes halt, so halted nodes stop costing even an
+//! `is_halted()` check per round.
 //!
-//! * **Inbox slots** — a flat, CSR-indexed arena with one slot per directed
-//!   edge, pre-sized from the [`Topology`] offsets.  A message from `v`
-//!   over port `p` lands in the slot of the reverse port at the receiving
-//!   endpoint; a node's inbox is a zero-copy [`Inbox`] view of its slot
-//!   range.  Only the slots actually filled in a round (tracked in a
-//!   `touched` list) are cleared afterwards, so quiet rounds cost `O(active)`
-//!   rather than `O(n + m)`.
-//! * **Active-set compaction** — the engine iterates a compact list of
-//!   still-active node ids and shrinks it as nodes halt, so halted nodes
-//!   stop costing even an `is_halted()` check per round.
-//! * **Outbox staging** — send results are staged in reusable buffers
-//!   (per-worker mailboxes in the pooled executor) whose capacity persists
-//!   across rounds.
+//! # Sharded barrier protocol
 //!
-//! # Pooled barrier protocol
+//! The [`ShardedExecutor`] spawns one thread per shard; thread `w` owns,
+//! exclusively and lock-free, the slice of inbox slots of shard `w`'s
+//! nodes, so **every write to a slot is performed by the thread that owns
+//! it**.  A coordinator on the calling thread decides rounds.  Per round
+//! all parties cross four barriers:
 //!
-//! Each worker owns a contiguous chunk of nodes for the whole run.  Per
-//! round the pool crosses four barriers: **A** (the coordinator has published
-//! the round number / stop flag) → workers run the send phase into their
-//! mailboxes → **B** → the coordinator clears last round's slots and
-//! delivers all staged outboxes into the arena → **C** → workers run the
-//! receive phase against read-locked slot views, compact their local active
-//! lists and publish the new counts → **D** → the coordinator sums the
-//! counts and decides the next round.  A panic in any phase (user algorithm
-//! code or delivery validation) poisons the pool at the next barrier so all
-//! parties unwind together and the original panic is re-thrown — never a
-//! deadlocked barrier.
+//! 1. **A** — the coordinator has published the round number or the stop
+//!    flag.  Each thread runs its kernel's send step: intra-shard messages
+//!    go straight into its own slots, cross-shard messages are staged on
+//!    the transport (`Transport::stage`), then flushed
+//!    (`Transport::flush`: a no-op in process, one sealed wire frame per
+//!    destination shard on sockets).
+//! 2. **B** — every message is routed.  Each thread drains every `x → w`
+//!    channel into its own slots (`Transport::drain`).  For the in-process
+//!    backend the channels are `Mutex`-guarded queues, uncontended by
+//!    construction: `x → w` is written only by `x` before B and read only
+//!    by `w` after it.
+//! 3. **C** — every slot of the round is in place.  Each thread runs its
+//!    kernel's receive step and publishes its active count.
+//! 4. **D** — the coordinator sums the counts and decides the next round.
 //!
-//! # Sharded delivery protocol
+//! A panic in any phase (algorithm code or delivery validation) poisons the
+//! protocol at the next barrier, so all parties unwind together and the
+//! original panic is re-thrown — never a deadlocked barrier.  Per-shard
+//! counters are merged into [`RunMetrics`] in shard order when the run ends,
+//! so the totals are deterministic; `RunMetrics::shard_phase_nanos` keeps
+//! the per-shard phase times and `RunMetrics::{intra,cross}_shard_messages`
+//! the split.  The coordinator's own barrier-to-barrier windows (A→B, B→C,
+//! C→D) are the run's `RunMetrics::phase_nanos`.
 //!
-//! The [`ShardedExecutor`] spawns one worker per shard of a
-//! [`ShardedTopology`].  Worker `w` owns, exclusively and lock-free, the
-//! slice of inbox slots belonging to shard `w`'s nodes (the arena's flat
-//! slot vector is split by the shard slot ranges), so **every write to a
-//! slot is performed by the worker that owns it**.  Cross-shard messages
-//! travel through a pluggable [`Transport`] (see [`crate::transport`]):
-//!
-//! 1. **Send + route + flush** (barrier A → B): worker `w` clears its
-//!    slots touched last round, runs the send phase for its active nodes,
-//!    and routes each message via the topology's precomputed
-//!    [`dest_slot`](ShardedTopology::dest_slot) remap table — intra-shard
-//!    messages are written straight into `w`'s own slots, cross-shard
-//!    messages are staged on the transport (`Transport::stage`).  At the
-//!    send barrier the worker flushes its staged batches
-//!    (`Transport::flush`): the in-process backend is a no-op, socket
-//!    backends seal one wire frame per destination shard.  Message and
-//!    bit accounting is charged here, split into intra-/cross-shard
-//!    counters; flushed wire bytes and flush time are recorded in
-//!    `RunMetrics::{wire_bytes_sent,transport_flush_nanos}`.
-//! 2. **Cross-shard drain** (B → C): worker `w` drains every `x → w`
-//!    channel into its own slots (`Transport::drain`).  For the
-//!    in-process backend the channels are `Mutex`-guarded queues,
-//!    uncontended by construction: `x → w` is written only by `x` in
-//!    phase 1 and read only by `w` in phase 2, with a barrier in between.
-//!    Under [`DeliveryMode::Strict`] (the default) a second write to a
-//!    slot is a CONGEST violation and panics; under
-//!    [`DeliveryMode::Async`] — used by fault-injected runs whose
-//!    transport may deliver stale, duplicated or delayed copies — the
-//!    slot keeps the **most recently drained** message and the overwrite
-//!    is counted in `RunMetrics::stale_overwrites`.
-//! 3. **Receive** (C → D): worker `w` hands its nodes their inbox views
-//!    (plain slices of its own slots), compacts its active list and
-//!    publishes the count; the coordinator sums counts and decides the
-//!    next round, exactly like the pooled protocol.
-//!
-//! Per-worker message/bit/phase-time counters are merged into
-//! [`RunMetrics`] in shard order when the run ends, so the totals are
-//! deterministic; `RunMetrics::shard_phase_nanos` additionally keeps the
-//! per-shard phase times, and the intra/cross split is reported in
-//! `RunMetrics::{intra,cross}_shard_messages`.
+//! Under [`DeliveryMode::Strict`] (the default) a second write to a slot is
+//! a CONGEST violation and panics; under [`DeliveryMode::Async`] — used by
+//! fault-injected runs whose transport may deliver stale, duplicated or
+//! delayed copies — the slot keeps the **most recently drained** message
+//! and the overwrite is counted in `RunMetrics::stale_overwrites`.
 
 use std::any::Any;
+use std::convert::Infallible;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, RwLock};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use crate::algorithm::{Inbox, MessageSize, NodeAlgorithm, NodeContext, Outbox};
@@ -111,35 +116,18 @@ use crate::topology::{NodeId, Port, Topology, TopologyView};
 use crate::trace::{TraceEvent, TracePhase, TraceSink};
 use crate::transport::{InProcess, Transport, TransportBuilder};
 
-/// The reusable per-run arena of the round engine.
-///
-/// Holds every buffer the round loop needs — inbox slots, the touched-slot
-/// list, the compact active set and the outbox staging buffer — so that a
-/// run performs no per-round allocations after the first few rounds.  See
-/// the [module docs](self) for the layout.
+/// The reusable per-run slot arena of the round engine: one inbox slot per
+/// directed edge, CSR-indexed (node `v`'s ports occupy
+/// `topology.port_range(v)`), allocated once per run and recycled every
+/// round.  See the [module docs](self) for how drivers split it by shard.
 #[derive(Debug)]
 pub struct RoundState<M> {
-    /// One inbox slot per directed edge, CSR-indexed: node `v`'s ports
-    /// occupy `topology.port_range(v)`.
     slots: Vec<Option<M>>,
-    /// Indices of slots filled during the current round's delivery; cleared
-    /// (and only these are cleared) before the next delivery.
-    touched: Vec<usize>,
-    /// Compact list of currently-active node ids (sequential executor).
-    active: Vec<NodeId>,
-    /// Staged `(sender, outbox)` pairs of the current round (sequential
-    /// executor; the pooled executor stages in per-worker mailboxes).
-    staged: Vec<(NodeId, Outbox<M>)>,
 }
 
 impl<M> Default for RoundState<M> {
     fn default() -> Self {
-        Self {
-            slots: Vec::new(),
-            touched: Vec::new(),
-            active: Vec::new(),
-            staged: Vec::new(),
-        }
+        Self { slots: Vec::new() }
     }
 }
 
@@ -149,73 +137,7 @@ impl<M: MessageSize + Clone> RoundState<M> {
     pub fn new(topology: &impl TopologyView) -> Self {
         Self {
             slots: (0..topology.num_directed_edges()).map(|_| None).collect(),
-            touched: Vec::new(),
-            active: Vec::new(),
-            staged: Vec::new(),
         }
-    }
-
-    /// The inbox view of node `v`: one slot per port, in port order.
-    pub fn inbox<'a>(&'a self, topology: &impl TopologyView, v: NodeId) -> Inbox<'a, M> {
-        Inbox::from_slots(&self.slots[topology.port_range(v)])
-    }
-
-    /// Clears the slots filled by the previous round's delivery.
-    fn clear_round(&mut self) {
-        for i in self.touched.drain(..) {
-            self.slots[i] = None;
-        }
-    }
-
-    /// Delivers one node's outbox into the arena, charging every transmitted
-    /// message to `metrics` (including messages addressed to halted
-    /// receivers — see the accounting semantics in [`crate::algorithm`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the outbox names a nonexistent port or sends two messages
-    /// over the same port in one round (the CONGEST model allows one message
-    /// per edge per round).
-    fn deliver(
-        &mut self,
-        topology: &impl TopologyView,
-        v: NodeId,
-        outbox: Outbox<M>,
-        metrics: &mut RunMetrics,
-    ) {
-        match outbox {
-            Outbox::Silent => {}
-            Outbox::Broadcast(msg) => {
-                for p in 0..topology.degree(v) {
-                    let u = topology.neighbor_at(v, p);
-                    let rp = topology.reverse_port(v, p);
-                    metrics.record_message(msg.bit_size());
-                    self.fill(topology.port_range(u).start + rp, msg.clone(), v);
-                }
-            }
-            Outbox::PerPort(list) => {
-                for (p, msg) in list {
-                    assert!(
-                        p < topology.degree(v),
-                        "node {v} sent on nonexistent port {p}"
-                    );
-                    let u = topology.neighbor_at(v, p);
-                    let rp = topology.reverse_port(v, p);
-                    metrics.record_message(msg.bit_size());
-                    self.fill(topology.port_range(u).start + rp, msg, v);
-                }
-            }
-        }
-    }
-
-    fn fill(&mut self, slot: usize, msg: M, sender: NodeId) {
-        let entry = &mut self.slots[slot];
-        assert!(
-            entry.is_none(),
-            "node {sender} sent two messages over the same port in one round"
-        );
-        *entry = Some(msg);
-        self.touched.push(slot);
     }
 }
 
@@ -223,15 +145,15 @@ impl<M: MessageSize + Clone> RoundState<M> {
 /// representation `T`.
 ///
 /// The trait is generic over [`TopologyView`] so a strategy can either work
-/// with any representation ([`SequentialExecutor`] and [`PooledExecutor`]
-/// implement `Executor<T>` for every `T: TopologyView`) or demand a specific
-/// one ([`ShardedExecutor`] implements only `Executor<ShardedTopology>`,
+/// with any representation ([`SequentialExecutor`] implements `Executor<T>`
+/// for every `T: TopologyView`) or demand a specific one
+/// ([`ShardedExecutor`] implements only `Executor<ShardedTopology>`,
 /// because it needs the shard layout).
 ///
 /// Implementations must uphold the engine contract:
 ///
 /// * rounds are globally synchronous — all sends of round `r` complete
-///   before any delivery, all deliveries before any receive;
+///   before any receive;
 /// * the result is bit-for-bit identical to [`SequentialExecutor`] (outputs
 ///   and all metrics except wall-clock [`PhaseTimings`]);
 /// * on return, `metrics.rounds`, `metrics.hit_round_cap`,
@@ -257,9 +179,460 @@ pub trait Executor<T: TopologyView = Topology> {
     );
 }
 
-/// The reference executor: one thread, one pass over the active set per
-/// phase.  Trivially deterministic; every other executor is tested against
-/// it.
+/// One shard's share of the round engine — the kernel every driver runs
+/// (see the [module docs](self)).
+///
+/// `nodes`, `contexts` and `slots` are exactly the shard's nodes, contexts
+/// and inbox slots; indices into them are global ids minus `node_base` and
+/// global slots minus `slot_base`.  `L` says how the shard and its
+/// messages' destinations are looked up in `T`.
+pub(crate) struct ShardKernel<'a, A: NodeAlgorithm, T: ?Sized, L> {
+    topology: &'a T,
+    lookup: PhantomData<L>,
+    shard: usize,
+    nodes: &'a mut [A],
+    contexts: &'a [NodeContext],
+    node_base: NodeId,
+    slots: &'a mut [Option<A::Message>],
+    slot_base: usize,
+    delivery: DeliveryMode,
+    /// Shard-local indices of the slots filled this round.
+    touched: Vec<usize>,
+    /// Global ids of the shard's still-active nodes, ascending.
+    active: Vec<NodeId>,
+    report: ShardReport,
+    tracer: &'a dyn TraceSink,
+    traced: bool,
+}
+
+impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L> {
+    /// A kernel for `shard` of `topology`, with an empty active list (see
+    /// [`ShardKernel::admit`]).
+    pub(crate) fn new(
+        topology: &'a T,
+        shard: usize,
+        nodes: &'a mut [A],
+        contexts: &'a [NodeContext],
+        slots: &'a mut [Option<A::Message>],
+        delivery: DeliveryMode,
+        tracer: &'a dyn TraceSink,
+    ) -> Self {
+        let node_range = L::nodes(topology, shard);
+        let slot_range = L::slots(topology, shard);
+        assert_eq!(nodes.len(), node_range.len(), "one node per shard node");
+        assert_eq!(contexts.len(), node_range.len(), "one context per node");
+        assert_eq!(slots.len(), slot_range.len(), "one slot per shard port");
+        Self {
+            topology,
+            lookup: PhantomData,
+            shard,
+            nodes,
+            contexts,
+            node_base: node_range.start,
+            slots,
+            slot_base: slot_range.start,
+            delivery,
+            touched: Vec::new(),
+            active: Vec::new(),
+            report: ShardReport::default(),
+            tracer,
+            traced: tracer.enabled(),
+        }
+    }
+
+    /// Fills the active list with the shard's nodes that have not halted
+    /// and returns its length.  Separate from [`ShardKernel::new`] because
+    /// `is_halted` is algorithm code, which a threaded driver runs under its
+    /// panic guard.
+    pub(crate) fn admit(&mut self) -> usize {
+        let (nodes, base) = (&*self.nodes, self.node_base);
+        self.active.clear();
+        self.active.extend(
+            (0..nodes.len())
+                .filter(|&i| !nodes[i].is_halted())
+                .map(|i| base + i),
+        );
+        self.active.len()
+    }
+
+    /// The counters accumulated so far.
+    pub(crate) fn report(&self) -> &ShardReport {
+        &self.report
+    }
+
+    /// The send step: clears the slots filled last round, asks every active
+    /// node for its outbox and routes each message into this shard's own
+    /// slots, or to `stage(slot, sender, message)` when another shard owns
+    /// the destination slot.  Every message is charged here, at its sender
+    /// (see the accounting semantics in [`crate::algorithm`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if an outbox names a nonexistent port or sends two messages
+    /// over the same port in one round (the CONGEST model allows one
+    /// message per edge per round).
+    pub(crate) fn send_route(&mut self, round: u64, mut stage: impl FnMut(u32, u32, A::Message)) {
+        self.phase_start(round, TracePhase::Send);
+        let (m0, b0, c0) = (
+            self.report.messages,
+            self.report.total_bits,
+            self.report.cross,
+        );
+        let t = Instant::now();
+        let (shard, node_base) = (self.shard, self.node_base);
+        let own = self.slot_base..self.slot_base + self.slots.len();
+        send_and_route::<A, T, L>(
+            self.topology,
+            shard,
+            round,
+            self.nodes,
+            self.contexts,
+            node_base,
+            &self.active,
+            &own,
+            self.slots,
+            &mut self.touched,
+            &mut self.report,
+            &mut stage,
+        );
+        self.report.intra += (self.report.messages - m0) - (self.report.cross - c0);
+        let nanos = t.elapsed().as_nanos() as u64;
+        self.report.timings.send += nanos;
+        self.phase_end(round, TracePhase::Send, nanos);
+        if self.traced {
+            self.tracer.emit(&TraceEvent::ShardRound {
+                round,
+                shard,
+                messages: self.report.messages - m0,
+                bits: self.report.total_bits - b0,
+                cross: self.report.cross - c0,
+            });
+        }
+    }
+
+    /// Times the driver's `flush` of the messages this round staged for
+    /// other shards; `flush` returns the wire bytes it sealed.
+    pub(crate) fn flush<E>(
+        &mut self,
+        round: u64,
+        flush: impl FnOnce() -> Result<u64, E>,
+    ) -> Result<(), E> {
+        let t = Instant::now();
+        let wire_bytes = flush()?;
+        let nanos = t.elapsed().as_nanos() as u64;
+        self.report.wire_bytes += wire_bytes;
+        self.report.flush_nanos += nanos;
+        if self.traced {
+            self.tracer.emit(&TraceEvent::ShardFlush {
+                round,
+                shard: self.shard,
+                wire_bytes,
+                nanos,
+            });
+        }
+        Ok(())
+    }
+
+    /// The deliver step: `drain` receives a sink and feeds it every
+    /// `(slot, sender, message)` other shards routed here this round.  The
+    /// sink writes each into this shard's slots under the kernel's
+    /// [`DeliveryMode`].
+    ///
+    /// # Panics
+    ///
+    /// Under [`DeliveryMode::Strict`], panics when a slot is written twice.
+    pub(crate) fn deliver<E>(
+        &mut self,
+        round: u64,
+        drain: impl FnOnce(&mut dyn FnMut(u32, u32, A::Message)) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.phase_start(round, TracePhase::Deliver);
+        let s0 = self.report.stale_overwrites;
+        let t = Instant::now();
+        let (slot_base, delivery) = (self.slot_base, self.delivery);
+        let Self {
+            slots,
+            touched,
+            report,
+            ..
+        } = self;
+        drain(&mut |slot, sender, msg| {
+            let local = slot as usize - slot_base;
+            match delivery {
+                DeliveryMode::Strict => fill_slot(slots, local, msg, sender as usize, touched),
+                // Newest wins: transports drain stale copies before the
+                // current round's messages.
+                DeliveryMode::Async => {
+                    if slots[local].replace(msg).is_some() {
+                        report.stale_overwrites += 1;
+                    } else {
+                        touched.push(local);
+                    }
+                }
+            }
+        })?;
+        let nanos = t.elapsed().as_nanos() as u64;
+        self.report.timings.deliver += nanos;
+        if self.traced {
+            self.tracer.emit(&TraceEvent::ShardDrain {
+                round,
+                shard: self.shard,
+                nanos,
+                stale: self.report.stale_overwrites - s0,
+            });
+        }
+        self.phase_end(round, TracePhase::Deliver, nanos);
+        Ok(())
+    }
+
+    /// The receive step: hands every active node its inbox, then drops the
+    /// nodes that halted from the active list; returns how many remain.
+    pub(crate) fn receive_compact(&mut self, round: u64) -> usize {
+        self.phase_start(round, TracePhase::Receive);
+        let t = Instant::now();
+        let (shard, node_base, slot_base) = (self.shard, self.node_base, self.slot_base);
+        let Self {
+            topology,
+            nodes,
+            contexts,
+            slots,
+            active,
+            ..
+        } = self;
+        for &v in active.iter() {
+            let ctx = NodeContext {
+                round,
+                ..contexts[v - node_base]
+            };
+            let r = L::port_range(topology, shard, v);
+            let inbox = Inbox::from_slots(&slots[r.start - slot_base..r.end - slot_base]);
+            nodes[v - node_base].receive(&ctx, &inbox);
+        }
+        active.retain(|&v| !nodes[v - node_base].is_halted());
+        let nanos = t.elapsed().as_nanos() as u64;
+        self.report.timings.receive += nanos;
+        self.phase_end(round, TracePhase::Receive, nanos);
+        self.active.len()
+    }
+
+    /// Ends the run: clears the slots filled in the final round — the
+    /// touched list dies with the kernel, so a reused arena would otherwise
+    /// replay them as phantom messages — and returns the shard's counters.
+    pub(crate) fn finish(self) -> ShardReport {
+        for i in self.touched {
+            self.slots[i] = None;
+        }
+        self.report
+    }
+
+    fn phase_start(&self, round: u64, phase: TracePhase) {
+        if self.traced {
+            self.tracer.emit(&TraceEvent::PhaseStart {
+                round,
+                shard: self.shard,
+                phase,
+            });
+        }
+    }
+
+    fn phase_end(&self, round: u64, phase: TracePhase, nanos: u64) {
+        if self.traced {
+            self.tracer.emit(&TraceEvent::PhaseEnd {
+                round,
+                shard: self.shard,
+                phase,
+                nanos,
+            });
+        }
+    }
+}
+
+/// The loops of [`ShardKernel::send_route`]: clear the slots filled last
+/// round, then ask every active node for its outbox and route each message
+/// into this shard's slot range `own` or to `stage`.
+///
+/// A function of its own, never inlined, on purpose: with the topology and
+/// every buffer as separate reference arguments the compiler knows none of
+/// them aliases another, and keeps the topology's tables in registers.
+/// Inlined into the kernel, whose fields it reaches through `self`, it
+/// reloaded them for every message, and the paper's Δ+1 pipeline ran about
+/// a fifth slower.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn send_and_route<A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>>(
+    topology: &T,
+    shard: usize,
+    round: u64,
+    nodes: &mut [A],
+    contexts: &[NodeContext],
+    node_base: NodeId,
+    active: &[NodeId],
+    own: &core::ops::Range<usize>,
+    slots: &mut [Option<A::Message>],
+    touched: &mut Vec<usize>,
+    report: &mut ShardReport,
+    stage: &mut impl FnMut(u32, u32, A::Message),
+) {
+    for i in touched.drain(..) {
+        slots[i] = None;
+    }
+    for &v in active {
+        let ctx = NodeContext {
+            round,
+            ..contexts[v - node_base]
+        };
+        let degree = L::degree(topology, shard, v);
+        match nodes[v - node_base].send(&ctx) {
+            Outbox::Silent => {}
+            Outbox::Broadcast(msg) => {
+                let bits = msg.bit_size();
+                for p in 0..degree {
+                    let dest = L::dest_slot(topology, shard, v, p);
+                    place(
+                        dest,
+                        msg.clone(),
+                        bits,
+                        v,
+                        own,
+                        slots,
+                        touched,
+                        report,
+                        stage,
+                    );
+                }
+            }
+            Outbox::PerPort(list) => {
+                for (p, msg) in list {
+                    assert!(p < degree, "node {v} sent on nonexistent port {p}");
+                    let (dest, bits) = (L::dest_slot(topology, shard, v, p), msg.bit_size());
+                    place(dest, msg, bits, v, own, slots, touched, report, stage);
+                }
+            }
+        }
+    }
+}
+
+/// Charges one message of `v` and puts it in the shard's own slot `dest`
+/// when `own` holds it, or hands it to `stage` otherwise.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn place<M>(
+    dest: usize,
+    msg: M,
+    bits: u64,
+    v: NodeId,
+    own: &core::ops::Range<usize>,
+    slots: &mut [Option<M>],
+    touched: &mut Vec<usize>,
+    report: &mut ShardReport,
+    stage: &mut impl FnMut(u32, u32, M),
+) {
+    report.record(bits);
+    if own.contains(&dest) {
+        fill_slot(slots, dest - own.start, msg, v, touched);
+    } else {
+        report.cross += 1;
+        stage(dest as u32, v as u32, msg);
+    }
+}
+
+/// Writes `msg` into the kernel-owned slot `local`, enforcing the one
+/// message per edge per round CONGEST contract.
+fn fill_slot<M>(
+    slots: &mut [Option<M>],
+    local: usize,
+    msg: M,
+    sender: NodeId,
+    touched: &mut Vec<usize>,
+) {
+    let entry = &mut slots[local];
+    assert!(
+        entry.is_none(),
+        "node {sender} sent two messages over the same port in one round"
+    );
+    *entry = Some(msg);
+    touched.push(local);
+}
+
+/// How a [`ShardKernel`] finds its shard in a topology `T`, and the global
+/// slot a message sent by `v` over port `p` lands in.  The lookups take the
+/// topology as an argument, so the routing loop holds the topology itself,
+/// not a wrapper around it.
+pub(crate) trait ShardLookup<T: ?Sized> {
+    /// The shard's node range.
+    fn nodes(topology: &T, shard: usize) -> core::ops::Range<NodeId>;
+    /// The shard's slot range.
+    fn slots(topology: &T, shard: usize) -> core::ops::Range<usize>;
+    /// Degree of `v`, a node of `shard`.
+    fn degree(topology: &T, shard: usize, v: NodeId) -> usize;
+    /// The global inbox slot of the message `v` sends over port `p`.
+    fn dest_slot(topology: &T, shard: usize, v: NodeId, p: Port) -> usize;
+    /// The global slot range of `v`'s own inbox.
+    fn port_range(topology: &T, shard: usize, v: NodeId) -> core::ops::Range<usize>;
+}
+
+/// One shard of a [`ShardTopologyView`], routed through its precomputed
+/// [`dest_slot_from`](ShardTopologyView::dest_slot_from) table.
+pub(crate) struct RemapTable;
+
+impl<T: ShardTopologyView + ?Sized> ShardLookup<T> for RemapTable {
+    fn nodes(topology: &T, shard: usize) -> core::ops::Range<NodeId> {
+        topology.shard_nodes(shard)
+    }
+
+    fn slots(topology: &T, shard: usize) -> core::ops::Range<usize> {
+        topology.shard_slots(shard)
+    }
+
+    #[inline]
+    fn degree(topology: &T, shard: usize, v: NodeId) -> usize {
+        topology.degree_from(shard, v)
+    }
+
+    #[inline]
+    fn dest_slot(topology: &T, shard: usize, v: NodeId, p: Port) -> usize {
+        topology.dest_slot_from(shard, v, p)
+    }
+
+    #[inline]
+    fn port_range(topology: &T, shard: usize, v: NodeId) -> core::ops::Range<usize> {
+        topology.port_range_from(shard, v)
+    }
+}
+
+/// Any [`TopologyView`] as one shard owning every node and slot, for the
+/// single-threaded driver.  A message's destination slot is found with the
+/// view's own lookups, so no remap table is built.
+struct WholeGraph;
+
+impl<T: TopologyView + ?Sized> ShardLookup<T> for WholeGraph {
+    fn nodes(topology: &T, _shard: usize) -> core::ops::Range<NodeId> {
+        0..topology.num_nodes()
+    }
+
+    fn slots(topology: &T, _shard: usize) -> core::ops::Range<usize> {
+        0..topology.num_directed_edges()
+    }
+
+    #[inline]
+    fn degree(topology: &T, _shard: usize, v: NodeId) -> usize {
+        topology.degree(v)
+    }
+
+    #[inline]
+    fn dest_slot(topology: &T, _shard: usize, v: NodeId, p: Port) -> usize {
+        topology.port_range(topology.neighbor_at(v, p)).start + topology.reverse_port(v, p)
+    }
+
+    #[inline]
+    fn port_range(topology: &T, _shard: usize, v: NodeId) -> core::ops::Range<usize> {
+        topology.port_range(v)
+    }
+}
+
+/// The single-threaded driver: one kernel over the whole graph, on the
+/// caller's thread, with no barriers.  It reports no shard split
+/// (`RunMetrics::{intra,cross}_shard_messages` stay 0).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SequentialExecutor;
 
@@ -274,8 +647,6 @@ impl<T: TopologyView> Executor<T> for SequentialExecutor {
         metrics: &mut RunMetrics,
         tracer: &dyn TraceSink,
     ) {
-        // Hoisted once: with the no-op sink every `if traced` below is a
-        // never-taken branch on a local — no event is ever constructed.
         let traced = tracer.enabled();
         if traced {
             tracer.emit(&TraceEvent::RunStart {
@@ -283,590 +654,81 @@ impl<T: TopologyView> Executor<T> for SequentialExecutor {
                 shards: 1,
             });
         }
-        let mut active = std::mem::take(&mut state.active);
-        active.clear();
-        active.extend((0..nodes.len()).filter(|&v| !nodes[v].is_halted()));
-
+        let mut kernel = ShardKernel::<_, _, WholeGraph>::new(
+            topology,
+            0,
+            nodes,
+            contexts,
+            &mut state.slots,
+            DeliveryMode::Strict,
+            tracer,
+        );
+        let mut active = kernel.admit();
         let mut round: u64 = 0;
-        loop {
-            if active.is_empty() {
-                break;
-            }
+        while active > 0 {
             if round >= max_rounds {
                 metrics.hit_round_cap = true;
                 break;
             }
-            metrics.active_per_round.push(active.len());
+            metrics.active_per_round.push(active);
             if traced {
-                tracer.emit(&TraceEvent::RoundStart {
-                    round,
-                    active: active.len(),
-                });
-                tracer.emit(&TraceEvent::PhaseStart {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Send,
-                });
+                tracer.emit(&TraceEvent::RoundStart { round, active });
             }
-
-            // --- Send phase ---------------------------------------------
-            let t = Instant::now();
-            let mut staged = std::mem::take(&mut state.staged);
-            for &v in &active {
-                let ctx = NodeContext {
-                    round,
-                    ..contexts[v]
-                };
-                let outbox = nodes[v].send(&ctx);
-                if !outbox.is_silent() {
-                    staged.push((v, outbox));
-                }
-            }
-            let send_d = t.elapsed().as_nanos() as u64;
-            metrics.phase_nanos.send += send_d;
+            let t0 = kernel.report().timings.total();
+            kernel.send_route(round, |_, _, _| {
+                unreachable!("the only shard owns every slot")
+            });
+            kernel
+                .deliver(round, |_| Ok::<(), Infallible>(()))
+                .unwrap_or_else(|never| match never {});
+            active = kernel.receive_compact(round);
             if traced {
-                tracer.emit(&TraceEvent::PhaseEnd {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Send,
-                    nanos: send_d,
-                });
-                tracer.emit(&TraceEvent::PhaseStart {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Deliver,
-                });
-            }
-
-            // --- Delivery -----------------------------------------------
-            let t = Instant::now();
-            let (m0, b0) = (metrics.messages, metrics.total_bits);
-            state.clear_round();
-            for (v, outbox) in staged.drain(..) {
-                state.deliver(topology, v, outbox, metrics);
-            }
-            state.staged = staged;
-            let deliver_d = t.elapsed().as_nanos() as u64;
-            metrics.phase_nanos.deliver += deliver_d;
-            if traced {
-                tracer.emit(&TraceEvent::PhaseEnd {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Deliver,
-                    nanos: deliver_d,
-                });
-                tracer.emit(&TraceEvent::ShardRound {
-                    round,
-                    shard: 0,
-                    messages: metrics.messages - m0,
-                    bits: metrics.total_bits - b0,
-                    cross: 0,
-                });
-                tracer.emit(&TraceEvent::PhaseStart {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Receive,
-                });
-            }
-
-            // --- Receive phase ------------------------------------------
-            let t = Instant::now();
-            for &v in &active {
-                let ctx = NodeContext {
-                    round,
-                    ..contexts[v]
-                };
-                let inbox = state.inbox(topology, v);
-                nodes[v].receive(&ctx, &inbox);
-            }
-            active.retain(|&v| !nodes[v].is_halted());
-            let receive_d = t.elapsed().as_nanos() as u64;
-            metrics.phase_nanos.receive += receive_d;
-            if traced {
-                tracer.emit(&TraceEvent::PhaseEnd {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Receive,
-                    nanos: receive_d,
-                });
                 tracer.emit(&TraceEvent::RoundEnd {
                     round,
-                    active: active.len(),
-                    nanos: send_d + deliver_d + receive_d,
+                    active,
+                    nanos: kernel.report().timings.total() - t0,
                 });
             }
-
             round += 1;
         }
-
+        let report = kernel.finish();
+        metrics.rounds = round;
+        metrics.messages += report.messages;
+        metrics.total_bits += report.total_bits;
+        metrics.max_message_bits = metrics.max_message_bits.max(report.max_message_bits);
+        metrics.phase_nanos = report.timings;
         if traced {
             tracer.emit(&TraceEvent::RunEnd { rounds: round });
         }
-        metrics.rounds = round;
-        state.active = active;
     }
 }
 
-/// The persistent-pool executor: `threads` scoped workers are spawned once
-/// per run, each owning a contiguous chunk of nodes, and the per-round
-/// phases are coordinated through barriers (see the [module docs](self) for
-/// the protocol).  Bit-for-bit equivalent to [`SequentialExecutor`].
-#[derive(Debug, Clone, Copy)]
-pub struct PooledExecutor {
-    threads: usize,
-}
-
-impl PooledExecutor {
-    /// Creates a pool of `threads` workers (at least 1).
-    pub fn new(threads: usize) -> Self {
-        Self {
-            threads: threads.max(1),
-        }
-    }
-
-    /// The number of worker threads.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-/// Per-worker staging shared with the coordinator: the worker fills it
-/// during the send phase and publishes its active count after the receive
-/// phase; the coordinator drains it during delivery.
-struct Mailbox<M> {
-    outboxes: Vec<(NodeId, Outbox<M>)>,
-    active: usize,
-}
-
-/// Per-round signals published by the coordinator before barrier A.
-struct RoundSignal {
-    round: AtomicU64,
-    stop: AtomicBool,
-}
-
-/// Barrier synchronisation with panic poisoning.
-///
-/// Every phase body runs inside [`PhaseSync::guard`]; a panic is captured,
-/// the pool is flagged as poisoned, and the panicking party still reaches
-/// its next barrier.  The first captured payload is re-thrown to the caller
-/// by [`PhaseSync::rethrow`].
-///
-/// The barrier is hand-rolled (generation-counted mutex + condvar) rather
-/// than [`std::sync::Barrier`] because the poison verdict must be decided
-/// **at the instant a crossing completes** and stamped into that
-/// generation.  Reading an atomic flag *after* a standard barrier crossing
-/// is racy: a descheduled party could perform its read only after a later
-/// phase has already poisoned the pool, see a different verdict than its
-/// peers, and exit early — leaving the remaining parties deadlocked at the
-/// next crossing.  With a per-generation verdict every party of a crossing
-/// observes the same decision no matter when it wakes, so all parties
-/// always exit at the same crossing.
-struct PhaseSync {
-    state: Mutex<SyncState>,
-    cvar: Condvar,
-    parties: usize,
-    poisoned: AtomicBool,
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-struct SyncState {
-    /// Parties that have arrived at the current crossing.
-    arrived: usize,
-    /// Completed-crossings counter.
-    generation: u64,
-    /// Poison verdict of the most recently completed crossing.
-    verdict_poisoned: bool,
-}
-
-impl PhaseSync {
-    fn new(parties: usize) -> Self {
-        Self {
-            state: Mutex::new(SyncState {
-                arrived: 0,
-                generation: 0,
-                verdict_poisoned: false,
-            }),
-            cvar: Condvar::new(),
-            parties,
-            poisoned: AtomicBool::new(false),
-            panic: Mutex::new(None),
-        }
-    }
-
-    /// Runs one phase body, capturing a panic instead of unwinding through
-    /// the pool.  `AssertUnwindSafe` is sound here because after a poisoning
-    /// panic the possibly-inconsistent node/arena state is never touched
-    /// again: every party exits at the next barrier and the panic is
-    /// re-thrown.
-    fn guard(&self, body: impl FnOnce()) {
-        if self.poisoned.load(Ordering::SeqCst) {
-            return;
-        }
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
-            let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-            self.poisoned.store(true, Ordering::SeqCst);
-        }
-    }
-
-    /// Crosses the barrier; returns `false` if the pool was poisoned when
-    /// the crossing completed.  The verdict is stamped per generation, so
-    /// every party of one crossing gets the same answer and all parties
-    /// exit the protocol at the same crossing.
-    fn sync(&self) -> bool {
-        // No user code runs under this lock, so it cannot be poisoned; the
-        // `unwrap_or_else` is belt and braces.
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let generation = st.generation;
-        st.arrived += 1;
-        if st.arrived == self.parties {
-            st.arrived = 0;
-            st.generation += 1;
-            st.verdict_poisoned = self.poisoned.load(Ordering::SeqCst);
-            let verdict = st.verdict_poisoned;
-            drop(st);
-            self.cvar.notify_all();
-            !verdict
-        } else {
-            while st.generation == generation {
-                st = self.cvar.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-            // `verdict_poisoned` still belongs to our generation: the next
-            // crossing cannot complete (and overwrite it) before this party
-            // calls `sync` again.
-            !st.verdict_poisoned
-        }
-    }
-
-    /// Re-throws the first captured panic, if any.
-    fn rethrow(&self) {
-        let payload = self.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some(payload) = payload {
-            resume_unwind(payload);
-        }
-    }
-}
-
-impl<T: TopologyView> Executor<T> for PooledExecutor {
-    fn drive<A: NodeAlgorithm>(
-        &self,
-        topology: &T,
-        nodes: &mut [A],
-        contexts: &[NodeContext],
-        state: &mut RoundState<A::Message>,
-        max_rounds: u64,
-        metrics: &mut RunMetrics,
-        tracer: &dyn TraceSink,
-    ) {
-        let n = nodes.len();
-        let chunk = n.div_ceil(self.threads).max(1);
-        let workers = n.div_ceil(chunk); // number of nonempty chunks (0 if n == 0)
-        if tracer.enabled() {
-            tracer.emit(&TraceEvent::RunStart {
-                nodes: n,
-                shards: 1,
-            });
-        }
-
-        let arena = RwLock::new(std::mem::take(state));
-        let signal = RoundSignal {
-            round: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-        };
-        let sync = PhaseSync::new(workers + 1);
-        let mailboxes: Vec<Mutex<Mailbox<A::Message>>> = (0..workers)
-            .map(|_| {
-                Mutex::new(Mailbox {
-                    outboxes: Vec::new(),
-                    active: 0,
-                })
-            })
-            .collect();
-
-        std::thread::scope(|scope| {
-            for (w, (node_chunk, ctx_chunk)) in nodes
-                .chunks_mut(chunk)
-                .zip(contexts.chunks(chunk))
-                .enumerate()
-            {
-                let base = w * chunk;
-                let (arena, signal, sync, mailbox) = (&arena, &signal, &sync, &mailboxes[w]);
-                scope.spawn(move || {
-                    worker_loop(
-                        topology, node_chunk, ctx_chunk, base, arena, signal, sync, mailbox,
-                    );
-                });
-            }
-            coordinate(
-                topology, &arena, &signal, &sync, &mailboxes, max_rounds, metrics, tracer,
-            );
-        });
-
-        if tracer.enabled() {
-            tracer.emit(&TraceEvent::RunEnd {
-                rounds: metrics.rounds,
-            });
-        }
-        *state = arena.into_inner().unwrap_or_else(|e| e.into_inner());
-        sync.rethrow();
-    }
-}
-
-/// The per-worker half of the pooled barrier protocol.
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<A: NodeAlgorithm, T: TopologyView>(
-    topology: &T,
-    nodes: &mut [A],
-    contexts: &[NodeContext],
-    base: NodeId,
-    arena: &RwLock<RoundState<A::Message>>,
-    signal: &RoundSignal,
-    sync: &PhaseSync,
-    mailbox: &Mutex<Mailbox<A::Message>>,
-) {
-    // Local compact active set (global node ids); compaction never leaves
-    // this worker, only the count is published.
-    let mut active: Vec<NodeId> = Vec::new();
-    sync.guard(|| {
-        active.extend(
-            (0..nodes.len())
-                .filter(|&i| !nodes[i].is_halted())
-                .map(|i| base + i),
-        );
-        mailbox.lock().expect("mailbox lock").active = active.len();
-    });
-    if !sync.sync() {
-        return; // ready barrier
-    }
-
-    loop {
-        if !sync.sync() {
-            return; // A: round decision published
-        }
-        if signal.stop.load(Ordering::SeqCst) {
-            return;
-        }
-        let round = signal.round.load(Ordering::SeqCst);
-
-        // --- Send phase: stage outboxes in the worker's mailbox ---------
-        sync.guard(|| {
-            let mut mb = mailbox.lock().expect("mailbox lock");
-            for &v in &active {
-                let ctx = NodeContext {
-                    round,
-                    ..contexts[v - base]
-                };
-                let outbox = nodes[v - base].send(&ctx);
-                if !outbox.is_silent() {
-                    mb.outboxes.push((v, outbox));
-                }
-            }
-        });
-        if !sync.sync() {
-            return; // B: all sends staged — coordinator delivers
-        }
-        if !sync.sync() {
-            return; // C: delivery done — slots are readable
-        }
-
-        // --- Receive phase: read slot views, compact, publish count -----
-        sync.guard(|| {
-            {
-                let st = arena.read().expect("arena read lock");
-                for &v in &active {
-                    let ctx = NodeContext {
-                        round,
-                        ..contexts[v - base]
-                    };
-                    let inbox = st.inbox(topology, v);
-                    nodes[v - base].receive(&ctx, &inbox);
-                }
-            }
-            active.retain(|&v| !nodes[v - base].is_halted());
-            mailbox.lock().expect("mailbox lock").active = active.len();
-        });
-        if !sync.sync() {
-            return; // D: all receives done — coordinator decides
-        }
-    }
-}
-
-/// The coordinator half of the pooled barrier protocol (runs on the calling
-/// thread inside the worker scope).  Trace events are emitted coordinator-
-/// side only (as shard 0): phase windows are coordinator-measured anyway,
-/// and per-round traffic comes from the metrics deltas of the delivery
-/// phase, so workers stay uninstrumented.
-#[allow(clippy::too_many_arguments)]
-fn coordinate<M: MessageSize + Clone, T: TopologyView>(
-    topology: &T,
-    arena: &RwLock<RoundState<M>>,
-    signal: &RoundSignal,
-    sync: &PhaseSync,
-    mailboxes: &[Mutex<Mailbox<M>>],
-    max_rounds: u64,
-    metrics: &mut RunMetrics,
-    tracer: &dyn TraceSink,
-) {
-    let traced = tracer.enabled();
-    let mut round: u64 = 0;
-    if sync.sync() {
-        // ready: initial active counts are published
-        loop {
-            let mut proceed = false;
-            sync.guard(|| {
-                let total: usize = mailboxes
-                    .iter()
-                    .map(|m| m.lock().expect("mailbox lock").active)
-                    .sum();
-                if total == 0 {
-                    signal.stop.store(true, Ordering::SeqCst);
-                } else if round >= max_rounds {
-                    metrics.hit_round_cap = true;
-                    signal.stop.store(true, Ordering::SeqCst);
-                } else {
-                    metrics.active_per_round.push(total);
-                    if traced {
-                        tracer.emit(&TraceEvent::RoundStart {
-                            round,
-                            active: total,
-                        });
-                    }
-                    signal.round.store(round, Ordering::SeqCst);
-                    proceed = true;
-                }
-            });
-            if !sync.sync() {
-                break; // A
-            }
-            if !proceed {
-                break;
-            }
-
-            if traced {
-                tracer.emit(&TraceEvent::PhaseStart {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Send,
-                });
-            }
-            let t = Instant::now();
-            if !sync.sync() {
-                break; // B: workers ran the send phase in this window
-            }
-            let send_d = t.elapsed().as_nanos() as u64;
-            metrics.phase_nanos.send += send_d;
-            if traced {
-                tracer.emit(&TraceEvent::PhaseEnd {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Send,
-                    nanos: send_d,
-                });
-                tracer.emit(&TraceEvent::PhaseStart {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Deliver,
-                });
-            }
-
-            let t = Instant::now();
-            let (m0, b0) = (metrics.messages, metrics.total_bits);
-            sync.guard(|| {
-                let mut st = arena.write().expect("arena write lock");
-                st.clear_round();
-                for mb in mailboxes {
-                    let mut mb = mb.lock().expect("mailbox lock");
-                    for (v, outbox) in mb.outboxes.drain(..) {
-                        st.deliver(topology, v, outbox, metrics);
-                    }
-                }
-            });
-            if !sync.sync() {
-                break; // C
-            }
-            let deliver_d = t.elapsed().as_nanos() as u64;
-            metrics.phase_nanos.deliver += deliver_d;
-            if traced {
-                tracer.emit(&TraceEvent::PhaseEnd {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Deliver,
-                    nanos: deliver_d,
-                });
-                tracer.emit(&TraceEvent::ShardRound {
-                    round,
-                    shard: 0,
-                    messages: metrics.messages - m0,
-                    bits: metrics.total_bits - b0,
-                    cross: 0,
-                });
-                tracer.emit(&TraceEvent::PhaseStart {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Receive,
-                });
-            }
-
-            let t = Instant::now();
-            if !sync.sync() {
-                break; // D: workers ran the receive phase in this window
-            }
-            let receive_d = t.elapsed().as_nanos() as u64;
-            metrics.phase_nanos.receive += receive_d;
-            if traced {
-                tracer.emit(&TraceEvent::PhaseEnd {
-                    round,
-                    shard: 0,
-                    phase: TracePhase::Receive,
-                    nanos: receive_d,
-                });
-                // Workers published their post-compaction counts before D,
-                // and won't touch them again until after the next A guard —
-                // so this traced-only read is race-free.
-                let remaining: usize = mailboxes
-                    .iter()
-                    .map(|m| m.lock().expect("mailbox lock").active)
-                    .sum();
-                tracer.emit(&TraceEvent::RoundEnd {
-                    round,
-                    active: remaining,
-                    nanos: send_d + deliver_d + receive_d,
-                });
-            }
-
-            round += 1;
-        }
-    }
-    metrics.rounds = round;
-}
-
-/// The shard-owning executor: one worker per shard of a [`ShardedTopology`],
-/// each with exclusive, lock-free ownership of its shard's inbox slots;
-/// cross-shard messages travel through a pluggable [`Transport`] backend.
-/// See the [module docs](self) for the delivery protocol.  Bit-for-bit
-/// equivalent to [`SequentialExecutor`] on the same topology (outputs and
-/// all logical counters; `wire_bytes_sent` / `transport_flush_nanos`
-/// describe the backend and are exempt, like wall-clock timings).
+/// The threaded driver: one kernel per shard of a [`ShardedTopology`], each
+/// on its own thread with exclusive, lock-free ownership of its shard's
+/// inbox slots; cross-shard messages travel through a pluggable
+/// [`Transport`] backend.  See the [module docs](self) for the barrier
+/// protocol.  Bit-for-bit equivalent to [`SequentialExecutor`] on the same
+/// topology (outputs and all logical counters; `wire_bytes_sent` /
+/// `transport_flush_nanos` describe the backend and are exempt, like
+/// wall-clock timings).
 ///
 /// The default backend is [`InProcess`] (shared-memory staging queues);
 /// [`ShardedExecutor::with_transport`] selects another, e.g.
 /// [`SocketLoopback`](crate::transport::SocketLoopback) to push every
 /// cross-shard message through a wire-encoded kernel socket.
 ///
-/// Unlike the other executors this one is tied to `ShardedTopology` (it
-/// implements only `Executor<ShardedTopology>`): the shard layout *is* its
-/// parallelisation strategy, so it takes no thread-count parameter — the
-/// topology's shard count decides.
+/// This executor is tied to `ShardedTopology` (it implements only
+/// `Executor<ShardedTopology>`): the shard layout *is* its parallelisation
+/// strategy, so it takes no thread-count parameter — the topology's shard
+/// count decides.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardedExecutor<B: TransportBuilder = InProcess> {
     builder: B,
     delivery: DeliveryMode,
 }
 
-/// How the sharded delivery phase treats a message arriving at an
-/// already-occupied inbox slot.
+/// How the deliver step treats a message arriving at an already-occupied
+/// inbox slot.
 ///
 /// In the fault-free CONGEST model at most one message crosses an edge per
 /// round, so an occupied slot can only mean an algorithm bug —
@@ -917,10 +779,9 @@ impl<B: TransportBuilder> ShardedExecutor<B> {
     }
 }
 
-/// Per-worker accounting of a sharded run.  Workers fill a local copy and
-/// publish it when they exit; the coordinator merges the reports **in shard
-/// order**, so every total in [`RunMetrics`] is deterministic.  Also reused
-/// by the remote worker protocol in [`crate::transport`].
+/// One kernel's accounting.  Threaded drivers merge the reports **in shard
+/// order**, so every total in [`RunMetrics`] is deterministic; the remote
+/// worker protocol in [`crate::transport`] ships it in its Output frame.
 #[derive(Debug, Default)]
 pub(crate) struct ShardReport {
     pub(crate) messages: u64,
@@ -940,6 +801,117 @@ impl ShardReport {
         self.messages += 1;
         self.total_bits += bits;
         self.max_message_bits = self.max_message_bits.max(bits);
+    }
+}
+
+/// Per-round signals published by the coordinator before barrier A.
+struct RoundSignal {
+    round: AtomicU64,
+    stop: AtomicBool,
+}
+
+/// Barrier synchronisation with panic poisoning.
+///
+/// Every phase body runs inside [`PhaseSync::guard`]; a panic is captured,
+/// the protocol is flagged as poisoned, and the panicking party still
+/// reaches its next barrier.  The first captured payload is re-thrown to
+/// the caller by [`PhaseSync::rethrow`].
+///
+/// The barrier is hand-rolled (generation-counted mutex + condvar) rather
+/// than [`std::sync::Barrier`] because the poison verdict must be decided
+/// **at the instant a crossing completes** and stamped into that
+/// generation.  Reading an atomic flag *after* a standard barrier crossing
+/// is racy: a descheduled party could perform its read only after a later
+/// phase has already poisoned the protocol, see a different verdict than
+/// its peers, and exit early — leaving the remaining parties deadlocked at
+/// the next crossing.  With a per-generation verdict every party of a
+/// crossing observes the same decision no matter when it wakes, so all
+/// parties always exit at the same crossing.
+struct PhaseSync {
+    state: Mutex<SyncState>,
+    cvar: Condvar,
+    parties: usize,
+    poisoned: AtomicBool,
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+struct SyncState {
+    /// Parties that have arrived at the current crossing.
+    arrived: usize,
+    /// Completed-crossings counter.
+    generation: u64,
+    /// Poison verdict of the most recently completed crossing.
+    verdict_poisoned: bool,
+}
+
+impl PhaseSync {
+    fn new(parties: usize) -> Self {
+        Self {
+            state: Mutex::new(SyncState {
+                arrived: 0,
+                generation: 0,
+                verdict_poisoned: false,
+            }),
+            cvar: Condvar::new(),
+            parties,
+            poisoned: AtomicBool::new(false),
+            panic: Mutex::new(None),
+        }
+    }
+
+    /// Runs one phase body, capturing a panic instead of unwinding through
+    /// the protocol.  `AssertUnwindSafe` is sound here because after a
+    /// poisoning panic the possibly-inconsistent node/arena state is never
+    /// touched again: every party exits at the next barrier and the panic
+    /// is re-thrown.
+    fn guard(&self, body: impl FnOnce()) {
+        if self.poisoned.load(Ordering::SeqCst) {
+            return;
+        }
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
+            let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
+            if slot.is_none() {
+                *slot = Some(payload);
+            }
+            self.poisoned.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Crosses the barrier; returns `false` if the protocol was poisoned
+    /// when the crossing completed.  The verdict is stamped per generation,
+    /// so every party of one crossing gets the same answer and all parties
+    /// exit the protocol at the same crossing.
+    fn sync(&self) -> bool {
+        // No user code runs under this lock, so it cannot be poisoned; the
+        // `unwrap_or_else` is belt and braces.
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let generation = st.generation;
+        st.arrived += 1;
+        if st.arrived == self.parties {
+            st.arrived = 0;
+            st.generation += 1;
+            st.verdict_poisoned = self.poisoned.load(Ordering::SeqCst);
+            let verdict = st.verdict_poisoned;
+            drop(st);
+            self.cvar.notify_all();
+            !verdict
+        } else {
+            while st.generation == generation {
+                st = self.cvar.wait(st).unwrap_or_else(|e| e.into_inner());
+            }
+            // `verdict_poisoned` still belongs to our generation: the next
+            // crossing cannot complete (and overwrite it) before this party
+            // calls `sync` again.
+            !st.verdict_poisoned
+        }
+    }
+
+    /// Re-throws the first captured panic, if any.
+    fn rethrow(&self) {
+        let payload = self.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
+        if let Some(payload) = payload {
+            resume_unwind(payload);
+        }
     }
 }
 
@@ -966,9 +938,6 @@ impl<B: TransportBuilder> Executor<ShardedTopology> for ShardedExecutor<B> {
                 shards: shard_count,
             });
         }
-        // Workers track touched slots locally (in shard-local indices), so
-        // any global bookkeeping left in a reused arena is retired first.
-        state.clear_round();
 
         let signal = RoundSignal {
             round: AtomicU64::new(0),
@@ -986,41 +955,34 @@ impl<B: TransportBuilder> Executor<ShardedTopology> for ShardedExecutor<B> {
             .collect();
 
         std::thread::scope(|scope| {
-            // Hand each worker the exclusive slices it owns: its shard's
+            // Hand each thread the exclusive slices it owns: its shard's
             // nodes, contexts and inbox slots (consecutive by the flat slot
             // contract, so a split_at_mut chain suffices).
             let mut rest_slots: &mut [Option<A::Message>] = &mut state.slots;
             let mut rest_nodes: &mut [A] = nodes;
             let mut rest_ctxs: &[NodeContext] = contexts;
             for s in 0..shard_count {
-                let node_range = topology.shard_nodes(s);
-                let slot_range = topology.shard_slots(s);
-                let (my_slots, tail) = rest_slots.split_at_mut(slot_range.len());
+                let (my_slots, tail) = rest_slots.split_at_mut(topology.shard_slots(s).len());
                 rest_slots = tail;
-                let (my_nodes, tail) = rest_nodes.split_at_mut(node_range.len());
+                let (my_nodes, tail) = rest_nodes.split_at_mut(topology.shard_nodes(s).len());
                 rest_nodes = tail;
-                let (my_ctxs, tail) = rest_ctxs.split_at(node_range.len());
+                let (my_ctxs, tail) = rest_ctxs.split_at(topology.shard_nodes(s).len());
                 rest_ctxs = tail;
                 let (signal, sync, transport) = (&signal, &sync, &transport);
                 let (active_count, report) = (&active_counts[s], &reports[s]);
                 let delivery = self.delivery;
                 scope.spawn(move || {
-                    sharded_worker_loop(
-                        topology,
-                        s,
-                        my_nodes,
-                        my_ctxs,
-                        node_range.start,
-                        my_slots,
-                        slot_range.start,
-                        signal,
-                        sync,
-                        transport,
-                        delivery,
-                        active_count,
-                        report,
-                        tracer,
+                    if tracer.enabled() {
+                        tracer.emit(&TraceEvent::WorkerStart { shard: s });
+                    }
+                    let kernel = ShardKernel::<_, _, RemapTable>::new(
+                        topology, s, my_nodes, my_ctxs, my_slots, delivery, tracer,
                     );
+                    let done = run_shard_thread(kernel, signal, sync, transport, active_count);
+                    *report.lock().unwrap_or_else(|e| e.into_inner()) = done;
+                    if tracer.enabled() {
+                        tracer.emit(&TraceEvent::WorkerEnd { shard: s });
+                    }
                 });
             }
             sharded_coordinate(&signal, &sync, &active_counts, max_rounds, metrics, tracer);
@@ -1048,293 +1010,60 @@ impl<B: TransportBuilder> Executor<ShardedTopology> for ShardedExecutor<B> {
     }
 }
 
-/// Writes `msg` into the worker-owned slot `local`, enforcing the one
-/// message per edge per round CONGEST contract.
-pub(crate) fn fill_shard_slot<M>(
-    slots: &mut [Option<M>],
-    local: usize,
-    msg: M,
-    sender: NodeId,
-    touched: &mut Vec<usize>,
-) {
-    let entry = &mut slots[local];
-    assert!(
-        entry.is_none(),
-        "node {sender} sent two messages over the same port in one round"
-    );
-    *entry = Some(msg);
-    touched.push(local);
-}
-
-/// Routes one node's outbox: intra-shard messages go straight into the
-/// worker's own slots, cross-shard ones to the `cross` sink (the transport's
-/// staging in the executor, a wire-frame batch in the remote worker).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn route_outbox<M: MessageSize + Clone>(
-    topology: &impl ShardTopologyView,
-    shard: usize,
-    v: NodeId,
-    outbox: Outbox<M>,
-    slots: &mut [Option<M>],
-    slot_base: usize,
-    touched: &mut Vec<usize>,
-    report: &mut ShardReport,
-    cross: &mut impl FnMut(u32, u32, M),
-) {
-    let slot_end = slot_base + slots.len();
-    // The sender's shard is the calling worker's own, so every per-message
-    // lookup below skips the `shard_of` search; only cross-shard messages
-    // still resolve the receiving shard (over `S` entries).
-    let degree = topology.degree_from(shard, v);
-    let mut route_one = |p: Port, msg: M, report: &mut ShardReport| {
-        let dest = topology.dest_slot_from(shard, v, p);
-        report.record(msg.bit_size());
-        if (slot_base..slot_end).contains(&dest) {
-            report.intra += 1;
-            fill_shard_slot(slots, dest - slot_base, msg, v, touched);
-        } else {
-            report.cross += 1;
-            cross(dest as u32, v as u32, msg);
-        }
-    };
-    match outbox {
-        Outbox::Silent => {}
-        Outbox::Broadcast(msg) => {
-            for p in 0..degree {
-                route_one(p, msg.clone(), report);
-            }
-        }
-        Outbox::PerPort(list) => {
-            for (p, msg) in list {
-                assert!(p < degree, "node {v} sent on nonexistent port {p}");
-                route_one(p, msg, report);
-            }
-        }
-    }
-}
-
-/// The per-worker half of the sharded protocol (see the [module
-/// docs](self)): owns shard `shard`'s nodes and inbox slots for the whole
-/// run.
-#[allow(clippy::too_many_arguments)]
-fn sharded_worker_loop<A: NodeAlgorithm, X: Transport<A::Message>>(
-    topology: &ShardedTopology,
-    shard: usize,
-    nodes: &mut [A],
-    contexts: &[NodeContext],
-    node_base: NodeId,
-    slots: &mut [Option<A::Message>],
-    slot_base: usize,
+/// One shard thread of the barrier protocol (see the [module docs](self)):
+/// runs `kernel` between the coordinator's barriers and returns its report.
+fn run_shard_thread<A: NodeAlgorithm, X: Transport<A::Message>>(
+    mut kernel: ShardKernel<'_, A, ShardedTopology, RemapTable>,
     signal: &RoundSignal,
     sync: &PhaseSync,
     transport: &X,
-    delivery: DeliveryMode,
     active_count: &AtomicUsize,
-    report: &Mutex<ShardReport>,
-    tracer: &dyn TraceSink,
-) {
-    let traced = tracer.enabled();
-    if traced {
-        tracer.emit(&TraceEvent::WorkerStart { shard });
-    }
-    let mut active: Vec<NodeId> = Vec::new();
-    let mut touched: Vec<usize> = Vec::new(); // shard-local slot indices
-    let mut local = ShardReport::default();
-
-    sync.guard(|| {
-        active.extend(
-            (0..nodes.len())
-                .filter(|&i| !nodes[i].is_halted())
-                .map(|i| node_base + i),
-        );
-        active_count.store(active.len(), Ordering::SeqCst);
-    });
+) -> ShardReport {
+    let (topology, shard) = (kernel.topology, kernel.shard);
+    sync.guard(|| active_count.store(kernel.admit(), Ordering::SeqCst));
     if sync.sync() {
         // ready barrier crossed: initial active counts are published
         loop {
-            if !sync.sync() {
+            if !sync.sync() || signal.stop.load(Ordering::SeqCst) {
                 break; // A: round decision published
             }
-            if signal.stop.load(Ordering::SeqCst) {
-                break;
-            }
             let round = signal.round.load(Ordering::SeqCst);
-
-            // --- Send + route: clear own slots, stage this round's
-            // messages, flush the transport at the send barrier ---------------
             sync.guard(|| {
-                if traced {
-                    tracer.emit(&TraceEvent::PhaseStart {
-                        round,
-                        shard,
-                        phase: TracePhase::Send,
-                    });
-                }
-                let (m0, b0, c0) = (local.messages, local.total_bits, local.cross);
-                let t = Instant::now();
-                for i in touched.drain(..) {
-                    slots[i] = None;
-                }
-                for &v in &active {
-                    let ctx = NodeContext {
-                        round,
-                        ..contexts[v - node_base]
-                    };
-                    let outbox = nodes[v - node_base].send(&ctx);
-                    route_outbox(
-                        topology,
-                        shard,
-                        v,
-                        outbox,
-                        slots,
-                        slot_base,
-                        &mut touched,
-                        &mut local,
-                        &mut |slot, sender, msg| {
-                            let target = topology.shard_of_slot(slot as usize);
-                            transport.stage(shard, target, slot, sender, msg);
-                        },
-                    );
-                }
-                let send_d = t.elapsed().as_nanos() as u64;
-                local.timings.send += send_d;
-                let w0 = local.wire_bytes;
-                let t = Instant::now();
-                local.wire_bytes += transport.flush(shard, round);
-                let flush_d = t.elapsed().as_nanos() as u64;
-                local.flush_nanos += flush_d;
-                if traced {
-                    tracer.emit(&TraceEvent::PhaseEnd {
-                        round,
-                        shard,
-                        phase: TracePhase::Send,
-                        nanos: send_d,
-                    });
-                    tracer.emit(&TraceEvent::ShardRound {
-                        round,
-                        shard,
-                        messages: local.messages - m0,
-                        bits: local.total_bits - b0,
-                        cross: local.cross - c0,
-                    });
-                    tracer.emit(&TraceEvent::ShardFlush {
-                        round,
-                        shard,
-                        wire_bytes: local.wire_bytes - w0,
-                        nanos: flush_d,
-                    });
-                }
+                kernel.send_route(round, |slot, sender, msg| {
+                    let target = topology.shard_of_slot(slot as usize);
+                    transport.stage(shard, target, slot, sender, msg);
+                });
+                kernel
+                    .flush(round, || {
+                        Ok::<u64, Infallible>(transport.flush(shard, round))
+                    })
+                    .unwrap_or_else(|never| match never {});
             });
             if !sync.sync() {
                 break; // B: all routing staged and flushed
             }
-
-            // --- Drain the incoming cross-shard channels into own slots ------
             sync.guard(|| {
-                if traced {
-                    tracer.emit(&TraceEvent::PhaseStart {
-                        round,
-                        shard,
-                        phase: TracePhase::Deliver,
-                    });
-                }
-                let t = Instant::now();
-                let s0 = local.stale_overwrites;
-                transport
-                    .drain(shard, round, &mut |slot, sender, msg| {
-                        let li = slot as usize - slot_base;
-                        match delivery {
-                            DeliveryMode::Strict => {
-                                fill_shard_slot(slots, li, msg, sender as usize, &mut touched)
-                            }
-                            DeliveryMode::Async => {
-                                // Newest wins: transports drain stale copies
-                                // before the current round's messages.
-                                if slots[li].replace(msg).is_some() {
-                                    local.stale_overwrites += 1;
-                                } else {
-                                    touched.push(li);
-                                }
-                            }
-                        }
-                    })
+                kernel
+                    .deliver(round, |sink| transport.drain(shard, round, sink))
                     .unwrap_or_else(|e| panic!("cross-shard transport failed: {e}"));
-                let drain_d = t.elapsed().as_nanos() as u64;
-                local.timings.deliver += drain_d;
-                if traced {
-                    tracer.emit(&TraceEvent::ShardDrain {
-                        round,
-                        shard,
-                        nanos: drain_d,
-                        stale: local.stale_overwrites - s0,
-                    });
-                    tracer.emit(&TraceEvent::PhaseEnd {
-                        round,
-                        shard,
-                        phase: TracePhase::Deliver,
-                        nanos: drain_d,
-                    });
-                }
             });
             if !sync.sync() {
                 break; // C: every slot of this round is in place
             }
-
-            // --- Receive + compact -------------------------------------------
-            sync.guard(|| {
-                if traced {
-                    tracer.emit(&TraceEvent::PhaseStart {
-                        round,
-                        shard,
-                        phase: TracePhase::Receive,
-                    });
-                }
-                let t = Instant::now();
-                for &v in &active {
-                    let ctx = NodeContext {
-                        round,
-                        ..contexts[v - node_base]
-                    };
-                    let r = topology.port_range(v);
-                    let inbox = Inbox::from_slots(&slots[r.start - slot_base..r.end - slot_base]);
-                    nodes[v - node_base].receive(&ctx, &inbox);
-                }
-                active.retain(|&v| !nodes[v - node_base].is_halted());
-                active_count.store(active.len(), Ordering::SeqCst);
-                let receive_d = t.elapsed().as_nanos() as u64;
-                local.timings.receive += receive_d;
-                if traced {
-                    tracer.emit(&TraceEvent::PhaseEnd {
-                        round,
-                        shard,
-                        phase: TracePhase::Receive,
-                        nanos: receive_d,
-                    });
-                }
-            });
+            sync.guard(|| active_count.store(kernel.receive_compact(round), Ordering::SeqCst));
             if !sync.sync() {
                 break; // D: all receives done — coordinator decides
             }
         }
     }
-
-    // Retire this worker's final-round slots before exiting: the touched
-    // list is thread-local, so anything left filled here would be invisible
-    // to `RoundState::clear_round` and leak into a reused arena as phantom
-    // messages.
-    for i in touched.drain(..) {
-        slots[i] = None;
-    }
-    local.syscall_batches = transport.syscall_batches(shard);
-    *report.lock().unwrap_or_else(|e| e.into_inner()) = local;
-    if traced {
-        tracer.emit(&TraceEvent::WorkerEnd { shard });
-    }
+    let mut report = kernel.finish();
+    report.syscall_batches = transport.syscall_batches(shard);
+    report
 }
 
 /// The coordinator half of the sharded protocol: decides rounds from the
 /// published active counts and attributes the barrier-to-barrier windows to
-/// the engine phases (A→B send + intra-shard delivery, B→C cross-shard
+/// the engine phases (A→B send + intra-shard routing, B→C cross-shard
 /// drain, C→D receive).
 fn sharded_coordinate(
     signal: &RoundSignal,
@@ -1378,7 +1107,7 @@ fn sharded_coordinate(
 
             let t = Instant::now();
             if !sync.sync() {
-                break; // B: send + intra-shard delivery window
+                break; // B: send + intra-shard routing window
             }
             let send_d = t.elapsed().as_nanos() as u64;
             metrics.phase_nanos.send += send_d;
@@ -1397,7 +1126,7 @@ fn sharded_coordinate(
             let receive_d = t.elapsed().as_nanos() as u64;
             metrics.phase_nanos.receive += receive_d;
             if traced {
-                // Workers stored their post-compaction counts before D and
+                // Threads stored their post-compaction counts before D and
                 // won't store again until the next round's receive guard
                 // (which needs this coordinator at A first) — race-free.
                 let remaining: usize = active_counts.iter().map(|c| c.load(Ordering::SeqCst)).sum();

@@ -24,11 +24,12 @@
 //! * [`sharded::ShardedTopology`] — the same graph, edge-partitioned into
 //!   contiguous node-range shards with streaming construction, for
 //!   `n ≥ 10^7` workloads,
-//! * [`executor::Executor`] — the round-loop strategy seam: a sequential
-//!   reference executor, a persistent-pool parallel executor, and a
-//!   shard-owning [`executor::ShardedExecutor`], all sharing the
-//!   zero-allocation [`executor::RoundState`] arena and producing identical
-//!   results,
+//! * [`executor::Executor`] — the round-loop strategy seam: one round
+//!   kernel, run by a single-threaded driver
+//!   ([`executor::SequentialExecutor`]), one thread per shard
+//!   ([`executor::ShardedExecutor`]) or one process per shard
+//!   ([`transport::serve_shard_with`]), over the zero-allocation
+//!   [`executor::RoundState`] slot arena, all producing identical results,
 //! * [`metrics::RunMetrics`] and [`bandwidth`] — round, message and bit
 //!   accounting so experiments can check the CONGEST `O(log n)`-bit bound,
 //!   plus a JSON-lines writer ([`metrics::JsonLinesWriter`]) for
@@ -84,9 +85,7 @@ pub mod wire;
 
 pub use algorithm::{Inbox, MessageSize, NodeAlgorithm, NodeContext, Outbox};
 pub use bandwidth::BandwidthReport;
-pub use executor::{
-    DeliveryMode, Executor, PooledExecutor, RoundState, SequentialExecutor, ShardedExecutor,
-};
+pub use executor::{DeliveryMode, Executor, RoundState, SequentialExecutor, ShardedExecutor};
 pub use faults::{
     run_faulty, FaultEvent, FaultKind, FaultPlan, FaultyRun, FaultyTransport, InvariantViolation,
 };

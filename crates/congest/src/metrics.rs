@@ -2,31 +2,34 @@
 //!
 //! # Accounting semantics
 //!
-//! Every *transmitted* message is charged, at the moment of delivery, with
-//! its [`MessageSize::bit_size`](crate::MessageSize::bit_size) — including
-//! messages addressed to nodes that have already halted.  A halted receiver
-//! discards such messages unread (its state and output are unaffected), but
-//! the wire was used, so round/bandwidth complexity counts them.  See the
-//! [`crate::algorithm`] docs for the rationale; a simulator regression test
-//! pins this behaviour.
+//! Every *transmitted* message is charged, when its sender's shard routes
+//! it, with its [`MessageSize::bit_size`](crate::MessageSize::bit_size) —
+//! including messages addressed to nodes that have already halted.  A
+//! halted receiver discards such messages unread (its state and output are
+//! unaffected), but the wire was used, so round/bandwidth complexity counts
+//! them.  See the [`crate::algorithm`] docs for the rationale; a simulator
+//! regression test pins this behaviour.
 
 use serde::{Deserialize, Serialize};
 
 /// Cumulative wall-clock time spent in each engine phase over a whole run,
 /// in nanoseconds.
 ///
-/// Filled in by every [`Executor`](crate::executor::Executor); for the
-/// pooled executor the phases are measured by the coordinator between
-/// barrier crossings, so they include the (small, constant) barrier
-/// overhead.  Timings are *measurements*, not semantics: the equivalence
-/// guarantee between executors covers every other metric field but not
-/// these.
+/// Filled in by every [`Executor`](crate::executor::Executor), with the
+/// same meaning for every driver of the round kernel.  A single-threaded
+/// run reports its one kernel's times; the threaded driver's coordinator
+/// measures the windows between barrier crossings, so they include the
+/// (small, constant) barrier overhead and the slowest shard.  Timings are
+/// *measurements*, not semantics: the equivalence guarantee between
+/// executors covers every other metric field but not these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseTimings {
-    /// Time spent asking active nodes for their outboxes.
+    /// Time spent clearing last round's slots, asking active nodes for
+    /// their outboxes and routing messages within the shard (plus staging
+    /// and flushing cross-shard ones, for the threaded driver's windows).
     pub send: u64,
-    /// Time spent clearing last round's slots and routing messages into the
-    /// inbox arena.
+    /// Time spent draining cross-shard messages into the shard's slots
+    /// (near zero for a single-threaded run, which has no other shard).
     pub deliver: u64,
     /// Time spent handing inboxes to active nodes (plus active-set
     /// compaction).
@@ -64,14 +67,15 @@ pub struct RunMetrics {
     /// Cumulative wall-clock time per engine phase (send / deliver /
     /// receive), in nanoseconds.
     pub phase_nanos: PhaseTimings,
-    /// Messages delivered within the sender's shard.  Attributed only by the
-    /// sharded executor; zero elsewhere (`intra + cross == messages` there).
+    /// Messages delivered within the sender's shard.  Attributed by the
+    /// sharded drivers (`intra + cross == messages` there); zero for the
+    /// single-threaded driver, which reports no shard split.
     pub intra_shard_messages: u64,
-    /// Messages that crossed a shard boundary through a staging queue.
-    /// Attributed only by the sharded executor; zero elsewhere.
+    /// Messages that crossed a shard boundary through a transport.
+    /// Attributed by the sharded drivers; zero for the single-threaded one.
     pub cross_shard_messages: u64,
-    /// Per-shard cumulative phase times, indexed by shard.  Filled only by
-    /// the sharded executor (empty elsewhere); like
+    /// Per-shard cumulative phase times, indexed by shard.  Filled by the
+    /// sharded drivers (empty for the single-threaded one); like
     /// [`RunMetrics::phase_nanos`] these are measurements, exempt from the
     /// executor-equivalence guarantee.
     pub shard_phase_nanos: Vec<PhaseTimings>,

@@ -1,9 +1,9 @@
 //! Edge-partitioned sharded topology for `n ≥ 10^7` graphs.
 //!
 //! [`ShardedTopology`] stores the same port-numbered communication graph as
-//! [`Topology`], but partitioned into `S` contiguous
-//! node-range *shards*, each holding its own CSR slice.  The representation
-//! is built for two things the single-arena [`Topology`] cannot do at the
+//! [`Topology`], but partitioned into `S` contiguous node-range *shards*,
+//! each holding its own CSR slice.  The representation is built for two
+//! things the single-arena [`Topology`] cannot do at the
 //! `n ≥ 10^7` scale the ROADMAP targets:
 //!
 //! * **Streaming construction** — [`ShardedTopology::from_edge_stream`]
@@ -53,10 +53,12 @@
 //! the difference between fitting a `10^7`-node graph in RAM or not).
 //! Graphs whose node count or directed-edge count exceeds `u32::MAX` are
 //! rejected with [`TopologyError::NodeRangeOverflow`].
+//!
+//! [`Topology`]: crate::Topology
 
 use serde::{Deserialize, Serialize};
 
-use crate::topology::{NodeId, Port, Topology, TopologyError, TopologyView};
+use crate::topology::{NodeId, Port, TopologyError, TopologyView};
 use crate::wire::{get_u32, get_u64, put_u32, put_u64, WireError};
 
 /// The largest node count / directed-edge count the compact `u32`
@@ -423,7 +425,7 @@ impl ShardedTopology {
     ///   count exceeds `u32::MAX`;
     /// * [`TopologyError::NodeOutOfRange`] / [`TopologyError::SelfLoop`] /
     ///   [`TopologyError::DuplicateEdge`] exactly as
-    ///   [`Topology::from_edges`] reports them.
+    ///   [`Topology::from_edges`](crate::Topology::from_edges) reports them.
     pub fn from_edge_stream<F>(
         n: usize,
         num_shards: usize,
@@ -553,12 +555,16 @@ impl ShardedTopology {
         })
     }
 
-    /// Shards an already-built [`Topology`] (mainly for tests and for
+    /// Shards an already-built topology view — a
+    /// [`Topology`](crate::Topology), or another `ShardedTopology` to
+    /// re-shard it (used by
+    /// [`ExecutionMode::Parallel`](crate::ExecutionMode::Parallel), and for
     /// workloads whose graph already fits in one arena).
     ///
-    /// The result is structurally identical to the source: same port
-    /// numbering, same flat slot contract, so runs are bit-for-bit
-    /// reproducible across the two representations.
+    /// Port lists are rebuilt sorted by neighbour id, as both in-crate
+    /// representations store them, so the result is structurally identical
+    /// to the source: same port numbering, same flat slot contract, and
+    /// runs are bit-for-bit reproducible across the representations.
     ///
     /// # Errors
     ///
@@ -566,10 +572,18 @@ impl ShardedTopology {
     /// [`TopologyError::NodeRangeOverflow`] as in
     /// [`ShardedTopology::from_edge_stream`]; the edge list itself is
     /// already validated.
-    pub fn from_topology(topology: &Topology, num_shards: usize) -> Result<Self, TopologyError> {
+    pub fn from_topology(
+        topology: &impl TopologyView,
+        num_shards: usize,
+    ) -> Result<Self, TopologyError> {
         Self::from_edge_stream(topology.num_nodes(), num_shards, |emit| {
-            for (u, v) in topology.edges() {
-                emit(u, v);
+            for v in 0..topology.num_nodes() {
+                for p in 0..topology.degree(v) {
+                    let u = topology.neighbor_at(v, p);
+                    if v < u {
+                        emit(v, u);
+                    }
+                }
             }
         })
     }
@@ -927,10 +941,11 @@ impl ShardSliceTopology {
     }
 }
 
-/// The topology surface the shard-serving round loop needs — everything
-/// [`route_outbox`](crate::executor) and the remote worker protocol touch,
-/// abstracted so a worker can run on either the full [`ShardedTopology`] or
-/// its own [`ShardSliceTopology`].
+/// The topology surface the round kernel needs — everything it and the
+/// remote worker protocol touch (see [`crate::executor`]), abstracted so a
+/// shard can run on the full [`ShardedTopology`], on a worker's own
+/// [`ShardSliceTopology`], or, for the single-threaded driver, on any
+/// [`TopologyView`] taken as one shard.
 ///
 /// The `*_from` accessors take the caller's shard explicitly (the hot-path
 /// contract of [`ShardedTopology::dest_slot_from`]); a slice implementation
@@ -1109,6 +1124,7 @@ impl TopologyView for ShardedTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::Topology;
 
     /// Asserts the sharded and dense representations describe the exact
     /// same port-numbered graph (same flat slot contract included).

@@ -3,20 +3,21 @@
 //! [`Simulator::run`] drives a vector of per-node state machines (one
 //! [`NodeAlgorithm`] instance per vertex) through synchronous rounds until
 //! every node has halted or a configurable round cap is reached.  The round
-//! loop itself is delegated to an [`Executor`] — see [`crate::executor`] for
-//! the zero-allocation [`RoundState`] arena and the three shipped
-//! strategies:
+//! loop itself is delegated to an [`Executor`]; every executor runs the same
+//! round kernel (see [`crate::executor`]), so the choice changes only how
+//! many threads share the work:
 //!
-//! * [`SequentialExecutor`] — the reference implementation; trivially
-//!   deterministic.
-//! * [`PooledExecutor`] — a persistent worker pool (scoped threads spawned
-//!   once per run, phases coordinated by barriers).  Because a round's sends
-//!   depend only on state from the previous round and receives only touch
-//!   node-local state, the result is bit-for-bit identical to the sequential
-//!   executor (asserted by unit and integration tests).
-//! * [`ShardedExecutor`](crate::executor::ShardedExecutor) — one worker per
-//!   shard of a [`ShardedTopology`](crate::sharded::ShardedTopology), driven
-//!   through [`Simulator::run_with_executor`]; same bit-for-bit guarantee.
+//! * [`ExecutionMode::Sequential`] → [`SequentialExecutor`]: one kernel over
+//!   the whole graph on the calling thread.
+//! * [`ExecutionMode::Parallel`] → [`ShardedExecutor`]: the graph is split
+//!   into `threads` shards and each shard's kernel runs on its own thread.
+//!   Because a round's sends depend only on state from the previous round
+//!   and receives only touch node-local state, the result is bit-for-bit
+//!   identical to the sequential run (asserted by unit and integration
+//!   tests).
+//! * [`Simulator::run_with_executor`] takes an explicit strategy, e.g. a
+//!   [`ShardedExecutor`] over a socket transport on a
+//!   [`ShardedTopology`] the caller built.
 //!
 //! The engine also performs CONGEST accounting: every transmitted message is
 //! charged its [`crate::MessageSize::bit_size`] — including messages addressed to
@@ -35,8 +36,9 @@
 //! built on the same semantics.
 
 use crate::algorithm::{NodeAlgorithm, NodeContext};
-use crate::executor::{Executor, PooledExecutor, RoundState, SequentialExecutor};
+use crate::executor::{Executor, RoundState, SequentialExecutor, ShardedExecutor};
 use crate::metrics::RunMetrics;
+use crate::sharded::ShardedTopology;
 use crate::topology::{Topology, TopologyView};
 use crate::trace::{NoTrace, TraceSink};
 
@@ -44,16 +46,19 @@ use crate::trace::{NoTrace, TraceSink};
 ///
 /// This is the declarative configuration surface; each variant maps to an
 /// [`Executor`] implementation (`Sequential` → [`SequentialExecutor`],
-/// `Parallel` → [`PooledExecutor`]).  Use [`Simulator::run_with_executor`]
-/// to supply a custom strategy directly.
+/// `Parallel` → [`ShardedExecutor`] on a `threads`-shard
+/// [`ShardedTopology`]).  Use [`Simulator::run_with_executor`] to supply a
+/// custom strategy directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
     /// Process nodes one after another on the calling thread.
     #[default]
     Sequential,
-    /// Process nodes on a persistent pool of worker threads.
+    /// Split the graph into `threads` shards and process each on its own
+    /// thread.  The shard topology is built from the simulator's view at
+    /// the start of every run.
     Parallel {
-        /// Number of worker threads (at least 1).
+        /// Number of shard threads (at least 1).
         threads: usize,
     },
 }
@@ -89,10 +94,9 @@ pub struct RunOutcome<O> {
 ///
 /// Generic over the topology representation: the default `T = Topology` is
 /// the single-arena CSR; pass a
-/// [`ShardedTopology`](crate::sharded::ShardedTopology) to run on the
-/// edge-partitioned representation (any executor works on it; the
-/// [`ShardedExecutor`](crate::executor::ShardedExecutor) additionally
-/// exploits the shard layout via [`Simulator::run_with_executor`]).
+/// [`ShardedTopology`] to run on the edge-partitioned representation (any
+/// executor works on it; the [`ShardedExecutor`] additionally exploits the
+/// shard layout via [`Simulator::run_with_executor`]).
 pub struct Simulator<'a, T: TopologyView = Topology> {
     topology: &'a T,
     config: SimulatorConfig,
@@ -143,12 +147,23 @@ impl<'a, T: TopologyView> Simulator<'a, T> {
     ///
     /// Panics if `nodes.len()` differs from the number of vertices, or if an
     /// algorithm violates the port contract (sends on a nonexistent port, or
-    /// twice over the same port in one round).
+    /// twice over the same port in one round).  In
+    /// [`ExecutionMode::Parallel`], also panics if the graph exceeds the
+    /// `u32` indices of [`ShardedTopology`].
     pub fn run<A: NodeAlgorithm>(&self, nodes: Vec<A>) -> RunOutcome<A::Output> {
         match self.config.mode {
             ExecutionMode::Sequential => self.run_with_executor(nodes, &SequentialExecutor),
             ExecutionMode::Parallel { threads } => {
-                self.run_with_executor(nodes, &PooledExecutor::new(threads))
+                let sharded = ShardedTopology::from_topology(self.topology, threads.max(1))
+                    .unwrap_or_else(|e| {
+                        panic!("cannot shard the graph for {threads} threads: {e}")
+                    });
+                Simulator {
+                    topology: &sharded,
+                    config: self.config,
+                    tracer: self.tracer,
+                }
+                .run_with_executor(nodes, &ShardedExecutor::new())
             }
         }
     }
@@ -156,9 +171,9 @@ impl<'a, T: TopologyView> Simulator<'a, T> {
     /// Runs the algorithm under an explicit [`Executor`] strategy.
     ///
     /// This is the seam execution backends plug into without touching
-    /// [`Simulator::run`] callers — the
-    /// [`ShardedExecutor`](crate::executor::ShardedExecutor) is driven this
-    /// way (it implements `Executor<ShardedTopology>` only).  The
+    /// [`Simulator::run`] callers — a [`ShardedExecutor`] over an explicit
+    /// transport is driven this way (it implements
+    /// `Executor<ShardedTopology>` only).  The
     /// configuration's [`ExecutionMode`] is ignored; its `max_rounds` still
     /// applies.
     ///
@@ -274,8 +289,9 @@ mod tests {
         }
     }
 
-    /// Asserts sequential/pooled/sharded bit-for-bit equivalence on one
-    /// workload (`threads` worker threads, and shard counts 1–3).
+    /// Asserts bit-for-bit equivalence of the sequential run, the
+    /// `Parallel { threads }` run and explicit sharded runs (shard counts
+    /// 1–3) on one workload.
     fn assert_equivalent(g: &Topology, ttls: &[u64], threads: usize) {
         let mk = |n: usize, ttls: &[u64]| -> Vec<GossipSum> {
             (0..n).map(|v| GossipSum::new(ttls[v])).collect()
@@ -290,6 +306,8 @@ mod tests {
         assert_eq!(seq.metrics.max_message_bits, par.metrics.max_message_bits);
         assert_eq!(seq.metrics.active_per_round, par.metrics.active_per_round);
         assert_eq!(seq.metrics.hit_round_cap, par.metrics.hit_round_cap);
+        // `Parallel` runs one shard thread per requested thread.
+        assert_eq!(par.metrics.shard_phase_nanos.len(), threads.max(1));
         for shards in [1, 2, 3] {
             let sg = crate::sharded::ShardedTopology::from_topology(g, shards).unwrap();
             let out = Simulator::new(&sg)
@@ -376,8 +394,8 @@ mod tests {
     #[test]
     fn pool_handles_staggered_halting() {
         // Nodes halt at staggered rounds, exercising active-set compaction
-        // in every worker chunk.
-        let n = 61; // prime, so chunks cut across the ttl pattern
+        // in every shard.
+        let n = 61; // prime, so shards cut across the ttl pattern
         let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
         let g = Topology::from_edges(n, &edges).unwrap();
         let ttls: Vec<u64> = (0..n).map(|v| 1 + (v as u64 * 7) % 13).collect();
@@ -562,8 +580,8 @@ mod tests {
         let _ = Simulator::new(&g).run(vec![DoubleSend, DoubleSend]);
     }
 
-    /// Panics in `send` at round 1 on one node; the pool must propagate the
-    /// panic instead of deadlocking at a barrier.
+    /// Panics in `send` at round 1 on one node; the threaded driver must
+    /// propagate the panic instead of deadlocking at a barrier.
     #[derive(Clone)]
     struct PanicsAtRoundOne;
     impl NodeAlgorithm for PanicsAtRoundOne {
@@ -689,9 +707,9 @@ mod tests {
 
     #[test]
     fn sharded_run_leaves_a_clean_arena_for_reuse() {
-        // Regression: sharded workers track touched slots thread-locally, so
-        // they must retire their final-round slots on exit — otherwise a
-        // reused arena replays the previous run's messages as phantoms.
+        // Regression: kernels track touched slots locally, so they must
+        // retire their final-round slots on exit — otherwise a reused arena
+        // replays the previous run's messages as phantoms.
         use crate::executor::{Executor, RoundState, SequentialExecutor, ShardedExecutor};
         use crate::sharded::ShardedTopology;
 
@@ -777,32 +795,36 @@ mod tests {
 
     #[test]
     fn pooled_executor_runs_on_a_sharded_topology() {
-        // Sequential and pooled are generic over the representation, so a
-        // sharded topology can be driven without the sharded executor too.
-        use crate::sharded::ShardedTopology;
+        // `Parallel` re-shards whatever view the simulator holds, so a
+        // 3-shard topology runs on 2 shard threads without the caller
+        // building anything.
         let n = 12;
         let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
         let dense = Topology::from_edges(n, &edges).unwrap();
         let g = ShardedTopology::from_topology(&dense, 3).unwrap();
         let mk = || (0..n).map(|_| GossipSum::new(3)).collect::<Vec<_>>();
         let seq = Simulator::new(&dense).run(mk());
-        let pooled = Simulator::with_config(&g, parallel_config(2)).run(mk());
-        assert_eq!(seq.outputs, pooled.outputs);
-        assert_eq!(seq.metrics.messages, pooled.metrics.messages);
+        let par = Simulator::with_config(&g, parallel_config(2)).run(mk());
+        assert_eq!(seq.outputs, par.outputs);
+        assert_eq!(seq.metrics.messages, par.metrics.messages);
+        assert_eq!(par.metrics.shard_phase_nanos.len(), 2);
     }
 
     #[test]
     fn custom_executor_seam_accepts_an_explicit_strategy() {
         let g = triangle();
-        let sim = Simulator::new(&g);
-        let pooled = crate::executor::PooledExecutor::new(2);
-        let via_seam = sim.run_with_executor(
+        let sharded = ShardedTopology::from_topology(&g, 2).unwrap();
+        let via_seam = Simulator::new(&sharded).run_with_executor(
             (0..3).map(|_| GossipSum::new(2)).collect::<Vec<_>>(),
-            &pooled,
+            &ShardedExecutor::new(),
         );
         let via_mode = Simulator::with_config(&g, parallel_config(2))
             .run((0..3).map(|_| GossipSum::new(2)).collect::<Vec<_>>());
         assert_eq!(via_seam.outputs, via_mode.outputs);
         assert_eq!(via_seam.metrics.messages, via_mode.metrics.messages);
+        assert_eq!(
+            via_seam.metrics.cross_shard_messages,
+            via_mode.metrics.cross_shard_messages
+        );
     }
 }

@@ -57,10 +57,11 @@ use crate::metrics::{json_escape_into, JsonLinesWriter};
 /// An engine phase, as seen by phase-level trace events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TracePhase {
-    /// Asking active nodes for their outboxes (plus intra-shard routing in
-    /// the sharded executor).
+    /// Clearing last round's slots, asking active nodes for their outboxes
+    /// and routing each message into the shard's own slots or onto the
+    /// cross-shard transport.
     Send,
-    /// Clearing last round's slots and writing messages into the arena.
+    /// Draining messages other shards routed here into the shard's slots.
     Deliver,
     /// Handing inboxes to active nodes and compacting the active set.
     Receive,
@@ -80,15 +81,15 @@ impl TracePhase {
 /// One out-of-band observation of a run.  Stack-only (`Copy`), so emitting
 /// an event never allocates.
 ///
-/// `shard` is the reporting shard for sharded runs; the sequential and
-/// pooled executors report as shard 0.  All durations are nanoseconds.
+/// `shard` is the reporting shard for sharded runs; the single-threaded
+/// driver reports as shard 0.  All durations are nanoseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A run began: node count and shard count (1 for unsharded executors).
     RunStart {
         /// Number of nodes in the topology.
         nodes: usize,
-        /// Number of shards (1 for the sequential / pooled executors).
+        /// Number of shards (1 for the single-threaded driver).
         shards: usize,
     },
     /// A run finished after `rounds` synchronous rounds.

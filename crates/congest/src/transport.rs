@@ -66,13 +66,13 @@ use std::marker::PhantomData;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::algorithm::{Inbox, MessageSize, NodeAlgorithm, NodeContext};
-use crate::executor::{route_outbox, ShardReport};
+use crate::algorithm::{MessageSize, NodeAlgorithm, NodeContext};
+use crate::executor::{DeliveryMode, RemapTable, ShardKernel};
 use crate::metrics::RunMetrics;
 use crate::sharded::{ShardPlan, ShardTopologyView, ShardedTopology};
 use crate::simulator::RunOutcome;
 use crate::trace::{
-    decode_stamped, encode_stamped, ChromeTraceSink, StampedRecorder, TraceEvent, TracePhase,
+    decode_stamped, encode_stamped, ChromeTraceSink, NoTrace, StampedRecorder, TraceEvent,
     TraceSink,
 };
 use crate::wire::{
@@ -1423,25 +1423,32 @@ where
     }
 
     let mut slots: Vec<Option<A::Message>> = (0..slot_range.len()).map(|_| None).collect();
-    let mut touched: Vec<usize> = Vec::new();
-    let mut active: Vec<usize> = (0..nodes.len())
-        .filter(|&i| !nodes[i].is_halted())
-        .map(|i| node_range.start + i)
-        .collect();
-    let mut report = ShardReport::default();
     let mut batches: Vec<DataFrameBuilder> = (0..shards).map(|_| DataFrameBuilder::new()).collect();
     let mut outbuf: Vec<u8> = Vec::new();
-
-    // Initial halting vote: the active count before round 0.
-    write_vote(link, 0, me, active.len() as u64)?;
 
     // Trace capture is strictly local until the final Trace frame: the
     // recorder's epoch is this worker's monotonic origin (the documented
     // clock-alignment anchor), taken at its WorkerStart.
     let capture = opts.trace.then(StampedRecorder::new);
+    let tracer: &dyn TraceSink = match &capture {
+        Some(cap) => cap,
+        None => &NoTrace,
+    };
     if let Some(cap) = &capture {
         cap.emit(&TraceEvent::WorkerStart { shard });
     }
+    let mut kernel = ShardKernel::<_, _, RemapTable>::new(
+        topology,
+        shard,
+        &mut nodes,
+        &contexts,
+        &mut slots,
+        DeliveryMode::Strict,
+        tracer,
+    );
+
+    // Initial halting vote: the active count before round 0.
+    write_vote(link, 0, me, kernel.admit() as u64)?;
 
     let epoch = Instant::now();
     let mut round: u64 = 0;
@@ -1460,162 +1467,49 @@ where
             break;
         }
 
-        // --- Send + route ------------------------------------------------
-        let (m0, b0, c0) = (report.messages, report.total_bits, report.cross);
-        let t = Instant::now();
-        for i in touched.drain(..) {
-            slots[i] = None;
-        }
-        for &v in &active {
-            let ctx = NodeContext {
-                round,
-                ..contexts[v - node_range.start]
-            };
-            let outbox = nodes[v - node_range.start].send(&ctx);
-            route_outbox(
-                topology,
-                shard,
-                v,
-                outbox,
-                &mut slots,
-                slot_range.start,
-                &mut touched,
-                &mut report,
-                &mut |slot, sender, msg| {
-                    let target = topology.shard_of_slot(slot as usize);
-                    match data {
-                        DataPlane::Relay => batches[target].push(slot, sender, &msg),
-                        DataPlane::Mesh(mesh) => mesh.stage(target as u16, slot, sender, &msg),
+        kernel.send_route(round, |slot, sender, msg| {
+            let target = topology.shard_of_slot(slot as usize);
+            match data {
+                DataPlane::Relay => batches[target].push(slot, sender, &msg),
+                DataPlane::Mesh(mesh) => mesh.stage(target as u16, slot, sender, &msg),
+            }
+        });
+        // One data frame per destination shard.
+        kernel.flush(round, || -> std::io::Result<u64> {
+            match data {
+                DataPlane::Relay => {
+                    outbuf.clear();
+                    let mut bytes = 0;
+                    for (to, batch) in batches.iter_mut().enumerate() {
+                        if to != shard {
+                            bytes += batch.seal(round, me, to as u16, &mut outbuf);
+                        }
                     }
-                },
-            );
-        }
-        let send_d = t.elapsed().as_nanos() as u64;
-        report.timings.send += send_d;
-        if let Some(cap) = &capture {
-            cap.emit(&TraceEvent::PhaseEnd {
-                round,
-                shard,
-                phase: TracePhase::Send,
-                nanos: send_d,
-            });
-            cap.emit(&TraceEvent::ShardRound {
-                round,
-                shard,
-                messages: report.messages - m0,
-                bits: report.total_bits - b0,
-                cross: report.cross - c0,
-            });
-        }
-
-        // --- Flush: one data frame per destination shard -----------------
-        let w0 = report.wire_bytes;
-        let t = Instant::now();
-        match data {
-            DataPlane::Relay => {
-                outbuf.clear();
-                for (to, batch) in batches.iter_mut().enumerate() {
-                    if to == shard {
-                        continue;
-                    }
-                    report.wire_bytes += batch.seal(round, me, to as u16, &mut outbuf);
+                    link.write_all(&outbuf)?;
+                    link.flush()?;
+                    Ok(bytes)
                 }
-                link.write_all(&outbuf)?;
-                link.flush()?;
-                // All peers' frames left in one coalesced write: one batch.
-                report.syscall_batches += 1;
+                DataPlane::Mesh(mesh) => Ok(mesh.flush(round)),
             }
-            DataPlane::Mesh(mesh) => {
-                report.wire_bytes += mesh.flush(round);
-            }
-        }
-        let flush_d = t.elapsed().as_nanos() as u64;
-        report.flush_nanos += flush_d;
-        if let Some(cap) = &capture {
-            cap.emit(&TraceEvent::ShardFlush {
-                round,
-                shard,
-                wire_bytes: report.wire_bytes - w0,
-                nanos: flush_d,
-            });
-        }
-
-        // --- Drain every other shard's frames ----------------------------
-        let t = Instant::now();
-        match data {
-            DataPlane::Relay => {
-                for from in 0..shards {
-                    if from == shard {
-                        continue;
+        })?;
+        // Every other shard's frames.
+        kernel.deliver(round, |sink| -> std::io::Result<()> {
+            match data {
+                DataPlane::Relay => {
+                    for from in (0..shards).filter(|&from| from != shard) {
+                        let frame = read_frame(link)?;
+                        if frame.header.kind != FrameKind::Data {
+                            return Err(protocol_error("expected a relayed data frame"));
+                        }
+                        frame.header.expect(round, from as u16, me)?;
+                        for_each_data_entry::<A::Message>(&frame.payload, &mut *sink)?;
                     }
-                    let frame = read_frame(link)?;
-                    if frame.header.kind != FrameKind::Data {
-                        return Err(protocol_error("expected a relayed data frame"));
-                    }
-                    frame.header.expect(round, from as u16, me)?;
-                    for_each_data_entry::<A::Message>(&frame.payload, |slot, sender, msg| {
-                        crate::executor::fill_shard_slot(
-                            &mut slots,
-                            slot as usize - slot_range.start,
-                            msg,
-                            sender as usize,
-                            &mut touched,
-                        );
-                    })?;
+                    Ok(())
                 }
+                DataPlane::Mesh(mesh) => Ok(mesh.exchange::<A::Message>(round, sink)?),
             }
-            DataPlane::Mesh(mesh) => {
-                mesh.exchange::<A::Message>(round, &mut |slot, sender, msg| {
-                    crate::executor::fill_shard_slot(
-                        &mut slots,
-                        slot as usize - slot_range.start,
-                        msg,
-                        sender as usize,
-                        &mut touched,
-                    );
-                })?;
-            }
-        }
-        let drain_d = t.elapsed().as_nanos() as u64;
-        report.timings.deliver += drain_d;
-        if let Some(cap) = &capture {
-            cap.emit(&TraceEvent::ShardDrain {
-                round,
-                shard,
-                nanos: drain_d,
-                stale: 0,
-            });
-            cap.emit(&TraceEvent::PhaseEnd {
-                round,
-                shard,
-                phase: TracePhase::Deliver,
-                nanos: drain_d,
-            });
-        }
-
-        // --- Receive + compact + vote ------------------------------------
-        let t = Instant::now();
-        for &v in &active {
-            let ctx = NodeContext {
-                round,
-                ..contexts[v - node_range.start]
-            };
-            let r = topology.port_range_from(shard, v);
-            let inbox =
-                Inbox::from_slots(&slots[r.start - slot_range.start..r.end - slot_range.start]);
-            nodes[v - node_range.start].receive(&ctx, &inbox);
-        }
-        active.retain(|&v| !nodes[v - node_range.start].is_halted());
-        let receive_d = t.elapsed().as_nanos() as u64;
-        report.timings.receive += receive_d;
-        if let Some(cap) = &capture {
-            cap.emit(&TraceEvent::PhaseEnd {
-                round,
-                shard,
-                phase: TracePhase::Receive,
-                nanos: receive_d,
-            });
-        }
+        })?;
+        let active = kernel.receive_compact(round) as u64;
         round += 1;
         if opts.stats_every > 0 && round % opts.stats_every == 0 {
             write_stats(
@@ -1624,20 +1518,23 @@ where
                 &WorkerStats {
                     shard,
                     round,
-                    active: active.len() as u64,
-                    wire_bytes: report.wire_bytes,
+                    active,
+                    wire_bytes: kernel.report().wire_bytes,
                     peak_rss_bytes: crate::metrics::process_peak_rss_bytes(),
                     elapsed_nanos: epoch.elapsed().as_nanos() as u64,
                 },
             )?;
         }
-        write_vote(link, round, me, active.len() as u64)?;
+        write_vote(link, round, me, active)?;
     }
 
     // --- Final report: counters + wire-encoded outputs -------------------
-    if let DataPlane::Mesh(mesh) = data {
-        report.syscall_batches += mesh.syscall_batches();
-    }
+    let mut report = kernel.finish();
+    report.syscall_batches = match data {
+        // All peers' frames of a round leave in one coalesced write.
+        DataPlane::Relay => round,
+        DataPlane::Mesh(mesh) => mesh.syscall_batches(),
+    };
     // The captured trace ships as one out-of-band frame ahead of the
     // Output frame on the same ordered link, mirroring how Stats frames
     // precede Votes — the coordinator merges (or discards) it without any
@@ -2031,7 +1928,7 @@ fn protocol_error(msg: &str) -> std::io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::Outbox;
+    use crate::algorithm::{Inbox, Outbox};
     use crate::executor::ShardedExecutor;
     use crate::simulator::Simulator;
     use crate::topology::Topology;

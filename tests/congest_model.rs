@@ -93,10 +93,10 @@ fn parallel_executor_is_deterministic_across_thread_counts() {
 
 #[test]
 fn pooled_executor_matches_sequential_on_ring_random_and_star() {
-    // The tentpole equivalence guarantee: the persistent-pool executor is
-    // bit-for-bit identical to the sequential reference on topologies with
-    // very different degree profiles (constant, concentrated, and a hub
-    // whose degree equals n - 1).
+    // The equivalence guarantee for `ExecutionMode::Parallel` (the
+    // threaded driver): bit-for-bit identical to the sequential run on
+    // topologies with very different degree profiles (constant,
+    // concentrated, and a hub whose degree equals n - 1).
     let cases = [
         ("ring", generators::ring(257)),
         ("random", generators::gnp(300, 0.03, 23)),

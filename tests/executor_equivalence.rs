@@ -1,26 +1,158 @@
 //! Property-based executor equivalence: on random topologies with random
-//! halting schedules, the sequential, pooled and sharded executors — the
-//! latter under **every transport backend** (in-process staging queues and
-//! the wire-codec'd socket loopback) — must produce identical outputs,
-//! round counts and message accounting.
+//! halting schedules, every driver of the round kernel — the
+//! single-threaded driver on `Topology` and on a multi-shard
+//! `ShardedTopology`, `ExecutionMode::Parallel`, and the threaded driver
+//! under **every transport backend** (in-process staging queues and the
+//! wire-codec'd socket loopback) — must produce the outputs, round counts
+//! and message accounting of an independent reference loop.
 //!
 //! This is the engine contract stated in `dcme_congest::executor`: every
-//! `Executor` is bit-for-bit equivalent to `SequentialExecutor` (all metrics
-//! except wall-clock phase timings and the backend-describing transport
-//! counters `wire_bytes_sent` / `transport_flush_nanos`).  The unit tests
-//! pin it on hand-picked graphs; here it must survive arbitrary
-//! `GraphFamily` workloads, thread counts, shard counts and transports.
+//! `Executor` is bit-for-bit equivalent (all metrics except wall-clock
+//! phase timings and the backend-describing transport counters
+//! `wire_bytes_sent` / `transport_flush_nanos`).  Since every driver runs
+//! the same kernel, none of them can serve as the reference:
+//! [`reference_run`] below is the synchronous round written out plainly,
+//! sharing no code with the engine beyond the public model types.
 
 use proptest::prelude::*;
 
 use dcme_baselines::degree_plus_one::{self, DegreePlusOneNode};
 use dcme_baselines::ultrafast::{self, UltrafastNode};
 use dcme_congest::{
-    ExecutionMode, FaultPlan, FaultyTransport, Inbox, NodeAlgorithm, NodeContext, Outbox,
-    RecordingSink, RunOutcome, ShardedExecutor, ShardedTopology, Simulator, SimulatorConfig,
-    SocketLoopback, Topology, TraceEvent, TransportBuilder,
+    ExecutionMode, FaultPlan, FaultyTransport, Inbox, MessageSize, NodeAlgorithm, NodeContext,
+    Outbox, RecordingSink, RunMetrics, RunOutcome, ShardedExecutor, ShardedTopology, Simulator,
+    SimulatorConfig, SocketLoopback, Topology, TopologyView, TraceEvent, TransportBuilder,
 };
 use dcme_graphs::generators;
+
+/// The independent oracle: one untraced synchronous round loop.  Each
+/// round every active node's outbox is staged, the staged messages are
+/// delivered through `neighbor_at` / `reverse_port` / `port_range`, every
+/// active node receives, and halted nodes leave the active list.
+fn reference_run<A: NodeAlgorithm>(
+    g: &impl TopologyView,
+    mut nodes: Vec<A>,
+    max_rounds: u64,
+) -> RunOutcome<A::Output> {
+    let n = g.num_nodes();
+    let ctx = |node, round| NodeContext {
+        node,
+        degree: g.degree(node),
+        n,
+        max_degree: g.max_degree(),
+        round,
+    };
+    for (v, node) in nodes.iter_mut().enumerate() {
+        node.init(&ctx(v, 0));
+    }
+    let mut metrics = RunMetrics::default();
+    let mut active: Vec<usize> = (0..n).filter(|&v| !nodes[v].is_halted()).collect();
+    let mut round = 0;
+    while !active.is_empty() {
+        if round == max_rounds {
+            metrics.hit_round_cap = true;
+            break;
+        }
+        metrics.active_per_round.push(active.len());
+        let staged: Vec<(usize, Outbox<A::Message>)> = active
+            .iter()
+            .map(|&v| (v, nodes[v].send(&ctx(v, round))))
+            .collect();
+        let mut slots: Vec<Option<A::Message>> = vec![None; g.num_directed_edges()];
+        for (v, outbox) in staged {
+            let sent: Vec<(usize, A::Message)> = match outbox {
+                Outbox::Silent => Vec::new(),
+                Outbox::Broadcast(m) => (0..g.degree(v)).map(|p| (p, m.clone())).collect(),
+                Outbox::PerPort(list) => list,
+            };
+            for (p, m) in sent {
+                assert!(p < g.degree(v), "node {v} sent on nonexistent port {p}");
+                metrics.record_message(m.bit_size());
+                let u = g.neighbor_at(v, p);
+                let slot = &mut slots[g.port_range(u).start + g.reverse_port(v, p)];
+                assert!(slot.is_none(), "node {v} sent twice over port {p}");
+                *slot = Some(m);
+            }
+        }
+        for &v in &active {
+            nodes[v].receive(&ctx(v, round), &Inbox::from_slots(&slots[g.port_range(v)]));
+        }
+        active.retain(|&v| !nodes[v].is_halted());
+        round += 1;
+    }
+    metrics.rounds = round;
+    let outputs = nodes.iter().map(|a| a.output()).collect();
+    RunOutcome { outputs, metrics }
+}
+
+/// Asserts `run` reproduces the oracle's outputs and every logical
+/// counter, field by field.
+fn assert_matches_oracle<O: PartialEq + std::fmt::Debug>(
+    name: &str,
+    oracle: &RunOutcome<O>,
+    run: &RunOutcome<O>,
+) -> Result<(), TestCaseError> {
+    let (want, got) = (&oracle.metrics, &run.metrics);
+    prop_assert_eq!(&oracle.outputs, &run.outputs, "{} outputs diverged", name);
+    prop_assert_eq!(want.rounds, got.rounds, "{} rounds", name);
+    prop_assert_eq!(want.messages, got.messages, "{} messages", name);
+    prop_assert_eq!(want.total_bits, got.total_bits, "{} bits", name);
+    prop_assert_eq!(
+        want.max_message_bits,
+        got.max_message_bits,
+        "{} max bits",
+        name
+    );
+    prop_assert_eq!(
+        &want.active_per_round,
+        &got.active_per_round,
+        "{} active sets",
+        name
+    );
+    prop_assert_eq!(want.hit_round_cap, got.hit_round_cap, "{} cap", name);
+    Ok(())
+}
+
+/// Runs `mk()` with a round cap of `cap` on every driver: the
+/// single-threaded driver on `g` and on a `shards`-shard copy,
+/// `ExecutionMode::Parallel { threads }`, and the threaded driver over the
+/// in-process and the Unix-socket transports.
+fn every_driver<A: NodeAlgorithm>(
+    g: &Topology,
+    shards: usize,
+    threads: usize,
+    cap: u64,
+    mk: impl Fn() -> Vec<A>,
+) -> Vec<(&'static str, RunOutcome<A::Output>)> {
+    let sharded = ShardedTopology::from_topology(g, shards).expect("shardable topology");
+    let config = |mode| SimulatorConfig {
+        max_rounds: cap,
+        mode,
+    };
+    let seq = config(ExecutionMode::Sequential);
+    vec![
+        ("seq", Simulator::with_config(g, seq).run(mk())),
+        (
+            "seq on shards",
+            Simulator::with_config(&sharded, seq).run(mk()),
+        ),
+        (
+            "parallel",
+            Simulator::with_config(g, config(ExecutionMode::Parallel { threads })).run(mk()),
+        ),
+        (
+            "sharded+inproc",
+            Simulator::with_config(&sharded, seq).run_with_executor(mk(), &ShardedExecutor::new()),
+        ),
+        (
+            "sharded+socket",
+            Simulator::with_config(&sharded, seq).run_with_executor(
+                mk(),
+                &ShardedExecutor::with_transport(SocketLoopback::unix()),
+            ),
+        ),
+    ]
+}
 
 /// A deterministic workload with a per-node halting schedule: node `v`
 /// broadcasts `id + round` while active, folds everything it hears into a
@@ -118,71 +250,31 @@ fn build_graph(family: usize, size: usize, seed: u64) -> Topology {
     }
 }
 
-/// Runs one seeded randomized baseline on every executor and transport
-/// backend and asserts the runs are bit-identical to the sequential
-/// reference — the engine contract applied to *randomized* algorithms,
-/// which holds because their randomness is drawn from stateless
-/// `(seed, node, round)` streams, never from execution history.
-fn assert_randomized_equivalence<A, F>(g: &Topology, shards: usize, threads: usize, cap: u64, mk: F)
+/// Runs one seeded randomized baseline on every driver and asserts each
+/// run is bit-identical to the oracle — the engine contract applied to
+/// *randomized* algorithms, which holds because their randomness is drawn
+/// from stateless `(seed, node, round)` streams, never from execution
+/// history.
+fn assert_randomized_equivalence<A, F>(
+    g: &Topology,
+    shards: usize,
+    threads: usize,
+    cap: u64,
+    mk: F,
+) -> Result<(), TestCaseError>
 where
     A: NodeAlgorithm<Output = Option<u64>>,
     F: Fn() -> Vec<A>,
 {
-    let seq_config = SimulatorConfig {
-        max_rounds: cap,
-        mode: ExecutionMode::Sequential,
-    };
-    let sharded = ShardedTopology::from_topology(g, shards).expect("shardable topology");
-    let seq: RunOutcome<Option<u64>> = Simulator::with_config(g, seq_config).run(mk());
-    assert!(
-        seq.outputs.iter().all(Option::is_some),
+    let oracle = reference_run(g, mk(), cap);
+    prop_assert!(
+        oracle.outputs.iter().all(Option::is_some),
         "randomized baseline must finish within its unconditional cap"
     );
-    let runs = [
-        (
-            "pooled",
-            Simulator::with_config(
-                g,
-                SimulatorConfig {
-                    max_rounds: cap,
-                    mode: ExecutionMode::Parallel { threads },
-                },
-            )
-            .run(mk()),
-        ),
-        (
-            "sharded+inproc",
-            Simulator::with_config(&sharded, seq_config)
-                .run_with_executor(mk(), &ShardedExecutor::new()),
-        ),
-        (
-            "sharded+socket",
-            Simulator::with_config(&sharded, seq_config).run_with_executor(
-                mk(),
-                &ShardedExecutor::with_transport(SocketLoopback::unix()),
-            ),
-        ),
-    ];
-    for (name, other) in &runs {
-        assert_eq!(&seq.outputs, &other.outputs, "{name} outputs diverged");
-        assert_eq!(seq.metrics.rounds, other.metrics.rounds, "{name} rounds");
-        assert_eq!(
-            seq.metrics.messages, other.metrics.messages,
-            "{name} messages"
-        );
-        assert_eq!(
-            seq.metrics.total_bits, other.metrics.total_bits,
-            "{name} bits"
-        );
-        assert_eq!(
-            seq.metrics.max_message_bits, other.metrics.max_message_bits,
-            "{name} max bits"
-        );
-        assert_eq!(
-            seq.metrics.active_per_round, other.metrics.active_per_round,
-            "{name} active sets"
-        );
+    for (name, run) in every_driver(g, shards, threads, cap, mk) {
+        assert_matches_oracle(name, &oracle, &run)?;
     }
+    Ok(())
 }
 
 /// Asserts a traced run is bit-for-bit identical to its untraced twin on
@@ -230,8 +322,9 @@ fn assert_tracing_invisible(name: &str, plain: &RunOutcome<u64>, traced: &RunOut
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random topology × random halting schedule × every executor: outputs,
-    /// round counts and all accounting metrics agree bit for bit.
+    /// Random topology × random halting schedule × every driver: outputs,
+    /// round counts and all accounting metrics match the oracle bit for
+    /// bit.
     #[test]
     fn all_executors_agree(
         family in 0usize..4,
@@ -243,61 +336,45 @@ proptest! {
     ) {
         let g = build_graph(family, size, graph_seed);
         let ttls = schedule(g.num_nodes(), ttl_seed);
-
-        let seq = run_with_mode(&g, &ttls, ExecutionMode::Sequential);
-        let par = run_with_mode(&g, &ttls, ExecutionMode::Parallel { threads });
-        let shd = run_sharded(&g, &ttls, shards, dcme_congest::InProcess);
-        let sock = run_sharded(&g, &ttls, shards, SocketLoopback::unix());
-
-        for (name, other) in [("pooled", &par), ("sharded", &shd), ("socket", &sock)] {
-            prop_assert_eq!(&seq.outputs, &other.outputs, "{} outputs diverged", name);
-            prop_assert_eq!(seq.metrics.rounds, other.metrics.rounds, "{} rounds", name);
-            prop_assert_eq!(seq.metrics.messages, other.metrics.messages, "{} messages", name);
-            prop_assert_eq!(seq.metrics.total_bits, other.metrics.total_bits, "{} bits", name);
-            prop_assert_eq!(
-                seq.metrics.max_message_bits,
-                other.metrics.max_message_bits,
-                "{} max bits", name
-            );
-            prop_assert_eq!(
-                &seq.metrics.active_per_round,
-                &other.metrics.active_per_round,
-                "{} active sets", name
-            );
-            prop_assert_eq!(
-                seq.metrics.hit_round_cap,
-                other.metrics.hit_round_cap,
-                "{} cap", name
-            );
+        let mk = || ttls.iter().map(|&t| ScheduledGossip::new(t)).collect::<Vec<_>>();
+        let oracle = reference_run(&g, mk(), 1_000_000);
+        let runs = every_driver(&g, shards, threads, 1_000_000, mk);
+        for (name, run) in &runs {
+            assert_matches_oracle(name, &oracle, run)?;
         }
 
-        // Sharded attribution invariants: every message is attributed to
-        // exactly one side of the shard boundary, and one shard ⇒ no
-        // cross-shard traffic.
-        for out in [&shd, &sock] {
-            prop_assert_eq!(
-                out.metrics.intra_shard_messages + out.metrics.cross_shard_messages,
-                out.metrics.messages
-            );
-            if shards == 1 {
-                prop_assert_eq!(out.metrics.cross_shard_messages, 0);
+        // Shard attribution: the single-threaded driver reports no split;
+        // the sharded drivers attribute every message to exactly one side
+        // of a shard boundary, and one shard ⇒ no cross-shard traffic.
+        for (name, run) in &runs {
+            let m = &run.metrics;
+            let shard_count = match *name {
+                "seq" | "seq on shards" => 0,
+                "parallel" => threads,
+                _ => shards,
+            };
+            prop_assert_eq!(m.shard_phase_nanos.len(), shard_count, "{} shards", name);
+            if shard_count == 0 {
+                prop_assert_eq!(m.intra_shard_messages + m.cross_shard_messages, 0);
+            } else {
+                prop_assert_eq!(m.intra_shard_messages + m.cross_shard_messages, m.messages);
             }
-            prop_assert_eq!(out.metrics.shard_phase_nanos.len(), shards);
+            if shard_count == 1 {
+                prop_assert_eq!(m.cross_shard_messages, 0);
+            }
         }
         // Transport counters describe the backend: the in-memory queues
         // move no wire bytes; the socket mesh seals one frame per shard
         // pair per round, so any multi-shard round produces real bytes.
-        prop_assert_eq!(shd.metrics.wire_bytes_sent, 0);
-        prop_assert_eq!(
-            sock.metrics.wire_bytes_sent > 0,
-            shards > 1 && sock.metrics.rounds > 0
-        );
+        let (inproc, sock) = (&runs[3].1.metrics, &runs[4].1.metrics);
+        prop_assert_eq!(inproc.wire_bytes_sent, 0);
+        prop_assert_eq!(sock.wire_bytes_sent > 0, shards > 1 && sock.rounds > 0);
     }
 
     /// Seeded randomized baselines (HNT ultrafast, D1LC degree+1): on random
-    /// topologies, fixed-seed runs are bit-for-bit identical across the
-    /// sequential, pooled and sharded executors and both transport backends
-    /// (the ISSUE 5 acceptance criterion, as a property).
+    /// topologies, fixed-seed runs on every driver and transport backend
+    /// are bit-for-bit identical to the oracle (the ISSUE 5 acceptance
+    /// criterion, as a property).
     #[test]
     fn randomized_baselines_agree_across_executors_and_transports(
         family in 0usize..4,
@@ -311,10 +388,10 @@ proptest! {
         let n = g.num_nodes();
         assert_randomized_equivalence(&g, shards, threads, ultrafast::round_cap(n), || {
             (0..n).map(|_| UltrafastNode::new(algo_seed)).collect::<Vec<_>>()
-        });
+        })?;
         assert_randomized_equivalence(&g, shards, threads, degree_plus_one::round_cap(n), || {
             (0..n).map(|_| DegreePlusOneNode::new(algo_seed)).collect::<Vec<_>>()
-        });
+        })?;
     }
 
     /// Zero-fault regression: wrapping any transport in a `FaultyTransport`
@@ -437,7 +514,7 @@ proptest! {
 
         let mut sinks = Vec::new();
         for mode in [ExecutionMode::Sequential, ExecutionMode::Parallel { threads }] {
-            let name = if mode == ExecutionMode::Sequential { "seq" } else { "pooled" };
+            let name = if mode == ExecutionMode::Sequential { "seq" } else { "parallel" };
             let sink = RecordingSink::new();
             let plain = run_with_mode(&g, &ttls, mode);
             let traced = Simulator::with_config(&g, config(mode))
@@ -499,29 +576,23 @@ proptest! {
         }
     }
 
-    /// The round cap stops every executor at the same round with the cap
+    /// The round cap stops every driver at the oracle's round with the cap
     /// flag set — also under sharding.
     #[test]
     fn round_cap_agrees_across_executors(
         size in 8usize..40,
         cap in 1u64..6,
         shards in 1usize..5,
+        threads in 1usize..4,
     ) {
         let g = generators::ring(size.max(3));
         let ttls = vec![u64::MAX; g.num_nodes()]; // never halts on its own
-        let config = SimulatorConfig {
-            max_rounds: cap,
-            mode: ExecutionMode::Sequential,
-        };
         let mk = || ttls.iter().map(|&t| ScheduledGossip::new(t)).collect::<Vec<_>>();
-        let seq = Simulator::with_config(&g, config).run(mk());
-        let sharded = ShardedTopology::from_topology(&g, shards).unwrap();
-        let shd = Simulator::with_config(&sharded, config)
-            .run_with_executor(mk(), &ShardedExecutor::new());
-        prop_assert!(seq.metrics.hit_round_cap);
-        prop_assert!(shd.metrics.hit_round_cap);
-        prop_assert_eq!(seq.metrics.rounds, cap);
-        prop_assert_eq!(shd.metrics.rounds, cap);
-        prop_assert_eq!(seq.outputs, shd.outputs);
+        let oracle = reference_run(&g, mk(), cap);
+        prop_assert!(oracle.metrics.hit_round_cap);
+        prop_assert_eq!(oracle.metrics.rounds, cap);
+        for (name, run) in every_driver(&g, shards, threads, cap, mk) {
+            assert_matches_oracle(name, &oracle, &run)?;
+        }
     }
 }
