@@ -14,11 +14,8 @@ pub fn greedy_coloring(topology: &Topology, order: Option<&[usize]>) -> Coloring
 
     let mut colors: Vec<Option<u64>> = vec![None; n];
     for &v in order {
-        let used: std::collections::HashSet<u64> = topology
-            .neighbors(v)
-            .iter()
-            .filter_map(|&u| colors[u])
-            .collect();
+        let used: std::collections::HashSet<u64> =
+            topology.neighbors(v).filter_map(|u| colors[u]).collect();
         let c = (0..).find(|c| !used.contains(c)).expect("infinite palette");
         colors[v] = Some(c);
     }
@@ -43,7 +40,7 @@ pub fn smallest_last_order(topology: &Topology) -> Vec<usize> {
             .expect("nodes remain");
         removed[v] = true;
         order.push(v);
-        for &u in topology.neighbors(v) {
+        for u in topology.neighbors(v) {
             if !removed[u] {
                 degree[u] -= 1;
             }

@@ -175,6 +175,15 @@ fn parse_args() -> Args {
         eprintln!("exp_worker: --hosts requires --mesh");
         usage()
     }
+    // A worker index past the shard count names no shard: reject it before
+    // anything connects.
+    if let Some(shard) = args.worker.filter(|&shard| shard >= args.params.shards) {
+        eprintln!(
+            "exp_worker: --worker {shard} is out of range for --shards {}",
+            args.params.shards
+        );
+        usage()
+    }
     // `--progress` without an explicit cadence picks a default one.
     if args.progress && args.params.stats_every == 0 {
         args.params.stats_every = 64;

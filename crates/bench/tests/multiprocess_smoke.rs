@@ -164,6 +164,35 @@ fn hosts_without_mesh_is_a_usage_error() {
 }
 
 #[test]
+fn worker_index_outside_the_shard_count_is_a_usage_error() {
+    // Rejected while parsing, before the worker dials: nothing listens at
+    // the address, so a worker that got that far would fail differently.
+    let out = run_exp_worker(&[
+        "--worker",
+        "5",
+        "--shards",
+        "2",
+        "--n",
+        "1000",
+        "--graph",
+        "ring",
+        "--connect",
+        "127.0.0.1:9",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "expected a usage error exit, got {:?}\nstderr: {stderr}",
+        out.status.code()
+    );
+    assert!(
+        stderr.contains("--worker 5 is out of range for --shards 2"),
+        "expected the worker-index error, got: {stderr}"
+    );
+}
+
+#[test]
 fn unknown_graph_family_is_a_clean_error() {
     let out = run_exp_worker(&["--n", "100", "--shards", "2", "--graph", "torus"]);
     assert!(!out.status.success());

@@ -94,7 +94,7 @@ pub fn ruling_set_from_coloring(
             let snapshot = joined.clone();
             for v in 0..n {
                 if candidate[v] && color[v] >= lo && color[v] < hi {
-                    let blocked = topology.neighbors(v).iter().any(|&u| snapshot[u]);
+                    let blocked = topology.neighbors(v).any(|u| snapshot[u]);
                     if !blocked {
                         joined[v] = true;
                     }
@@ -124,7 +124,7 @@ pub fn ruling_set_from_coloring(
     // this corresponds to the final single-color sweep round.
     rounds += 1;
     for v in 0..n {
-        if in_set[v] && topology.neighbors(v).iter().any(|&u| u < v && in_set[u]) {
+        if in_set[v] && topology.neighbors(v).any(|u| u < v && in_set[u]) {
             in_set[v] = false;
         }
     }

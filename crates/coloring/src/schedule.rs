@@ -102,8 +102,7 @@ pub fn scheduled_coloring(
             .map(|&v| {
                 let forbidden: std::collections::HashSet<u64> = topology
                     .neighbors(v)
-                    .iter()
-                    .filter_map(|&u| final_color[u])
+                    .filter_map(|u| final_color[u])
                     .collect();
                 (0..target).filter(|c| !forbidden.contains(c)).collect()
             })

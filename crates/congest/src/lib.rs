@@ -21,9 +21,9 @@
 //!   (init / send / receive / output),
 //! * [`simulator::Simulator`] — the synchronous round engine, generic over
 //!   the topology representation via [`topology::TopologyView`],
-//! * [`sharded::ShardedTopology`] — the same graph, edge-partitioned into
-//!   contiguous node-range shards with streaming construction, for
-//!   `n ≥ 10^7` workloads,
+//! * [`sharded::ShardedTopology`] — the same CSR, cut into contiguous
+//!   node-range shards, with streaming construction for `n ≥ 10^7`
+//!   workloads,
 //! * [`executor::Executor`] — the round-loop strategy seam: one round
 //!   kernel, run by a single-threaded driver
 //!   ([`executor::SequentialExecutor`]), one thread per shard
@@ -71,6 +71,7 @@
 
 pub mod algorithm;
 pub mod bandwidth;
+mod csr;
 pub mod executor;
 pub mod faults;
 pub mod json;

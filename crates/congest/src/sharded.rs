@@ -1,16 +1,15 @@
-//! Edge-partitioned sharded topology for `n ≥ 10^7` graphs.
+//! Node-range shards of the port-numbered communication graph, for
+//! `n ≥ 10^7` graphs and shard-parallel execution.
 //!
-//! [`ShardedTopology`] stores the same port-numbered communication graph as
-//! [`Topology`], but partitioned into `S` contiguous node-range *shards*,
-//! each holding its own CSR slice.  The representation is built for two
-//! things the single-arena [`Topology`] cannot do at the
-//! `n ≥ 10^7` scale the ROADMAP targets:
+//! [`ShardedTopology`] is a [`Topology`] cut into `S` contiguous node-range
+//! *shards*, plus a port remap table.  It adds two things:
 //!
 //! * **Streaming construction** — [`ShardedTopology::from_edge_stream`]
 //!   consumes the edge list as a replayable *stream* (two passes: degree
-//!   counting, then CSR fill), so peak memory is the final CSR itself; no
-//!   global `Vec<(NodeId, NodeId)>` or hash-set of edges is ever
-//!   materialised.
+//!   counting, then the row fill of the crate's one CSR builder), so no
+//!   global `Vec<(NodeId, NodeId)>` is ever materialised; with a
+//!   [`ShardPlan`], a worker builds only its own shard
+//!   ([`ShardSliceTopology::build`]).
 //! * **Shard ownership** — every shard owns a contiguous range of nodes
 //!   *and* the contiguous range of inbox slots of exactly those nodes, so
 //!   the [`ShardedExecutor`](crate::executor::ShardedExecutor) can give each
@@ -31,58 +30,25 @@
 //!          nodes       nodes      nodes
 //! ```
 //!
-//! Because the flat slot contract of
-//! [`TopologyView`] assigns slot ranges in
-//! ascending node order, the shard's node range induces its slot range; both
-//! are recorded in prefix arrays (`node_start` / `slot_start`).
+//! Because the flat slot contract of [`TopologyView`] assigns slot ranges
+//! in ascending node order, the shard's node range induces its slot range;
+//! both are recorded in prefix arrays (`node_start` / `slot_start`), and
+//! every [`TopologyView`] query goes straight to the [`Topology`].
 //!
-//! # The cross-shard port remap table
+//! # The port remap table
 //!
-//! Delivering a message sent by `v` over port `p` requires the *global slot*
-//! of the receiving endpoint — which generally lives in another shard's CSR.
-//! Each shard therefore precomputes, for every outgoing directed edge, the
-//! destination slot ([`ShardedTopology::dest_slot`]): senders never chase
-//! another shard's offsets at delivery time, they look up one `u32` and
+//! Delivering a message sent by `v` over port `p` requires the *global
+//! slot* of the receiving endpoint, `port_range(u).start + reverse_port(v,
+//! p)` for the neighbour `u` behind `p`.  One linear pass precomputes it as
+//! a `u32` per directed edge ([`ShardedTopology::dest_slot`]), so senders
 //! either write the slot directly (intra-shard) or enqueue the pair
 //! `(slot, message)` for the owning worker (cross-shard).
-//!
-//! # Compact indexing
-//!
-//! Neighbour ids, reverse ports and destination slots are stored as `u32`
-//! (half the memory of the `usize`-based [`Topology`] —
-//! the difference between fitting a `10^7`-node graph in RAM or not).
-//! Graphs whose node count or directed-edge count exceeds `u32::MAX` are
-//! rejected with [`TopologyError::NodeRangeOverflow`].
-//!
-//! [`Topology`]: crate::Topology
 
 use serde::{Deserialize, Serialize};
 
-use crate::topology::{NodeId, Port, TopologyError, TopologyView};
+use crate::csr::{self, RankedRows, INDEX_LIMIT};
+use crate::topology::{NodeId, Port, Topology, TopologyError, TopologyView};
 use crate::wire::{get_u32, get_u64, put_u32, put_u64, WireError};
-
-/// The largest node count / directed-edge count the compact `u32`
-/// representation can index.
-const INDEX_LIMIT: usize = u32::MAX as usize;
-
-/// One shard's CSR slice: the adjacency of a contiguous node range.
-///
-/// All offsets are *local* (relative to the shard's first slot); global
-/// slots are `slot_start[s] + local`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-struct ShardCsr {
-    /// Local CSR offsets: the ports of the shard's `i`-th node occupy local
-    /// slots `offsets[i]..offsets[i + 1]`.
-    offsets: Vec<usize>,
-    /// Neighbour (global) node ids, sorted per node.
-    adjacency: Vec<u32>,
-    /// For each outgoing directed edge, the port at which the sender appears
-    /// in the receiver's port list.
-    reverse_port: Vec<u32>,
-    /// The port remap table: for each outgoing directed edge, the *global*
-    /// inbox slot of the receiving endpoint.
-    dest_slot: Vec<u32>,
-}
 
 /// The result of construction **pass 1** over an edge stream: validated
 /// shard boundaries plus the full per-node degree header.
@@ -132,7 +98,7 @@ impl ShardPlan {
     pub fn from_edge_stream<F>(
         n: usize,
         num_shards: usize,
-        mut stream: F,
+        stream: F,
     ) -> Result<Self, TopologyError>
     where
         F: FnMut(&mut dyn FnMut(NodeId, NodeId)),
@@ -140,46 +106,14 @@ impl ShardPlan {
         if num_shards == 0 {
             return Err(TopologyError::ShardCountZero);
         }
-        if n > INDEX_LIMIT {
-            return Err(TopologyError::NodeRangeOverflow {
-                value: n,
-                limit: INDEX_LIMIT,
-            });
-        }
+        let (degree, num_edges) = csr::count_degrees(n, stream)?;
+        Ok(Self::cut(degree, num_edges, num_shards))
+    }
 
-        // --- Pass 1: validate endpoints, count degrees ------------------
-        let mut degree: Vec<u32> = vec![0; n];
-        let mut num_edges: usize = 0;
-        let mut first_error: Option<TopologyError> = None;
-        stream(&mut |u: NodeId, v: NodeId| {
-            if first_error.is_some() {
-                return;
-            }
-            if u >= n || v >= n {
-                let node = if u >= n { u } else { v };
-                first_error = Some(TopologyError::NodeOutOfRange { node, n });
-                return;
-            }
-            if u == v {
-                first_error = Some(TopologyError::SelfLoop(u));
-                return;
-            }
-            if 2 * (num_edges + 1) > INDEX_LIMIT {
-                first_error = Some(TopologyError::NodeRangeOverflow {
-                    value: 2 * (num_edges + 1),
-                    limit: INDEX_LIMIT,
-                });
-                return;
-            }
-            degree[u] += 1;
-            degree[v] += 1;
-            num_edges += 1;
-        });
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-
-        // --- Shard boundaries: balance deg(v) + 1 per shard -------------
+    /// Chooses the boundaries of `num_shards` shards of a graph with these
+    /// degrees, balancing `deg(v) + 1` per shard.
+    fn cut(degree: Vec<u32>, num_edges: usize, num_shards: usize) -> Self {
+        let n = degree.len();
         // The weight deg(v) + 1 balances both slot ownership (delivery
         // work) and node ownership (send/receive work); the +1 also keeps
         // the split sensible on edgeless graphs.
@@ -191,7 +125,7 @@ impl ShardPlan {
         let mut acc_weight: usize = 0;
         let mut acc_slots: usize = 0;
         let mut next_cut = 1usize;
-        for (v, &d) in degree.iter().enumerate().take(n) {
+        for (v, &d) in degree.iter().enumerate() {
             acc_weight += d as usize + 1;
             acc_slots += d as usize;
             // Close shard `next_cut - 1` once its fair share of weight is
@@ -212,14 +146,14 @@ impl ShardPlan {
         slot_start.push(2 * num_edges);
 
         let max_degree = degree.iter().copied().max().unwrap_or(0);
-        Ok(Self {
+        Self {
             n,
             num_edges,
             max_degree,
             node_start,
             slot_start,
             degree,
-        })
+        }
     }
 
     /// Number of nodes of the planned graph.
@@ -370,7 +304,7 @@ impl ShardPlan {
     }
 }
 
-/// An edge-partitioned, port-numbered communication graph (see the
+/// A port-numbered communication graph cut into node-range shards (see the
 /// [module docs](self) for the layout).
 ///
 /// Implements [`TopologyView`], so it runs under every executor; the
@@ -395,15 +329,15 @@ impl ShardPlan {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardedTopology {
-    n: usize,
-    num_edges: usize,
-    max_degree: u32,
+    topology: Topology,
     /// Shard `s` owns nodes `node_start[s]..node_start[s + 1]` (length
     /// `S + 1`, ascending, `node_start[S] == n`).
     node_start: Vec<usize>,
     /// Shard `s` owns flat slots `slot_start[s]..slot_start[s + 1]`.
     slot_start: Vec<usize>,
-    shards: Vec<ShardCsr>,
+    /// The port remap table: for each directed edge, the global inbox slot
+    /// of the receiving endpoint.
+    dest_slot: Vec<u32>,
 }
 
 impl ShardedTopology {
@@ -411,9 +345,9 @@ impl ShardedTopology {
     ///
     /// `stream` is invoked exactly **twice** and must emit the same sequence
     /// of undirected edges on both invocations (pass 1 counts degrees and
-    /// chooses shard boundaries, pass 2 fills the per-shard CSR slices).
-    /// Deterministic generators satisfy this by construction; randomized
-    /// ones by re-seeding their RNG inside the closure.
+    /// chooses shard boundaries, pass 2 fills the rows).  Deterministic
+    /// generators satisfy this by construction; randomized ones by
+    /// re-seeding their RNG inside the closure.
     ///
     /// Peak memory is the final CSR plus `O(n)` scratch — the edge list is
     /// never materialised.
@@ -425,7 +359,9 @@ impl ShardedTopology {
     ///   count exceeds `u32::MAX`;
     /// * [`TopologyError::NodeOutOfRange`] / [`TopologyError::SelfLoop`] /
     ///   [`TopologyError::DuplicateEdge`] exactly as
-    ///   [`Topology::from_edges`](crate::Topology::from_edges) reports them.
+    ///   [`Topology::from_edges`] reports them: the first out-of-range
+    ///   endpoint or self-loop in stream order, otherwise the
+    ///   lexicographically smallest edge emitted twice.
     pub fn from_edge_stream<F>(
         n: usize,
         num_shards: usize,
@@ -438,9 +374,9 @@ impl ShardedTopology {
         Self::from_plan(&plan, stream)
     }
 
-    /// Construction **pass 2**: fills every shard's CSR slice, sorts port
-    /// lists and precomputes the remap tables, given a pass-1 [`ShardPlan`]
-    /// and one more replay of the same edge stream.
+    /// Construction **pass 2**: builds every row, sorted, with its reverse
+    /// ports and the port remap table, given a pass-1 [`ShardPlan`] and one
+    /// more replay of the same edge stream.
     ///
     /// This is the full-build counterpart of [`ShardSliceTopology::build`];
     /// [`ShardedTopology::from_edge_stream`] is the convenience wrapper
@@ -448,123 +384,40 @@ impl ShardedTopology {
     ///
     /// # Errors
     ///
-    /// * [`TopologyError::DuplicateEdge`] if the stream emits an undirected
-    ///   edge twice;
     /// * [`TopologyError::PlanMismatch`] if the replay does not emit exactly
-    ///   the edges the plan counted.
-    pub fn from_plan<F>(plan: &ShardPlan, mut stream: F) -> Result<Self, TopologyError>
+    ///   the edges the plan counted;
+    /// * otherwise [`TopologyError::DuplicateEdge`] for the
+    ///   lexicographically smallest edge the stream emits twice.
+    pub fn from_plan<F>(plan: &ShardPlan, stream: F) -> Result<Self, TopologyError>
     where
         F: FnMut(&mut dyn FnMut(NodeId, NodeId)),
     {
-        let n = plan.n;
-        let num_shards = plan.num_shards();
-        let node_start = plan.node_start.clone();
-        let slot_start = plan.slot_start.clone();
-        let degree = &plan.degree;
-
-        // --- Local CSR offsets per shard --------------------------------
-        let mut shards: Vec<ShardCsr> = Vec::with_capacity(num_shards);
-        for s in 0..num_shards {
-            let nodes = node_start[s]..node_start[s + 1];
-            let mut offsets = Vec::with_capacity(nodes.len() + 1);
-            offsets.push(0usize);
-            for v in nodes {
-                offsets.push(offsets.last().unwrap() + degree[v] as usize);
-            }
-            let slots = offsets[offsets.len() - 1];
-            shards.push(ShardCsr {
-                offsets,
-                adjacency: vec![0u32; slots],
-                reverse_port: vec![0u32; slots],
-                dest_slot: vec![0u32; slots],
-            });
-        }
-
-        // --- Pass 2: fill adjacency -------------------------------------
-        // `cursor[v]` is the next free port of `v`; an edge beyond the
-        // degree the plan recorded means the replay diverged.
-        let shard_of = |node_start: &[usize], v: NodeId| -> usize {
-            node_start.partition_point(|&s| s <= v) - 1
-        };
-        let mut cursor: Vec<u32> = vec![0; n];
-        let mut mismatch: Option<NodeId> = None;
-        stream(&mut |u: NodeId, v: NodeId| {
-            if mismatch.is_some() {
-                return;
-            }
-            for (a, b) in [(u, v), (v, u)] {
-                if a >= n || cursor[a] >= degree[a] {
-                    mismatch = Some(if a >= n { u.max(v) } else { a });
-                    return;
-                }
-                let s = shard_of(&node_start[..=num_shards], a);
-                let local = shards[s].offsets[a - node_start[s]] + cursor[a] as usize;
-                shards[s].adjacency[local] = b as u32;
-                cursor[a] += 1;
-            }
-        });
-        if let Some(node) = mismatch {
-            return Err(TopologyError::PlanMismatch { node });
-        }
-        if let Some(v) = (0..n).find(|&v| cursor[v] != degree[v]) {
-            return Err(TopologyError::PlanMismatch { node: v });
-        }
-
-        // --- Sort per-node port lists, reject duplicate edges ------------
-        for s in 0..num_shards {
-            for i in 0..node_start[s + 1] - node_start[s] {
-                let (lo, hi) = (shards[s].offsets[i], shards[s].offsets[i + 1]);
-                let ports = &mut shards[s].adjacency[lo..hi];
-                ports.sort_unstable();
-                if let Some(w) = ports.windows(2).find(|w| w[0] == w[1]) {
-                    let v = node_start[s] + i;
-                    let u = w[0] as usize;
-                    return Err(TopologyError::DuplicateEdge(v.min(u), v.max(u)));
-                }
-            }
-        }
-
-        // --- Reverse ports + the cross-shard port remap table ------------
-        for s in 0..num_shards {
-            for i in 0..node_start[s + 1] - node_start[s] {
-                let v = node_start[s] + i;
-                for local in shards[s].offsets[i]..shards[s].offsets[i + 1] {
-                    let u = shards[s].adjacency[local] as usize;
-                    let su = shard_of(&node_start[..=num_shards], u);
-                    let u_local = u - node_start[su];
-                    let (lo, hi) = (shards[su].offsets[u_local], shards[su].offsets[u_local + 1]);
-                    let rp = shards[su].adjacency[lo..hi]
-                        .binary_search(&(v as u32))
-                        .expect("undirected edge must appear in both port lists");
-                    let dest = slot_start[su] + lo + rp;
-                    // Borrow dance: `shards[s]` and `shards[su]` may alias.
-                    let shard = &mut shards[s];
-                    shard.reverse_port[local] = rp as u32;
-                    shard.dest_slot[local] = dest as u32;
-                }
-            }
-        }
-
+        let csr = csr::build(&plan.degree, 0..plan.n, Some, 0..plan.n, stream)?;
+        let dest_slot = csr
+            .neighbors
+            .iter()
+            .zip(&csr.reverse_port)
+            .map(|(&u, &rp)| (csr.offsets[u as usize] + rp as usize) as u32)
+            .collect();
         Ok(Self {
-            n,
-            num_edges: plan.num_edges,
-            max_degree: plan.max_degree,
-            node_start,
-            slot_start,
-            shards,
+            topology: Topology::from_csr(csr, plan.num_edges),
+            node_start: plan.node_start.clone(),
+            slot_start: plan.slot_start.clone(),
+            dest_slot,
         })
     }
 
-    /// Shards an already-built topology view — a
-    /// [`Topology`](crate::Topology), or another `ShardedTopology` to
-    /// re-shard it (used by
+    /// Shards an already-built topology view — a [`Topology`], or another
+    /// `ShardedTopology` to re-shard it (used by
     /// [`ExecutionMode::Parallel`](crate::ExecutionMode::Parallel), and for
     /// workloads whose graph already fits in one arena).
     ///
-    /// Port lists are rebuilt sorted by neighbour id, as both in-crate
-    /// representations store them, so the result is structurally identical
-    /// to the source: same port numbering, same flat slot contract, and
-    /// runs are bit-for-bit reproducible across the representations.
+    /// The view's rows are read once, as the edge stream of
+    /// [`ShardedTopology::from_plan`], and rebuilt sorted by neighbour id,
+    /// as every in-crate representation stores them, so the result is
+    /// structurally identical to the source: same port numbering, same flat
+    /// slot contract, and runs are bit-for-bit reproducible across the
+    /// representations.
     ///
     /// # Errors
     ///
@@ -576,8 +429,19 @@ impl ShardedTopology {
         topology: &impl TopologyView,
         num_shards: usize,
     ) -> Result<Self, TopologyError> {
-        Self::from_edge_stream(topology.num_nodes(), num_shards, |emit| {
-            for v in 0..topology.num_nodes() {
+        if num_shards == 0 {
+            return Err(TopologyError::ShardCountZero);
+        }
+        let n = topology.num_nodes();
+        let slots = topology.num_directed_edges();
+        if let Some(value) = [n, slots].into_iter().find(|&x| x > INDEX_LIMIT) {
+            let limit = INDEX_LIMIT;
+            return Err(TopologyError::NodeRangeOverflow { value, limit });
+        }
+        let degree = (0..n).map(|v| topology.degree(v) as u32).collect();
+        let plan = ShardPlan::cut(degree, slots / 2, num_shards);
+        Self::from_plan(&plan, |emit| {
+            for v in 0..n {
                 for p in 0..topology.degree(v) {
                     let u = topology.neighbor_at(v, p);
                     if v < u {
@@ -591,13 +455,13 @@ impl ShardedTopology {
     /// Number of shards `S`.
     #[inline]
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.node_start.len() - 1
     }
 
     /// Number of undirected edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.topology.num_edges()
     }
 
     /// The contiguous node range owned by shard `s`.
@@ -629,34 +493,7 @@ impl ShardedTopology {
     /// in — one lookup in the precomputed port remap table.
     #[inline]
     pub fn dest_slot(&self, v: NodeId, p: Port) -> usize {
-        self.dest_slot_from(self.shard_of(v), v, p)
-    }
-
-    /// [`ShardedTopology::dest_slot`] with the sender's shard already known
-    /// — the sharded executor's per-message hot path, where `v` always
-    /// belongs to the calling worker's shard, skips the `shard_of` search.
-    #[inline]
-    pub fn dest_slot_from(&self, shard: usize, v: NodeId, p: Port) -> usize {
-        debug_assert_eq!(self.shard_of(v), shard);
-        let csr = &self.shards[shard];
-        let local = csr.offsets[v - self.node_start[shard]] + p;
-        csr.dest_slot[local] as usize
-    }
-
-    /// Degree of `v` with its shard already known (see
-    /// [`ShardedTopology::dest_slot_from`]).
-    #[inline]
-    pub fn degree_from(&self, shard: usize, v: NodeId) -> usize {
-        debug_assert_eq!(self.shard_of(v), shard);
-        let csr = &self.shards[shard];
-        let i = v - self.node_start[shard];
-        csr.offsets[i + 1] - csr.offsets[i]
-    }
-
-    #[inline]
-    fn locate(&self, v: NodeId) -> (&ShardCsr, usize) {
-        let s = self.shard_of(v);
-        (&self.shards[s], v - self.node_start[s])
+        self.dest_slot[self.topology.port_range(v).start + p] as usize
     }
 
     /// Reconstructs the pass-1 [`ShardPlan`] this topology was (or could
@@ -666,19 +503,14 @@ impl ShardedTopology {
     /// in memory anyway (e.g. `--verify` runs) and by the equivalence tests
     /// comparing restricted against full construction.
     pub fn plan(&self) -> ShardPlan {
-        let mut degree = vec![0u32; self.n];
-        for (s, csr) in self.shards.iter().enumerate() {
-            for (i, d) in csr.offsets.windows(2).enumerate() {
-                degree[self.node_start[s] + i] = (d[1] - d[0]) as u32;
-            }
-        }
+        let g = &self.topology;
         ShardPlan {
-            n: self.n,
-            num_edges: self.num_edges,
-            max_degree: self.max_degree,
+            n: g.num_nodes(),
+            num_edges: g.num_edges(),
+            max_degree: g.max_degree(),
             node_start: self.node_start.clone(),
             slot_start: self.slot_start.clone(),
-            degree,
+            degree: g.nodes().map(|v| g.degree(v) as u32).collect(),
         }
     }
 
@@ -686,245 +518,127 @@ impl ShardedTopology {
     /// reference answer that [`ShardSliceTopology::build`] must reproduce
     /// without ever holding the other shards.
     pub fn shard_slice(&self, s: usize) -> ShardSliceTopology {
+        let slots = self.shard_slots(s);
+        let ends = self.shard_nodes(s).map(|v| self.topology.port_range(v).end);
         ShardSliceTopology {
             plan: self.plan(),
             shard: s,
-            csr: self.shards[s].clone(),
+            offsets: std::iter::once(slots.start)
+                .chain(ends)
+                .map(|o| o - slots.start)
+                .collect(),
+            dest_slot: self.dest_slot[slots].to_vec(),
         }
     }
 }
 
-/// One shard's complete topology view, built **without materialising any
-/// other shard's CSR**: the worker-side product of the scale-out
-/// construction split.
+/// One shard's complete topology view, built **without holding any other
+/// shard's rows**: the worker-side product of the scale-out construction
+/// split.
 ///
-/// Holds the `O(n)` [`ShardPlan`] plus the owned shard's `O(m/S)` CSR slice
-/// (adjacency, reverse ports and the precomputed `dest_slot` remap).  The
-/// slice is bit-for-bit identical to the corresponding shard of the full
-/// [`ShardedTopology`] build — the equivalence proptest pins this — so a
-/// mesh worker serving it is indistinguishable on the wire from one holding
-/// the whole graph.
+/// Holds the `O(n)` [`ShardPlan`] plus the owned shard's `O(m/S)` port
+/// remap table — all the round kernel reads.  It is identical to the
+/// corresponding shard of the full [`ShardedTopology`] build — the
+/// equivalence proptest pins this — so a mesh worker serving it is
+/// indistinguishable on the wire from one holding the whole graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSliceTopology {
     plan: ShardPlan,
     shard: usize,
-    csr: ShardCsr,
+    /// The ports of the shard's `i`-th node are `offsets[i]..offsets[i + 1]`,
+    /// counted from the shard's first slot.
+    offsets: Vec<usize>,
+    /// For each of those ports, the global slot of the receiving endpoint.
+    dest_slot: Vec<u32>,
 }
 
 impl ShardSliceTopology {
     /// Builds shard `shard`'s slice from a pass-1 plan plus replays of the
     /// same edge stream.
     ///
-    /// `stream` is invoked exactly **twice**, but both passes only *retain*
-    /// data about the shard's own nodes and their direct neighbours (the
-    /// *frontier*): peak memory is `O(n)` for the plan plus `O(m/S +
-    /// frontier)` for the slice, never the full `O(m)` CSR.
-    ///
-    /// The frontier adjacency is needed because `dest_slot[(v, p)]` is the
-    /// receiver's slot, which depends on where the sender ranks among the
-    /// *receiver's* sorted neighbours; rebuilding the frontier's port lists
-    /// locally (pass B) avoids shipping any remote CSR data.
+    /// `stream` is invoked exactly **twice**: the first replay validates
+    /// every edge and marks the shard's *frontier* (the remote neighbours of
+    /// its nodes) in a rank bitmap; the second is the row fill of the
+    /// crate's one CSR builder, holding only the rows of the shard's nodes
+    /// and of its frontier.  Peak memory is `O(n)` for the plan plus
+    /// `O(m/S + frontier)`, never the full `O(m)` CSR.  The frontier's rows
+    /// give where each sender ranks among the *receiver's* sorted
+    /// neighbours — the reverse port in `dest_slot[(v, p)]` — without
+    /// shipping any remote CSR data.
     ///
     /// # Errors
     ///
+    /// * [`TopologyError::ShardOutOfRange`] if the plan has no shard
+    ///   `shard`;
     /// * [`TopologyError::NodeOutOfRange`] / [`TopologyError::SelfLoop`] on
-    ///   invalid edges (checked for the whole stream, as in the full build);
+    ///   invalid edges, exactly as [`Topology::from_edges`] reports them
+    ///   (checked for the whole stream, as in the full build);
+    /// * [`TopologyError::PlanMismatch`] if the replays do not match the
+    ///   plan's degree header, or each other;
     /// * [`TopologyError::DuplicateEdge`] for duplicates involving an owned
     ///   or frontier node (remote-only duplicates are the remote shards'
-    ///   responsibility);
-    /// * [`TopologyError::PlanMismatch`] if the replay does not match the
-    ///   plan's degree header.
+    ///   responsibility).
     pub fn build<F>(plan: ShardPlan, shard: usize, mut stream: F) -> Result<Self, TopologyError>
     where
         F: FnMut(&mut dyn FnMut(NodeId, NodeId)),
     {
-        assert!(
-            shard < plan.num_shards(),
-            "shard index {shard} out of range for {} shards",
-            plan.num_shards()
-        );
+        if shard >= plan.num_shards() {
+            let shards = plan.num_shards();
+            return Err(TopologyError::ShardOutOfRange { shard, shards });
+        }
         let n = plan.n;
-        let lo = plan.node_start[shard];
-        let hi = plan.node_start[shard + 1];
+        let own = plan.shard_nodes(shard);
 
-        // --- Local CSR offsets from the plan's degree header -------------
-        let mut offsets = Vec::with_capacity(hi - lo + 1);
-        offsets.push(0usize);
-        for v in lo..hi {
-            offsets.push(offsets.last().unwrap() + plan.degree[v] as usize);
-        }
-        let slots = *offsets.last().unwrap();
-
-        // --- Pass A: own nodes' adjacency (validating every edge) --------
-        let mut adjacency = vec![0u32; slots];
-        let mut cursor = vec![0u32; hi - lo];
-        let mut first_error: Option<TopologyError> = None;
-        stream(&mut |u: NodeId, v: NodeId| {
+        // --- Replay 1: validate, and hold the shard's and frontier's rows
+        let mut words = vec![0u64; n.div_ceil(64)];
+        let mut hold = |v: NodeId| words[v / 64] |= 1 << (v % 64);
+        own.clone().for_each(&mut hold);
+        let mut first_error = None;
+        stream(&mut |u, v| {
             if first_error.is_some() {
                 return;
             }
-            if u >= n || v >= n {
-                let node = if u >= n { u } else { v };
-                first_error = Some(TopologyError::NodeOutOfRange { node, n });
-                return;
-            }
-            if u == v {
-                first_error = Some(TopologyError::SelfLoop(u));
-                return;
-            }
-            for (a, b) in [(u, v), (v, u)] {
-                if a >= lo && a < hi {
-                    let i = a - lo;
-                    if offsets[i] + cursor[i] as usize >= offsets[i + 1] {
-                        first_error = Some(TopologyError::PlanMismatch { node: a });
-                        return;
-                    }
-                    adjacency[offsets[i] + cursor[i] as usize] = b as u32;
-                    cursor[i] += 1;
-                }
+            if let Err(e) = csr::check_edge(n, u, v) {
+                first_error = Some(e);
+            } else if own.contains(&u) != own.contains(&v) {
+                hold(u);
+                hold(v);
             }
         });
-        if let Some(e) = first_error.take() {
+        if let Some(e) = first_error {
             return Err(e);
         }
-        if let Some(i) = (0..hi - lo).find(|&i| cursor[i] as usize != plan.degree(lo + i)) {
-            return Err(TopologyError::PlanMismatch { node: lo + i });
-        }
+        let held = RankedRows::new(words);
 
-        // --- Sort own port lists, reject duplicates ----------------------
-        for i in 0..hi - lo {
-            let ports = &mut adjacency[offsets[i]..offsets[i + 1]];
-            ports.sort_unstable();
-            if let Some(w) = ports.windows(2).find(|w| w[0] == w[1]) {
-                let v = lo + i;
-                let u = w[0] as usize;
-                return Err(TopologyError::DuplicateEdge(v.min(u), v.max(u)));
+        // --- Replay 2: the one CSR builder over the held rows -------------
+        let row = |v| held.row(v);
+        let csr = csr::build(&plan.degree, held.nodes(), row, own.clone(), stream)?;
+
+        // --- Remap table: the neighbour's first global slot (a prefix sum
+        // of the plan's degree header) plus the reverse port.
+        let (mut first_slot, mut slot) = (Vec::new(), 0);
+        for (u, &d) in plan.degree.iter().enumerate() {
+            if row(u).is_some() {
+                first_slot.push(slot);
             }
+            slot += d as usize;
         }
-
-        // --- The frontier: remote endpoints of the shard's edges ---------
-        let mut frontier: Vec<u32> = adjacency
+        let first_own = held.nodes().take_while(|&u| u < own.start).count();
+        let own_offsets = &csr.offsets[first_own..=first_own + own.len()];
+        let neighbors = &csr.neighbors[own_offsets[0]..own_offsets[own.len()]];
+        let dest_slot = neighbors
             .iter()
-            .copied()
-            .filter(|&u| (u as usize) < lo || (u as usize) >= hi)
+            .zip(&csr.reverse_port)
+            .map(|(&u, &rp)| {
+                let u = row(u as NodeId).expect("own rows' neighbours are held");
+                (first_slot[u] + rp as usize) as u32
+            })
             .collect();
-        frontier.sort_unstable();
-        frontier.dedup();
-
-        // --- Pass B: rebuild the frontier's own port lists ---------------
-        let mut fr_off = Vec::with_capacity(frontier.len() + 1);
-        fr_off.push(0usize);
-        for &u in &frontier {
-            fr_off.push(fr_off.last().unwrap() + plan.degree(u as usize));
-        }
-        let mut fr_adj = vec![0u32; *fr_off.last().unwrap()];
-        let mut fr_cursor = vec![0u32; frontier.len()];
-        stream(&mut |u: NodeId, v: NodeId| {
-            if first_error.is_some() {
-                return;
-            }
-            for (a, b) in [(u, v), (v, u)] {
-                if (a < lo || a >= hi) && a < n {
-                    if let Ok(fi) = frontier.binary_search(&(a as u32)) {
-                        if fr_off[fi] + fr_cursor[fi] as usize >= fr_off[fi + 1] {
-                            first_error = Some(TopologyError::PlanMismatch { node: a });
-                            return;
-                        }
-                        fr_adj[fr_off[fi] + fr_cursor[fi] as usize] = b as u32;
-                        fr_cursor[fi] += 1;
-                    }
-                }
-            }
-        });
-        if let Some(e) = first_error.take() {
-            return Err(e);
-        }
-        if let Some(fi) =
-            (0..frontier.len()).find(|&fi| fr_off[fi] + fr_cursor[fi] as usize != fr_off[fi + 1])
-        {
-            return Err(TopologyError::PlanMismatch {
-                node: frontier[fi] as usize,
-            });
-        }
-        for fi in 0..frontier.len() {
-            let ports = &mut fr_adj[fr_off[fi]..fr_off[fi + 1]];
-            ports.sort_unstable();
-            if let Some(w) = ports.windows(2).find(|w| w[0] == w[1]) {
-                let v = frontier[fi] as usize;
-                let u = w[0] as usize;
-                return Err(TopologyError::DuplicateEdge(v.min(u), v.max(u)));
-            }
-        }
-
-        // --- Global port-range starts of the frontier --------------------
-        // One monotone sweep over the plan's degree header: the flat slot
-        // of `u`'s first port is `slot_start[su] +` (degree sum of `su`'s
-        // nodes before `u`).
-        let mut fr_port_start = vec![0usize; frontier.len()];
-        {
-            let mut fi = 0usize;
-            for su in 0..plan.num_shards() {
-                if fi >= frontier.len() {
-                    break;
-                }
-                let su_hi = plan.node_start[su + 1];
-                if (frontier[fi] as usize) >= su_hi {
-                    continue;
-                }
-                let mut acc = plan.slot_start[su];
-                let mut v = plan.node_start[su];
-                while fi < frontier.len() && (frontier[fi] as usize) < su_hi {
-                    let u = frontier[fi] as usize;
-                    while v < u {
-                        acc += plan.degree[v] as usize;
-                        v += 1;
-                    }
-                    fr_port_start[fi] = acc;
-                    fi += 1;
-                }
-            }
-        }
-
-        // --- Reverse ports + dest_slot, all from local data --------------
-        let mut reverse_port = vec![0u32; slots];
-        let mut dest_slot = vec![0u32; slots];
-        for i in 0..hi - lo {
-            let v = lo + i;
-            for local in offsets[i]..offsets[i + 1] {
-                let u = adjacency[local] as usize;
-                let (rp, dest) = if u >= lo && u < hi {
-                    let j = u - lo;
-                    let (ulo, uhi) = (offsets[j], offsets[j + 1]);
-                    let rp = adjacency[ulo..uhi]
-                        .binary_search(&(v as u32))
-                        .expect("undirected edge must appear in both port lists");
-                    (rp, plan.slot_start[shard] + ulo + rp)
-                } else {
-                    let fi = frontier
-                        .binary_search(&(u as u32))
-                        .expect("remote neighbour is in the frontier by construction");
-                    let rp = match fr_adj[fr_off[fi]..fr_off[fi + 1]].binary_search(&(v as u32)) {
-                        Ok(rp) => rp,
-                        // Pass A saw edge (v, u) but pass B did not: the
-                        // replay diverged between invocations.
-                        Err(_) => return Err(TopologyError::PlanMismatch { node: u }),
-                    };
-                    (rp, fr_port_start[fi] + rp)
-                };
-                reverse_port[local] = rp as u32;
-                dest_slot[local] = dest as u32;
-            }
-        }
-
         Ok(Self {
+            offsets: own_offsets.iter().map(|&o| o - own_offsets[0]).collect(),
             plan,
             shard,
-            csr: ShardCsr {
-                offsets,
-                adjacency,
-                reverse_port,
-                dest_slot,
-            },
+            dest_slot,
         })
     }
 
@@ -947,9 +661,9 @@ impl ShardSliceTopology {
 /// [`ShardSliceTopology`], or, for the single-threaded driver, on any
 /// [`TopologyView`] taken as one shard.
 ///
-/// The `*_from` accessors take the caller's shard explicitly (the hot-path
-/// contract of [`ShardedTopology::dest_slot_from`]); a slice implementation
-/// only answers for the shard it owns and `debug_assert`s that.
+/// The `*_from` accessors take the caller's shard explicitly, the shard the
+/// kernel's node `v` belongs to; a slice implementation only answers for
+/// the shard it owns and `debug_assert`s that.
 pub trait ShardTopologyView {
     /// Total node count of the global graph.
     fn num_nodes(&self) -> usize;
@@ -975,7 +689,7 @@ pub trait ShardTopologyView {
 impl ShardTopologyView for ShardedTopology {
     #[inline]
     fn num_nodes(&self) -> usize {
-        self.n
+        self.topology.num_nodes()
     }
 
     #[inline]
@@ -985,7 +699,7 @@ impl ShardTopologyView for ShardedTopology {
 
     #[inline]
     fn max_degree(&self) -> u32 {
-        self.max_degree
+        self.topology.max_degree()
     }
 
     #[inline]
@@ -1005,21 +719,20 @@ impl ShardTopologyView for ShardedTopology {
 
     #[inline]
     fn degree_from(&self, shard: usize, v: NodeId) -> usize {
-        ShardedTopology::degree_from(self, shard, v)
+        debug_assert_eq!(self.shard_of(v), shard);
+        self.topology.degree(v)
     }
 
     #[inline]
     fn dest_slot_from(&self, shard: usize, v: NodeId, p: Port) -> usize {
-        ShardedTopology::dest_slot_from(self, shard, v, p)
+        debug_assert_eq!(self.shard_of(v), shard);
+        self.dest_slot(v, p)
     }
 
     #[inline]
     fn port_range_from(&self, shard: usize, v: NodeId) -> core::ops::Range<usize> {
         debug_assert_eq!(self.shard_of(v), shard);
-        let csr = &self.shards[shard];
-        let i = v - self.node_start[shard];
-        let base = self.slot_start[shard];
-        base + csr.offsets[i]..base + csr.offsets[i + 1]
+        self.topology.port_range(v)
     }
 }
 
@@ -1058,14 +771,14 @@ impl ShardTopologyView for ShardSliceTopology {
     fn degree_from(&self, shard: usize, v: NodeId) -> usize {
         debug_assert_eq!(shard, self.shard, "a slice only serves its own shard");
         let i = v - self.plan.node_start[self.shard];
-        self.csr.offsets[i + 1] - self.csr.offsets[i]
+        self.offsets[i + 1] - self.offsets[i]
     }
 
     #[inline]
     fn dest_slot_from(&self, shard: usize, v: NodeId, p: Port) -> usize {
         debug_assert_eq!(shard, self.shard, "a slice only serves its own shard");
-        let local = self.csr.offsets[v - self.plan.node_start[self.shard]] + p;
-        self.csr.dest_slot[local] as usize
+        let local = self.offsets[v - self.plan.node_start[self.shard]] + p;
+        self.dest_slot[local] as usize
     }
 
     #[inline]
@@ -1073,51 +786,44 @@ impl ShardTopologyView for ShardSliceTopology {
         debug_assert_eq!(shard, self.shard, "a slice only serves its own shard");
         let i = v - self.plan.node_start[self.shard];
         let base = self.plan.slot_start[self.shard];
-        base + self.csr.offsets[i]..base + self.csr.offsets[i + 1]
+        base + self.offsets[i]..base + self.offsets[i + 1]
     }
 }
 
 impl TopologyView for ShardedTopology {
     #[inline]
     fn num_nodes(&self) -> usize {
-        self.n
+        self.topology.num_nodes()
     }
 
     #[inline]
     fn num_directed_edges(&self) -> usize {
-        2 * self.num_edges
+        self.topology.num_directed_edges()
     }
 
     #[inline]
     fn max_degree(&self) -> u32 {
-        self.max_degree
+        self.topology.max_degree()
     }
 
     #[inline]
     fn degree(&self, v: NodeId) -> usize {
-        let (shard, i) = self.locate(v);
-        shard.offsets[i + 1] - shard.offsets[i]
+        self.topology.degree(v)
     }
 
     #[inline]
     fn neighbor_at(&self, v: NodeId, p: Port) -> NodeId {
-        let (shard, i) = self.locate(v);
-        shard.adjacency[shard.offsets[i] + p] as NodeId
+        self.topology.neighbor_at(v, p)
     }
 
     #[inline]
     fn reverse_port(&self, v: NodeId, p: Port) -> Port {
-        let (shard, i) = self.locate(v);
-        shard.reverse_port[shard.offsets[i] + p] as Port
+        self.topology.reverse_port(v, p)
     }
 
     #[inline]
     fn port_range(&self, v: NodeId) -> core::ops::Range<usize> {
-        let s = self.shard_of(v);
-        let shard = &self.shards[s];
-        let i = v - self.node_start[s];
-        let base = self.slot_start[s];
-        base + shard.offsets[i]..base + shard.offsets[i + 1]
+        self.topology.port_range(v)
     }
 }
 
@@ -1258,6 +964,18 @@ mod tests {
             }),
             Err(TopologyError::DuplicateEdge(0, 1))
         ));
+    }
+
+    #[test]
+    fn restricted_build_rejects_a_shard_outside_the_plan() {
+        let plan = ShardPlan::from_edge_stream(9, 2, mixed_stream(9)).unwrap();
+        assert_eq!(
+            ShardSliceTopology::build(plan, 2, mixed_stream(9)),
+            Err(TopologyError::ShardOutOfRange {
+                shard: 2,
+                shards: 2
+            })
+        );
     }
 
     #[test]

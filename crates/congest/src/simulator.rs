@@ -94,7 +94,7 @@ pub struct RunOutcome<O> {
 ///
 /// Generic over the topology representation: the default `T = Topology` is
 /// the single-arena CSR; pass a
-/// [`ShardedTopology`] to run on the edge-partitioned representation (any
+/// [`ShardedTopology`] to run on the node-range sharded representation (any
 /// executor works on it; the [`ShardedExecutor`] additionally exploits the
 /// shard layout via [`Simulator::run_with_executor`]).
 pub struct Simulator<'a, T: TopologyView = Topology> {

@@ -6,8 +6,15 @@
 //! node tells it).  The topology additionally precomputes, for every directed
 //! edge `(u, v)`, the port at which `u` appears in `v`'s port list, so the
 //! simulator can deliver messages in `O(1)` per message.
+//!
+//! [`Topology`] stores the crate's one CSR layout: `u32` neighbours and
+//! reverse ports, made in linear time by the builder every topology type
+//! shares (no hashing, no search).  So a graph has at most `u32::MAX` nodes
+//! and directed edges.
 
 use serde::{Deserialize, Serialize};
+
+use crate::csr::{self, Csr};
 
 /// Identifier of a node: a dense index in `0..n`.
 pub type NodeId = usize;
@@ -15,8 +22,9 @@ pub type NodeId = usize;
 /// A port of a node: an index in `0..deg(v)` identifying one incident edge.
 pub type Port = usize;
 
-/// Errors produced when constructing a [`Topology`] or a
-/// [`ShardedTopology`](crate::sharded::ShardedTopology).
+/// Errors produced when constructing a [`Topology`], a
+/// [`ShardedTopology`](crate::sharded::ShardedTopology) or a
+/// [`ShardSliceTopology`](crate::sharded::ShardSliceTopology).
 ///
 /// The enum is `#[non_exhaustive]`: construction helpers may learn to report
 /// new failure modes without a breaking change, so downstream `match`es need
@@ -37,8 +45,8 @@ pub enum TopologyError {
     DuplicateEdge(NodeId, NodeId),
     /// A sharded construction was asked for zero shards.
     ShardCountZero,
-    /// The graph exceeds the compact index range of the sharded
-    /// representation (node ids and directed-edge slots are stored as `u32`).
+    /// The graph exceeds the compact index range every topology stores
+    /// (node ids and directed-edge slots are `u32`).
     NodeRangeOverflow {
         /// the node count or directed-edge count that does not fit
         value: usize,
@@ -51,6 +59,13 @@ pub enum TopologyError {
     PlanMismatch {
         /// the first node whose streamed degree differs from the plan
         node: NodeId,
+    },
+    /// A shard slice was asked for a shard the plan does not have.
+    ShardOutOfRange {
+        /// the requested shard index
+        shard: usize,
+        /// the plan's shard count
+        shards: usize,
     },
 }
 
@@ -66,7 +81,7 @@ impl core::fmt::Display for TopologyError {
             TopologyError::NodeRangeOverflow { value, limit } => {
                 write!(
                     f,
-                    "graph too large for the compact sharded representation \
+                    "graph too large for the compact topology representation \
                      ({value} exceeds the u32 index limit {limit})"
                 )
             }
@@ -77,6 +92,9 @@ impl core::fmt::Display for TopologyError {
                      node {node} disagrees with the plan's degree header"
                 )
             }
+            TopologyError::ShardOutOfRange { shard, shards } => {
+                write!(f, "shard index {shard} out of range for {shards} shards")
+            }
         }
     }
 }
@@ -86,8 +104,8 @@ impl std::error::Error for TopologyError {}
 /// The read-only topology interface the round engine is written against.
 ///
 /// [`Topology`] (one global CSR) and
-/// [`ShardedTopology`](crate::sharded::ShardedTopology) (edge-partitioned
-/// per-shard CSR slices) both implement this trait, so the
+/// [`ShardedTopology`](crate::sharded::ShardedTopology) (the same CSR cut
+/// into node-range shards) both implement this trait, so the
 /// [`RoundState`](crate::executor::RoundState) arena, every
 /// [`Executor`](crate::executor::Executor) and the
 /// [`Simulator`](crate::Simulator) work with either representation.
@@ -142,14 +160,8 @@ pub trait TopologyView: Sync {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Topology {
-    n: usize,
-    /// CSR offsets: neighbours of `v` live at `adjacency[offsets[v]..offsets[v+1]]`.
-    offsets: Vec<usize>,
-    /// Flattened neighbour lists, sorted per node.
-    adjacency: Vec<NodeId>,
-    /// For the `i`-th entry of `adjacency` (an edge `v -> u`), the port at
-    /// which `v` appears in `u`'s neighbour list.
-    reverse_port: Vec<Port>,
+    /// Row `v` is node `v`'s sorted neighbour list, with every reverse port.
+    csr: Csr,
     num_edges: usize,
     max_degree: u32,
 }
@@ -159,81 +171,42 @@ impl Topology {
     ///
     /// Edges may be given in either orientation; self-loops and duplicate
     /// edges are rejected.
+    ///
+    /// # Errors
+    ///
+    /// [`TopologyError::NodeRangeOverflow`] if `n` or `2 · edges.len()`
+    /// exceeds `u32::MAX`; otherwise the first out-of-range endpoint
+    /// ([`TopologyError::NodeOutOfRange`]) or self-loop
+    /// ([`TopologyError::SelfLoop`]) in list order; otherwise the
+    /// lexicographically smallest edge given twice
+    /// ([`TopologyError::DuplicateEdge`]).
+    /// [`ShardedTopology::from_edge_stream`](crate::ShardedTopology::from_edge_stream)
+    /// reports errors the same way.
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Result<Self, TopologyError> {
-        let mut seen = std::collections::HashSet::with_capacity(edges.len());
-        for &(u, v) in edges {
-            if u >= n {
-                return Err(TopologyError::NodeOutOfRange { node: u, n });
+        let stream = |emit: &mut dyn FnMut(NodeId, NodeId)| {
+            for &(u, v) in edges {
+                emit(u, v);
             }
-            if v >= n {
-                return Err(TopologyError::NodeOutOfRange { node: v, n });
-            }
-            if u == v {
-                return Err(TopologyError::SelfLoop(u));
-            }
-            let key = (u.min(v), u.max(v));
-            if !seen.insert(key) {
-                return Err(TopologyError::DuplicateEdge(key.0, key.1));
-            }
-        }
+        };
+        let (degree, num_edges) = csr::count_degrees(n, stream)?;
+        let csr = csr::build(&degree, 0..n, Some, 0..n, stream)?;
+        Ok(Self::from_csr(csr, num_edges))
+    }
 
-        // Build the CSR directly via degree counting — no intermediate
-        // per-node Vec<Vec<NodeId>>, so construction performs a constant
-        // number of flat allocations regardless of n.
-        let mut offsets = vec![0usize; n + 1];
-        for &(u, v) in edges {
-            offsets[u + 1] += 1;
-            offsets[v + 1] += 1;
+    /// Wraps the full build of [`csr::build`] (every row held and own).
+    pub(crate) fn from_csr(csr: Csr, num_edges: usize) -> Self {
+        let max_degree = csr.offsets.windows(2).map(|w| w[1] - w[0]).max();
+        Self {
+            csr,
+            num_edges,
+            max_degree: max_degree.unwrap_or(0) as u32,
         }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
-        }
-
-        let mut adjacency: Vec<NodeId> = vec![0; 2 * edges.len()];
-        let mut cursor: Vec<usize> = offsets[..n].to_vec();
-        for &(u, v) in edges {
-            adjacency[cursor[u]] = v;
-            cursor[u] += 1;
-            adjacency[cursor[v]] = u;
-            cursor[v] += 1;
-        }
-        for v in 0..n {
-            adjacency[offsets[v]..offsets[v + 1]].sort_unstable();
-        }
-
-        // reverse_port[i]: position of v within u's sorted neighbour list,
-        // where adjacency[i] = u and i belongs to node v.
-        let mut reverse_port = vec![0usize; adjacency.len()];
-        for v in 0..n {
-            for port in 0..offsets[v + 1] - offsets[v] {
-                let u = adjacency[offsets[v] + port];
-                // Find v in u's list by binary search (lists are sorted).
-                let pos = adjacency[offsets[u]..offsets[u + 1]]
-                    .binary_search(&v)
-                    .expect("undirected edge must appear in both lists");
-                reverse_port[offsets[v] + port] = pos;
-            }
-        }
-
-        let max_degree = (0..n)
-            .map(|v| (offsets[v + 1] - offsets[v]) as u32)
-            .max()
-            .unwrap_or(0);
-
-        Ok(Self {
-            n,
-            offsets,
-            adjacency,
-            reverse_port,
-            num_edges: edges.len(),
-            max_degree,
-        })
     }
 
     /// Number of nodes `n`.
     #[inline]
     pub fn num_nodes(&self) -> usize {
-        self.n
+        self.csr.offsets.len() - 1
     }
 
     /// Number of undirected edges.
@@ -246,18 +219,19 @@ impl Topology {
     /// per-port buffer, such as the round engine's inbox arena.
     #[inline]
     pub fn num_directed_edges(&self) -> usize {
-        self.adjacency.len()
+        self.csr.neighbors.len()
     }
 
     /// The CSR index range of node `v`'s ports: slot `port_range(v).start + p`
     /// of a flat per-port buffer belongs to `(v, p)`.
     ///
     /// This is the indexing contract shared by the round engine's
-    /// [`RoundState`](crate::executor::RoundState) arena and by future
-    /// edge-partitioned shards.
+    /// [`RoundState`](crate::executor::RoundState) arena and by the
+    /// node-range shards of a
+    /// [`ShardedTopology`](crate::sharded::ShardedTopology).
     #[inline]
     pub fn port_range(&self, v: NodeId) -> core::ops::Range<usize> {
-        self.offsets[v]..self.offsets[v + 1]
+        self.csr.offsets[v]..self.csr.offsets[v + 1]
     }
 
     /// Maximum degree `Δ`.
@@ -269,19 +243,24 @@ impl Topology {
     /// Degree of node `v`.
     #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        self.offsets[v + 1] - self.offsets[v]
+        self.csr.offsets[v + 1] - self.csr.offsets[v]
     }
 
-    /// The neighbours of `v`, in port order.
     #[inline]
-    pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.adjacency[self.offsets[v]..self.offsets[v + 1]]
+    fn row(&self, v: NodeId) -> &[u32] {
+        &self.csr.neighbors[self.port_range(v)]
+    }
+
+    /// The neighbours of `v`, in port order (ascending).
+    #[inline]
+    pub fn neighbors(&self, v: NodeId) -> impl ExactSizeIterator<Item = NodeId> + Clone + '_ {
+        self.row(v).iter().map(|&u| u as NodeId)
     }
 
     /// The neighbour of `v` behind port `p`.
     #[inline]
     pub fn neighbor_at(&self, v: NodeId, p: Port) -> NodeId {
-        self.neighbors(v)[p]
+        self.row(v)[p] as NodeId
     }
 
     /// The port at which `v` appears in the port list of its neighbour behind
@@ -289,12 +268,12 @@ impl Topology {
     /// messages).
     #[inline]
     pub fn reverse_port(&self, v: NodeId, p: Port) -> Port {
-        self.reverse_port[self.offsets[v] + p]
+        self.csr.reverse_port[self.csr.offsets[v] + p] as Port
     }
 
     /// The port of `u` in `v`'s list, if `u` and `v` are adjacent.
     pub fn port_of(&self, v: NodeId, u: NodeId) -> Option<Port> {
-        self.neighbors(v).binary_search(&u).ok()
+        self.row(v).binary_search(&u32::try_from(u).ok()?).ok()
     }
 
     /// Whether `u` and `v` are adjacent.
@@ -307,17 +286,16 @@ impl Topology {
 
     /// Iterator over all undirected edges `(u, v)` with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = (NodeId, NodeId)> + '_ {
-        (0..self.n).flat_map(move |v| {
+        (0..self.num_nodes()).flat_map(move |v| {
             self.neighbors(v)
-                .iter()
-                .filter(move |&&u| v < u)
-                .map(move |&u| (v, u))
+                .filter(move |&u| v < u)
+                .map(move |u| (v, u))
         })
     }
 
     /// Iterator over all node identifiers.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
-        0..self.n
+        0..self.num_nodes()
     }
 
     /// The set of nodes within hop distance at most `r` of `v` (including `v`).
@@ -342,7 +320,7 @@ impl Topology {
     /// rather than `O(n²)`.
     pub fn ball_into(&self, scratch: &mut BallScratch, v: NodeId, r: usize, out: &mut Vec<NodeId>) {
         out.clear();
-        let epoch = scratch.begin(self.n);
+        let epoch = scratch.begin(self.num_nodes());
         scratch.mark[v] = epoch;
         scratch.dist[v] = 0;
         scratch.queue.push_back(v);
@@ -351,7 +329,7 @@ impl Topology {
             if scratch.dist[u] == r {
                 continue;
             }
-            for &w in self.neighbors(u) {
+            for w in self.neighbors(u) {
                 if scratch.mark[w] != epoch {
                     scratch.mark[w] = epoch;
                     scratch.dist[w] = scratch.dist[u] + 1;
@@ -372,7 +350,7 @@ impl Topology {
         let mut edges = Vec::new();
         let mut scratch = BallScratch::default();
         let mut ball = Vec::new();
-        for v in 0..self.n {
+        for v in self.nodes() {
             self.ball_into(&mut scratch, v, p, &mut ball);
             for &u in &ball {
                 if v < u {
@@ -380,7 +358,8 @@ impl Topology {
                 }
             }
         }
-        Topology::from_edges(self.n, &edges).expect("power graph edges are valid by construction")
+        Topology::from_edges(self.num_nodes(), &edges)
+            .expect("power graph edges are valid by construction")
     }
 }
 
@@ -474,6 +453,10 @@ mod tests {
             Topology::from_edges(3, &[(0, 1), (1, 0)]),
             Err(TopologyError::DuplicateEdge(0, 1))
         ));
+        assert!(matches!(
+            Topology::from_edges(u32::MAX as usize + 1, &[]),
+            Err(TopologyError::NodeRangeOverflow { .. })
+        ));
     }
 
     #[test]
@@ -490,8 +473,8 @@ mod tests {
     #[test]
     fn neighbors_are_sorted_and_ports_consistent() {
         let g = Topology::from_edges(5, &[(4, 0), (4, 2), (4, 1), (1, 0)]).unwrap();
-        assert_eq!(g.neighbors(4), &[0, 1, 2]);
-        assert_eq!(g.neighbors(0), &[1, 4]);
+        assert!(g.neighbors(4).eq([0, 1, 2]));
+        assert!(g.neighbors(0).eq([1, 4]));
         // Port consistency: the reverse of the reverse port is the original.
         for v in g.nodes() {
             for p in 0..g.degree(v) {

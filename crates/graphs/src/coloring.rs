@@ -209,8 +209,7 @@ pub fn defect_vector(topology: &Topology, coloring: &Coloring) -> Vec<usize> {
         .map(|v| {
             topology
                 .neighbors(v)
-                .iter()
-                .filter(|&&u| coloring.color(u) == coloring.color(v))
+                .filter(|&u| coloring.color(u) == coloring.color(v))
                 .count()
         })
         .collect()

@@ -140,18 +140,13 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Topology {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stubs: Vec<NodeId> = (0..n).flat_map(|v| std::iter::repeat(v).take(d)).collect();
     stubs.shuffle(&mut rng);
-    let mut seen = std::collections::HashSet::new();
-    let mut edges = Vec::new();
-    for pair in stubs.chunks_exact(2) {
-        let (u, v) = (pair[0], pair[1]);
-        if u == v {
-            continue;
-        }
-        let key = (u.min(v), u.max(v));
-        if seen.insert(key) {
-            edges.push(key);
-        }
-    }
+    let mut edges: Vec<(NodeId, NodeId)> = stubs
+        .chunks_exact(2)
+        .filter(|pair| pair[0] != pair[1])
+        .map(|pair| (pair[0].min(pair[1]), pair[0].max(pair[1])))
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
     Topology::from_edges(n, &edges).expect("pairing-model edges are valid")
 }
 
@@ -202,12 +197,13 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> Topology {
         }
     }
     // Deduplicate (the initial seed edges can coincide for small m).
-    let mut seen = std::collections::HashSet::new();
-    let edges: Vec<(NodeId, NodeId)> = edges
+    let mut edges: Vec<(NodeId, NodeId)> = edges
         .into_iter()
+        .filter(|&(u, v)| u != v)
         .map(|(u, v)| (u.min(v), u.max(v)))
-        .filter(|&(u, v)| u != v && seen.insert((u, v)))
         .collect();
+    edges.sort_unstable();
+    edges.dedup();
     Topology::from_edges(n, &edges).expect("BA edges are valid")
 }
 

@@ -14,9 +14,10 @@
 //!
 //! [`coloring`] holds the output types shared by the algorithm crates,
 //! [`stats`] provides the degree statistics the experiment tables report,
-//! and [`streaming`] builds edge-partitioned
-//! [`ShardedTopology`](dcme_congest::ShardedTopology) graphs shard-by-shard
-//! without ever materializing a global edge list (the `n ≥ 10^7` path).
+//! and [`streaming`] builds
+//! [`ShardedTopology`](dcme_congest::ShardedTopology) graphs from replayable
+//! edge streams without ever materializing a global edge list (the
+//! `n ≥ 10^7` path).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

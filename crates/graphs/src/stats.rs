@@ -59,7 +59,7 @@ pub fn count_components(topology: &Topology) -> usize {
         visited[start] = true;
         queue.push_back(start);
         while let Some(u) = queue.pop_front() {
-            for &w in topology.neighbors(u) {
+            for w in topology.neighbors(u) {
                 if !visited[w] {
                     visited[w] = true;
                     queue.push_back(w);

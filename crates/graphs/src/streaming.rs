@@ -4,8 +4,7 @@
 //!
 //! The dense constructors in [`generators`](crate::generators) collect an
 //! edge list and hand it to `Topology::from_edges`; at `n ≥ 10^7` that
-//! transient list (plus the duplicate-detection hash set) dwarfs the final
-//! CSR.  The builders here instead describe each family as a *replayable
+//! transient list dwarfs the final CSR.  The builders here instead describe each family as a *replayable
 //! edge stream* consumed twice by
 //! [`ShardedTopology::from_edge_stream`] (degree pass + fill pass), so peak
 //! memory is the compact sharded CSR itself.  Randomized families re-seed

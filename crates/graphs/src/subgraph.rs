@@ -31,7 +31,7 @@ impl InducedSubgraph {
         }
         let mut edges = Vec::new();
         for (i, &v) in original.iter().enumerate() {
-            for &u in host.neighbors(v) {
+            for u in host.neighbors(v) {
                 let j = index_of[u];
                 if j != usize::MAX && i < j {
                     edges.push((i, j));

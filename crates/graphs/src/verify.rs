@@ -256,8 +256,7 @@ pub fn check_partition_degree(
     for v in topology.nodes() {
         let degree = topology
             .neighbors(v)
-            .iter()
-            .filter(|&&u| {
+            .filter(|&u| {
                 coloring.color(u) == coloring.color(v)
                     && partitioned.partition[u] == partitioned.partition[v]
             })
@@ -301,7 +300,7 @@ pub fn check_ruling_set(topology: &Topology, set: &[bool], r: usize) -> Result<(
         }
     }
     while let Some(u) = queue.pop_front() {
-        for &w in topology.neighbors(u) {
+        for w in topology.neighbors(u) {
             if dist[w] == usize::MAX {
                 dist[w] = dist[u] + 1;
                 queue.push_back(w);

@@ -28,7 +28,7 @@ fn check_first_d_proper_trial(
     for v in 0..g.num_nodes() {
         let r = parts[v];
         let (active, colored): (Vec<usize>, Vec<usize>) =
-            g.neighbors(v).iter().partition(|&&u| parts[u] >= r);
+            g.neighbors(v).partition(|&u| parts[u] >= r);
         let active: Vec<Vec<Trial>> = active
             .into_iter()
             .map(|u| fam.batch(input.color(u), r))
