@@ -68,20 +68,21 @@
 //! The [`ShardedExecutor`] spawns one thread per shard; thread `w` owns,
 //! exclusively and lock-free, the slice of inbox slots of shard `w`'s
 //! nodes, so **every write to a slot is performed by the thread that owns
-//! it**.  A coordinator on the calling thread decides rounds.  Per round
-//! all parties cross four barriers:
+//! it**, and shard `w`'s [`Transport`] endpoint, so staging a cross-shard
+//! message takes no lock.  A coordinator on the calling thread decides
+//! rounds.  Per round all parties cross four barriers:
 //!
 //! 1. **A** — the coordinator has published the round number or the stop
 //!    flag.  Each thread runs its kernel's send step: intra-shard messages
 //!    go straight into its own slots, cross-shard messages are staged on
-//!    the transport (`Transport::stage`), then flushed
-//!    (`Transport::flush`: a no-op in process, one sealed wire frame per
-//!    destination shard on sockets).
+//!    its endpoint (`Transport::stage`), then flushed (`Transport::flush`:
+//!    the in-process backend hands each destination its staging buffer;
+//!    the socket backend seals one wire frame per destination shard).
 //! 2. **B** — every message is routed.  Each thread drains every `x → w`
-//!    channel into its own slots (`Transport::drain`).  For the in-process
-//!    backend the channels are `Mutex`-guarded queues, uncontended by
-//!    construction: `x → w` is written only by `x` before B and read only
-//!    by `w` after it.
+//!    channel into its own slots (`Transport::drain`).  The barriers order
+//!    the in-process handoffs: `x` hands its `x → w` buffer over before B,
+//!    `w` takes it after B, and `x` stages into it again only after the
+//!    next A.
 //! 3. **C** — every slot of the round is in place.  Each thread runs its
 //!    kernel's receive step and publishes its active count.
 //! 4. **D** — the coordinator sums the counts and decides the next round.
@@ -114,7 +115,7 @@ use crate::metrics::{PhaseTimings, RunMetrics};
 use crate::sharded::{ShardTopologyView, ShardedTopology};
 use crate::topology::{NodeId, Port, Topology, TopologyView};
 use crate::trace::{TraceEvent, TracePhase, TraceSink};
-use crate::transport::{InProcess, Transport, TransportBuilder};
+use crate::transport::{InProcess, Transport, TransportBuilder, TransportError};
 
 /// The reusable per-run slot arena of the round engine: one inbox slot per
 /// directed edge, CSR-indexed (node `v`'s ports occupy
@@ -338,10 +339,16 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     /// sink writes each into this shard's slots under the kernel's
     /// [`DeliveryMode`].
     ///
+    /// # Errors
+    ///
+    /// Returns `drain`'s error, or [`TransportError::SlotOutsideShard`]
+    /// for the first entry whose slot this shard does not own (entries
+    /// decoded from outside bytes can name any slot).
+    ///
     /// # Panics
     ///
     /// Under [`DeliveryMode::Strict`], panics when a slot is written twice.
-    pub(crate) fn deliver<E>(
+    pub(crate) fn deliver<E: From<TransportError>>(
         &mut self,
         round: u64,
         drain: impl FnOnce(&mut dyn FnMut(u32, u32, A::Message)) -> Result<(), E>,
@@ -350,6 +357,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         let s0 = self.report.stale_overwrites;
         let t = Instant::now();
         let (slot_base, delivery) = (self.slot_base, self.delivery);
+        let mut stray = None;
         let Self {
             slots,
             touched,
@@ -357,7 +365,11 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             ..
         } = self;
         drain(&mut |slot, sender, msg| {
-            let local = slot as usize - slot_base;
+            let local = (slot as usize).wrapping_sub(slot_base);
+            if local >= slots.len() {
+                stray.get_or_insert(slot);
+                return;
+            }
             match delivery {
                 DeliveryMode::Strict => fill_slot(slots, local, msg, sender as usize, touched),
                 // Newest wins: transports drain stale copies before the
@@ -371,6 +383,10 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
                 }
             }
         })?;
+        if let Some(slot) = stray {
+            let shard = self.shard;
+            return Err(TransportError::SlotOutsideShard { shard, slot }.into());
+        }
         let nanos = t.elapsed().as_nanos() as u64;
         self.report.timings.deliver += nanos;
         if self.traced {
@@ -679,8 +695,8 @@ impl<T: TopologyView> Executor<T> for SequentialExecutor {
                 unreachable!("the only shard owns every slot")
             });
             kernel
-                .deliver(round, |_| Ok::<(), Infallible>(()))
-                .unwrap_or_else(|never| match never {});
+                .deliver(round, |_| Ok::<(), TransportError>(()))
+                .expect("the only shard drains nothing");
             active = kernel.receive_compact(round);
             if traced {
                 tracer.emit(&TraceEvent::RoundEnd {
@@ -712,7 +728,7 @@ impl<T: TopologyView> Executor<T> for SequentialExecutor {
 /// `transport_flush_nanos` describe the backend and are exempt, like
 /// wall-clock timings).
 ///
-/// The default backend is [`InProcess`] (shared-memory staging queues);
+/// The default backend is [`InProcess`] (in-memory staging buffers);
 /// [`ShardedExecutor::with_transport`] selects another, e.g.
 /// [`SocketLoopback`](crate::transport::SocketLoopback) to push every
 /// cross-shard message through a wire-encoded kernel socket.
@@ -944,10 +960,15 @@ impl<B: TransportBuilder> Executor<ShardedTopology> for ShardedExecutor<B> {
             stop: AtomicBool::new(false),
         };
         let sync = PhaseSync::new(shard_count + 1);
-        let transport = self
+        let endpoints = self
             .builder
             .build::<A::Message>(topology)
             .unwrap_or_else(|e| panic!("failed to build the cross-shard transport: {e}"));
+        assert_eq!(
+            endpoints.len(),
+            shard_count,
+            "one transport endpoint per shard"
+        );
         let active_counts: Vec<AtomicUsize> =
             (0..shard_count).map(|_| AtomicUsize::new(0)).collect();
         let reports: Vec<Mutex<ShardReport>> = (0..shard_count)
@@ -955,20 +976,21 @@ impl<B: TransportBuilder> Executor<ShardedTopology> for ShardedExecutor<B> {
             .collect();
 
         std::thread::scope(|scope| {
-            // Hand each thread the exclusive slices it owns: its shard's
-            // nodes, contexts and inbox slots (consecutive by the flat slot
-            // contract, so a split_at_mut chain suffices).
+            // Hand each thread what it owns: its transport endpoint and the
+            // exclusive slices of its shard's nodes, contexts and inbox
+            // slots (consecutive by the flat slot contract, so a
+            // split_at_mut chain suffices).
             let mut rest_slots: &mut [Option<A::Message>] = &mut state.slots;
             let mut rest_nodes: &mut [A] = nodes;
             let mut rest_ctxs: &[NodeContext] = contexts;
-            for s in 0..shard_count {
+            for (s, transport) in endpoints.into_iter().enumerate() {
                 let (my_slots, tail) = rest_slots.split_at_mut(topology.shard_slots(s).len());
                 rest_slots = tail;
                 let (my_nodes, tail) = rest_nodes.split_at_mut(topology.shard_nodes(s).len());
                 rest_nodes = tail;
                 let (my_ctxs, tail) = rest_ctxs.split_at(topology.shard_nodes(s).len());
                 rest_ctxs = tail;
-                let (signal, sync, transport) = (&signal, &sync, &transport);
+                let (signal, sync) = (&signal, &sync);
                 let (active_count, report) = (&active_counts[s], &reports[s]);
                 let delivery = self.delivery;
                 scope.spawn(move || {
@@ -1016,10 +1038,10 @@ fn run_shard_thread<A: NodeAlgorithm, X: Transport<A::Message>>(
     mut kernel: ShardKernel<'_, A, ShardedTopology, RemapTable>,
     signal: &RoundSignal,
     sync: &PhaseSync,
-    transport: &X,
+    mut transport: X,
     active_count: &AtomicUsize,
 ) -> ShardReport {
-    let (topology, shard) = (kernel.topology, kernel.shard);
+    let topology = kernel.topology;
     sync.guard(|| active_count.store(kernel.admit(), Ordering::SeqCst));
     if sync.sync() {
         // ready barrier crossed: initial active counts are published
@@ -1031,12 +1053,10 @@ fn run_shard_thread<A: NodeAlgorithm, X: Transport<A::Message>>(
             sync.guard(|| {
                 kernel.send_route(round, |slot, sender, msg| {
                     let target = topology.shard_of_slot(slot as usize);
-                    transport.stage(shard, target, slot, sender, msg);
+                    transport.stage(target, slot, sender, msg);
                 });
                 kernel
-                    .flush(round, || {
-                        Ok::<u64, Infallible>(transport.flush(shard, round))
-                    })
+                    .flush(round, || Ok::<u64, Infallible>(transport.flush(round)))
                     .unwrap_or_else(|never| match never {});
             });
             if !sync.sync() {
@@ -1044,7 +1064,7 @@ fn run_shard_thread<A: NodeAlgorithm, X: Transport<A::Message>>(
             }
             sync.guard(|| {
                 kernel
-                    .deliver(round, |sink| transport.drain(shard, round, sink))
+                    .deliver(round, |sink| transport.drain(round, sink))
                     .unwrap_or_else(|e| panic!("cross-shard transport failed: {e}"));
             });
             if !sync.sync() {
@@ -1057,7 +1077,7 @@ fn run_shard_thread<A: NodeAlgorithm, X: Transport<A::Message>>(
         }
     }
     let mut report = kernel.finish();
-    report.syscall_batches = transport.syscall_batches(shard);
+    report.syscall_batches = transport.syscall_batches();
     report
 }
 

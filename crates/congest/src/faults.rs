@@ -48,7 +48,7 @@ use crate::sharded::ShardedTopology;
 use crate::simulator::{RunOutcome, Simulator, SimulatorConfig};
 use crate::topology::TopologyView;
 use crate::trace::{TraceEvent, TraceSink};
-use crate::transport::{Transport, TransportBuilder, TransportError, TransportMessage};
+use crate::transport::{Staged, Transport, TransportBuilder, TransportError, TransportMessage};
 use crate::NodeAlgorithm;
 
 /// Domain-separation constant for the fault decision stream (arbitrary odd
@@ -450,71 +450,66 @@ impl<B: TransportBuilder> TransportBuilder for FaultyTransport<B> {
     fn build<M: TransportMessage>(
         &self,
         topology: &ShardedTopology,
-    ) -> std::io::Result<Self::Transport<M>> {
+    ) -> std::io::Result<Vec<Self::Transport<M>>> {
         let shards = topology.num_shards();
-        let cells = shards * shards;
-        Ok(FaultyLayer {
-            shards,
-            plan: self.plan.clone(),
-            log: self.log.clone(),
-            tracer: self.tracer.clone(),
-            pend: (0..cells).map(|_| Mutex::new(Vec::new())).collect(),
-            future: (0..cells).map(|_| Mutex::new(BTreeMap::new())).collect(),
-            inner: self.inner.build::<M>(topology)?,
-        })
+        Ok(self
+            .inner
+            .build::<M>(topology)?
+            .into_iter()
+            .enumerate()
+            .map(|(shard, inner)| FaultyLayer {
+                shard,
+                plan: self.plan.clone(),
+                log: self.log.clone(),
+                tracer: self.tracer.clone(),
+                pend: (0..shards).map(|_| Vec::new()).collect(),
+                future: (0..shards).map(|_| BTreeMap::new()).collect(),
+                inner,
+            })
+            .collect())
     }
 }
 
-/// One staged message per cell: `(slot, sender, payload)` triples.
-type StagedCell<M> = Vec<(u32, u32, M)>;
+/// Deferred deliveries of one shard pair, keyed by the round they land in.
+type FutureCell<M> = BTreeMap<u64, Staged<M>>;
 
-/// Deferred deliveries of one cell, keyed by the round they land in.
-type FutureCell<M> = BTreeMap<u64, StagedCell<M>>;
-
-/// The per-run fault layer produced by [`FaultyTransport`].  Holds each
-/// round's staged messages back until `flush`, where the per-message fault
-/// decisions are taken; delayed/duplicated copies wait in a per-pair future
-/// map keyed by their delivery round.
+/// One shard's endpoint of the fault layer produced by [`FaultyTransport`],
+/// wrapping that shard's inner endpoint.  Holds each round's staged
+/// messages back until `flush`, where the per-message fault decisions are
+/// taken; delayed/duplicated copies wait in a per-destination future map
+/// keyed by their delivery round.
 #[derive(Debug)]
 pub struct FaultyLayer<T, M> {
-    shards: usize,
+    shard: usize,
     plan: FaultPlan,
     log: FaultLog,
     tracer: FaultTracer,
-    /// `S × S` staging cells (`from * S + to`), written only by worker
-    /// `from` between the send and flush of one round.
-    pend: Vec<Mutex<StagedCell<M>>>,
-    /// Scheduled stale deliveries per cell, keyed by delivery round.
-    future: Vec<Mutex<FutureCell<M>>>,
+    /// This round's staged messages per destination shard.
+    pend: Vec<Staged<M>>,
+    /// Scheduled stale deliveries per destination shard, keyed by delivery
+    /// round.
+    future: Vec<FutureCell<M>>,
     inner: T,
 }
 
 impl<T: Transport<M>, M: TransportMessage> Transport<M> for FaultyLayer<T, M> {
-    fn stage(&self, from: usize, to: usize, slot: u32, sender: u32, msg: M) {
-        self.pend[from * self.shards + to]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((slot, sender, msg));
+    fn stage(&mut self, to: usize, slot: u32, sender: u32, msg: M) {
+        self.pend[to].push((slot, sender, msg));
     }
 
-    fn flush(&self, from: usize, round: u64) -> u64 {
-        for to in 0..self.shards {
+    fn flush(&mut self, round: u64) -> u64 {
+        let from = self.shard;
+        for to in 0..self.pend.len() {
             if to == from {
                 continue;
             }
-            let cell = from * self.shards + to;
             // Stale copies scheduled for this round go to the inner
             // transport *before* this round's fresh messages, so that under
             // async delivery the fresh message wins any slot collision.
-            let matured = self.future[cell]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .remove(&round);
-            for (slot, sender, msg) in matured.into_iter().flatten() {
-                self.inner.stage(from, to, slot, sender, msg);
+            for (slot, sender, msg) in self.future[to].remove(&round).into_iter().flatten() {
+                self.inner.stage(to, slot, sender, msg);
             }
-            let staged =
-                std::mem::take(&mut *self.pend[cell].lock().unwrap_or_else(|e| e.into_inner()));
+            let staged = std::mem::take(&mut self.pend[to]);
             let pair = ((from as u64) << 16) | to as u64;
             for (seq, (slot, sender, msg)) in staged.into_iter().enumerate() {
                 let seq = seq as u32;
@@ -532,7 +527,7 @@ impl<T: Transport<M>, M: TransportMessage> Transport<M> for FaultyLayer<T, M> {
                         let until_round =
                             self.plan
                                 .partition_clear_round(from as u16, to as u16, round);
-                        self.schedule(cell, until_round, slot, sender, msg);
+                        self.schedule(to, until_round, slot, sender, msg);
                         self.record(event(FaultKind::PartitionDeferred { until_round }));
                     } else {
                         self.record(event(FaultKind::PartitionDropped));
@@ -546,37 +541,36 @@ impl<T: Transport<M>, M: TransportMessage> Transport<M> for FaultyLayer<T, M> {
                 let delay_at = dup_at + self.plan.delay_per_mille as u32;
                 if roll < delay_at && self.plan.retransmit {
                     // The overlay masks whatever fault was rolled.
-                    self.inner.stage(from, to, slot, sender, msg);
+                    self.inner.stage(to, slot, sender, msg);
                     self.record(event(FaultKind::Retransmitted));
                 } else if roll < drop_at {
                     self.record(event(FaultKind::Dropped));
                 } else if roll < dup_at {
-                    self.schedule(cell, round + 1, slot, sender, msg.clone());
-                    self.inner.stage(from, to, slot, sender, msg);
+                    self.schedule(to, round + 1, slot, sender, msg.clone());
+                    self.inner.stage(to, slot, sender, msg);
                     self.record(event(FaultKind::Duplicated));
                 } else if roll < delay_at {
                     let rounds = 1 + (word >> 32) % self.plan.max_delay.max(1);
-                    self.schedule(cell, round + rounds, slot, sender, msg);
+                    self.schedule(to, round + rounds, slot, sender, msg);
                     self.record(event(FaultKind::Delayed { rounds }));
                 } else {
-                    self.inner.stage(from, to, slot, sender, msg);
+                    self.inner.stage(to, slot, sender, msg);
                 }
             }
         }
-        self.inner.flush(from, round)
+        self.inner.flush(round)
     }
 
     fn drain(
-        &self,
-        to: usize,
+        &mut self,
         round: u64,
         sink: &mut dyn FnMut(u32, u32, M),
     ) -> Result<(), TransportError> {
-        self.inner.drain(to, round, sink)
+        self.inner.drain(round, sink)
     }
 
-    fn syscall_batches(&self, from: usize) -> u64 {
-        self.inner.syscall_batches(from)
+    fn syscall_batches(&self) -> u64 {
+        self.inner.syscall_batches()
     }
 }
 
@@ -587,10 +581,8 @@ impl<T, M> FaultyLayer<T, M> {
         self.log.push(e);
     }
 
-    fn schedule(&self, cell: usize, round: u64, slot: u32, sender: u32, msg: M) {
-        self.future[cell]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+    fn schedule(&mut self, to: usize, round: u64, slot: u32, sender: u32, msg: M) {
+        self.future[to]
             .entry(round)
             .or_default()
             .push((slot, sender, msg));
@@ -822,6 +814,24 @@ mod tests {
         assert_eq!(faulty.outcome.metrics.stale_overwrites, 0);
     }
 
+    /// One faulted run with the wall-clock timings zeroed: they are the one
+    /// exemption from byte-identity, as everywhere else in the
+    /// executor-equivalence contract.
+    fn timeless_run<B: TransportBuilder>(
+        g: &ShardedTopology,
+        plan: &FaultPlan,
+        inner: B,
+    ) -> FaultyRun<u64> {
+        let mut r = run_faulty(g, mk(g.num_nodes()), plan, inner, 1_000_000);
+        r.outcome.metrics.phase_nanos = Default::default();
+        r.outcome.metrics.shard_phase_nanos.clear();
+        r.outcome.metrics.transport_flush_nanos = 0;
+        r
+    }
+
+    /// A plan replays byte for byte, and over the socket backend too: the
+    /// fault layer takes the same decisions in the same order on every
+    /// backend, and every backend drains senders in the same order.
     #[test]
     fn identical_plans_yield_byte_identical_logs_and_metrics() {
         let dense = ring(14);
@@ -831,16 +841,10 @@ mod tests {
             .with_duplication(100)
             .with_delay(100, 2)
             .with_partition(0, 2, 1, 3);
-        // Wall-clock timings are the one exemption from byte-identity, as
-        // everywhere else in the executor-equivalence contract.
-        let run = || {
-            let mut r = run_faulty(&g, mk(14), &plan, InProcess, 1_000_000);
-            r.outcome.metrics.phase_nanos = Default::default();
-            r.outcome.metrics.shard_phase_nanos.clear();
-            r.outcome.metrics.transport_flush_nanos = 0;
-            r
-        };
-        let (a, b) = (run(), run());
+        let (a, b) = (
+            timeless_run(&g, &plan, InProcess),
+            timeless_run(&g, &plan, InProcess),
+        );
         assert!(!a.events.is_empty(), "plan must actually fire");
         assert_eq!(render_log(&a.events), render_log(&b.events));
         assert_eq!(a.outcome.outputs, b.outcome.outputs);
@@ -848,6 +852,21 @@ mod tests {
             a.outcome.metrics.to_json("determinism"),
             b.outcome.metrics.to_json("determinism")
         );
+        #[cfg(unix)]
+        {
+            let mut s = timeless_run(&g, &plan, crate::transport::SocketLoopback::unix());
+            assert_eq!(render_log(&a.events), render_log(&s.events));
+            assert_eq!(a.outcome.outputs, s.outcome.outputs);
+            // The wire counters describe the backend; every other counter,
+            // `stale_overwrites` included, is logical.
+            assert!(s.outcome.metrics.wire_bytes_sent > 0);
+            s.outcome.metrics.wire_bytes_sent = 0;
+            s.outcome.metrics.syscall_batches = 0;
+            assert_eq!(
+                a.outcome.metrics.to_json("determinism"),
+                s.outcome.metrics.to_json("determinism")
+            );
+        }
     }
 
     #[test]

@@ -3,18 +3,23 @@
 //! The [`ShardedExecutor`](crate::executor::ShardedExecutor) moves
 //! cross-shard messages through a [`Transport`]: a round-framed channel
 //! between shards that is **staged** during the send phase, **flushed** at
-//! the send barrier and **drained** before delivery completes.  Three
-//! backends ship today:
+//! the send barrier and **drained** before delivery completes.  A
+//! [`TransportBuilder`] makes one endpoint per shard, and each shard's
+//! thread or process owns its endpoint outright, so staging a message takes
+//! no lock.  Three backends ship today:
 //!
-//! * [`InProcess`] — per-shard-pair staging queues in shared memory (the
-//!   original `ShardedExecutor` mechanism, now behind the trait).  Messages
-//!   move as Rust values; nothing is encoded.
+//! * [`InProcess`] — each shard stages into plain per-destination `Vec`s it
+//!   owns.  A buffer changes hands twice per round: the sender's flush
+//!   hands it to the receiver, whose drain empties it and keeps it as its
+//!   own staging buffer towards that sender.  Messages move as Rust values;
+//!   nothing is encoded.
 //! * [`SocketLoopback`] — every shard pair is connected by a real socket
 //!   (Unix-domain or TCP loopback) and every cross-shard message crosses it
 //!   through the [`wire`](crate::wire) codec: length-prefixed,
-//!   round-sequenced frames of bit-exact payloads.  Same process, real
-//!   kernel wire — this is what makes the CONGEST bandwidth accounting
-//!   verifiable against actual encoded bytes.
+//!   round-sequenced frames of bit-exact payloads.  Each shard's endpoint
+//!   is a [`WorkerMesh`], the same endpoint a worker process drives.  Same
+//!   process, real kernel wire — this is what makes the CONGEST bandwidth
+//!   accounting verifiable against actual encoded bytes.
 //! * The **remote protocol** ([`serve_shard_on`] / [`coordinate`]) — one
 //!   process per shard plus a coordinator, exchanging the same frames over
 //!   blocking links (TCP in the `exp_worker` binary).  The coordinator
@@ -39,12 +44,14 @@
 //! the time spent flushing lands in
 //! [`RunMetrics::transport_flush_nanos`](crate::RunMetrics::transport_flush_nanos).
 //!
-//! # Deadlock discipline of the socket-loopback drain
+//! # Deadlock discipline of the socket drain
 //!
-//! All shards drain concurrently between two barriers, so a naive
-//! "write everything, then read everything" ordering can deadlock once
-//! frames outgrow the kernel socket buffers.  [`SocketTransport`] therefore
-//! drains in three strictly ordered steps:
+//! One nonblocking drain, [`WorkerMesh`]'s, serves shard threads
+//! ([`SocketLoopback`]) and worker processes (the mesh [`DataPlane`])
+//! alike.  All shards drain concurrently, so a naive "write everything,
+//! then read everything" ordering can deadlock once frames outgrow the
+//! kernel socket buffers.  The drain therefore runs three strictly ordered
+//! steps:
 //!
 //! 1. finish writing its own sealed frames, *reading opportunistically* so
 //!    peers are never blocked on a full buffer;
@@ -54,16 +61,18 @@
 //!    typed [`TransportError`] here, not a panic (no payload decoding yet);
 //! 3. decode payloads and deliver.
 //!
+//! A pass over every peer that makes no progress spins (with `yield_now`)
+//! for a few passes, then parks in one blocking call on one stalled link,
+//! bounded by the read/write timeouts set when the link was created.
+//!
 //! Step 1 performs no decoding and cannot fail on algorithm-level
 //! violations; by the time steps 2–3 can fail, every byte this shard owes
 //! its peers is already handed to the kernel, so an error (returned to the
-//! executor, which panics) or a panic (CONGEST double-send in the sink)
-//! unwinds through the executor's poison barriers without stranding a peer
-//! mid-read.
+//! driver, which aborts the run) or a panic (CONGEST double-send in the
+//! sink) unwinds without stranding a peer mid-read.
 
 use std::io::{Read, Write};
-use std::marker::PhantomData;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::algorithm::{MessageSize, NodeAlgorithm, NodeContext};
@@ -99,9 +108,10 @@ fn check_wire_shard_count(shards: usize) -> std::io::Result<()> {
     Ok(())
 }
 
-/// A checked failure surfaced by [`Transport::drain`]: the bytes arrived,
-/// but they are not the one well-formed data frame of the round this shard
-/// pair owes.
+/// A checked failure surfaced by [`Transport::drain`] or by the delivery
+/// that consumes it: the bytes arrived, but they are not the one
+/// well-formed data frame of the round this shard pair owes, or an entry
+/// in it names a slot the receiving shard does not own.
 ///
 /// This is how a **late, duplicate or out-of-round frame** manifests: a
 /// frame stamped with round `r' != r` sitting at the front of the inbound
@@ -124,6 +134,15 @@ pub enum TransportError {
     /// The peer sent a well-formed frame of the wrong kind for this phase
     /// of the protocol.
     Protocol(String),
+    /// A decoded data entry names an inbox slot the receiving shard does
+    /// not own, so no slot of the shard can take it (a forged or misrouted
+    /// frame).
+    SlotOutsideShard {
+        /// The receiving shard.
+        shard: usize,
+        /// The slot the entry names.
+        slot: u32,
+    },
 }
 
 impl std::fmt::Display for TransportError {
@@ -131,6 +150,10 @@ impl std::fmt::Display for TransportError {
         match self {
             TransportError::Wire(e) => write!(f, "wire-level frame validation failed: {e}"),
             TransportError::Protocol(msg) => write!(f, "transport protocol violated: {msg}"),
+            TransportError::SlotOutsideShard { shard, slot } => write!(
+                f,
+                "a data entry for slot {slot} reached shard {shard}, which does not own that slot"
+            ),
         }
     }
 }
@@ -139,7 +162,7 @@ impl std::error::Error for TransportError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TransportError::Wire(e) => Some(e),
-            TransportError::Protocol(_) => None,
+            TransportError::Protocol(_) | TransportError::SlotOutsideShard { .. } => None,
         }
     }
 }
@@ -164,26 +187,27 @@ pub trait TransportMessage: Clone + Send + Sync + MessageSize + WireMessage {}
 
 impl<T: Clone + Send + Sync + MessageSize + WireMessage> TransportMessage for T {}
 
-/// A round-framed cross-shard channel (see the [module docs](self)).
+/// One shard's end of a round-framed cross-shard channel (see the
+/// [module docs](self)).
 ///
-/// Calling discipline, upheld by the executor: `stage(from, ..)`, `flush
-/// (from, ..)` and `drain(from, ..)` are only ever invoked by the worker
-/// that owns shard `from`, and per round every shard stages, then all
-/// shards cross the send barrier, then every shard flushes exactly once,
-/// then all shards drain exactly once — so implementations may assume one
-/// writer per pair queue and one frame per pair per round.
-pub trait Transport<M: TransportMessage>: Sync {
-    /// Stages one cross-shard message: `slot` is the destination's global
-    /// inbox slot, `sender` the sending node.  Called during the send phase
-    /// by the owner of `from`.
-    fn stage(&self, from: usize, to: usize, slot: u32, sender: u32, msg: M);
+/// A [`TransportBuilder`] makes one endpoint per shard, and the shard's
+/// driver owns it: it stages every message its shard sends to another
+/// shard, flushes once per round, then drains once per round.  Across
+/// shards the driver upholds one order: every shard's flush of round `r`
+/// happens before any shard drains round `r`, and every drain of round `r`
+/// before any shard stages for round `r + 1`.  The threaded driver's
+/// barriers give that order; a wire endpoint also gets it by waiting for
+/// its peers' frames.
+pub trait Transport<M: TransportMessage>: Send {
+    /// Stages one message for shard `to`: `slot` is the destination's
+    /// global inbox slot, `sender` the sending node.
+    fn stage(&mut self, to: usize, slot: u32, sender: u32, msg: M);
 
-    /// Seals shard `from`'s staged batches for `round` at the send barrier;
-    /// returns the wire bytes this flush produced (0 for in-memory
-    /// backends).
-    fn flush(&self, from: usize, round: u64) -> u64;
+    /// Seals this round's staged batches at the send barrier; returns the
+    /// wire bytes this flush produced (0 for in-memory backends).
+    fn flush(&mut self, round: u64) -> u64;
 
-    /// Delivers every message addressed to shard `to` for `round`, in
+    /// Delivers every message addressed to this shard for `round`, in
     /// sending-shard order, by invoking `sink(slot, sender, message)`.
     ///
     /// # Errors
@@ -194,13 +218,12 @@ pub trait Transport<M: TransportMessage>: Sync {
     /// cannot fail).  The executor treats any error as fatal for the run and
     /// unwinds through its poison barriers.
     fn drain(
-        &self,
-        to: usize,
+        &mut self,
         round: u64,
         sink: &mut dyn FnMut(u32, u32, M),
     ) -> Result<(), TransportError>;
 
-    /// The number of kernel write batches shard `from` has issued so far —
+    /// The number of kernel write batches this endpoint has issued so far —
     /// one per successful `write(2)` syscall on its outbound peer links.
     /// This is the observable for frame coalescing: many small messages
     /// sealed into one frame and flushed in one write count as **one**
@@ -209,25 +232,26 @@ pub trait Transport<M: TransportMessage>: Sync {
     /// socket buffer varies run to run), so it is reported in
     /// [`RunMetrics`] but exempt from bit-for-bit
     /// equivalence checks, like the flush timing counters.
-    fn syscall_batches(&self, _from: usize) -> u64 {
+    fn syscall_batches(&self) -> u64 {
         0
     }
 }
 
-/// Builds a [`Transport`] for a concrete message type at run start.
+/// Builds the [`Transport`] endpoints for a concrete message type at run
+/// start.
 ///
 /// The executor is configured with a builder (not a transport) because the
 /// message type is chosen per run by the algorithm, while the backend choice
 /// is an executor-level decision.
 pub trait TransportBuilder: Sync {
-    /// The transport this builder produces.
+    /// The endpoint type this builder produces.
     type Transport<M: TransportMessage>: Transport<M>;
 
-    /// Builds the per-run transport for `topology`'s shard layout.
+    /// Builds one endpoint per shard of `topology`, in shard order.
     fn build<M: TransportMessage>(
         &self,
         topology: &ShardedTopology,
-    ) -> std::io::Result<Self::Transport<M>>;
+    ) -> std::io::Result<Vec<Self::Transport<M>>>;
 }
 
 // ---------------------------------------------------------------------------
@@ -235,48 +259,69 @@ pub trait TransportBuilder: Sync {
 // ---------------------------------------------------------------------------
 
 /// The in-memory transport backend: messages stay Rust values and move
-/// through per-shard-pair staging queues.  This is the
+/// through per-shard-pair staging buffers.  This is the
 /// [`ShardedExecutor`](crate::executor::ShardedExecutor)'s default and is
 /// bit-for-bit the pre-transport behavior.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InProcess;
 
-/// The queues of the [`InProcess`] backend: `queues[from * S + to]` is
-/// written only by shard `from` (send phase) and read only by shard `to`
-/// (drain phase), with a barrier in between, so each mutex is uncontended
-/// by construction.
+/// Messages staged from one shard for another: `(slot, sender, message)`.
+pub(crate) type Staged<M> = Vec<(u32, u32, M)>;
+
+/// One shard's endpoint of the [`InProcess`] backend.
+///
+/// The shard stages into `out[to]`, a buffer it owns.  Its flush swaps each
+/// buffer into the pair's handoff cell; the receiver's drain swaps it out
+/// again, empties it and keeps it, capacity and all, as its own staging
+/// buffer towards that sender.  So the `S·(S−1)` buffers circulate among the
+/// `S·(S−1)` ordered pairs, a cell is locked twice per round rather than
+/// once per message, and staging stops allocating once the buffers have
+/// grown to round size.
 #[derive(Debug)]
 pub struct InProcessTransport<M> {
-    shards: usize,
-    queues: Vec<Mutex<Vec<(u32, u32, M)>>>,
+    shard: usize,
+    /// This shard's staging buffer per destination shard; the own entry
+    /// stays empty.
+    out: Vec<Staged<M>>,
+    /// The handoff cells every endpoint shares: `cells[from * S + to]`
+    /// holds `from`'s buffer for `to` from `from`'s flush until `to`'s
+    /// drain, and an empty `Vec` otherwise.
+    cells: Arc<[Mutex<Staged<M>>]>,
+}
+
+/// Swaps `buf` with the contents of a handoff cell.  No code that can panic
+/// runs while the lock is held, so the lock is never poisoned.
+fn swap_with_cell<M>(cell: &Mutex<Staged<M>>, buf: &mut Staged<M>) {
+    std::mem::swap(&mut *cell.lock().expect("handoff cell lock"), buf);
 }
 
 impl<M: TransportMessage> Transport<M> for InProcessTransport<M> {
-    fn stage(&self, from: usize, to: usize, slot: u32, sender: u32, msg: M) {
-        self.queues[from * self.shards + to]
-            .lock()
-            .expect("staging queue lock")
-            .push((slot, sender, msg));
+    fn stage(&mut self, to: usize, slot: u32, sender: u32, msg: M) {
+        self.out[to].push((slot, sender, msg));
     }
 
-    fn flush(&self, _from: usize, _round: u64) -> u64 {
-        0 // nothing to seal: values are already where the reader will look
+    fn flush(&mut self, _round: u64) -> u64 {
+        let shards = self.out.len();
+        for (to, buf) in self.out.iter_mut().enumerate() {
+            if to != self.shard {
+                swap_with_cell(&self.cells[self.shard * shards + to], buf);
+            }
+        }
+        0 // nothing to seal: values move as they are
     }
 
     fn drain(
-        &self,
-        to: usize,
+        &mut self,
         _round: u64,
         sink: &mut dyn FnMut(u32, u32, M),
     ) -> Result<(), TransportError> {
-        for from in 0..self.shards {
-            if from == to {
+        let shards = self.out.len();
+        for (from, buf) in self.out.iter_mut().enumerate() {
+            if from == self.shard {
                 continue;
             }
-            let mut q = self.queues[from * self.shards + to]
-                .lock()
-                .expect("staging queue lock");
-            for (slot, sender, msg) in q.drain(..) {
+            swap_with_cell(&self.cells[from * shards + self.shard], buf);
+            for (slot, sender, msg) in buf.drain(..) {
                 sink(slot, sender, msg);
             }
         }
@@ -290,14 +335,18 @@ impl TransportBuilder for InProcess {
     fn build<M: TransportMessage>(
         &self,
         topology: &ShardedTopology,
-    ) -> std::io::Result<InProcessTransport<M>> {
+    ) -> std::io::Result<Vec<InProcessTransport<M>>> {
         let shards = topology.num_shards();
-        Ok(InProcessTransport {
-            shards,
-            queues: (0..shards * shards)
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
-        })
+        let cells: Arc<[Mutex<Staged<M>>]> = (0..shards * shards)
+            .map(|_| Mutex::new(Vec::new()))
+            .collect();
+        Ok((0..shards)
+            .map(|shard| InProcessTransport {
+                shard,
+                out: (0..shards).map(|_| Vec::new()).collect(),
+                cells: Arc::clone(&cells),
+            })
+            .collect())
     }
 }
 
@@ -362,28 +411,28 @@ const READINESS_WAIT: std::time::Duration = std::time::Duration::from_micros(100
 const SPIN_PASSES: u32 = 64;
 
 impl LoopbackStream {
-    fn set_nonblocking(&self) -> std::io::Result<()> {
+    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
         match self {
             #[cfg(unix)]
-            LoopbackStream::Unix(s) => s.set_nonblocking(true),
-            LoopbackStream::Tcp(s) => s.set_nonblocking(true),
+            LoopbackStream::Unix(s) => s.set_nonblocking(nonblocking),
+            LoopbackStream::Tcp(s) => s.set_nonblocking(nonblocking),
         }
     }
 
-    /// Switches to blocking mode with `timeout` on both directions — the
-    /// readiness-wait window of [`PeerLink::wait_in`] / [`PeerLink::wait_out`].
-    fn set_blocking_window(&self, timeout: std::time::Duration) -> std::io::Result<()> {
+    /// Bounds both directions' blocking calls by [`READINESS_WAIT`] — the
+    /// park window of [`PeerLink::wait_in`] / [`PeerLink::wait_out`].  The
+    /// timeouts only apply in blocking mode, so they are set once, when the
+    /// link is created.
+    fn set_park_timeouts(&self) -> std::io::Result<()> {
         match self {
             #[cfg(unix)]
             LoopbackStream::Unix(s) => {
-                s.set_nonblocking(false)?;
-                s.set_read_timeout(Some(timeout))?;
-                s.set_write_timeout(Some(timeout))
+                s.set_read_timeout(Some(READINESS_WAIT))?;
+                s.set_write_timeout(Some(READINESS_WAIT))
             }
             LoopbackStream::Tcp(s) => {
-                s.set_nonblocking(false)?;
-                s.set_read_timeout(Some(timeout))?;
-                s.set_write_timeout(Some(timeout))
+                s.set_read_timeout(Some(READINESS_WAIT))?;
+                s.set_write_timeout(Some(READINESS_WAIT))
             }
         }
     }
@@ -405,12 +454,11 @@ impl LoopbackStream {
     }
 }
 
-/// Per-(owner, peer) endpoint state.  Cell `links[owner * S + peer]` is
-/// touched only by the worker owning `owner` (the mutex exists to satisfy
-/// `Sync`, not because of contention): it writes `owner → peer` frames and
-/// reads `peer → owner` frames on the same duplex stream.
+/// One [`WorkerMesh`] link: a duplex stream that carries this shard's
+/// frames to `peer` and `peer`'s frames back.
 #[derive(Debug)]
 struct PeerLink {
+    peer: u16,
     stream: LoopbackStream,
     /// Messages staged for `peer` this round, pre-encoding.
     batch: DataFrameBuilder,
@@ -428,8 +476,13 @@ struct PeerLink {
 }
 
 impl PeerLink {
-    fn new(stream: LoopbackStream) -> Self {
-        Self {
+    /// Wraps a connected stream to `peer`: sets its park timeouts and
+    /// leaves it nonblocking.
+    fn new(peer: u16, stream: LoopbackStream) -> std::io::Result<Self> {
+        stream.set_park_timeouts()?;
+        stream.set_nonblocking(true)?;
+        Ok(Self {
+            peer,
             stream,
             batch: DataFrameBuilder::new(),
             out: Vec::new(),
@@ -437,7 +490,7 @@ impl PeerLink {
             inbox: FrameBuffer::new(),
             frame: None,
             writes: 0,
-        }
+        })
     }
 
     /// Nonblocking write pass over the pending bytes; true if it progressed.
@@ -491,7 +544,7 @@ impl PeerLink {
     /// parks the thread and wakes it on arrival — the poll-based
     /// replacement for spinning through `yield_now` while a peer computes.
     fn wait_in(&mut self) -> bool {
-        if self.stream.set_blocking_window(READINESS_WAIT).is_err() {
+        if self.stream.set_nonblocking(false).is_err() {
             std::thread::yield_now();
             return false;
         }
@@ -515,7 +568,7 @@ impl PeerLink {
             Err(e) => panic!("loopback transport read failed: {e}"),
         };
         self.stream
-            .set_nonblocking()
+            .set_nonblocking(true)
             .expect("restoring nonblocking mode");
         progressed
     }
@@ -523,7 +576,7 @@ impl PeerLink {
     /// Blocks (bounded by [`READINESS_WAIT`]) until this link's socket can
     /// absorb more of the pending outbound bytes; true if any were written.
     fn wait_out(&mut self) -> bool {
-        if self.stream.set_blocking_window(READINESS_WAIT).is_err() {
+        if self.stream.set_nonblocking(false).is_err() {
             std::thread::yield_now();
             return false;
         }
@@ -547,7 +600,7 @@ impl PeerLink {
             Err(e) => panic!("loopback transport write failed: {e}"),
         };
         self.stream
-            .set_nonblocking()
+            .set_nonblocking(true)
             .expect("restoring nonblocking mode");
         if self.out_pos == self.out.len() {
             self.out.clear();
@@ -557,191 +610,70 @@ impl PeerLink {
     }
 }
 
-/// The socket-loopback transport: one kernel socket per shard pair, frames
-/// through the [`wire`](crate::wire) codec.  Built by [`SocketLoopback`].
-#[derive(Debug)]
-pub struct SocketTransport<M> {
-    shards: usize,
-    /// `S × S` cells; the diagonal is `None`.
-    links: Vec<Option<Mutex<PeerLink>>>,
-    _msg: PhantomData<fn(M) -> M>,
-}
-
-impl<M: TransportMessage> Transport<M> for SocketTransport<M> {
-    fn stage(&self, from: usize, to: usize, slot: u32, sender: u32, msg: M) {
-        let mut link = self.link(from, to);
-        link.batch.push(slot, sender, &msg);
-    }
-
-    fn flush(&self, from: usize, round: u64) -> u64 {
-        let mut bytes = 0;
-        for to in 0..self.shards {
-            if to == from {
-                continue;
+/// Sweeps every link with `pass` until none is pending — the spin-then-park
+/// loop of both [`WorkerMesh`] drain steps.  `pass` reports whether it made
+/// progress on a link and whether the link is done.  A sweep without
+/// progress yields the CPU; after [`SPIN_PASSES`] of them in a row the
+/// drain parks on one pending link with `park` instead, so on an
+/// oversubscribed machine it stops competing with the very peer it waits
+/// for.  `rotor` rotates the parked link, so one slow peer cannot starve
+/// the others' readiness.
+fn spin_then_park(
+    links: &mut [PeerLink],
+    rotor: &mut usize,
+    park: fn(&mut PeerLink) -> bool,
+    mut pass: impl FnMut(&mut PeerLink) -> Result<(bool, bool), TransportError>,
+) -> Result<(), TransportError> {
+    let mut idle: u32 = 0;
+    loop {
+        let mut pending: Vec<usize> = Vec::new();
+        let mut progressed = false;
+        for (i, link) in links.iter_mut().enumerate() {
+            let (moved, done) = pass(link)?;
+            progressed |= moved;
+            if !done {
+                pending.push(i);
             }
-            let mut link = self.link(from, to);
-            debug_assert!(link.write_done(), "previous round left unwritten bytes");
-            let mut out = std::mem::take(&mut link.out);
-            bytes += link.batch.seal(round, from as u16, to as u16, &mut out);
-            link.out = out;
-            // Opportunistic write so the drain phase has less to do.
-            link.pump_out();
         }
-        bytes
-    }
-
-    fn drain(
-        &self,
-        to: usize,
-        round: u64,
-        sink: &mut dyn FnMut(u32, u32, M),
-    ) -> Result<(), TransportError> {
-        // Step 1: hand every byte we owe to the kernel, reading as we go so
-        // no peer ever stalls on a full buffer waiting for us.  When a pass
-        // over every peer makes no progress, the stall means some peer's
-        // socket buffer is full while that peer computes.  Spin briefly
-        // (short stalls resolve in a few sweeps), then stop burning the
-        // CPU the stalled peer needs — on oversubscribed machines a
-        // `yield_now` spinner competes with the very peer it waits for —
-        // and park in a bounded blocking write on one stalled link, letting
-        // the kernel wake us the moment space frees up.
-        let mut rotor = 0usize;
-        let mut idle = 0u32;
-        loop {
-            let mut stalled: Vec<usize> = Vec::new();
-            let mut progressed = false;
-            for peer in 0..self.shards {
-                if peer == to {
-                    continue;
-                }
-                let mut link = self.link(to, peer);
-                progressed |= link.pump_out();
-                if !link.write_done() {
-                    stalled.push(peer);
-                }
-                progressed |= link.pump_in();
-            }
-            if stalled.is_empty() {
-                break;
-            }
-            if progressed {
-                idle = 0;
+        if pending.is_empty() {
+            return Ok(());
+        }
+        if progressed {
+            idle = 0;
+        } else {
+            idle += 1;
+            if idle < SPIN_PASSES {
+                std::thread::yield_now();
             } else {
-                idle += 1;
-                if idle < SPIN_PASSES {
-                    std::thread::yield_now();
-                } else {
-                    // Rotate which stalled link we park on so one slow peer
-                    // cannot starve the others' readiness.
-                    let peer = stalled[rotor % stalled.len()];
-                    rotor += 1;
-                    self.link(to, peer).wait_out();
-                }
+                park(&mut links[pending[*rotor % pending.len()]]);
+                *rotor += 1;
             }
         }
-        // Step 2: buffer raw bytes until one complete frame per peer is in
-        // hand, validating each frame's header the moment it materializes.
-        // This is where the "every round-r frame arrives before the round-r
-        // barrier" assumption is *checked* instead of assumed: a frame
-        // stamped with any other round — late, duplicated, or forged — is a
-        // typed [`TransportError`], not a decode-time surprise.  Decoding of
-        // payloads still waits for step 3 so peers can always finish their
-        // own step 1.
-        idle = 0;
-        loop {
-            let mut waiting: Vec<usize> = Vec::new();
-            let mut progressed = false;
-            for peer in 0..self.shards {
-                if peer == to {
-                    continue;
-                }
-                let mut link = self.link(to, peer);
-                if link.frame.is_some() {
-                    continue;
-                }
-                progressed |= link.pump_in();
-                match link.inbox.next_frame() {
-                    Ok(Some(frame)) => {
-                        if frame.header.kind != FrameKind::Data {
-                            return Err(TransportError::Protocol(format!(
-                                "expected a data frame from shard {peer}, got {:?}",
-                                frame.header.kind
-                            )));
-                        }
-                        frame.header.expect(round, peer as u16, to as u16)?;
-                        link.frame = Some(frame);
-                        progressed = true;
-                    }
-                    Ok(None) => waiting.push(peer),
-                    Err(e) => return Err(TransportError::Wire(e)),
-                }
-            }
-            if waiting.is_empty() {
-                break;
-            }
-            if progressed {
-                idle = 0;
-            } else {
-                idle += 1;
-                if idle < SPIN_PASSES {
-                    std::thread::yield_now();
-                } else {
-                    // Same spin-then-park discipline as step 1, on the read
-                    // side: a bounded blocking read on one frame-less link —
-                    // the kernel wakes us the instant its bytes arrive, and
-                    // the peer we wait on gets the CPU in the meantime.
-                    let peer = waiting[rotor % waiting.len()];
-                    rotor += 1;
-                    self.link(to, peer).wait_in();
-                }
-            }
-        }
-        // Step 3: decode and deliver in sending-shard order (headers were
-        // already validated as the frames arrived).
-        for peer in 0..self.shards {
-            if peer == to {
-                continue;
-            }
-            let frame = self.link(to, peer).frame.take().expect("frame buffered");
-            for_each_data_entry::<M>(&frame.payload, &mut *sink)?;
-        }
-        Ok(())
-    }
-
-    fn syscall_batches(&self, from: usize) -> u64 {
-        (0..self.shards)
-            .filter(|&peer| peer != from)
-            .map(|peer| self.link(from, peer).writes)
-            .sum()
-    }
-}
-
-impl<M> SocketTransport<M> {
-    fn link(&self, owner: usize, peer: usize) -> std::sync::MutexGuard<'_, PeerLink> {
-        self.links[owner * self.shards + peer]
-            .as_ref()
-            .expect("no link on the diagonal")
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
     }
 }
 
 impl TransportBuilder for SocketLoopback {
-    type Transport<M: TransportMessage> = SocketTransport<M>;
+    type Transport<M: TransportMessage> = WorkerMesh;
 
     fn build<M: TransportMessage>(
         &self,
         topology: &ShardedTopology,
-    ) -> std::io::Result<SocketTransport<M>> {
+    ) -> std::io::Result<Vec<WorkerMesh>> {
         let shards = topology.num_shards();
         check_wire_shard_count(shards)?;
-        let mut links: Vec<Option<Mutex<PeerLink>>> = Vec::with_capacity(shards * shards);
-        links.resize_with(shards * shards, || None);
+        let mut meshes: Vec<WorkerMesh> = (0..shards)
+            .map(|me| WorkerMesh {
+                me: me as u16,
+                links: Vec::with_capacity(shards.saturating_sub(1)),
+            })
+            .collect();
         let listener = match self.kind {
             LoopbackKind::Tcp => Some(std::net::TcpListener::bind("127.0.0.1:0")?),
             #[cfg(unix)]
             LoopbackKind::Unix => None,
         };
+        // Pairs in lexicographic order push every shard's links in ascending
+        // peer order, as `WorkerMesh` requires.
         for a in 0..shards {
             for b in a + 1..shards {
                 let (ea, eb) = match self.kind {
@@ -759,17 +691,11 @@ impl TransportBuilder for SocketLoopback {
                         (LoopbackStream::Tcp(connect), LoopbackStream::Tcp(accept))
                     }
                 };
-                ea.set_nonblocking()?;
-                eb.set_nonblocking()?;
-                links[a * shards + b] = Some(Mutex::new(PeerLink::new(ea)));
-                links[b * shards + a] = Some(Mutex::new(PeerLink::new(eb)));
+                meshes[a].links.push(PeerLink::new(b as u16, ea)?);
+                meshes[b].links.push(PeerLink::new(a as u16, eb)?);
             }
         }
-        Ok(SocketTransport {
-            shards,
-            links,
-            _msg: PhantomData,
-        })
+        Ok(meshes)
     }
 }
 
@@ -978,23 +904,23 @@ pub fn read_peers<L: Read>(
 // The direct worker↔worker data mesh
 // ---------------------------------------------------------------------------
 
-/// A full mesh of direct worker↔worker connections carrying the data frames
-/// of a remote run, so the coordinator only paces rounds.
+/// One shard's endpoint of a full socket mesh: a link to every other
+/// shard, carrying the per-round data frames, and the one nonblocking
+/// drain (see the [module docs](self)).
 ///
-/// Connection setup is deterministic: every worker *dials* the listed
-/// addresses of all lower shard indices (announcing its own shard index as
-/// a 2-byte handshake) and *accepts* one connection from each higher index,
-/// validating the announced indices.  Per round the mesh seals one data
+/// Worker processes connect it with [`WorkerMesh::connect`] and drive it as
+/// the mesh [`DataPlane`], so the coordinator only paces rounds;
+/// [`SocketLoopback`] builds one per shard thread over socketpairs or TCP
+/// loopback.  Either way it is a [`Transport`]: per round it seals one data
 /// frame per peer — empty if nothing crossed that pair, so receivers always
-/// know how many frames to expect — and drains with the same three-step
-/// spin-then-park discipline as [`SocketLoopback`]'s in-process transport
-/// (see the [module docs](self)), which is deadlock-free once every worker's
+/// know how many frames to expect — and drains with the three-step
+/// spin-then-park discipline, which is deadlock-free once every shard's
 /// sealed bytes are handed to the kernel.
 #[derive(Debug)]
 pub struct WorkerMesh {
     me: u16,
-    /// Ascending peer shard indices, parallel to `links`.
-    peers: Vec<u16>,
+    /// One link per other shard, in ascending peer order: the link to shard
+    /// `p` is `links[p]` below `me` and `links[p - 1]` above it.
     links: Vec<PeerLink>,
 }
 
@@ -1002,7 +928,10 @@ impl WorkerMesh {
     /// Connects the full mesh for shard `me` of a `shards`-shard run.
     ///
     /// `peers` maps every shard (including `me`) to a dialable address;
-    /// `listener` is the socket `me` published in that list.
+    /// `listener` is the socket `me` published in that list.  Every worker
+    /// *dials* the listed addresses of all lower shard indices (announcing
+    /// its own shard index as a 2-byte handshake) and *accepts* one
+    /// connection from each higher index, validating the announced indices.
     ///
     /// # Errors
     ///
@@ -1017,7 +946,8 @@ impl WorkerMesh {
     ) -> std::io::Result<Self> {
         check_wire_shard_count(shards)?;
         validate_peer_list(peers, shards).map_err(std::io::Error::from)?;
-        let mut links: Vec<(u16, PeerLink)> = Vec::with_capacity(shards.saturating_sub(1));
+        let mut streams: Vec<(u16, std::net::TcpStream)> =
+            Vec::with_capacity(shards.saturating_sub(1));
         for &(shard, ref addr) in peers {
             if shard >= me {
                 continue;
@@ -1026,7 +956,7 @@ impl WorkerMesh {
             stream.set_nodelay(true)?;
             stream.write_all(&me.to_le_bytes())?;
             stream.flush()?;
-            links.push((shard, PeerLink::new(LoopbackStream::Tcp(stream))));
+            streams.push((shard, stream));
         }
         let higher = peers.iter().filter(|&&(shard, _)| shard > me).count();
         for _ in 0..higher {
@@ -1040,150 +970,108 @@ impl WorkerMesh {
                     "mesh handshake announced unexpected shard {shard}"
                 )));
             }
-            if links.iter().any(|&(s, _)| s == shard) {
+            if streams.iter().any(|&(s, _)| s == shard) {
                 return Err(protocol_error(&format!(
                     "two mesh connections announced shard {shard}"
                 )));
             }
-            links.push((shard, PeerLink::new(LoopbackStream::Tcp(stream))));
+            streams.push((shard, stream));
         }
-        links.sort_by_key(|&(shard, _)| shard);
-        for (_, link) in &links {
-            link.stream.set_nonblocking()?;
-        }
+        streams.sort_by_key(|&(shard, _)| shard);
         Ok(Self {
             me,
-            peers: links.iter().map(|&(shard, _)| shard).collect(),
-            links: links.into_iter().map(|(_, link)| link).collect(),
+            links: streams
+                .into_iter()
+                .map(|(shard, stream)| PeerLink::new(shard, LoopbackStream::Tcp(stream)))
+                .collect::<std::io::Result<_>>()?,
         })
     }
+}
 
-    /// Stages one cross-shard message into the target peer's pending frame.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not a peer of this mesh (a routing bug).
-    pub(crate) fn stage<M: WireMessage>(&mut self, target: u16, slot: u32, sender: u32, msg: &M) {
-        let i = self
-            .peers
-            .binary_search(&target)
-            .expect("staged a message for a shard with no mesh link");
-        self.links[i].batch.push(slot, sender, msg);
+impl<M: TransportMessage> Transport<M> for WorkerMesh {
+    fn stage(&mut self, to: usize, slot: u32, sender: u32, msg: M) {
+        debug_assert_ne!(to, self.me as usize, "a shard stages nothing for itself");
+        let i = to - usize::from(to > self.me as usize);
+        self.links[i].batch.push(slot, sender, &msg);
     }
 
-    /// Seals this round's frame for every peer (empty frames included) and
-    /// starts writing them out; returns the sealed byte count.
-    pub(crate) fn flush(&mut self, round: u64) -> u64 {
+    fn flush(&mut self, round: u64) -> u64 {
         let mut bytes = 0;
-        for (i, link) in self.links.iter_mut().enumerate() {
+        for link in &mut self.links {
             debug_assert!(link.write_done(), "previous round's frame still pending");
-            let mut out = std::mem::take(&mut link.out);
-            bytes += link.batch.seal(round, self.me, self.peers[i], &mut out);
-            link.out = out;
+            bytes += link.batch.seal(round, self.me, link.peer, &mut link.out);
+            // Opportunistic write so the drain has less to do.
             link.pump_out();
         }
         bytes
     }
 
-    /// Drains the round: finishes this worker's writes (reading
-    /// opportunistically), buffers one header-validated frame per peer,
-    /// then decodes and delivers in ascending peer order — the same
-    /// three-step discipline as the in-process socket drain.
+    /// The three-step drain of the [module docs](self): finish this
+    /// shard's writes (reading opportunistically), buffer one
+    /// header-validated frame per peer, then decode and deliver in
+    /// ascending peer order.
     ///
     /// # Errors
     ///
     /// A late, duplicate or out-of-round frame, or a non-data frame on a
     /// mesh connection, is a typed [`TransportError`].
-    pub(crate) fn exchange<M: WireMessage>(
+    fn drain(
         &mut self,
         round: u64,
         sink: &mut dyn FnMut(u32, u32, M),
     ) -> Result<(), TransportError> {
         let mut rotor: usize = 0;
 
-        // Step 1: finish writing, reading opportunistically.
-        let mut idle: u32 = 0;
-        loop {
-            let mut stalled: Vec<usize> = Vec::new();
-            let mut progressed = false;
-            for (i, link) in self.links.iter_mut().enumerate() {
-                progressed |= link.pump_out();
-                if !link.write_done() {
-                    stalled.push(i);
-                }
-                progressed |= link.pump_in();
-            }
-            if stalled.is_empty() {
-                break;
-            }
-            if progressed {
-                idle = 0;
-            } else {
-                idle += 1;
-                if idle < SPIN_PASSES {
-                    std::thread::yield_now();
-                } else {
-                    let pick = stalled[rotor % stalled.len()];
-                    rotor += 1;
-                    self.links[pick].wait_out();
-                }
-            }
-        }
+        // Step 1: hand every byte we owe to the kernel, reading as we go so
+        // no peer ever stalls on a full buffer waiting for us.  A sweep
+        // without progress means some peer's socket buffer is full while
+        // that peer computes: after a short spin, park in a bounded
+        // blocking write on one stalled link, letting the kernel wake us
+        // the moment space frees up.
+        spin_then_park(&mut self.links, &mut rotor, PeerLink::wait_out, |link| {
+            let progressed = link.pump_out() | link.pump_in();
+            Ok((progressed, link.write_done()))
+        })?;
 
-        // Step 2: buffer one complete frame per peer, validating headers
-        // the moment each frame completes.
-        let mut idle: u32 = 0;
-        loop {
-            let mut waiting: Vec<usize> = Vec::new();
-            let mut progressed = false;
-            for (i, link) in self.links.iter_mut().enumerate() {
-                if link.frame.is_some() {
-                    continue;
-                }
-                progressed |= link.pump_in();
-                match link.inbox.next_frame() {
-                    Ok(Some(frame)) => {
-                        if frame.header.kind != FrameKind::Data {
-                            return Err(TransportError::Protocol(format!(
-                                "expected a data frame from shard {}, got a {:?} frame",
-                                self.peers[i], frame.header.kind
-                            )));
-                        }
-                        frame.header.expect(round, self.peers[i], self.me)?;
-                        link.frame = Some(frame);
-                        progressed = true;
-                    }
-                    Ok(None) => waiting.push(i),
-                    Err(e) => return Err(TransportError::Wire(e)),
-                }
+        // Step 2: buffer raw bytes until one complete frame per peer is in
+        // hand, validating each frame's header the moment it materializes.
+        // This is where the "every round-r frame arrives before the round-r
+        // barrier" assumption is *checked* instead of assumed: a frame
+        // stamped with any other round — late, duplicated, or forged — is a
+        // typed [`TransportError`], not a decode-time surprise.  Decoding of
+        // payloads still waits for step 3 so peers can always finish their
+        // own step 1.  The parks are bounded blocking reads on one
+        // frame-less link: the kernel wakes us the instant its bytes arrive.
+        let me = self.me;
+        spin_then_park(&mut self.links, &mut rotor, PeerLink::wait_in, |link| {
+            if link.frame.is_some() {
+                return Ok((false, true));
             }
-            if waiting.is_empty() {
-                break;
+            let progressed = link.pump_in();
+            let Some(frame) = link.inbox.next_frame()? else {
+                return Ok((progressed, false));
+            };
+            if frame.header.kind != FrameKind::Data {
+                return Err(TransportError::Protocol(format!(
+                    "expected a data frame from shard {}, got a {:?} frame",
+                    link.peer, frame.header.kind
+                )));
             }
-            if progressed {
-                idle = 0;
-            } else {
-                idle += 1;
-                if idle < SPIN_PASSES {
-                    std::thread::yield_now();
-                } else {
-                    let pick = waiting[rotor % waiting.len()];
-                    rotor += 1;
-                    self.links[pick].wait_in();
-                }
-            }
-        }
+            frame.header.expect(round, link.peer, me)?;
+            link.frame = Some(frame);
+            Ok((true, true))
+        })?;
 
-        // Step 3: decode and deliver, in ascending peer order.
-        for link in self.links.iter_mut() {
+        // Step 3: decode and deliver in ascending peer order (headers were
+        // already validated as the frames arrived).
+        for link in &mut self.links {
             let frame = link.frame.take().expect("step 2 buffered a frame per peer");
             for_each_data_entry::<M>(&frame.payload, &mut *sink)?;
         }
         Ok(())
     }
 
-    /// Total kernel write calls issued across all mesh links.
-    pub(crate) fn syscall_batches(&self) -> u64 {
+    fn syscall_batches(&self) -> u64 {
         self.links.iter().map(|link| link.writes).sum()
     }
 }
@@ -1471,7 +1359,9 @@ where
             let target = topology.shard_of_slot(slot as usize);
             match data {
                 DataPlane::Relay => batches[target].push(slot, sender, &msg),
-                DataPlane::Mesh(mesh) => mesh.stage(target as u16, slot, sender, &msg),
+                DataPlane::Mesh(mesh) => {
+                    Transport::<A::Message>::stage(mesh, target, slot, sender, msg)
+                }
             }
         });
         // One data frame per destination shard.
@@ -1489,7 +1379,7 @@ where
                     link.flush()?;
                     Ok(bytes)
                 }
-                DataPlane::Mesh(mesh) => Ok(mesh.flush(round)),
+                DataPlane::Mesh(mesh) => Ok(Transport::<A::Message>::flush(mesh, round)),
             }
         })?;
         // Every other shard's frames.
@@ -1506,7 +1396,7 @@ where
                     }
                     Ok(())
                 }
-                DataPlane::Mesh(mesh) => Ok(mesh.exchange::<A::Message>(round, sink)?),
+                DataPlane::Mesh(mesh) => Ok(Transport::<A::Message>::drain(mesh, round, sink)?),
             }
         })?;
         let active = kernel.receive_compact(round) as u64;
@@ -1533,7 +1423,7 @@ where
     report.syscall_batches = match data {
         // All peers' frames of a round leave in one coalesced write.
         DataPlane::Relay => round,
-        DataPlane::Mesh(mesh) => mesh.syscall_batches(),
+        DataPlane::Mesh(mesh) => Transport::<A::Message>::syscall_batches(mesh),
     };
     // The captured trace ships as one out-of-band frame ahead of the
     // Output frame on the same ordered link, mirroring how Stats frames
@@ -2469,32 +2359,38 @@ mod tests {
         assert_eq!(out.metrics.active_per_round, vec![n; 4]);
     }
 
-    /// A 2-shard socket transport plus direct access to shard 0's outbound
-    /// link, for forging raw frames onto the 0→1 wire.
+    /// The two socket-loopback endpoints of a 2-shard ring, for forging raw
+    /// frames onto the 0→1 wire.
     #[cfg(unix)]
-    fn forged_pair() -> SocketTransport<u64> {
+    fn forged_pair() -> Vec<WorkerMesh> {
         let dense = ring(8);
         let g = ShardedTopology::from_topology(&dense, 2).unwrap();
         SocketLoopback::unix().build::<u64>(&g).unwrap()
     }
 
-    /// Writes one raw frame from shard 0 to shard 1, bypassing the staging
-    /// and sealing path entirely.
+    /// Writes raw bytes from shard 0's endpoint to shard 1, bypassing the
+    /// staging and sealing path entirely.
     #[cfg(unix)]
-    fn forge_frame(t: &SocketTransport<u64>, round: u64, payload: &[u8]) {
+    fn forge(shard0: &mut WorkerMesh, bytes: &[u8]) {
+        let link = &mut shard0.links[0];
+        link.out.extend_from_slice(bytes);
+        while !link.write_done() {
+            link.pump_out();
+        }
+    }
+
+    /// One frame of `kind` from shard 0 to shard 1, length prefix included.
+    #[cfg(unix)]
+    fn frame(kind: FrameKind, round: u64, payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
         let header = FrameHeader {
-            kind: FrameKind::Data,
+            kind,
             round,
             from: 0,
             to: 1,
         };
-        let mut link = t.link(0, 1);
-        let mut out = std::mem::take(&mut link.out);
         crate::wire::frame_into(&mut out, header, payload);
-        link.out = out;
-        while !link.write_done() {
-            link.pump_out();
-        }
+        out
     }
 
     /// The satellite fix pinned: a frame stamped with a future round sitting
@@ -2503,9 +2399,9 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn out_of_round_frame_is_a_checked_transport_error() {
-        let t = forged_pair();
-        forge_frame(&t, 5, &0u32.to_le_bytes());
-        let err = Transport::<u64>::drain(&t, 1, 0, &mut |_, _, _| {
+        let mut t = forged_pair();
+        forge(&mut t[0], &frame(FrameKind::Data, 5, &0u32.to_le_bytes()));
+        let err = Transport::<u64>::drain(&mut t[1], 0, &mut |_, _, _| {
             panic!("nothing must be delivered from an out-of-round frame")
         })
         .expect_err("out-of-round frame must be rejected");
@@ -2642,12 +2538,14 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn duplicate_frame_surfaces_at_the_next_round_barrier() {
-        let t = forged_pair();
+        let mut t = forged_pair();
         // Two identical round-0 frames: the original and its duplicate.
-        forge_frame(&t, 0, &0u32.to_le_bytes());
-        forge_frame(&t, 0, &0u32.to_le_bytes());
-        Transport::<u64>::drain(&t, 1, 0, &mut |_, _, _| {}).expect("round 0 drains the original");
-        let err = Transport::<u64>::drain(&t, 1, 1, &mut |_, _, _| {
+        let original = frame(FrameKind::Data, 0, &0u32.to_le_bytes());
+        forge(&mut t[0], &original);
+        forge(&mut t[0], &original);
+        Transport::<u64>::drain(&mut t[1], 0, &mut |_, _, _| {})
+            .expect("round 0 drains the original");
+        let err = Transport::<u64>::drain(&mut t[1], 1, &mut |_, _, _| {
             panic!("the stale duplicate must not be delivered")
         })
         .expect_err("duplicate frame must be rejected at the next barrier");
@@ -2656,6 +2554,151 @@ mod tests {
                 assert_eq!((expected, got), (1, 0));
             }
             other => panic!("expected a RoundMismatch, got {other}"),
+        }
+    }
+
+    /// Serves shard 1 of a two-shard ring against a stand-in coordinator
+    /// that starts round 0, with `forged` arriving as shard 0's data frame —
+    /// relayed by the coordinator, or on shard 0's end of a loopback mesh —
+    /// and returns the error the worker stops with.
+    #[cfg(unix)]
+    fn serve_forged_frame(mesh: bool, forged: &[u8]) -> std::io::Error {
+        let g = ShardedTopology::from_topology(&ring(8), 2).unwrap();
+        let mut ends = SocketLoopback::unix().build::<u64>(&g).unwrap();
+        let (mut plane, mut shard0) = if mesh {
+            let shard1 = ends.pop().expect("shard 1's endpoint");
+            (DataPlane::Mesh(shard1), ends.pop())
+        } else {
+            (DataPlane::Relay, None)
+        };
+        let (mut coordinator, mut link) = std::os::unix::net::UnixStream::pair().unwrap();
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                let nodes: Vec<Gossip> = g.shard_nodes(1).map(|_| Gossip::new(3)).collect();
+                serve_shard_on(&mut link, &g, 1, nodes, &mut plane)
+            });
+            let vote = read_frame(&mut coordinator).expect("initial vote");
+            assert_eq!(vote.header.kind, FrameKind::Vote);
+            let start = FrameHeader {
+                kind: FrameKind::RoundStart,
+                round: 0,
+                from: COORDINATOR,
+                to: 1,
+            };
+            write_frame(&mut coordinator, start, &[0]).expect("round start");
+            match &mut shard0 {
+                Some(shard0) => forge(shard0, forged),
+                None => {
+                    let sent = read_frame(&mut coordinator).expect("the worker's data frame");
+                    assert_eq!(sent.header.kind, FrameKind::Data);
+                    coordinator
+                        .write_all(forged)
+                        .expect("relay the forged frame");
+                }
+            }
+            // A worker that accepted the frame now fails on the closed link
+            // instead of waiting for the next round forever.
+            coordinator
+                .shutdown(std::net::Shutdown::Both)
+                .expect("close the coordinator link");
+            worker
+                .join()
+                .expect("worker thread")
+                .expect_err("a forged frame must stop the worker")
+        })
+    }
+
+    /// A data frame from shard 0 to shard 1 with one entry, for `slot`.
+    #[cfg(unix)]
+    fn one_entry_frame(slot: u32) -> Vec<u8> {
+        let mut batch = DataFrameBuilder::new();
+        batch.push(slot, 0, &7u64);
+        let mut out = Vec::new();
+        batch.seal(0, 0, 1, &mut out);
+        out
+    }
+
+    /// Forged frames reaching a worker are typed errors, never panics: an
+    /// entry whose slot lies below or above the receiving shard's slots,
+    /// and a non-data frame where a data frame is owed, on the relay and on
+    /// the mesh path.
+    #[cfg(unix)]
+    #[test]
+    fn forged_relay_and_mesh_frames_are_checked_transport_errors() {
+        let own = ShardedTopology::from_topology(&ring(8), 2)
+            .unwrap()
+            .shard_slots(1);
+        let below = own.start as u32 - 1;
+        let above = own.end as u32;
+        for mesh in [false, true] {
+            for slot in [below, above] {
+                let err = serve_forged_frame(mesh, &one_entry_frame(slot)).to_string();
+                assert!(
+                    err.contains(&format!("slot {slot} ")) && err.contains("shard 1"),
+                    "mesh={mesh} slot {slot}: unexpected error: {err}"
+                );
+            }
+        }
+        let vote = frame(FrameKind::Vote, 0, &0u64.to_le_bytes());
+        for (mesh, expected) in [
+            (false, "expected a relayed data frame"),
+            (true, "expected a data frame from shard 0, got a Vote frame"),
+        ] {
+            let err = serve_forged_frame(mesh, &vote).to_string();
+            assert!(
+                err.contains(expected),
+                "mesh={mesh}: unexpected error: {err}"
+            );
+        }
+    }
+
+    /// Runs `run` on its own thread and waits at most a minute for it, so a
+    /// deadlocked drain fails the test instead of hanging it.
+    fn within_deadline<T: Send + 'static>(
+        what: &str,
+        run: impl FnOnce() -> T + Send + 'static,
+    ) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(run());
+        });
+        match rx.recv_timeout(std::time::Duration::from_secs(60)) {
+            Ok(out) => out,
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("{what} did not finish within 60 s: the drain deadlocked")
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(handle.join().expect_err("the run sent no result"))
+            }
+        }
+    }
+
+    /// Frames larger than a kernel socket buffer: a ring plus the chords
+    /// `i — i + n/2 − 1`, nearly all of which cross the two-shard cut, so a
+    /// round's frame overfills a Unix socketpair and the drain takes its
+    /// write-stall path (and sometimes parks) without deadlocking.
+    /// Loopback TCP buffers grow past the frame; that run checks the
+    /// outputs only.
+    #[test]
+    fn frames_larger_than_a_socket_buffer_drain_without_deadlock() {
+        let n = 40_000;
+        let edges: Vec<(usize, usize)> = (0..n)
+            .map(|i| (i, (i + 1) % n))
+            .chain((0..n / 2).map(|i| (i, i + n / 2 - 1)))
+            .collect();
+        let dense = Topology::from_edges(n, &edges).unwrap();
+        let seq = Simulator::new(&dense).run(mk(n));
+        let g = Arc::new(ShardedTopology::from_topology(&dense, 2).unwrap());
+        let mut backends = vec![("tcp loopback", SocketLoopback::tcp())];
+        #[cfg(unix)]
+        backends.push(("unix loopback", SocketLoopback::unix()));
+        for (what, backend) in backends {
+            let g = Arc::clone(&g);
+            let out = within_deadline(what, move || {
+                Simulator::new(&*g)
+                    .run_with_executor(mk(n), &ShardedExecutor::with_transport(backend))
+            });
+            assert_logically_equal(&seq, &out, what);
         }
     }
 }
