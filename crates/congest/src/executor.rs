@@ -13,12 +13,18 @@
 //!
 //! 1. **send + route**: clear the slots filled last round, ask every active
 //!    node for its outbox, and route each message to its destination slot
-//!    (a shard's [`dest_slot_from`](ShardTopologyView::dest_slot_from)
-//!    remap table, or a whole graph's [`TopologyView`] lookups) — into the
-//!    shard's own slots, or to a cross-shard sink the driver passes in
-//!    (followed, for drivers with a transport, by a timed flush);
+//!    (a shard's [`dest_row`](ShardTopologyView::dest_row) remap table, or
+//!    a whole graph's [`TopologyView`] lookups) — into the shard's own
+//!    slots, or to the cross-shard staging the driver passes in (followed,
+//!    for drivers with a transport, by a timed flush).  A sender's row
+//!    ascends, so its ports into one shard are one run of it: a broadcast
+//!    is staged once per other shard it reaches, with that run
+//!    ([`Transport::stage_broadcast`]), and a per-port message once per
+//!    port ([`Transport::stage`]);
 //! 2. **deliver**: fill the shard's slots from a drain the driver passes in
-//!    (messages other shards routed here);
+//!    (the [`Entry`]s other shards routed here): a per-port entry into its
+//!    slot, a broadcast entry into every slot of the sender's run in this
+//!    shard, found by binary search on the sender's row;
 //! 3. **receive + compact**: hand every active node its inbox — a
 //!    zero-copy [`Inbox`] view of its own slots — and drop the nodes that
 //!    halted from the active list.
@@ -75,14 +81,18 @@
 //! 1. **A** — the coordinator has published the round number or the stop
 //!    flag.  Each thread runs its kernel's send step: intra-shard messages
 //!    go straight into its own slots, cross-shard messages are staged on
-//!    its endpoint (`Transport::stage`), then flushed (`Transport::flush`:
-//!    the in-process backend hands each destination its staging buffer;
-//!    the socket backend seals one wire frame per destination shard).
+//!    its endpoint (`Transport::stage_broadcast` once per broadcasting
+//!    sender and destination shard, `Transport::stage` per per-port
+//!    message), then flushed (`Transport::flush`: the in-process backend
+//!    hands each destination its staging buffer, which holds one entry per
+//!    broadcast; the socket backend seals one wire frame per destination
+//!    shard, which encodes every edge).
 //! 2. **B** — every message is routed.  Each thread drains every `x → w`
-//!    channel into its own slots (`Transport::drain`).  The barriers order
-//!    the in-process handoffs: `x` hands its `x → w` buffer over before B,
-//!    `w` takes it after B, and `x` stages into it again only after the
-//!    next A.
+//!    channel into its own slots (`Transport::drain`), fanning each
+//!    broadcast entry out over the sender's ports into `w`.  The barriers
+//!    order the in-process handoffs: `x` hands its `x → w` buffer over
+//!    before B, `w` takes it after B, and `x` stages into it again only
+//!    after the next A.
 //! 3. **C** — every slot of the round is in place.  Each thread runs its
 //!    kernel's receive step and publishes its active count.
 //! 4. **D** — the coordinator sums the counts and decides the next round.
@@ -93,7 +103,7 @@
 //! counters are merged into [`RunMetrics`] in shard order when the run ends,
 //! so the totals are deterministic; `RunMetrics::shard_phase_nanos` keeps
 //! the per-shard phase times and `RunMetrics::{intra,cross}_shard_messages`
-//! the split.  The coordinator's own barrier-to-barrier windows (A→B, B→C,
+//! the split, counted per edge however the transport groups its entries.  The coordinator's own barrier-to-barrier windows (A→B, B→C,
 //! C→D) are the run's `RunMetrics::phase_nanos`.
 //!
 //! Under [`DeliveryMode::Strict`] (the default) a second write to a slot is
@@ -115,7 +125,9 @@ use crate::metrics::{PhaseTimings, RunMetrics};
 use crate::sharded::{ShardTopologyView, ShardedTopology};
 use crate::topology::{NodeId, Port, Topology, TopologyView};
 use crate::trace::{TraceEvent, TracePhase, TraceSink};
-use crate::transport::{InProcess, Transport, TransportBuilder, TransportError};
+use crate::transport::{
+    Entry, InProcess, Transport, TransportBuilder, TransportError, TransportMessage,
+};
 
 /// The reusable per-run slot arena of the round engine: one inbox slot per
 /// directed edge, CSR-indexed (node `v`'s ports occupy
@@ -263,8 +275,10 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
 
     /// The send step: clears the slots filled last round, asks every active
     /// node for its outbox and routes each message into this shard's own
-    /// slots, or to `stage(slot, sender, message)` when another shard owns
-    /// the destination slot.  Every message is charged here, at its sender
+    /// slots, or to `stage` when another shard owns the destination slot: a
+    /// broadcast once per other shard its ports reach, with that shard's
+    /// run of the sender's remap-table row, and a per-port message once per
+    /// port.  Every message is charged here, at its sender and per edge
     /// (see the accounting semantics in [`crate::algorithm`]).
     ///
     /// # Panics
@@ -272,7 +286,11 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     /// Panics if an outbox names a nonexistent port or sends two messages
     /// over the same port in one round (the CONGEST model allows one
     /// message per edge per round).
-    pub(crate) fn send_route(&mut self, round: u64, mut stage: impl FnMut(u32, u32, A::Message)) {
+    pub(crate) fn send_route<X: CrossShard<A::Message> + ?Sized>(
+        &mut self,
+        round: u64,
+        stage: &mut X,
+    ) {
         self.phase_start(round, TracePhase::Send);
         let (m0, b0, c0) = (
             self.report.messages,
@@ -282,7 +300,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         let t = Instant::now();
         let (shard, node_base) = (self.shard, self.node_base);
         let own = self.slot_base..self.slot_base + self.slots.len();
-        send_and_route::<A, T, L>(
+        send_and_route::<A, T, L, X>(
             self.topology,
             shard,
             round,
@@ -294,7 +312,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             self.slots,
             &mut self.touched,
             &mut self.report,
-            &mut stage,
+            stage,
         );
         self.report.intra += (self.report.messages - m0) - (self.report.cross - c0);
         let nanos = t.elapsed().as_nanos() as u64;
@@ -335,15 +353,19 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     }
 
     /// The deliver step: `drain` receives a sink and feeds it every
-    /// `(slot, sender, message)` other shards routed here this round.  The
-    /// sink writes each into this shard's slots under the kernel's
-    /// [`DeliveryMode`].
+    /// [`Entry`] other shards routed here this round.  The sink writes an
+    /// [`Entry::Port`] into its slot, and an [`Entry::Broadcast`] into each
+    /// slot of the sender's run of its [`dest_row`](ShardTopologyView::dest_row)
+    /// that this shard owns (found by binary search on the ascending row),
+    /// under the kernel's [`DeliveryMode`].
     ///
     /// # Errors
     ///
-    /// Returns `drain`'s error, or [`TransportError::SlotOutsideShard`]
-    /// for the first entry whose slot this shard does not own (entries
-    /// decoded from outside bytes can name any slot).
+    /// Returns `drain`'s error, or, for the first entry this shard cannot
+    /// place, [`TransportError::SlotOutsideShard`] (a per-port entry for a
+    /// slot it does not own: entries decoded from outside bytes can name
+    /// any slot) or [`TransportError::BroadcastOutsideShard`] (a broadcast
+    /// from a node with no port into the shard).
     ///
     /// # Panics
     ///
@@ -351,12 +373,13 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     pub(crate) fn deliver<E: From<TransportError>>(
         &mut self,
         round: u64,
-        drain: impl FnOnce(&mut dyn FnMut(u32, u32, A::Message)) -> Result<(), E>,
+        drain: impl FnOnce(&mut dyn FnMut(Entry<A::Message>)) -> Result<(), E>,
     ) -> Result<(), E> {
         self.phase_start(round, TracePhase::Deliver);
         let s0 = self.report.stale_overwrites;
         let t = Instant::now();
-        let (slot_base, delivery) = (self.slot_base, self.delivery);
+        let (topology, shard, delivery) = (self.topology, self.shard, self.delivery);
+        let own = self.slot_base..self.slot_base + self.slots.len();
         let mut stray = None;
         let Self {
             slots,
@@ -364,28 +387,42 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             report,
             ..
         } = self;
-        drain(&mut |slot, sender, msg| {
-            let local = (slot as usize).wrapping_sub(slot_base);
-            if local >= slots.len() {
-                stray.get_or_insert(slot);
-                return;
+        let mut put = |local: usize, sender: u32, msg| match delivery {
+            DeliveryMode::Strict => fill_slot(slots, local, msg, sender as usize, touched),
+            // Newest wins: transports drain stale copies before the current
+            // round's messages.
+            DeliveryMode::Async => {
+                if slots[local].replace(msg).is_some() {
+                    report.stale_overwrites += 1;
+                } else {
+                    touched.push(local);
+                }
             }
-            match delivery {
-                DeliveryMode::Strict => fill_slot(slots, local, msg, sender as usize, touched),
-                // Newest wins: transports drain stale copies before the
-                // current round's messages.
-                DeliveryMode::Async => {
-                    if slots[local].replace(msg).is_some() {
-                        report.stale_overwrites += 1;
-                    } else {
-                        touched.push(local);
-                    }
+        };
+        drain(&mut |entry| match entry {
+            Entry::Port { slot, sender, msg } => {
+                if own.contains(&(slot as usize)) {
+                    put(slot as usize - own.start, sender, msg);
+                } else {
+                    stray.get_or_insert(TransportError::SlotOutsideShard { shard, slot });
+                }
+            }
+            Entry::Broadcast { sender, msg } => {
+                let run = L::dest_row(topology, sender as usize).map_or(&[][..], |row| {
+                    let start = row.partition_point(|&s| (s as usize) < own.start);
+                    let len = row[start..].partition_point(|&s| (s as usize) < own.end);
+                    &row[start..start + len]
+                });
+                if run.is_empty() {
+                    stray.get_or_insert(TransportError::BroadcastOutsideShard { shard, sender });
+                }
+                for &slot in run {
+                    put(slot as usize - own.start, sender, msg.clone());
                 }
             }
         })?;
-        if let Some(slot) = stray {
-            let shard = self.shard;
-            return Err(TransportError::SlotOutsideShard { shard, slot }.into());
+        if let Some(e) = stray {
+            return Err(e.into());
         }
         let nanos = t.elapsed().as_nanos() as u64;
         self.report.timings.deliver += nanos;
@@ -467,6 +504,11 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
 /// round, then ask every active node for its outbox and route each message
 /// into this shard's slot range `own` or to `stage`.
 ///
+/// A broadcast is routed through the sender's remap-table row when `L`
+/// has one: the row ascends, so the ports into each shard are one run of
+/// it, filled here for the own shard and staged once for any other.
+/// Without a row (the whole graph as one shard) it goes port by port.
+///
 /// A function of its own, never inlined, on purpose: with the topology and
 /// every buffer as separate reference arguments the compiler knows none of
 /// them aliases another, and keeps the topology's tables in registers.
@@ -475,7 +517,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
 /// a fifth slower.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
-fn send_and_route<A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>>(
+fn send_and_route<A, T, L, X>(
     topology: &T,
     shard: usize,
     round: u64,
@@ -487,8 +529,13 @@ fn send_and_route<A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>>(
     slots: &mut [Option<A::Message>],
     touched: &mut Vec<usize>,
     report: &mut ShardReport,
-    stage: &mut impl FnMut(u32, u32, A::Message),
-) {
+    stage: &mut X,
+) where
+    A: NodeAlgorithm,
+    T: ?Sized,
+    L: ShardLookup<T>,
+    X: CrossShard<A::Message> + ?Sized,
+{
     for i in touched.drain(..) {
         slots[i] = None;
     }
@@ -502,26 +549,47 @@ fn send_and_route<A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>>(
             Outbox::Silent => {}
             Outbox::Broadcast(msg) => {
                 let bits = msg.bit_size();
-                for p in 0..degree {
-                    let dest = L::dest_slot(topology, shard, v, p);
-                    place(
-                        dest,
-                        msg.clone(),
-                        bits,
-                        v,
-                        own,
-                        slots,
-                        touched,
-                        report,
-                        stage,
-                    );
+                let Some(mut row) = L::dest_row(topology, v) else {
+                    for p in 0..degree {
+                        let dest = L::dest_slot(topology, shard, v, p);
+                        place::<_, T, L, X>(
+                            topology,
+                            dest,
+                            msg.clone(),
+                            bits,
+                            v,
+                            own,
+                            slots,
+                            touched,
+                            report,
+                            stage,
+                        );
+                    }
+                    continue;
+                };
+                while let Some(&first) = row.first() {
+                    let to = L::shard_of_slot(topology, first as usize);
+                    let end = L::slots(topology, to).end;
+                    let (run, rest) = row.split_at(row.partition_point(|&s| (s as usize) < end));
+                    row = rest;
+                    report.record(run.len() as u64, bits);
+                    if to == shard {
+                        for &dest in run {
+                            fill_slot(slots, dest as usize - own.start, msg.clone(), v, touched);
+                        }
+                    } else {
+                        report.cross += run.len() as u64;
+                        stage.broadcast(to, v as u32, msg.clone(), run);
+                    }
                 }
             }
             Outbox::PerPort(list) => {
                 for (p, msg) in list {
                     assert!(p < degree, "node {v} sent on nonexistent port {p}");
                     let (dest, bits) = (L::dest_slot(topology, shard, v, p), msg.bit_size());
-                    place(dest, msg, bits, v, own, slots, touched, report, stage);
+                    place::<_, T, L, X>(
+                        topology, dest, msg, bits, v, own, slots, touched, report, stage,
+                    );
                 }
             }
         }
@@ -529,10 +597,11 @@ fn send_and_route<A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>>(
 }
 
 /// Charges one message of `v` and puts it in the shard's own slot `dest`
-/// when `own` holds it, or hands it to `stage` otherwise.
+/// when `own` holds it, or stages it for the shard that owns `dest`.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn place<M>(
+fn place<M, T: ?Sized, L: ShardLookup<T>, X: CrossShard<M> + ?Sized>(
+    topology: &T,
     dest: usize,
     msg: M,
     bits: u64,
@@ -541,14 +610,15 @@ fn place<M>(
     slots: &mut [Option<M>],
     touched: &mut Vec<usize>,
     report: &mut ShardReport,
-    stage: &mut impl FnMut(u32, u32, M),
+    stage: &mut X,
 ) {
-    report.record(bits);
+    report.record(1, bits);
     if own.contains(&dest) {
         fill_slot(slots, dest - own.start, msg, v, touched);
     } else {
         report.cross += 1;
-        stage(dest as u32, v as u32, msg);
+        let to = L::shard_of_slot(topology, dest);
+        stage.port(to, dest as u32, v as u32, msg);
     }
 }
 
@@ -585,6 +655,11 @@ pub(crate) trait ShardLookup<T: ?Sized> {
     fn dest_slot(topology: &T, shard: usize, v: NodeId, p: Port) -> usize;
     /// The global slot range of `v`'s own inbox.
     fn port_range(topology: &T, shard: usize, v: NodeId) -> core::ops::Range<usize>;
+    /// The remap-table row of any node `v` (see
+    /// [`ShardTopologyView::dest_row`]), or `None` without one.
+    fn dest_row(topology: &T, v: NodeId) -> Option<&[u32]>;
+    /// The shard owning global slot `slot`.
+    fn shard_of_slot(topology: &T, slot: usize) -> usize;
 }
 
 /// One shard of a [`ShardTopologyView`], routed through its precomputed
@@ -613,6 +688,16 @@ impl<T: ShardTopologyView + ?Sized> ShardLookup<T> for RemapTable {
     #[inline]
     fn port_range(topology: &T, shard: usize, v: NodeId) -> core::ops::Range<usize> {
         topology.port_range_from(shard, v)
+    }
+
+    #[inline]
+    fn dest_row(topology: &T, v: NodeId) -> Option<&[u32]> {
+        topology.dest_row(v)
+    }
+
+    #[inline]
+    fn shard_of_slot(topology: &T, slot: usize) -> usize {
+        topology.shard_of_slot(slot)
     }
 }
 
@@ -643,6 +728,62 @@ impl<T: TopologyView + ?Sized> ShardLookup<T> for WholeGraph {
     #[inline]
     fn port_range(topology: &T, _shard: usize, v: NodeId) -> core::ops::Range<usize> {
         topology.port_range(v)
+    }
+
+    /// No remap table: a broadcast is routed port by port.
+    #[inline]
+    fn dest_row(_topology: &T, _v: NodeId) -> Option<&[u32]> {
+        None
+    }
+
+    #[inline]
+    fn shard_of_slot(_topology: &T, _slot: usize) -> usize {
+        0
+    }
+}
+
+/// Where a kernel's send step puts the messages whose slot another shard
+/// owns: any [`Transport`] endpoint, or a remote worker's relay frame
+/// builders.
+pub(crate) trait CrossShard<M> {
+    /// One message of an `Outbox::PerPort` list, for `slot` of shard `to`.
+    fn port(&mut self, to: usize, slot: u32, sender: u32, msg: M);
+    /// `sender`'s broadcast for shard `to`: `dests` is the run of its
+    /// remap-table row in `to`'s slots.
+    fn broadcast(&mut self, to: usize, sender: u32, msg: M, dests: &[u32]);
+}
+
+impl<M: TransportMessage, X: Transport<M>> CrossShard<M> for X {
+    #[inline]
+    fn port(&mut self, to: usize, slot: u32, sender: u32, msg: M) {
+        self.stage(to, slot, sender, msg);
+    }
+
+    #[inline]
+    fn broadcast(&mut self, to: usize, sender: u32, msg: M, dests: &[u32]) {
+        self.stage_broadcast(to, sender, msg, dests);
+    }
+}
+
+/// The single-threaded driver's transport: its only shard owns every slot,
+/// so nothing is staged and nothing drains.
+struct OneShard;
+
+impl<M: TransportMessage> Transport<M> for OneShard {
+    fn stage(&mut self, _: usize, _: u32, _: u32, _: M) {
+        unreachable!("the only shard owns every slot")
+    }
+
+    fn flush(&mut self, _round: u64) -> u64 {
+        0
+    }
+
+    fn drain(
+        &mut self,
+        _round: u64,
+        _sink: &mut dyn FnMut(Entry<M>),
+    ) -> Result<(), TransportError> {
+        Ok(())
     }
 }
 
@@ -691,9 +832,7 @@ impl<T: TopologyView> Executor<T> for SequentialExecutor {
                 tracer.emit(&TraceEvent::RoundStart { round, active });
             }
             let t0 = kernel.report().timings.total();
-            kernel.send_route(round, |_, _, _| {
-                unreachable!("the only shard owns every slot")
-            });
+            kernel.send_route(round, &mut OneShard);
             kernel
                 .deliver(round, |_| Ok::<(), TransportError>(()))
                 .expect("the only shard drains nothing");
@@ -813,9 +952,10 @@ pub(crate) struct ShardReport {
 }
 
 impl ShardReport {
-    fn record(&mut self, bits: u64) {
-        self.messages += 1;
-        self.total_bits += bits;
+    /// Charges `count` messages of `bits` bits each.
+    fn record(&mut self, count: u64, bits: u64) {
+        self.messages += count;
+        self.total_bits += count * bits;
         self.max_message_bits = self.max_message_bits.max(bits);
     }
 }
@@ -1041,7 +1181,6 @@ fn run_shard_thread<A: NodeAlgorithm, X: Transport<A::Message>>(
     mut transport: X,
     active_count: &AtomicUsize,
 ) -> ShardReport {
-    let topology = kernel.topology;
     sync.guard(|| active_count.store(kernel.admit(), Ordering::SeqCst));
     if sync.sync() {
         // ready barrier crossed: initial active counts are published
@@ -1051,10 +1190,7 @@ fn run_shard_thread<A: NodeAlgorithm, X: Transport<A::Message>>(
             }
             let round = signal.round.load(Ordering::SeqCst);
             sync.guard(|| {
-                kernel.send_route(round, |slot, sender, msg| {
-                    let target = topology.shard_of_slot(slot as usize);
-                    transport.stage(target, slot, sender, msg);
-                });
+                kernel.send_route(round, &mut transport);
                 kernel
                     .flush(round, || Ok::<u64, Infallible>(transport.flush(round)))
                     .unwrap_or_else(|never| match never {});

@@ -48,7 +48,7 @@ use crate::sharded::ShardedTopology;
 use crate::simulator::{RunOutcome, Simulator, SimulatorConfig};
 use crate::topology::TopologyView;
 use crate::trace::{TraceEvent, TraceSink};
-use crate::transport::{Staged, Transport, TransportBuilder, TransportError, TransportMessage};
+use crate::transport::{Entry, Transport, TransportBuilder, TransportError, TransportMessage};
 use crate::NodeAlgorithm;
 
 /// Domain-separation constant for the fault decision stream (arbitrary odd
@@ -470,6 +470,9 @@ impl<B: TransportBuilder> TransportBuilder for FaultyTransport<B> {
     }
 }
 
+/// Messages held for one destination shard: `(slot, sender, message)`.
+type Staged<M> = Vec<(u32, u32, M)>;
+
 /// Deferred deliveries of one shard pair, keyed by the round they land in.
 type FutureCell<M> = BTreeMap<u64, Staged<M>>;
 
@@ -561,11 +564,7 @@ impl<T: Transport<M>, M: TransportMessage> Transport<M> for FaultyLayer<T, M> {
         self.inner.flush(round)
     }
 
-    fn drain(
-        &mut self,
-        round: u64,
-        sink: &mut dyn FnMut(u32, u32, M),
-    ) -> Result<(), TransportError> {
+    fn drain(&mut self, round: u64, sink: &mut dyn FnMut(Entry<M>)) -> Result<(), TransportError> {
         self.inner.drain(round, sink)
     }
 

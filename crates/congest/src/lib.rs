@@ -102,7 +102,7 @@ pub use trace::{
 };
 pub use transport::{
     coordinate, coordinate_traced, serve_shard, serve_shard_on, serve_shard_with, CoordinateSpec,
-    DataPlane, InProcess, ServeOptions, SocketLoopback, Transport, TransportBuilder,
+    DataPlane, Entry, InProcess, ServeOptions, SocketLoopback, Transport, TransportBuilder,
     TransportError, TransportMessage, WorkerMesh, WorkerStats,
 };
 pub use wire::{BitReader, BitWriter, WireError, WireMessage};

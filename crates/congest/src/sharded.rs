@@ -42,7 +42,11 @@
 //! p)` for the neighbour `u` behind `p`.  One linear pass precomputes it as
 //! a `u32` per directed edge ([`ShardedTopology::dest_slot`]), so senders
 //! either write the slot directly (intra-shard) or enqueue the pair
-//! `(slot, message)` for the owning worker (cross-shard).
+//! `(slot, message)` for the owning worker (cross-shard).  A node's row of
+//! the table ascends, so its ports into one shard are one run of it
+//! ([`ShardTopologyView::dest_row`]): an in-process broadcast crosses to
+//! that shard as one entry, and the receiving worker fans it out over the
+//! sender's run.
 
 use serde::{Deserialize, Serialize};
 
@@ -684,6 +688,13 @@ pub trait ShardTopologyView {
     fn dest_slot_from(&self, shard: usize, v: NodeId, p: Port) -> usize;
     /// The global flat-slot range of `v`'s own inbox, `v` in `shard`.
     fn port_range_from(&self, shard: usize, v: NodeId) -> core::ops::Range<usize>;
+    /// The remap-table row of node `v`, whichever shard owns it: the global
+    /// inbox slot each of its ports lands in, in port order.  Ports are
+    /// sorted by neighbour and shards are contiguous node ranges, so the
+    /// row ascends and the ports into any one shard form one run of it.
+    /// `None` when the view holds no row for `v`: `v` is not a node of the
+    /// graph, or, for a [`ShardSliceTopology`], not a node of its shard.
+    fn dest_row(&self, v: NodeId) -> Option<&[u32]>;
 }
 
 impl ShardTopologyView for ShardedTopology {
@@ -733,6 +744,11 @@ impl ShardTopologyView for ShardedTopology {
     fn port_range_from(&self, shard: usize, v: NodeId) -> core::ops::Range<usize> {
         debug_assert_eq!(self.shard_of(v), shard);
         self.topology.port_range(v)
+    }
+
+    #[inline]
+    fn dest_row(&self, v: NodeId) -> Option<&[u32]> {
+        (v < self.topology.num_nodes()).then(|| &self.dest_slot[self.topology.port_range(v)])
     }
 }
 
@@ -787,6 +803,13 @@ impl ShardTopologyView for ShardSliceTopology {
         let i = v - self.plan.node_start[self.shard];
         let base = self.plan.slot_start[self.shard];
         base + self.offsets[i]..base + self.offsets[i + 1]
+    }
+
+    #[inline]
+    fn dest_row(&self, v: NodeId) -> Option<&[u32]> {
+        let i = v.checked_sub(self.plan.node_start[self.shard])?;
+        let (&start, &end) = (self.offsets.get(i)?, self.offsets.get(i + 1)?);
+        Some(&self.dest_slot[start..end])
     }
 }
 
@@ -1043,8 +1066,16 @@ mod tests {
                     for p in 0..slice.degree_from(s, v) {
                         assert_eq!(slice.dest_slot_from(s, v, p), full.dest_slot(v, p));
                     }
+                    let row = full.dest_row(v).expect("the full build holds every row");
+                    assert_eq!(slice.dest_row(v), Some(row));
+                    assert!(row.windows(2).all(|w| w[0] < w[1]), "row {v} ascends");
                 }
+                // A slice holds no row outside its shard; nobody holds one
+                // past the last node.
+                let own = ShardTopologyView::shard_nodes(&slice, s);
+                assert!((0..=n).all(|v| own.contains(&v) || slice.dest_row(v).is_none()));
             }
+            assert_eq!(full.dest_row(n), None);
         }
     }
 

@@ -705,6 +705,40 @@ mod tests {
             .run_with_executor(vec![DoubleSend, DoubleSend], &ShardedExecutor::new());
     }
 
+    #[cfg(unix)]
+    #[test]
+    fn duplicate_port_send_across_the_cut_is_rejected() {
+        use crate::executor::ShardedExecutor;
+        use crate::sharded::ShardedTopology;
+        use crate::transport::SocketLoopback;
+        let dense = Topology::from_edges(2, &[(0, 1)]).unwrap();
+        let g = ShardedTopology::from_topology(&dense, 2).unwrap();
+        assert_eq!(g.shard_nodes(1), 1..2, "the edge crosses the cut");
+        let in_process = || {
+            Simulator::new(&g)
+                .run_with_executor(vec![DoubleSend, DoubleSend], &ShardedExecutor::new());
+        };
+        let socket = || {
+            Simulator::new(&g).run_with_executor(
+                vec![DoubleSend, DoubleSend],
+                &ShardedExecutor::with_transport(SocketLoopback::unix()),
+            );
+        };
+        let runs: [&dyn Fn(); 2] = [&in_process, &socket];
+        for run in runs {
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("a double send must panic");
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(
+                message.contains("two messages over the same port"),
+                "{message}"
+            );
+        }
+    }
+
     #[test]
     fn sharded_run_leaves_a_clean_arena_for_reuse() {
         // Regression: kernels track touched slots locally, so they must

@@ -12,7 +12,9 @@
 //!   owns.  A buffer changes hands twice per round: the sender's flush
 //!   hands it to the receiver, whose drain empties it and keeps it as its
 //!   own staging buffer towards that sender.  Messages move as Rust values;
-//!   nothing is encoded.
+//!   nothing is encoded.  A broadcast is one [`Entry::Broadcast`] per
+//!   destination shard, not one entry per cut edge: the receiving kernel
+//!   fans it out over the sender's ports into its shard.
 //! * [`SocketLoopback`] — every shard pair is connected by a real socket
 //!   (Unix-domain or TCP loopback) and every cross-shard message crosses it
 //!   through the [`wire`](crate::wire) codec: length-prefixed,
@@ -76,7 +78,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::algorithm::{MessageSize, NodeAlgorithm, NodeContext};
-use crate::executor::{DeliveryMode, RemapTable, ShardKernel};
+use crate::executor::{CrossShard, DeliveryMode, RemapTable, ShardKernel};
 use crate::metrics::RunMetrics;
 use crate::sharded::{ShardPlan, ShardTopologyView, ShardedTopology};
 use crate::simulator::RunOutcome;
@@ -111,7 +113,8 @@ fn check_wire_shard_count(shards: usize) -> std::io::Result<()> {
 /// A checked failure surfaced by [`Transport::drain`] or by the delivery
 /// that consumes it: the bytes arrived, but they are not the one
 /// well-formed data frame of the round this shard pair owes, or an entry
-/// in it names a slot the receiving shard does not own.
+/// in it names a slot the receiving shard does not own or a broadcasting
+/// sender with no port into it.
 ///
 /// This is how a **late, duplicate or out-of-round frame** manifests: a
 /// frame stamped with round `r' != r` sitting at the front of the inbound
@@ -143,6 +146,14 @@ pub enum TransportError {
         /// The slot the entry names.
         slot: u32,
     },
+    /// A broadcast entry names a sender with no port into the receiving
+    /// shard, so it reaches no slot of it.
+    BroadcastOutsideShard {
+        /// The receiving shard.
+        shard: usize,
+        /// The sender the entry names.
+        sender: u32,
+    },
 }
 
 impl std::fmt::Display for TransportError {
@@ -154,6 +165,10 @@ impl std::fmt::Display for TransportError {
                 f,
                 "a data entry for slot {slot} reached shard {shard}, which does not own that slot"
             ),
+            TransportError::BroadcastOutsideShard { shard, sender } => write!(
+                f,
+                "a broadcast entry from node {sender} reached shard {shard}, which it has no port into"
+            ),
         }
     }
 }
@@ -162,7 +177,9 @@ impl std::error::Error for TransportError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TransportError::Wire(e) => Some(e),
-            TransportError::Protocol(_) | TransportError::SlotOutsideShard { .. } => None,
+            TransportError::Protocol(_)
+            | TransportError::SlotOutsideShard { .. }
+            | TransportError::BroadcastOutsideShard { .. } => None,
         }
     }
 }
@@ -187,6 +204,34 @@ pub trait TransportMessage: Clone + Send + Sync + MessageSize + WireMessage {}
 
 impl<T: Clone + Send + Sync + MessageSize + WireMessage> TransportMessage for T {}
 
+/// One cross-shard entry, as a [`Transport`] delivers it to the receiving
+/// shard's kernel.
+///
+/// Each kind is its own variant; no slot value marks a broadcast.  Wire
+/// decoders only ever yield [`Entry::Port`]: a broadcast entry exists only
+/// between the kernels of one process.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Entry<M> {
+    /// One message for one inbox slot.
+    Port {
+        /// The destination's global inbox slot.
+        slot: u32,
+        /// The sending node.
+        sender: u32,
+        /// The message.
+        msg: M,
+    },
+    /// One broadcast for the receiving shard: `msg` lands in every slot of
+    /// that shard that `sender` has a port into, found through
+    /// [`ShardTopologyView::dest_row`].
+    Broadcast {
+        /// The sending node.
+        sender: u32,
+        /// The message.
+        msg: M,
+    },
+}
+
 /// One shard's end of a round-framed cross-shard channel (see the
 /// [module docs](self)).
 ///
@@ -199,16 +244,35 @@ impl<T: Clone + Send + Sync + MessageSize + WireMessage> TransportMessage for T 
 /// barriers give that order; a wire endpoint also gets it by waiting for
 /// its peers' frames.
 pub trait Transport<M: TransportMessage>: Send {
-    /// Stages one message for shard `to`: `slot` is the destination's
-    /// global inbox slot, `sender` the sending node.
+    /// Stages one message of an `Outbox::PerPort` list for shard `to`:
+    /// `slot` is the destination's global inbox slot, `sender` the sending
+    /// node.  Delivered as one [`Entry::Port`].
     fn stage(&mut self, to: usize, slot: u32, sender: u32, msg: M);
+
+    /// Stages `sender`'s broadcast for shard `to`, once per round and
+    /// destination shard: `dests` is the run of `sender`'s
+    /// [`dest_row`](ShardTopologyView::dest_row) that lies in `to`'s
+    /// slots, ascending, one slot per port.
+    ///
+    /// The default stages one entry per slot of `dests`, in port order, so
+    /// a backend that encodes or inspects every edge (the wire mesh, the
+    /// fault layer) sees exactly the per-edge stream.  [`InProcess`] keeps
+    /// one [`Entry::Broadcast`] instead.
+    fn stage_broadcast(&mut self, to: usize, sender: u32, msg: M, dests: &[u32]) {
+        for &slot in dests {
+            self.stage(to, slot, sender, msg.clone());
+        }
+    }
 
     /// Seals this round's staged batches at the send barrier; returns the
     /// wire bytes this flush produced (0 for in-memory backends).
     fn flush(&mut self, round: u64) -> u64;
 
-    /// Delivers every message addressed to this shard for `round`, in
-    /// sending-shard order, by invoking `sink(slot, sender, message)`.
+    /// Delivers every entry addressed to this shard for `round` to `sink`,
+    /// in sending-shard order and, within one sender shard, in staging
+    /// order.  The receiving kernel writes an [`Entry::Port`] into its slot
+    /// and fans an [`Entry::Broadcast`] out over the sender's ports into
+    /// its shard.
     ///
     /// # Errors
     ///
@@ -217,11 +281,7 @@ pub trait Transport<M: TransportMessage>: Send {
     /// other than `round` (wire-facing backends only; in-memory backends
     /// cannot fail).  The executor treats any error as fatal for the run and
     /// unwinds through its poison barriers.
-    fn drain(
-        &mut self,
-        round: u64,
-        sink: &mut dyn FnMut(u32, u32, M),
-    ) -> Result<(), TransportError>;
+    fn drain(&mut self, round: u64, sink: &mut dyn FnMut(Entry<M>)) -> Result<(), TransportError>;
 
     /// The number of kernel write batches this endpoint has issued so far —
     /// one per successful `write(2)` syscall on its outbound peer links.
@@ -265,14 +325,17 @@ pub trait TransportBuilder: Sync {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InProcess;
 
-/// Messages staged from one shard for another: `(slot, sender, message)`.
-pub(crate) type Staged<M> = Vec<(u32, u32, M)>;
+/// Entries staged from one shard for another.
+type Staged<M> = Vec<Entry<M>>;
 
 /// One shard's endpoint of the [`InProcess`] backend.
 ///
-/// The shard stages into `out[to]`, a buffer it owns.  Its flush swaps each
-/// buffer into the pair's handoff cell; the receiver's drain swaps it out
-/// again, empties it and keeps it, capacity and all, as its own staging
+/// The shard stages into `out[to]`, a buffer it owns: one [`Entry::Port`]
+/// per per-port message and one [`Entry::Broadcast`] per broadcasting
+/// sender, so a buffer holds at most one entry per sender and round for a
+/// broadcast workload, however many edges cross the cut.  Its flush swaps
+/// each buffer into the pair's handoff cell; the receiver's drain swaps it
+/// out again, empties it and keeps it, capacity and all, as its own staging
 /// buffer towards that sender.  So the `S·(S−1)` buffers circulate among the
 /// `S·(S−1)` ordered pairs, a cell is locked twice per round rather than
 /// once per message, and staging stops allocating once the buffers have
@@ -297,7 +360,11 @@ fn swap_with_cell<M>(cell: &Mutex<Staged<M>>, buf: &mut Staged<M>) {
 
 impl<M: TransportMessage> Transport<M> for InProcessTransport<M> {
     fn stage(&mut self, to: usize, slot: u32, sender: u32, msg: M) {
-        self.out[to].push((slot, sender, msg));
+        self.out[to].push(Entry::Port { slot, sender, msg });
+    }
+
+    fn stage_broadcast(&mut self, to: usize, sender: u32, msg: M, _dests: &[u32]) {
+        self.out[to].push(Entry::Broadcast { sender, msg });
     }
 
     fn flush(&mut self, _round: u64) -> u64 {
@@ -310,20 +377,14 @@ impl<M: TransportMessage> Transport<M> for InProcessTransport<M> {
         0 // nothing to seal: values move as they are
     }
 
-    fn drain(
-        &mut self,
-        _round: u64,
-        sink: &mut dyn FnMut(u32, u32, M),
-    ) -> Result<(), TransportError> {
+    fn drain(&mut self, _round: u64, sink: &mut dyn FnMut(Entry<M>)) -> Result<(), TransportError> {
         let shards = self.out.len();
         for (from, buf) in self.out.iter_mut().enumerate() {
             if from == self.shard {
                 continue;
             }
             swap_with_cell(&self.cells[from * shards + self.shard], buf);
-            for (slot, sender, msg) in buf.drain(..) {
-                sink(slot, sender, msg);
-            }
+            buf.drain(..).for_each(&mut *sink);
         }
         Ok(())
     }
@@ -900,6 +961,32 @@ pub fn read_peers<L: Read>(
     Ok(peers)
 }
 
+/// Decodes a data frame's payload into `sink`, one [`Entry::Port`] per wire
+/// entry: bytes from outside the process never make a broadcast entry, and
+/// the receiving kernel range-checks every slot they name.
+fn for_each_port_entry<M: WireMessage>(
+    payload: &[u8],
+    sink: &mut dyn FnMut(Entry<M>),
+) -> Result<(), WireError> {
+    for_each_data_entry(payload, |slot, sender, msg| {
+        sink(Entry::Port { slot, sender, msg })
+    })
+}
+
+/// The relay data plane's staging: one frame builder per destination shard,
+/// encoding every edge of a broadcast, as the mesh does.
+impl<M: WireMessage> CrossShard<M> for [DataFrameBuilder] {
+    fn port(&mut self, to: usize, slot: u32, sender: u32, msg: M) {
+        self[to].push(slot, sender, &msg);
+    }
+
+    fn broadcast(&mut self, to: usize, sender: u32, msg: M, dests: &[u32]) {
+        for &slot in dests {
+            self[to].push(slot, sender, &msg);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The direct worker↔worker data mesh
 // ---------------------------------------------------------------------------
@@ -1015,11 +1102,7 @@ impl<M: TransportMessage> Transport<M> for WorkerMesh {
     ///
     /// A late, duplicate or out-of-round frame, or a non-data frame on a
     /// mesh connection, is a typed [`TransportError`].
-    fn drain(
-        &mut self,
-        round: u64,
-        sink: &mut dyn FnMut(u32, u32, M),
-    ) -> Result<(), TransportError> {
+    fn drain(&mut self, round: u64, sink: &mut dyn FnMut(Entry<M>)) -> Result<(), TransportError> {
         let mut rotor: usize = 0;
 
         // Step 1: hand every byte we owe to the kernel, reading as we go so
@@ -1066,7 +1149,7 @@ impl<M: TransportMessage> Transport<M> for WorkerMesh {
         // already validated as the frames arrived).
         for link in &mut self.links {
             let frame = link.frame.take().expect("step 2 buffered a frame per peer");
-            for_each_data_entry::<M>(&frame.payload, &mut *sink)?;
+            for_each_port_entry(&frame.payload, sink)?;
         }
         Ok(())
     }
@@ -1355,15 +1438,10 @@ where
             break;
         }
 
-        kernel.send_route(round, |slot, sender, msg| {
-            let target = topology.shard_of_slot(slot as usize);
-            match data {
-                DataPlane::Relay => batches[target].push(slot, sender, &msg),
-                DataPlane::Mesh(mesh) => {
-                    Transport::<A::Message>::stage(mesh, target, slot, sender, msg)
-                }
-            }
-        });
+        match data {
+            DataPlane::Relay => kernel.send_route(round, &mut batches[..]),
+            DataPlane::Mesh(mesh) => kernel.send_route(round, mesh),
+        }
         // One data frame per destination shard.
         kernel.flush(round, || -> std::io::Result<u64> {
             match data {
@@ -1392,7 +1470,7 @@ where
                             return Err(protocol_error("expected a relayed data frame"));
                         }
                         frame.header.expect(round, from as u16, me)?;
-                        for_each_data_entry::<A::Message>(&frame.payload, &mut *sink)?;
+                        for_each_port_entry(&frame.payload, sink)?;
                     }
                     Ok(())
                 }
@@ -2401,7 +2479,7 @@ mod tests {
     fn out_of_round_frame_is_a_checked_transport_error() {
         let mut t = forged_pair();
         forge(&mut t[0], &frame(FrameKind::Data, 5, &0u32.to_le_bytes()));
-        let err = Transport::<u64>::drain(&mut t[1], 0, &mut |_, _, _| {
+        let err = Transport::<u64>::drain(&mut t[1], 0, &mut |_| {
             panic!("nothing must be delivered from an out-of-round frame")
         })
         .expect_err("out-of-round frame must be rejected");
@@ -2543,9 +2621,8 @@ mod tests {
         let original = frame(FrameKind::Data, 0, &0u32.to_le_bytes());
         forge(&mut t[0], &original);
         forge(&mut t[0], &original);
-        Transport::<u64>::drain(&mut t[1], 0, &mut |_, _, _| {})
-            .expect("round 0 drains the original");
-        let err = Transport::<u64>::drain(&mut t[1], 1, &mut |_, _, _| {
+        Transport::<u64>::drain(&mut t[1], 0, &mut |_| {}).expect("round 0 drains the original");
+        let err = Transport::<u64>::drain(&mut t[1], 1, &mut |_| {
             panic!("the stale duplicate must not be delivered")
         })
         .expect_err("duplicate frame must be rejected at the next barrier");
@@ -2616,6 +2693,86 @@ mod tests {
         let mut out = Vec::new();
         batch.seal(0, 0, 1, &mut out);
         out
+    }
+
+    /// [`InProcess`], except that shard 0 receives every broadcast entry
+    /// as if `sender` had sent it.
+    #[derive(Clone, Copy)]
+    struct ForgedSender {
+        sender: u32,
+    }
+
+    struct ForgedSenderEndpoint<M> {
+        shard: usize,
+        sender: u32,
+        inner: InProcessTransport<M>,
+    }
+
+    impl<M: TransportMessage> Transport<M> for ForgedSenderEndpoint<M> {
+        fn stage(&mut self, to: usize, slot: u32, sender: u32, msg: M) {
+            self.inner.stage(to, slot, sender, msg);
+        }
+
+        fn stage_broadcast(&mut self, to: usize, sender: u32, msg: M, dests: &[u32]) {
+            self.inner.stage_broadcast(to, sender, msg, dests);
+        }
+
+        fn flush(&mut self, round: u64) -> u64 {
+            self.inner.flush(round)
+        }
+
+        fn drain(
+            &mut self,
+            round: u64,
+            sink: &mut dyn FnMut(Entry<M>),
+        ) -> Result<(), TransportError> {
+            let (shard, forged) = (self.shard, self.sender);
+            self.inner.drain(round, &mut |entry| match entry {
+                Entry::Broadcast { msg, .. } if shard == 0 => sink(Entry::Broadcast {
+                    sender: forged,
+                    msg,
+                }),
+                entry => sink(entry),
+            })
+        }
+    }
+
+    impl TransportBuilder for ForgedSender {
+        type Transport<M: TransportMessage> = ForgedSenderEndpoint<M>;
+
+        fn build<M: TransportMessage>(
+            &self,
+            topology: &ShardedTopology,
+        ) -> std::io::Result<Vec<ForgedSenderEndpoint<M>>> {
+            let endpoints = InProcess.build::<M>(topology)?.into_iter().enumerate();
+            Ok(endpoints
+                .map(|(shard, inner)| ForgedSenderEndpoint {
+                    shard,
+                    sender: self.sender,
+                    inner,
+                })
+                .collect())
+        }
+    }
+
+    #[test]
+    fn a_broadcast_from_a_node_without_ports_into_the_shard_is_a_checked_error() {
+        let g = ShardedTopology::from_topology(&ring(8), 2).unwrap();
+        assert_eq!(g.shard_nodes(1), 4..8);
+        // Node 5's neighbours are 4 and 6, both in shard 1; node 100 does
+        // not exist.
+        for sender in [5, 100] {
+            let executor = ShardedExecutor::with_transport(ForgedSender { sender });
+            let run =
+                std::panic::catch_unwind(|| Simulator::new(&g).run_with_executor(mk(8), &executor));
+            let payload = run.expect_err("the forged entry must abort the run");
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            let want = TransportError::BroadcastOutsideShard { shard: 0, sender }.to_string();
+            assert!(message.contains(&want), "{message}");
+        }
     }
 
     /// Forged frames reaching a worker are typed errors, never panics: an

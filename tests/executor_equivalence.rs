@@ -19,7 +19,8 @@
 //! reverse ports), and every generator, the sharded builds and the worker
 //! slices must reproduce it port for port.
 
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -28,11 +29,13 @@ use rand::{RngExt, SeedableRng};
 
 use dcme_baselines::degree_plus_one::{self, DegreePlusOneNode};
 use dcme_baselines::ultrafast::{self, UltrafastNode};
+use dcme_congest::transport::InProcessTransport;
 use dcme_congest::{
-    ExecutionMode, FaultPlan, FaultyTransport, Inbox, MessageSize, NodeAlgorithm, NodeContext,
-    Outbox, RecordingSink, RunMetrics, RunOutcome, ShardPlan, ShardSliceTopology,
+    Entry, ExecutionMode, FaultPlan, FaultyTransport, InProcess, Inbox, MessageSize, NodeAlgorithm,
+    NodeContext, Outbox, RecordingSink, RunMetrics, RunOutcome, ShardPlan, ShardSliceTopology,
     ShardTopologyView, ShardedExecutor, ShardedTopology, Simulator, SimulatorConfig,
-    SocketLoopback, Topology, TopologyError, TopologyView, TraceEvent, TransportBuilder,
+    SocketLoopback, Topology, TopologyError, TopologyView, TraceEvent, Transport, TransportBuilder,
+    TransportError, TransportMessage,
 };
 use dcme_graphs::generators::{self, GraphFamily};
 use dcme_graphs::{streaming, InducedSubgraph};
@@ -363,6 +366,97 @@ impl NodeAlgorithm for ScheduledGossip {
     }
 }
 
+/// What a [`MixedSender`] does in one round.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Action {
+    Silent,
+    Broadcast,
+    /// Distinct payloads on these ports.
+    Ports(Vec<usize>),
+}
+
+/// SplitMix64 finalisers chained over `words`.
+fn mix(words: [u64; 4]) -> u64 {
+    words.iter().fold(0x9E37_79B9_7F4A_7C15, |h, &w| {
+        let mut z = (h ^ w).wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    })
+}
+
+/// The seeded action of node `v`, of degree `degree`, in `round`: silent,
+/// a broadcast, or distinct payloads on a seeded subset of its ports.
+fn action(seed: u64, v: usize, round: u64, degree: usize) -> Action {
+    match mix([seed, v as u64, round, u64::MAX]) % 3 {
+        0 => Action::Silent,
+        1 => Action::Broadcast,
+        _ => Action::Ports(
+            (0..degree)
+                .filter(|&p| mix([seed, v as u64, round, p as u64]) % 2 == 0)
+                .collect(),
+        ),
+    }
+}
+
+/// A workload that sends both outbox kinds: each round a node takes its
+/// seeded [`action`], so per-port messages and broadcasts cross the same
+/// shard pair in one round.  Folds what it hears into a digest and halts
+/// after `ttl` rounds, like [`ScheduledGossip`].
+#[derive(Clone)]
+struct MixedSender {
+    seed: u64,
+    inner: ScheduledGossip,
+}
+
+impl MixedSender {
+    fn new(seed: u64, ttl: u64) -> Self {
+        Self {
+            seed,
+            inner: ScheduledGossip::new(ttl),
+        }
+    }
+}
+
+impl NodeAlgorithm for MixedSender {
+    type Message = u64;
+    type Output = u64;
+
+    fn init(&mut self, ctx: &NodeContext) {
+        self.inner.init(ctx);
+    }
+
+    fn send(&mut self, ctx: &NodeContext) -> Outbox<u64> {
+        match action(self.seed, ctx.node, ctx.round, ctx.degree) {
+            Action::Silent => Outbox::Silent,
+            Action::Broadcast => self.inner.send(ctx),
+            Action::Ports(ports) => Outbox::PerPort(
+                ports
+                    .into_iter()
+                    .map(|p| {
+                        (
+                            p,
+                            mix([self.seed, self.inner.id, ctx.round, p as u64]) >> 40,
+                        )
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    fn receive(&mut self, ctx: &NodeContext, inbox: &Inbox<'_, u64>) {
+        self.inner.receive(ctx, inbox);
+    }
+
+    fn is_halted(&self) -> bool {
+        self.inner.is_halted()
+    }
+
+    fn output(&self) -> u64 {
+        self.inner.output()
+    }
+}
+
 /// Derives a ragged-but-deterministic halting schedule from one seed.
 fn schedule(n: usize, seed: u64) -> Vec<u64> {
     (0..n as u64)
@@ -473,6 +567,147 @@ fn assert_tracing_invisible(name: &str, plain: &RunOutcome<u64>, traced: &RunOut
     );
 }
 
+/// Entries one endpoint handled in one round, as `(broadcast, per-port)`
+/// pairs: staged towards other shards, and drained from them.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct EntryCounts {
+    staged: (u64, u64),
+    drained: (u64, u64),
+}
+
+/// [`InProcess`], with every endpoint logging its [`EntryCounts`] per round.
+#[derive(Clone, Default)]
+struct CountingInProcess {
+    log: Arc<Mutex<BTreeMap<(u64, usize), EntryCounts>>>,
+}
+
+struct CountingEndpoint<M> {
+    shard: usize,
+    staged: (u64, u64),
+    log: Arc<Mutex<BTreeMap<(u64, usize), EntryCounts>>>,
+    inner: InProcessTransport<M>,
+}
+
+impl<M: TransportMessage> Transport<M> for CountingEndpoint<M> {
+    fn stage(&mut self, to: usize, slot: u32, sender: u32, msg: M) {
+        self.staged.1 += 1;
+        self.inner.stage(to, slot, sender, msg);
+    }
+
+    fn stage_broadcast(&mut self, to: usize, sender: u32, msg: M, dests: &[u32]) {
+        self.staged.0 += 1;
+        self.inner.stage_broadcast(to, sender, msg, dests);
+    }
+
+    fn flush(&mut self, round: u64) -> u64 {
+        let mut log = self.log.lock().unwrap();
+        log.entry((round, self.shard)).or_default().staged = std::mem::take(&mut self.staged);
+        self.inner.flush(round)
+    }
+
+    fn drain(&mut self, round: u64, sink: &mut dyn FnMut(Entry<M>)) -> Result<(), TransportError> {
+        let mut drained = (0, 0);
+        let result = self.inner.drain(round, &mut |entry| {
+            match entry {
+                Entry::Broadcast { .. } => drained.0 += 1,
+                Entry::Port { .. } => drained.1 += 1,
+            }
+            sink(entry);
+        });
+        self.log
+            .lock()
+            .unwrap()
+            .entry((round, self.shard))
+            .or_default()
+            .drained = drained;
+        result
+    }
+}
+
+impl TransportBuilder for CountingInProcess {
+    type Transport<M: TransportMessage> = CountingEndpoint<M>;
+
+    fn build<M: TransportMessage>(
+        &self,
+        topology: &ShardedTopology,
+    ) -> std::io::Result<Vec<CountingEndpoint<M>>> {
+        Ok(InProcess
+            .build::<M>(topology)?
+            .into_iter()
+            .enumerate()
+            .map(|(shard, inner)| CountingEndpoint {
+                shard,
+                staged: (0, 0),
+                log: Arc::clone(&self.log),
+                inner,
+            })
+            .collect())
+    }
+}
+
+/// Runs `mk()` on `g` cut into `shards` under [`CountingInProcess`] and
+/// asserts, per round and endpoint, one broadcast entry per broadcasting
+/// sender and other shard among its neighbours and one per-port entry per
+/// per-port message across the cut, both staged and drained; and that
+/// outputs and logical counters, `cross_shard_messages` per edge included,
+/// match the reference loop.  `act(v, round)` is node `v`'s action in a
+/// round it is active, and `ttls[v]` its number of active rounds.
+fn assert_one_entry_per_destination_shard<A: NodeAlgorithm<Output = u64>>(
+    name: &str,
+    g: &Topology,
+    shards: usize,
+    ttls: &[u64],
+    mk: impl Fn() -> Vec<A>,
+    act: impl Fn(usize, u64) -> Action,
+) -> Result<(), TestCaseError> {
+    let sharded = ShardedTopology::from_topology(g, shards).expect("shardable topology");
+    let counting = CountingInProcess::default();
+    let executor = ShardedExecutor::with_transport(counting.clone());
+    let run = Simulator::new(&sharded).run_with_executor(mk(), &executor);
+    assert_matches_oracle(name, &reference_run(g, mk(), 1_000_000), &run)?;
+
+    let mut want = BTreeMap::new();
+    let mut cross = 0;
+    for round in 0..run.metrics.rounds {
+        for s in 0..shards {
+            want.insert((round, s), EntryCounts::default());
+        }
+        for v in (0..g.num_nodes()).filter(|&v| round < ttls[v]) {
+            let from = sharded.shard_of(v);
+            let shard_at = |p| sharded.shard_of(g.neighbor_at(v, p));
+            let ports = match act(v, round) {
+                Action::Silent => continue,
+                Action::Broadcast => {
+                    let others: BTreeSet<usize> = (0..g.degree(v))
+                        .map(shard_at)
+                        .filter(|&t| t != from)
+                        .collect();
+                    want.get_mut(&(round, from)).unwrap().staged.0 += others.len() as u64;
+                    for t in others {
+                        want.get_mut(&(round, t)).unwrap().drained.0 += 1;
+                    }
+                    (0..g.degree(v)).collect()
+                }
+                Action::Ports(ports) => {
+                    for &p in &ports {
+                        let t = shard_at(p);
+                        if t != from {
+                            want.get_mut(&(round, from)).unwrap().staged.1 += 1;
+                            want.get_mut(&(round, t)).unwrap().drained.1 += 1;
+                        }
+                    }
+                    ports
+                }
+            };
+            cross += ports.into_iter().filter(|&p| shard_at(p) != from).count() as u64;
+        }
+    }
+    let got = counting.log.lock().unwrap().clone();
+    prop_assert_eq!(&got, &want, "{}: entries per round and endpoint", name);
+    prop_assert_eq!(run.metrics.cross_shard_messages, cross, "{} cross", name);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -523,6 +758,38 @@ proptest! {
         let (inproc, sock) = (&runs[3].1.metrics, &runs[4].1.metrics);
         prop_assert_eq!(inproc.wire_bytes_sent, 0);
         prop_assert_eq!(sock.wire_bytes_sent > 0, shards > 1 && sock.rounds > 0);
+
+        // Per-port messages next to broadcasts: both entry kinds cross the
+        // same shard pairs in one round, on every driver and transport.
+        let mixed = || ttls.iter().map(|&t| MixedSender::new(ttl_seed, t)).collect::<Vec<_>>();
+        let oracle = reference_run(&g, mixed(), 1_000_000);
+        for (name, run) in &every_driver(&g, shards, threads, 1_000_000, mixed) {
+            assert_matches_oracle(name, &oracle, run)?;
+        }
+    }
+
+    /// The in-process transport carries one entry per broadcasting sender
+    /// and destination shard, and one per per-port message across the cut,
+    /// on random graphs cut into one to six shards.
+    #[test]
+    fn broadcasts_stage_one_entry_per_destination_shard(
+        family in 0usize..4,
+        size in 8usize..80,
+        graph_seed in 0u64..500,
+        seed in 0u64..1000,
+        shards in 1usize..7,
+    ) {
+        let g = build_graph(family, size, graph_seed);
+        let ttls = schedule(g.num_nodes(), seed);
+        let degree = |v| g.degree(v);
+        assert_one_entry_per_destination_shard(
+            "mixed",
+            &g,
+            shards,
+            &ttls,
+            || ttls.iter().map(|&t| MixedSender::new(seed, t)).collect::<Vec<_>>(),
+            |v, round| action(seed, v, round, degree(v)),
+        )?;
     }
 
     /// Seeded randomized baselines (HNT ultrafast, D1LC degree+1): on random
@@ -826,6 +1093,63 @@ proptest! {
 
 /// The error contract on inputs with several defects: the first invalid
 /// endpoint or self-loop in stream order wins, else the smallest duplicate.
+/// Four shards of three nodes: node 0 reaches the first node of each other
+/// shard, node 1 talks only to node 2 in its own shard, and node 11 is
+/// isolated.  Every shard stages exactly the entries its senders owe.
+#[test]
+fn hand_built_cut_stages_one_entry_per_destination_shard() {
+    let edges = [
+        (0, 3),
+        (0, 6),
+        (0, 9),
+        (1, 2),
+        (3, 4),
+        (4, 5),
+        (6, 7),
+        (7, 8),
+        (9, 10),
+    ];
+    let g = Topology::from_edges(12, &edges).unwrap();
+    let sharded = ShardedTopology::from_topology(&g, 4).unwrap();
+    let layout: Vec<_> = (0..4).map(|s| sharded.shard_nodes(s)).collect();
+    assert_eq!(layout, [0..3, 3..6, 6..9, 9..12]);
+    let shards_of = |v: usize| -> BTreeSet<usize> {
+        let row = sharded.dest_row(v).unwrap();
+        row.iter()
+            .map(|&slot| sharded.shard_of_slot(slot as usize))
+            .collect()
+    };
+    assert_eq!(shards_of(0), BTreeSet::from([1, 2, 3]));
+    assert_eq!(shards_of(1), BTreeSet::from([0]));
+    assert!(shards_of(11).is_empty());
+
+    let ttls = [4; 12];
+    assert_one_entry_per_destination_shard(
+        "hand-built broadcasts",
+        &g,
+        4,
+        &ttls,
+        || (0..12).map(|_| ScheduledGossip::new(4)).collect::<Vec<_>>(),
+        |_, _| Action::Broadcast,
+    )
+    .unwrap();
+    for seed in 0..16 {
+        assert_one_entry_per_destination_shard(
+            "hand-built mixed",
+            &g,
+            4,
+            &ttls,
+            || {
+                (0..12)
+                    .map(|_| MixedSender::new(seed, 4))
+                    .collect::<Vec<_>>()
+            },
+            |v, round| action(seed, v, round, g.degree(v)),
+        )
+        .unwrap();
+    }
+}
+
 #[test]
 fn inputs_with_several_defects_report_the_same_error() {
     let cases = [
