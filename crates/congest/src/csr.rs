@@ -4,10 +4,16 @@
 //! worker's shard plus its remote neighbours.  Given the degrees, [`build`]
 //! runs in linear time with no hashing and no search: one replay of the
 //! edge stream fills the rows; each row is sorted and adjacent duplicates
-//! are rejected; one pass over the rows in ascending node order derives the
-//! reverse ports of the *own* rows.  When own node `w` turns up at position
-//! `j` of `u`'s row, `u` is the smallest neighbour of `w` not met yet, so it
-//! sits behind `w`'s next port `c[w]++`, whose reverse port is `j`.
+//! are rejected; one pass over the rows in ascending node order fills the
+//! *destination table* of the *own* rows: for every port `(w, p)`, the
+//! global inbox slot its messages land in.  When own node `w` turns up at
+//! position `j` of `u`'s row, `u` is the smallest neighbour of `w` not met
+//! yet, so it sits behind `w`'s next port `c[w]++`, and `w` is `u`'s port
+//! `j`: that port's slot is `u`'s first global slot plus `j`.
+//!
+//! The table is what every driver routes through, one load per message,
+//! and the reverse port is derived from it: the slot minus the neighbour's
+//! first slot.
 
 use crate::topology::{NodeId, TopologyError};
 
@@ -15,14 +21,14 @@ use crate::topology::{NodeId, TopologyError};
 pub(crate) const INDEX_LIMIT: usize = u32::MAX as usize;
 
 /// Row `r` keeps its node's neighbours, ascending (port order), at
-/// `neighbors[offsets[r]..offsets[r + 1]]`; `reverse_port` covers the own
-/// rows' ports only, from the first: the port at which the row's node
-/// appears in the row of that neighbour.
+/// `neighbors[offsets[r]..offsets[r + 1]]`; `dest` covers the own rows'
+/// ports only, from the first: for each, the global inbox slot at which the
+/// neighbour behind it receives the row's node's messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Csr {
     pub(crate) offsets: Vec<usize>,
     pub(crate) neighbors: Vec<u32>,
-    pub(crate) reverse_port: Vec<u32>,
+    pub(crate) dest: Vec<u32>,
 }
 
 /// A node set as a bitmap, with the member count before each 64-node word:
@@ -103,11 +109,13 @@ where
 
 /// Builds the rows of the `held` nodes (ascending; `row` maps a node to
 /// its row, if held) of the graph `stream` emits, whose node `v` has degree
-/// `degree[v]`, with the reverse ports of the node range `own`, all of
-/// whose neighbours are held.  Fails with [`TopologyError::PlanMismatch`]
-/// if the stream does not emit exactly `degree[v]` valid edges at a held
-/// node `v`, or gives an own node a neighbour not held; else with the
-/// smallest [`TopologyError::DuplicateEdge`] whose smaller endpoint is held.
+/// `degree[v]`, with the destination table of the node range `own`, all of
+/// whose neighbours are held.  A node's global slots follow every smaller
+/// node's, held or not: their first is the prefix sum of `degree`.  Fails
+/// with [`TopologyError::PlanMismatch`] if the stream does not emit exactly
+/// `degree[v]` valid edges at a held node `v`, or gives an own node a
+/// neighbour not held; else with the smallest
+/// [`TopologyError::DuplicateEdge`] whose smaller endpoint is held.
 pub(crate) fn build<F>(
     degree: &[u32],
     held: impl Iterator<Item = NodeId> + Clone,
@@ -160,16 +168,19 @@ where
         }
     }
 
-    let first = held.take_while(|&u| u < own.start).count();
+    let first = held.clone().take_while(|&u| u < own.start).count();
     let own_offsets = &offsets[first..=first + own.len()];
     let base = own_offsets[0];
     let mut next: Vec<usize> = own_offsets.iter().map(|&o| o - base).collect();
-    let mut reverse_port = vec![0u32; next[own.len()]];
-    for r in 0..offsets.len() - 1 {
+    let mut dest = vec![0u32; next[own.len()]];
+    let (mut first_slot, mut summed) = (0, 0);
+    for (r, u) in held.enumerate() {
+        first_slot += degree[summed..u].iter().map(|&d| d as usize).sum::<usize>();
+        summed = u;
         for (j, &w) in neighbors[offsets[r]..offsets[r + 1]].iter().enumerate() {
             if own.contains(&(w as NodeId)) {
                 let c = &mut next[w as NodeId - own.start];
-                reverse_port[*c] = j as u32;
+                dest[*c] = (first_slot + j) as u32;
                 *c += 1;
             }
         }
@@ -182,6 +193,6 @@ where
     Ok(Csr {
         offsets,
         neighbors,
-        reverse_port,
+        dest,
     })
 }

@@ -12,9 +12,10 @@
 //! compact active list and counters.  It runs a round in three calls —
 //!
 //! 1. **send + route**: clear the slots filled last round, ask every active
-//!    node for its outbox, and route each message to its destination slot
-//!    (a shard's [`dest_row`](ShardTopologyView::dest_row) remap table, or
-//!    a whole graph's [`TopologyView`] lookups) — into the shard's own
+//!    node for its outbox, and route each message to its destination slot,
+//!    one load in the sender's row of the destination table (a shard's
+//!    [`dest_row`](ShardTopologyView::dest_row), or a whole graph's
+//!    [`dest_slots`](TopologyView::dest_slots)) — into the shard's own
 //!    slots, or to the cross-shard staging the driver passes in (followed,
 //!    for drivers with a transport, by a timed flush).  A sender's row
 //!    ascends, so its ports into one shard are one run of it: a broadcast
@@ -40,9 +41,9 @@
 //!
 //! * [`SequentialExecutor`] runs one kernel over the whole graph on the
 //!   caller's thread, with no barriers.  The graph is its only shard, so
-//!   every message is routed straight into a slot, found through the
-//!   generic [`TopologyView`] lookups (`neighbor_at` → `reverse_port` →
-//!   `port_range`); no remap table is built.
+//!   every message is routed straight into a slot, found in the view's own
+//!   destination table ([`TopologyView::dest_slots`]), the table every
+//!   topology type stores.
 //! * [`ShardedExecutor`] runs one kernel per shard of a
 //!   [`ShardedTopology`], each on its own thread, and moves cross-shard
 //!   messages through a pluggable [`Transport`] (see the protocol below).
@@ -123,7 +124,7 @@ use std::time::Instant;
 use crate::algorithm::{Inbox, MessageSize, NodeAlgorithm, NodeContext, Outbox};
 use crate::metrics::{PhaseTimings, RunMetrics};
 use crate::sharded::{ShardTopologyView, ShardedTopology};
-use crate::topology::{NodeId, Port, Topology, TopologyView};
+use crate::topology::{NodeId, Topology, TopologyView};
 use crate::trace::{TraceEvent, TracePhase, TraceSink};
 use crate::transport::{
     Entry, InProcess, Transport, TransportBuilder, TransportError, TransportMessage,
@@ -277,9 +278,9 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     /// node for its outbox and routes each message into this shard's own
     /// slots, or to `stage` when another shard owns the destination slot: a
     /// broadcast once per other shard its ports reach, with that shard's
-    /// run of the sender's remap-table row, and a per-port message once per
-    /// port.  Every message is charged here, at its sender and per edge
-    /// (see the accounting semantics in [`crate::algorithm`]).
+    /// run of the sender's destination-table row, and a per-port message
+    /// once per port.  Every message is charged here, at its sender and per
+    /// edge (see the accounting semantics in [`crate::algorithm`]).
     ///
     /// # Panics
     ///
@@ -504,10 +505,9 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
 /// round, then ask every active node for its outbox and route each message
 /// into this shard's slot range `own` or to `stage`.
 ///
-/// A broadcast is routed through the sender's remap-table row when `L`
-/// has one: the row ascends, so the ports into each shard are one run of
+/// Every message's slot is read from the sender's destination-table row.
+/// The row ascends, so a broadcast's ports into each shard are one run of
 /// it, filled here for the own shard and staged once for any other.
-/// Without a row (the whole graph as one shard) it goes port by port.
 ///
 /// A function of its own, never inlined, on purpose: with the topology and
 /// every buffer as separate reference arguments the compiler knows none of
@@ -544,29 +544,11 @@ fn send_and_route<A, T, L, X>(
             round,
             ..contexts[v - node_base]
         };
-        let degree = L::degree(topology, shard, v);
+        let own_row = || L::dest_row(topology, v).expect("a shard holds its nodes' rows");
         match nodes[v - node_base].send(&ctx) {
             Outbox::Silent => {}
             Outbox::Broadcast(msg) => {
-                let bits = msg.bit_size();
-                let Some(mut row) = L::dest_row(topology, v) else {
-                    for p in 0..degree {
-                        let dest = L::dest_slot(topology, shard, v, p);
-                        place::<_, T, L, X>(
-                            topology,
-                            dest,
-                            msg.clone(),
-                            bits,
-                            v,
-                            own,
-                            slots,
-                            touched,
-                            report,
-                            stage,
-                        );
-                    }
-                    continue;
-                };
+                let (bits, mut row) = (msg.bit_size(), own_row());
                 while let Some(&first) = row.first() {
                     let to = L::shard_of_slot(topology, first as usize);
                     let end = L::slots(topology, to).end;
@@ -584,41 +566,21 @@ fn send_and_route<A, T, L, X>(
                 }
             }
             Outbox::PerPort(list) => {
+                let row = own_row();
                 for (p, msg) in list {
-                    assert!(p < degree, "node {v} sent on nonexistent port {p}");
-                    let (dest, bits) = (L::dest_slot(topology, shard, v, p), msg.bit_size());
-                    place::<_, T, L, X>(
-                        topology, dest, msg, bits, v, own, slots, touched, report, stage,
-                    );
+                    assert!(p < row.len(), "node {v} sent on nonexistent port {p}");
+                    let dest = row[p] as usize;
+                    report.record(1, msg.bit_size());
+                    if own.contains(&dest) {
+                        fill_slot(slots, dest - own.start, msg, v, touched);
+                    } else {
+                        report.cross += 1;
+                        let to = L::shard_of_slot(topology, dest);
+                        stage.port(to, dest as u32, v as u32, msg);
+                    }
                 }
             }
         }
-    }
-}
-
-/// Charges one message of `v` and puts it in the shard's own slot `dest`
-/// when `own` holds it, or stages it for the shard that owns `dest`.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn place<M, T: ?Sized, L: ShardLookup<T>, X: CrossShard<M> + ?Sized>(
-    topology: &T,
-    dest: usize,
-    msg: M,
-    bits: u64,
-    v: NodeId,
-    own: &core::ops::Range<usize>,
-    slots: &mut [Option<M>],
-    touched: &mut Vec<usize>,
-    report: &mut ShardReport,
-    stage: &mut X,
-) {
-    report.record(1, bits);
-    if own.contains(&dest) {
-        fill_slot(slots, dest - own.start, msg, v, touched);
-    } else {
-        report.cross += 1;
-        let to = L::shard_of_slot(topology, dest);
-        stage.port(to, dest as u32, v as u32, msg);
     }
 }
 
@@ -641,48 +603,35 @@ fn fill_slot<M>(
 }
 
 /// How a [`ShardKernel`] finds its shard in a topology `T`, and the global
-/// slot a message sent by `v` over port `p` lands in.  The lookups take the
-/// topology as an argument, so the routing loop holds the topology itself,
-/// not a wrapper around it.
+/// slots the messages of node `v` land in.  The lookups take the topology
+/// as an argument, so the routing loop holds the topology itself, not a
+/// wrapper around it.
 pub(crate) trait ShardLookup<T: ?Sized> {
     /// The shard's node range.
     fn nodes(topology: &T, shard: usize) -> core::ops::Range<NodeId>;
     /// The shard's slot range.
     fn slots(topology: &T, shard: usize) -> core::ops::Range<usize>;
-    /// Degree of `v`, a node of `shard`.
-    fn degree(topology: &T, shard: usize, v: NodeId) -> usize;
-    /// The global inbox slot of the message `v` sends over port `p`.
-    fn dest_slot(topology: &T, shard: usize, v: NodeId, p: Port) -> usize;
     /// The global slot range of `v`'s own inbox.
     fn port_range(topology: &T, shard: usize, v: NodeId) -> core::ops::Range<usize>;
-    /// The remap-table row of any node `v` (see
-    /// [`ShardTopologyView::dest_row`]), or `None` without one.
+    /// The destination-table row of node `v` (see
+    /// [`ShardTopologyView::dest_row`]), or `None` if `T` holds none for
+    /// it.  Every node of the shard has one.
     fn dest_row(topology: &T, v: NodeId) -> Option<&[u32]>;
     /// The shard owning global slot `slot`.
     fn shard_of_slot(topology: &T, slot: usize) -> usize;
 }
 
-/// One shard of a [`ShardTopologyView`], routed through its precomputed
-/// [`dest_slot_from`](ShardTopologyView::dest_slot_from) table.
-pub(crate) struct RemapTable;
+/// One shard of a [`ShardTopologyView`], routed through its
+/// [`dest_row`](ShardTopologyView::dest_row)s.
+pub(crate) struct ShardRows;
 
-impl<T: ShardTopologyView + ?Sized> ShardLookup<T> for RemapTable {
+impl<T: ShardTopologyView + ?Sized> ShardLookup<T> for ShardRows {
     fn nodes(topology: &T, shard: usize) -> core::ops::Range<NodeId> {
         topology.shard_nodes(shard)
     }
 
     fn slots(topology: &T, shard: usize) -> core::ops::Range<usize> {
         topology.shard_slots(shard)
-    }
-
-    #[inline]
-    fn degree(topology: &T, shard: usize, v: NodeId) -> usize {
-        topology.degree_from(shard, v)
-    }
-
-    #[inline]
-    fn dest_slot(topology: &T, shard: usize, v: NodeId, p: Port) -> usize {
-        topology.dest_slot_from(shard, v, p)
     }
 
     #[inline]
@@ -702,8 +651,8 @@ impl<T: ShardTopologyView + ?Sized> ShardLookup<T> for RemapTable {
 }
 
 /// Any [`TopologyView`] as one shard owning every node and slot, for the
-/// single-threaded driver.  A message's destination slot is found with the
-/// view's own lookups, so no remap table is built.
+/// single-threaded driver, routed through the view's
+/// [`dest_slots`](TopologyView::dest_slots) rows.
 struct WholeGraph;
 
 impl<T: TopologyView + ?Sized> ShardLookup<T> for WholeGraph {
@@ -716,24 +665,13 @@ impl<T: TopologyView + ?Sized> ShardLookup<T> for WholeGraph {
     }
 
     #[inline]
-    fn degree(topology: &T, _shard: usize, v: NodeId) -> usize {
-        topology.degree(v)
-    }
-
-    #[inline]
-    fn dest_slot(topology: &T, _shard: usize, v: NodeId, p: Port) -> usize {
-        topology.port_range(topology.neighbor_at(v, p)).start + topology.reverse_port(v, p)
-    }
-
-    #[inline]
     fn port_range(topology: &T, _shard: usize, v: NodeId) -> core::ops::Range<usize> {
         topology.port_range(v)
     }
 
-    /// No remap table: a broadcast is routed port by port.
     #[inline]
-    fn dest_row(_topology: &T, _v: NodeId) -> Option<&[u32]> {
-        None
+    fn dest_row(topology: &T, v: NodeId) -> Option<&[u32]> {
+        Some(topology.dest_slots(v))
     }
 
     #[inline]
@@ -749,7 +687,7 @@ pub(crate) trait CrossShard<M> {
     /// One message of an `Outbox::PerPort` list, for `slot` of shard `to`.
     fn port(&mut self, to: usize, slot: u32, sender: u32, msg: M);
     /// `sender`'s broadcast for shard `to`: `dests` is the run of its
-    /// remap-table row in `to`'s slots.
+    /// destination-table row in `to`'s slots.
     fn broadcast(&mut self, to: usize, sender: u32, msg: M, dests: &[u32]);
 }
 
@@ -1137,7 +1075,7 @@ impl<B: TransportBuilder> Executor<ShardedTopology> for ShardedExecutor<B> {
                     if tracer.enabled() {
                         tracer.emit(&TraceEvent::WorkerStart { shard: s });
                     }
-                    let kernel = ShardKernel::<_, _, RemapTable>::new(
+                    let kernel = ShardKernel::<_, _, ShardRows>::new(
                         topology, s, my_nodes, my_ctxs, my_slots, delivery, tracer,
                     );
                     let done = run_shard_thread(kernel, signal, sync, transport, active_count);
@@ -1175,7 +1113,7 @@ impl<B: TransportBuilder> Executor<ShardedTopology> for ShardedExecutor<B> {
 /// One shard thread of the barrier protocol (see the [module docs](self)):
 /// runs `kernel` between the coordinator's barriers and returns its report.
 fn run_shard_thread<A: NodeAlgorithm, X: Transport<A::Message>>(
-    mut kernel: ShardKernel<'_, A, ShardedTopology, RemapTable>,
+    mut kernel: ShardKernel<'_, A, ShardedTopology, ShardRows>,
     signal: &RoundSignal,
     sync: &PhaseSync,
     mut transport: X,

@@ -303,22 +303,17 @@ impl<T: TopologyView> Search<'_, T> {
                 round,
                 ..self.contexts[v]
             };
-            let mut stage = |p: usize, m: A::Message| {
-                let u = self.topology.neighbor_at(v, p);
-                let slot = self.topology.port_range(u).start + self.topology.reverse_port(v, p);
-                msgs.push((slot, v as u32, m));
-            };
+            let row = self.topology.dest_slots(v);
             match world.nodes[v].send(&ctx) {
                 Outbox::Silent => {}
                 Outbox::Broadcast(m) => {
-                    for p in 0..self.topology.degree(v) {
-                        stage(p, m.clone());
-                    }
+                    msgs.extend(row.iter().map(|&slot| (slot as usize, v as u32, m.clone())));
                 }
                 Outbox::PerPort(list) => {
-                    for (p, m) in list {
-                        stage(p, m);
-                    }
+                    msgs.extend(
+                        list.into_iter()
+                            .map(|(p, m)| (row[p] as usize, v as u32, m)),
+                    );
                 }
             }
         }
@@ -546,22 +541,17 @@ pub fn replay<T: TopologyView, A: CheckableAlgorithm, F: Fn() -> Vec<A>>(
                 round,
                 ..search.contexts[v]
             };
-            let mut stage = |p: usize, m: A::Message| {
-                let u = topology.neighbor_at(v, p);
-                let slot = topology.port_range(u).start + topology.reverse_port(v, p);
-                msgs.push((slot, v as u32, m));
-            };
+            let row = topology.dest_slots(v);
             match world.nodes[v].send(&ctx) {
                 Outbox::Silent => {}
                 Outbox::Broadcast(m) => {
-                    for p in 0..topology.degree(v) {
-                        stage(p, m.clone());
-                    }
+                    msgs.extend(row.iter().map(|&slot| (slot as usize, v as u32, m.clone())));
                 }
                 Outbox::PerPort(list) => {
-                    for (p, m) in list {
-                        stage(p, m);
-                    }
+                    msgs.extend(
+                        list.into_iter()
+                            .map(|(p, m)| (row[p] as usize, v as u32, m)),
+                    );
                 }
             }
         }

@@ -2,7 +2,7 @@
 //! `n ≥ 10^7` graphs and shard-parallel execution.
 //!
 //! [`ShardedTopology`] is a [`Topology`] cut into `S` contiguous node-range
-//! *shards*, plus a port remap table.  It adds two things:
+//! *shards*.  It adds two things:
 //!
 //! * **Streaming construction** — [`ShardedTopology::from_edge_stream`]
 //!   consumes the edge list as a replayable *stream* (two passes: degree
@@ -35,22 +35,24 @@
 //! both are recorded in prefix arrays (`node_start` / `slot_start`), and
 //! every [`TopologyView`] query goes straight to the [`Topology`].
 //!
-//! # The port remap table
+//! # The destination table
 //!
 //! Delivering a message sent by `v` over port `p` requires the *global
 //! slot* of the receiving endpoint, `port_range(u).start + reverse_port(v,
-//! p)` for the neighbour `u` behind `p`.  One linear pass precomputes it as
-//! a `u32` per directed edge ([`ShardedTopology::dest_slot`]), so senders
+//! p)` for the neighbour `u` behind `p`.  The crate's one CSR stores it as
+//! a `u32` per directed edge ([`TopologyView::dest_slots`]), written by the
+//! builder's reverse pass, and the flat slot contract does not depend on
+//! the cut, so sharding a built graph copies the table as it is.  Senders
 //! either write the slot directly (intra-shard) or enqueue the pair
 //! `(slot, message)` for the owning worker (cross-shard).  A node's row of
 //! the table ascends, so its ports into one shard are one run of it
 //! ([`ShardTopologyView::dest_row`]): an in-process broadcast crosses to
 //! that shard as one entry, and the receiving worker fans it out over the
-//! sender's run.
+//! sender's run.  A worker slice stores the rows of its own shard only.
 
 use serde::{Deserialize, Serialize};
 
-use crate::csr::{self, RankedRows, INDEX_LIMIT};
+use crate::csr::{self, Csr, RankedRows, INDEX_LIMIT};
 use crate::topology::{NodeId, Port, Topology, TopologyError, TopologyView};
 use crate::wire::{get_u32, get_u64, put_u32, put_u64, WireError};
 
@@ -67,8 +69,8 @@ use crate::wire::{get_u32, get_u64, put_u32, put_u64, WireError};
 /// agree bit for bit.
 ///
 /// Serialized size is `24 + 16(S + 1) + 4n` bytes: the degree array
-/// dominates, and is exactly what makes every remap table reconstructible
-/// locally without shipping `O(m)` edge data.
+/// dominates, and is exactly what makes every destination slot
+/// reconstructible locally without shipping `O(m)` edge data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     n: usize,
@@ -339,9 +341,6 @@ pub struct ShardedTopology {
     node_start: Vec<usize>,
     /// Shard `s` owns flat slots `slot_start[s]..slot_start[s + 1]`.
     slot_start: Vec<usize>,
-    /// The port remap table: for each directed edge, the global inbox slot
-    /// of the receiving endpoint.
-    dest_slot: Vec<u32>,
 }
 
 impl ShardedTopology {
@@ -378,9 +377,9 @@ impl ShardedTopology {
         Self::from_plan(&plan, stream)
     }
 
-    /// Construction **pass 2**: builds every row, sorted, with its reverse
-    /// ports and the port remap table, given a pass-1 [`ShardPlan`] and one
-    /// more replay of the same edge stream.
+    /// Construction **pass 2**: builds every row, sorted, with its row of
+    /// the destination table, given a pass-1 [`ShardPlan`] and one more
+    /// replay of the same edge stream.
     ///
     /// This is the full-build counterpart of [`ShardSliceTopology::build`];
     /// [`ShardedTopology::from_edge_stream`] is the convenience wrapper
@@ -397,17 +396,10 @@ impl ShardedTopology {
         F: FnMut(&mut dyn FnMut(NodeId, NodeId)),
     {
         let csr = csr::build(&plan.degree, 0..plan.n, Some, 0..plan.n, stream)?;
-        let dest_slot = csr
-            .neighbors
-            .iter()
-            .zip(&csr.reverse_port)
-            .map(|(&u, &rp)| (csr.offsets[u as usize] + rp as usize) as u32)
-            .collect();
         Ok(Self {
             topology: Topology::from_csr(csr, plan.num_edges),
             node_start: plan.node_start.clone(),
             slot_start: plan.slot_start.clone(),
-            dest_slot,
         })
     }
 
@@ -416,19 +408,18 @@ impl ShardedTopology {
     /// [`ExecutionMode::Parallel`](crate::ExecutionMode::Parallel), and for
     /// workloads whose graph already fits in one arena).
     ///
-    /// The view's rows are read once, as the edge stream of
-    /// [`ShardedTopology::from_plan`], and rebuilt sorted by neighbour id,
-    /// as every in-crate representation stores them, so the result is
-    /// structurally identical to the source: same port numbering, same flat
-    /// slot contract, and runs are bit-for-bit reproducible across the
-    /// representations.
+    /// The flat slot contract does not depend on the cut, so the view's
+    /// rows and destination table are copied as they are, in one linear
+    /// pass: no replay, no sort.  The result is structurally identical to
+    /// the source — same port numbering, same flat slots — and runs are
+    /// bit-for-bit reproducible across the representations.
     ///
     /// # Errors
     ///
     /// [`TopologyError::ShardCountZero`] and
     /// [`TopologyError::NodeRangeOverflow`] as in
-    /// [`ShardedTopology::from_edge_stream`]; the edge list itself is
-    /// already validated.
+    /// [`ShardedTopology::from_edge_stream`]; the view itself is trusted,
+    /// as every in-crate view is validated when built.
     pub fn from_topology(
         topology: &impl TopologyView,
         num_shards: usize,
@@ -442,17 +433,24 @@ impl ShardedTopology {
             let limit = INDEX_LIMIT;
             return Err(TopologyError::NodeRangeOverflow { value, limit });
         }
-        let degree = (0..n).map(|v| topology.degree(v) as u32).collect();
+        let degree: Vec<u32> = (0..n).map(|v| topology.degree(v) as u32).collect();
+        let mut csr = Csr {
+            offsets: Vec::with_capacity(n + 1),
+            neighbors: Vec::with_capacity(slots),
+            dest: Vec::with_capacity(slots),
+        };
+        csr.offsets.push(0);
+        for (v, &d) in degree.iter().enumerate() {
+            let neighbors = (0..d as usize).map(|p| topology.neighbor_at(v, p) as u32);
+            csr.neighbors.extend(neighbors);
+            csr.dest.extend_from_slice(topology.dest_slots(v));
+            csr.offsets.push(csr.neighbors.len());
+        }
         let plan = ShardPlan::cut(degree, slots / 2, num_shards);
-        Self::from_plan(&plan, |emit| {
-            for v in 0..n {
-                for p in 0..topology.degree(v) {
-                    let u = topology.neighbor_at(v, p);
-                    if v < u {
-                        emit(v, u);
-                    }
-                }
-            }
+        Ok(Self {
+            topology: Topology::from_csr(csr, plan.num_edges),
+            node_start: plan.node_start,
+            slot_start: plan.slot_start,
         })
     }
 
@@ -494,10 +492,10 @@ impl ShardedTopology {
     }
 
     /// The global inbox slot that a message sent by `v` over port `p` lands
-    /// in — one lookup in the precomputed port remap table.
+    /// in — one lookup in `v`'s row of the destination table.
     #[inline]
     pub fn dest_slot(&self, v: NodeId, p: Port) -> usize {
-        self.dest_slot[self.topology.port_range(v).start + p] as usize
+        self.topology.dest_slots(v)[p] as usize
     }
 
     /// Reconstructs the pass-1 [`ShardPlan`] this topology was (or could
@@ -524,6 +522,7 @@ impl ShardedTopology {
     pub fn shard_slice(&self, s: usize) -> ShardSliceTopology {
         let slots = self.shard_slots(s);
         let ends = self.shard_nodes(s).map(|v| self.topology.port_range(v).end);
+        let rows = self.shard_nodes(s).map(|v| self.topology.dest_slots(v));
         ShardSliceTopology {
             plan: self.plan(),
             shard: s,
@@ -531,7 +530,7 @@ impl ShardedTopology {
                 .chain(ends)
                 .map(|o| o - slots.start)
                 .collect(),
-            dest_slot: self.dest_slot[slots].to_vec(),
+            dest: rows.flatten().copied().collect(),
         }
     }
 }
@@ -540,9 +539,9 @@ impl ShardedTopology {
 /// shard's rows**: the worker-side product of the scale-out construction
 /// split.
 ///
-/// Holds the `O(n)` [`ShardPlan`] plus the owned shard's `O(m/S)` port
-/// remap table — all the round kernel reads.  It is identical to the
-/// corresponding shard of the full [`ShardedTopology`] build — the
+/// Holds the `O(n)` [`ShardPlan`] plus the owned shard's `O(m/S)` rows of
+/// the destination table — all the round kernel reads.  It is identical to
+/// the corresponding shard of the full [`ShardedTopology`] build — the
 /// equivalence proptest pins this — so a mesh worker serving it is
 /// indistinguishable on the wire from one holding the whole graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -553,7 +552,7 @@ pub struct ShardSliceTopology {
     /// counted from the shard's first slot.
     offsets: Vec<usize>,
     /// For each of those ports, the global slot of the receiving endpoint.
-    dest_slot: Vec<u32>,
+    dest: Vec<u32>,
 }
 
 impl ShardSliceTopology {
@@ -567,7 +566,8 @@ impl ShardSliceTopology {
     /// and of its frontier.  Peak memory is `O(n)` for the plan plus
     /// `O(m/S + frontier)`, never the full `O(m)` CSR.  The frontier's rows
     /// give where each sender ranks among the *receiver's* sorted
-    /// neighbours — the reverse port in `dest_slot[(v, p)]` — without
+    /// neighbours, and the plan's degree header where the receiver's slots
+    /// start: together, the destination slot of every own port, without
     /// shipping any remote CSR data.
     ///
     /// # Errors
@@ -617,32 +617,13 @@ impl ShardSliceTopology {
         // --- Replay 2: the one CSR builder over the held rows -------------
         let row = |v| held.row(v);
         let csr = csr::build(&plan.degree, held.nodes(), row, own.clone(), stream)?;
-
-        // --- Remap table: the neighbour's first global slot (a prefix sum
-        // of the plan's degree header) plus the reverse port.
-        let (mut first_slot, mut slot) = (Vec::new(), 0);
-        for (u, &d) in plan.degree.iter().enumerate() {
-            if row(u).is_some() {
-                first_slot.push(slot);
-            }
-            slot += d as usize;
-        }
         let first_own = held.nodes().take_while(|&u| u < own.start).count();
         let own_offsets = &csr.offsets[first_own..=first_own + own.len()];
-        let neighbors = &csr.neighbors[own_offsets[0]..own_offsets[own.len()]];
-        let dest_slot = neighbors
-            .iter()
-            .zip(&csr.reverse_port)
-            .map(|(&u, &rp)| {
-                let u = row(u as NodeId).expect("own rows' neighbours are held");
-                (first_slot[u] + rp as usize) as u32
-            })
-            .collect();
         Ok(Self {
             offsets: own_offsets.iter().map(|&o| o - own_offsets[0]).collect(),
             plan,
             shard,
-            dest_slot,
+            dest: csr.dest,
         })
     }
 
@@ -684,13 +665,22 @@ pub trait ShardTopologyView {
     /// Degree of `v`, which must belong to `shard`.
     fn degree_from(&self, shard: usize, v: NodeId) -> usize;
     /// The global inbox slot a message sent by `v` (of `shard`) over port
-    /// `p` lands in.
-    fn dest_slot_from(&self, shard: usize, v: NodeId, p: Port) -> usize;
+    /// `p` lands in: entry `p` of `v`'s [`dest_row`](Self::dest_row).
+    fn dest_slot_from(&self, shard: usize, v: NodeId, p: Port) -> usize {
+        debug_assert!(
+            self.shard_nodes(shard).contains(&v),
+            "node {v} outside shard {shard}"
+        );
+        let row = self
+            .dest_row(v)
+            .expect("a view holds the rows of its shard's nodes");
+        row[p] as usize
+    }
     /// The global flat-slot range of `v`'s own inbox, `v` in `shard`.
     fn port_range_from(&self, shard: usize, v: NodeId) -> core::ops::Range<usize>;
-    /// The remap-table row of node `v`, whichever shard owns it: the global
-    /// inbox slot each of its ports lands in, in port order.  Ports are
-    /// sorted by neighbour and shards are contiguous node ranges, so the
+    /// The destination-table row of node `v`, whichever shard owns it: the
+    /// global inbox slot each of its ports lands in, in port order.  Ports
+    /// are sorted by neighbour and shards are contiguous node ranges, so the
     /// row ascends and the ports into any one shard form one run of it.
     /// `None` when the view holds no row for `v`: `v` is not a node of the
     /// graph, or, for a [`ShardSliceTopology`], not a node of its shard.
@@ -735,12 +725,6 @@ impl ShardTopologyView for ShardedTopology {
     }
 
     #[inline]
-    fn dest_slot_from(&self, shard: usize, v: NodeId, p: Port) -> usize {
-        debug_assert_eq!(self.shard_of(v), shard);
-        self.dest_slot(v, p)
-    }
-
-    #[inline]
     fn port_range_from(&self, shard: usize, v: NodeId) -> core::ops::Range<usize> {
         debug_assert_eq!(self.shard_of(v), shard);
         self.topology.port_range(v)
@@ -748,7 +732,7 @@ impl ShardTopologyView for ShardedTopology {
 
     #[inline]
     fn dest_row(&self, v: NodeId) -> Option<&[u32]> {
-        (v < self.topology.num_nodes()).then(|| &self.dest_slot[self.topology.port_range(v)])
+        (v < self.topology.num_nodes()).then(|| self.topology.dest_slots(v))
     }
 }
 
@@ -791,13 +775,6 @@ impl ShardTopologyView for ShardSliceTopology {
     }
 
     #[inline]
-    fn dest_slot_from(&self, shard: usize, v: NodeId, p: Port) -> usize {
-        debug_assert_eq!(shard, self.shard, "a slice only serves its own shard");
-        let local = self.offsets[v - self.plan.node_start[self.shard]] + p;
-        self.dest_slot[local] as usize
-    }
-
-    #[inline]
     fn port_range_from(&self, shard: usize, v: NodeId) -> core::ops::Range<usize> {
         debug_assert_eq!(shard, self.shard, "a slice only serves its own shard");
         let i = v - self.plan.node_start[self.shard];
@@ -809,7 +786,7 @@ impl ShardTopologyView for ShardSliceTopology {
     fn dest_row(&self, v: NodeId) -> Option<&[u32]> {
         let i = v.checked_sub(self.plan.node_start[self.shard])?;
         let (&start, &end) = (self.offsets.get(i)?, self.offsets.get(i + 1)?);
-        Some(&self.dest_slot[start..end])
+        Some(&self.dest[start..end])
     }
 }
 
@@ -840,8 +817,8 @@ impl TopologyView for ShardedTopology {
     }
 
     #[inline]
-    fn reverse_port(&self, v: NodeId, p: Port) -> Port {
-        self.topology.reverse_port(v, p)
+    fn dest_slots(&self, v: NodeId) -> &[u32] {
+        self.topology.dest_slots(v)
     }
 
     #[inline]
@@ -939,6 +916,26 @@ mod tests {
         .unwrap();
         let via_topology = ShardedTopology::from_topology(&dense, 3).unwrap();
         assert_eq!(via_stream, via_topology);
+        // Re-cutting copies the table as it is: the slots do not depend on
+        // the cut.
+        let recut = ShardedTopology::from_topology(&via_topology, 2).unwrap();
+        assert_eq!(recut, ShardedTopology::from_topology(&dense, 2).unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn dest_slot_past_the_degree_panics() {
+        let g = ShardedTopology::from_edge_stream(9, 2, mixed_stream(9)).unwrap();
+        // Node 0 has four ports; a fifth would be node 1's first entry.
+        let _ = g.dest_slot(0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn slice_dest_slot_past_the_degree_panics() {
+        let plan = ShardPlan::from_edge_stream(9, 2, mixed_stream(9)).unwrap();
+        let slice = ShardSliceTopology::build(plan, 0, mixed_stream(9)).unwrap();
+        let _ = slice.dest_slot_from(0, 0, 4);
     }
 
     #[test]

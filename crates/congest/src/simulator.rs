@@ -620,14 +620,35 @@ mod tests {
 
     #[test]
     fn phase_timings_are_recorded() {
+        use crate::trace::{RecordingSink, TraceEvent, TracePhase};
         let g = triangle();
         for config in [SimulatorConfig::default(), parallel_config(2)] {
+            let sink = RecordingSink::new();
             let outcome = Simulator::with_config(&g, config)
+                .with_tracer(&sink)
                 .run((0..3).map(|_| GossipSum::new(50)).collect::<Vec<_>>());
             let p = outcome.metrics.phase_nanos;
             // 50 rounds of real work: each phase must have accumulated time.
-            assert!(p.send > 0 && p.deliver > 0 && p.receive > 0);
+            assert!(p.send > 0 && p.receive > 0);
             assert!(p.total() >= p.send);
+            if config.mode == ExecutionMode::Sequential {
+                // One shard drains nothing, so its deliver phase is two
+                // back-to-back clock reads, which a coarse clock can make
+                // equal; it must still be entered and timed every round.
+                let events = sink.take();
+                let delivers = events.iter().filter(|e| {
+                    matches!(
+                        e,
+                        TraceEvent::PhaseEnd {
+                            phase: TracePhase::Deliver,
+                            ..
+                        }
+                    )
+                });
+                assert_eq!(delivers.count() as u64, outcome.metrics.rounds);
+            } else {
+                assert!(p.deliver > 0);
+            }
         }
     }
 

@@ -3,14 +3,15 @@
 //! Nodes are integers `0..n`.  Each node sees its incident edges as *ports*
 //! `0..deg(v)`; the port numbering is what a LOCAL/CONGEST node actually has
 //! access to (it does **not** know which node sits behind a port unless that
-//! node tells it).  The topology additionally precomputes, for every directed
-//! edge `(u, v)`, the port at which `u` appears in `v`'s port list, so the
-//! simulator can deliver messages in `O(1)` per message.
+//! node tells it).  The topology additionally precomputes, for every port
+//! `(v, p)`, the inbox slot at which its neighbour receives `v`'s messages
+//! (the *destination table*), so the simulator delivers a message with one
+//! lookup.
 //!
 //! [`Topology`] stores the crate's one CSR layout: `u32` neighbours and
-//! reverse ports, made in linear time by the builder every topology type
-//! shares (no hashing, no search).  So a graph has at most `u32::MAX` nodes
-//! and directed edges.
+//! destination slots, made in linear time by the builder every topology
+//! type shares (no hashing, no search).  So a graph has at most `u32::MAX`
+//! nodes and directed edges.
 
 use serde::{Deserialize, Serialize};
 
@@ -136,9 +137,16 @@ pub trait TopologyView: Sync {
     /// The neighbour of `v` behind port `p`.
     fn neighbor_at(&self, v: NodeId, p: Port) -> NodeId;
 
+    /// Node `v`'s row of the destination table: for each of its ports, in
+    /// port order, the flat slot at which the neighbour behind it receives
+    /// `v`'s messages.  Ports are sorted by neighbour, so the row ascends.
+    fn dest_slots(&self, v: NodeId) -> &[u32];
+
     /// The port at which `v` appears in the port list of its neighbour
-    /// behind port `p`.
-    fn reverse_port(&self, v: NodeId, p: Port) -> Port;
+    /// behind port `p`, derived from the destination table.
+    fn reverse_port(&self, v: NodeId, p: Port) -> Port {
+        self.dest_slots(v)[p] as usize - self.port_range(self.neighbor_at(v, p)).start
+    }
 
     /// The flat slot range of node `v`'s ports (see the trait docs for the
     /// indexing contract).
@@ -160,7 +168,8 @@ pub trait TopologyView: Sync {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Topology {
-    /// Row `v` is node `v`'s sorted neighbour list, with every reverse port.
+    /// Row `v` is node `v`'s sorted neighbour list, with its row of the
+    /// destination table.
     csr: Csr,
     num_edges: usize,
     max_degree: u32,
@@ -263,12 +272,20 @@ impl Topology {
         self.row(v)[p] as NodeId
     }
 
+    /// Node `v`'s row of the destination table: for each port `p`, the flat
+    /// slot `port_range(u).start + reverse_port(v, p)` at which the
+    /// neighbour `u` behind it receives `v`'s messages.
+    #[inline]
+    pub fn dest_slots(&self, v: NodeId) -> &[u32] {
+        &self.csr.dest[self.port_range(v)]
+    }
+
     /// The port at which `v` appears in the port list of its neighbour behind
     /// port `p` (i.e. the port on which that neighbour receives `v`'s
     /// messages).
     #[inline]
     pub fn reverse_port(&self, v: NodeId, p: Port) -> Port {
-        self.csr.reverse_port[self.csr.offsets[v] + p] as Port
+        TopologyView::reverse_port(self, v, p)
     }
 
     /// The port of `u` in `v`'s list, if `u` and `v` are adjacent.
@@ -390,8 +407,8 @@ impl TopologyView for Topology {
     }
 
     #[inline]
-    fn reverse_port(&self, v: NodeId, p: Port) -> Port {
-        Topology::reverse_port(self, v, p)
+    fn dest_slots(&self, v: NodeId) -> &[u32] {
+        Topology::dest_slots(self, v)
     }
 
     #[inline]
@@ -573,11 +590,19 @@ mod tests {
         for v in g.nodes() {
             assert_eq!(view.degree(v), g.degree(v));
             assert_eq!(view.port_range(v), g.port_range(v));
+            assert_eq!(view.dest_slots(v), g.dest_slots(v));
             for p in 0..g.degree(v) {
                 assert_eq!(view.neighbor_at(v, p), g.neighbor_at(v, p));
                 assert_eq!(view.reverse_port(v, p), g.reverse_port(v, p));
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn reverse_port_past_the_degree_panics() {
+        // Node 1 has two ports; a third would be node 2's first entry.
+        let _ = triangle().reverse_port(1, 2);
     }
 
     #[test]

@@ -78,7 +78,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::algorithm::{MessageSize, NodeAlgorithm, NodeContext};
-use crate::executor::{CrossShard, DeliveryMode, RemapTable, ShardKernel};
+use crate::executor::{CrossShard, DeliveryMode, ShardKernel, ShardRows};
 use crate::metrics::RunMetrics;
 use crate::sharded::{ShardPlan, ShardTopologyView, ShardedTopology};
 use crate::simulator::RunOutcome;
@@ -1408,7 +1408,7 @@ where
     if let Some(cap) = &capture {
         cap.emit(&TraceEvent::WorkerStart { shard });
     }
-    let mut kernel = ShardKernel::<_, _, RemapTable>::new(
+    let mut kernel = ShardKernel::<_, _, ShardRows>::new(
         topology,
         shard,
         &mut nodes,

@@ -1,8 +1,15 @@
 //! Integration tests for the CONGEST model guarantees: message sizes,
 //! executor equivalence, and round accounting across algorithms.
 
+use std::sync::Arc;
+
+use dcme_algebra::sequence::{SequenceFamily, SequenceParams};
+use dcme_coloring::trial::TrialNode;
 use dcme_coloring::{corollary, pipeline, reduction, trial, TrialConfig};
-use dcme_congest::{BandwidthReport, ExecutionMode};
+use dcme_congest::{
+    BandwidthReport, ExecutionMode, RecordingSink, Simulator, SimulatorConfig, TraceEvent,
+    TracePhase,
+};
 use dcme_graphs::{coloring::Coloring, generators};
 
 #[test]
@@ -129,13 +136,42 @@ fn engine_reports_phase_timings() {
     // bench relies on; make sure real runs populate them.
     let g = generators::random_regular(256, 6, 3);
     let ids = Coloring::from_ids(256);
+    let params = SequenceParams::derive(g.max_degree(), ids.palette(), 0, 2).unwrap();
+    let family = Arc::new(SequenceFamily::new(params));
     for config in [TrialConfig::proper(2), TrialConfig::proper(2).parallel(2)] {
-        let out = trial::run(&g, &ids, config).unwrap();
+        let nodes: Vec<TrialNode> = (0..g.num_nodes())
+            .map(|v| TrialNode::new(Arc::clone(&family), ids.color(v)))
+            .collect();
+        let sink = RecordingSink::new();
+        let sim_config = SimulatorConfig {
+            max_rounds: params.rounds + 2,
+            mode: config.mode,
+        };
+        let out = Simulator::with_config(&g, sim_config)
+            .with_tracer(&sink)
+            .run(nodes);
         let p = out.metrics.phase_nanos;
         assert!(p.send > 0, "send phase should accumulate time");
-        assert!(p.deliver > 0, "deliver phase should accumulate time");
         assert!(p.receive > 0, "receive phase should accumulate time");
         assert_eq!(p.total(), p.send + p.deliver + p.receive);
+        if config.mode == ExecutionMode::Sequential {
+            // One shard drains nothing, so its deliver phase is two
+            // back-to-back clock reads, which a coarse clock can make equal;
+            // it must still be entered and timed once per round.
+            let events = sink.take();
+            let delivers = events.iter().filter(|e| {
+                matches!(
+                    e,
+                    TraceEvent::PhaseEnd {
+                        phase: TracePhase::Deliver,
+                        ..
+                    }
+                )
+            });
+            assert_eq!(delivers.count() as u64, out.metrics.rounds);
+        } else {
+            assert!(p.deliver > 0, "deliver phase should accumulate time");
+        }
     }
 }
 

@@ -111,8 +111,8 @@ impl Oracle {
     }
 
     /// Asserts `g` (with `num_edges` undirected edges) is the oracle's graph
-    /// port for port: neighbours, reverse ports, port ranges, edge count and
-    /// maximum degree.
+    /// port for port: neighbours, reverse ports, destination slots, port
+    /// ranges, edge count and maximum degree.
     fn assert_same(&self, name: &str, g: &impl TopologyView, num_edges: usize) {
         let n = self.offsets.len() - 1;
         assert_eq!(g.num_nodes(), n, "{name}: nodes");
@@ -126,7 +126,10 @@ impl Oracle {
         );
         for v in 0..n {
             assert_eq!(g.port_range(v), self.port_range(v), "{name}: v={v}");
+            assert_eq!(g.dest_slots(v).len(), g.degree(v), "{name}: v={v}");
             for (p, i) in self.port_range(v).enumerate() {
+                let want = self.dest_slot(v, p);
+                assert_eq!(g.dest_slots(v)[p] as usize, want, "{name}: ({v}, {p})");
                 assert_eq!(g.neighbor_at(v, p), self.adjacency[i], "{name}: ({v}, {p})");
                 assert_eq!(
                     g.reverse_port(v, p),
@@ -137,10 +140,12 @@ impl Oracle {
         }
     }
 
-    /// Asserts a sharded build is the oracle's graph, remap table included.
+    /// Asserts a sharded build is the oracle's graph, and that the rows the
+    /// sharded drivers route through are its destination table.
     fn assert_same_sharded(&self, name: &str, g: &ShardedTopology) {
         self.assert_same(name, g, g.num_edges());
         for v in 0..TopologyView::num_nodes(g) {
+            assert_eq!(g.dest_row(v), Some(g.dest_slots(v)), "{name}: v={v}");
             for p in 0..g.degree(v) {
                 assert_eq!(
                     g.dest_slot(v, p),
@@ -184,8 +189,10 @@ fn pairing_model_edges(n: usize, d: usize, seed: u64) -> Vec<(usize, usize)> {
 
 /// The independent oracle: one untraced synchronous round loop.  Each
 /// round every active node's outbox is staged, the staged messages are
-/// delivered through `neighbor_at` / `reverse_port` / `port_range`, every
-/// active node receives, and halted nodes leave the active list.
+/// delivered into the receiver's port at which the sender sits in its
+/// sorted row (found by binary search, as [`oracle_from_edges`] finds it,
+/// not read from the engine's destination table), every active node
+/// receives, and halted nodes leave the active list.
 fn reference_run<A: NodeAlgorithm>(
     g: &impl TopologyView,
     mut nodes: Vec<A>,
@@ -202,6 +209,9 @@ fn reference_run<A: NodeAlgorithm>(
     for (v, node) in nodes.iter_mut().enumerate() {
         node.init(&ctx(v, 0));
     }
+    let rows: Vec<Vec<usize>> = (0..n)
+        .map(|u| (0..g.degree(u)).map(|q| g.neighbor_at(u, q)).collect())
+        .collect();
     let mut metrics = RunMetrics::default();
     let mut active: Vec<usize> = (0..n).filter(|&v| !nodes[v].is_halted()).collect();
     let mut round = 0;
@@ -226,7 +236,10 @@ fn reference_run<A: NodeAlgorithm>(
                 assert!(p < g.degree(v), "node {v} sent on nonexistent port {p}");
                 metrics.record_message(m.bit_size());
                 let u = g.neighbor_at(v, p);
-                let slot = &mut slots[g.port_range(u).start + g.reverse_port(v, p)];
+                let rp = rows[u]
+                    .binary_search(&v)
+                    .expect("v is in its neighbour's row");
+                let slot = &mut slots[g.port_range(u).start + rp];
                 assert!(slot.is_none(), "node {v} sent twice over port {p}");
                 *slot = Some(m);
             }
@@ -878,14 +891,15 @@ proptest! {
         }
     }
 
-    /// Scale-out construction contract: the full `ShardedTopology` is the
-    /// oracle's graph, remap table included, and the coordinator's counting
-    /// pass (`ShardPlan`) plus each worker's restricted single-shard build
+    /// Scale-out construction contract: the `Topology`, its sharded copy and
+    /// that copy re-cut to another shard count are the oracle's graph,
+    /// destination table included, and the coordinator's counting pass
+    /// (`ShardPlan`) plus each worker's restricted single-shard build
     /// (`ShardSliceTopology`) reproduces it exactly — same plan, and per
-    /// shard the same port ranges and `dest_slot` remap — across random
-    /// graph families and shard counts.  This
-    /// is the invariant that lets mesh-mode workers rebuild only their own
-    /// shard from the shared edge stream.
+    /// shard the same port ranges and destination rows — across random
+    /// graph families and shard counts.  This is the invariant that lets
+    /// mesh-mode workers rebuild only their own shard from the shared edge
+    /// stream.
     #[test]
     fn restricted_shard_construction_matches_full_build(
         family in 0usize..4,
@@ -895,8 +909,11 @@ proptest! {
     ) {
         let g = build_graph(family, size, graph_seed);
         let full = ShardedTopology::from_topology(&g, shards).expect("shardable topology");
-        oracle_from_edges(g.num_nodes(), &g.edges().collect::<Vec<_>>())
-            .assert_same_sharded("full build", &full);
+        let recut = ShardedTopology::from_topology(&full, shards % 5 + 1).expect("re-cut");
+        let oracle = oracle_from_edges(g.num_nodes(), &g.edges().collect::<Vec<_>>());
+        oracle.assert_same("topology", &g, g.num_edges());
+        oracle.assert_same_sharded("full build", &full);
+        oracle.assert_same_sharded("re-cut", &recut);
         let plan = full.plan();
         let streamed = dcme_congest::ShardPlan::from_edge_stream(g.num_nodes(), shards, |emit| {
             for (u, v) in g.edges() {
@@ -1279,8 +1296,9 @@ fn every_generator_matches_the_oracle() {
     );
 }
 
-/// The benchmark's inputs at full scale: `hnt-threads2`'s graphs and their
-/// two-shard builds, and both worker slices of `gossip-mesh2`'s circulant
+/// The benchmark's inputs at full scale, destination tables included:
+/// `hnt-threads2`'s graphs, their two-shard copies and those re-cut to
+/// three shards, and both worker slices of `gossip-mesh2`'s circulant
 /// (graph seed 7).  The benchmark pins rounds, messages and colors, which
 /// would not notice permuted ports; this does.
 #[test]
@@ -1294,6 +1312,8 @@ fn benchmark_inputs_match_the_oracle() {
         oracle.assert_same(&name, &g, g.num_edges());
         let sharded = ShardedTopology::from_topology(&g, 2).expect("shardable topology");
         oracle.assert_same_sharded(&format!("{name} in 2 shards"), &sharded);
+        let recut = ShardedTopology::from_topology(&sharded, 3).expect("re-cut");
+        oracle.assert_same_sharded(&format!("{name} re-cut to 3 shards"), &recut);
     }
 
     let n = 2_000_000;
