@@ -72,9 +72,20 @@ impl NodeAlgorithm for EliminationNode {
         // Round t eliminates color class `target + t`.
         let eliminated = self.target + ctx.round;
         if self.color == eliminated {
-            let used: std::collections::HashSet<u64> = inbox.iter().map(|(_, m)| m.0).collect();
-            let free = (0..self.target)
-                .find(|c| !used.contains(c))
+            // `deg(v)` neighbours leave one of the colors `0..=deg(v)` free,
+            // so mark the heard colors below that bound (and the target):
+            // the first clear bit is the smallest free color.
+            let bound = self.target.min(ctx.degree as u64 + 1);
+            let mut heard = vec![0u64; bound.div_ceil(64) as usize];
+            for (_, &CurrentColor(c)) in inbox.iter() {
+                if c < bound {
+                    heard[(c / 64) as usize] |= 1 << (c % 64);
+                }
+            }
+            let free = (heard.iter().enumerate())
+                .find(|(_, &word)| word != u64::MAX)
+                .map(|(i, word)| 64 * i as u64 + word.trailing_ones() as u64)
+                .filter(|&c| c < bound)
                 .expect("a node has at most Δ neighbours, so [Δ+1] has a free color");
             self.color = free;
         }

@@ -241,11 +241,11 @@ impl NodeAlgorithm for TrialNode {
     fn receive(&mut self, ctx: &NodeContext, inbox: &Inbox<'_, TrialMessage>) {
         let q = self.q();
 
-        // Record neighbours that announced a permanent color this round —
-        // one contiguous pass over the CSR slot arena.  A port announces
-        // at most once over the whole run, so appending never duplicates.
-        for (port, slot) in inbox.slots().iter().enumerate() {
-            if let Some(TrialMessage::Adopted { color }) = slot {
+        // Record neighbours that announced a permanent color this round.
+        // A port announces at most once over the whole run, so appending
+        // never duplicates.
+        for (port, msg) in inbox.iter() {
+            if let TrialMessage::Adopted { color } = msg {
                 self.colored_neighbors
                     .push((port, Trial::decode(*color, q)));
             }
@@ -283,8 +283,8 @@ impl NodeAlgorithm for TrialNode {
         // current batch is determined by them.
         let width = params.f as usize + 1;
         self.active_coeffs.clear();
-        for slot in inbox.slots().iter().flatten() {
-            if let TrialMessage::Active { input_color } = slot {
+        for (_, msg) in inbox.iter() {
+            if let TrialMessage::Active { input_color } = msg {
                 let at = self.active_coeffs.len();
                 self.active_coeffs.resize(at + width, 0);
                 self.family

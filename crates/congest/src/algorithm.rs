@@ -91,65 +91,100 @@ impl<M> Outbox<M> {
 /// The messages a node received in one round, indexed by the port on which
 /// they arrived.
 ///
-/// An inbox is a zero-copy *view* into the engine's per-run [`RoundState`]
-/// arena: one slot per port, `Some(msg)` if a message arrived on that port
-/// this round.  Because the CONGEST model allows at most one message per
-/// edge per round, a slot per port is always enough (the engine rejects
-/// algorithms that try to send twice over the same port in one round).
+/// An inbox is a zero-copy *view* into the round engine's buffers.  Port
+/// `p` yields
+///
+/// * the message in the node's inbox slot for `p` — one slot per port in
+///   the engine's per-run [`RoundState`] arena — if one landed there: every
+///   message from another shard, and every per-port message;
+/// * else the *broadcast value* of the neighbour behind `p`, if the kernel
+///   running this node runs that neighbour too.  A broadcast reaches the
+///   sender's own shard as one value, which each receiver pulls through its
+///   row of neighbours, instead of one slot written per edge.
+///
+/// Because the CONGEST model allows at most one message per edge per round,
+/// a port yields at most one message (the engine rejects algorithms that try
+/// to send twice over the same port in one round).
 ///
 /// [`RoundState`]: crate::executor::RoundState
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Inbox<'a, M> {
     slots: &'a [Option<M>],
+    /// The neighbour behind each port; empty when no values are pulled.
+    neighbors: &'a [u32],
+    /// The broadcast values of nodes `value_base..value_base + values.len()`.
+    values: &'a [Option<M>],
+    value_base: usize,
 }
+
+// Not derived: a derive would demand `M: Copy`, and the view copies only
+// references.
+impl<M> Clone for Inbox<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M> Copy for Inbox<'_, M> {}
 
 impl<'a, M> Inbox<'a, M> {
     /// Creates an inbox viewing one slot per port (`slots[p]` holds the
     /// message that arrived on port `p`, if any).
     pub fn from_slots(slots: &'a [Option<M>]) -> Self {
-        Self { slots }
+        Self::pulled(slots, &[], &[], 0)
+    }
+
+    /// An inbox whose port `p` yields `slots[p]`, else the value of the
+    /// neighbour `neighbors[p]`, if it is one of the nodes `values` holds,
+    /// from `value_base` on.
+    pub(crate) fn pulled(
+        slots: &'a [Option<M>],
+        neighbors: &'a [u32],
+        values: &'a [Option<M>],
+        value_base: usize,
+    ) -> Self {
+        Self {
+            slots,
+            neighbors,
+            values,
+            value_base,
+        }
     }
 
     /// An empty inbox.
     pub fn empty() -> Self {
-        Self { slots: &[] }
+        Self::from_slots(&[])
     }
 
     /// Iterator over `(port, message)` pairs in port order.
     pub fn iter(&self) -> impl Iterator<Item = (Port, &'a M)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(p, m)| m.as_ref().map(|m| (p, m)))
-    }
-
-    /// The contiguous per-port slot slice backing this inbox (`slots[p]`
-    /// holds port `p`'s message, if any) — straight out of the executor's
-    /// CSR slot arena.  Batched receive loops scan this directly (e.g.
-    /// `inbox.slots().iter().flatten()` when ports don't matter): one
-    /// linear pass over adjacent memory the compiler can unroll and
-    /// vectorise, where [`iter`](Self::iter)'s filter-map chain would
-    /// re-branch per slot.
-    pub fn slots(&self) -> &'a [Option<M>] {
-        self.slots
+        let inbox = *self;
+        (0..inbox.slots.len()).filter_map(move |p| inbox.from_port(p).map(|m| (p, m)))
     }
 
     /// The message that arrived on `port`, if any.
+    #[inline]
     pub fn from_port(&self, port: Port) -> Option<&'a M> {
-        self.slots.get(port)?.as_ref()
+        match self.slots.get(port)? {
+            Some(msg) => Some(msg),
+            None => {
+                let u = *self.neighbors.get(port)? as usize;
+                self.values.get(u.wrapping_sub(self.value_base))?.as_ref()
+            }
+        }
     }
 
     /// Number of messages received.
     ///
-    /// This scans the node's port slots, so it costs `O(deg(v))`; prefer a
+    /// This scans the node's ports, so it costs `O(deg(v))`; prefer a
     /// single [`Inbox::iter`] pass over repeated `len()` calls.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|m| m.is_some()).count()
+        self.iter().count()
     }
 
     /// Whether no message was received.
     pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|m| m.is_none())
+        self.iter().next().is_none()
     }
 }
 
@@ -228,6 +263,33 @@ mod tests {
         assert!(!inbox.is_empty());
         assert!(Inbox::<u64>::empty().is_empty());
         assert_eq!(Inbox::<u64>::empty().len(), 0);
+    }
+
+    #[test]
+    fn pulled_inbox_agrees_with_a_slot_inbox() {
+        // The kernel runs nodes 4..8; node 5 broadcast, node 6 stayed
+        // silent.  Port 0's message sits in its slot, ports 1 and 2 lead to
+        // nodes 5 and 6, and ports 3 and 4 to nodes 2 and 9, outside it.
+        let values = [Some("four"), Some("five"), None, Some("seven")];
+        let slots = [Some("slot"), None, None, None, None];
+        let pulled = Inbox::pulled(&slots, &[3, 5, 6, 2, 9], &values, 4);
+        let reference = Inbox::from_slots(&[Some("slot"), Some("five"), None, None, None]);
+        assert!(pulled.iter().eq(reference.iter()));
+        for p in 0..7 {
+            assert_eq!(pulled.from_port(p), reference.from_port(p), "port {p}");
+        }
+        assert_eq!((pulled.len(), pulled.is_empty()), (2, false));
+        assert_eq!((reference.len(), reference.is_empty()), (2, false));
+        let silent = Inbox::pulled(&[None, None], &[6, 9], &values, 4);
+        assert_eq!((silent.len(), silent.is_empty()), (0, true));
+        // The iterator borrows the engine's buffers, not the view.
+        let ports: Vec<_> = {
+            let inbox = Inbox::pulled(&slots, &[3, 5, 6, 2, 9], &values, 4);
+            inbox.iter()
+        }
+        .map(|(p, _)| p)
+        .collect();
+        assert_eq!(ports, vec![0, 1]);
     }
 
     #[test]

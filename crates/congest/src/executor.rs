@@ -8,27 +8,36 @@
 //! # One kernel
 //!
 //! Every round of every run is executed by a crate-private `ShardKernel`:
-//! one shard's nodes, contexts and inbox slots, plus its touched-slot list,
-//! compact active list and counters.  It runs a round in three calls —
+//! one shard's nodes, contexts and inbox slots, one broadcast value per
+//! node, the lists of slots and values filled this round, its compact
+//! active list and counters.  It runs a round in three calls —
 //!
-//! 1. **send + route**: clear the slots filled last round, ask every active
-//!    node for its outbox, and route each message to its destination slot,
-//!    one load in the sender's row of the destination table (a shard's
+//! 1. **send + route**: clear the slots and values filled last round, ask
+//!    every active node for its outbox, and route each message through the
+//!    sender's row of the destination table (a shard's
 //!    [`dest_row`](ShardTopologyView::dest_row), or a whole graph's
-//!    [`dest_slots`](TopologyView::dest_slots)) — into the shard's own
-//!    slots, or to the cross-shard staging the driver passes in (followed,
-//!    for drivers with a transport, by a timed flush).  A sender's row
-//!    ascends, so its ports into one shard are one run of it: a broadcast
-//!    is staged once per other shard it reaches, with that run
-//!    ([`Transport::stage_broadcast`]), and a per-port message once per
-//!    port ([`Transport::stage`]);
+//!    [`dest_slots`](TopologyView::dest_slots)).  A sender's row ascends,
+//!    so its ports into one shard are one run of it.  A broadcast with a
+//!    run in the sender's own shard is stored once, as the sender's value,
+//!    and is staged once per other shard it reaches, with that run
+//!    ([`Transport::stage_broadcast`]).  A per-port message is one load in
+//!    the row: into the shard's own slot, or staged for the shard owning it
+//!    ([`Transport::stage`]).  Drivers with a transport then flush the
+//!    staging, timed;
 //! 2. **deliver**: fill the shard's slots from a drain the driver passes in
 //!    (the [`Entry`]s other shards routed here): a per-port entry into its
 //!    slot, a broadcast entry into every slot of the sender's run in this
 //!    shard, found by binary search on the sender's row;
 //! 3. **receive + compact**: hand every active node its inbox — a
-//!    zero-copy [`Inbox`] view of its own slots — and drop the nodes that
-//!    halted from the active list.
+//!    zero-copy [`Inbox`] view whose port `p` yields the node's slot `p` if
+//!    a message landed there, else the value of the neighbour behind `p` if
+//!    that neighbour is a node of the shard (read from the node's source
+//!    row, [`ShardTopologyView::source_row`] or
+//!    [`TopologyView::neighbor_row`]) — and drop the nodes that halted from
+//!    the active list.
+//!
+//! So one rule holds for every driver: a broadcast from a node of the same
+//! shard arrives as a value, and every other message arrives in a slot.
 //!
 //! The kernel is the only place the engine calls [`NodeAlgorithm::send`] and
 //! [`NodeAlgorithm::receive`], takes the phase, flush and drain timings
@@ -65,10 +74,15 @@
 //! with one slot per directed edge, allocated once per run.  A message from
 //! `v` over port `p` lands in the slot of the reverse port at the receiving
 //! endpoint.  Each kernel owns a contiguous sub-range of the arena (its
-//! shard's nodes' slots) and clears only the slots it filled (its touched
-//! list), so quiet rounds cost `O(active)` rather than `O(n + m)`; its
-//! active list shrinks as nodes halt, so halted nodes stop costing even an
-//! `is_halted()` check per round.
+//! shard's nodes' slots), and one broadcast value per node of its shard,
+//! allocated once per kernel.  A broadcast from `v` to its neighbours in
+//! the shard writes one value, not `deg(v)` slots, and the receivers read
+//! it where they would have read their slots: the paper's elimination
+//! stage, whose nodes broadcast every round and compute one compare, is
+//! almost all such delivery.  The kernel clears only the slots and values
+//! it filled (its two lists), so quiet rounds cost `O(active)` rather than
+//! `O(n + m)`; its active list shrinks as nodes halt, so halted nodes stop
+//! costing even an `is_halted()` check per round.
 //!
 //! # Sharded barrier protocol
 //!
@@ -81,13 +95,13 @@
 //!
 //! 1. **A** — the coordinator has published the round number or the stop
 //!    flag.  Each thread runs its kernel's send step: intra-shard messages
-//!    go straight into its own slots, cross-shard messages are staged on
-//!    its endpoint (`Transport::stage_broadcast` once per broadcasting
-//!    sender and destination shard, `Transport::stage` per per-port
-//!    message), then flushed (`Transport::flush`: the in-process backend
-//!    hands each destination its staging buffer, which holds one entry per
-//!    broadcast; the socket backend seals one wire frame per destination
-//!    shard, which encodes every edge).
+//!    go straight into its own values and slots, cross-shard messages are
+//!    staged on its endpoint (`Transport::stage_broadcast` once per
+//!    broadcasting sender and destination shard, `Transport::stage` per
+//!    per-port message), then flushed (`Transport::flush`: the in-process
+//!    backend hands each destination its staging buffer, which holds one
+//!    entry per broadcast; the socket backend seals one wire frame per
+//!    destination shard, which encodes every edge).
 //! 2. **B** — every message is routed.  Each thread drains every `x → w`
 //!    channel into its own slots (`Transport::drain`), fanning each
 //!    broadcast entry out over the sender's ports into `w`.  The barriers
@@ -197,9 +211,10 @@ pub trait Executor<T: TopologyView = Topology> {
 /// (see the [module docs](self)).
 ///
 /// `nodes`, `contexts` and `slots` are exactly the shard's nodes, contexts
-/// and inbox slots; indices into them are global ids minus `node_base` and
-/// global slots minus `slot_base`.  `L` says how the shard and its
-/// messages' destinations are looked up in `T`.
+/// and inbox slots, and `values` holds one broadcast value per node;
+/// indices into them are global ids minus `node_base` and global slots
+/// minus `slot_base`.  `L` says how the shard, its messages' destinations
+/// and its ports' sources are looked up in `T`.
 pub(crate) struct ShardKernel<'a, A: NodeAlgorithm, T: ?Sized, L> {
     topology: &'a T,
     lookup: PhantomData<L>,
@@ -209,9 +224,14 @@ pub(crate) struct ShardKernel<'a, A: NodeAlgorithm, T: ?Sized, L> {
     node_base: NodeId,
     slots: &'a mut [Option<A::Message>],
     slot_base: usize,
+    /// The message each node broadcast this round, for its neighbours in
+    /// the shard to pull.
+    values: Vec<Option<A::Message>>,
     delivery: DeliveryMode,
     /// Shard-local indices of the slots filled this round.
     touched: Vec<usize>,
+    /// Shard-local indices of the nodes whose value is set this round.
+    broadcast: Vec<usize>,
     /// Global ids of the shard's still-active nodes, ascending.
     active: Vec<NodeId>,
     report: ShardReport,
@@ -245,8 +265,10 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             node_base: node_range.start,
             slots,
             slot_base: slot_range.start,
+            values: (0..node_range.len()).map(|_| None).collect(),
             delivery,
             touched: Vec::new(),
+            broadcast: Vec::new(),
             active: Vec::new(),
             report: ShardReport::default(),
             tracer,
@@ -274,13 +296,14 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         &self.report
     }
 
-    /// The send step: clears the slots filled last round, asks every active
-    /// node for its outbox and routes each message into this shard's own
-    /// slots, or to `stage` when another shard owns the destination slot: a
-    /// broadcast once per other shard its ports reach, with that shard's
-    /// run of the sender's destination-table row, and a per-port message
-    /// once per port.  Every message is charged here, at its sender and per
-    /// edge (see the accounting semantics in [`crate::algorithm`]).
+    /// The send step: clears the slots and values filled last round, asks
+    /// every active node for its outbox and routes each message.  A
+    /// broadcast becomes the sender's value if any of its ports lead into
+    /// this shard, and is staged once per other shard its ports reach, with
+    /// that shard's run of the sender's destination-table row.  A per-port
+    /// message goes into this shard's own slot, or to `stage` when another
+    /// shard owns the slot.  Every message is charged here, at its sender
+    /// and per edge (see the accounting semantics in [`crate::algorithm`]).
     ///
     /// # Panics
     ///
@@ -312,6 +335,8 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             &own,
             self.slots,
             &mut self.touched,
+            &mut self.values,
+            &mut self.broadcast,
             &mut self.report,
             stage,
         );
@@ -439,8 +464,9 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         Ok(())
     }
 
-    /// The receive step: hands every active node its inbox, then drops the
-    /// nodes that halted from the active list; returns how many remain.
+    /// The receive step: hands every active node its inbox — its own slots,
+    /// backed by the values of its neighbours in this shard — then drops
+    /// the nodes that halted from the active list; returns how many remain.
     pub(crate) fn receive_compact(&mut self, round: u64) -> usize {
         self.phase_start(round, TracePhase::Receive);
         let t = Instant::now();
@@ -450,6 +476,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             nodes,
             contexts,
             slots,
+            values,
             active,
             ..
         } = self;
@@ -459,7 +486,8 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
                 ..contexts[v - node_base]
             };
             let r = L::port_range(topology, shard, v);
-            let inbox = Inbox::from_slots(&slots[r.start - slot_base..r.end - slot_base]);
+            let own = &slots[r.start - slot_base..r.end - slot_base];
+            let inbox = Inbox::pulled(own, L::source_row(topology, v), values, node_base);
             nodes[v - node_base].receive(&ctx, &inbox);
         }
         active.retain(|&v| !nodes[v - node_base].is_halted());
@@ -472,6 +500,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     /// Ends the run: clears the slots filled in the final round — the
     /// touched list dies with the kernel, so a reused arena would otherwise
     /// replay them as phantom messages — and returns the shard's counters.
+    /// The values die with the kernel too.
     pub(crate) fn finish(self) -> ShardReport {
         for i in self.touched {
             self.slots[i] = None;
@@ -501,13 +530,15 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     }
 }
 
-/// The loops of [`ShardKernel::send_route`]: clear the slots filled last
-/// round, then ask every active node for its outbox and route each message
-/// into this shard's slot range `own` or to `stage`.
+/// The loops of [`ShardKernel::send_route`]: clear the slots and values
+/// filled last round, then ask every active node for its outbox and route
+/// each message: a broadcast into `values`, a per-port message into this
+/// shard's slot range `own`, or either to `stage`.
 ///
 /// Every message's slot is read from the sender's destination-table row.
 /// The row ascends, so a broadcast's ports into each shard are one run of
-/// it, filled here for the own shard and staged once for any other.
+/// it: for the own shard the run is charged and the message stored once,
+/// as the sender's value, and for any other shard it is staged once.
 ///
 /// A function of its own, never inlined, on purpose: with the topology and
 /// every buffer as separate reference arguments the compiler knows none of
@@ -528,6 +559,8 @@ fn send_and_route<A, T, L, X>(
     own: &core::ops::Range<usize>,
     slots: &mut [Option<A::Message>],
     touched: &mut Vec<usize>,
+    values: &mut [Option<A::Message>],
+    broadcast: &mut Vec<usize>,
     report: &mut ShardReport,
     stage: &mut X,
 ) where
@@ -538,6 +571,9 @@ fn send_and_route<A, T, L, X>(
 {
     for i in touched.drain(..) {
         slots[i] = None;
+    }
+    for i in broadcast.drain(..) {
+        values[i] = None;
     }
     for &v in active {
         let ctx = NodeContext {
@@ -556,9 +592,8 @@ fn send_and_route<A, T, L, X>(
                     row = rest;
                     report.record(run.len() as u64, bits);
                     if to == shard {
-                        for &dest in run {
-                            fill_slot(slots, dest as usize - own.start, msg.clone(), v, touched);
-                        }
+                        values[v - node_base] = Some(msg.clone());
+                        broadcast.push(v - node_base);
                     } else {
                         report.cross += run.len() as u64;
                         stage.broadcast(to, v as u32, msg.clone(), run);
@@ -617,6 +652,9 @@ pub(crate) trait ShardLookup<T: ?Sized> {
     /// [`ShardTopologyView::dest_row`]), or `None` if `T` holds none for
     /// it.  Every node of the shard has one.
     fn dest_row(topology: &T, v: NodeId) -> Option<&[u32]>;
+    /// The source row of `v`, a node of the shard: the neighbour behind
+    /// each of its ports (see [`ShardTopologyView::source_row`]).
+    fn source_row(topology: &T, v: NodeId) -> &[u32];
     /// The shard owning global slot `slot`.
     fn shard_of_slot(topology: &T, slot: usize) -> usize;
 }
@@ -642,6 +680,13 @@ impl<T: ShardTopologyView + ?Sized> ShardLookup<T> for ShardRows {
     #[inline]
     fn dest_row(topology: &T, v: NodeId) -> Option<&[u32]> {
         topology.dest_row(v)
+    }
+
+    #[inline]
+    fn source_row(topology: &T, v: NodeId) -> &[u32] {
+        topology
+            .source_row(v)
+            .expect("a shard holds its nodes' rows")
     }
 
     #[inline]
@@ -672,6 +717,11 @@ impl<T: TopologyView + ?Sized> ShardLookup<T> for WholeGraph {
     #[inline]
     fn dest_row(topology: &T, v: NodeId) -> Option<&[u32]> {
         Some(topology.dest_slots(v))
+    }
+
+    #[inline]
+    fn source_row(topology: &T, v: NodeId) -> &[u32] {
+        topology.neighbor_row(v)
     }
 
     #[inline]

@@ -43,12 +43,16 @@
 //! a `u32` per directed edge ([`TopologyView::dest_slots`]), written by the
 //! builder's reverse pass, and the flat slot contract does not depend on
 //! the cut, so sharding a built graph copies the table as it is.  Senders
-//! either write the slot directly (intra-shard) or enqueue the pair
-//! `(slot, message)` for the owning worker (cross-shard).  A node's row of
-//! the table ascends, so its ports into one shard are one run of it
-//! ([`ShardTopologyView::dest_row`]): an in-process broadcast crosses to
-//! that shard as one entry, and the receiving worker fans it out over the
-//! sender's run.  A worker slice stores the rows of its own shard only.
+//! either write the slot directly (intra-shard per-port messages) or
+//! enqueue the pair `(slot, message)` for the owning worker (cross-shard).
+//! A node's row of the table ascends, so its ports into one shard are one
+//! run of it ([`ShardTopologyView::dest_row`]): an in-process broadcast
+//! crosses to that shard as one entry, and the receiving worker fans it
+//! out over the sender's run.  A broadcast into the sender's own shard
+//! fills no slot: it is kept as one value, which each receiver pulls
+//! through its *source row* ([`ShardTopologyView::source_row`]: the
+//! neighbour behind each port).  A worker slice stores both rows of its own
+//! shard's nodes only.
 
 use serde::{Deserialize, Serialize};
 
@@ -271,7 +275,7 @@ impl ShardPlan {
         let ok_bounds = node_start[0] == 0
             && slot_start[0] == 0
             && node_start[s] == n
-            && slot_start[s] == 2 * num_edges
+            && num_edges.checked_mul(2) == Some(slot_start[s])
             && node_start.windows(2).all(|w| w[0] <= w[1])
             && slot_start.windows(2).all(|w| w[0] <= w[1]);
         if !ok_bounds {
@@ -440,9 +444,8 @@ impl ShardedTopology {
             dest: Vec::with_capacity(slots),
         };
         csr.offsets.push(0);
-        for (v, &d) in degree.iter().enumerate() {
-            let neighbors = (0..d as usize).map(|p| topology.neighbor_at(v, p) as u32);
-            csr.neighbors.extend(neighbors);
+        for v in 0..n {
+            csr.neighbors.extend_from_slice(topology.neighbor_row(v));
             csr.dest.extend_from_slice(topology.dest_slots(v));
             csr.offsets.push(csr.neighbors.len());
         }
@@ -522,7 +525,7 @@ impl ShardedTopology {
     pub fn shard_slice(&self, s: usize) -> ShardSliceTopology {
         let slots = self.shard_slots(s);
         let ends = self.shard_nodes(s).map(|v| self.topology.port_range(v).end);
-        let rows = self.shard_nodes(s).map(|v| self.topology.dest_slots(v));
+        let g = &self.topology;
         ShardSliceTopology {
             plan: self.plan(),
             shard: s,
@@ -530,7 +533,16 @@ impl ShardedTopology {
                 .chain(ends)
                 .map(|o| o - slots.start)
                 .collect(),
-            dest: rows.flatten().copied().collect(),
+            neighbors: self
+                .shard_nodes(s)
+                .flat_map(|v| g.neighbor_row(v))
+                .copied()
+                .collect(),
+            dest: self
+                .shard_nodes(s)
+                .flat_map(|v| g.dest_slots(v))
+                .copied()
+                .collect(),
         }
     }
 }
@@ -539,8 +551,10 @@ impl ShardedTopology {
 /// shard's rows**: the worker-side product of the scale-out construction
 /// split.
 ///
-/// Holds the `O(n)` [`ShardPlan`] plus the owned shard's `O(m/S)` rows of
-/// the destination table — all the round kernel reads.  It is identical to
+/// Holds the `O(n)` [`ShardPlan`] plus the owned shard's `O(m/S)` rows:
+/// each own node's neighbours in port order (its
+/// [`source_row`](ShardTopologyView::source_row)) and its row of the
+/// destination table — all the round kernel reads.  It is identical to
 /// the corresponding shard of the full [`ShardedTopology`] build — the
 /// equivalence proptest pins this — so a mesh worker serving it is
 /// indistinguishable on the wire from one holding the whole graph.
@@ -551,6 +565,8 @@ pub struct ShardSliceTopology {
     /// The ports of the shard's `i`-th node are `offsets[i]..offsets[i + 1]`,
     /// counted from the shard's first slot.
     offsets: Vec<usize>,
+    /// For each of those ports, the neighbour behind it.
+    neighbors: Vec<u32>,
     /// For each of those ports, the global slot of the receiving endpoint.
     dest: Vec<u32>,
 }
@@ -619,8 +635,10 @@ impl ShardSliceTopology {
         let csr = csr::build(&plan.degree, held.nodes(), row, own.clone(), stream)?;
         let first_own = held.nodes().take_while(|&u| u < own.start).count();
         let own_offsets = &csr.offsets[first_own..=first_own + own.len()];
+        let own_ports = own_offsets[0]..own_offsets[own.len()];
         Ok(Self {
             offsets: own_offsets.iter().map(|&o| o - own_offsets[0]).collect(),
+            neighbors: csr.neighbors[own_ports].to_vec(),
             plan,
             shard,
             dest: csr.dest,
@@ -637,6 +655,14 @@ impl ShardSliceTopology {
     #[inline]
     pub fn shard(&self) -> usize {
         self.shard
+    }
+
+    /// The ports of node `v`, counted from the shard's first slot; `None` if
+    /// `v` is not a node of the shard.
+    #[inline]
+    fn own_ports(&self, v: NodeId) -> Option<core::ops::Range<usize>> {
+        let i = v.checked_sub(self.plan.node_start[self.shard])?;
+        Some(*self.offsets.get(i)?..*self.offsets.get(i + 1)?)
     }
 }
 
@@ -685,6 +711,10 @@ pub trait ShardTopologyView {
     /// `None` when the view holds no row for `v`: `v` is not a node of the
     /// graph, or, for a [`ShardSliceTopology`], not a node of its shard.
     fn dest_row(&self, v: NodeId) -> Option<&[u32]>;
+    /// The source row of node `v`: the neighbour behind each of its ports,
+    /// in port order — the node whose messages arrive on that port.  `None`
+    /// exactly when [`dest_row`](Self::dest_row) is.
+    fn source_row(&self, v: NodeId) -> Option<&[u32]>;
 }
 
 impl ShardTopologyView for ShardedTopology {
@@ -733,6 +763,12 @@ impl ShardTopologyView for ShardedTopology {
     #[inline]
     fn dest_row(&self, v: NodeId) -> Option<&[u32]> {
         (v < self.topology.num_nodes()).then(|| self.topology.dest_slots(v))
+    }
+
+    #[inline]
+    fn source_row(&self, v: NodeId) -> Option<&[u32]> {
+        let g = &self.topology;
+        (v < g.num_nodes()).then(|| TopologyView::neighbor_row(g, v))
     }
 }
 
@@ -784,9 +820,12 @@ impl ShardTopologyView for ShardSliceTopology {
 
     #[inline]
     fn dest_row(&self, v: NodeId) -> Option<&[u32]> {
-        let i = v.checked_sub(self.plan.node_start[self.shard])?;
-        let (&start, &end) = (self.offsets.get(i)?, self.offsets.get(i + 1)?);
-        Some(&self.dest[start..end])
+        self.own_ports(v).map(|ports| &self.dest[ports])
+    }
+
+    #[inline]
+    fn source_row(&self, v: NodeId) -> Option<&[u32]> {
+        self.own_ports(v).map(|ports| &self.neighbors[ports])
     }
 }
 
@@ -812,8 +851,8 @@ impl TopologyView for ShardedTopology {
     }
 
     #[inline]
-    fn neighbor_at(&self, v: NodeId, p: Port) -> NodeId {
-        self.topology.neighbor_at(v, p)
+    fn neighbor_row(&self, v: NodeId) -> &[u32] {
+        TopologyView::neighbor_row(&self.topology, v)
     }
 
     #[inline]
@@ -1042,6 +1081,12 @@ mod tests {
         let deg_at = 24 + 16 * 5;
         forged[deg_at] = forged[deg_at].wrapping_add(1); // degree sum off by one
         assert_eq!(ShardPlan::from_bytes(&forged), Err(WireError::NonCanonical));
+        // 2 · 2^63 edges wraps to the slot count 0 of an edgeless plan.
+        let mut forged = ShardPlan::from_edge_stream(2, 1, |_| {})
+            .unwrap()
+            .to_bytes();
+        forged[8..16].copy_from_slice(&(1u64 << 63).to_le_bytes());
+        assert_eq!(ShardPlan::from_bytes(&forged), Err(WireError::NonCanonical));
     }
 
     #[test]
@@ -1066,13 +1111,20 @@ mod tests {
                     let row = full.dest_row(v).expect("the full build holds every row");
                     assert_eq!(slice.dest_row(v), Some(row));
                     assert!(row.windows(2).all(|w| w[0] < w[1]), "row {v} ascends");
+                    let sources = TopologyView::neighbor_row(&full, v);
+                    assert_eq!(full.source_row(v), Some(sources));
+                    assert_eq!(slice.source_row(v), Some(sources));
                 }
                 // A slice holds no row outside its shard; nobody holds one
                 // past the last node.
                 let own = ShardTopologyView::shard_nodes(&slice, s);
-                assert!((0..=n).all(|v| own.contains(&v) || slice.dest_row(v).is_none()));
+                let mut outside = (0..=n).filter(|v| !own.contains(v));
+                assert!(
+                    outside.all(|v| slice.dest_row(v).is_none() && slice.source_row(v).is_none())
+                );
             }
             assert_eq!(full.dest_row(n), None);
+            assert_eq!(full.source_row(n), None);
         }
     }
 

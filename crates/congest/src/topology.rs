@@ -134,8 +134,14 @@ pub trait TopologyView: Sync {
     /// Degree of node `v`.
     fn degree(&self, v: NodeId) -> usize;
 
+    /// Node `v`'s neighbours, in port order (ascending): entry `p` is the
+    /// node whose messages arrive on `v`'s port `p`.
+    fn neighbor_row(&self, v: NodeId) -> &[u32];
+
     /// The neighbour of `v` behind port `p`.
-    fn neighbor_at(&self, v: NodeId, p: Port) -> NodeId;
+    fn neighbor_at(&self, v: NodeId, p: Port) -> NodeId {
+        self.neighbor_row(v)[p] as NodeId
+    }
 
     /// Node `v`'s row of the destination table: for each of its ports, in
     /// port order, the flat slot at which the neighbour behind it receives
@@ -402,8 +408,8 @@ impl TopologyView for Topology {
     }
 
     #[inline]
-    fn neighbor_at(&self, v: NodeId, p: Port) -> NodeId {
-        Topology::neighbor_at(self, v, p)
+    fn neighbor_row(&self, v: NodeId) -> &[u32] {
+        self.row(v)
     }
 
     #[inline]
@@ -591,6 +597,11 @@ mod tests {
             assert_eq!(view.degree(v), g.degree(v));
             assert_eq!(view.port_range(v), g.port_range(v));
             assert_eq!(view.dest_slots(v), g.dest_slots(v));
+            assert!(view
+                .neighbor_row(v)
+                .iter()
+                .map(|&u| u as NodeId)
+                .eq(g.neighbors(v)));
             for p in 0..g.degree(v) {
                 assert_eq!(view.neighbor_at(v, p), g.neighbor_at(v, p));
                 assert_eq!(view.reverse_port(v, p), g.reverse_port(v, p));

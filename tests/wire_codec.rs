@@ -7,8 +7,8 @@
 //!   message type survive encode → decode unchanged, and their encoded
 //!   payload occupies **exactly** `MessageSize::bit_size()` bits, so the
 //!   wire carries precisely what the simulator's accounting charges.
-//! * **Malformed input safety** — truncated and corrupted frames come back
-//!   as `WireError`s, never panics.
+//! * **Malformed input safety** — truncated and corrupted frames, and
+//!   mutated `ShardPlan` bytes, come back as `WireError`s, never panics.
 //! * **Bandwidth cross-check** — the paper algorithms' messages, pushed
 //!   through the codec, never encode wider than the `max_message_bits` the
 //!   simulator recorded for the run (and hence stay within the E12
@@ -28,9 +28,11 @@ use dcme_coloring::TrialConfig;
 use dcme_congest::wire::{
     decode_payload, encode_payload, for_each_data_entry, DataFrameBuilder, FrameBuffer,
 };
-use dcme_congest::{BandwidthReport, ExecutionMode, MessageSize, WireMessage};
+use dcme_congest::{BandwidthReport, ExecutionMode, MessageSize, ShardPlan, WireMessage};
 use dcme_graphs::coloring::Coloring;
 use dcme_graphs::generators;
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 /// Encode → decode must be the identity, and the payload must be bit-exact.
 fn assert_round_trip<M: WireMessage + MessageSize + PartialEq + core::fmt::Debug>(msg: &M) {
@@ -144,6 +146,48 @@ proptest! {
                 for_each_data_entry::<D1Message>(&frame.payload[..cut], |_, _, _| {}).is_err(),
                 "truncation at {} must be an error", cut
             );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// A worker decodes its `ShardPlan` from bytes another process sent.
+    /// Valid plan bytes with bytes overwritten, bits flipped, the tail cut
+    /// off or garbage appended must decode to an error or to a plan that
+    /// re-encodes to exactly those bytes, never panic.
+    #[test]
+    fn mutated_plan_bytes_decode_or_fail_cleanly(
+        n in 0usize..12,
+        shards in 1usize..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        let ring = |emit: &mut dyn FnMut(usize, usize)| {
+            (0..n).filter(|_| n > 2).for_each(|i| emit(i, (i + 1) % n));
+        };
+        let mut bytes = ShardPlan::from_edge_stream(n, shards, ring).unwrap().to_bytes();
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..rng.random_range(1..3u32) {
+            let kind = if bytes.is_empty() { 3 } else { rng.random_range(0..4u32) };
+            match kind {
+                0 => {
+                    let i = rng.random_range(0..bytes.len());
+                    bytes[i] = rng.random_range(0..256u32) as u8;
+                }
+                1 => {
+                    let i = rng.random_range(0..bytes.len());
+                    bytes[i] ^= 1 << rng.random_range(0..8u32);
+                }
+                2 => bytes.truncate(rng.random_range(0..bytes.len())),
+                _ => {
+                    let extra = rng.random_range(1..9usize);
+                    bytes.extend((0..extra).map(|_| rng.random_range(0..256u32) as u8));
+                }
+            }
+        }
+        if let Ok(plan) = ShardPlan::from_bytes(&bytes) {
+            prop_assert_eq!(plan.to_bytes(), bytes);
         }
     }
 }
