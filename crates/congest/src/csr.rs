@@ -6,10 +6,32 @@
 //! edge stream fills the rows; each row is sorted and adjacent duplicates
 //! are rejected; one pass over the rows in ascending node order fills the
 //! *destination table* of the *own* rows: for every port `(w, p)`, the
-//! global inbox slot its messages land in.  When own node `w` turns up at
-//! position `j` of `u`'s row, `u` is the smallest neighbour of `w` not met
-//! yet, so it sits behind `w`'s next port `c[w]++`, and `w` is `u`'s port
-//! `j`: that port's slot is `u`'s first global slot plus `j`.
+//! global inbox slot its messages land in.
+//!
+//! # The destination pass
+//!
+//! Each own node `w` keeps a cursor `c[w]`, its first port without a slot.
+//! When own node `w` turns up at position `j` of `u`'s row, `u` is the
+//! smallest neighbour of `w` not met yet, so it sits behind port `c[w]++`,
+//! and `w` is `u`'s port `j`: that port's slot is `u`'s first global slot
+//! plus `j`.  This *push* jumps to `w`'s row, and the pass makes one per
+//! edge, not one per port:
+//!
+//! * an edge from a held node outside the own range to an own node is
+//!   pushed from the outside node's row;
+//! * an edge between own nodes `u < w` is handled at `u`'s row only.  The
+//!   cursor the push reads is `w`'s port for `u`, so `u`'s port `j` gets
+//!   the own range's first global slot plus that cursor, written along
+//!   `u`'s row, and `w`'s row skips the edge.
+//!
+//! One loop serves full builds and worker slices.  A sorted own row lists
+//! the neighbours below the own range first, whose rows come earlier, then
+//! the own ones, then those above the range, whose rows come later.  Its
+//! own neighbours below `u` push into `c[u]` before `u`'s row is reached,
+//! and `c[u]` advances once per entry written from `u`'s row, so the
+//! pushes from the rows above the range continue in port order.  Every
+//! cursor advances once per held neighbour, as with a push per port, so a
+//! neighbour the build does not hold leaves its node's cursor short.
 //!
 //! The table is what every driver routes through, one load per message,
 //! and the reverse port is derived from it: the slot minus the neighbour's
@@ -110,8 +132,9 @@ where
 /// Builds the rows of the `held` nodes (ascending; `row` maps a node to
 /// its row, if held) of the graph `stream` emits, whose node `v` has degree
 /// `degree[v]`, with the destination table of the node range `own`, all of
-/// whose neighbours are held.  A node's global slots follow every smaller
-/// node's, held or not: their first is the prefix sum of `degree`.  Fails
+/// whose neighbours are held, filled once per edge (see the
+/// [module docs](self)).  A node's global slots follow every smaller node's,
+/// held or not: their first is the prefix sum of `degree`.  Fails
 /// with [`TopologyError::PlanMismatch`] if the stream does not emit exactly
 /// `degree[v]` valid edges at a held node `v`, or gives an own node a
 /// neighbour not held; else with the smallest
@@ -171,17 +194,26 @@ where
     let first = held.clone().take_while(|&u| u < own.start).count();
     let own_offsets = &offsets[first..=first + own.len()];
     let base = own_offsets[0];
+    let own_slot: usize = degree[..own.start].iter().map(|&d| d as usize).sum();
     let mut next: Vec<usize> = own_offsets.iter().map(|&o| o - base).collect();
     let mut dest = vec![0u32; next[own.len()]];
     let (mut first_slot, mut summed) = (0, 0);
     for (r, u) in held.enumerate() {
         first_slot += degree[summed..u].iter().map(|&d| d as usize).sum::<usize>();
         summed = u;
+        let u_own = own.contains(&u);
         for (j, &w) in neighbors[offsets[r]..offsets[r + 1]].iter().enumerate() {
-            if own.contains(&(w as NodeId)) {
-                let c = &mut next[w as NodeId - own.start];
-                dest[*c] = (first_slot + j) as u32;
-                *c += 1;
+            let w = w as NodeId;
+            // An own-own edge is handled at its smaller endpoint's row.
+            if !own.contains(&w) || (u_own && w < u) {
+                continue;
+            }
+            let c = next[w - own.start];
+            dest[c] = (first_slot + j) as u32;
+            next[w - own.start] += 1;
+            if u_own {
+                dest[offsets[r] - base + j] = (own_slot + c) as u32;
+                next[u - own.start] += 1;
             }
         }
     }

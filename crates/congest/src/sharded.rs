@@ -270,12 +270,14 @@ impl ShardPlan {
             at += 4;
         }
         // Structural invariants: boundaries are monotone prefix arrays that
-        // cover [0, n) / [0, 2m), and the slot widths equal the degree sums
-        // of the node ranges they claim.
+        // cover [0, n) / [0, 2m), 2m fits the u32 slots as in every pass-1
+        // plan, and the slot widths equal the degree sums of the node ranges
+        // they claim.
         let ok_bounds = node_start[0] == 0
             && slot_start[0] == 0
             && node_start[s] == n
-            && num_edges.checked_mul(2) == Some(slot_start[s])
+            && num_edges <= INDEX_LIMIT / 2
+            && 2 * num_edges == slot_start[s]
             && node_start.windows(2).all(|w| w[0] <= w[1])
             && slot_start.windows(2).all(|w| w[0] <= w[1]);
         if !ok_bounds {
@@ -576,10 +578,10 @@ impl ShardSliceTopology {
     /// same edge stream.
     ///
     /// `stream` is invoked exactly **twice**: the first replay validates
-    /// every edge and marks the shard's *frontier* (the remote neighbours of
-    /// its nodes) in a rank bitmap; the second is the row fill of the
-    /// crate's one CSR builder, holding only the rows of the shard's nodes
-    /// and of its frontier.  Peak memory is `O(n)` for the plan plus
+    /// and counts every edge and marks the shard's *frontier* (the remote
+    /// neighbours of its nodes) in a rank bitmap; the second is the row fill
+    /// of the crate's one CSR builder, holding only the rows of the shard's
+    /// nodes and of its frontier.  Peak memory is `O(n)` for the plan plus
     /// `O(m/S + frontier)`, never the full `O(m)` CSR.  The frontier's rows
     /// give where each sender ranks among the *receiver's* sorted
     /// neighbours, and the plan's degree header where the receiver's slots
@@ -593,6 +595,9 @@ impl ShardSliceTopology {
     /// * [`TopologyError::NodeOutOfRange`] / [`TopologyError::SelfLoop`] on
     ///   invalid edges, exactly as [`Topology::from_edges`] reports them
     ///   (checked for the whole stream, as in the full build);
+    /// * [`TopologyError::EdgeCountMismatch`] if the first replay does not
+    ///   emit as many edges as the plan counted, checked before any row is
+    ///   allocated;
     /// * [`TopologyError::PlanMismatch`] if the replays do not match the
     ///   plan's degree header, or each other;
     /// * [`TopologyError::DuplicateEdge`] for duplicates involving an owned
@@ -613,20 +618,30 @@ impl ShardSliceTopology {
         let mut words = vec![0u64; n.div_ceil(64)];
         let mut hold = |v: NodeId| words[v / 64] |= 1 << (v % 64);
         own.clone().for_each(&mut hold);
-        let mut first_error = None;
+        let (mut first_error, mut streamed) = (None, 0);
         stream(&mut |u, v| {
             if first_error.is_some() {
                 return;
             }
             if let Err(e) = csr::check_edge(n, u, v) {
                 first_error = Some(e);
-            } else if own.contains(&u) != own.contains(&v) {
+                return;
+            }
+            streamed += 1;
+            if own.contains(&u) != own.contains(&v) {
                 hold(u);
                 hold(v);
             }
         });
         if let Some(e) = first_error {
             return Err(e);
+        }
+        // The plan's degrees sum to twice its edge count, so once the stream
+        // has as many edges, the rows `csr::build` sizes from the plan are
+        // bounded by what the stream emits.
+        if streamed != plan.num_edges {
+            let planned = plan.num_edges;
+            return Err(TopologyError::EdgeCountMismatch { planned, streamed });
         }
         let held = RankedRows::new(words);
 
@@ -1087,6 +1102,37 @@ mod tests {
             .to_bytes();
         forged[8..16].copy_from_slice(&(1u64 << 63).to_le_bytes());
         assert_eq!(ShardPlan::from_bytes(&forged), Err(WireError::NonCanonical));
+        // Consistent, but 2^32 slots: past the u32 limit no pass 1 exceeds.
+        let mut forged = ShardPlan::from_edge_stream(2, 1, |emit| emit(0, 1))
+            .unwrap()
+            .to_bytes();
+        forged[8..16].copy_from_slice(&(1u64 << 31).to_le_bytes());
+        forged[16..20].copy_from_slice(&(1u32 << 31).to_le_bytes());
+        forged[48..56].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        forged[56..60].copy_from_slice(&(1u32 << 31).to_le_bytes());
+        forged[60..64].copy_from_slice(&(1u32 << 31).to_le_bytes());
+        assert_eq!(ShardPlan::from_bytes(&forged), Err(WireError::NonCanonical));
+    }
+
+    #[test]
+    fn slice_build_checks_the_edge_count_before_the_row_fill() {
+        let complete = |emit: &mut dyn FnMut(NodeId, NodeId)| {
+            for u in 0..64 {
+                (u + 1..64).for_each(|v| emit(u, v));
+            }
+        };
+        let plan = ShardPlan::from_edge_stream(64, 2, complete).unwrap();
+        let mut replays = 0;
+        let err = ShardSliceTopology::build(plan, 1, |emit| {
+            replays += 1;
+            assert_eq!(replays, 1, "replayed past the edge-count check");
+            emit(0, 1);
+        });
+        let (planned, streamed) = (64 * 63 / 2, 1);
+        assert_eq!(
+            err,
+            Err(TopologyError::EdgeCountMismatch { planned, streamed })
+        );
     }
 
     #[test]
@@ -1131,14 +1177,18 @@ mod tests {
     #[test]
     fn restricted_build_rejects_streams_that_do_not_match_the_plan() {
         let plan = ShardPlan::from_edge_stream(9, 2, mixed_stream(9)).unwrap();
-        // A replay with an extra edge overflows some node's planned degree.
+        assert_eq!(plan.num_edges(), 18);
+        let miscount = |streamed| {
+            let planned = 18;
+            Err(TopologyError::EdgeCountMismatch { planned, streamed })
+        };
+        // A replay with an extra or a missing edge miscounts.
         let err = ShardSliceTopology::build(plan.clone(), 0, |emit| {
             mixed_stream(9)(emit);
             emit(0, 4);
         });
-        assert!(matches!(err, Err(TopologyError::PlanMismatch { .. })));
-        // A replay with a missing edge leaves a cursor short.
-        let err = ShardSliceTopology::build(plan.clone(), 0, |emit| {
+        assert_eq!(err, miscount(19));
+        let skip_first = |emit: &mut dyn FnMut(NodeId, NodeId)| {
             let mut skipped = false;
             mixed_stream(9)(&mut |u, v| {
                 if !skipped {
@@ -1147,8 +1197,19 @@ mod tests {
                     emit(u, v);
                 }
             });
-        });
-        assert!(matches!(err, Err(TopologyError::PlanMismatch { .. })));
+        };
+        assert_eq!(
+            ShardSliceTopology::build(plan.clone(), 0, skip_first),
+            miscount(17)
+        );
+        // One edge moved: the count holds, and some node's degree does not.
+        for shard in 0..2 {
+            let err = ShardSliceTopology::build(plan.clone(), shard, |emit| {
+                skip_first(emit);
+                emit(0, 4);
+            });
+            assert!(matches!(err, Err(TopologyError::PlanMismatch { .. })));
+        }
         // Invalid edges are still reported as such, not as mismatches.
         assert!(matches!(
             ShardSliceTopology::build(plan, 0, |emit| emit(3, 3)),

@@ -61,6 +61,15 @@ pub enum TopologyError {
         /// the first node whose streamed degree differs from the plan
         node: NodeId,
     },
+    /// An edge stream replay emits a different number of edges than the
+    /// pass-1 [`ShardPlan`](crate::ShardPlan) counted (no node is named:
+    /// the count is checked before any degree is).
+    EdgeCountMismatch {
+        /// the plan's edge count
+        planned: usize,
+        /// the edges the replay emitted
+        streamed: usize,
+    },
     /// A shard slice was asked for a shard the plan does not have.
     ShardOutOfRange {
         /// the requested shard index
@@ -91,6 +100,13 @@ impl core::fmt::Display for TopologyError {
                     f,
                     "edge stream does not replay the shard plan: degree of \
                      node {node} disagrees with the plan's degree header"
+                )
+            }
+            TopologyError::EdgeCountMismatch { planned, streamed } => {
+                write!(
+                    f,
+                    "edge stream does not replay the shard plan: it emits \
+                     {streamed} edges, the plan counted {planned}"
                 )
             }
             TopologyError::ShardOutOfRange { shard, shards } => {

@@ -134,19 +134,54 @@ pub fn gnp(n: usize, p: f64, seed: u64) -> Topology {
 /// self-loops / multi-edges are discarded, so the result has maximum degree
 /// at most `d` and most nodes have degree exactly `d`.  (True uniform
 /// `d`-regular sampling is not needed: the experiments only need graphs of
-/// a given maximum degree.)
+/// a given maximum degree.)  If `n·d` is odd, the last stub stays unpaired.
+///
+/// The edge list is built without a global sort: the pairs are bucketed by
+/// their smaller endpoint, and each bucket (at most `d` entries) is sorted
+/// on its own, which lists the edges sorted and puts the copies of a
+/// multi-edge next to each other.
+///
+/// # Panics
+///
+/// If `d >= n`, or if `n` exceeds `u32::MAX`.
 pub fn random_regular(n: usize, d: usize, seed: u64) -> Topology {
     assert!(d < n, "degree must be smaller than n");
+    let n32 = u32::try_from(n).expect("random_regular takes at most u32::MAX nodes");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut stubs: Vec<NodeId> = (0..n).flat_map(|v| std::iter::repeat(v).take(d)).collect();
+    let mut stubs: Vec<u32> = Vec::with_capacity(n * d);
+    stubs.extend((0..n32).flat_map(|v| std::iter::repeat(v).take(d)));
     stubs.shuffle(&mut rng);
-    let mut edges: Vec<(NodeId, NodeId)> = stubs
-        .chunks_exact(2)
-        .filter(|pair| pair[0] != pair[1])
-        .map(|pair| (pair[0].min(pair[1]), pair[0].max(pair[1])))
-        .collect();
-    edges.sort_unstable();
+    // Bucket the non-loop pairs by their smaller endpoint (a counting sort):
+    // `larger[start[u]..start[u + 1]]` holds the other ends of `u`'s pairs.
+    let pairs = || {
+        (stubs.chunks_exact(2))
+            .filter(|pair| pair[0] != pair[1])
+            .map(|pair| (pair[0].min(pair[1]) as usize, pair[0].max(pair[1])))
+    };
+    let mut start = vec![0usize; n + 1];
+    for (u, _) in pairs() {
+        start[u + 1] += 1;
+    }
+    for u in 0..n {
+        start[u + 1] += start[u];
+    }
+    let mut larger = vec![0u32; start[n]];
+    let mut next = start.clone();
+    for (u, w) in pairs() {
+        larger[next[u]] = w;
+        next[u] += 1;
+    }
+    drop((stubs, next));
+    // Each bucket holds at most `d` entries: sorted one by one, they list the
+    // edges in the order a global sort would, so copies are adjacent.
+    let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(start[n]);
+    for u in 0..n {
+        let bucket = &mut larger[start[u]..start[u + 1]];
+        bucket.sort_unstable();
+        edges.extend(bucket.iter().map(|&w| (u, w as NodeId)));
+    }
     edges.dedup();
+    drop((larger, start));
     Topology::from_edges(n, &edges).expect("pairing-model edges are valid")
 }
 
@@ -179,10 +214,7 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> Topology {
     for v in (m + 1)..n {
         let mut chosen = std::collections::HashSet::new();
         while chosen.len() < m {
-            let t = targets[rng.random_range(0..targets.len())];
-            if t != v {
-                chosen.insert(t);
-            }
+            chosen.insert(targets[rng.random_range(0..targets.len())]);
         }
         // Iterate in sorted order: HashSet order is randomized per process,
         // and the order feeds back into `targets` (and hence into every
@@ -196,14 +228,8 @@ pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> Topology {
             targets.push(v);
         }
     }
-    // Deduplicate (the initial seed edges can coincide for small m).
-    let mut edges: Vec<(NodeId, NodeId)> = edges
-        .into_iter()
-        .filter(|&(u, v)| u != v)
-        .map(|(u, v)| (u.min(v), u.max(v)))
-        .collect();
-    edges.sort_unstable();
-    edges.dedup();
+    // `targets` holds only older nodes, so each node joins `m` distinct
+    // older ones: no self-loop, no duplicate, and `from_edges` sorts rows.
     Topology::from_edges(n, &edges).expect("BA edges are valid")
 }
 
@@ -424,6 +450,12 @@ mod tests {
             // The pairing model loses only a few edges to collisions.
             assert!(g.num_edges() >= 100 * 8 / 2 - 40);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most u32::MAX nodes")]
+    fn random_regular_rejects_more_nodes_than_u32_holds() {
+        random_regular(u32::MAX as usize + 1, 1, 0);
     }
 
     #[test]

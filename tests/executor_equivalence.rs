@@ -1194,6 +1194,28 @@ fn inputs_with_several_defects_report_the_same_error() {
     }
 }
 
+proptest! {
+    /// `random_regular` is the pairing model replayed independently, port
+    /// for port, at any size, degree and seed: the drawn degree (odd `n·d`
+    /// leaves one stub unpaired) and the densest one, `d = n − 1`.
+    #[test]
+    fn random_regular_is_the_pairing_model(
+        n in 2usize..121,
+        d in 1usize..n,
+        seed in 0u64..u64::MAX,
+    ) {
+        for d in [d, n - 1] {
+            let g = generators::random_regular(n, d, seed);
+            let name = format!("random_regular({n}, {d}, {seed})");
+            oracle_from_edges(n, &pairing_model_edges(n, d, seed)).assert_same(
+                &name,
+                &g,
+                g.num_edges(),
+            );
+        }
+    }
+}
+
 /// Every generator family at two sizes and seeds, `delta1-seq`'s inputs, a
 /// power graph and an induced subgraph are, port for port, the oracle's
 /// build of their edges.  `random_regular` is checked against its pairing
