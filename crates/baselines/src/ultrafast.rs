@@ -272,7 +272,12 @@ impl NodeAlgorithm for UltrafastNode {
         let sent_fallback = u64::from(self.sent == SentKind::Fallback);
         let mut beaten = 0u64;
         let (mut tried, mut distinct) = (0usize, 0usize);
-        let mut seen_round0 = ColorSet::with_palette(self.palette);
+        // Only round 0 reads it; `ColorSet::new` allocates nothing.
+        let mut seen_round0 = if ctx.round == 0 {
+            ColorSet::with_palette(self.palette)
+        } else {
+            ColorSet::new()
+        };
         for (_, msg) in inbox.iter() {
             match msg {
                 UltrafastMessage::Adopt { color } => {

@@ -96,11 +96,15 @@ impl<M> Outbox<M> {
 ///
 /// * the message in the node's inbox slot for `p` — one slot per port in
 ///   the engine's per-run [`RoundState`] arena — if one landed there: every
-///   message from another shard, and every per-port message;
+///   per-port message, every message a transport carried one entry per
+///   edge (the wire, the fault layer), and every broadcast from a node the
+///   kernel keeps no value for;
 /// * else the *broadcast value* of the neighbour behind `p`, if the kernel
-///   running this node runs that neighbour too.  A broadcast reaches the
-///   sender's own shard as one value, which each receiver pulls through its
-///   row of neighbours, instead of one slot written per edge.
+///   running this node keeps values for that neighbour: the nodes of its
+///   own shard, and in one process the nodes its shard's ports lead to, if
+///   it can afford them.  A broadcast reaches each of those kernels as one
+///   value, which each receiver pulls through its row of neighbours,
+///   instead of one slot written per edge.
 ///
 /// Because the CONGEST model allows at most one message per edge per round,
 /// a port yields at most one message (the engine rejects algorithms that try

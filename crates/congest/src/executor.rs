@@ -9,8 +9,9 @@
 //!
 //! Every round of every run is executed by a crate-private `ShardKernel`:
 //! one shard's nodes, contexts and inbox slots, one broadcast value per
-//! node, the lists of slots and values filled this round, its compact
-//! active list and counters.  It runs a round in three calls —
+//! node of a range around its own nodes (see "The zero-allocation round
+//! loop" below), the lists of slots and values filled this round, its
+//! compact active list and counters.  It runs a round in three calls —
 //!
 //! 1. **send + route**: clear the slots and values filled last round, ask
 //!    every active node for its outbox, and route each message through the
@@ -24,20 +25,25 @@
 //!    the row: into the shard's own slot, or staged for the shard owning it
 //!    ([`Transport::stage`]).  Drivers with a transport then flush the
 //!    staging, timed;
-//! 2. **deliver**: fill the shard's slots from a drain the driver passes in
-//!    (the [`Entry`]s other shards routed here): a per-port entry into its
-//!    slot, a broadcast entry into every slot of the sender's run in this
-//!    shard, found by binary search on the sender's row;
+//! 2. **deliver**: take the [`Entry`]s other shards routed here from a
+//!    drain the driver passes in: a per-port entry into its slot, a
+//!    broadcast entry once, as the sender's value if the kernel keeps one
+//!    for the sender, else into every slot of the sender's run in this
+//!    shard (found by binary search on the sender's row, which also checks
+//!    that the run is not empty);
 //! 3. **receive + compact**: hand every active node its inbox — a
 //!    zero-copy [`Inbox`] view whose port `p` yields the node's slot `p` if
 //!    a message landed there, else the value of the neighbour behind `p` if
-//!    that neighbour is a node of the shard (read from the node's source
-//!    row, [`ShardTopologyView::source_row`] or
-//!    [`TopologyView::neighbor_row`]) — and drop the nodes that halted from
-//!    the active list.
+//!    the kernel keeps one for it (read from the node's source row,
+//!    [`ShardTopologyView::source_row`] or [`TopologyView::neighbor_row`])
+//!    — and drop the nodes that halted from the active list.
 //!
-//! So one rule holds for every driver: a broadcast from a node of the same
-//! shard arrives as a value, and every other message arrives in a slot.
+//! So one rule holds for every driver: a broadcast arrives as a value in
+//! every kernel that keeps one for its sender, and every other message
+//! arrives in a slot.  A kernel keeps values for its own nodes always, and
+//! in one process for the other nodes its ports lead to when it can afford
+//! them; wire entries (which a transport stages per edge) and per-port
+//! messages always land in slots.
 //!
 //! The kernel is the only place the engine calls [`NodeAlgorithm::send`] and
 //! [`NodeAlgorithm::receive`], takes the phase, flush and drain timings
@@ -50,9 +56,9 @@
 //!
 //! * [`SequentialExecutor`] runs one kernel over the whole graph on the
 //!   caller's thread, with no barriers.  The graph is its only shard, so
-//!   every message is routed straight into a slot, found in the view's own
-//!   destination table ([`TopologyView::dest_slots`]), the table every
-//!   topology type stores.
+//!   every broadcast is stored as a value and every per-port message is
+//!   routed straight into a slot, found in the view's own destination table
+//!   ([`TopologyView::dest_slots`]), the table every topology type stores.
 //! * [`ShardedExecutor`] runs one kernel per shard of a
 //!   [`ShardedTopology`], each on its own thread, and moves cross-shard
 //!   messages through a pluggable [`Transport`] (see the protocol below).
@@ -74,24 +80,33 @@
 //! with one slot per directed edge, allocated once per run.  A message from
 //! `v` over port `p` lands in the slot of the reverse port at the receiving
 //! endpoint.  Each kernel owns a contiguous sub-range of the arena (its
-//! shard's nodes' slots), and one broadcast value per node of its shard,
-//! allocated once per kernel.  A broadcast from `v` to its neighbours in
-//! the shard writes one value, not `deg(v)` slots, and the receivers read
-//! it where they would have read their slots: the paper's elimination
-//! stage, whose nodes broadcast every round and compute one compare, is
-//! almost all such delivery.  The kernel clears only the slots and values
-//! it filled (its two lists), so quiet rounds cost `O(active)` rather than
-//! `O(n + m)`; its active list shrinks as nodes halt, so halted nodes stop
-//! costing even an `is_halted()` check per round.
+//! shard's nodes' slots), and one broadcast value per node of a range,
+//! allocated once per kernel.  The range is the shard's own nodes, widened
+//! to every node its ports lead to when the kernel's view holds those
+//! nodes' rows (in one process, not in a worker process) and the widening
+//! adds at most one value per eight of the shard's slots.  Source rows
+//! ascend, so one pass over their ends finds the range.  A broadcast from
+//! `v` writes one value in each kernel that keeps one for `v`, not one slot
+//! per port, and the receivers read it where they would have read their
+//! slots: the paper's elimination stage, whose nodes broadcast every round
+//! and compute one compare, is almost all such delivery.  A dense graph in
+//! few shards keeps a value for every node in every kernel; a sparse graph
+//! in many shards, whose remote senders reach a shard through about one
+//! port each and span the graph, keeps its own nodes' values only, and its
+//! cross-shard broadcasts land in slots.  The kernel clears only the slots
+//! and values it filled (its two lists), so quiet rounds cost `O(active)`
+//! rather than `O(n + m)`; its active list shrinks as nodes halt, so
+//! halted nodes stop costing even an `is_halted()` check per round.
 //!
 //! # Sharded barrier protocol
 //!
 //! The [`ShardedExecutor`] spawns one thread per shard; thread `w` owns,
 //! exclusively and lock-free, the slice of inbox slots of shard `w`'s
-//! nodes, so **every write to a slot is performed by the thread that owns
-//! it**, and shard `w`'s [`Transport`] endpoint, so staging a cross-shard
-//! message takes no lock.  A coordinator on the calling thread decides
-//! rounds.  Per round all parties cross four barriers:
+//! nodes and its kernel's values, so **every write to a slot or value is
+//! performed by the thread that owns it**, and shard `w`'s [`Transport`]
+//! endpoint, so staging a cross-shard message takes no lock.  A coordinator
+//! on the calling thread decides rounds.  Per round all parties cross four
+//! barriers:
 //!
 //! 1. **A** — the coordinator has published the round number or the stop
 //!    flag.  Each thread runs its kernel's send step: intra-shard messages
@@ -103,13 +118,14 @@
 //!    entry per broadcast; the socket backend seals one wire frame per
 //!    destination shard, which encodes every edge).
 //! 2. **B** — every message is routed.  Each thread drains every `x → w`
-//!    channel into its own slots (`Transport::drain`), fanning each
-//!    broadcast entry out over the sender's ports into `w`.  The barriers
+//!    channel into its own slots and values (`Transport::drain`): a
+//!    broadcast entry becomes the sender's value in `w`, or fills the
+//!    sender's slots there if `w` keeps no value for it.  The barriers
 //!    order the in-process handoffs: `x` hands its `x → w` buffer over
 //!    before B, `w` takes it after B, and `x` stages into it again only
 //!    after the next A.
-//! 3. **C** — every slot of the round is in place.  Each thread runs its
-//!    kernel's receive step and publishes its active count.
+//! 3. **C** — every slot and value of the round is in place.  Each thread
+//!    runs its kernel's receive step and publishes its active count.
 //! 4. **D** — the coordinator sums the counts and decides the next round.
 //!
 //! A panic in any phase (algorithm code or delivery validation) poisons the
@@ -118,14 +134,16 @@
 //! counters are merged into [`RunMetrics`] in shard order when the run ends,
 //! so the totals are deterministic; `RunMetrics::shard_phase_nanos` keeps
 //! the per-shard phase times and `RunMetrics::{intra,cross}_shard_messages`
-//! the split, counted per edge however the transport groups its entries.  The coordinator's own barrier-to-barrier windows (A→B, B→C,
-//! C→D) are the run's `RunMetrics::phase_nanos`.
+//! the split, counted per edge however the transport groups its entries.
+//! The coordinator's own barrier-to-barrier windows (A→B, B→C, C→D) are
+//! the run's `RunMetrics::phase_nanos`.
 //!
-//! Under [`DeliveryMode::Strict`] (the default) a second write to a slot is
-//! a CONGEST violation and panics; under [`DeliveryMode::Async`] — used by
-//! fault-injected runs whose transport may deliver stale, duplicated or
-//! delayed copies — the slot keeps the **most recently drained** message
-//! and the overwrite is counted in `RunMetrics::stale_overwrites`.
+//! Under [`DeliveryMode::Strict`] (the default) a second write to a slot,
+//! or a second value from one sender, in one round is a CONGEST violation
+//! and panics; under [`DeliveryMode::Async`] — used by fault-injected runs
+//! whose transport may deliver stale, duplicated or delayed copies — the
+//! slot or value keeps the **most recently drained** message and each
+//! overwritten slot or value counts once in `RunMetrics::stale_overwrites`.
 
 use std::any::Any;
 use std::convert::Infallible;
@@ -211,10 +229,12 @@ pub trait Executor<T: TopologyView = Topology> {
 /// (see the [module docs](self)).
 ///
 /// `nodes`, `contexts` and `slots` are exactly the shard's nodes, contexts
-/// and inbox slots, and `values` holds one broadcast value per node;
-/// indices into them are global ids minus `node_base` and global slots
-/// minus `slot_base`.  `L` says how the shard, its messages' destinations
-/// and its ports' sources are looked up in `T`.
+/// and inbox slots; indices into them are global ids minus `node_base` and
+/// global slots minus `slot_base`.  `values` holds one broadcast value per
+/// node of [`value_nodes`] (the shard's nodes, perhaps widened to the
+/// nodes its ports lead to), indexed by global id minus `value_base`.  `L`
+/// says how the shard, its messages' destinations and its ports' sources
+/// are looked up in `T`.
 pub(crate) struct ShardKernel<'a, A: NodeAlgorithm, T: ?Sized, L> {
     topology: &'a T,
     lookup: PhantomData<L>,
@@ -224,13 +244,14 @@ pub(crate) struct ShardKernel<'a, A: NodeAlgorithm, T: ?Sized, L> {
     node_base: NodeId,
     slots: &'a mut [Option<A::Message>],
     slot_base: usize,
-    /// The message each node broadcast this round, for its neighbours in
-    /// the shard to pull.
+    /// The message each node of [`value_nodes`] broadcast into the shard
+    /// this round, for its neighbours in the shard to pull.
     values: Vec<Option<A::Message>>,
+    value_base: NodeId,
     delivery: DeliveryMode,
     /// Shard-local indices of the slots filled this round.
     touched: Vec<usize>,
-    /// Shard-local indices of the nodes whose value is set this round.
+    /// Indices into `values` of the values set this round.
     broadcast: Vec<usize>,
     /// Global ids of the shard's still-active nodes, ascending.
     active: Vec<NodeId>,
@@ -253,6 +274,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     ) -> Self {
         let node_range = L::nodes(topology, shard);
         let slot_range = L::slots(topology, shard);
+        let value_range = value_nodes::<T, L>(topology, shard);
         assert_eq!(nodes.len(), node_range.len(), "one node per shard node");
         assert_eq!(contexts.len(), node_range.len(), "one context per node");
         assert_eq!(slots.len(), slot_range.len(), "one slot per shard port");
@@ -265,7 +287,8 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             node_base: node_range.start,
             slots,
             slot_base: slot_range.start,
-            values: (0..node_range.len()).map(|_| None).collect(),
+            values: (0..value_range.len()).map(|_| None).collect(),
+            value_base: value_range.start,
             delivery,
             touched: Vec::new(),
             broadcast: Vec::new(),
@@ -336,6 +359,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             self.slots,
             &mut self.touched,
             &mut self.values,
+            self.value_base,
             &mut self.broadcast,
             &mut self.report,
             stage,
@@ -380,10 +404,13 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
 
     /// The deliver step: `drain` receives a sink and feeds it every
     /// [`Entry`] other shards routed here this round.  The sink writes an
-    /// [`Entry::Port`] into its slot, and an [`Entry::Broadcast`] into each
-    /// slot of the sender's run of its [`dest_row`](ShardTopologyView::dest_row)
-    /// that this shard owns (found by binary search on the ascending row),
-    /// under the kernel's [`DeliveryMode`].
+    /// [`Entry::Port`] into its slot, and an [`Entry::Broadcast`] once, as
+    /// the sender's value, if the kernel keeps values for the sender (see
+    /// [`value_nodes`]), else into each slot of the sender's run of its
+    /// [`dest_row`](ShardTopologyView::dest_row) that this shard owns (found
+    /// by binary search on the ascending row).  Both follow the kernel's
+    /// [`DeliveryMode`], and both are listed for the next send step to
+    /// clear.
     ///
     /// # Errors
     ///
@@ -395,7 +422,8 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     ///
     /// # Panics
     ///
-    /// Under [`DeliveryMode::Strict`], panics when a slot is written twice.
+    /// Under [`DeliveryMode::Strict`], panics when a slot or a value is
+    /// written twice in one round.
     pub(crate) fn deliver<E: From<TransportError>>(
         &mut self,
         round: u64,
@@ -406,44 +434,56 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         let t = Instant::now();
         let (topology, shard, delivery) = (self.topology, self.shard, self.delivery);
         let own = self.slot_base..self.slot_base + self.slots.len();
+        let value_base = self.value_base;
         let mut stray = None;
         let Self {
             slots,
             touched,
+            values,
+            broadcast,
             report,
             ..
         } = self;
-        let mut put = |local: usize, sender: u32, msg| match delivery {
-            DeliveryMode::Strict => fill_slot(slots, local, msg, sender as usize, touched),
-            // Newest wins: transports drain stale copies before the current
-            // round's messages.
-            DeliveryMode::Async => {
-                if slots[local].replace(msg).is_some() {
-                    report.stale_overwrites += 1;
-                } else {
-                    touched.push(local);
+        // The one fill rule, for a slot and for a value alike.
+        let mut put =
+            |cells: &mut [Option<A::Message>], filled: &mut Vec<usize>, i, sender, msg| {
+                match delivery {
+                    DeliveryMode::Strict => fill(cells, i, msg, sender, filled),
+                    // Newest wins: transports drain stale copies before the
+                    // current round's messages.
+                    DeliveryMode::Async => {
+                        if cells[i].replace(msg).is_some() {
+                            report.stale_overwrites += 1;
+                        } else {
+                            filled.push(i);
+                        }
+                    }
                 }
-            }
-        };
+            };
         drain(&mut |entry| match entry {
             Entry::Port { slot, sender, msg } => {
                 if own.contains(&(slot as usize)) {
-                    put(slot as usize - own.start, sender, msg);
+                    let i = slot as usize - own.start;
+                    put(slots, touched, i, sender as usize, msg);
                 } else {
                     stray.get_or_insert(TransportError::SlotOutsideShard { shard, slot });
                 }
             }
             Entry::Broadcast { sender, msg } => {
-                let run = L::dest_row(topology, sender as usize).map_or(&[][..], |row| {
+                let v = sender as usize;
+                let run = L::dest_row(topology, v).map_or(&[][..], |row| {
                     let start = row.partition_point(|&s| (s as usize) < own.start);
                     let len = row[start..].partition_point(|&s| (s as usize) < own.end);
                     &row[start..start + len]
                 });
                 if run.is_empty() {
                     stray.get_or_insert(TransportError::BroadcastOutsideShard { shard, sender });
-                }
-                for &slot in run {
-                    put(slot as usize - own.start, sender, msg.clone());
+                } else if v.wrapping_sub(value_base) < values.len() {
+                    put(values, broadcast, v - value_base, v, msg);
+                } else {
+                    for &slot in run {
+                        put(slots, touched, slot as usize - own.start, v, msg.clone());
+                    }
                 }
             }
         })?;
@@ -465,12 +505,14 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     }
 
     /// The receive step: hands every active node its inbox — its own slots,
-    /// backed by the values of its neighbours in this shard — then drops
-    /// the nodes that halted from the active list; returns how many remain.
+    /// backed by the values the kernel keeps for its neighbours — then
+    /// drops the nodes that halted from the active list; returns how many
+    /// remain.
     pub(crate) fn receive_compact(&mut self, round: u64) -> usize {
         self.phase_start(round, TracePhase::Receive);
         let t = Instant::now();
         let (shard, node_base, slot_base) = (self.shard, self.node_base, self.slot_base);
+        let value_base = self.value_base;
         let Self {
             topology,
             nodes,
@@ -487,7 +529,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             };
             let r = L::port_range(topology, shard, v);
             let own = &slots[r.start - slot_base..r.end - slot_base];
-            let inbox = Inbox::pulled(own, L::source_row(topology, v), values, node_base);
+            let inbox = Inbox::pulled(own, L::source_row(topology, v), values, value_base);
             nodes[v - node_base].receive(&ctx, &inbox);
         }
         active.retain(|&v| !nodes[v - node_base].is_halted());
@@ -560,6 +602,7 @@ fn send_and_route<A, T, L, X>(
     slots: &mut [Option<A::Message>],
     touched: &mut Vec<usize>,
     values: &mut [Option<A::Message>],
+    value_base: NodeId,
     broadcast: &mut Vec<usize>,
     report: &mut ShardReport,
     stage: &mut X,
@@ -592,8 +635,8 @@ fn send_and_route<A, T, L, X>(
                     row = rest;
                     report.record(run.len() as u64, bits);
                     if to == shard {
-                        values[v - node_base] = Some(msg.clone());
-                        broadcast.push(v - node_base);
+                        values[v - value_base] = Some(msg.clone());
+                        broadcast.push(v - value_base);
                     } else {
                         report.cross += run.len() as u64;
                         stage.broadcast(to, v as u32, msg.clone(), run);
@@ -607,7 +650,7 @@ fn send_and_route<A, T, L, X>(
                     let dest = row[p] as usize;
                     report.record(1, msg.bit_size());
                     if own.contains(&dest) {
-                        fill_slot(slots, dest - own.start, msg, v, touched);
+                        fill(slots, dest - own.start, msg, v, touched);
                     } else {
                         report.cross += 1;
                         let to = L::shard_of_slot(topology, dest);
@@ -619,22 +662,51 @@ fn send_and_route<A, T, L, X>(
     }
 }
 
-/// Writes `msg` into the kernel-owned slot `local`, enforcing the one
-/// message per edge per round CONGEST contract.
-fn fill_slot<M>(
-    slots: &mut [Option<M>],
-    local: usize,
-    msg: M,
-    sender: NodeId,
-    touched: &mut Vec<usize>,
-) {
-    let entry = &mut slots[local];
+/// Writes `msg` into the kernel-owned cell `i` — an inbox slot or a
+/// broadcast value — and lists it in `filled`, enforcing the one message
+/// per edge per round CONGEST contract.
+fn fill<M>(cells: &mut [Option<M>], i: usize, msg: M, sender: NodeId, filled: &mut Vec<usize>) {
+    let cell = &mut cells[i];
     assert!(
-        entry.is_none(),
+        cell.is_none(),
         "node {sender} sent two messages over the same port in one round"
     );
-    *entry = Some(msg);
-    touched.push(local);
+    *cell = Some(msg);
+    filled.push(i);
+}
+
+/// A kernel keeps at most one value beyond its own nodes for every this many
+/// of its slots (see [`value_nodes`]).
+const SLOTS_PER_VALUE: usize = 8;
+
+/// The nodes whose broadcasts `shard`'s kernel keeps as values: its own
+/// nodes, widened to every node a port of the shard leads to if the view
+/// holds their rows ([`ShardLookup::row_nodes`]) and the widening adds at
+/// most one value per [`SLOTS_PER_VALUE`] slots of the shard.  Source rows
+/// ascend, so their ends bound those nodes in one pass.  A broadcast from
+/// outside the range lands in slots.  So a sparse graph cut into many
+/// shards, whose remote senders reach a shard through about one port each
+/// and span the graph, costs no more memory than one value per own node.
+fn value_nodes<T: ?Sized, L: ShardLookup<T>>(
+    topology: &T,
+    shard: usize,
+) -> core::ops::Range<NodeId> {
+    let own = L::nodes(topology, shard);
+    let rows = L::row_nodes(topology);
+    let (mut lo, mut hi) = (own.start, own.end);
+    for v in own.clone() {
+        let row = L::source_row(topology, v);
+        if let (Some(&first), Some(&last)) = (row.first(), row.last()) {
+            lo = lo.min(first as usize);
+            hi = hi.max(last as usize + 1);
+        }
+    }
+    let reach = lo.max(rows.start)..hi.min(rows.end);
+    if (reach.len() - own.len()) * SLOTS_PER_VALUE <= L::slots(topology, shard).len() {
+        reach
+    } else {
+        own
+    }
 }
 
 /// How a [`ShardKernel`] finds its shard in a topology `T`, and the global
@@ -648,9 +720,13 @@ pub(crate) trait ShardLookup<T: ?Sized> {
     fn slots(topology: &T, shard: usize) -> core::ops::Range<usize>;
     /// The global slot range of `v`'s own inbox.
     fn port_range(topology: &T, shard: usize, v: NodeId) -> core::ops::Range<usize>;
+    /// The nodes whose rows `T` holds (see
+    /// [`ShardTopologyView::row_nodes`]), the shard's among them: the widest
+    /// range a kernel keeps values for.
+    fn row_nodes(topology: &T) -> core::ops::Range<NodeId>;
     /// The destination-table row of node `v` (see
-    /// [`ShardTopologyView::dest_row`]), or `None` if `T` holds none for
-    /// it.  Every node of the shard has one.
+    /// [`ShardTopologyView::dest_row`]), or `None` if `v` is outside
+    /// [`ShardLookup::row_nodes`].
     fn dest_row(topology: &T, v: NodeId) -> Option<&[u32]>;
     /// The source row of `v`, a node of the shard: the neighbour behind
     /// each of its ports (see [`ShardTopologyView::source_row`]).
@@ -675,6 +751,10 @@ impl<T: ShardTopologyView + ?Sized> ShardLookup<T> for ShardRows {
     #[inline]
     fn port_range(topology: &T, shard: usize, v: NodeId) -> core::ops::Range<usize> {
         topology.port_range_from(shard, v)
+    }
+
+    fn row_nodes(topology: &T) -> core::ops::Range<NodeId> {
+        topology.row_nodes()
     }
 
     #[inline]
@@ -712,6 +792,10 @@ impl<T: TopologyView + ?Sized> ShardLookup<T> for WholeGraph {
     #[inline]
     fn port_range(topology: &T, _shard: usize, v: NodeId) -> core::ops::Range<usize> {
         topology.port_range(v)
+    }
+
+    fn row_nodes(topology: &T) -> core::ops::Range<NodeId> {
+        0..topology.num_nodes()
     }
 
     #[inline]
@@ -871,7 +955,7 @@ pub struct ShardedExecutor<B: TransportBuilder = InProcess> {
 }
 
 /// How the deliver step treats a message arriving at an already-occupied
-/// inbox slot.
+/// inbox slot, or a second broadcast value from one sender.
 ///
 /// In the fault-free CONGEST model at most one message crosses an edge per
 /// round, so an occupied slot can only mean an algorithm bug —
@@ -883,16 +967,19 @@ pub struct ShardedExecutor<B: TransportBuilder = InProcess> {
 /// most recently drained message (transports drain stale copies before
 /// fresh ones, so "newest wins") and every overwrite is counted in
 /// [`RunMetrics::stale_overwrites`](crate::RunMetrics::stale_overwrites).
+/// An in-process broadcast entry that the receiving kernel keeps as the
+/// sender's value is one value however many ports it reaches, so a second
+/// one from the same sender replaces the value and counts once.
 /// Algorithms declare whether they tolerate this regime via
 /// [`NodeAlgorithm::tolerates_async_delivery`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DeliveryMode {
-    /// Barrier-synchronous delivery: a second write to a slot panics
-    /// (the fault-free CONGEST contract).
+    /// Barrier-synchronous delivery: a second write to a slot or value
+    /// panics (the fault-free CONGEST contract).
     #[default]
     Strict,
     /// Asynchronous delivery: a second write replaces the slot's message
-    /// and is counted as a stale overwrite.
+    /// or the sender's value and is counted as one stale overwrite.
     Async,
 }
 
@@ -1285,4 +1372,117 @@ fn sharded_coordinate(
         }
     }
     metrics.rounds = round;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::topology::Port;
+
+    /// Broadcasts its id once and keeps every `(port, message)` it heard.
+    #[derive(Default)]
+    struct Announce {
+        id: u64,
+        heard: Option<Vec<(Port, u64)>>,
+    }
+
+    impl NodeAlgorithm for Announce {
+        type Message = u64;
+        type Output = u64;
+
+        fn init(&mut self, ctx: &NodeContext) {
+            self.id = ctx.node as u64;
+        }
+
+        fn send(&mut self, _ctx: &NodeContext) -> Outbox<u64> {
+            Outbox::Broadcast(self.id)
+        }
+
+        fn receive(&mut self, _ctx: &NodeContext, inbox: &Inbox<'_, u64>) {
+            self.heard = Some(inbox.iter().map(|(p, &m)| (p, m)).collect());
+        }
+
+        fn is_halted(&self) -> bool {
+            self.heard.is_some()
+        }
+
+        fn output(&self) -> u64 {
+            self.id
+        }
+    }
+
+    /// One broadcast round on a ring of 64 in four shards, driven kernel by
+    /// kernel over [`InProcess`].  The ports of shards 1 and 2 lead one node
+    /// past each end of their range, so those kernels keep values for the
+    /// two and take their broadcasts as values: no slot is filled.  The
+    /// edge 63–0 makes the ports of shards 0 and 3 span the ring, more
+    /// values than their 32 slots afford, so they keep values for their own
+    /// nodes only, and each remote neighbour's broadcast fills a slot.
+    #[test]
+    fn a_kernel_takes_remote_broadcasts_as_values_when_it_can_afford_them() {
+        let (n, shards) = (64, 4);
+        let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        let g = ShardedTopology::from_topology(&Topology::from_edges(n, &edges).unwrap(), shards);
+        let g = g.unwrap();
+        let mut nodes: Vec<Announce> = (0..n).map(|_| Announce::default()).collect();
+        let contexts: Vec<NodeContext> = (0..n)
+            .map(|node| NodeContext {
+                node,
+                degree: 2,
+                n,
+                max_degree: 2,
+                round: 0,
+            })
+            .collect();
+        for (node, ctx) in nodes.iter_mut().zip(&contexts) {
+            node.init(ctx);
+        }
+        let mut state = RoundState::new(&g);
+        let (mut rest_nodes, mut rest_slots) = (&mut nodes[..], &mut state.slots[..]);
+        let mut kernels = Vec::new();
+        for s in 0..shards {
+            let (own_nodes, tail) = rest_nodes.split_at_mut(g.shard_nodes(s).len());
+            rest_nodes = tail;
+            let (own_slots, tail) = rest_slots.split_at_mut(g.shard_slots(s).len());
+            rest_slots = tail;
+            kernels.push(ShardKernel::<_, _, ShardRows>::new(
+                &g,
+                s,
+                own_nodes,
+                &contexts[g.shard_nodes(s)],
+                own_slots,
+                DeliveryMode::Strict,
+                &crate::trace::NoTrace,
+            ));
+        }
+        let mut endpoints = InProcess.build::<u64>(&g).unwrap();
+        for (kernel, endpoint) in kernels.iter_mut().zip(&mut endpoints) {
+            kernel.admit();
+            kernel.send_route(0, endpoint);
+            endpoint.flush(0);
+        }
+        for (kernel, endpoint) in kernels.iter_mut().zip(&mut endpoints) {
+            kernel.deliver(0, |sink| endpoint.drain(0, sink)).unwrap();
+        }
+        // Per shard: the nodes it keeps values for, and the slots filled.
+        let want = [(0..16, 2), (15..33, 0), (31..49, 0), (48..64, 2)];
+        for (kernel, (kept, filled)) in kernels.iter().zip(want) {
+            let s = kernel.shard;
+            let base = kernel.value_base;
+            assert_eq!(base..base + kernel.values.len(), kept, "shard {s}");
+            // Every node broadcast, so every value is set.
+            assert_eq!(kernel.broadcast.len(), kept.len(), "shard {s}");
+            assert_eq!(kernel.touched.len(), filled, "shard {s}");
+        }
+        for kernel in &mut kernels {
+            assert_eq!(kernel.receive_compact(0), 0);
+        }
+        drop(kernels);
+        // Every receiver heard each neighbour on exactly the port behind
+        // which it sits, as a value or from a slot alike.
+        for (v, node) in nodes.iter().enumerate() {
+            let want: Vec<(Port, u64)> = (0..2).map(|p| (p, g.neighbor_at(v, p) as u64)).collect();
+            assert_eq!(node.heard, Some(want), "node {v}");
+        }
+    }
 }

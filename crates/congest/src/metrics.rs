@@ -28,8 +28,9 @@ pub struct PhaseTimings {
     /// their outboxes and routing messages within the shard (plus staging
     /// and flushing cross-shard ones, for the threaded driver's windows).
     pub send: u64,
-    /// Time spent draining cross-shard messages into the shard's slots
-    /// (near zero for a single-threaded run, which has no other shard).
+    /// Time spent draining cross-shard messages into the shard's slots and
+    /// values (near zero for a single-threaded run, which has no other
+    /// shard).
     pub deliver: u64,
     /// Time spent handing inboxes to active nodes (plus active-set
     /// compaction).
@@ -110,10 +111,13 @@ pub struct RunMetrics {
     /// message was still delivered in its own round, as a reliable
     /// transport's retries would before the round barrier closes.
     pub faults_retransmitted: u64,
-    /// Inbox slots overwritten during async-round delivery
-    /// ([`DeliveryMode::Async`](crate::executor::DeliveryMode)): a stale or
-    /// duplicate message arrived on a port that already held this round's
-    /// message (newest-wins semantics).  Zero in strict lock-step runs.
+    /// Inbox slots and broadcast values overwritten during async-round
+    /// delivery ([`DeliveryMode::Async`](crate::executor::DeliveryMode)): a
+    /// stale or duplicate message arrived on a port that already held this
+    /// round's message, or a second in-process broadcast entry from one
+    /// sender replaced the value the receiving kernel keeps for it, counted
+    /// once however many ports it reaches (newest-wins semantics).  Zero in
+    /// strict lock-step runs.
     pub stale_overwrites: u64,
     /// Peak resident-set size of the run, in bytes: the largest `VmHWM` any
     /// participating worker process reported (see

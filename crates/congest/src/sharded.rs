@@ -47,12 +47,14 @@
 //! enqueue the pair `(slot, message)` for the owning worker (cross-shard).
 //! A node's row of the table ascends, so its ports into one shard are one
 //! run of it ([`ShardTopologyView::dest_row`]): an in-process broadcast
-//! crosses to that shard as one entry, and the receiving worker fans it
-//! out over the sender's run.  A broadcast into the sender's own shard
-//! fills no slot: it is kept as one value, which each receiver pulls
-//! through its *source row* ([`ShardTopologyView::source_row`]: the
-//! neighbour behind each port).  A worker slice stores both rows of its own
-//! shard's nodes only.
+//! crosses to that shard as one entry.  Each kernel that keeps a value for
+//! the sender (its own shard's always) stores it once, and each receiver
+//! pulls it through its *source row* ([`ShardTopologyView::source_row`]:
+//! the neighbour behind each port); any other kernel writes it into the
+//! sender's run of slots there.  A worker slice stores both rows of its
+//! own shard's nodes only ([`ShardTopologyView::row_nodes`]), and its
+//! cross-shard messages arrive from the wire, one entry per edge, into
+//! slots.
 
 use serde::{Deserialize, Serialize};
 
@@ -719,12 +721,17 @@ pub trait ShardTopologyView {
     }
     /// The global flat-slot range of `v`'s own inbox, `v` in `shard`.
     fn port_range_from(&self, shard: usize, v: NodeId) -> core::ops::Range<usize>;
+    /// The nodes whose rows the view holds: every node of a
+    /// [`ShardedTopology`], and the own shard's nodes of a
+    /// [`ShardSliceTopology`].  A kernel keeps broadcast values for its own
+    /// nodes and for some of these: a broadcast from a node outside them,
+    /// whose row it cannot read, never arrives as a value.
+    fn row_nodes(&self) -> core::ops::Range<NodeId>;
     /// The destination-table row of node `v`, whichever shard owns it: the
     /// global inbox slot each of its ports lands in, in port order.  Ports
     /// are sorted by neighbour and shards are contiguous node ranges, so the
     /// row ascends and the ports into any one shard form one run of it.
-    /// `None` when the view holds no row for `v`: `v` is not a node of the
-    /// graph, or, for a [`ShardSliceTopology`], not a node of its shard.
+    /// `None` exactly when `v` is outside [`row_nodes`](Self::row_nodes).
     fn dest_row(&self, v: NodeId) -> Option<&[u32]>;
     /// The source row of node `v`: the neighbour behind each of its ports,
     /// in port order — the node whose messages arrive on that port.  `None`
@@ -773,6 +780,11 @@ impl ShardTopologyView for ShardedTopology {
     fn port_range_from(&self, shard: usize, v: NodeId) -> core::ops::Range<usize> {
         debug_assert_eq!(self.shard_of(v), shard);
         self.topology.port_range(v)
+    }
+
+    #[inline]
+    fn row_nodes(&self) -> core::ops::Range<NodeId> {
+        0..self.topology.num_nodes()
     }
 
     #[inline]
@@ -831,6 +843,11 @@ impl ShardTopologyView for ShardSliceTopology {
         let i = v - self.plan.node_start[self.shard];
         let base = self.plan.slot_start[self.shard];
         base + self.offsets[i]..base + self.offsets[i + 1]
+    }
+
+    #[inline]
+    fn row_nodes(&self) -> core::ops::Range<NodeId> {
+        self.plan.shard_nodes(self.shard)
     }
 
     #[inline]
@@ -1164,11 +1181,13 @@ mod tests {
                 // A slice holds no row outside its shard; nobody holds one
                 // past the last node.
                 let own = ShardTopologyView::shard_nodes(&slice, s);
+                assert_eq!(slice.row_nodes(), own);
                 let mut outside = (0..=n).filter(|v| !own.contains(v));
                 assert!(
                     outside.all(|v| slice.dest_row(v).is_none() && slice.source_row(v).is_none())
                 );
             }
+            assert_eq!(full.row_nodes(), 0..n);
             assert_eq!(full.dest_row(n), None);
             assert_eq!(full.source_row(n), None);
         }

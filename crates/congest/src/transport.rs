@@ -13,8 +13,10 @@
 //!   hands it to the receiver, whose drain empties it and keeps it as its
 //!   own staging buffer towards that sender.  Messages move as Rust values;
 //!   nothing is encoded.  A broadcast is one [`Entry::Broadcast`] per
-//!   destination shard, not one entry per cut edge: the receiving kernel
-//!   fans it out over the sender's ports into its shard.
+//!   destination shard, not one entry per cut edge.  The receiving kernel
+//!   stores it once, as the sender's value, which its receivers pull
+//!   through their neighbour rows, or, if it keeps no value for the sender,
+//!   writes it into each of the sender's slots in its shard.
 //! * [`SocketLoopback`] — every shard pair is connected by a real socket
 //!   (Unix-domain or TCP loopback) and every cross-shard message crosses it
 //!   through the [`wire`](crate::wire) codec: length-prefixed,
@@ -209,7 +211,8 @@ impl<T: Clone + Send + Sync + MessageSize + WireMessage> TransportMessage for T 
 ///
 /// Each kind is its own variant; no slot value marks a broadcast.  Wire
 /// decoders only ever yield [`Entry::Port`]: a broadcast entry exists only
-/// between the kernels of one process.
+/// between the kernels of one process, each of which holds every node's
+/// row.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Entry<M> {
     /// One message for one inbox slot.
@@ -221,9 +224,12 @@ pub enum Entry<M> {
         /// The message.
         msg: M,
     },
-    /// One broadcast for the receiving shard: `msg` lands in every slot of
-    /// that shard that `sender` has a port into, found through
-    /// [`ShardTopologyView::dest_row`].
+    /// One broadcast for the receiving shard: the kernel stores `msg` once,
+    /// as `sender`'s value, which every node of the shard behind one of
+    /// `sender`'s ports reads, or, if it keeps no value for `sender`,
+    /// writes it into each slot of the shard that `sender` has a port
+    /// into.  Either way `sender` must have one (checked on its
+    /// [`ShardTopologyView::dest_row`]).
     Broadcast {
         /// The sending node.
         sender: u32,
@@ -256,8 +262,10 @@ pub trait Transport<M: TransportMessage>: Send {
     ///
     /// The default stages one entry per slot of `dests`, in port order, so
     /// a backend that encodes or inspects every edge (the wire mesh, the
-    /// fault layer) sees exactly the per-edge stream.  [`InProcess`] keeps
-    /// one [`Entry::Broadcast`] instead.
+    /// fault layer) sees exactly the per-edge stream, and its entries land
+    /// in slots.  [`InProcess`] keeps one [`Entry::Broadcast`] instead,
+    /// which lands as one value wherever the receiving kernel keeps one for
+    /// the sender.
     fn stage_broadcast(&mut self, to: usize, sender: u32, msg: M, dests: &[u32]) {
         for &slot in dests {
             self.stage(to, slot, sender, msg.clone());
@@ -271,8 +279,8 @@ pub trait Transport<M: TransportMessage>: Send {
     /// Delivers every entry addressed to this shard for `round` to `sink`,
     /// in sending-shard order and, within one sender shard, in staging
     /// order.  The receiving kernel writes an [`Entry::Port`] into its slot
-    /// and fans an [`Entry::Broadcast`] out over the sender's ports into
-    /// its shard.
+    /// and an [`Entry::Broadcast`] into the sender's value, or into the
+    /// sender's slots if it keeps no value for the sender.
     ///
     /// # Errors
     ///
@@ -333,13 +341,14 @@ type Staged<M> = Vec<Entry<M>>;
 /// The shard stages into `out[to]`, a buffer it owns: one [`Entry::Port`]
 /// per per-port message and one [`Entry::Broadcast`] per broadcasting
 /// sender, so a buffer holds at most one entry per sender and round for a
-/// broadcast workload, however many edges cross the cut.  Its flush swaps
-/// each buffer into the pair's handoff cell; the receiver's drain swaps it
-/// out again, empties it and keeps it, capacity and all, as its own staging
-/// buffer towards that sender.  So the `S·(S−1)` buffers circulate among the
-/// `S·(S−1)` ordered pairs, a cell is locked twice per round rather than
-/// once per message, and staging stops allocating once the buffers have
-/// grown to round size.
+/// broadcast workload, however many edges cross the cut, and the receiver
+/// stores each broadcast as one value where it keeps one for the sender.
+/// Its flush swaps each buffer into the pair's handoff cell; the receiver's
+/// drain swaps it out again, empties it and keeps it, capacity and all, as
+/// its own staging buffer towards that sender.  So the `S·(S−1)` buffers
+/// circulate among the `S·(S−1)` ordered pairs, a cell is locked twice per
+/// round rather than once per message, and staging stops allocating once
+/// the buffers have grown to round size.
 #[derive(Debug)]
 pub struct InProcessTransport<M> {
     shard: usize,
@@ -2695,20 +2704,23 @@ mod tests {
         out
     }
 
-    /// [`InProcess`], except that shard 0 receives every broadcast entry
-    /// as if `sender` had sent it.
-    #[derive(Clone, Copy)]
-    struct ForgedSender {
-        sender: u32,
-    }
+    /// [`InProcess`], except that shard `w` delivers each broadcast entry
+    /// from `sender` once as from every node of `senders(w, sender)`, in
+    /// order: forged or duplicated entries.
+    #[derive(Clone)]
+    struct Resent<F>(F);
 
-    struct ForgedSenderEndpoint<M> {
+    struct ResentEndpoint<M, F> {
         shard: usize,
-        sender: u32,
+        senders: F,
         inner: InProcessTransport<M>,
     }
 
-    impl<M: TransportMessage> Transport<M> for ForgedSenderEndpoint<M> {
+    impl<M, F> Transport<M> for ResentEndpoint<M, F>
+    where
+        M: TransportMessage,
+        F: Fn(usize, u32) -> Vec<u32> + Send,
+    {
         fn stage(&mut self, to: usize, slot: u32, sender: u32, msg: M) {
             self.inner.stage(to, slot, sender, msg);
         }
@@ -2726,33 +2738,43 @@ mod tests {
             round: u64,
             sink: &mut dyn FnMut(Entry<M>),
         ) -> Result<(), TransportError> {
-            let (shard, forged) = (self.shard, self.sender);
+            let (shard, senders) = (self.shard, &self.senders);
             self.inner.drain(round, &mut |entry| match entry {
-                Entry::Broadcast { msg, .. } if shard == 0 => sink(Entry::Broadcast {
-                    sender: forged,
-                    msg,
-                }),
+                Entry::Broadcast { sender, msg } => {
+                    for sender in senders(shard, sender) {
+                        let msg = msg.clone();
+                        sink(Entry::Broadcast { sender, msg });
+                    }
+                }
                 entry => sink(entry),
             })
         }
     }
 
-    impl TransportBuilder for ForgedSender {
-        type Transport<M: TransportMessage> = ForgedSenderEndpoint<M>;
+    impl<F: Fn(usize, u32) -> Vec<u32> + Clone + Send + Sync> TransportBuilder for Resent<F> {
+        type Transport<M: TransportMessage> = ResentEndpoint<M, F>;
 
         fn build<M: TransportMessage>(
             &self,
             topology: &ShardedTopology,
-        ) -> std::io::Result<Vec<ForgedSenderEndpoint<M>>> {
+        ) -> std::io::Result<Vec<ResentEndpoint<M, F>>> {
             let endpoints = InProcess.build::<M>(topology)?.into_iter().enumerate();
             Ok(endpoints
-                .map(|(shard, inner)| ForgedSenderEndpoint {
+                .map(|(shard, inner)| ResentEndpoint {
                     shard,
-                    sender: self.sender,
+                    senders: self.0.clone(),
                     inner,
                 })
                 .collect())
         }
+    }
+
+    fn panic_message(run: std::thread::Result<RunOutcome<u64>>) -> String {
+        let payload = run.expect_err("the run must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default()
     }
 
     #[test]
@@ -2760,19 +2782,57 @@ mod tests {
         let g = ShardedTopology::from_topology(&ring(8), 2).unwrap();
         assert_eq!(g.shard_nodes(1), 4..8);
         // Node 5's neighbours are 4 and 6, both in shard 1; node 100 does
-        // not exist.
-        for sender in [5, 100] {
-            let executor = ShardedExecutor::with_transport(ForgedSender { sender });
+        // not exist.  Shard 0 receives every broadcast entry as from them.
+        for forged in [5, 100] {
+            let senders = move |shard, sender| vec![if shard == 0 { forged } else { sender }];
+            let executor = ShardedExecutor::with_transport(Resent(senders));
             let run =
                 std::panic::catch_unwind(|| Simulator::new(&g).run_with_executor(mk(8), &executor));
-            let payload = run.expect_err("the forged entry must abort the run");
-            let message = payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_default();
-            let want = TransportError::BroadcastOutsideShard { shard: 0, sender }.to_string();
-            assert!(message.contains(&want), "{message}");
+            let want = TransportError::BroadcastOutsideShard {
+                shard: 0,
+                sender: forged,
+            };
+            let message = panic_message(run);
+            assert!(message.contains(&want.to_string()), "{message}");
         }
+    }
+
+    /// A broadcast entry drained twice is a second message over each of the
+    /// sender's ports.  On `K_12` in two shards each kernel keeps a value
+    /// for every node, so the entry, which reaches six ports, replaces one
+    /// value and counts once under [`DeliveryMode::Async`].
+    #[test]
+    fn a_broadcast_entry_drained_twice_panics_under_strict_and_counts_once_under_async() {
+        let n = 12;
+        let edges: Vec<_> = (0..n)
+            .flat_map(|u| (u + 1..n).map(move |w| (u, w)))
+            .collect();
+        let g = ShardedTopology::from_topology(&Topology::from_edges(n, &edges).unwrap(), 2);
+        let g = g.unwrap();
+        let twice = |_, sender| vec![sender, sender];
+        let executor = ShardedExecutor::with_transport(Resent(twice));
+        let run =
+            std::panic::catch_unwind(|| Simulator::new(&g).run_with_executor(mk(n), &executor));
+        let message = panic_message(run);
+        assert!(
+            message.contains("two messages over the same port"),
+            "{message}"
+        );
+
+        let entries = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let counted = Arc::clone(&entries);
+        let twice = move |_, sender| {
+            counted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            vec![sender, sender]
+        };
+        let executor =
+            ShardedExecutor::with_transport(Resent(twice)).with_delivery(DeliveryMode::Async);
+        let run = Simulator::new(&g).run_with_executor(mk(n), &executor);
+        let once = Simulator::new(&g).run_with_executor(mk(n), &ShardedExecutor::new());
+        let entries = entries.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(entries > 0);
+        assert_eq!(run.metrics.stale_overwrites, entries);
+        assert_logically_equal(&run, &once, "async, every broadcast entry twice");
     }
 
     /// Forged frames reaching a worker are typed errors, never panics: an
