@@ -7,9 +7,11 @@
 //!
 //! Deterministic counters gate exactly by default (they are bit-pinned by
 //! the executor-equivalence guarantee, so the committed baseline holds on
-//! any machine); scheduling-dependent counters (`syscall_batches`,
-//! `peak_rss_bytes`, timings) are reported but only gate with
-//! `--gate-noisy`.  See the gate-class table in `dcme_bench::diff`.
+//! any machine); scheduling-dependent counters and the timings are
+//! reported but only gate with `--gate-noisy`.  Each counter's class is
+//! declared in the counter registry (`dcme_congest::RunMetrics::COUNTERS`,
+//! see `dcme_bench::diff`).  A row that does not parse — a counter that is
+//! not a `u64`, say — exits 1 with its line number.
 //!
 //! ```sh
 //! # Capture a candidate and gate it against the committed baseline:

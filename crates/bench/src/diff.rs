@@ -6,26 +6,27 @@
 //!
 //! # What gates and what merely reports
 //!
-//! The engine splits [`RunMetrics`] counters into two classes:
+//! Each counter's class is declared once, beside the field, in the
+//! registries of `dcme_congest`: [`RunMetrics::COUNTERS`] for metrics rows
+//! and [`RoundRow::FIELDS`] for round-series rows, each entry with its
+//! [`Gate`].  The engine compares every declared counter in that order,
+//! after `rounds` and `hit_round_cap` and before `phase_total_nanos` (the
+//! sum of `phase_nanos`), and a run's `active_per_round` schedule:
 //!
-//! * **Deterministic counters** (`rounds`, `messages`, `total_bits`,
-//!   `max_message_bits`, the intra/cross split, `wire_bytes_sent`,
-//!   `relayed_data_bytes`, the `faults_*` family, `stale_overwrites`,
-//!   `hit_round_cap`, and the `active_per_round` schedule) are pure
-//!   functions of the workload — the executor-equivalence guarantee pins
-//!   them bit-for-bit across machines.  These **gate**: any increase
-//!   beyond the tolerance is [`Verdict::Regressed`].
-//! * **Noisy counters** (`syscall_batches`, `peak_rss_bytes`,
-//!   `transport_flush_nanos`, `phase_total_nanos`) depend on the kernel,
-//!   the scheduler and the host — a committed baseline cannot pin them
-//!   across machines.  These are **report-only** by default;
+//! * **[`Gate::Exact`] counters** (and `rounds`, `hit_round_cap` and the
+//!   schedule) are pure functions of the workload — the
+//!   executor-equivalence guarantee pins them bit-for-bit across
+//!   machines.  These **gate**: any increase beyond the tolerance is
+//!   [`Verdict::Regressed`].
+//! * **[`Gate::Noisy`] counters** (and `phase_total_nanos`) depend on the
+//!   kernel, the scheduler and the host — a committed baseline cannot pin
+//!   them across machines.  These are **report-only** by default;
 //!   [`Tolerance::gate_noisy`] opts them into the gate with their own
 //!   (looser) threshold for same-machine A/B runs.
 //!
-//! Round-series rows diff per round on the deterministic per-round fields
-//! (`active`, `messages`, `bits`, `cross_messages`, `wire_bytes`, the
-//! fault counters, `stale_overwrites`); `wall_nanos` never gates and is
-//! summarized as a p50/p95/max shift instead.
+//! Round-series rows diff per round on their exact fields; the noisy
+//! `wall_nanos` never gates and is summarized as a p50/p95/max shift
+//! instead.
 //!
 //! Lower is better for every gated counter, so a decrease is
 //! [`Verdict::Improved`], equality (or an increase within tolerance) is
@@ -41,7 +42,7 @@
 
 use std::collections::BTreeMap;
 
-use dcme_congest::{RoundRow, RunMetrics};
+use dcme_congest::{Gate, JsonValue, RoundRow, RunMetrics};
 
 /// What the gate permits before calling a counter increase a regression.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,9 +51,9 @@ pub struct Tolerance {
     /// (`0.0` = exact, the default: these are bit-pinned by the
     /// executor-equivalence guarantee, so any growth is real).
     pub counters: f64,
-    /// Also gate the machine-dependent counters (`syscall_batches`,
-    /// `peak_rss_bytes`, timings)?  Off by default so a committed
-    /// baseline stays robust across machines.
+    /// Also gate the machine-dependent [`Gate::Noisy`] counters and the
+    /// phase timings?  Off by default so a committed baseline stays robust
+    /// across machines.
     pub gate_noisy: bool,
     /// Allowed fractional increase on noisy counters when
     /// [`Tolerance::gate_noisy`] is set (default 20%).
@@ -229,9 +230,10 @@ pub struct RunFile {
 
 impl RunFile {
     /// Parses JSONL text, classifying each line by shape: round-series
-    /// rows by their `"kind"` tag, metrics rows by their `"label"`, table
-    /// rows (valid JSON, neither tag) ignored.  Malformed JSON is an
-    /// error carrying the 1-based line number.
+    /// rows by their `"kind":"round_series"` tag, metrics rows by their
+    /// `"label"`, and table rows (neither) ignored.  Malformed JSON, or a
+    /// series or metrics row that does not parse (a counter that is not a
+    /// `u64`, say), is an error carrying the 1-based line number.
     pub fn parse(text: &str) -> Result<RunFile, String> {
         let mut out = RunFile::default();
         for (i, line) in text.lines().enumerate() {
@@ -239,21 +241,14 @@ impl RunFile {
             if line.is_empty() {
                 continue;
             }
-            if let Ok((label, row)) = RoundRow::from_json(line) {
+            let at = |e: String| format!("line {}: {e}", i + 1);
+            let v = JsonValue::parse(line).map_err(|e| at(e.to_string()))?;
+            if v.get("kind").and_then(JsonValue::as_str) == Some("round_series") {
+                let (label, row) = RoundRow::from_json(line).map_err(at)?;
                 out.series.entry(label).or_default().insert(row.round, row);
-                continue;
-            }
-            match RunMetrics::from_json(line) {
-                Ok((label, m)) => {
-                    out.metrics.insert(label, m);
-                }
-                Err(e) => {
-                    // Table rows carry no "label" but are valid JSON; only
-                    // unparseable lines are real errors.
-                    if dcme_congest::JsonValue::parse(line).is_err() {
-                        return Err(format!("line {}: {e}", i + 1));
-                    }
-                }
+            } else if v.get("label").is_some() {
+                let (label, m) = RunMetrics::from_json(line).map_err(at)?;
+                out.metrics.insert(label, m);
             }
         }
         Ok(out)
@@ -387,44 +382,28 @@ impl DiffReport {
     }
 }
 
-/// Every counter of one metrics row, in report order, with its gate class.
-fn counter_values(m: &RunMetrics) -> [(&'static str, u64, bool); 18] {
-    [
-        ("rounds", m.rounds, true),
-        ("hit_round_cap", m.hit_round_cap as u64, true),
-        ("messages", m.messages, true),
-        ("total_bits", m.total_bits, true),
-        ("max_message_bits", m.max_message_bits, true),
-        ("intra_shard_messages", m.intra_shard_messages, true),
-        ("cross_shard_messages", m.cross_shard_messages, true),
-        ("wire_bytes_sent", m.wire_bytes_sent, true),
-        ("relayed_data_bytes", m.relayed_data_bytes, true),
-        ("faults_dropped", m.faults_dropped, true),
-        ("faults_duplicated", m.faults_duplicated, true),
-        ("faults_delayed", m.faults_delayed, true),
-        ("faults_retransmitted", m.faults_retransmitted, true),
-        ("stale_overwrites", m.stale_overwrites, true),
-        ("syscall_batches", m.syscall_batches, false),
-        ("peak_rss_bytes", m.peak_rss_bytes, false),
-        ("transport_flush_nanos", m.transport_flush_nanos, false),
-        ("phase_total_nanos", m.phase_nanos.total(), false),
-    ]
+/// Every counter of one metrics row, in report order, with its gate class:
+/// the run-shape counters around the registry's.
+fn counter_values(m: &RunMetrics) -> Vec<(&'static str, u64, Gate)> {
+    let mut values = vec![
+        ("rounds", m.rounds, Gate::Exact),
+        ("hit_round_cap", m.hit_round_cap as u64, Gate::Exact),
+    ];
+    values.extend(
+        RunMetrics::COUNTERS
+            .iter()
+            .map(|c| (c.key, (c.get)(m), c.gate)),
+    );
+    values.push(("phase_total_nanos", m.phase_nanos.total(), Gate::Noisy));
+    values
 }
 
-/// The deterministic per-round fields (everything but `wall_nanos`).
-fn row_fields(r: &RoundRow) -> [(&'static str, u64); 10] {
-    [
-        ("active", r.active),
-        ("messages", r.messages),
-        ("bits", r.bits),
-        ("cross_messages", r.cross_messages),
-        ("wire_bytes", r.wire_bytes),
-        ("dropped", r.dropped),
-        ("duplicated", r.duplicated),
-        ("delayed", r.delayed),
-        ("retransmitted", r.retransmitted),
-        ("stale_overwrites", r.stale_overwrites),
-    ]
+/// The exact per-round fields (everything but `round` and `wall_nanos`).
+fn row_fields(r: &RoundRow) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    RoundRow::FIELDS
+        .iter()
+        .filter(|f| f.gate == Gate::Exact)
+        .map(move |f| (f.key, (f.get)(r)))
 }
 
 fn diff_series(before: &BTreeMap<u64, RoundRow>, after: &BTreeMap<u64, RoundRow>) -> SeriesDiff {
@@ -437,7 +416,6 @@ fn diff_series(before: &BTreeMap<u64, RoundRow>, after: &BTreeMap<u64, RoundRow>
         let b = before.get(&round).unwrap_or(&zero);
         let a = after.get(&round).unwrap_or(&zero);
         let fields: Vec<(&'static str, u64, u64)> = row_fields(b)
-            .into_iter()
             .zip(row_fields(a))
             .filter(|((_, bv), (_, av))| bv != av)
             .map(|((name, bv), (_, av))| (name, bv, av))
@@ -467,7 +445,8 @@ pub fn diff(before: &RunFile, after: &RunFile, tol: &Tolerance) -> DiffReport {
         let counters = counter_values(b)
             .into_iter()
             .zip(counter_values(a))
-            .map(|((name, bv, deterministic), (_, av, _))| {
+            .map(|((name, bv, gate), (_, av, _))| {
+                let deterministic = gate == Gate::Exact;
                 let gated = deterministic || tol.gate_noisy;
                 let allowed = if deterministic {
                     tol.counters

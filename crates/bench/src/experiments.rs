@@ -1000,25 +1000,32 @@ pub fn ef_fault_injection(scale: Scale) -> Table {
     t
 }
 
+/// An experiment's runner: builds its table at the given scale.
+pub type Runner = fn(Scale) -> Table;
+
+/// Every experiment as `(id, runner)`, in the order [`run_all`] runs them;
+/// the id is the one its table's title starts with (`exp_all --only ID`).
+pub const EXPERIMENTS: &[(&str, Runner)] = &[
+    ("E1", e1_tradeoff),
+    ("E2", e2_linial_step),
+    ("E3", e3_delta_squared),
+    ("E4", e4_outdegree),
+    ("E5", e5_defective),
+    ("E6", e6_delta_plus_one),
+    ("E7", e7_fast),
+    ("E8", e8_ruling),
+    ("E9", e9_one_round),
+    ("E10", e10_chopping),
+    ("E11", e11_logstar),
+    ("E12", e12_bandwidth),
+    ("ET", transport_backends),
+    ("EB", eb_randomized_baselines),
+    ("EF", ef_fault_injection),
+];
+
 /// Runs every experiment at the given scale and returns the tables in order.
 pub fn run_all(scale: Scale) -> Vec<Table> {
-    vec![
-        e1_tradeoff(scale),
-        e2_linial_step(scale),
-        e3_delta_squared(scale),
-        e4_outdegree(scale),
-        e5_defective(scale),
-        e6_delta_plus_one(scale),
-        e7_fast(scale),
-        e8_ruling(scale),
-        e9_one_round(scale),
-        e10_chopping(scale),
-        e11_logstar(scale),
-        e12_bandwidth(scale),
-        transport_backends(scale),
-        eb_randomized_baselines(scale),
-        ef_fault_injection(scale),
-    ]
+    EXPERIMENTS.iter().map(|(_, run)| run(scale)).collect()
 }
 
 /// Helper shared by the experiment binaries: parse `--full` from the argv.

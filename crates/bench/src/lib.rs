@@ -3,13 +3,13 @@
 //!
 //! Every theorem/claim of the paper has one experiment (E1–E12, see DESIGN.md
 //! for the index).  Each runner in [`experiments`] produces a [`table::Table`]
-//! whose rows are exactly what the corresponding `exp_*` binary prints and
-//! what EXPERIMENTS.md records; the Criterion benches in `benches/` reuse the
+//! whose rows are exactly what `exp_all --only ID` prints and what
+//! EXPERIMENTS.md records; the Criterion benches in `benches/` reuse the
 //! same runners on smaller instances to track wall-clock performance of the
 //! simulator + algorithms.  The transport backends get their own table
-//! ([`experiments::transport_backends`], `exp_transport`), the randomized
-//! baselines their fixed-seed cross-executor table
-//! ([`experiments::eb_randomized_baselines`], `exp_baselines_randomized`)
+//! ([`experiments::transport_backends`], `exp_all --only ET`), the
+//! randomized baselines their fixed-seed cross-executor table
+//! ([`experiments::eb_randomized_baselines`], `exp_all --only EB`)
 //! and wall-clock bench (`baselines_randomized`,
 //! `BASELINES_RANDOMIZED_SMOKE=1` for CI), the fault-injection survival
 //! matrix its table and replay tool
@@ -23,7 +23,7 @@
 //!
 //! Two row shapes are emitted, both one self-contained JSON object per line:
 //!
-//! **Table rows** (`exp_* --jsonl PATH`, including `exp_all`): every cell of
+//! **Table rows** (`exp_all --jsonl PATH`, or `exp_faults`): every cell of
 //! every table, keyed by its column header plus a `"table"` tag.  Cells are
 //! strings (rows are self-describing, not typed):
 //!
@@ -34,12 +34,15 @@
 //!
 //! **RunMetrics rows** (`DCME_METRICS_JSONL=PATH` for the `engine_*`
 //! benches, or any [`dcme_congest::JsonLinesWriter::append`] caller): the
-//! numeric fields of one [`dcme_congest::RunMetrics`], one-to-one with the
-//! struct fields, tagged with a `"label"`:
+//! fields of one [`dcme_congest::RunMetrics`], keyed by the struct's field
+//! names and tagged with a `"label"`: `rounds` and `hit_round_cap`, then
+//! every counter of the counter registry
+//! ([`dcme_congest::RunMetrics::COUNTERS`]) in its order, then the
+//! per-round schedule and the timings:
 //!
 //! ```json
-//! {"label":"ring/n20000/sharded4","rounds":16,"messages":833568,"total_bits":12015224,
-//!  "max_message_bits":15,"hit_round_cap":false,"intra_shard_messages":833540,
+//! {"label":"ring/n20000/sharded4","rounds":16,"hit_round_cap":false,"messages":833568,
+//!  "total_bits":12015224,"max_message_bits":15,"intra_shard_messages":833540,
 //!  "cross_shard_messages":28,"wire_bytes_sent":3584,"transport_flush_nanos":113917,
 //!  "syscall_batches":96,"faults_dropped":0,"faults_duplicated":0,"faults_delayed":0,
 //!  "faults_retransmitted":0,"stale_overwrites":0,
@@ -55,11 +58,8 @@
 //! executor-equivalence guarantee.
 //!
 //! `phase_nanos` covers only the three engine phases; the transport's frame
-//! sealing/flushing time is the separate `transport_flush_nanos` counter.
-//! Socket-run wall-clock totals should therefore quote
-//! [`dcme_congest::RunMetrics::total_with_transport`]
-//! (`phase_nanos.total() + transport_flush_nanos`), not
-//! `phase_nanos.total()` alone, which under-reports socket runs.
+//! sealing and flushing time, measured inside the transport, lies outside
+//! it, in `transport_flush_nanos`.
 //!
 //! **Round-series rows** (`exp_trace --series PATH`, or any
 //! [`dcme_congest::RoundSeries::write_jsonl`] caller): one row per round of
@@ -74,7 +74,9 @@
 //! Both row shapes round-trip: [`dcme_congest::RunMetrics::from_json`] and
 //! [`dcme_congest::RoundRow::from_json`] parse emitted lines back (pinned by
 //! field-for-field equality tests), so schema drift fails loudly instead of
-//! silently corrupting analyses.
+//! silently corrupting analyses.  A missing key reads as zero, but a present
+//! value of the wrong type (a counter that is not a `u64`) is an error that
+//! names the key.
 //!
 //! `relayed_data_bytes` is the coordinator-side mirror of
 //! `wire_bytes_sent`: the data-frame bytes the multi-process coordinator
@@ -87,15 +89,16 @@
 //! would break byte-identical metric replays) and on platforms without
 //! `/proc/self/status`.
 //!
-//! Fields are only ever **added** (`wire_bytes_sent` and
+//! Keys are only ever **added**, never renamed or removed (`wire_bytes_sent` and
 //! `transport_flush_nanos` arrived with the transport subsystem,
 //! `syscall_batches` with the overlapped socket drain, the five
 //! `faults_*`/`stale_overwrites` counters with the fault-injection harness
 //! — see [`experiments::ef_fault_injection`] and the `exp_faults` binary —
 //! `relayed_data_bytes`/`peak_rss_bytes` with the scale-out data
 //! mesh, and the per-round fault counters on round-series rows with the
-//! run-diff engine), so rows stay parseable across versions; consumers
-//! must ignore unknown keys.
+//! run-diff engine; `hit_round_cap` moved up beside `rounds` when the
+//! counter registry came), so rows stay parseable across versions;
+//! consumers must ignore unknown keys and must not rely on key order.
 //!
 //! # The committed baseline and the regression gate
 //!
@@ -104,12 +107,12 @@
 //! (`ENGINE_SCALING_SMOKE=1` / `ENGINE_SHARDING_SMOKE=1` /
 //! `ENGINE_TRANSPORT_SMOKE=1` with `DCME_METRICS_JSONL` set).  The
 //! [`diff`] module compares a fresh capture against it, matched by label:
-//! deterministic counters (rounds, messages, bits, the intra/cross split,
-//! wire bytes, fault counters, the `active_per_round` schedule) must match
-//! **exactly** — they are pinned by the executor-equivalence guarantee, so
-//! the committed file is machine-independent — while scheduling-dependent
-//! counters (`syscall_batches`, `peak_rss_bytes`, timings) are reported
-//! but never gate by default.  Each comparison yields a typed
+//! the counters whose registry entry says [`dcme_congest::Gate::Exact`],
+//! with `rounds`, `hit_round_cap` and the `active_per_round` schedule,
+//! must match **exactly** — they are pinned by the executor-equivalence
+//! guarantee, so the committed file is machine-independent — while the
+//! [`dcme_congest::Gate::Noisy`] counters and the timings are reported but
+//! never gate by default.  Each comparison yields a typed
 //! [`diff::Verdict`]: `Improved` (the counter went down), `Unchanged`
 //! (equal, or within the configured [`diff::Tolerance`]), or
 //! `Regressed` carrying the threshold that fired.  `exp_diff

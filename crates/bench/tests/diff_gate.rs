@@ -4,10 +4,11 @@
 //! committed `baselines/metrics-baseline.jsonl` to the parse/self-diff
 //! invariants CI relies on.
 
+use std::collections::BTreeMap;
 use std::process::Command;
 
 use dcme_bench::diff::{diff, RunFile, Tolerance};
-use dcme_congest::{RoundRow, RunMetrics};
+use dcme_congest::{JsonValue, RoundRow, RunMetrics};
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("dcme_diff_{tag}_{}", std::process::id()));
@@ -114,14 +115,36 @@ fn self_diff_passes_and_perturbation_is_reported_exactly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The committed baseline itself: parseable, label-complete, and clean
-/// under self-diff — the invariants the CI regression-gate step assumes.
-#[test]
-fn committed_baseline_parses_and_self_diffs_clean() {
+fn committed_baseline() -> (std::path::PathBuf, String) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../baselines/metrics-baseline.jsonl");
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("missing committed baseline {}: {e}", path.display()));
+    (path, text)
+}
+
+/// A JSON object's members as a key-sorted map, so two renderings compare
+/// by keys and values whatever their key order.
+fn members(line: &str) -> BTreeMap<String, JsonValue> {
+    JsonValue::parse(line)
+        .expect("valid JSON")
+        .as_object()
+        .expect("an object")
+        .iter()
+        .cloned()
+        .collect()
+}
+
+/// The committed baseline itself: parseable, label-complete, re-rendered
+/// with every committed key and value, and clean under self-diff — the
+/// invariants the CI regression-gate step assumes.
+#[test]
+fn committed_baseline_parses_and_self_diffs_clean() {
+    let (_, text) = committed_baseline();
+    for line in text.lines() {
+        let (label, m) = RunMetrics::from_json(line).expect("committed row must parse");
+        assert_eq!(members(&m.to_json(&label)), members(line), "{label}");
+    }
     let file = RunFile::parse(&text).expect("committed baseline must parse");
     assert!(
         file.metrics.len() >= 10,
@@ -140,4 +163,36 @@ fn committed_baseline_parses_and_self_diffs_clean() {
     }
     let report = diff(&file, &file, &Tolerance::default());
     assert!(!report.regressed(), "baseline must self-diff clean");
+}
+
+/// A malformed value in a candidate fails the gate with an error naming its
+/// line and key; it is never read as 0, which would pass as "improved".
+#[test]
+fn malformed_candidate_values_fail_the_gate() {
+    let (path, text) = committed_baseline();
+    let mut candidate = text.clone();
+    for (label, key, from, to) in [
+        ("ring/n20000/seq", "messages", "201230,", "\"201230\","),
+        ("ring/n20000/sharded4", "messages", "201230,", "-1,"),
+        ("luby/n400/d8", "rounds", "7,", "7.0,"),
+    ] {
+        let row = format!("\"label\":\"{label}\"");
+        let line = text.lines().find(|l| l.contains(&row)).unwrap();
+        let bad = line.replacen(&format!("\"{key}\":{from}"), &format!("\"{key}\":{to}"), 1);
+        assert_ne!(bad, line, "{label} has no {key}:{from}");
+        let err = RunFile::parse(&bad).unwrap_err();
+        let named = format!("line 1: \"{key}\" is not a u64");
+        assert!(err.contains(&named), "{label}: {err}");
+        candidate = candidate.replacen(line, &bad, 1);
+    }
+    let dir = tmp_dir("malformed");
+    let cand = dir.join("cand.jsonl");
+    std::fs::write(&cand, candidate).unwrap();
+    let (ok, report) = run_diff(&path, &cand);
+    assert!(!ok, "a malformed candidate must fail --check:\n{report}");
+    assert!(
+        report.contains("line 1: \"messages\" is not a u64"),
+        "{report}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -47,10 +47,12 @@
 //!
 //! The kernel is the only place the engine calls [`NodeAlgorithm::send`] and
 //! [`NodeAlgorithm::receive`], takes the phase, flush and drain timings
-//! ([`PhaseTimings`]: send = clear + compute + intra-shard routing, deliver
-//! = cross-shard drain, receive = receive + compaction) and builds the
-//! per-shard trace events.  [`TraceSink::enabled`] is read once per kernel,
-//! so an untraced run constructs no events.
+//! ([`PhaseTimings`](crate::PhaseTimings): send = clear + compute +
+//! intra-shard routing, deliver = cross-shard drain, receive = receive +
+//! compaction) and builds the per-shard trace events.  It counts into a
+//! [`RunMetrics`] of its own, which its driver adds to the run's.
+//! [`TraceSink::enabled`] is read once per kernel, so an untraced run
+//! constructs no events.
 //!
 //! # Three drivers
 //!
@@ -130,11 +132,13 @@
 //!
 //! A panic in any phase (algorithm code or delivery validation) poisons the
 //! protocol at the next barrier, so all parties unwind together and the
-//! original panic is re-thrown — never a deadlocked barrier.  Per-shard
-//! counters are merged into [`RunMetrics`] in shard order when the run ends,
-//! so the totals are deterministic; `RunMetrics::shard_phase_nanos` keeps
-//! the per-shard phase times and `RunMetrics::{intra,cross}_shard_messages`
-//! the split, counted per edge however the transport groups its entries.
+//! original panic is re-thrown — never a deadlocked barrier.  When the run
+//! ends, each shard's counters are added to the run's [`RunMetrics`] in
+//! shard order, every counter by its registry rule (the same function adds
+//! a remote worker's), so the totals are deterministic;
+//! `RunMetrics::shard_phase_nanos` keeps the per-shard phase times and
+//! `RunMetrics::{intra,cross}_shard_messages` the split, counted per edge
+//! however the transport groups its entries.
 //! The coordinator's own barrier-to-barrier windows (A→B, B→C, C→D) are
 //! the run's `RunMetrics::phase_nanos`.
 //!
@@ -154,7 +158,7 @@ use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use crate::algorithm::{Inbox, MessageSize, NodeAlgorithm, NodeContext, Outbox};
-use crate::metrics::{PhaseTimings, RunMetrics};
+use crate::metrics::RunMetrics;
 use crate::sharded::{ShardTopologyView, ShardedTopology};
 use crate::topology::{NodeId, Topology, TopologyView};
 use crate::trace::{TraceEvent, TracePhase, TraceSink};
@@ -201,7 +205,7 @@ impl<M: MessageSize + Clone> RoundState<M> {
 /// * rounds are globally synchronous — all sends of round `r` complete
 ///   before any receive;
 /// * the result is bit-for-bit identical to [`SequentialExecutor`] (outputs
-///   and all metrics except wall-clock [`PhaseTimings`]);
+///   and all metrics except wall-clock [`PhaseTimings`](crate::PhaseTimings));
 /// * on return, `metrics.rounds`, `metrics.hit_round_cap`,
 ///   `metrics.active_per_round` and `metrics.phase_nanos` are filled in;
 /// * `tracer` is observed **out-of-band** (see [`crate::trace`]): the
@@ -255,7 +259,8 @@ pub(crate) struct ShardKernel<'a, A: NodeAlgorithm, T: ?Sized, L> {
     broadcast: Vec<usize>,
     /// Global ids of the shard's still-active nodes, ascending.
     active: Vec<NodeId>,
-    report: ShardReport,
+    /// The shard's counters and phase timings.
+    report: RunMetrics,
     tracer: &'a dyn TraceSink,
     traced: bool,
 }
@@ -293,7 +298,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             touched: Vec::new(),
             broadcast: Vec::new(),
             active: Vec::new(),
-            report: ShardReport::default(),
+            report: RunMetrics::default(),
             tracer,
             traced: tracer.enabled(),
         }
@@ -315,7 +320,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     }
 
     /// The counters accumulated so far.
-    pub(crate) fn report(&self) -> &ShardReport {
+    pub(crate) fn report(&self) -> &RunMetrics {
         &self.report
     }
 
@@ -342,7 +347,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         let (m0, b0, c0) = (
             self.report.messages,
             self.report.total_bits,
-            self.report.cross,
+            self.report.cross_shard_messages,
         );
         let t = Instant::now();
         let (shard, node_base) = (self.shard, self.node_base);
@@ -364,9 +369,10 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             &mut self.report,
             stage,
         );
-        self.report.intra += (self.report.messages - m0) - (self.report.cross - c0);
+        let cross = self.report.cross_shard_messages - c0;
+        self.report.intra_shard_messages += (self.report.messages - m0) - cross;
         let nanos = t.elapsed().as_nanos() as u64;
-        self.report.timings.send += nanos;
+        self.report.phase_nanos.send += nanos;
         self.phase_end(round, TracePhase::Send, nanos);
         if self.traced {
             self.tracer.emit(&TraceEvent::ShardRound {
@@ -374,7 +380,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
                 shard,
                 messages: self.report.messages - m0,
                 bits: self.report.total_bits - b0,
-                cross: self.report.cross - c0,
+                cross,
             });
         }
     }
@@ -389,8 +395,8 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         let t = Instant::now();
         let wire_bytes = flush()?;
         let nanos = t.elapsed().as_nanos() as u64;
-        self.report.wire_bytes += wire_bytes;
-        self.report.flush_nanos += nanos;
+        self.report.wire_bytes_sent += wire_bytes;
+        self.report.transport_flush_nanos += nanos;
         if self.traced {
             self.tracer.emit(&TraceEvent::ShardFlush {
                 round,
@@ -491,7 +497,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             return Err(e.into());
         }
         let nanos = t.elapsed().as_nanos() as u64;
-        self.report.timings.deliver += nanos;
+        self.report.phase_nanos.deliver += nanos;
         if self.traced {
             self.tracer.emit(&TraceEvent::ShardDrain {
                 round,
@@ -534,7 +540,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         }
         active.retain(|&v| !nodes[v - node_base].is_halted());
         let nanos = t.elapsed().as_nanos() as u64;
-        self.report.timings.receive += nanos;
+        self.report.phase_nanos.receive += nanos;
         self.phase_end(round, TracePhase::Receive, nanos);
         self.active.len()
     }
@@ -543,7 +549,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     /// touched list dies with the kernel, so a reused arena would otherwise
     /// replay them as phantom messages — and returns the shard's counters.
     /// The values die with the kernel too.
-    pub(crate) fn finish(self) -> ShardReport {
+    pub(crate) fn finish(self) -> RunMetrics {
         for i in self.touched {
             self.slots[i] = None;
         }
@@ -604,7 +610,7 @@ fn send_and_route<A, T, L, X>(
     values: &mut [Option<A::Message>],
     value_base: NodeId,
     broadcast: &mut Vec<usize>,
-    report: &mut ShardReport,
+    report: &mut RunMetrics,
     stage: &mut X,
 ) where
     A: NodeAlgorithm,
@@ -638,7 +644,7 @@ fn send_and_route<A, T, L, X>(
                         values[v - value_base] = Some(msg.clone());
                         broadcast.push(v - value_base);
                     } else {
-                        report.cross += run.len() as u64;
+                        report.cross_shard_messages += run.len() as u64;
                         stage.broadcast(to, v as u32, msg.clone(), run);
                     }
                 }
@@ -652,7 +658,7 @@ fn send_and_route<A, T, L, X>(
                     if own.contains(&dest) {
                         fill(slots, dest - own.start, msg, v, touched);
                     } else {
-                        report.cross += 1;
+                        report.cross_shard_messages += 1;
                         let to = L::shard_of_slot(topology, dest);
                         stage.port(to, dest as u32, v as u32, msg);
                     }
@@ -903,7 +909,7 @@ impl<T: TopologyView> Executor<T> for SequentialExecutor {
             if traced {
                 tracer.emit(&TraceEvent::RoundStart { round, active });
             }
-            let t0 = kernel.report().timings.total();
+            let t0 = kernel.report().phase_nanos.total();
             kernel.send_route(round, &mut OneShard);
             kernel
                 .deliver(round, |_| Ok::<(), TransportError>(()))
@@ -913,17 +919,17 @@ impl<T: TopologyView> Executor<T> for SequentialExecutor {
                 tracer.emit(&TraceEvent::RoundEnd {
                     round,
                     active,
-                    nanos: kernel.report().timings.total() - t0,
+                    nanos: kernel.report().phase_nanos.total() - t0,
                 });
             }
             round += 1;
         }
-        let report = kernel.finish();
+        let mut report = kernel.finish();
+        // The one kernel's messages are all intra-shard; this driver
+        // reports no shard split.
+        report.intra_shard_messages = 0;
+        metrics.merge(&report);
         metrics.rounds = round;
-        metrics.messages += report.messages;
-        metrics.total_bits += report.total_bits;
-        metrics.max_message_bits = metrics.max_message_bits.max(report.max_message_bits);
-        metrics.phase_nanos = report.timings;
         if traced {
             tracer.emit(&TraceEvent::RunEnd { rounds: round });
         }
@@ -1006,32 +1012,6 @@ impl<B: TransportBuilder> ShardedExecutor<B> {
     pub fn with_delivery(mut self, delivery: DeliveryMode) -> Self {
         self.delivery = delivery;
         self
-    }
-}
-
-/// One kernel's accounting.  Threaded drivers merge the reports **in shard
-/// order**, so every total in [`RunMetrics`] is deterministic; the remote
-/// worker protocol in [`crate::transport`] ships it in its Output frame.
-#[derive(Debug, Default)]
-pub(crate) struct ShardReport {
-    pub(crate) messages: u64,
-    pub(crate) total_bits: u64,
-    pub(crate) max_message_bits: u64,
-    pub(crate) intra: u64,
-    pub(crate) cross: u64,
-    pub(crate) wire_bytes: u64,
-    pub(crate) flush_nanos: u64,
-    pub(crate) syscall_batches: u64,
-    pub(crate) stale_overwrites: u64,
-    pub(crate) timings: PhaseTimings,
-}
-
-impl ShardReport {
-    /// Charges `count` messages of `bits` bits each.
-    fn record(&mut self, count: u64, bits: u64) {
-        self.messages += count;
-        self.total_bits += count * bits;
-        self.max_message_bits = self.max_message_bits.max(bits);
     }
 }
 
@@ -1186,8 +1166,8 @@ impl<B: TransportBuilder> Executor<ShardedTopology> for ShardedExecutor<B> {
         );
         let active_counts: Vec<AtomicUsize> =
             (0..shard_count).map(|_| AtomicUsize::new(0)).collect();
-        let reports: Vec<Mutex<ShardReport>> = (0..shard_count)
-            .map(|_| Mutex::new(ShardReport::default()))
+        let reports: Vec<Mutex<RunMetrics>> = (0..shard_count)
+            .map(|_| Mutex::new(RunMetrics::default()))
             .collect();
 
         std::thread::scope(|scope| {
@@ -1226,17 +1206,7 @@ impl<B: TransportBuilder> Executor<ShardedTopology> for ShardedExecutor<B> {
         });
 
         for report in &reports {
-            let r = report.lock().unwrap_or_else(|e| e.into_inner());
-            metrics.messages += r.messages;
-            metrics.total_bits += r.total_bits;
-            metrics.max_message_bits = metrics.max_message_bits.max(r.max_message_bits);
-            metrics.intra_shard_messages += r.intra;
-            metrics.cross_shard_messages += r.cross;
-            metrics.wire_bytes_sent += r.wire_bytes;
-            metrics.transport_flush_nanos += r.flush_nanos;
-            metrics.syscall_batches += r.syscall_batches;
-            metrics.stale_overwrites += r.stale_overwrites;
-            metrics.shard_phase_nanos.push(r.timings);
+            metrics.add_shard(&report.lock().unwrap_or_else(|e| e.into_inner()));
         }
         if tracer.enabled() {
             tracer.emit(&TraceEvent::RunEnd {
@@ -1255,7 +1225,7 @@ fn run_shard_thread<A: NodeAlgorithm, X: Transport<A::Message>>(
     sync: &PhaseSync,
     mut transport: X,
     active_count: &AtomicUsize,
-) -> ShardReport {
+) -> RunMetrics {
     sync.guard(|| active_count.store(kernel.admit(), Ordering::SeqCst));
     if sync.sync() {
         // ready barrier crossed: initial active counts are published

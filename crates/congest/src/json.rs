@@ -57,6 +57,20 @@ impl JsonValue {
         }
     }
 
+    /// The member `key` of a JSONL row, read by `read`: the default when
+    /// the key is absent (the add-only schema contract), and an error
+    /// naming the key and `what` it should be when `read` rejects it.
+    pub(crate) fn member<'a, T: Default>(
+        &'a self,
+        key: &str,
+        what: &str,
+        read: impl FnOnce(&'a JsonValue) -> Option<T>,
+    ) -> Result<T, String> {
+        self.get(key).map_or(Ok(T::default()), |v| {
+            read(v).ok_or_else(|| format!("\"{key}\" is not {what}"))
+        })
+    }
+
     /// The value as a `u64`, if it is an integral number in range.
     pub fn as_u64(&self) -> Option<u64> {
         match self {

@@ -92,17 +92,20 @@ pub use faults::{
 };
 pub use json::{JsonError, JsonValue};
 pub use mc::{CheckableAlgorithm, Counterexample, McConfig, McFault, McVerdict, Violation};
-pub use metrics::{process_peak_rss_bytes, JsonLinesWriter, PhaseTimings, RunMetrics};
+pub use metrics::{
+    process_peak_rss_bytes, Counter, Gate, JsonLinesWriter, Merge, PhaseTimings, RunMetrics,
+};
 pub use sharded::{ShardPlan, ShardSliceTopology, ShardTopologyView, ShardedTopology};
 pub use simulator::{ExecutionMode, RunOutcome, Simulator, SimulatorConfig};
 pub use topology::{BallScratch, NodeId, Port, Topology, TopologyError, TopologyView};
 pub use trace::{
     decode_stamped, encode_stamped, ChromeTraceSink, Fanout, NoTrace, RecordingSink, RoundRow,
-    RoundSeries, SeriesSummary, StampedRecorder, TraceEvent, TracePhase, TraceSink,
+    RoundSeries, RowField, SeriesSummary, StampedRecorder, TraceEvent, TracePhase, TraceSink,
 };
 pub use transport::{
-    coordinate, coordinate_traced, serve_shard, serve_shard_on, serve_shard_with, CoordinateSpec,
-    DataPlane, Entry, InProcess, ServeOptions, SocketLoopback, Transport, TransportBuilder,
-    TransportError, TransportMessage, WorkerMesh, WorkerStats,
+    coordinate, coordinate_traced, decode_output_payload, encode_output_payload, serve_shard,
+    serve_shard_on, serve_shard_with, CoordinateSpec, DataPlane, Entry, InProcess, ServeOptions,
+    SocketLoopback, Transport, TransportBuilder, TransportError, TransportMessage, WorkerMesh,
+    WorkerStats,
 };
 pub use wire::{BitReader, BitWriter, WireError, WireMessage};

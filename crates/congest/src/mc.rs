@@ -226,6 +226,10 @@ impl<A: CheckableAlgorithm> Clone for World<A> {
     }
 }
 
+/// One round's messages, one per directed edge, as `(slot, sender,
+/// message)`.
+type Sent<M> = Vec<(usize, u32, M)>;
+
 enum Flow {
     Clean,
     Found(Counterexample),
@@ -292,31 +296,9 @@ impl<T: TopologyView> Search<'_, T> {
             }
             return Flow::Clean;
         }
-        let active: Vec<usize> = (0..world.nodes.len())
-            .filter(|&v| !world.nodes[v].is_halted())
-            .collect();
         // The send phase is fault-independent, so it runs once, before the
         // branch point; only delivery decisions are explored.
-        let mut msgs: Vec<(usize, u32, A::Message)> = Vec::new();
-        for &v in &active {
-            let ctx = NodeContext {
-                round,
-                ..self.contexts[v]
-            };
-            let row = self.topology.dest_slots(v);
-            match world.nodes[v].send(&ctx) {
-                Outbox::Silent => {}
-                Outbox::Broadcast(m) => {
-                    msgs.extend(row.iter().map(|&slot| (slot as usize, v as u32, m.clone())));
-                }
-                Outbox::PerPort(list) => {
-                    msgs.extend(
-                        list.into_iter()
-                            .map(|(p, m)| (row[p] as usize, v as u32, m)),
-                    );
-                }
-            }
-        }
+        let (active, msgs) = self.send(&mut world.nodes, round);
         let mut chosen: Vec<Option<McFault>> = Vec::with_capacity(msgs.len());
         self.explore_decisions(&world, round, &active, &msgs, &mut chosen, budget_left)
     }
@@ -372,6 +354,78 @@ impl<T: TopologyView> Search<'_, T> {
         budget_left: u32,
     ) -> Flow {
         let mut child = world.clone();
+        if let Some(violation) = self.step(&mut child, round, active, msgs, chosen) {
+            return Flow::Found(Counterexample {
+                violation,
+                trace: std::mem::take(&mut child.trace),
+            });
+        }
+        self.explore_round(child, round + 1, budget_left)
+    }
+
+    /// The initial world: `mk`'s nodes, initialised, with nothing in flight.
+    fn start<A: CheckableAlgorithm>(&self, mk: &impl Fn() -> Vec<A>) -> World<A> {
+        let mut nodes = mk();
+        assert_eq!(
+            nodes.len(),
+            self.topology.num_nodes(),
+            "need exactly one algorithm instance per node"
+        );
+        for (v, node) in nodes.iter_mut().enumerate() {
+            node.init(&self.contexts[v]);
+        }
+        World {
+            nodes,
+            carry: Vec::new(),
+            trace: Vec::new(),
+        }
+    }
+
+    /// The send step of one round: the active nodes, and every message they
+    /// send.
+    fn send<A: CheckableAlgorithm>(
+        &self,
+        nodes: &mut [A],
+        round: u64,
+    ) -> (Vec<usize>, Sent<A::Message>) {
+        let active: Vec<usize> = (0..nodes.len())
+            .filter(|&v| !nodes[v].is_halted())
+            .collect();
+        let mut msgs = Vec::new();
+        for &v in &active {
+            let ctx = NodeContext {
+                round,
+                ..self.contexts[v]
+            };
+            let row = self.topology.dest_slots(v);
+            match nodes[v].send(&ctx) {
+                Outbox::Silent => {}
+                Outbox::Broadcast(m) => {
+                    msgs.extend(row.iter().map(|&slot| (slot as usize, v as u32, m.clone())));
+                }
+                Outbox::PerPort(list) => {
+                    msgs.extend(
+                        list.into_iter()
+                            .map(|(p, m)| (row[p] as usize, v as u32, m)),
+                    );
+                }
+            }
+        }
+        (active, msgs)
+    }
+
+    /// The rest of one round, with one fault decision per message of
+    /// `msgs`: delivers the messages, recording each fault in the world's
+    /// trace, runs the receive step, and checks properness.  The explorer
+    /// clones the world before each step; replay does not.
+    fn step<A: CheckableAlgorithm>(
+        &self,
+        world: &mut World<A>,
+        round: u64,
+        active: &[usize],
+        msgs: &[(usize, u32, A::Message)],
+        chosen: &[Option<McFault>],
+    ) -> Option<Violation> {
         let mut slots: Vec<Option<A::Message>> = (0..self.topology.num_directed_edges())
             .map(|_| None)
             .collect();
@@ -379,14 +433,14 @@ impl<T: TopologyView> Search<'_, T> {
         // message over the same edge wins the slot (newest-wins, matching
         // the async delivery mode of the executors).
         let mut rest = Vec::new();
-        for (r, slot, sender, msg) in child.carry.drain(..) {
+        for (r, slot, sender, msg) in world.carry.drain(..) {
             if r == round {
                 slots[slot] = Some(msg);
             } else {
                 rest.push((r, slot, sender, msg));
             }
         }
-        child.carry = rest;
+        world.carry = rest;
         for (i, (slot, sender, msg)) in msgs.iter().enumerate() {
             let action = |kind| FaultAction {
                 round,
@@ -397,15 +451,15 @@ impl<T: TopologyView> Search<'_, T> {
             };
             match chosen[i] {
                 None => slots[*slot] = Some(msg.clone()),
-                Some(McFault::Drop) => child.trace.push(action(McFault::Drop)),
+                Some(McFault::Drop) => world.trace.push(action(McFault::Drop)),
                 Some(McFault::Duplicate) => {
                     slots[*slot] = Some(msg.clone());
-                    child.carry.push((round + 1, *slot, *sender, msg.clone()));
-                    child.trace.push(action(McFault::Duplicate));
+                    world.carry.push((round + 1, *slot, *sender, msg.clone()));
+                    world.trace.push(action(McFault::Duplicate));
                 }
                 Some(McFault::Delay) => {
-                    child.carry.push((round + 1, *slot, *sender, msg.clone()));
-                    child.trace.push(action(McFault::Delay));
+                    world.carry.push((round + 1, *slot, *sender, msg.clone()));
+                    world.trace.push(action(McFault::Delay));
                 }
             }
         }
@@ -416,15 +470,9 @@ impl<T: TopologyView> Search<'_, T> {
             };
             let r = self.topology.port_range(v);
             let inbox = Inbox::from_slots(&slots[r]);
-            child.nodes[v].receive(&ctx, &inbox);
+            world.nodes[v].receive(&ctx, &inbox);
         }
-        if let Some(violation) = self.committed_violation(&child.nodes) {
-            return Flow::Found(Counterexample {
-                violation,
-                trace: std::mem::take(&mut child.trace),
-            });
-        }
-        self.explore_round(child, round + 1, budget_left)
+        self.committed_violation(&world.nodes)
     }
 }
 
@@ -478,20 +526,7 @@ pub fn check<T: TopologyView, A: CheckableAlgorithm, F: Fn() -> Vec<A>>(
 ) -> McVerdict {
     let mut search = make_search(topology, config);
     for budget in 0..=config.max_faults {
-        let mut nodes = mk();
-        assert_eq!(
-            nodes.len(),
-            topology.num_nodes(),
-            "need exactly one algorithm instance per node"
-        );
-        for (v, node) in nodes.iter_mut().enumerate() {
-            node.init(&search.contexts[v]);
-        }
-        let world = World {
-            nodes,
-            carry: Vec::new(),
-            trace: Vec::new(),
-        };
+        let world = search.start(&mk);
         match search.explore_round(world, 0, budget) {
             Flow::Clean => {}
             Flow::Found(ce) => return McVerdict::Violated(ce),
@@ -517,44 +552,13 @@ pub fn replay<T: TopologyView, A: CheckableAlgorithm, F: Fn() -> Vec<A>>(
     trace: &[FaultAction],
     config: &McConfig,
 ) -> Option<Violation> {
-    let mut search = make_search(topology, config);
-    let mut nodes = mk();
-    assert_eq!(nodes.len(), topology.num_nodes());
-    for (v, node) in nodes.iter_mut().enumerate() {
-        node.init(&search.contexts[v]);
-    }
-    let mut world = World {
-        nodes,
-        carry: Vec::new(),
-        trace: Vec::new(),
-    };
+    let search = make_search(topology, config);
+    let mut world = search.start(&mk);
     for round in 0..config.max_rounds {
         if world.nodes.iter().all(|n| n.is_halted()) {
             return None;
         }
-        let active: Vec<usize> = (0..world.nodes.len())
-            .filter(|&v| !world.nodes[v].is_halted())
-            .collect();
-        let mut msgs: Vec<(usize, u32, A::Message)> = Vec::new();
-        for &v in &active {
-            let ctx = NodeContext {
-                round,
-                ..search.contexts[v]
-            };
-            let row = topology.dest_slots(v);
-            match world.nodes[v].send(&ctx) {
-                Outbox::Silent => {}
-                Outbox::Broadcast(m) => {
-                    msgs.extend(row.iter().map(|&slot| (slot as usize, v as u32, m.clone())));
-                }
-                Outbox::PerPort(list) => {
-                    msgs.extend(
-                        list.into_iter()
-                            .map(|(p, m)| (row[p] as usize, v as u32, m)),
-                    );
-                }
-            }
-        }
+        let (active, msgs) = search.send(&mut world.nodes, round);
         let chosen: Vec<Option<McFault>> = msgs
             .iter()
             .map(|(slot, _, _)| {
@@ -564,9 +568,7 @@ pub fn replay<T: TopologyView, A: CheckableAlgorithm, F: Fn() -> Vec<A>>(
                     .map(|a| a.kind)
             })
             .collect();
-        if let Some(v) =
-            search.apply_and_continue_replay(&mut world, round, &active, &msgs, &chosen)
-        {
+        if let Some(v) = search.step(&mut world, round, &active, &msgs, &chosen) {
             return Some(v);
         }
     }
@@ -576,55 +578,6 @@ pub fn replay<T: TopologyView, A: CheckableAlgorithm, F: Fn() -> Vec<A>>(
         });
     }
     None
-}
-
-impl<T: TopologyView> Search<'_, T> {
-    /// The delivery/receive/check step of [`replay`]: like
-    /// `apply_and_continue` but mutating in place, no branching.
-    fn apply_and_continue_replay<A: CheckableAlgorithm>(
-        &mut self,
-        world: &mut World<A>,
-        round: u64,
-        active: &[usize],
-        msgs: &[(usize, u32, A::Message)],
-        chosen: &[Option<McFault>],
-    ) -> Option<Violation> {
-        let mut slots: Vec<Option<A::Message>> = (0..self.topology.num_directed_edges())
-            .map(|_| None)
-            .collect();
-        let mut rest = Vec::new();
-        for (r, slot, sender, msg) in world.carry.drain(..) {
-            if r == round {
-                slots[slot] = Some(msg);
-            } else {
-                rest.push((r, slot, sender, msg));
-            }
-        }
-        world.carry = rest;
-        for (i, (slot, sender, msg)) in msgs.iter().enumerate() {
-            match chosen[i] {
-                None => slots[*slot] = Some(msg.clone()),
-                Some(McFault::Drop) => {}
-                Some(McFault::Duplicate) => {
-                    slots[*slot] = Some(msg.clone());
-                    world.carry.push((round + 1, *slot, *sender, msg.clone()));
-                }
-                Some(McFault::Delay) => {
-                    world.carry.push((round + 1, *slot, *sender, msg.clone()));
-                }
-            }
-        }
-        for &v in active {
-            let ctx = NodeContext {
-                round,
-                ..self.contexts[v]
-            };
-            let r = self.topology.port_range(v);
-            let inbox = Inbox::from_slots(&slots[r]);
-            world.nodes[v].receive(&ctx, &inbox);
-        }
-        self.committed_violation(&world.nodes)
-    }
 }
 
 pub mod fixtures {

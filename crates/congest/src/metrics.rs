@@ -9,8 +9,24 @@
 //! unaffected), but the wire was used, so round/bandwidth complexity counts
 //! them.  See the [`crate::algorithm`] docs for the rationale; a simulator
 //! regression test pins this behaviour.
+//!
+//! # The counter registry
+//!
+//! Every `u64` counter of [`RunMetrics`] is declared once, in the
+//! `counters!` table below: its field name (also its JSON key), its
+//! [`Merge`] rule and its [`Gate`] class.  [`RunMetrics::COUNTERS`] drives
+//! [`RunMetrics::merge`], the JSON rows, the remote worker's Output frame
+//! ([`encode_output_payload`](crate::transport::encode_output_payload)) and
+//! the regression gate (`dcme_bench::diff`).  The five run-shape fields —
+//! `rounds`, `hit_round_cap`, `active_per_round`, `phase_nanos` and
+//! `shard_phase_nanos` — have their rules written out by hand.  A new
+//! counter needs its field, one line in the table and the code that
+//! increments it; a field in neither list fails to compile.
+//! [`RoundRow`](crate::RoundRow) has a table of its own.
 
 use serde::{Deserialize, Serialize};
+
+use crate::json::JsonValue;
 
 /// Cumulative wall-clock time spent in each engine phase over a whole run,
 /// in nanoseconds.
@@ -42,13 +58,40 @@ impl PhaseTimings {
     pub fn total(&self) -> u64 {
         self.send + self.deliver + self.receive
     }
+
+    fn add(&mut self, other: &PhaseTimings) {
+        self.send += other.send;
+        self.deliver += other.deliver;
+        self.receive += other.receive;
+    }
+
+    fn json_into(&self, out: &mut String) {
+        out.push_str(&format!(
+            "{{\"send\":{},\"deliver\":{},\"receive\":{}}}",
+            self.send, self.deliver, self.receive
+        ));
+    }
+
+    /// `None` unless `v` is an object whose present `send`, `deliver` and
+    /// `receive` are `u64`s (a missing one reads 0).
+    fn from_json(v: &JsonValue) -> Option<PhaseTimings> {
+        v.as_object()?;
+        let u = |key| v.get(key).map_or(Some(0), JsonValue::as_u64);
+        Some(PhaseTimings {
+            send: u("send")?,
+            deliver: u("deliver")?,
+            receive: u("receive")?,
+        })
+    }
 }
 
 /// Aggregate metrics of one simulator run.
 ///
 /// `rounds` is the number of synchronous rounds that were executed before
 /// every node had halted (or the cap was reached); this is the quantity every
-/// theorem of the paper bounds.
+/// theorem of the paper bounds.  Each kernel of a run counts into a
+/// `RunMetrics` of its own, which its driver adds to the run's (see the
+/// [module docs](self) for the counter registry).
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunMetrics {
     /// Number of synchronous rounds executed.
@@ -66,7 +109,8 @@ pub struct RunMetrics {
     /// round (useful to see how fast the algorithm "drains").
     pub active_per_round: Vec<usize>,
     /// Cumulative wall-clock time per engine phase (send / deliver /
-    /// receive), in nanoseconds.
+    /// receive), in nanoseconds.  The transport's sealing and flushing
+    /// time is not in it: that is [`RunMetrics::transport_flush_nanos`].
     pub phase_nanos: PhaseTimings,
     /// Messages delivered within the sender's shard.  Attributed by the
     /// sharded drivers (`intra + cross == messages` there); zero for the
@@ -88,6 +132,8 @@ pub struct RunMetrics {
     pub wire_bytes_sent: u64,
     /// Cumulative wall-clock time the transport spent sealing and flushing
     /// frames at the send barrier, in nanoseconds (summed across shards).
+    /// Measured inside the transport, so it lies outside
+    /// [`RunMetrics::phase_nanos`].
     pub transport_flush_nanos: u64,
     /// Number of kernel write batches the cross-shard transport issued — one
     /// per successful `write(2)` syscall, summed across shards.  Many small
@@ -138,37 +184,113 @@ pub struct RunMetrics {
     pub relayed_data_bytes: u64,
 }
 
+/// How two values of one counter combine when runs or shards merge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Merge {
+    /// Added: a count over the whole run.
+    Sum,
+    /// The larger one is kept: a largest size or a high-water mark.
+    Max,
+}
+
+/// How the regression gate (`exp_diff --check`) treats a counter.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Gate {
+    /// A pure function of the workload, pinned bit for bit by the
+    /// executor-equivalence guarantee: any increase is a regression.
+    Exact,
+    /// Depends on the host and the scheduler: reported, and gated only on
+    /// request, with a looser threshold.
+    Noisy,
+}
+
+/// One `u64` counter of [`RunMetrics`], as the registry declares it.
+#[derive(Clone, Copy)]
+pub struct Counter {
+    /// The field's name, which is also its JSON key.
+    pub key: &'static str,
+    /// How two runs' or shards' values combine.
+    pub merge: Merge,
+    /// How the regression gate treats it.
+    pub gate: Gate,
+    /// Reads the counter.
+    pub get: fn(&RunMetrics) -> u64,
+    /// The counter's field.
+    pub get_mut: fn(&mut RunMetrics) -> &mut u64,
+}
+
+/// Declares [`RunMetrics::COUNTERS`], one `field: Merge, Gate;` line per
+/// counter, and checks that every field of [`RunMetrics`] is declared.
+macro_rules! counters {
+    ($($key:ident: $merge:ident, $gate:ident;)*) => {
+        impl RunMetrics {
+            /// Every `u64` counter, in the order JSON rows, the Output frame
+            /// and the gate's report list them.
+            pub const COUNTERS: &'static [Counter] = &[$(Counter {
+                key: stringify!($key),
+                merge: Merge::$merge,
+                gate: Gate::$gate,
+                get: |m| m.$key,
+                get_mut: |m| &mut m.$key,
+            }),*];
+        }
+
+        // Fails to compile ("pattern requires `..`") when a field is
+        // neither a counter in the table nor one of the run-shape fields,
+        // whose rules are written out by hand.
+        const _: fn(RunMetrics) = |m| {
+            let RunMetrics {
+                rounds: _,
+                hit_round_cap: _,
+                active_per_round: _,
+                phase_nanos: _,
+                shard_phase_nanos: _,
+                $($key: _,)*
+            } = m;
+        };
+    };
+}
+
+counters! {
+    messages: Sum, Exact;
+    total_bits: Sum, Exact;
+    max_message_bits: Max, Exact;
+    intra_shard_messages: Sum, Exact;
+    cross_shard_messages: Sum, Exact;
+    wire_bytes_sent: Sum, Exact;
+    transport_flush_nanos: Sum, Noisy;
+    syscall_batches: Sum, Noisy;
+    faults_dropped: Sum, Exact;
+    faults_duplicated: Sum, Exact;
+    faults_delayed: Sum, Exact;
+    faults_retransmitted: Sum, Exact;
+    stale_overwrites: Sum, Exact;
+    peak_rss_bytes: Max, Noisy;
+    relayed_data_bytes: Sum, Exact;
+}
+
 impl RunMetrics {
     /// Records one delivered message of the given size.
     pub fn record_message(&mut self, bits: u64) {
-        self.messages += 1;
-        self.total_bits += bits;
-        if bits > self.max_message_bits {
-            self.max_message_bits = bits;
-        }
+        self.record(1, bits);
+    }
+
+    /// Records `count` delivered messages of `bits` bits each.
+    pub(crate) fn record(&mut self, count: u64, bits: u64) {
+        self.messages += count;
+        self.total_bits += count * bits;
+        self.max_message_bits = self.max_message_bits.max(bits);
     }
 
     /// Merges another metrics object into this one (used by multi-phase
-    /// pipelines to combine per-stage counters).
+    /// pipelines to combine per-stage counters): every counter by its
+    /// [`Merge`] rule, and the phase timings summed, per shard index for
+    /// `shard_phase_nanos`.  `rounds`, `hit_round_cap` and
+    /// `active_per_round` describe one run and are left alone; pipelines
+    /// account rounds themselves.
     pub fn merge(&mut self, other: &RunMetrics) {
-        self.messages += other.messages;
-        self.total_bits += other.total_bits;
-        self.max_message_bits = self.max_message_bits.max(other.max_message_bits);
-        self.phase_nanos.send += other.phase_nanos.send;
-        self.phase_nanos.deliver += other.phase_nanos.deliver;
-        self.phase_nanos.receive += other.phase_nanos.receive;
-        self.intra_shard_messages += other.intra_shard_messages;
-        self.cross_shard_messages += other.cross_shard_messages;
-        self.wire_bytes_sent += other.wire_bytes_sent;
-        self.transport_flush_nanos += other.transport_flush_nanos;
-        self.syscall_batches += other.syscall_batches;
-        self.faults_dropped += other.faults_dropped;
-        self.faults_duplicated += other.faults_duplicated;
-        self.faults_delayed += other.faults_delayed;
-        self.faults_retransmitted += other.faults_retransmitted;
-        self.stale_overwrites += other.stale_overwrites;
-        self.peak_rss_bytes = self.peak_rss_bytes.max(other.peak_rss_bytes);
-        self.relayed_data_bytes += other.relayed_data_bytes;
+        self.merge_counters(other);
+        self.phase_nanos.add(&other.phase_nanos);
         if self.shard_phase_nanos.len() < other.shard_phase_nanos.len() {
             self.shard_phase_nanos
                 .resize(other.shard_phase_nanos.len(), PhaseTimings::default());
@@ -178,25 +300,27 @@ impl RunMetrics {
             .iter_mut()
             .zip(&other.shard_phase_nanos)
         {
-            mine.send += theirs.send;
-            mine.deliver += theirs.deliver;
-            mine.receive += theirs.receive;
+            mine.add(theirs);
         }
     }
 
-    /// Total engine time *including* the transport flush, in nanoseconds.
-    ///
-    /// [`PhaseTimings::total`] covers only the three engine phases (send /
-    /// deliver / receive); the time the cross-shard transport spends sealing
-    /// and flushing frames at the send barrier is accounted separately in
-    /// [`RunMetrics::transport_flush_nanos`] — it is measured *inside* the
-    /// transport, not inside any phase window, both for the in-process
-    /// socket backends and for remote workers (whose Output frames carry
-    /// flush time in its own counter).  Socket-run totals that only look at
-    /// `phase_nanos.total()` therefore under-report; this accessor is the
-    /// documented sum to quote instead.
-    pub fn total_with_transport(&self) -> u64 {
-        self.phase_nanos.total() + self.transport_flush_nanos
+    /// Adds one shard's kernel counters to a sharded run: every counter by
+    /// its [`Merge`] rule, and the shard's `phase_nanos` appended to
+    /// `shard_phase_nanos`.  The threaded driver and the remote coordinator
+    /// add their shards in shard order, so every total is deterministic.
+    pub(crate) fn add_shard(&mut self, shard: &RunMetrics) {
+        self.merge_counters(shard);
+        self.shard_phase_nanos.push(shard.phase_nanos);
+    }
+
+    fn merge_counters(&mut self, other: &RunMetrics) {
+        for c in Self::COUNTERS {
+            let (a, b) = ((c.get)(self), (c.get)(other));
+            *(c.get_mut)(self) = match c.merge {
+                Merge::Sum => a + b,
+                Merge::Max => a.max(b),
+            };
+        }
     }
 
     /// Average message size in bits (0 if no messages were sent).
@@ -208,53 +332,21 @@ impl RunMetrics {
         }
     }
 
-    /// Renders the metrics as one JSON object tagged with `label`.
-    ///
-    /// This is the first concrete serialization format of the workspace (the
-    /// vendored `serde` is a marker-only stub, so the encoding is written
-    /// out by hand; when real `serde` lands this becomes a derive).  The
-    /// field names match the struct fields one-to-one, so rows stay parseable
-    /// across versions that only add fields.
+    /// Renders the metrics as one JSON object tagged with `label`: the
+    /// label, `rounds` and `hit_round_cap`, every counter in registry
+    /// order, then `active_per_round` and the timings.  The keys are the
+    /// struct's field names (the vendored `serde` is a marker-only stub).
     pub fn to_json(&self, label: &str) -> String {
-        let mut out = String::with_capacity(256);
+        let mut out = String::with_capacity(512);
         out.push_str("{\"label\":\"");
         json_escape_into(&mut out, label);
-        out.push('"');
-        out.push_str(&format!(",\"rounds\":{}", self.rounds));
-        out.push_str(&format!(",\"messages\":{}", self.messages));
-        out.push_str(&format!(",\"total_bits\":{}", self.total_bits));
-        out.push_str(&format!(",\"max_message_bits\":{}", self.max_message_bits));
-        out.push_str(&format!(",\"hit_round_cap\":{}", self.hit_round_cap));
         out.push_str(&format!(
-            ",\"intra_shard_messages\":{}",
-            self.intra_shard_messages
+            "\",\"rounds\":{},\"hit_round_cap\":{}",
+            self.rounds, self.hit_round_cap
         ));
-        out.push_str(&format!(
-            ",\"cross_shard_messages\":{}",
-            self.cross_shard_messages
-        ));
-        out.push_str(&format!(",\"wire_bytes_sent\":{}", self.wire_bytes_sent));
-        out.push_str(&format!(
-            ",\"transport_flush_nanos\":{}",
-            self.transport_flush_nanos
-        ));
-        out.push_str(&format!(",\"syscall_batches\":{}", self.syscall_batches));
-        out.push_str(&format!(",\"faults_dropped\":{}", self.faults_dropped));
-        out.push_str(&format!(
-            ",\"faults_duplicated\":{}",
-            self.faults_duplicated
-        ));
-        out.push_str(&format!(",\"faults_delayed\":{}", self.faults_delayed));
-        out.push_str(&format!(
-            ",\"faults_retransmitted\":{}",
-            self.faults_retransmitted
-        ));
-        out.push_str(&format!(",\"stale_overwrites\":{}", self.stale_overwrites));
-        out.push_str(&format!(",\"peak_rss_bytes\":{}", self.peak_rss_bytes));
-        out.push_str(&format!(
-            ",\"relayed_data_bytes\":{}",
-            self.relayed_data_bytes
-        ));
+        for c in Self::COUNTERS {
+            out.push_str(&format!(",\"{}\":{}", c.key, (c.get)(self)));
+        }
         out.push_str(",\"active_per_round\":[");
         for (i, a) in self.active_per_round.iter().enumerate() {
             if i > 0 {
@@ -262,8 +354,7 @@ impl RunMetrics {
             }
             out.push_str(&a.to_string());
         }
-        out.push(']');
-        out.push_str(",\"phase_nanos\":");
+        out.push_str("],\"phase_nanos\":");
         self.phase_nanos.json_into(&mut out);
         out.push_str(",\"shard_phase_nanos\":[");
         for (i, t) in self.shard_phase_nanos.iter().enumerate() {
@@ -279,13 +370,12 @@ impl RunMetrics {
     /// Parses one JSONL row produced by [`RunMetrics::to_json`] back into
     /// `(label, metrics)`.
     ///
-    /// The inverse of the hand-rolled encoder, so schema drift between the
-    /// two fails a round-trip test instead of silently corrupting analyses.
-    /// Missing numeric/boolean fields default to zero/false (rows stay
-    /// parseable across versions that only add fields); a missing `label`
-    /// or a line that is not a JSON object is an error.
+    /// A missing field defaults to zero, false or empty (rows stay
+    /// parseable across versions that only add fields); a present field of
+    /// the wrong type is an error that names its key, and so is a missing
+    /// `label` or a line that is not a JSON object.
     pub fn from_json(line: &str) -> Result<(String, RunMetrics), String> {
-        let v = crate::json::JsonValue::parse(line).map_err(|e| e.to_string())?;
+        let v = JsonValue::parse(line).map_err(|e| e.to_string())?;
         if v.as_object().is_none() {
             return Err("metrics row is not a JSON object".into());
         }
@@ -294,59 +384,25 @@ impl RunMetrics {
             .and_then(|l| l.as_str())
             .ok_or("metrics row has no \"label\" string")?
             .to_string();
-        let u = |key: &str| v.get(key).and_then(|x| x.as_u64()).unwrap_or(0);
-        let timings = |x: &crate::json::JsonValue| PhaseTimings {
-            send: x.get("send").and_then(|n| n.as_u64()).unwrap_or(0),
-            deliver: x.get("deliver").and_then(|n| n.as_u64()).unwrap_or(0),
-            receive: x.get("receive").and_then(|n| n.as_u64()).unwrap_or(0),
+        let u = |key| v.member(key, "a u64", JsonValue::as_u64);
+        let timings = "a {send, deliver, receive} object";
+        let mut metrics = RunMetrics {
+            rounds: u("rounds")?,
+            hit_round_cap: v.member("hit_round_cap", "a bool", JsonValue::as_bool)?,
+            active_per_round: v.member("active_per_round", "an array of u64s", |x| {
+                let xs = x.as_array()?.iter();
+                xs.map(|a| a.as_u64().map(|a| a as usize)).collect()
+            })?,
+            phase_nanos: v.member("phase_nanos", timings, PhaseTimings::from_json)?,
+            shard_phase_nanos: v.member("shard_phase_nanos", "an array of timings", |x| {
+                x.as_array()?.iter().map(PhaseTimings::from_json).collect()
+            })?,
+            ..RunMetrics::default()
         };
-        let metrics = RunMetrics {
-            rounds: u("rounds"),
-            messages: u("messages"),
-            total_bits: u("total_bits"),
-            max_message_bits: u("max_message_bits"),
-            hit_round_cap: v
-                .get("hit_round_cap")
-                .and_then(|x| x.as_bool())
-                .unwrap_or(false),
-            active_per_round: v
-                .get("active_per_round")
-                .and_then(|x| x.as_array())
-                .map(|xs| {
-                    xs.iter()
-                        .map(|x| x.as_u64().unwrap_or(0) as usize)
-                        .collect()
-                })
-                .unwrap_or_default(),
-            phase_nanos: v.get("phase_nanos").map(&timings).unwrap_or_default(),
-            intra_shard_messages: u("intra_shard_messages"),
-            cross_shard_messages: u("cross_shard_messages"),
-            shard_phase_nanos: v
-                .get("shard_phase_nanos")
-                .and_then(|x| x.as_array())
-                .map(|xs| xs.iter().map(&timings).collect())
-                .unwrap_or_default(),
-            wire_bytes_sent: u("wire_bytes_sent"),
-            transport_flush_nanos: u("transport_flush_nanos"),
-            syscall_batches: u("syscall_batches"),
-            faults_dropped: u("faults_dropped"),
-            faults_duplicated: u("faults_duplicated"),
-            faults_delayed: u("faults_delayed"),
-            faults_retransmitted: u("faults_retransmitted"),
-            stale_overwrites: u("stale_overwrites"),
-            peak_rss_bytes: u("peak_rss_bytes"),
-            relayed_data_bytes: u("relayed_data_bytes"),
-        };
+        for c in Self::COUNTERS {
+            *(c.get_mut)(&mut metrics) = u(c.key)?;
+        }
         Ok((label, metrics))
-    }
-}
-
-impl PhaseTimings {
-    fn json_into(&self, out: &mut String) {
-        out.push_str(&format!(
-            "{{\"send\":{},\"deliver\":{},\"receive\":{}}}",
-            self.send, self.deliver, self.receive
-        ));
     }
 }
 
@@ -501,82 +557,83 @@ mod tests {
         assert_eq!(a.shard_phase_nanos[1].receive, 300);
     }
 
-    /// Exhaustiveness regression for [`RunMetrics::merge`]: every field is
-    /// nonzero on both sides and the expected result is spelled out as a
-    /// **complete struct literal** (no `..Default::default()`), so adding a
-    /// field to `RunMetrics` without deciding its merge semantics fails to
-    /// compile here, and forgetting the `merge` line fails the assertion.
+    /// Fills every counter with a distinct multiple of `scale` (the
+    /// run-shape fields are the caller's).
+    fn every_counter(mut m: RunMetrics, scale: u64) -> RunMetrics {
+        for (i, c) in RunMetrics::COUNTERS.iter().enumerate() {
+            *(c.get_mut)(&mut m) = (i as u64 + 2) * scale;
+        }
+        m
+    }
+
+    /// Every counter merges by its registry rule, whether runs merge or a
+    /// sharded run adds its shards, and the run-shape fields by theirs.
     #[test]
     fn merge_handles_every_field() {
-        let mk = |scale: u64| RunMetrics {
-            rounds: 11 * scale,
-            messages: 2 * scale,
-            total_bits: 30 * scale,
-            max_message_bits: 20 * scale,
-            hit_round_cap: scale > 1,
-            active_per_round: vec![scale as usize],
-            phase_nanos: PhaseTimings {
-                send: 5 * scale,
-                deliver: 7 * scale,
-                receive: 9 * scale,
-            },
-            intra_shard_messages: 3 * scale,
-            cross_shard_messages: 4 * scale,
-            shard_phase_nanos: vec![PhaseTimings {
-                send: scale,
-                deliver: 2 * scale,
-                receive: 3 * scale,
-            }],
-            wire_bytes_sent: 100 * scale,
-            transport_flush_nanos: 200 * scale,
-            syscall_batches: 300 * scale,
-            faults_dropped: 13 * scale,
-            faults_duplicated: 17 * scale,
-            faults_delayed: 19 * scale,
-            faults_retransmitted: 23 * scale,
-            stale_overwrites: 29 * scale,
-            peak_rss_bytes: 31 * scale,
-            relayed_data_bytes: 37 * scale,
+        let mk = |scale: u64| {
+            let shape = RunMetrics {
+                rounds: 11 * scale,
+                hit_round_cap: scale > 1,
+                active_per_round: vec![scale as usize],
+                phase_nanos: PhaseTimings {
+                    send: 5 * scale,
+                    deliver: 7 * scale,
+                    receive: 9 * scale,
+                },
+                shard_phase_nanos: vec![PhaseTimings {
+                    send: scale,
+                    deliver: 2 * scale,
+                    receive: 3 * scale,
+                }],
+                ..RunMetrics::default()
+            };
+            every_counter(shape, scale)
         };
         let mut a = mk(1);
         a.merge(&mk(10));
-        let expected = RunMetrics {
-            // Deliberately untouched by merge: rounds, the cap flag and the
-            // per-round drain profile belong to a single run, not a
-            // multi-phase pipeline sum (pipelines account rounds themselves).
-            rounds: 11,
-            hit_round_cap: false,
-            active_per_round: vec![1],
-            // Summed.
-            messages: 22,
-            total_bits: 330,
-            phase_nanos: PhaseTimings {
+        let mut run = RunMetrics::default();
+        run.add_shard(&mk(1));
+        run.add_shard(&mk(10));
+        for (i, c) in RunMetrics::COUNTERS.iter().enumerate() {
+            let base = i as u64 + 2;
+            let expected = match c.merge {
+                Merge::Sum => 11 * base,
+                Merge::Max => 10 * base,
+            };
+            assert_eq!((c.get)(&a), expected, "{} merges by {:?}", c.key, c.merge);
+            assert_eq!((c.get)(&run), expected, "{} adds by {:?}", c.key, c.merge);
+        }
+        let maxed: Vec<&str> = RunMetrics::COUNTERS
+            .iter()
+            .filter(|c| c.merge == Merge::Max)
+            .map(|c| c.key)
+            .collect();
+        assert_eq!(maxed, ["max_message_bits", "peak_rss_bytes"]);
+        // Rounds, the cap flag and the per-round drain profile belong to a
+        // single run, not a multi-phase pipeline sum (pipelines account
+        // rounds themselves); the timings add up, per shard index.
+        assert_eq!(a.rounds, 11);
+        assert!(!a.hit_round_cap);
+        assert_eq!(a.active_per_round, vec![1]);
+        assert_eq!(
+            a.phase_nanos,
+            PhaseTimings {
                 send: 55,
                 deliver: 77,
                 receive: 99,
-            },
-            intra_shard_messages: 33,
-            cross_shard_messages: 44,
-            wire_bytes_sent: 1100,
-            transport_flush_nanos: 2200,
-            syscall_batches: 3300,
-            faults_dropped: 143,
-            faults_duplicated: 187,
-            faults_delayed: 209,
-            faults_retransmitted: 253,
-            stale_overwrites: 319,
-            relayed_data_bytes: 407,
-            // Maxed.
-            max_message_bits: 200,
-            peak_rss_bytes: 310,
-            // Summed per shard index.
-            shard_phase_nanos: vec![PhaseTimings {
+            }
+        );
+        assert_eq!(
+            a.shard_phase_nanos,
+            vec![PhaseTimings {
                 send: 11,
                 deliver: 22,
                 receive: 33,
-            }],
-        };
-        assert_eq!(a, expected);
+            }]
+        );
+        // A sharded run keeps each shard's own timings, in shard order.
+        let timings = vec![mk(1).phase_nanos, mk(10).phase_nanos];
+        assert_eq!(run.shard_phase_nanos, timings);
     }
 
     #[test]
@@ -598,22 +655,12 @@ mod tests {
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(line.contains("\"label\":\"ring \\\"q\\\"\\\\n=3\""));
         assert!(line.contains("\"rounds\":2"));
-        assert!(line.contains("\"messages\":1"));
-        assert!(line.contains("\"total_bits\":10"));
         assert!(line.contains("\"hit_round_cap\":false"));
         assert!(line.contains("\"active_per_round\":[3,1]"));
-        assert!(line.contains("\"intra_shard_messages\":1"));
-        assert!(line.contains("\"cross_shard_messages\":0"));
-        assert!(line.contains("\"wire_bytes_sent\":77"));
-        assert!(line.contains("\"transport_flush_nanos\":88"));
+        for c in RunMetrics::COUNTERS {
+            assert!(line.contains(&format!("\"{}\":{},", c.key, (c.get)(&m))));
+        }
         assert!(line.contains("\"syscall_batches\":99"));
-        assert!(line.contains("\"faults_dropped\":0"));
-        assert!(line.contains("\"faults_duplicated\":0"));
-        assert!(line.contains("\"faults_delayed\":0"));
-        assert!(line.contains("\"faults_retransmitted\":0"));
-        assert!(line.contains("\"stale_overwrites\":0"));
-        assert!(line.contains("\"peak_rss_bytes\":0"));
-        assert!(line.contains("\"relayed_data_bytes\":0"));
         assert!(line.contains("\"shard_phase_nanos\":[{\"send\":4,\"deliver\":5,\"receive\":6}]"));
         // Balanced braces/brackets — a cheap well-formedness check given the
         // workspace has no JSON parser to round-trip with.
@@ -630,15 +677,11 @@ mod tests {
     }
 
     /// Round-trip regression: a row in which **every** field is nonzero
-    /// (complete struct literal, so new fields must join the round-trip or
-    /// fail to compile here) must come back field-for-field identical.
+    /// and every counter distinct must come back field-for-field identical.
     #[test]
     fn json_round_trip_preserves_every_field() {
-        let m = RunMetrics {
+        let shape = RunMetrics {
             rounds: 11,
-            messages: 2,
-            total_bits: 30,
-            max_message_bits: 20,
             hit_round_cap: true,
             active_per_round: vec![3, 1],
             phase_nanos: PhaseTimings {
@@ -646,8 +689,6 @@ mod tests {
                 deliver: 7,
                 receive: 9,
             },
-            intra_shard_messages: 3,
-            cross_shard_messages: 4,
             shard_phase_nanos: vec![
                 PhaseTimings {
                     send: 1,
@@ -660,17 +701,10 @@ mod tests {
                     receive: 6,
                 },
             ],
-            wire_bytes_sent: 100,
-            transport_flush_nanos: 200,
-            syscall_batches: 300,
-            faults_dropped: 13,
-            faults_duplicated: 17,
-            faults_delayed: 19,
-            faults_retransmitted: 23,
-            stale_overwrites: 29,
-            peak_rss_bytes: u64::MAX, // survives the lossless u64 path
-            relayed_data_bytes: 37,
+            ..RunMetrics::default()
         };
+        let mut m = every_counter(shape, 7);
+        m.peak_rss_bytes = u64::MAX; // survives the lossless u64 path
         let label = "ring \"q\"\\n=3";
         let (back_label, back) = RunMetrics::from_json(&m.to_json(label)).unwrap();
         assert_eq!(back_label, label);
@@ -690,18 +724,23 @@ mod tests {
     }
 
     #[test]
-    fn total_with_transport_adds_flush_time() {
-        let m = RunMetrics {
-            phase_nanos: PhaseTimings {
-                send: 5,
-                deliver: 7,
-                receive: 11,
-            },
-            transport_flush_nanos: 100,
-            ..RunMetrics::default()
-        };
-        assert_eq!(m.phase_nanos.total(), 23);
-        assert_eq!(m.total_with_transport(), 123);
+    fn from_json_names_a_present_field_of_the_wrong_type() {
+        for (key, value) in [
+            ("messages", "\"201230\""),
+            ("messages", "-1"),
+            ("rounds", "7.0"),
+            ("peak_rss_bytes", "18446744073709551616"),
+            ("hit_round_cap", "1"),
+            ("active_per_round", "[3,-1]"),
+            ("active_per_round", "{}"),
+            ("phase_nanos", "[1,2,3]"),
+            ("phase_nanos", "{\"send\":\"1\"}"),
+            ("shard_phase_nanos", "[{\"send\":1},2]"),
+        ] {
+            let line = format!("{{\"label\":\"x\",\"{key}\":{value}}}");
+            let err = RunMetrics::from_json(&line).unwrap_err();
+            assert!(err.contains(&format!("\"{key}\"")), "{line}: {err}");
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ use std::time::Instant;
 
 use crate::faults::FaultKind;
 use crate::json::JsonValue;
-use crate::metrics::{json_escape_into, JsonLinesWriter};
+use crate::metrics::{json_escape_into, Gate, JsonLinesWriter};
 
 /// An engine phase, as seen by phase-level trace events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -661,7 +661,9 @@ pub fn decode_stamped(payload: &[u8]) -> Result<Vec<(u64, TraceEvent)>, String> 
 ///
 /// Traffic counters are summed over all shards that reported the round;
 /// `wall_nanos` is the engine's round wall-clock (coordinator-measured for
-/// threaded executors).
+/// threaded executors).  Every field but `round`, the row's key, is
+/// declared once in [`RoundRow::FIELDS`], which drives the JSON rows and
+/// the regression gate.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RoundRow {
     /// The round number (0-based).
@@ -692,64 +694,93 @@ pub struct RoundRow {
     pub stale_overwrites: u64,
 }
 
+/// One field of [`RoundRow`], as [`RoundRow::FIELDS`] declares it.
+#[derive(Clone, Copy)]
+pub struct RowField {
+    /// The field's name, which is also its JSON key.
+    pub key: &'static str,
+    /// How the regression gate compares it round by round.
+    pub gate: Gate,
+    /// Reads the field.
+    pub get: fn(&RoundRow) -> u64,
+    /// The field.
+    pub get_mut: fn(&mut RoundRow) -> &mut u64,
+}
+
+/// Declares [`RoundRow::FIELDS`], one `field: Gate;` line per field, and
+/// checks that every field of [`RoundRow`] but `round` is declared.
+macro_rules! row_fields {
+    ($($key:ident: $gate:ident;)*) => {
+        impl RoundRow {
+            /// Every field but `round`, in the order JSON rows list them.
+            pub const FIELDS: &'static [RowField] = &[$(RowField {
+                key: stringify!($key),
+                gate: Gate::$gate,
+                get: |r| r.$key,
+                get_mut: |r| &mut r.$key,
+            }),*];
+        }
+
+        // Fails to compile ("pattern requires `..`") when a field is
+        // neither in the table nor the row's key.
+        const _: fn(RoundRow) = |r| {
+            let RoundRow { round: _, $($key: _,)* } = r;
+        };
+    };
+}
+
+row_fields! {
+    active: Exact;
+    wall_nanos: Noisy;
+    messages: Exact;
+    bits: Exact;
+    cross_messages: Exact;
+    wire_bytes: Exact;
+    dropped: Exact;
+    duplicated: Exact;
+    delayed: Exact;
+    retransmitted: Exact;
+    stale_overwrites: Exact;
+}
+
 impl RoundRow {
     /// Renders the row as one JSON object, tagged `"kind":"round_series"`
     /// so consumers can tell it apart from `RunMetrics` rows in a shared
-    /// JSONL stream.  Fields are only ever added, matching the JSONL
+    /// JSONL stream: the label, `round`, then every field of
+    /// [`RoundRow::FIELDS`].  Fields are only ever added, matching the JSONL
     /// schema contract in `dcme_bench`.
     pub fn to_json(&self, label: &str) -> String {
-        let mut out = String::with_capacity(160);
+        let mut out = String::with_capacity(256);
         out.push_str("{\"kind\":\"round_series\",\"label\":\"");
         json_escape_into(&mut out, label);
-        out.push('"');
-        out.push_str(&format!(",\"round\":{}", self.round));
-        out.push_str(&format!(",\"active\":{}", self.active));
-        out.push_str(&format!(",\"wall_nanos\":{}", self.wall_nanos));
-        out.push_str(&format!(",\"messages\":{}", self.messages));
-        out.push_str(&format!(",\"bits\":{}", self.bits));
-        out.push_str(&format!(",\"cross_messages\":{}", self.cross_messages));
-        out.push_str(&format!(",\"wire_bytes\":{}", self.wire_bytes));
-        out.push_str(&format!(",\"dropped\":{}", self.dropped));
-        out.push_str(&format!(",\"duplicated\":{}", self.duplicated));
-        out.push_str(&format!(",\"delayed\":{}", self.delayed));
-        out.push_str(&format!(",\"retransmitted\":{}", self.retransmitted));
-        out.push_str(&format!(",\"stale_overwrites\":{}", self.stale_overwrites));
+        out.push_str(&format!("\",\"round\":{}", self.round));
+        for f in Self::FIELDS {
+            out.push_str(&format!(",\"{}\":{}", f.key, (f.get)(self)));
+        }
         out.push('}');
         out
     }
 
     /// Parses a row emitted by [`RoundRow::to_json`] back into the label
-    /// and the row.  Unknown keys are ignored and missing counters default
-    /// to 0 (the add-only schema contract); a wrong or missing `kind` tag
-    /// is an error.
+    /// and the row.  Unknown keys are ignored and missing fields default
+    /// to 0 or an empty label (the add-only schema contract); a wrong or
+    /// missing `kind` tag is an error, and so is a present field of the
+    /// wrong type, which the error names.
     pub fn from_json(line: &str) -> Result<(String, RoundRow), String> {
         let v = JsonValue::parse(line).map_err(|e| e.to_string())?;
         if v.get("kind").and_then(JsonValue::as_str) != Some("round_series") {
             return Err("not a round_series row (missing kind tag)".to_string());
         }
-        let label = v
-            .get("label")
-            .and_then(JsonValue::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let u = |key: &str| v.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        Ok((
-            label,
-            RoundRow {
-                round: u("round"),
-                active: u("active"),
-                wall_nanos: u("wall_nanos"),
-                messages: u("messages"),
-                bits: u("bits"),
-                cross_messages: u("cross_messages"),
-                wire_bytes: u("wire_bytes"),
-                dropped: u("dropped"),
-                duplicated: u("duplicated"),
-                delayed: u("delayed"),
-                retransmitted: u("retransmitted"),
-                stale_overwrites: u("stale_overwrites"),
-            },
-        ))
+        let label = v.member("label", "a string", |l| l.as_str().map(str::to_string))?;
+        let u = |key| v.member(key, "a u64", JsonValue::as_u64);
+        let mut row = RoundRow {
+            round: u("round")?,
+            ..RoundRow::default()
+        };
+        for f in Self::FIELDS {
+            *(f.get_mut)(&mut row) = u(f.key)?;
+        }
+        Ok((label, row))
     }
 }
 

@@ -81,7 +81,7 @@ use std::time::Instant;
 
 use crate::algorithm::{MessageSize, NodeAlgorithm, NodeContext};
 use crate::executor::{CrossShard, DeliveryMode, ShardKernel, ShardRows};
-use crate::metrics::RunMetrics;
+use crate::metrics::{PhaseTimings, RunMetrics};
 use crate::sharded::{ShardPlan, ShardTopologyView, ShardedTopology};
 use crate::simulator::RunOutcome;
 use crate::trace::{
@@ -1305,6 +1305,81 @@ fn parse_stats(frame: &Frame) -> std::io::Result<WorkerStats> {
     })
 }
 
+/// Encodes a worker's final [`Output`](FrameKind::Output) frame payload:
+/// every [`RunMetrics::COUNTERS`] value of `shard` in registry order and its
+/// `phase_nanos` (`send`, `deliver`, `receive`), all `u64`; then a `u32`
+/// count and one `[node u32][bits u16][aux u8][payload]` entry per output,
+/// for the consecutive nodes from `first_node` on.
+pub fn encode_output_payload<O: WireMessage>(
+    shard: &RunMetrics,
+    first_node: usize,
+    outputs: impl ExactSizeIterator<Item = O>,
+) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for c in RunMetrics::COUNTERS {
+        put_u64(&mut payload, (c.get)(shard));
+    }
+    let t = shard.phase_nanos;
+    for v in [t.send, t.deliver, t.receive] {
+        put_u64(&mut payload, v);
+    }
+    put_u32(&mut payload, outputs.len() as u32);
+    let mut w = crate::wire::BitWriter::new();
+    for (i, out) in outputs.enumerate() {
+        w.clear();
+        let aux = out.encode(&mut w);
+        let bits = u16::try_from(w.bits_written()).expect("output exceeds u16 bits");
+        put_u32(&mut payload, (first_node + i) as u32);
+        payload.extend_from_slice(&bits.to_le_bytes());
+        payload.push(aux);
+        payload.extend_from_slice(w.as_bytes());
+    }
+    payload
+}
+
+/// Decodes a payload written by [`encode_output_payload`]: returns the
+/// shard's counters and `phase_nanos`, and hands each `(node, output)`
+/// entry to `output`.
+///
+/// # Errors
+///
+/// A truncated or malformed payload, or the first error `output` returns.
+pub fn decode_output_payload<O: WireMessage>(
+    p: &[u8],
+    mut output: impl FnMut(usize, O) -> std::io::Result<()>,
+) -> std::io::Result<RunMetrics> {
+    let mut shard = RunMetrics::default();
+    let mut at = 0;
+    for c in RunMetrics::COUNTERS {
+        *(c.get_mut)(&mut shard) = get_u64(p, at)?;
+        at += 8;
+    }
+    shard.phase_nanos = PhaseTimings {
+        send: get_u64(p, at)?,
+        deliver: get_u64(p, at + 8)?,
+        receive: get_u64(p, at + 16)?,
+    };
+    let count = get_u32(p, at + 24)?;
+    at += 28;
+    for _ in 0..count {
+        let node = get_u32(p, at)? as usize;
+        let bits = get_u16(p, at + 4)?;
+        let aux = *p
+            .get(at + 6)
+            .ok_or_else(|| protocol_error("truncated output entry"))?;
+        let nbytes = (bits as usize).div_ceil(8);
+        let body = p
+            .get(at + 7..at + 7 + nbytes)
+            .ok_or_else(|| protocol_error("truncated output payload"))?;
+        output(node, crate::wire::decode_payload::<O>(bits, aux, body)?)?;
+        at += 7 + nbytes;
+    }
+    if at != p.len() {
+        return Err(protocol_error("trailing bytes after the output entries"));
+    }
+    Ok(shard)
+}
+
 /// Serves one shard of a simulation over a blocking link to the coordinator,
 /// moving data frames over the given [`DataPlane`].
 ///
@@ -1496,7 +1571,7 @@ where
                     shard,
                     round,
                     active,
-                    wire_bytes: kernel.report().wire_bytes,
+                    wire_bytes: kernel.report().wire_bytes_sent,
                     peak_rss_bytes: crate::metrics::process_peak_rss_bytes(),
                     elapsed_nanos: epoch.elapsed().as_nanos() as u64,
                 },
@@ -1529,34 +1604,9 @@ where
             &encode_stamped(&cap.take()),
         )?;
     }
-    let mut payload = Vec::new();
-    for v in [
-        report.messages,
-        report.total_bits,
-        report.max_message_bits,
-        report.intra,
-        report.cross,
-        report.wire_bytes,
-        report.flush_nanos,
-        report.syscall_batches,
-        report.timings.send,
-        report.timings.deliver,
-        report.timings.receive,
-        crate::metrics::process_peak_rss_bytes(),
-    ] {
-        put_u64(&mut payload, v);
-    }
-    put_u32(&mut payload, nodes.len() as u32);
-    let mut w = crate::wire::BitWriter::new();
-    for (i, node) in nodes.iter().enumerate() {
-        w.clear();
-        let aux = node.output().encode(&mut w);
-        let bits = u16::try_from(w.bits_written()).expect("output exceeds u16 bits");
-        put_u32(&mut payload, (node_range.start + i) as u32);
-        payload.extend_from_slice(&bits.to_le_bytes());
-        payload.push(aux);
-        payload.extend_from_slice(w.as_bytes());
-    }
+    report.peak_rss_bytes = crate::metrics::process_peak_rss_bytes();
+    let outputs = nodes.iter().map(|node| node.output());
+    let payload = encode_output_payload(&report, node_range.start, outputs);
     write_frame(
         link,
         FrameHeader {
@@ -1824,47 +1874,16 @@ pub fn coordinate_traced<O: WireMessage, L: Read + Write>(
             return Err(protocol_error("expected an output frame"));
         }
         frame.header.expect(round, s as u16, COORDINATOR)?;
-        let p = &frame.payload;
-        metrics.messages += get_u64(p, 0)?;
-        metrics.total_bits += get_u64(p, 8)?;
-        metrics.max_message_bits = metrics.max_message_bits.max(get_u64(p, 16)?);
-        metrics.intra_shard_messages += get_u64(p, 24)?;
-        metrics.cross_shard_messages += get_u64(p, 32)?;
-        metrics.wire_bytes_sent += get_u64(p, 40)?;
-        metrics.transport_flush_nanos += get_u64(p, 48)?;
-        metrics.syscall_batches += get_u64(p, 56)?;
-        metrics
-            .shard_phase_nanos
-            .push(crate::metrics::PhaseTimings {
-                send: get_u64(p, 64)?,
-                deliver: get_u64(p, 72)?,
-                receive: get_u64(p, 80)?,
-            });
-        metrics.peak_rss_bytes = metrics.peak_rss_bytes.max(get_u64(p, 88)?);
-        let count = get_u32(p, 96)? as usize;
-        let mut at = 100usize;
-        for _ in 0..count {
-            let node = get_u32(p, at)? as usize;
-            let bits = crate::wire::get_u16(p, at + 4)?;
-            let aux = *p
-                .get(at + 6)
-                .ok_or_else(|| protocol_error("truncated output entry"))?;
-            let nbytes = (bits as usize).div_ceil(8);
-            let body = p
-                .get(at + 7..at + 7 + nbytes)
-                .ok_or_else(|| protocol_error("truncated output payload"))?;
-            let out = crate::wire::decode_payload::<O>(bits, aux, body)?;
+        let shard = decode_output_payload::<O>(&frame.payload, |node, out| {
             let slot = outputs
                 .get_mut(node)
                 .ok_or_else(|| protocol_error("output for an out-of-range node"))?;
             if slot.replace(out).is_some() {
                 return Err(protocol_error("two outputs for one node"));
             }
-            at += 7 + nbytes;
-        }
-        if at != p.len() {
-            return Err(protocol_error("trailing bytes after the output entries"));
-        }
+            Ok(())
+        })?;
+        metrics.add_shard(&shard);
     }
     let outputs: Vec<O> = outputs
         .into_iter()

@@ -7,8 +7,10 @@
 //!   message type survive encode → decode unchanged, and their encoded
 //!   payload occupies **exactly** `MessageSize::bit_size()` bits, so the
 //!   wire carries precisely what the simulator's accounting charges.
-//! * **Malformed input safety** — truncated and corrupted frames, and
-//!   mutated `ShardPlan` bytes, come back as `WireError`s, never panics.
+//! * **Malformed input safety** — truncated and corrupted frames, mutated
+//!   `ShardPlan` bytes and mutated Output frame payloads come back as
+//!   errors, never panics, and so do mutated `RunMetrics` and `RoundRow`
+//!   JSONL rows.
 //! * **Bandwidth cross-check** — the paper algorithms' messages, pushed
 //!   through the codec, never encode wider than the `max_message_bits` the
 //!   simulator recorded for the run (and hence stay within the E12
@@ -28,7 +30,10 @@ use dcme_coloring::TrialConfig;
 use dcme_congest::wire::{
     decode_payload, encode_payload, for_each_data_entry, DataFrameBuilder, FrameBuffer,
 };
-use dcme_congest::{BandwidthReport, ExecutionMode, MessageSize, ShardPlan, WireMessage};
+use dcme_congest::{
+    decode_output_payload, encode_output_payload, BandwidthReport, ExecutionMode, MessageSize,
+    PhaseTimings, RoundRow, RunMetrics, ShardPlan, WireMessage,
+};
 use dcme_graphs::coloring::Coloring;
 use dcme_graphs::generators;
 use rand::rngs::StdRng;
@@ -167,27 +172,99 @@ proptest! {
             (0..n).filter(|_| n > 2).for_each(|i| emit(i, (i + 1) % n));
         };
         let mut bytes = ShardPlan::from_edge_stream(n, shards, ring).unwrap().to_bytes();
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..rng.random_range(1..3u32) {
-            let kind = if bytes.is_empty() { 3 } else { rng.random_range(0..4u32) };
-            match kind {
-                0 => {
-                    let i = rng.random_range(0..bytes.len());
-                    bytes[i] = rng.random_range(0..256u32) as u8;
-                }
-                1 => {
-                    let i = rng.random_range(0..bytes.len());
-                    bytes[i] ^= 1 << rng.random_range(0..8u32);
-                }
-                2 => bytes.truncate(rng.random_range(0..bytes.len())),
-                _ => {
-                    let extra = rng.random_range(1..9usize);
-                    bytes.extend((0..extra).map(|_| rng.random_range(0..256u32) as u8));
-                }
-            }
-        }
+        mutate(&mut bytes, &mut StdRng::seed_from_u64(seed));
         if let Ok(plan) = ShardPlan::from_bytes(&bytes) {
             prop_assert_eq!(plan.to_bytes(), bytes);
+        }
+    }
+
+    /// The coordinator decodes each worker's Output frame payload from
+    /// bytes another process sent.  Every registry counter and output
+    /// round-trips, and mutated payloads decode or return an `io::Error`,
+    /// never panic.
+    #[test]
+    fn mutated_output_payloads_decode_or_fail_cleanly(
+        nodes in 0usize..6,
+        first in 0usize..1000,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut shard = RunMetrics::default();
+        for (i, c) in RunMetrics::COUNTERS.iter().enumerate() {
+            // Distinct, and every third one at the top of the range.
+            let i = i as u64;
+            *(c.get_mut)(&mut shard) = if i % 3 == 0 { u64::MAX - i } else { 1_000_003 * (i + 1) };
+        }
+        shard.phase_nanos = PhaseTimings {
+            send: rng.random_range(0..u64::MAX),
+            deliver: 7,
+            receive: u64::MAX,
+        };
+        let outputs: Vec<u64> = (0..nodes).map(|_| rng.random_range(0..u64::MAX)).collect();
+        let mut bytes = encode_output_payload(&shard, first, outputs.iter().copied());
+        let mut back = Vec::new();
+        let decoded = decode_output_payload::<u64>(&bytes, |node, out| {
+            back.push((node, out));
+            Ok(())
+        });
+        prop_assert_eq!(decoded.unwrap(), shard);
+        prop_assert_eq!(back, (first..).zip(outputs).collect::<Vec<_>>());
+
+        mutate(&mut bytes, &mut rng);
+        let _ = decode_output_payload::<u64>(&bytes, |_, _| Ok(()));
+    }
+
+    /// `exp_diff` reads JSONL rows from files anyone may edit: mutated
+    /// `RunMetrics` and `RoundRow` lines parse or return an error, never
+    /// panic.
+    #[test]
+    fn mutated_jsonl_rows_parse_or_fail_cleanly(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let metrics = RunMetrics {
+            rounds: 3,
+            messages: u64::MAX,
+            active_per_round: vec![4, 2, 1],
+            shard_phase_nanos: vec![PhaseTimings::default(); 2],
+            ..RunMetrics::default()
+        };
+        let row = RoundRow {
+            round: 2,
+            wall_nanos: u64::MAX,
+            ..RoundRow::default()
+        };
+        for line in [metrics.to_json("a/\"b\""), row.to_json("a/\"b\"")] {
+            let mut bytes = line.into_bytes();
+            mutate(&mut bytes, &mut rng);
+            let text = String::from_utf8_lossy(&bytes);
+            let _ = RunMetrics::from_json(&text);
+            let _ = RoundRow::from_json(&text);
+        }
+    }
+}
+
+/// Applies one or two random mutations to `bytes`: a byte overwritten, a
+/// bit flipped, the tail cut off, or garbage appended.
+fn mutate(bytes: &mut Vec<u8>, rng: &mut StdRng) {
+    for _ in 0..rng.random_range(1..3u32) {
+        let kind = if bytes.is_empty() {
+            3
+        } else {
+            rng.random_range(0..4u32)
+        };
+        match kind {
+            0 => {
+                let i = rng.random_range(0..bytes.len());
+                bytes[i] = rng.random_range(0..256u32) as u8;
+            }
+            1 => {
+                let i = rng.random_range(0..bytes.len());
+                bytes[i] ^= 1 << rng.random_range(0..8u32);
+            }
+            2 => bytes.truncate(rng.random_range(0..bytes.len())),
+            _ => {
+                let extra = rng.random_range(1..9usize);
+                bytes.extend((0..extra).map(|_| rng.random_range(0..256u32) as u8));
+            }
         }
     }
 }
