@@ -10,13 +10,11 @@
 //! receiving shard.  Outputs are cross-checked bit for bit between the
 //! backends before timing starts.
 //!
-//! The multi-process backend is benched too, as `mp-relay` vs `mp-mesh`
-//! rows: the `exp_worker` binary with one worker **process** per shard,
-//! data frames either relayed through the coordinator or exchanged over
-//! the direct worker↔worker mesh.  Before timing, the bench asserts the
-//! scale-out contract on the circulant: mesh mode relays **zero** data
-//! bytes through the coordinator and cuts total cross-shard wire traffic
-//! (worker sends + coordinator forwards) by at least 40%.
+//! The multi-process backend is benched too, as the `mp-mesh` row: the
+//! `exp_worker` binary with one worker **process** per shard, data frames
+//! exchanged over the direct worker↔worker mesh.  Before timing, the bench
+//! asserts the scale-out contract on the circulant: the coordinator relays
+//! **zero** data bytes, and the workers move real ones.
 //!
 //! Run the full configuration (`n = 10^6`, 8 shards) with `cargo bench
 //! --bench engine_transport`; set `ENGINE_TRANSPORT_SMOKE=1` (as CI does)
@@ -24,8 +22,8 @@
 //! `DCME_METRICS_JSONL=path.jsonl` to append one machine-readable
 //! [`RunMetrics`] row per configuration — socket rows include the
 //! `wire_bytes_sent` / `transport_flush_nanos` transport counters, and the
-//! `exp_worker` subprocesses (which inherit the variable) append their own
-//! rows with per-process `peak_rss_bytes` and `relayed_data_bytes`.
+//! `exp_worker` subprocess (which inherits the variable) appends its own
+//! row with the per-process `peak_rss_bytes`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dcme_bench::workloads;
@@ -84,8 +82,8 @@ fn run(g: &ShardedTopology, tail: u64, backend: Backend) -> RunOutcome<u64> {
 /// One coordinator + `shards` worker-process run of the circulant gossip
 /// via the `exp_worker` binary; returns the printed `(wire_bytes,
 /// relayed_bytes)` counters.  The child inherits `DCME_METRICS_JSONL`, so
-/// metric rows (with per-process peak RSS) land in the same sink.
-fn run_multiprocess(n: usize, shards: usize, tail: u64, mesh: bool) -> (u64, u64) {
+/// its metric row (with per-process peak RSS) lands in the same sink.
+fn run_multiprocess(n: usize, shards: usize, tail: u64) -> (u64, u64) {
     let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_exp_worker"));
     cmd.args([
         "--n",
@@ -99,9 +97,6 @@ fn run_multiprocess(n: usize, shards: usize, tail: u64, mesh: bool) -> (u64, u64
         "--seed",
         "7",
     ]);
-    if mesh {
-        cmd.arg("--mesh");
-    }
     let out = cmd.output().expect("run exp_worker");
     assert!(
         out.status.success(),
@@ -193,20 +188,11 @@ fn engine_transport(c: &mut Criterion) {
     }
 
     // The scale-out gate (checked once, before timing): on the circulant,
-    // mesh mode must relay zero data bytes through the coordinator and cut
-    // total cross-shard wire traffic — every data frame crosses the wire
-    // once (worker→worker) instead of twice (worker→coordinator→worker) —
-    // by at least 40%.
-    let (relay_wire, relay_relayed) = run_multiprocess(n, shards, tail, false);
-    let (mesh_wire, mesh_relayed) = run_multiprocess(n, shards, tail, true);
-    assert!(relay_relayed > 0, "relay mode must forward data frames");
-    assert_eq!(mesh_relayed, 0, "mesh mode must relay no data bytes");
-    let relay_total = relay_wire + relay_relayed;
-    let mesh_total = mesh_wire + mesh_relayed;
-    assert!(
-        (mesh_total as f64) <= 0.6 * relay_total as f64,
-        "mesh must cut total cross-shard wire bytes by >=40%: relay {relay_total} vs mesh {mesh_total}"
-    );
+    // every data frame crosses the wire once, worker to worker, and the
+    // coordinator relays no data byte.
+    let (mesh_wire, mesh_relayed) = run_multiprocess(n, shards, tail);
+    assert!(mesh_wire > 0, "the workers must move real wire bytes");
+    assert_eq!(mesh_relayed, 0, "the coordinator must relay no data bytes");
 
     let mut group = c.benchmark_group("engine_transport");
     group.sample_size(samples);
@@ -218,15 +204,10 @@ fn engine_transport(c: &mut Criterion) {
             });
         }
     }
-    for mesh in [false, true] {
-        let id = BenchmarkId::new(
-            format!("circulant4/n{n}/multiproc"),
-            if mesh { "mp-mesh" } else { "mp-relay" },
-        );
-        group.bench_with_input(id, &mesh, |b, &mesh| {
-            b.iter(|| run_multiprocess(n, shards, tail, mesh));
-        });
-    }
+    let id = BenchmarkId::new(format!("circulant4/n{n}/multiproc"), "mp-mesh");
+    group.bench_with_input(id, &(), |b, _| {
+        b.iter(|| run_multiprocess(n, shards, tail));
+    });
     group.finish();
 }
 

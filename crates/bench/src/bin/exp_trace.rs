@@ -155,7 +155,7 @@ fn run_mesh(args: &Args) -> std::io::Result<(ChromeTraceSink, dcme_congest::RunO
                     &slice,
                     shard,
                     nodes,
-                    &mut transport::DataPlane::Mesh(mesh),
+                    mesh,
                     &transport::ServeOptions {
                         stats_every: 0,
                         trace: true,
@@ -173,7 +173,6 @@ fn run_mesh(args: &Args) -> std::io::Result<(ChromeTraceSink, dcme_congest::RunO
             num_nodes: args.n,
             shards,
             max_rounds: args.max_rounds,
-            mesh: true,
             progress: false,
         };
         transport::coordinate_traced::<u64, _>(links, &spec, Some(&chrome))

@@ -12,24 +12,20 @@
 //! ([`dcme_congest::ShardSliceTopology`]) by replaying the deterministic
 //! edge stream of the named graph family against the run's
 //! [`dcme_congest::ShardPlan`] — no process ever materializes the full
-//! graph (the coordinator computes just the plan, and only in mesh mode).
+//! graph (the coordinator computes just the plan).
 //!
-//! Two data planes:
+//! Data frames travel over a direct worker↔worker TCP mesh: each worker
+//! announces its listen address, receives the plan plus the full peer list
+//! from the coordinator, connects to its peers and exchanges data frames
+//! peer-to-peer; the coordinator carries only the
+//! RoundStart/Vote/Output control frames (`relayed_data_bytes` is always
+//! 0).  `--mesh` is accepted for older command lines and changes nothing.
 //!
-//! * **relay** (default): workers send data frames to the coordinator,
-//!   which forwards them — the original star topology.
-//! * **mesh** (`--mesh`): workers announce their listen addresses, receive
-//!   the plan plus the full peer list from the coordinator, open a direct
-//!   worker↔worker TCP mesh and exchange data frames peer-to-peer; the
-//!   coordinator carries only RoundStart/Vote/Output control frames
-//!   (`relayed_data_bytes` stays 0).
-//!
-//! For multi-host runs, start the coordinator with `--mesh --hosts FILE`
-//! (one worker address per line, shard order; the shard-count/host-list
-//! match is validated up front — a mismatch is a typed error, never a hang;
-//! `--hosts` without `--mesh` is a usage error, since relay mode spawns its
-//! own local workers) and each worker with `--worker SHARD --connect COORD
-//! --mesh --listen ADDR [--advertise HOST]`.
+//! For multi-host runs, start the coordinator with `--hosts FILE` (one
+//! worker address per line, shard order; the shard-count/host-list match
+//! is validated up front — a mismatch is a typed error, never a hang) and
+//! each worker with `--worker SHARD --connect COORD --listen ADDR
+//! [--advertise HOST]`.
 //!
 //! Live telemetry: with `--progress` every worker emits a `Stats` control
 //! frame every k rounds (default 64; `--stats-every K` overrides, and also
@@ -44,7 +40,7 @@
 //! own engine-track events into a single Chrome-trace file (one named
 //! `pid` per worker, loadable in Perfetto).  Tracing rides strictly
 //! out-of-band — a traced run stays bit-for-bit identical to an untraced
-//! one, in relay and mesh modes alike.
+//! one.
 //!
 //! Every process derives the same topology and workload deterministically
 //! from the shared arguments, so the run is bit-for-bit comparable to an
@@ -53,11 +49,9 @@
 //! ```sh
 //! # 4 worker processes over a 200k-node random 4-regular circulant:
 //! cargo run -p dcme_bench --release --bin exp_worker
-//! # Same run with the direct worker↔worker data mesh:
-//! cargo run -p dcme_bench --release --bin exp_worker -- --mesh
 //! # CI-sized smoke with verification against the sequential executor:
 //! cargo run -p dcme_bench --release --bin exp_worker -- \
-//!     --n 4000 --shards 2 --graph circulant4 --mesh --verify
+//!     --n 4000 --shards 2 --graph circulant4 --verify
 //! ```
 
 use std::net::{TcpListener, TcpStream};
@@ -78,7 +72,6 @@ struct Params {
     tail: u64,
     seed: u64,
     max_rounds: u64,
-    mesh: bool,
     stats_every: u64,
 }
 
@@ -98,11 +91,12 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: exp_worker [--n N] [--shards S] [--graph ring|circulant4] [--tail T] \
-         [--seed SEED] [--max-rounds R] [--mesh] [--hosts FILE] [--listen ADDR] \
+         [--seed SEED] [--max-rounds R] [--hosts FILE] [--listen ADDR] \
          [--verify] [--jsonl PATH] [--progress] [--stats-every K] [--trace FILE]\n\
-         \x20      exp_worker --worker SHARD --connect HOST:PORT [--mesh] [--listen ADDR] \
+         \x20      exp_worker --worker SHARD --connect HOST:PORT [--listen ADDR] \
          [--advertise HOST] <same run parameters>\n\
-         \x20      --hosts requires --mesh (external workers join over the data mesh);\n\
+         \x20      workers exchange data frames over a direct mesh; --mesh is accepted\n\
+         \x20      and changes nothing;\n\
          \x20      --progress renders worker Stats frames as stderr heartbeat lines\n\
          \x20      (implies --stats-every 64 unless set explicitly);\n\
          \x20      --trace FILE writes one merged Chrome trace (engine track + one track\n\
@@ -120,7 +114,6 @@ fn parse_args() -> Args {
             tail: 12,
             seed: 7,
             max_rounds: 1_000_000,
-            mesh: false,
             stats_every: 0,
         },
         worker: None,
@@ -152,7 +145,7 @@ fn parse_args() -> Args {
             "--max-rounds" => {
                 args.params.max_rounds = value("--max-rounds").parse().unwrap_or_else(|_| usage())
             }
-            "--mesh" => args.params.mesh = true,
+            "--mesh" => {}
             "--worker" => args.worker = Some(value("--worker").parse().unwrap_or_else(|_| usage())),
             "--connect" => args.connect = Some(value("--connect")),
             "--listen" => args.listen = value("--listen"),
@@ -167,13 +160,6 @@ fn parse_args() -> Args {
             "--trace" => args.trace = Some(value("--trace").into()),
             _ => usage(),
         }
-    }
-    // `--hosts` only reaches external workers through the mesh handshake;
-    // in relay mode the coordinator spawns its own workers and the file
-    // would be silently ignored — reject the combination up front.
-    if args.hosts.is_some() && !args.params.mesh {
-        eprintln!("exp_worker: --hosts requires --mesh");
-        usage()
     }
     // A worker index past the shard count names no shard: reject it before
     // anything connects.
@@ -254,63 +240,41 @@ fn run_worker(
     link.set_nodelay(true)?;
     let me = shard as u16;
 
-    if params.mesh {
-        // Mesh handshake: announce the mesh listen address, receive the
-        // coordinator's plan and the full peer list, build only this
-        // shard's slice, then wire up the direct data plane.
-        let listener = TcpListener::bind(listen)?;
-        let bound = listener.local_addr()?;
-        let announced = match advertise {
-            Some(host) => format!("{host}:{}", bound.port()),
-            None => bound.to_string(),
-        };
-        transport::write_peers(&mut link, me, transport::COORDINATOR, &[(me, announced)])?;
-        let plan = transport::read_plan(&mut link, me)?;
-        if plan.num_nodes() != params.n || plan.num_shards() != params.shards {
-            return Err(std::io::Error::other(format!(
-                "coordinator plan ({} nodes, {} shards) disagrees with this worker's parameters ({}, {})",
-                plan.num_nodes(),
-                plan.num_shards(),
-                params.n,
-                params.shards,
-            )));
-        }
-        let peers = transport::read_peers(&mut link, transport::COORDINATOR, me)?;
-        let slice = build_slice(params, plan, shard)?;
-        let mesh = transport::WorkerMesh::connect(me, params.shards, &peers, &listener)?;
-        let nodes = workloads::gossip_nodes(slice.shard_nodes(shard), params.tail);
-        transport::serve_shard_with(
-            &mut link,
-            &slice,
-            shard,
-            nodes,
-            &mut transport::DataPlane::Mesh(mesh),
-            &transport::ServeOptions {
-                stats_every: params.stats_every,
-                trace: traced,
-            },
-        )
-    } else {
-        // Relay mode needs no handshake: the worker derives the plan itself
-        // (the cheap counting pass) and still holds only its own slice.
-        let stream = workloads::graph_stream(&params.graph, params.n, params.seed)
-            .map_err(std::io::Error::other)?;
-        let plan = ShardPlan::from_edge_stream(params.n, params.shards, stream)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
-        let slice = build_slice(params, plan, shard)?;
-        let nodes = workloads::gossip_nodes(slice.shard_nodes(shard), params.tail);
-        transport::serve_shard_with(
-            &mut link,
-            &slice,
-            shard,
-            nodes,
-            &mut transport::DataPlane::Relay,
-            &transport::ServeOptions {
-                stats_every: params.stats_every,
-                trace: traced,
-            },
-        )
+    // Mesh handshake: announce the mesh listen address, receive the
+    // coordinator's plan and the full peer list, build only this shard's
+    // slice, then connect to the other workers.
+    let listener = TcpListener::bind(listen)?;
+    let bound = listener.local_addr()?;
+    let announced = match advertise {
+        Some(host) => format!("{host}:{}", bound.port()),
+        None => bound.to_string(),
+    };
+    transport::write_peers(&mut link, me, transport::COORDINATOR, &[(me, announced)])?;
+    let plan = transport::read_plan(&mut link, me)?;
+    if plan.num_nodes() != params.n || plan.num_shards() != params.shards {
+        return Err(std::io::Error::other(format!(
+            "coordinator plan ({} nodes, {} shards) disagrees with this worker's parameters ({}, {})",
+            plan.num_nodes(),
+            plan.num_shards(),
+            params.n,
+            params.shards,
+        )));
     }
+    let peers = transport::read_peers(&mut link, transport::COORDINATOR, me)?;
+    let slice = build_slice(params, plan, shard)?;
+    let mesh = transport::WorkerMesh::connect(me, params.shards, &peers, &listener)?;
+    let nodes = workloads::gossip_nodes(slice.shard_nodes(shard), params.tail);
+    transport::serve_shard_with(
+        &mut link,
+        &slice,
+        shard,
+        nodes,
+        mesh,
+        &transport::ServeOptions {
+            stats_every: params.stats_every,
+            trace: traced,
+        },
+    )
 }
 
 /// Reads a hosts file: one worker address per line (shard order), blank
@@ -331,8 +295,8 @@ fn read_hosts(path: &std::path::Path, shards: usize) -> std::io::Result<Vec<(u16
 }
 
 /// Coordinator mode: spawn (or await) one worker process per shard and run
-/// the simulation across the process boundary.  Holds the `ShardPlan` at
-/// most — never the graph itself (`--verify` excepted).
+/// the simulation across the process boundary.  Holds the `ShardPlan` —
+/// never the graph itself (`--verify` excepted).
 fn run_coordinator(
     params: &Params,
     hosts: Option<&std::path::Path>,
@@ -379,9 +343,6 @@ fn run_coordinator(
                 "--seed",
                 &params.seed.to_string(),
             ]);
-            if params.mesh {
-                cmd.arg("--mesh");
-            }
             if params.stats_every > 0 {
                 cmd.args(["--stats-every", &params.stats_every.to_string()]);
             }
@@ -424,15 +385,12 @@ fn run_coordinator(
     }
     listener.set_nonblocking(false)?;
 
-    if params.mesh {
-        mesh_handshake(params, &mut links)?;
-    }
+    mesh_handshake(params, &mut links)?;
 
     let spec = transport::CoordinateSpec {
         num_nodes: params.n,
         shards: params.shards,
         max_rounds: params.max_rounds,
-        mesh: params.mesh,
         progress,
     };
     let trace_sink = trace.map(|_| dcme_congest::ChromeTraceSink::new());
@@ -455,11 +413,8 @@ fn run_coordinator(
         .max(dcme_congest::process_peak_rss_bytes());
 
     let label = format!(
-        "exp_worker/{}/n{}/shards{}/{}",
-        params.graph,
-        params.n,
-        params.shards,
-        if params.mesh { "mesh" } else { "relay" },
+        "exp_worker/{}/n{}/shards{}/mesh",
+        params.graph, params.n, params.shards,
     );
     println!(
         "{label}: rounds={} messages={} cross_shard={} wire_bytes={} relayed_bytes={} \

@@ -20,9 +20,10 @@
 //!   [`Verdict::Regressed`].
 //! * **[`Gate::Noisy`] counters** (and `phase_total_nanos`) depend on the
 //!   kernel, the scheduler and the host — a committed baseline cannot pin
-//!   them across machines.  These are **report-only** by default;
-//!   [`Tolerance::gate_noisy`] opts them into the gate with their own
-//!   (looser) threshold for same-machine A/B runs.
+//!   them across machines.  These are **report-only** by default (a
+//!   report-only row past its threshold reads `above +N% (report-only)`,
+//!   never `REGRESSED`); [`Tolerance::gate_noisy`] opts them into the gate
+//!   with their own (looser) threshold for same-machine A/B runs.
 //!
 //! Round-series rows diff per round on their exact fields; the noisy
 //! `wall_nanos` never gates and is summarized as a p50/p95/max shift
@@ -42,7 +43,7 @@
 
 use std::collections::BTreeMap;
 
-use dcme_congest::{Gate, JsonValue, RoundRow, RunMetrics};
+use dcme_congest::{Gate, JsonValue, RoundRow, RunMetrics, SeriesSummary};
 
 /// What the gate permits before calling a counter increase a regression.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -140,48 +141,14 @@ pub struct RoundDelta {
     pub fields: Vec<(&'static str, u64, u64)>,
 }
 
-/// Nearest-rank p50/p95/max of a series' `wall_nanos` — the same rule as
-/// [`dcme_congest::SeriesSummary`], recomputed here from parsed rows.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct WallStats {
-    /// Median round wall time, nanoseconds.
-    pub p50_nanos: u64,
-    /// 95th-percentile round wall time, nanoseconds.
-    pub p95_nanos: u64,
-    /// Slowest round wall time, nanoseconds.
-    pub max_nanos: u64,
-}
-
-impl WallStats {
-    fn of(rows: &BTreeMap<u64, RoundRow>) -> WallStats {
-        let mut nanos: Vec<u64> = rows.values().map(|r| r.wall_nanos).collect();
-        if nanos.is_empty() {
-            return WallStats::default();
-        }
-        nanos.sort_unstable();
-        let pick = |p: f64| {
-            let rank = (p * nanos.len() as f64).ceil() as usize;
-            nanos[rank.clamp(1, nanos.len()) - 1]
-        };
-        WallStats {
-            p50_nanos: pick(0.50),
-            p95_nanos: pick(0.95),
-            max_nanos: *nanos.last().unwrap(),
-        }
-    }
-}
-
 /// The per-round comparison of one label's round series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeriesDiff {
-    /// Rounds recorded in the baseline series.
-    pub rounds_before: usize,
-    /// Rounds recorded in the candidate series.
-    pub rounds_after: usize,
-    /// Baseline wall-time percentiles (report-only, never gates).
-    pub wall_before: WallStats,
-    /// Candidate wall-time percentiles (report-only, never gates).
-    pub wall_after: WallStats,
+    /// The baseline series' round count and wall-time percentiles (the
+    /// percentiles are report-only, never gate).
+    pub wall_before: SeriesSummary,
+    /// The candidate series' round count and wall-time percentiles.
+    pub wall_after: SeriesSummary,
     /// Exactly the rounds whose deterministic fields differ.  A round
     /// present on only one side diffs against an all-zero row.  Non-empty
     /// is a gate failure.
@@ -328,6 +295,14 @@ impl DiffReport {
                 out.push_str("| counter | gated | baseline | candidate | delta | verdict |\n");
                 out.push_str("|---|---|---:|---:|---:|---|\n");
                 for c in changed {
+                    // A report-only row never gates, so it is never called
+                    // a regression.
+                    let verdict = match c.verdict {
+                        Verdict::Regressed { allowed } if !c.gated => {
+                            format!("above +{:.0}% (report-only)", allowed * 100.0)
+                        }
+                        verdict => verdict.to_string(),
+                    };
                     out.push_str(&format!(
                         "| {} | {} | {} | {} | {:+} | {} |\n",
                         c.name,
@@ -335,7 +310,7 @@ impl DiffReport {
                         c.before,
                         c.after,
                         c.after as i128 - c.before as i128,
-                        c.verdict,
+                        verdict,
                     ));
                 }
             }
@@ -348,8 +323,8 @@ impl DiffReport {
                 out.push_str(&format!(
                     "\nseries: {} -> {} rounds; wall p50 {} -> {} ns, p95 {} -> {} ns, \
                      max {} -> {} ns (report-only)\n",
-                    s.rounds_before,
-                    s.rounds_after,
+                    s.wall_before.rounds,
+                    s.wall_after.rounds,
                     s.wall_before.p50_nanos,
                     s.wall_after.p50_nanos,
                     s.wall_before.p95_nanos,
@@ -424,11 +399,12 @@ fn diff_series(before: &BTreeMap<u64, RoundRow>, after: &BTreeMap<u64, RoundRow>
             changed_rounds.push(RoundDelta { round, fields });
         }
     }
+    let wall = |rows: &BTreeMap<u64, RoundRow>| {
+        SeriesSummary::of(rows.values().map(|r| r.wall_nanos).collect())
+    };
     SeriesDiff {
-        rounds_before: before.len(),
-        rounds_after: after.len(),
-        wall_before: WallStats::of(before),
-        wall_after: WallStats::of(after),
+        wall_before: wall(before),
+        wall_after: wall(after),
         changed_rounds,
     }
 }

@@ -16,8 +16,8 @@
 //! ([`experiments::ef_fault_injection`], `exp_faults`, `FAULTS_SMOKE=1`
 //! for CI, `--replay '<plan-spec>'` to reproduce a recorded run), and the
 //! multi-process socket backend its own binary (`exp_worker`, which both
-//! coordinates and serves, with a coordinator-relayed or direct
-//! worker↔worker mesh data plane — see its `--help`).
+//! coordinates and serves, with data frames on a direct worker↔worker mesh
+//! — see its `--help`).
 //!
 //! # The JSON-lines schema
 //!
@@ -78,16 +78,15 @@
 //! value of the wrong type (a counter that is not a `u64`) is an error that
 //! names the key.
 //!
-//! `relayed_data_bytes` is the coordinator-side mirror of
-//! `wire_bytes_sent`: the data-frame bytes the multi-process coordinator
-//! forwarded between workers.  Equal to `wire_bytes_sent` in relay mode,
-//! `0` in mesh mode (workers exchange data peer-to-peer) and for every
-//! in-process backend.  `peak_rss_bytes` is the maximum per-process
-//! high-water RSS (`VmHWM`) across the coordinator and the worker
-//! processes of an `exp_worker` run — a measurement, `0` for in-process
-//! executors (threads share one address space, and a process-wide value
-//! would break byte-identical metric replays) and on platforms without
-//! `/proc/self/status`.
+//! `relayed_data_bytes` counted the data-frame bytes a multi-process
+//! coordinator forwarded between workers on the relay plane, which is
+//! gone: workers exchange data frames peer-to-peer, so it is always `0`,
+//! and the key stays because keys are only added.  `peak_rss_bytes` is the
+//! maximum per-process high-water RSS (`VmHWM`) across the coordinator and
+//! the worker processes of an `exp_worker` run — a measurement, `0` for
+//! in-process executors (threads share one address space, and a
+//! process-wide value would break byte-identical metric replays) and on
+//! platforms without `/proc/self/status`.
 //!
 //! Keys are only ever **added**, never renamed or removed (`wire_bytes_sent` and
 //! `transport_flush_nanos` arrived with the transport subsystem,

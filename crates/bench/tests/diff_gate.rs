@@ -115,6 +115,33 @@ fn self_diff_passes_and_perturbation_is_reported_exactly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A report-only counter that rose past its threshold is named as such,
+/// and a passing check prints no `REGRESSED` anywhere.
+#[test]
+fn report_only_rows_past_the_threshold_are_not_called_regressions() {
+    let dir = tmp_dir("report_only");
+    let base = dir.join("base.jsonl");
+    std::fs::write(&base, sample_jsonl()).unwrap();
+    let noisy = sample_jsonl().replacen(
+        "\"transport_flush_nanos\":0,",
+        "\"transport_flush_nanos\":9062,",
+        1,
+    );
+    let cand = dir.join("cand.jsonl");
+    std::fs::write(&cand, noisy).unwrap();
+    let (ok, report) = run_diff(&base, &cand);
+    assert!(ok, "a report-only rise must pass --check:\n{report}");
+    assert!(report.contains("check: OK"), "{report}");
+    assert!(
+        report.contains(
+            "| transport_flush_nanos | no | 0 | 9062 | +9062 | above +20% (report-only) |"
+        ),
+        "report-only row missing:\n{report}"
+    );
+    assert!(!report.contains("REGRESSED"), "{report}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn committed_baseline() -> (std::path::PathBuf, String) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../baselines/metrics-baseline.jsonl");

@@ -1,8 +1,8 @@
 //! End-to-end smoke of the multi-process transport backend: the
 //! coordinator-mode `exp_worker` binary spawns one worker **process** per
-//! shard, runs a full simulation over TCP with wire-encoded cross-shard
-//! frames, and `--verify` asserts the outcome bit for bit against the
-//! in-process sequential executor.
+//! shard, runs a full simulation with wire-encoded cross-shard frames on a
+//! TCP mesh between the workers, and `--verify` asserts the outcome bit
+//! for bit against the in-process sequential executor.
 
 use std::process::Command;
 
@@ -63,6 +63,7 @@ fn single_shard_multiprocess_run_works() {
 
 #[test]
 fn mesh_mode_agrees_with_sequential_and_relays_nothing() {
+    // `--mesh` is accepted for older command lines and changes nothing.
     let out = run_exp_worker(&[
         "--n",
         "2000",
@@ -88,7 +89,7 @@ fn mesh_mode_agrees_with_sequential_and_relays_nothing() {
     // Data frames travel worker↔worker: the coordinator forwards none.
     assert!(
         stdout.contains("relayed_bytes=0 "),
-        "mesh mode relayed data through the coordinator: {stdout}"
+        "the coordinator relayed data: {stdout}"
     );
     assert!(
         !stdout.contains("wire_bytes=0 "),
@@ -117,7 +118,6 @@ fn host_list_shard_count_mismatch_is_a_clean_error_not_a_hang() {
         "3",
         "--graph",
         "ring",
-        "--mesh",
         "--hosts",
         hosts.to_str().unwrap(),
     ]);
@@ -126,39 +126,6 @@ fn host_list_shard_count_mismatch_is_a_clean_error_not_a_hang() {
     assert!(
         stderr.contains("names 2 workers but the run has 3 shards"),
         "expected the peer-list validation error, got: {stderr}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn hosts_without_mesh_is_a_usage_error() {
-    // `--hosts` only reaches external workers through the mesh handshake;
-    // in relay mode the file would be silently ignored while the
-    // coordinator spawns local workers — reject the combination up front.
-    let dir = std::env::temp_dir().join(format!("dcme_hosts_nomesh_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let hosts = dir.join("hosts.txt");
-    std::fs::write(&hosts, "127.0.0.1:9001\n127.0.0.1:9002\n").unwrap();
-    let out = run_exp_worker(&[
-        "--n",
-        "300",
-        "--shards",
-        "2",
-        "--graph",
-        "ring",
-        "--hosts",
-        hosts.to_str().unwrap(),
-    ]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "expected a usage error exit, got {:?}\nstderr: {stderr}",
-        out.status.code()
-    );
-    assert!(
-        stderr.contains("--hosts requires --mesh"),
-        "expected the flag-combination error, got: {stderr}"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -4,7 +4,7 @@
 //! field-for-field, a `--progress` multi-process `exp_worker` run must
 //! render worker heartbeat lines on stderr, and a `--trace` run must
 //! merge every worker's shipped Trace frame into one Perfetto-loadable
-//! file — in relay and mesh modes, without perturbing `--verify`.
+//! file, without perturbing `--verify`.
 
 use std::process::Command;
 
@@ -229,68 +229,47 @@ fn progress_coordinator_renders_worker_heartbeats() {
 }
 
 /// The remote trace capture end to end: a multi-process `exp_worker
-/// --trace` run — relay and mesh — produces one merged Chrome trace with
-/// the engine track plus one named, slice-bearing track per worker
-/// process, while the run itself still verifies bit-for-bit against the
-/// sequential executor.
+/// --trace` run produces one merged Chrome trace with the engine track plus
+/// one named, slice-bearing track per worker process, while the run itself
+/// still verifies bit-for-bit against the sequential executor.
 #[test]
 fn exp_worker_trace_merges_one_track_per_worker_process() {
     let dir = tmp_dir("remote");
     let shards = 2u64;
-    for mesh in [false, true] {
-        let mode = if mesh { "mesh" } else { "relay" };
-        let trace = dir.join(format!("{mode}.trace.json"));
-        let mut args = vec![
-            "--n".to_string(),
-            "600".to_string(),
-            "--shards".to_string(),
-            shards.to_string(),
-            "--graph".to_string(),
-            "circulant4".to_string(),
-            "--tail".to_string(),
-            "6".to_string(),
-            "--verify".to_string(),
-            "--trace".to_string(),
-            trace.to_str().unwrap().to_string(),
-        ];
-        if mesh {
-            args.push("--mesh".to_string());
-        }
-        let out = Command::new(env!("CARGO_BIN_EXE_exp_worker"))
-            .args(&args)
-            .output()
-            .expect("spawn exp_worker");
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(
-            out.status.success(),
-            "exp_worker --trace ({mode}) failed\nstdout: {stdout}\nstderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        // Tracing is out-of-band: the traced run still verifies.
-        assert!(stdout.contains("verify: OK"), "missing verify in: {stdout}");
+    let trace = dir.join("remote.trace.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_exp_worker"))
+        .args(["--n", "600", "--shards", &shards.to_string()])
+        .args(["--graph", "circulant4", "--tail", "6", "--verify"])
+        .args(["--trace", trace.to_str().unwrap()])
+        .output()
+        .expect("spawn exp_worker");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "exp_worker --trace failed\nstdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    // Tracing is out-of-band: the traced run still verifies.
+    assert!(stdout.contains("verify: OK"), "missing verify in: {stdout}");
 
-        let shape = trace_shape(&std::fs::read_to_string(&trace).unwrap());
-        let expected: std::collections::BTreeSet<u64> = (0..=shards).collect();
-        assert_eq!(
-            shape.pids, expected,
-            "{mode}: engine pid plus one pid per worker"
+    let shape = trace_shape(&std::fs::read_to_string(&trace).unwrap());
+    let expected: std::collections::BTreeSet<u64> = (0..=shards).collect();
+    assert_eq!(shape.pids, expected, "engine pid plus one pid per worker");
+    assert_eq!(shape.named_pids, expected, "every track is named");
+    assert_eq!(
+        shape.worker_starts, shards as usize,
+        "one worker_start per shipped worker blob"
+    );
+    for worker_pid in 1..=shards {
+        assert!(
+            shape
+                .nonzero_slices_by_pid
+                .get(&worker_pid)
+                .copied()
+                .unwrap_or(0)
+                > 0,
+            "worker pid {worker_pid} has no nonzero-duration slices"
         );
-        assert_eq!(shape.named_pids, expected, "{mode}: every track is named");
-        assert_eq!(
-            shape.worker_starts, shards as usize,
-            "{mode}: one worker_start per shipped worker blob"
-        );
-        for worker_pid in 1..=shards {
-            assert!(
-                shape
-                    .nonzero_slices_by_pid
-                    .get(&worker_pid)
-                    .copied()
-                    .unwrap_or(0)
-                    > 0,
-                "{mode}: worker pid {worker_pid} has no nonzero-duration slices"
-            );
-        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -11,7 +11,7 @@
 //! one shard's nodes, contexts and inbox slots, one broadcast value per
 //! node of a range around its own nodes (see "The zero-allocation round
 //! loop" below), the lists of slots and values filled this round, its
-//! compact active list and counters.  It runs a round in three calls —
+//! compact active list and counters.  It runs a round in three steps —
 //!
 //! 1. **send + route**: clear the slots and values filled last round, ask
 //!    every active node for its outbox, and route each message through the
@@ -23,14 +23,13 @@
 //!    and is staged once per other shard it reaches, with that run
 //!    ([`Transport::stage_broadcast`]).  A per-port message is one load in
 //!    the row: into the shard's own slot, or staged for the shard owning it
-//!    ([`Transport::stage`]).  Drivers with a transport then flush the
-//!    staging, timed;
-//! 2. **deliver**: take the [`Entry`]s other shards routed here from a
-//!    drain the driver passes in: a per-port entry into its slot, a
-//!    broadcast entry once, as the sender's value if the kernel keeps one
-//!    for the sender, else into every slot of the sender's run in this
-//!    shard (found by binary search on the sender's row, which also checks
-//!    that the run is not empty);
+//!    ([`Transport::stage`]).  The staging is then flushed, timed;
+//! 2. **deliver**: take the [`Entry`]s other shards routed here from the
+//!    driver's drain: a per-port entry into its slot, a broadcast entry
+//!    once, as the sender's value if the kernel keeps one for the sender,
+//!    else into every slot of the sender's run in this shard (found by
+//!    binary search on the sender's row, which also checks that the run is
+//!    not empty);
 //! 3. **receive + compact**: hand every active node its inbox — a
 //!    zero-copy [`Inbox`] view whose port `p` yields the node's slot `p` if
 //!    a message landed there, else the value of the neighbour behind `p` if
@@ -47,29 +46,47 @@
 //!
 //! The kernel is the only place the engine calls [`NodeAlgorithm::send`] and
 //! [`NodeAlgorithm::receive`], takes the phase, flush and drain timings
-//! ([`PhaseTimings`](crate::PhaseTimings): send = clear + compute +
+//! ([`PhaseTimings`]: send = clear + compute +
 //! intra-shard routing, deliver = cross-shard drain, receive = receive +
 //! compaction) and builds the per-shard trace events.  It counts into a
 //! [`RunMetrics`] of its own, which its driver adds to the run's.
 //! [`TraceSink::enabled`] is read once per kernel, so an untraced run
 //! constructs no events.
 //!
-//! # Three drivers
+//! # One round loop, three drivers
+//!
+//! `ShardKernel::run` is the engine's only round loop.  Per round it asks
+//! its driver's `RoundSync` for the round (or the stop), runs the send
+//! step into the sync's stage (a [`Transport`] endpoint), flushes, waits
+//! until every shard has flushed, delivers what the sync drains, waits
+//! until every shard has delivered, then receives and compacts.  The
+//! drivers differ only in their sync:
 //!
 //! * [`SequentialExecutor`] runs one kernel over the whole graph on the
-//!   caller's thread, with no barriers.  The graph is its only shard, so
-//!   every broadcast is stored as a value and every per-port message is
-//!   routed straight into a slot, found in the view's own destination table
-//!   ([`TopologyView::dest_slots`]), the table every topology type stores.
+//!   caller's thread, as a one-party run of the in-process barriers.  The
+//!   graph is its only shard, so every broadcast is stored as a value and
+//!   every per-port message is routed straight into a slot, found in the
+//!   view's own destination table ([`TopologyView::dest_slots`]), the table
+//!   every topology type stores; its stage holds nothing.
 //! * [`ShardedExecutor`] runs one kernel per shard of a
-//!   [`ShardedTopology`], each on its own thread, and moves cross-shard
-//!   messages through a pluggable [`Transport`] (see the protocol below).
+//!   [`ShardedTopology`], shard 0 on the caller's thread and every other
+//!   shard on a thread of its own, and moves cross-shard messages through a
+//!   pluggable [`Transport`] (see the protocol below).
 //!   [`ExecutionMode::Parallel`](crate::ExecutionMode::Parallel) selects it
 //!   on a `threads`-shard topology built from the simulator's view.
 //! * [`serve_shard_with`](crate::transport::serve_shard_with) runs one
 //!   kernel per worker process over that worker's
-//!   [`ShardSliceTopology`](crate::sharded::ShardSliceTopology), with the
-//!   round decided by coordinator frames.
+//!   [`ShardSliceTopology`](crate::sharded::ShardSliceTopology): the round
+//!   comes in a coordinator frame after the worker's vote, and data frames
+//!   cross a [`WorkerMesh`](crate::transport::WorkerMesh).
+//!
+//! One halting rule decides every run: `Rounds` stops at zero active nodes,
+//! sets `RunMetrics::hit_round_cap` at the round cap, records
+//! `RunMetrics::active_per_round` and the round count, and emits the run
+//! and round trace events.  Every in-process party applies it to the
+//! summed active counts, and the multi-process coordinator
+//! ([`coordinate_traced`](crate::transport::coordinate_traced)) applies it
+//! to the summed votes.
 //!
 //! All drivers are required to be *bit-for-bit equivalent*: same outputs,
 //! same metrics (up to wall-clock timings and backend-describing transport
@@ -102,45 +119,52 @@
 //!
 //! # Sharded barrier protocol
 //!
-//! The [`ShardedExecutor`] spawns one thread per shard; thread `w` owns,
+//! The [`ShardedExecutor`] runs one party per shard; party `w` owns,
 //! exclusively and lock-free, the slice of inbox slots of shard `w`'s
 //! nodes and its kernel's values, so **every write to a slot or value is
 //! performed by the thread that owns it**, and shard `w`'s [`Transport`]
-//! endpoint, so staging a cross-shard message takes no lock.  A coordinator
-//! on the calling thread decides rounds.  Per round all parties cross four
+//! endpoint, so staging a cross-shard message takes no lock.  There is no
+//! coordinator: every party decides each round itself, from the active
+//! counts all parties publish.  Per round all parties cross three
 //! barriers:
 //!
-//! 1. **A** — the coordinator has published the round number or the stop
-//!    flag.  Each thread runs its kernel's send step: intra-shard messages
-//!    go straight into its own values and slots, cross-shard messages are
-//!    staged on its endpoint (`Transport::stage_broadcast` once per
-//!    broadcasting sender and destination shard, `Transport::stage` per
-//!    per-port message), then flushed (`Transport::flush`: the in-process
-//!    backend hands each destination its staging buffer, which holds one
-//!    entry per broadcast; the socket backend seals one wire frame per
-//!    destination shard, which encodes every edge).
-//! 2. **B** — every message is routed.  Each thread drains every `x → w`
+//! 1. **D** — every party has published its active count (the run's first
+//!    crossing plays D for the counts before round 0).  Each party sums the
+//!    counts and applies the halting rule; all reach the same decision.
+//!    Each runs its kernel's send step: intra-shard messages go straight
+//!    into its own values and slots, cross-shard messages are staged on its
+//!    endpoint (`Transport::stage_broadcast` once per broadcasting sender
+//!    and destination shard, `Transport::stage` per per-port message), then
+//!    flushed (`Transport::flush`: the in-process backend hands each
+//!    destination its staging buffer, which holds one entry per broadcast;
+//!    the socket backend seals one wire frame per destination shard, which
+//!    encodes every edge).
+//! 2. **B** — every message is routed.  Each party drains every `x → w`
 //!    channel into its own slots and values (`Transport::drain`): a
 //!    broadcast entry becomes the sender's value in `w`, or fills the
 //!    sender's slots there if `w` keeps no value for it.  The barriers
 //!    order the in-process handoffs: `x` hands its `x → w` buffer over
 //!    before B, `w` takes it after B, and `x` stages into it again only
-//!    after the next A.
-//! 3. **C** — every slot and value of the round is in place.  Each thread
-//!    runs its kernel's receive step and publishes its active count.
-//! 4. **D** — the coordinator sums the counts and decides the next round.
+//!    after the next D.
+//! 3. **C** — every slot and value of the round is in place.  Each party
+//!    runs its kernel's receive step and publishes its new active count.
 //!
-//! A panic in any phase (algorithm code or delivery validation) poisons the
-//! protocol at the next barrier, so all parties unwind together and the
-//! original panic is re-thrown — never a deadlocked barrier.  When the run
-//! ends, each shard's counters are added to the run's [`RunMetrics`] in
-//! shard order, every counter by its registry rule (the same function adds
-//! a remote worker's), so the totals are deterministic;
-//! `RunMetrics::shard_phase_nanos` keeps the per-shard phase times and
-//! `RunMetrics::{intra,cross}_shard_messages` the split, counted per edge
-//! however the transport groups its entries.
-//! The coordinator's own barrier-to-barrier windows (A→B, B→C, C→D) are
-//! the run's `RunMetrics::phase_nanos`.
+//! No count is read while it changes: every party reads the counts after D
+//! and before B, and a party stores its count again only after the next C.
+//!
+//! Each party runs under one `catch_unwind`.  A party that panics
+//! (algorithm code or delivery validation) poisons the protocol and crosses
+//! exactly one more barrier, the one its peers wait at, so all parties stop
+//! at that crossing and the original panic is re-thrown — never a
+//! deadlocked barrier.  When the run ends, each shard's counters are added
+//! to the run's [`RunMetrics`] in shard order, every counter by its
+//! registry rule (the same function adds a remote worker's), so the totals
+//! are deterministic; `RunMetrics::shard_phase_nanos` keeps the per-shard
+//! phase times and `RunMetrics::{intra,cross}_shard_messages` the split,
+//! counted per edge however the transport groups its entries.  Shard 0's
+//! windows between crossings (D→B, B→C, C→D) are the run's
+//! `RunMetrics::phase_nanos`, and only shard 0's `Rounds` records the run
+//! shape and traces it.
 //!
 //! Under [`DeliveryMode::Strict`] (the default) a second write to a slot,
 //! or a second value from one sender, in one round is a CONGEST violation
@@ -150,18 +174,17 @@
 //! overwritten slot or value counts once in `RunMetrics::stale_overwrites`.
 
 use std::any::Any;
-use std::convert::Infallible;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use crate::algorithm::{Inbox, MessageSize, NodeAlgorithm, NodeContext, Outbox};
-use crate::metrics::RunMetrics;
+use crate::metrics::{PhaseTimings, RunMetrics};
 use crate::sharded::{ShardTopologyView, ShardedTopology};
 use crate::topology::{NodeId, Topology, TopologyView};
-use crate::trace::{TraceEvent, TracePhase, TraceSink};
+use crate::trace::{NoTrace, TraceEvent, TracePhase, TraceSink};
 use crate::transport::{
     Entry, InProcess, Transport, TransportBuilder, TransportError, TransportMessage,
 };
@@ -205,7 +228,7 @@ impl<M: MessageSize + Clone> RoundState<M> {
 /// * rounds are globally synchronous — all sends of round `r` complete
 ///   before any receive;
 /// * the result is bit-for-bit identical to [`SequentialExecutor`] (outputs
-///   and all metrics except wall-clock [`PhaseTimings`](crate::PhaseTimings));
+///   and all metrics except wall-clock [`PhaseTimings`]);
 /// * on return, `metrics.rounds`, `metrics.hit_round_cap`,
 ///   `metrics.active_per_round` and `metrics.phase_nanos` are filled in;
 /// * `tracer` is observed **out-of-band** (see [`crate::trace`]): the
@@ -266,8 +289,7 @@ pub(crate) struct ShardKernel<'a, A: NodeAlgorithm, T: ?Sized, L> {
 }
 
 impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L> {
-    /// A kernel for `shard` of `topology`, with an empty active list (see
-    /// [`ShardKernel::admit`]).
+    /// A kernel for `shard` of `topology`; [`ShardKernel::run`] runs it.
     pub(crate) fn new(
         topology: &'a T,
         shard: usize,
@@ -304,11 +326,39 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         }
     }
 
+    /// Runs the kernel's rounds under `sync` until it decides to stop, and
+    /// returns the shard's counters: the engine's only round loop.  Per
+    /// round it asks `sync` for the round, sends and routes into `sync`'s
+    /// stage, flushes, waits until every shard has flushed, delivers what
+    /// `sync` drains, waits until every shard has delivered, then receives
+    /// and compacts, and the count of nodes still active goes to the next
+    /// decision.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error of `sync`, or of the deliver step (see
+    /// [`ShardKernel::deliver`]).
+    pub(crate) fn run<S: RoundSync<A::Message>>(
+        mut self,
+        sync: &mut S,
+    ) -> Result<RunMetrics, S::Error> {
+        let mut active = self.admit();
+        while let Some(round) = sync.decide(active)? {
+            self.send_route(round, sync.stage());
+            self.flush(round, || sync.flush(round))?;
+            sync.flushed()?;
+            self.deliver(round, |sink| sync.drain(round, sink))?;
+            sync.drained()?;
+            active = self.receive_compact(round);
+        }
+        let mut report = self.finish();
+        report.syscall_batches = sync.stage().syscall_batches();
+        Ok(report)
+    }
+
     /// Fills the active list with the shard's nodes that have not halted
-    /// and returns its length.  Separate from [`ShardKernel::new`] because
-    /// `is_halted` is algorithm code, which a threaded driver runs under its
-    /// panic guard.
-    pub(crate) fn admit(&mut self) -> usize {
+    /// and returns its length.
+    fn admit(&mut self) -> usize {
         let (nodes, base) = (&*self.nodes, self.node_base);
         self.active.clear();
         self.active.extend(
@@ -317,11 +367,6 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
                 .map(|i| base + i),
         );
         self.active.len()
-    }
-
-    /// The counters accumulated so far.
-    pub(crate) fn report(&self) -> &RunMetrics {
-        &self.report
     }
 
     /// The send step: clears the slots and values filled last round, asks
@@ -338,11 +383,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     /// Panics if an outbox names a nonexistent port or sends two messages
     /// over the same port in one round (the CONGEST model allows one
     /// message per edge per round).
-    pub(crate) fn send_route<X: CrossShard<A::Message> + ?Sized>(
-        &mut self,
-        round: u64,
-        stage: &mut X,
-    ) {
+    fn send_route<X: Transport<A::Message>>(&mut self, round: u64, stage: &mut X) {
         self.phase_start(round, TracePhase::Send);
         let (m0, b0, c0) = (
             self.report.messages,
@@ -387,11 +428,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
 
     /// Times the driver's `flush` of the messages this round staged for
     /// other shards; `flush` returns the wire bytes it sealed.
-    pub(crate) fn flush<E>(
-        &mut self,
-        round: u64,
-        flush: impl FnOnce() -> Result<u64, E>,
-    ) -> Result<(), E> {
+    fn flush<E>(&mut self, round: u64, flush: impl FnOnce() -> Result<u64, E>) -> Result<(), E> {
         let t = Instant::now();
         let wire_bytes = flush()?;
         let nanos = t.elapsed().as_nanos() as u64;
@@ -430,7 +467,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     ///
     /// Under [`DeliveryMode::Strict`], panics when a slot or a value is
     /// written twice in one round.
-    pub(crate) fn deliver<E: From<TransportError>>(
+    fn deliver<E: From<TransportError>>(
         &mut self,
         round: u64,
         drain: impl FnOnce(&mut dyn FnMut(Entry<A::Message>)) -> Result<(), E>,
@@ -514,7 +551,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     /// backed by the values the kernel keeps for its neighbours — then
     /// drops the nodes that halted from the active list; returns how many
     /// remain.
-    pub(crate) fn receive_compact(&mut self, round: u64) -> usize {
+    fn receive_compact(&mut self, round: u64) -> usize {
         self.phase_start(round, TracePhase::Receive);
         let t = Instant::now();
         let (shard, node_base, slot_base) = (self.shard, self.node_base, self.slot_base);
@@ -549,7 +586,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     /// touched list dies with the kernel, so a reused arena would otherwise
     /// replay them as phantom messages — and returns the shard's counters.
     /// The values die with the kernel too.
-    pub(crate) fn finish(self) -> RunMetrics {
+    fn finish(self) -> RunMetrics {
         for i in self.touched {
             self.slots[i] = None;
         }
@@ -616,7 +653,7 @@ fn send_and_route<A, T, L, X>(
     A: NodeAlgorithm,
     T: ?Sized,
     L: ShardLookup<T>,
-    X: CrossShard<A::Message> + ?Sized,
+    X: Transport<A::Message>,
 {
     for i in touched.drain(..) {
         slots[i] = None;
@@ -645,7 +682,7 @@ fn send_and_route<A, T, L, X>(
                         broadcast.push(v - value_base);
                     } else {
                         report.cross_shard_messages += run.len() as u64;
-                        stage.broadcast(to, v as u32, msg.clone(), run);
+                        stage.stage_broadcast(to, v as u32, msg.clone(), run);
                     }
                 }
             }
@@ -660,7 +697,7 @@ fn send_and_route<A, T, L, X>(
                     } else {
                         report.cross_shard_messages += 1;
                         let to = L::shard_of_slot(topology, dest);
-                        stage.port(to, dest as u32, v as u32, msg);
+                        stage.stage(to, dest as u32, v as u32, msg);
                     }
                 }
             }
@@ -820,29 +857,6 @@ impl<T: TopologyView + ?Sized> ShardLookup<T> for WholeGraph {
     }
 }
 
-/// Where a kernel's send step puts the messages whose slot another shard
-/// owns: any [`Transport`] endpoint, or a remote worker's relay frame
-/// builders.
-pub(crate) trait CrossShard<M> {
-    /// One message of an `Outbox::PerPort` list, for `slot` of shard `to`.
-    fn port(&mut self, to: usize, slot: u32, sender: u32, msg: M);
-    /// `sender`'s broadcast for shard `to`: `dests` is the run of its
-    /// destination-table row in `to`'s slots.
-    fn broadcast(&mut self, to: usize, sender: u32, msg: M, dests: &[u32]);
-}
-
-impl<M: TransportMessage, X: Transport<M>> CrossShard<M> for X {
-    #[inline]
-    fn port(&mut self, to: usize, slot: u32, sender: u32, msg: M) {
-        self.stage(to, slot, sender, msg);
-    }
-
-    #[inline]
-    fn broadcast(&mut self, to: usize, sender: u32, msg: M, dests: &[u32]) {
-        self.stage_broadcast(to, sender, msg, dests);
-    }
-}
-
 /// The single-threaded driver's transport: its only shard owns every slot,
 /// so nothing is staged and nothing drains.
 struct OneShard;
@@ -865,9 +879,148 @@ impl<M: TransportMessage> Transport<M> for OneShard {
     }
 }
 
+/// How a kernel's rounds are decided and its cross-shard messages moved:
+/// the seam between [`ShardKernel::run`] and its driver.  In one process a
+/// [`Party`] decides at a barrier; a worker process decides by the
+/// coordinator's frames (`Frames` in [`crate::transport`]).
+pub(crate) trait RoundSync<M: TransportMessage> {
+    /// The endpoint the send step stages cross-shard messages into.
+    type Stage: Transport<M>;
+    /// Why a run stops before its end.
+    type Error: From<TransportError>;
+
+    /// Publishes this shard's count of active nodes and returns the round
+    /// to run next, or `None` once the run is over.
+    fn decide(&mut self, active: usize) -> Result<Option<u64>, Self::Error>;
+
+    /// The stage of the send step.
+    fn stage(&mut self) -> &mut Self::Stage;
+
+    /// Flushes what the send step of `round` staged; returns the wire
+    /// bytes it sealed.
+    fn flush(&mut self, round: u64) -> Result<u64, Self::Error>;
+
+    /// Waits until every shard has flushed the round.
+    fn flushed(&mut self) -> Result<(), Self::Error> {
+        Ok(())
+    }
+
+    /// Feeds `sink` every entry other shards routed to this one in `round`.
+    fn drain(&mut self, round: u64, sink: &mut dyn FnMut(Entry<M>)) -> Result<(), Self::Error>;
+
+    /// Waits until every shard has delivered the round.
+    fn drained(&mut self) -> Result<(), Self::Error> {
+        Ok(())
+    }
+}
+
+/// The halting rule, and the run shape it leaves: every driver decides its
+/// rounds here (see the [module docs](self)).  A run stops when no node is
+/// active, or at `max_rounds` with `RunMetrics::hit_round_cap` set.  The
+/// lead records `active_per_round` and emits the run and round trace
+/// events; a follower reaches the same decisions and records nothing.
+pub(crate) struct Rounds<'t> {
+    max_rounds: u64,
+    /// The rounds started so far.
+    started: u64,
+    lead: bool,
+    active_per_round: Vec<usize>,
+    hit_round_cap: bool,
+    tracer: &'t dyn TraceSink,
+    traced: bool,
+    /// When the running round started, for its `RoundEnd`.
+    clock: Instant,
+}
+
+impl<'t> Rounds<'t> {
+    /// The lead of a run of `nodes` nodes in `shards` shards; emits
+    /// `RunStart`.
+    pub(crate) fn lead(
+        nodes: usize,
+        shards: usize,
+        max_rounds: u64,
+        tracer: &'t dyn TraceSink,
+    ) -> Self {
+        let traced = tracer.enabled();
+        if traced {
+            tracer.emit(&TraceEvent::RunStart { nodes, shards });
+        }
+        Self {
+            max_rounds,
+            started: 0,
+            lead: true,
+            active_per_round: Vec::new(),
+            hit_round_cap: false,
+            tracer,
+            traced,
+            clock: Instant::now(),
+        }
+    }
+
+    /// A party that reaches the lead's decisions and records nothing.
+    fn follow(max_rounds: u64) -> Self {
+        Self {
+            lead: false,
+            traced: false,
+            ..Self::lead(0, 0, max_rounds, &NoTrace)
+        }
+    }
+
+    /// The rounds started so far: the round the next decision would start.
+    pub(crate) fn next(&self) -> u64 {
+        self.started
+    }
+
+    /// Applies the halting rule to `active`, the count of active nodes
+    /// summed over every shard, and returns the round to run next, or
+    /// `None` to stop.  Ends the round before, if any, in the trace.
+    pub(crate) fn decide(&mut self, active: usize) -> Option<u64> {
+        if self.traced && self.started > 0 {
+            self.tracer.emit(&TraceEvent::RoundEnd {
+                round: self.started - 1,
+                active,
+                nanos: self.clock.elapsed().as_nanos() as u64,
+            });
+        }
+        if active == 0 {
+            return None;
+        }
+        if self.started >= self.max_rounds {
+            self.hit_round_cap = true;
+            return None;
+        }
+        let round = self.started;
+        self.started += 1;
+        if self.lead {
+            self.active_per_round.push(active);
+        }
+        if self.traced {
+            self.tracer.emit(&TraceEvent::RoundStart { round, active });
+            self.clock = Instant::now();
+        }
+        Some(round)
+    }
+
+    /// Ends the run: writes the round count, the cap flag and
+    /// `active_per_round` into `metrics`, and emits `RunEnd`.
+    pub(crate) fn finish(self, metrics: &mut RunMetrics) {
+        metrics.rounds = self.started;
+        metrics.hit_round_cap = self.hit_round_cap;
+        metrics.active_per_round = self.active_per_round;
+        if self.traced {
+            self.tracer.emit(&TraceEvent::RunEnd {
+                rounds: self.started,
+            });
+        }
+    }
+}
+
 /// The single-threaded driver: one kernel over the whole graph, on the
-/// caller's thread, with no barriers.  It reports no shard split
-/// (`RunMetrics::{intra,cross}_shard_messages` stay 0).
+/// caller's thread, run as the only party of the in-process barriers.  It
+/// reports no shard split (`RunMetrics::{intra,cross}_shard_messages` stay
+/// 0, `RunMetrics::shard_phase_nanos` stays empty) and no transport
+/// (`RunMetrics::transport_flush_nanos` stays 0), and its `phase_nanos` are
+/// its kernel's.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SequentialExecutor;
 
@@ -882,14 +1035,9 @@ impl<T: TopologyView> Executor<T> for SequentialExecutor {
         metrics: &mut RunMetrics,
         tracer: &dyn TraceSink,
     ) {
-        let traced = tracer.enabled();
-        if traced {
-            tracer.emit(&TraceEvent::RunStart {
-                nodes: nodes.len(),
-                shards: 1,
-            });
-        }
-        let mut kernel = ShardKernel::<_, _, WholeGraph>::new(
+        let mut rounds = Rounds::lead(nodes.len(), 1, max_rounds, tracer);
+        let sync = PhaseSync::new(1);
+        let kernel = ShardKernel::<_, _, WholeGraph>::new(
             topology,
             0,
             nodes,
@@ -898,49 +1046,22 @@ impl<T: TopologyView> Executor<T> for SequentialExecutor {
             DeliveryMode::Strict,
             tracer,
         );
-        let mut active = kernel.admit();
-        let mut round: u64 = 0;
-        while active > 0 {
-            if round >= max_rounds {
-                metrics.hit_round_cap = true;
-                break;
-            }
-            metrics.active_per_round.push(active);
-            if traced {
-                tracer.emit(&TraceEvent::RoundStart { round, active });
-            }
-            let t0 = kernel.report().phase_nanos.total();
-            kernel.send_route(round, &mut OneShard);
-            kernel
-                .deliver(round, |_| Ok::<(), TransportError>(()))
-                .expect("the only shard drains nothing");
-            active = kernel.receive_compact(round);
-            if traced {
-                tracer.emit(&TraceEvent::RoundEnd {
-                    round,
-                    active,
-                    nanos: kernel.report().phase_nanos.total() - t0,
-                });
-            }
-            round += 1;
+        let done = Party::new(&sync, 0, OneShard, &mut rounds, false).run(kernel);
+        sync.rethrow();
+        if let Some((mut report, _)) = done {
+            report.intra_shard_messages = 0;
+            report.transport_flush_nanos = 0;
+            metrics.merge(&report);
         }
-        let mut report = kernel.finish();
-        // The one kernel's messages are all intra-shard; this driver
-        // reports no shard split.
-        report.intra_shard_messages = 0;
-        metrics.merge(&report);
-        metrics.rounds = round;
-        if traced {
-            tracer.emit(&TraceEvent::RunEnd { rounds: round });
-        }
+        rounds.finish(metrics);
     }
 }
 
 /// The threaded driver: one kernel per shard of a [`ShardedTopology`], each
-/// on its own thread with exclusive, lock-free ownership of its shard's
-/// inbox slots; cross-shard messages travel through a pluggable
-/// [`Transport`] backend.  See the [module docs](self) for the barrier
-/// protocol.  Bit-for-bit equivalent to [`SequentialExecutor`] on the same
+/// on a thread of its own (shard 0's on the caller's) with exclusive,
+/// lock-free ownership of its shard's inbox slots; cross-shard messages
+/// travel through a pluggable [`Transport`] backend.  See the [module
+/// docs](self) for the barrier protocol.  Bit-for-bit equivalent to [`SequentialExecutor`] on the same
 /// topology (outputs and all logical counters; `wire_bytes_sent` /
 /// `transport_flush_nanos` describe the backend and are exempt, like
 /// wall-clock timings).
@@ -1015,18 +1136,12 @@ impl<B: TransportBuilder> ShardedExecutor<B> {
     }
 }
 
-/// Per-round signals published by the coordinator before barrier A.
-struct RoundSignal {
-    round: AtomicU64,
-    stop: AtomicBool,
-}
-
-/// Barrier synchronisation with panic poisoning.
+/// Barrier synchronisation with panic poisoning, and the active counts the
+/// parties publish.
 ///
-/// Every phase body runs inside [`PhaseSync::guard`]; a panic is captured,
-/// the protocol is flagged as poisoned, and the panicking party still
-/// reaches its next barrier.  The first captured payload is re-thrown to
-/// the caller by [`PhaseSync::rethrow`].
+/// A party that panics records its payload with [`PhaseSync::poison`] and
+/// still crosses its next barrier; the first payload is re-thrown to the
+/// caller by [`PhaseSync::rethrow`].
 ///
 /// The barrier is hand-rolled (generation-counted mutex + condvar) rather
 /// than [`std::sync::Barrier`] because the poison verdict must be decided
@@ -1044,6 +1159,8 @@ struct PhaseSync {
     parties: usize,
     poisoned: AtomicBool,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
+    /// Each party's count of active nodes, stored before it crosses D.
+    counts: Vec<AtomicUsize>,
 }
 
 struct SyncState {
@@ -1067,32 +1184,25 @@ impl PhaseSync {
             parties,
             poisoned: AtomicBool::new(false),
             panic: Mutex::new(None),
+            counts: (0..parties).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
 
-    /// Runs one phase body, capturing a panic instead of unwinding through
-    /// the protocol.  `AssertUnwindSafe` is sound here because after a
-    /// poisoning panic the possibly-inconsistent node/arena state is never
-    /// touched again: every party exits at the next barrier and the panic
-    /// is re-thrown.
-    fn guard(&self, body: impl FnOnce()) {
-        if self.poisoned.load(Ordering::SeqCst) {
-            return;
+    /// Poisons the protocol with a party's panic; the first payload is the
+    /// one re-thrown.
+    fn poison(&self, payload: Box<dyn Any + Send>) {
+        let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
+        if slot.is_none() {
+            *slot = Some(payload);
         }
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
-            let mut slot = self.panic.lock().unwrap_or_else(|e| e.into_inner());
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-            self.poisoned.store(true, Ordering::SeqCst);
-        }
+        self.poisoned.store(true, Ordering::SeqCst);
     }
 
     /// Crosses the barrier; returns `false` if the protocol was poisoned
     /// when the crossing completed.  The verdict is stamped per generation,
     /// so every party of one crossing gets the same answer and all parties
     /// exit the protocol at the same crossing.
-    fn sync(&self) -> bool {
+    fn cross(&self) -> bool {
         // No user code runs under this lock, so it cannot be poisoned; the
         // `unwrap_or_else` is belt and braces.
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -1112,7 +1222,7 @@ impl PhaseSync {
             }
             // `verdict_poisoned` still belongs to our generation: the next
             // crossing cannot complete (and overwrite it) before this party
-            // calls `sync` again.
+            // calls `cross` again.
             !st.verdict_poisoned
         }
     }
@@ -1123,6 +1233,143 @@ impl PhaseSync {
         if let Some(payload) = payload {
             resume_unwind(payload);
         }
+    }
+}
+
+/// Why an in-process party stops before the run ends.
+enum Stop {
+    /// A party panicked, and the protocol is poisoned.
+    Poisoned,
+    /// This party's transport failed, or delivered an entry the shard
+    /// cannot place.
+    Transport(TransportError),
+}
+
+impl From<TransportError> for Stop {
+    fn from(e: TransportError) -> Self {
+        Stop::Transport(e)
+    }
+}
+
+/// One party of the in-process barrier protocol (see the [module
+/// docs](self)): its shard, its transport endpoint, its `Rounds`, and, if
+/// it is timed (shard 0), the windows between its crossings.
+struct Party<'p, 't, X> {
+    sync: &'p PhaseSync,
+    shard: usize,
+    transport: X,
+    rounds: &'p mut Rounds<'t>,
+    /// The time between crossings, by the phase it covers, and the last
+    /// crossing.
+    windows: Option<(PhaseTimings, Option<Instant>)>,
+}
+
+impl<'p, 't, X> Party<'p, 't, X> {
+    fn new(
+        sync: &'p PhaseSync,
+        shard: usize,
+        transport: X,
+        rounds: &'p mut Rounds<'t>,
+        timed: bool,
+    ) -> Self {
+        Self {
+            sync,
+            shard,
+            transport,
+            rounds,
+            windows: timed.then(|| (PhaseTimings::default(), None)),
+        }
+    }
+
+    /// Runs `kernel` to the end of the run, under one `catch_unwind`, and
+    /// returns its counters and this party's windows
+    /// (zero unless timed), or `None` if a party panicked.  A party that
+    /// panics poisons the protocol and crosses exactly one more barrier,
+    /// the one its peers wait at, so every party stops there.
+    /// `AssertUnwindSafe` is sound because after a poisoning panic the
+    /// possibly-inconsistent node and arena state is never touched again:
+    /// the driver re-throws the panic.
+    fn run<A, T, L>(
+        mut self,
+        kernel: ShardKernel<'_, A, T, L>,
+    ) -> Option<(RunMetrics, PhaseTimings)>
+    where
+        A: NodeAlgorithm,
+        T: ?Sized,
+        L: ShardLookup<T>,
+        X: Transport<A::Message>,
+    {
+        let ran = catch_unwind(AssertUnwindSafe(|| match kernel.run(&mut self) {
+            Ok(report) => Some(report),
+            Err(Stop::Poisoned) => None,
+            Err(Stop::Transport(e)) => panic!("cross-shard transport failed: {e}"),
+        }));
+        match ran {
+            Ok(report) => report.map(|r| (r, self.windows.map(|(w, _)| w).unwrap_or_default())),
+            Err(payload) => {
+                self.sync.poison(payload);
+                self.sync.cross();
+                None
+            }
+        }
+    }
+
+    /// Crosses the next barrier and, if timed, adds the time since the
+    /// last crossing to the window `phase` picks.
+    fn cross(&mut self, phase: fn(&mut PhaseTimings) -> &mut u64) -> Result<(), Stop> {
+        let crossed = self.sync.cross();
+        if let Some((windows, last)) = &mut self.windows {
+            let now = Instant::now();
+            if let Some(t) = last.replace(now) {
+                *phase(windows) += (now - t).as_nanos() as u64;
+            }
+        }
+        if crossed {
+            Ok(())
+        } else {
+            Err(Stop::Poisoned)
+        }
+    }
+}
+
+impl<M: TransportMessage, X: Transport<M>> RoundSync<M> for Party<'_, '_, X> {
+    type Stage = X;
+    type Error = Stop;
+
+    /// Stores this party's count, crosses D (C→D is the receive window),
+    /// and applies the halting rule to every party's count.
+    fn decide(&mut self, active: usize) -> Result<Option<u64>, Stop> {
+        self.sync.counts[self.shard].store(active, Ordering::SeqCst);
+        self.cross(|w| &mut w.receive)?;
+        let total = self
+            .sync
+            .counts
+            .iter()
+            .map(|c| c.load(Ordering::SeqCst))
+            .sum();
+        Ok(self.rounds.decide(total))
+    }
+
+    fn stage(&mut self) -> &mut X {
+        &mut self.transport
+    }
+
+    fn flush(&mut self, round: u64) -> Result<u64, Stop> {
+        Ok(self.transport.flush(round))
+    }
+
+    /// Crosses B (D→B is the send window).
+    fn flushed(&mut self) -> Result<(), Stop> {
+        self.cross(|w| &mut w.send)
+    }
+
+    fn drain(&mut self, round: u64, sink: &mut dyn FnMut(Entry<M>)) -> Result<(), Stop> {
+        Ok(self.transport.drain(round, sink)?)
+    }
+
+    /// Crosses C (B→C is the deliver window).
+    fn drained(&mut self) -> Result<(), Stop> {
+        self.cross(|w| &mut w.deliver)
     }
 }
 
@@ -1143,18 +1390,7 @@ impl<B: TransportBuilder> Executor<ShardedTopology> for ShardedExecutor<B> {
             topology.num_directed_edges(),
             "arena must be pre-sized for this topology"
         );
-        if tracer.enabled() {
-            tracer.emit(&TraceEvent::RunStart {
-                nodes: nodes.len(),
-                shards: shard_count,
-            });
-        }
-
-        let signal = RoundSignal {
-            round: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
-        };
-        let sync = PhaseSync::new(shard_count + 1);
+        let mut lead = Rounds::lead(nodes.len(), shard_count, max_rounds, tracer);
         let endpoints = self
             .builder
             .build::<A::Message>(topology)
@@ -1164,184 +1400,72 @@ impl<B: TransportBuilder> Executor<ShardedTopology> for ShardedExecutor<B> {
             shard_count,
             "one transport endpoint per shard"
         );
-        let active_counts: Vec<AtomicUsize> =
-            (0..shard_count).map(|_| AtomicUsize::new(0)).collect();
-        let reports: Vec<Mutex<RunMetrics>> = (0..shard_count)
-            .map(|_| Mutex::new(RunMetrics::default()))
-            .collect();
-
-        std::thread::scope(|scope| {
-            // Hand each thread what it owns: its transport endpoint and the
-            // exclusive slices of its shard's nodes, contexts and inbox
-            // slots (consecutive by the flat slot contract, so a
-            // split_at_mut chain suffices).
-            let mut rest_slots: &mut [Option<A::Message>] = &mut state.slots;
-            let mut rest_nodes: &mut [A] = nodes;
-            let mut rest_ctxs: &[NodeContext] = contexts;
-            for (s, transport) in endpoints.into_iter().enumerate() {
-                let (my_slots, tail) = rest_slots.split_at_mut(topology.shard_slots(s).len());
-                rest_slots = tail;
-                let (my_nodes, tail) = rest_nodes.split_at_mut(topology.shard_nodes(s).len());
-                rest_nodes = tail;
-                let (my_ctxs, tail) = rest_ctxs.split_at(topology.shard_nodes(s).len());
-                rest_ctxs = tail;
-                let (signal, sync) = (&signal, &sync);
-                let (active_count, report) = (&active_counts[s], &reports[s]);
-                let delivery = self.delivery;
-                scope.spawn(move || {
-                    if tracer.enabled() {
-                        tracer.emit(&TraceEvent::WorkerStart { shard: s });
-                    }
-                    let kernel = ShardKernel::<_, _, ShardRows>::new(
-                        topology, s, my_nodes, my_ctxs, my_slots, delivery, tracer,
-                    );
-                    let done = run_shard_thread(kernel, signal, sync, transport, active_count);
-                    *report.lock().unwrap_or_else(|e| e.into_inner()) = done;
-                    if tracer.enabled() {
-                        tracer.emit(&TraceEvent::WorkerEnd { shard: s });
-                    }
-                });
+        let sync = PhaseSync::new(shard_count);
+        let delivery = self.delivery;
+        let party = |s, nodes, contexts, slots, transport, rounds: &mut Rounds<'_>| {
+            if tracer.enabled() {
+                tracer.emit(&TraceEvent::WorkerStart { shard: s });
             }
-            sharded_coordinate(&signal, &sync, &active_counts, max_rounds, metrics, tracer);
+            let kernel = ShardKernel::<_, _, ShardRows>::new(
+                topology, s, nodes, contexts, slots, delivery, tracer,
+            );
+            let done = Party::new(&sync, s, transport, rounds, s == 0).run(kernel);
+            if tracer.enabled() {
+                tracer.emit(&TraceEvent::WorkerEnd { shard: s });
+            }
+            done
+        };
+
+        // Hand each party what it owns: its transport endpoint and the
+        // exclusive slices of its shard's nodes, contexts and inbox slots
+        // (consecutive by the flat slot contract, so a split_at_mut chain
+        // suffices).  Shard 0 runs on this thread, every other shard on a
+        // thread of its own.
+        let mut rest_slots: &mut [Option<A::Message>] = &mut state.slots;
+        let mut rest_nodes: &mut [A] = nodes;
+        let mut rest_ctxs: &[NodeContext] = contexts;
+        let mut shares = Vec::with_capacity(shard_count);
+        for (s, transport) in endpoints.into_iter().enumerate() {
+            let (my_slots, tail) = rest_slots.split_at_mut(topology.shard_slots(s).len());
+            rest_slots = tail;
+            let (my_nodes, tail) = rest_nodes.split_at_mut(topology.shard_nodes(s).len());
+            rest_nodes = tail;
+            let (my_ctxs, tail) = rest_ctxs.split_at(topology.shard_nodes(s).len());
+            rest_ctxs = tail;
+            shares.push((s, my_nodes, my_ctxs, my_slots, transport));
+        }
+        let mut shares = shares.into_iter();
+        let (_, nodes0, contexts0, slots0, transport0) =
+            shares.next().expect("a sharded topology has a shard");
+        let done: Vec<_> = std::thread::scope(|scope| {
+            let party = &party;
+            let others: Vec<_> = shares
+                .map(|(s, nodes, contexts, slots, transport)| {
+                    scope.spawn(move || {
+                        let mut rounds = Rounds::follow(max_rounds);
+                        party(s, nodes, contexts, slots, transport, &mut rounds)
+                    })
+                })
+                .collect();
+            let first = party(0, nodes0, contexts0, slots0, transport0, &mut lead);
+            std::iter::once(first)
+                .chain(
+                    others
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p))),
+                )
+                .collect()
         });
-
-        for report in &reports {
-            metrics.add_shard(&report.lock().unwrap_or_else(|e| e.into_inner()));
-        }
-        if tracer.enabled() {
-            tracer.emit(&TraceEvent::RunEnd {
-                rounds: metrics.rounds,
-            });
-        }
         sync.rethrow();
-    }
-}
 
-/// One shard thread of the barrier protocol (see the [module docs](self)):
-/// runs `kernel` between the coordinator's barriers and returns its report.
-fn run_shard_thread<A: NodeAlgorithm, X: Transport<A::Message>>(
-    mut kernel: ShardKernel<'_, A, ShardedTopology, ShardRows>,
-    signal: &RoundSignal,
-    sync: &PhaseSync,
-    mut transport: X,
-    active_count: &AtomicUsize,
-) -> RunMetrics {
-    sync.guard(|| active_count.store(kernel.admit(), Ordering::SeqCst));
-    if sync.sync() {
-        // ready barrier crossed: initial active counts are published
-        loop {
-            if !sync.sync() || signal.stop.load(Ordering::SeqCst) {
-                break; // A: round decision published
+        for (s, (report, windows)) in done.into_iter().flatten().enumerate() {
+            if s == 0 {
+                metrics.phase_nanos = windows;
             }
-            let round = signal.round.load(Ordering::SeqCst);
-            sync.guard(|| {
-                kernel.send_route(round, &mut transport);
-                kernel
-                    .flush(round, || Ok::<u64, Infallible>(transport.flush(round)))
-                    .unwrap_or_else(|never| match never {});
-            });
-            if !sync.sync() {
-                break; // B: all routing staged and flushed
-            }
-            sync.guard(|| {
-                kernel
-                    .deliver(round, |sink| transport.drain(round, sink))
-                    .unwrap_or_else(|e| panic!("cross-shard transport failed: {e}"));
-            });
-            if !sync.sync() {
-                break; // C: every slot of this round is in place
-            }
-            sync.guard(|| active_count.store(kernel.receive_compact(round), Ordering::SeqCst));
-            if !sync.sync() {
-                break; // D: all receives done — coordinator decides
-            }
+            metrics.add_shard(&report);
         }
+        lead.finish(metrics);
     }
-    let mut report = kernel.finish();
-    report.syscall_batches = transport.syscall_batches();
-    report
-}
-
-/// The coordinator half of the sharded protocol: decides rounds from the
-/// published active counts and attributes the barrier-to-barrier windows to
-/// the engine phases (A→B send + intra-shard routing, B→C cross-shard
-/// drain, C→D receive).
-fn sharded_coordinate(
-    signal: &RoundSignal,
-    sync: &PhaseSync,
-    active_counts: &[AtomicUsize],
-    max_rounds: u64,
-    metrics: &mut RunMetrics,
-    tracer: &dyn TraceSink,
-) {
-    let traced = tracer.enabled();
-    let mut round: u64 = 0;
-    if sync.sync() {
-        // ready: initial active counts are published
-        loop {
-            let mut proceed = false;
-            sync.guard(|| {
-                let total: usize = active_counts.iter().map(|c| c.load(Ordering::SeqCst)).sum();
-                if total == 0 {
-                    signal.stop.store(true, Ordering::SeqCst);
-                } else if round >= max_rounds {
-                    metrics.hit_round_cap = true;
-                    signal.stop.store(true, Ordering::SeqCst);
-                } else {
-                    metrics.active_per_round.push(total);
-                    if traced {
-                        tracer.emit(&TraceEvent::RoundStart {
-                            round,
-                            active: total,
-                        });
-                    }
-                    signal.round.store(round, Ordering::SeqCst);
-                    proceed = true;
-                }
-            });
-            if !sync.sync() {
-                break; // A
-            }
-            if !proceed {
-                break;
-            }
-
-            let t = Instant::now();
-            if !sync.sync() {
-                break; // B: send + intra-shard routing window
-            }
-            let send_d = t.elapsed().as_nanos() as u64;
-            metrics.phase_nanos.send += send_d;
-
-            let t = Instant::now();
-            if !sync.sync() {
-                break; // C: cross-shard drain window
-            }
-            let deliver_d = t.elapsed().as_nanos() as u64;
-            metrics.phase_nanos.deliver += deliver_d;
-
-            let t = Instant::now();
-            if !sync.sync() {
-                break; // D: receive window
-            }
-            let receive_d = t.elapsed().as_nanos() as u64;
-            metrics.phase_nanos.receive += receive_d;
-            if traced {
-                // Threads stored their post-compaction counts before D and
-                // won't store again until the next round's receive guard
-                // (which needs this coordinator at A first) — race-free.
-                let remaining: usize = active_counts.iter().map(|c| c.load(Ordering::SeqCst)).sum();
-                tracer.emit(&TraceEvent::RoundEnd {
-                    round,
-                    active: remaining,
-                    nanos: send_d + deliver_d + receive_d,
-                });
-            }
-
-            round += 1;
-        }
-    }
-    metrics.rounds = round;
 }
 
 #[cfg(test)]

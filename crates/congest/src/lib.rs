@@ -41,7 +41,8 @@
 //!   ([`transport::InProcess`]), a wire-encoded socket mesh
 //!   ([`transport::SocketLoopback`]), and the multi-process
 //!   coordinator/worker protocol ([`transport::coordinate`] /
-//!   [`transport::serve_shard`]),
+//!   [`transport::serve_shard_with`]) over a worker mesh
+//!   ([`transport::WorkerMesh`]),
 //! * [`faults`] — deterministic fault injection at the transport seam
 //!   ([`faults::FaultyTransport`]): seed-driven drop, duplication, delay
 //!   and partition windows with a replayable event log, plus the
@@ -103,9 +104,8 @@ pub use trace::{
     RoundSeries, RowField, SeriesSummary, StampedRecorder, TraceEvent, TracePhase, TraceSink,
 };
 pub use transport::{
-    coordinate, coordinate_traced, decode_output_payload, encode_output_payload, serve_shard,
-    serve_shard_on, serve_shard_with, CoordinateSpec, DataPlane, Entry, InProcess, ServeOptions,
-    SocketLoopback, Transport, TransportBuilder, TransportError, TransportMessage, WorkerMesh,
-    WorkerStats,
+    coordinate, coordinate_traced, decode_output_payload, encode_output_payload, serve_shard_with,
+    CoordinateSpec, Entry, InProcess, ServeOptions, SocketLoopback, Transport, TransportBuilder,
+    TransportError, TransportMessage, WorkerMesh, WorkerStats,
 };
 pub use wire::{BitReader, BitWriter, WireError, WireMessage};

@@ -33,9 +33,9 @@ use crate::json::JsonValue;
 ///
 /// Filled in by every [`Executor`](crate::executor::Executor), with the
 /// same meaning for every driver of the round kernel.  A single-threaded
-/// run reports its one kernel's times; the threaded driver's coordinator
-/// measures the windows between barrier crossings, so they include the
-/// (small, constant) barrier overhead and the slowest shard.  Timings are
+/// run reports its one kernel's times; the threaded driver reports shard
+/// 0's windows between barrier crossings, so they include the (small,
+/// constant) barrier overhead and the slowest shard.  Timings are
 /// *measurements*, not semantics: the equivalence guarantee between
 /// executors covers every other metric field but not these.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -176,11 +176,11 @@ pub struct RunMetrics {
     /// Zero also on platforms without `/proc/self/status`.  A measurement,
     /// exempt from the executor-equivalence guarantee.
     pub peak_rss_bytes: u64,
-    /// Bytes of data frames the remote coordinator relayed between workers
-    /// (length prefixes and frame headers included).  Nonzero only for the
-    /// star-relay data plane of [`coordinate`](crate::transport::coordinate);
-    /// the direct worker↔worker mesh keeps this at 0 — the observable for
-    /// the control-vs-data plane split.
+    /// Bytes of data frames the remote coordinator relayed between workers.
+    /// Always 0: workers exchange data frames directly over their mesh, and
+    /// the coordinator of [`coordinate`](crate::transport::coordinate)
+    /// carries only control frames.  Kept because the JSON rows only ever
+    /// add keys.
     pub relayed_data_bytes: u64,
 }
 

@@ -797,6 +797,33 @@ pub struct SeriesSummary {
     pub max_nanos: u64,
 }
 
+impl SeriesSummary {
+    /// Summarises the round times `nanos`.  Percentiles use the
+    /// nearest-rank method (`⌈p·n⌉`-th smallest), so the degenerate inputs
+    /// are well defined: an empty list is all zeros with `rounds == 0`, a
+    /// single round reports that round's time for every statistic, and two
+    /// rounds report the *lower* value as p50 (the median never exceeds
+    /// the 95th percentile).
+    pub fn of(mut nanos: Vec<u64>) -> SeriesSummary {
+        if nanos.is_empty() {
+            return SeriesSummary::default();
+        }
+        nanos.sort_unstable();
+        // Nearest rank: the ⌈p·n⌉-th smallest sample (1-based), clamped
+        // into range — monotone in p, exact at p = 1.0.
+        let pick = |p: f64| {
+            let rank = (p * nanos.len() as f64).ceil() as usize;
+            nanos[rank.clamp(1, nanos.len()) - 1]
+        };
+        SeriesSummary {
+            rounds: nanos.len() as u64,
+            p50_nanos: pick(0.50),
+            p95_nanos: pick(0.95),
+            max_nanos: *nanos.last().expect("nonempty"),
+        }
+    }
+}
+
 /// A sink accumulating the per-round time series: one [`RoundRow`] per
 /// round, merged across shards, serializable as JSONL beside
 /// [`RunMetrics`](crate::RunMetrics) rows.
@@ -824,32 +851,11 @@ impl RoundSeries {
         self.rows.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// p50/p95/max of the round wall-clock times observed so far.
-    ///
-    /// Percentiles use the nearest-rank method (`⌈p·n⌉`-th smallest), so
-    /// the degenerate inputs are well defined: an empty series is all
-    /// zeros with `rounds == 0`, a single round reports that round's time
-    /// for every statistic, and a two-round series reports the *lower*
-    /// value as p50 (the median never exceeds the 95th percentile).
+    /// p50/p95/max of the round wall-clock times observed so far, by
+    /// [`SeriesSummary::of`]'s rule.
     pub fn summary(&self) -> SeriesSummary {
         let rows = self.rows.lock().unwrap_or_else(|e| e.into_inner());
-        let mut nanos: Vec<u64> = rows.iter().map(|r| r.wall_nanos).collect();
-        if nanos.is_empty() {
-            return SeriesSummary::default();
-        }
-        nanos.sort_unstable();
-        // Nearest rank: the ⌈p·n⌉-th smallest sample (1-based), clamped
-        // into range — monotone in p, exact at p = 1.0.
-        let pick = |p: f64| {
-            let rank = (p * nanos.len() as f64).ceil() as usize;
-            nanos[rank.clamp(1, nanos.len()) - 1]
-        };
-        SeriesSummary {
-            rounds: nanos.len() as u64,
-            p50_nanos: pick(0.50),
-            p95_nanos: pick(0.95),
-            max_nanos: *nanos.last().expect("nonempty"),
-        }
+        SeriesSummary::of(rows.iter().map(|r| r.wall_nanos).collect())
     }
 
     /// Appends every row to a JSONL sink, tagged with `label`.

@@ -24,18 +24,16 @@
 //!   is a [`WorkerMesh`], the same endpoint a worker process drives.  Same
 //!   process, real kernel wire — this is what makes the CONGEST bandwidth
 //!   accounting verifiable against actual encoded bytes.
-//! * The **remote protocol** ([`serve_shard_on`] / [`coordinate`]) — one
-//!   process per shard plus a coordinator, exchanging the same frames over
-//!   blocking links (TCP in the `exp_worker` binary).  The coordinator
-//!   carries the halting votes ([`FrameKind::Vote`]) and merges the
-//!   per-shard counters; data frames travel over a [`DataPlane`]: either
-//!   relayed through the coordinator, or peer-to-peer over a direct
-//!   [`WorkerMesh`] so the coordinator handles only control traffic.  In
-//!   mesh mode the coordinator ships each worker a [`ShardPlan`]
-//!   ([`write_plan`]) and the peer address list ([`write_peers`]), and each
-//!   worker builds only its own
+//! * The **remote protocol** ([`serve_shard_with`] / [`coordinate`]) — one
+//!   process per shard plus a coordinator.  The coordinator carries only
+//!   control frames over blocking links (TCP in the `exp_worker` binary):
+//!   it ships each worker a [`ShardPlan`] ([`write_plan`]) and the peer
+//!   address list ([`write_peers`]), tallies the halting votes
+//!   ([`FrameKind::Vote`]) and merges the per-shard counters.  Each worker
+//!   builds only its own
 //!   [`ShardSliceTopology`](crate::sharded::ShardSliceTopology) — no
-//!   process ever materialises the full graph.
+//!   process ever materialises the full graph — and exchanges data frames
+//!   with the other workers over a direct [`WorkerMesh`].
 //!
 //! # Round framing
 //!
@@ -51,8 +49,7 @@
 //! # Deadlock discipline of the socket drain
 //!
 //! One nonblocking drain, [`WorkerMesh`]'s, serves shard threads
-//! ([`SocketLoopback`]) and worker processes (the mesh [`DataPlane`])
-//! alike.  All shards drain concurrently, so a naive "write everything,
+//! ([`SocketLoopback`]) and worker processes alike.  All shards drain concurrently, so a naive "write everything,
 //! then read everything" ordering can deadlock once frames outgrow the
 //! kernel socket buffers.  The drain therefore runs three strictly ordered
 //! steps:
@@ -80,7 +77,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::algorithm::{MessageSize, NodeAlgorithm, NodeContext};
-use crate::executor::{CrossShard, DeliveryMode, ShardKernel, ShardRows};
+use crate::executor::{DeliveryMode, RoundSync, Rounds, ShardKernel, ShardRows};
 use crate::metrics::{PhaseTimings, RunMetrics};
 use crate::sharded::{ShardPlan, ShardTopologyView, ShardedTopology};
 use crate::simulator::RunOutcome;
@@ -91,7 +88,7 @@ use crate::trace::{
 use crate::wire::{
     for_each_data_entry, get_u16, get_u32, get_u64, put_u16, put_u32, put_u64, read_frame,
     write_frame, DataFrameBuilder, Frame, FrameBuffer, FrameHeader, FrameKind, WireError,
-    WireMessage, FRAME_HEADER_BYTES,
+    WireMessage,
 };
 
 /// The pseudo shard index of the coordinator in remote frames.
@@ -982,20 +979,6 @@ fn for_each_port_entry<M: WireMessage>(
     })
 }
 
-/// The relay data plane's staging: one frame builder per destination shard,
-/// encoding every edge of a broadcast, as the mesh does.
-impl<M: WireMessage> CrossShard<M> for [DataFrameBuilder] {
-    fn port(&mut self, to: usize, slot: u32, sender: u32, msg: M) {
-        self[to].push(slot, sender, &msg);
-    }
-
-    fn broadcast(&mut self, to: usize, sender: u32, msg: M, dests: &[u32]) {
-        for &slot in dests {
-            self[to].push(slot, sender, &msg);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The direct worker↔worker data mesh
 // ---------------------------------------------------------------------------
@@ -1004,8 +987,8 @@ impl<M: WireMessage> CrossShard<M> for [DataFrameBuilder] {
 /// shard, carrying the per-round data frames, and the one nonblocking
 /// drain (see the [module docs](self)).
 ///
-/// Worker processes connect it with [`WorkerMesh::connect`] and drive it as
-/// the mesh [`DataPlane`], so the coordinator only paces rounds;
+/// Worker processes connect it with [`WorkerMesh::connect`] and serve over
+/// it ([`serve_shard_with`]), so the coordinator only paces rounds;
 /// [`SocketLoopback`] builds one per shard thread over socketpairs or TCP
 /// loopback.  Either way it is a [`Transport`]: per round it seals one data
 /// frame per peer — empty if nothing crossed that pair, so receivers always
@@ -1172,51 +1155,6 @@ impl<M: TransportMessage> Transport<M> for WorkerMesh {
 // The remote (multi-process) protocol
 // ---------------------------------------------------------------------------
 
-/// The data-frame path of a remote worker: relayed through the coordinator
-/// (the default star topology) or exchanged peer-to-peer over a
-/// [`WorkerMesh`].
-///
-/// Control frames ([`RoundStart`](FrameKind::RoundStart),
-/// [`Vote`](FrameKind::Vote), [`Output`](FrameKind::Output)) always travel
-/// over the coordinator link; only the per-round
-/// [`Data`](FrameKind::Data) frames move.
-#[derive(Debug)]
-pub enum DataPlane {
-    /// Every data frame goes to the coordinator, which relays it to the
-    /// destination shard.  Two network hops per frame, no worker↔worker
-    /// connections.
-    Relay,
-    /// Data frames travel directly between the workers over a full mesh of
-    /// connections.  One hop per frame; the coordinator relays nothing
-    /// (its [`RunMetrics::relayed_data_bytes`] stays zero).
-    Mesh(WorkerMesh),
-}
-
-/// Serves one shard of a simulation over a blocking link to the coordinator
-/// — the worker-process half of the multi-process backend (the `exp_worker`
-/// binary is a thin wrapper around this).  Relay-mode shorthand for
-/// [`serve_shard_on`] with [`DataPlane::Relay`].
-///
-/// # Errors
-///
-/// Propagates link I/O failures and protocol violations as `io::Error`.
-///
-/// # Panics
-///
-/// Panics on CONGEST contract violations by the algorithm (double-send on a
-/// port), exactly like the in-process executors.
-pub fn serve_shard<A: NodeAlgorithm, L: Read + Write, T: ShardTopologyView>(
-    link: &mut L,
-    topology: &T,
-    shard: usize,
-    nodes: Vec<A>,
-) -> std::io::Result<()>
-where
-    A::Output: WireMessage,
-{
-    serve_shard_on(link, topology, shard, nodes, &mut DataPlane::Relay)
-}
-
 /// Optional behaviours of a worker's round loop ([`serve_shard_with`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServeOptions {
@@ -1380,8 +1318,10 @@ pub fn decode_output_payload<O: WireMessage>(
     Ok(shard)
 }
 
-/// Serves one shard of a simulation over a blocking link to the coordinator,
-/// moving data frames over the given [`DataPlane`].
+/// Serves one shard of a simulation over a blocking link to the coordinator
+/// — the worker-process half of the multi-process backend (the `exp_worker`
+/// binary is a thin wrapper around this) — exchanging data frames with the
+/// other workers over `mesh`.
 ///
 /// `topology` only needs the [`ShardTopologyView`] surface, so a worker can
 /// serve from a [`ShardSliceTopology`](crate::sharded::ShardSliceTopology)
@@ -1391,41 +1331,15 @@ pub fn decode_output_payload<O: WireMessage>(
 /// in node order; they are initialised here with their global contexts, so
 /// every process derives identical state from identical inputs.
 ///
-/// Per round the worker: receives the coordinator's
-/// [`RoundStart`](FrameKind::RoundStart); runs the send phase, filling its
-/// own inbox slots directly for intra-shard traffic and wire-encoding
-/// cross-shard messages into one data frame per destination shard; flushes
-/// those frames over the data plane (coordinator relay or direct mesh);
-/// reads the other shards' frames and fills its slots; runs the receive
-/// phase; and reports its halting vote ([`Vote`](FrameKind::Vote), the
-/// shard's active count).  On stop it sends one [`Output`](FrameKind::Output)
-/// frame carrying its counters (including its peak RSS) and its nodes'
-/// wire-encoded outputs.
-///
-/// # Errors
-///
-/// Propagates link I/O failures and protocol violations as `io::Error`.
-///
-/// # Panics
-///
-/// Panics on CONGEST contract violations by the algorithm (double-send on a
-/// port), exactly like the in-process executors.
-pub fn serve_shard_on<A: NodeAlgorithm, L: Read + Write, T: ShardTopologyView>(
-    link: &mut L,
-    topology: &T,
-    shard: usize,
-    nodes: Vec<A>,
-    data: &mut DataPlane,
-) -> std::io::Result<()>
-where
-    A::Output: WireMessage,
-{
-    serve_shard_with(link, topology, shard, nodes, data, &ServeOptions::default())
-}
-
-/// [`serve_shard_on`] with explicit [`ServeOptions`] — the full-surface
-/// entry point; the other two `serve_shard*` functions are shorthands for
-/// default options.
+/// The worker runs its kernel's round loop with the rounds decided by
+/// frames: it votes ([`Vote`](FrameKind::Vote), the shard's active count)
+/// and reads the coordinator's [`RoundStart`](FrameKind::RoundStart), which
+/// starts the next round or stops the run; per round it fills its own inbox
+/// slots directly for intra-shard traffic, wire-encodes cross-shard
+/// messages into one data frame per destination shard, flushes them over
+/// the mesh, and reads the other shards' frames into its slots.  On stop it
+/// sends one [`Output`](FrameKind::Output) frame carrying its counters
+/// (including its peak RSS) and its nodes' wire-encoded outputs.
 ///
 /// With a nonzero [`ServeOptions::stats_every`] the worker additionally
 /// emits a [`Stats`](FrameKind::Stats) frame every `k` rounds, immediately
@@ -1445,7 +1359,7 @@ pub fn serve_shard_with<A: NodeAlgorithm, L: Read + Write, T: ShardTopologyView>
     topology: &T,
     shard: usize,
     mut nodes: Vec<A>,
-    data: &mut DataPlane,
+    mesh: WorkerMesh,
     opts: &ServeOptions,
 ) -> std::io::Result<()>
 where
@@ -1459,8 +1373,7 @@ where
         "need exactly one algorithm instance per shard node"
     );
     let n = topology.num_nodes();
-    let shards = topology.num_shards();
-    check_wire_shard_count(shards)?;
+    check_wire_shard_count(topology.num_shards())?;
     let me = shard as u16;
 
     let contexts: Vec<NodeContext> = node_range
@@ -1476,10 +1389,7 @@ where
     for (node, ctx) in nodes.iter_mut().zip(&contexts) {
         node.init(ctx);
     }
-
     let mut slots: Vec<Option<A::Message>> = (0..slot_range.len()).map(|_| None).collect();
-    let mut batches: Vec<DataFrameBuilder> = (0..shards).map(|_| DataFrameBuilder::new()).collect();
-    let mut outbuf: Vec<u8> = Vec::new();
 
     // Trace capture is strictly local until the final Trace frame: the
     // recorder's epoch is this worker's monotonic origin (the documented
@@ -1492,7 +1402,7 @@ where
     if let Some(cap) = &capture {
         cap.emit(&TraceEvent::WorkerStart { shard });
     }
-    let mut kernel = ShardKernel::<_, _, ShardRows>::new(
+    let kernel = ShardKernel::<_, _, ShardRows>::new(
         topology,
         shard,
         &mut nodes,
@@ -1501,92 +1411,18 @@ where
         DeliveryMode::Strict,
         tracer,
     );
-
-    // Initial halting vote: the active count before round 0.
-    write_vote(link, 0, me, kernel.admit() as u64)?;
-
-    let epoch = Instant::now();
-    let mut round: u64 = 0;
-    loop {
-        let frame = read_frame(link)?;
-        if frame.header.kind != FrameKind::RoundStart {
-            return Err(protocol_error("expected a RoundStart frame"));
-        }
-        frame.header.expect(round, COORDINATOR, me)?;
-        let stop = *frame
-            .payload
-            .first()
-            .ok_or_else(|| protocol_error("RoundStart frame missing its stop flag"))?
-            != 0;
-        if stop {
-            break;
-        }
-
-        match data {
-            DataPlane::Relay => kernel.send_route(round, &mut batches[..]),
-            DataPlane::Mesh(mesh) => kernel.send_route(round, mesh),
-        }
-        // One data frame per destination shard.
-        kernel.flush(round, || -> std::io::Result<u64> {
-            match data {
-                DataPlane::Relay => {
-                    outbuf.clear();
-                    let mut bytes = 0;
-                    for (to, batch) in batches.iter_mut().enumerate() {
-                        if to != shard {
-                            bytes += batch.seal(round, me, to as u16, &mut outbuf);
-                        }
-                    }
-                    link.write_all(&outbuf)?;
-                    link.flush()?;
-                    Ok(bytes)
-                }
-                DataPlane::Mesh(mesh) => Ok(Transport::<A::Message>::flush(mesh, round)),
-            }
-        })?;
-        // Every other shard's frames.
-        kernel.deliver(round, |sink| -> std::io::Result<()> {
-            match data {
-                DataPlane::Relay => {
-                    for from in (0..shards).filter(|&from| from != shard) {
-                        let frame = read_frame(link)?;
-                        if frame.header.kind != FrameKind::Data {
-                            return Err(protocol_error("expected a relayed data frame"));
-                        }
-                        frame.header.expect(round, from as u16, me)?;
-                        for_each_port_entry(&frame.payload, sink)?;
-                    }
-                    Ok(())
-                }
-                DataPlane::Mesh(mesh) => Ok(Transport::<A::Message>::drain(mesh, round, sink)?),
-            }
-        })?;
-        let active = kernel.receive_compact(round) as u64;
-        round += 1;
-        if opts.stats_every > 0 && round % opts.stats_every == 0 {
-            write_stats(
-                link,
-                me,
-                &WorkerStats {
-                    shard,
-                    round,
-                    active,
-                    wire_bytes: kernel.report().wire_bytes_sent,
-                    peak_rss_bytes: crate::metrics::process_peak_rss_bytes(),
-                    elapsed_nanos: epoch.elapsed().as_nanos() as u64,
-                },
-            )?;
-        }
-        write_vote(link, round, me, active)?;
-    }
-
-    // --- Final report: counters + wire-encoded outputs -------------------
-    let mut report = kernel.finish();
-    report.syscall_batches = match data {
-        // All peers' frames of a round leave in one coalesced write.
-        DataPlane::Relay => round,
-        DataPlane::Mesh(mesh) => Transport::<A::Message>::syscall_batches(mesh),
+    let mut frames = Frames {
+        link: &mut *link,
+        mesh,
+        me,
+        next: 0,
+        stats_every: opts.stats_every,
+        epoch: Instant::now(),
+        wire_bytes: 0,
     };
+    let mut report = kernel.run(&mut frames)?;
+    let round = frames.next;
+
     // The captured trace ships as one out-of-band frame ahead of the
     // Output frame on the same ordered link, mirroring how Stats frames
     // precede Votes — the coordinator merges (or discards) it without any
@@ -1621,6 +1457,75 @@ where
     Ok(())
 }
 
+/// A worker process's rounds, decided by the coordinator's frames: the
+/// [`RoundSync`] of [`serve_shard_with`].  Data crosses the mesh, whose
+/// drain waits for every peer's frame, so the waits between steps are
+/// no-ops.
+struct Frames<'l, L> {
+    link: &'l mut L,
+    mesh: WorkerMesh,
+    me: u16,
+    /// The round the next `RoundStart` is stamped with: the rounds run.
+    next: u64,
+    stats_every: u64,
+    /// When the worker entered its round loop, for the Stats frames.
+    epoch: Instant,
+    /// The wire bytes flushed so far, for the Stats frames.
+    wire_bytes: u64,
+}
+
+impl<M: TransportMessage, L: Read + Write> RoundSync<M> for Frames<'_, L> {
+    type Stage = WorkerMesh;
+    type Error = std::io::Error;
+
+    /// Writes the Stats frame when one is due, then the vote, then reads
+    /// the coordinator's `RoundStart`.
+    fn decide(&mut self, active: usize) -> std::io::Result<Option<u64>> {
+        let round = self.next;
+        if self.stats_every > 0 && round > 0 && round % self.stats_every == 0 {
+            let stats = WorkerStats {
+                shard: self.me as usize,
+                round,
+                active: active as u64,
+                wire_bytes: self.wire_bytes,
+                peak_rss_bytes: crate::metrics::process_peak_rss_bytes(),
+                elapsed_nanos: self.epoch.elapsed().as_nanos() as u64,
+            };
+            write_stats(self.link, self.me, &stats)?;
+        }
+        write_vote(self.link, round, self.me, active as u64)?;
+        let frame = read_frame(self.link)?;
+        if frame.header.kind != FrameKind::RoundStart {
+            return Err(protocol_error("expected a RoundStart frame"));
+        }
+        frame.header.expect(round, COORDINATOR, self.me)?;
+        let stop = *frame
+            .payload
+            .first()
+            .ok_or_else(|| protocol_error("RoundStart frame missing its stop flag"))?
+            != 0;
+        if stop {
+            return Ok(None);
+        }
+        self.next += 1;
+        Ok(Some(round))
+    }
+
+    fn stage(&mut self) -> &mut WorkerMesh {
+        &mut self.mesh
+    }
+
+    fn flush(&mut self, round: u64) -> std::io::Result<u64> {
+        let bytes = Transport::<M>::flush(&mut self.mesh, round);
+        self.wire_bytes += bytes;
+        Ok(bytes)
+    }
+
+    fn drain(&mut self, round: u64, sink: &mut dyn FnMut(Entry<M>)) -> std::io::Result<()> {
+        Ok(Transport::<M>::drain(&mut self.mesh, round, sink)?)
+    }
+}
+
 /// Parameters of a [`coordinate`] run.
 ///
 /// The coordinator never needs the graph itself — only its global shape —
@@ -1636,10 +1541,6 @@ pub struct CoordinateSpec {
     /// Round cap, after which the run stops with
     /// [`RunMetrics::hit_round_cap`] set.
     pub max_rounds: u64,
-    /// When true the workers exchange data frames peer-to-peer over a
-    /// [`WorkerMesh`] and the coordinator skips its collect/relay phases,
-    /// carrying only control frames.
-    pub mesh: bool,
     /// When true, incoming [`Stats`](FrameKind::Stats) telemetry frames are
     /// rendered as `heartbeat:` lines on stderr.  Stats frames are consumed
     /// (and validated) either way, so a worker running with a nonzero
@@ -1651,12 +1552,9 @@ pub struct CoordinateSpec {
 /// per shard worker (in any order — workers are identified by the shard
 /// index of their initial vote).
 ///
-/// In relay mode the coordinator forwards each round's data frames between
-/// the workers (counting the forwarded bytes in
-/// [`RunMetrics::relayed_data_bytes`]); in mesh mode
-/// ([`CoordinateSpec::mesh`]) the workers exchange them directly and the
-/// coordinator only paces rounds.  Either way it tallies the halting votes
-/// to decide rounds exactly like the in-process executors, and finally
+/// The workers exchange data frames among themselves over their mesh, so
+/// the coordinator carries only control frames: it tallies the halting
+/// votes to decide rounds by the in-process executors' rule, and finally
 /// merges the per-shard counters (in shard order, so totals are
 /// deterministic) and reassembles the node outputs.
 ///
@@ -1730,27 +1628,14 @@ pub fn coordinate_traced<O: WireMessage, L: Read + Write>(
     }
 
     let mut metrics = RunMetrics::default();
-    let mut round: u64 = 0;
-    let mut relay: Vec<Vec<Option<Frame>>> = (0..shards)
-        .map(|_| (0..shards).map(|_| None).collect())
-        .collect();
-    if let Some(sink) = trace {
-        sink.emit(&TraceEvent::RunStart {
-            nodes: spec.num_nodes,
-            shards,
-        });
-    }
+    let tracer: &dyn TraceSink = match trace {
+        Some(sink) => sink,
+        None => &NoTrace,
+    };
+    let mut rounds = Rounds::lead(spec.num_nodes, shards, spec.max_rounds, tracer);
     loop {
-        let total: u64 = counts.iter().sum();
-        let stop = if total == 0 {
-            true
-        } else if round >= spec.max_rounds {
-            metrics.hit_round_cap = true;
-            true
-        } else {
-            metrics.active_per_round.push(total as usize);
-            false
-        };
+        let round = rounds.next();
+        let stop = rounds.decide(counts.iter().sum::<u64>() as usize).is_none();
         for (s, link) in links.iter_mut().enumerate() {
             write_frame(
                 link,
@@ -1767,50 +1652,9 @@ pub fn coordinate_traced<O: WireMessage, L: Read + Write>(
         if stop {
             break;
         }
-        let round_t = Instant::now();
-        if let Some(sink) = trace {
-            sink.emit(&TraceEvent::RoundStart {
-                round,
-                active: total as usize,
-            });
-        }
-
-        if !spec.mesh {
-            // --- Collect every worker's outbound data frames --------------
-            let t = Instant::now();
-            for (s, link) in links.iter_mut().enumerate() {
-                for (to, slot) in relay[s].iter_mut().enumerate() {
-                    if to == s {
-                        continue;
-                    }
-                    let frame = read_frame(link)?;
-                    if frame.header.kind != FrameKind::Data {
-                        return Err(protocol_error("expected a data frame"));
-                    }
-                    frame.header.expect(round, s as u16, to as u16)?;
-                    metrics.relayed_data_bytes +=
-                        (4 + FRAME_HEADER_BYTES + frame.payload.len()) as u64;
-                    *slot = Some(frame);
-                }
-            }
-            metrics.phase_nanos.send += t.elapsed().as_nanos() as u64;
-
-            // --- Relay them, in sending-shard order per receiver ----------
-            let t = Instant::now();
-            for (to, link) in links.iter_mut().enumerate() {
-                for row in relay.iter_mut() {
-                    if let Some(frame) = row[to].take() {
-                        write_frame(link, frame.header, &frame.payload)?;
-                    }
-                }
-                link.flush()?;
-            }
-            metrics.phase_nanos.deliver += t.elapsed().as_nanos() as u64;
-        }
 
         // --- Tally the halting votes --------------------------------------
         let t = Instant::now();
-        round += 1;
         for (s, link) in links.iter_mut().enumerate() {
             // A worker may precede its vote with one out-of-band Stats
             // frame; the link is ordered, so telemetry can only appear here.
@@ -1819,7 +1663,7 @@ pub fn coordinate_traced<O: WireMessage, L: Read + Write>(
                 if frame.header.kind != FrameKind::Stats {
                     break frame;
                 }
-                frame.header.expect(round, s as u16, COORDINATOR)?;
+                frame.header.expect(round + 1, s as u16, COORDINATOR)?;
                 let stats = parse_stats(&frame)?;
                 if spec.progress {
                     eprintln!(
@@ -1837,19 +1681,12 @@ pub fn coordinate_traced<O: WireMessage, L: Read + Write>(
             if frame.header.kind != FrameKind::Vote {
                 return Err(protocol_error("expected a vote frame"));
             }
-            frame.header.expect(round, s as u16, COORDINATOR)?;
+            frame.header.expect(round + 1, s as u16, COORDINATOR)?;
             counts[s] = parse_vote(&frame)?;
         }
         metrics.phase_nanos.receive += t.elapsed().as_nanos() as u64;
-        if let Some(sink) = trace {
-            sink.emit(&TraceEvent::RoundEnd {
-                round: round - 1,
-                active: counts.iter().sum::<u64>() as usize,
-                nanos: round_t.elapsed().as_nanos() as u64,
-            });
-        }
     }
-    metrics.rounds = round;
+    let round = rounds.next();
 
     // --- Merge the final reports in shard order ---------------------------
     let mut outputs: Vec<Option<O>> = Vec::with_capacity(spec.num_nodes);
@@ -1890,9 +1727,7 @@ pub fn coordinate_traced<O: WireMessage, L: Read + Write>(
         .enumerate()
         .map(|(v, o)| o.ok_or_else(|| protocol_error(&format!("no output for node {v}"))))
         .collect::<Result<_, _>>()?;
-    if let Some(sink) = trace {
-        sink.emit(&TraceEvent::RunEnd { rounds: round });
-    }
+    rounds.finish(&mut metrics);
     Ok(RunOutcome { outputs, metrics })
 }
 
@@ -1988,7 +1823,7 @@ mod tests {
     }
 
     fn mk(n: usize) -> Vec<Gossip> {
-        (0..n).map(|v| Gossip::new(1 + (v as u64 % 5))).collect()
+        (0..n).map(|v| Gossip::new(ttl(v))).collect()
     }
 
     fn assert_logically_equal(a: &RunOutcome<u64>, b: &RunOutcome<u64>, what: &str) {
@@ -2070,63 +1905,67 @@ mod tests {
         assert!(out.metrics.cross_shard_messages > 0);
     }
 
+    /// Runs gossip with node `v`'s ttl `ttl(v)` on `dense` in `shards`
+    /// worker threads standing in for worker processes: each builds its own
+    /// slice from the plan and serves it over a socketpair to the
+    /// coordinator and a TCP loopback mesh to the other workers.
     #[cfg(unix)]
-    #[test]
-    fn remote_protocol_matches_sequential_over_in_process_links() {
-        // The full multi-process protocol — coordinator relay, halting
-        // votes, output frames — exercised over socketpairs with worker
-        // threads standing in for worker processes.
-        let n = 19;
-        let dense = ring(n);
-        let seq = Simulator::new(&dense).run(mk(n));
-        for shards in [1, 2, 3] {
-            let g = ShardedTopology::from_topology(&dense, shards).unwrap();
-            let mut coordinator_links = Vec::new();
-            let mut worker_ends = Vec::new();
-            for _ in 0..shards {
-                let (c, w) = std::os::unix::net::UnixStream::pair().unwrap();
-                coordinator_links.push(c);
-                worker_ends.push(w);
+    fn run_remote(
+        dense: &Topology,
+        shards: usize,
+        max_rounds: u64,
+        ttl: impl Fn(usize) -> u64 + Sync,
+        opts: ServeOptions,
+        sink: Option<&ChromeTraceSink>,
+    ) -> RunOutcome<u64> {
+        let n = dense.num_nodes();
+        let stream = |emit: &mut dyn FnMut(usize, usize)| {
+            for (u, v) in dense.edges() {
+                emit(u, v);
             }
-            let out = std::thread::scope(|scope| {
-                for (shard, mut link) in worker_ends.drain(..).enumerate() {
-                    let g = &g;
-                    scope.spawn(move || {
-                        let range = g.shard_nodes(shard);
-                        let nodes: Vec<Gossip> =
-                            range.map(|v| Gossip::new(1 + (v as u64 % 5))).collect();
-                        serve_shard(&mut link, g, shard, nodes).expect("worker");
-                    });
-                }
-                let spec = CoordinateSpec {
-                    num_nodes: n,
-                    shards,
-                    max_rounds: 1_000_000,
-                    mesh: false,
-                    progress: false,
-                };
-                coordinate::<u64, _>(coordinator_links, &spec).expect("coordinator")
-            });
-            assert_logically_equal(&seq, &out, "remote");
-            assert_eq!(
-                out.metrics.intra_shard_messages + out.metrics.cross_shard_messages,
-                out.metrics.messages
-            );
-            assert_eq!(out.metrics.shard_phase_nanos.len(), shards);
-            assert!(
-                out.metrics.peak_rss_bytes > 0,
-                "workers must report their peak RSS"
-            );
-            if shards > 1 {
-                assert!(out.metrics.wire_bytes_sent > 0);
-                assert_eq!(
-                    out.metrics.relayed_data_bytes, out.metrics.wire_bytes_sent,
-                    "relay mode forwards every sealed data frame, byte for byte"
-                );
-            } else {
-                assert_eq!(out.metrics.relayed_data_bytes, 0);
+        };
+        let plan = ShardPlan::from_edge_stream(n, shards, stream).unwrap();
+        // Every mesh listener is bound before any worker dials, so the peer
+        // list is complete up front and dials land in the backlog.
+        let listeners: Vec<std::net::TcpListener> = (0..shards)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
+            .collect();
+        let peers: Vec<(u16, String)> = listeners
+            .iter()
+            .enumerate()
+            .map(|(s, l)| (s as u16, l.local_addr().unwrap().to_string()))
+            .collect();
+        let (links, ends): (Vec<_>, Vec<_>) = (0..shards)
+            .map(|_| std::os::unix::net::UnixStream::pair().unwrap())
+            .unzip();
+        std::thread::scope(|scope| {
+            for (shard, (mut link, listener)) in ends.into_iter().zip(listeners).enumerate() {
+                let (plan, peers, ttl) = (plan.clone(), &peers, &ttl);
+                scope.spawn(move || {
+                    let slice = crate::sharded::ShardSliceTopology::build(plan, shard, stream)
+                        .expect("slice build");
+                    let mesh = WorkerMesh::connect(shard as u16, shards, peers, &listener)
+                        .expect("mesh connect");
+                    let nodes = slice
+                        .shard_nodes(shard)
+                        .map(|v| Gossip::new(ttl(v)))
+                        .collect();
+                    serve_shard_with(&mut link, &slice, shard, nodes, mesh, &opts).expect("worker");
+                });
             }
-        }
+            let spec = CoordinateSpec {
+                num_nodes: n,
+                shards,
+                max_rounds,
+                progress: false,
+            };
+            coordinate_traced::<u64, _>(links, &spec, sink).expect("coordinator")
+        })
+    }
+
+    /// The ttl schedule of [`mk`].
+    fn ttl(v: usize) -> u64 {
+        1 + (v as u64 % 5)
     }
 
     /// Telemetry is out-of-band: a run whose workers emit a Stats frame
@@ -2136,48 +1975,13 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn stats_frames_are_out_of_band() {
-        let n = 19;
-        let shards = 3;
-        let dense = ring(n);
-        let seq = Simulator::new(&dense).run(mk(n));
-        let g = ShardedTopology::from_topology(&dense, shards).unwrap();
-        let mut coordinator_links = Vec::new();
-        let mut worker_ends = Vec::new();
-        for _ in 0..shards {
-            let (c, w) = std::os::unix::net::UnixStream::pair().unwrap();
-            coordinator_links.push(c);
-            worker_ends.push(w);
-        }
-        let out = std::thread::scope(|scope| {
-            for (shard, mut link) in worker_ends.drain(..).enumerate() {
-                let g = &g;
-                scope.spawn(move || {
-                    let range = g.shard_nodes(shard);
-                    let nodes: Vec<Gossip> =
-                        range.map(|v| Gossip::new(1 + (v as u64 % 5))).collect();
-                    serve_shard_with(
-                        &mut link,
-                        g,
-                        shard,
-                        nodes,
-                        &mut DataPlane::Relay,
-                        &ServeOptions {
-                            stats_every: 1,
-                            ..ServeOptions::default()
-                        },
-                    )
-                    .expect("worker");
-                });
-            }
-            let spec = CoordinateSpec {
-                num_nodes: n,
-                shards,
-                max_rounds: 1_000_000,
-                mesh: false,
-                progress: false,
-            };
-            coordinate::<u64, _>(coordinator_links, &spec).expect("coordinator")
-        });
+        let dense = ring(19);
+        let seq = Simulator::new(&dense).run(mk(19));
+        let opts = ServeOptions {
+            stats_every: 1,
+            ..ServeOptions::default()
+        };
+        let out = run_remote(&dense, 3, 1_000_000, ttl, opts, None);
         assert_logically_equal(&seq, &out, "remote+stats");
     }
 
@@ -2188,52 +1992,16 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn trace_frames_are_out_of_band() {
-        let n = 19;
-        let shards = 3;
+        let (n, shards) = (19, 3);
         let dense = ring(n);
         let seq = Simulator::new(&dense).run(mk(n));
-        let g = ShardedTopology::from_topology(&dense, shards).unwrap();
         let run = |worker_trace: bool, coord_trace: bool| {
-            let mut coordinator_links = Vec::new();
-            let mut worker_ends = Vec::new();
-            for _ in 0..shards {
-                let (c, w) = std::os::unix::net::UnixStream::pair().unwrap();
-                coordinator_links.push(c);
-                worker_ends.push(w);
-            }
             let sink = coord_trace.then(ChromeTraceSink::new);
-            let out = std::thread::scope(|scope| {
-                for (shard, mut link) in worker_ends.drain(..).enumerate() {
-                    let g = &g;
-                    scope.spawn(move || {
-                        let nodes: Vec<Gossip> = g
-                            .shard_nodes(shard)
-                            .map(|v| Gossip::new(1 + (v as u64 % 5)))
-                            .collect();
-                        serve_shard_with(
-                            &mut link,
-                            g,
-                            shard,
-                            nodes,
-                            &mut DataPlane::Relay,
-                            &ServeOptions {
-                                stats_every: 0,
-                                trace: worker_trace,
-                            },
-                        )
-                        .expect("worker");
-                    });
-                }
-                let spec = CoordinateSpec {
-                    num_nodes: n,
-                    shards,
-                    max_rounds: 1_000_000,
-                    mesh: false,
-                    progress: false,
-                };
-                coordinate_traced::<u64, _>(coordinator_links, &spec, sink.as_ref())
-                    .expect("coordinator")
-            });
+            let opts = ServeOptions {
+                stats_every: 0,
+                trace: worker_trace,
+            };
+            let out = run_remote(&dense, shards, 1_000_000, ttl, opts, sink.as_ref());
             (out, sink)
         };
 
@@ -2280,9 +2048,10 @@ mod tests {
         assert_eq!(WorkerStats::default().round_rate(), 0.0);
     }
 
-    /// The mesh data plane: workers build only their own shard slice from
+    /// The remote protocol: workers build only their own shard slice from
     /// the plan, exchange data frames peer-to-peer over TCP, and the
-    /// coordinator — driving control frames only — relays zero data bytes.
+    /// coordinator — driving control frames only — relays zero data bytes
+    /// and reports the shard split and the workers' peak RSS.
     #[cfg(unix)]
     #[test]
     fn mesh_protocol_matches_sequential_and_relays_nothing() {
@@ -2290,69 +2059,28 @@ mod tests {
         let dense = ring(n);
         let seq = Simulator::new(&dense).run(mk(n));
         for shards in [1, 2, 3] {
-            let plan = ShardPlan::from_edge_stream(n, shards, |emit| {
-                for (u, v) in dense.edges() {
-                    emit(u, v);
-                }
-            })
-            .unwrap();
-            // Every mesh listener is bound before any worker dials, so the
-            // peer list is complete up front and dials land in the backlog.
-            let listeners: Vec<std::net::TcpListener> = (0..shards)
-                .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
-                .collect();
-            let peer_list: Vec<(u16, String)> = listeners
-                .iter()
-                .enumerate()
-                .map(|(s, l)| (s as u16, l.local_addr().unwrap().to_string()))
-                .collect();
-            let mut coordinator_links = Vec::new();
-            let mut worker_ends = Vec::new();
-            for _ in 0..shards {
-                let (c, w) = std::os::unix::net::UnixStream::pair().unwrap();
-                coordinator_links.push(c);
-                worker_ends.push(w);
-            }
-            let out = std::thread::scope(|scope| {
-                for (shard, (mut link, listener)) in
-                    worker_ends.drain(..).zip(listeners).enumerate()
-                {
-                    let dense = &dense;
-                    let plan = plan.clone();
-                    let peer_list = peer_list.clone();
-                    scope.spawn(move || {
-                        let slice =
-                            crate::sharded::ShardSliceTopology::build(plan, shard, |emit| {
-                                for (u, v) in dense.edges() {
-                                    emit(u, v);
-                                }
-                            })
-                            .expect("slice build");
-                        let mesh = WorkerMesh::connect(shard as u16, shards, &peer_list, &listener)
-                            .expect("mesh connect");
-                        let nodes: Vec<Gossip> = slice
-                            .shard_nodes(shard)
-                            .map(|v| Gossip::new(1 + (v as u64 % 5)))
-                            .collect();
-                        serve_shard_on(&mut link, &slice, shard, nodes, &mut DataPlane::Mesh(mesh))
-                            .expect("worker");
-                    });
-                }
-                let spec = CoordinateSpec {
-                    num_nodes: n,
-                    shards,
-                    max_rounds: 1_000_000,
-                    mesh: true,
-                    progress: false,
-                };
-                coordinate::<u64, _>(coordinator_links, &spec).expect("coordinator")
-            });
+            let out = run_remote(
+                &dense,
+                shards,
+                1_000_000,
+                ttl,
+                ServeOptions::default(),
+                None,
+            );
             assert_logically_equal(&seq, &out, "mesh");
             assert_eq!(
                 out.metrics.relayed_data_bytes, 0,
-                "mesh mode must not relay data through the coordinator"
+                "the coordinator relays no data"
             );
-            assert!(out.metrics.peak_rss_bytes > 0);
+            assert_eq!(
+                out.metrics.intra_shard_messages + out.metrics.cross_shard_messages,
+                out.metrics.messages
+            );
+            assert_eq!(out.metrics.shard_phase_nanos.len(), shards);
+            assert!(
+                out.metrics.peak_rss_bytes > 0,
+                "workers must report their peak RSS"
+            );
             if shards > 1 {
                 assert!(out.metrics.wire_bytes_sent > 0);
                 assert!(
@@ -2363,103 +2091,11 @@ mod tests {
         }
     }
 
-    /// Relay and mesh runs seal byte-identical data frames, so the total
-    /// cross-shard wire bytes agree — the mesh saves the relay hop, not the
-    /// encoding.
-    #[cfg(unix)]
-    #[test]
-    fn mesh_and_relay_wire_bytes_agree() {
-        let n = 23;
-        let dense = ring(n);
-        let shards = 3;
-        let g = ShardedTopology::from_topology(&dense, shards).unwrap();
-        let run = |mesh: bool| {
-            let listeners: Vec<std::net::TcpListener> = (0..shards)
-                .map(|_| std::net::TcpListener::bind("127.0.0.1:0").unwrap())
-                .collect();
-            let peer_list: Vec<(u16, String)> = listeners
-                .iter()
-                .enumerate()
-                .map(|(s, l)| (s as u16, l.local_addr().unwrap().to_string()))
-                .collect();
-            let mut coordinator_links = Vec::new();
-            let mut worker_ends = Vec::new();
-            for _ in 0..shards {
-                let (c, w) = std::os::unix::net::UnixStream::pair().unwrap();
-                coordinator_links.push(c);
-                worker_ends.push(w);
-            }
-            std::thread::scope(|scope| {
-                for (shard, (mut link, listener)) in
-                    worker_ends.drain(..).zip(listeners).enumerate()
-                {
-                    let g = &g;
-                    let peer_list = peer_list.clone();
-                    scope.spawn(move || {
-                        let nodes: Vec<Gossip> = g
-                            .shard_nodes(shard)
-                            .map(|v| Gossip::new(1 + (v as u64 % 5)))
-                            .collect();
-                        let mut plane = if mesh {
-                            DataPlane::Mesh(
-                                WorkerMesh::connect(shard as u16, shards, &peer_list, &listener)
-                                    .expect("mesh connect"),
-                            )
-                        } else {
-                            DataPlane::Relay
-                        };
-                        serve_shard_on(&mut link, g, shard, nodes, &mut plane).expect("worker");
-                    });
-                }
-                let spec = CoordinateSpec {
-                    num_nodes: n,
-                    shards,
-                    max_rounds: 1_000_000,
-                    mesh,
-                    progress: false,
-                };
-                coordinate::<u64, _>(coordinator_links, &spec).expect("coordinator")
-            })
-        };
-        let relay = run(false);
-        let mesh = run(true);
-        assert_logically_equal(&relay, &mesh, "relay vs mesh");
-        assert_eq!(relay.metrics.wire_bytes_sent, mesh.metrics.wire_bytes_sent);
-        assert!(relay.metrics.relayed_data_bytes > 0);
-        assert_eq!(mesh.metrics.relayed_data_bytes, 0);
-    }
-
     #[cfg(unix)]
     #[test]
     fn remote_protocol_respects_the_round_cap() {
         let n = 9;
-        let dense = ring(n);
-        let g = ShardedTopology::from_topology(&dense, 2).unwrap();
-        let mut coordinator_links = Vec::new();
-        let mut worker_ends = Vec::new();
-        for _ in 0..2 {
-            let (c, w) = std::os::unix::net::UnixStream::pair().unwrap();
-            coordinator_links.push(c);
-            worker_ends.push(w);
-        }
-        let out = std::thread::scope(|scope| {
-            for (shard, mut link) in worker_ends.drain(..).enumerate() {
-                let g = &g;
-                scope.spawn(move || {
-                    let range = g.shard_nodes(shard);
-                    let nodes: Vec<Gossip> = range.map(|_| Gossip::new(u64::MAX)).collect();
-                    serve_shard(&mut link, g, shard, nodes).expect("worker");
-                });
-            }
-            let spec = CoordinateSpec {
-                num_nodes: n,
-                shards: 2,
-                max_rounds: 4,
-                mesh: false,
-                progress: false,
-            };
-            coordinate::<u64, _>(coordinator_links, &spec).expect("coordinator")
-        });
+        let out = run_remote(&ring(n), 2, 4, |_| u64::MAX, ServeOptions::default(), None);
         assert_eq!(out.metrics.rounds, 4);
         assert!(out.metrics.hit_round_cap);
         assert_eq!(out.metrics.active_per_round, vec![n; 4]);
@@ -2663,24 +2299,21 @@ mod tests {
     }
 
     /// Serves shard 1 of a two-shard ring against a stand-in coordinator
-    /// that starts round 0, with `forged` arriving as shard 0's data frame —
-    /// relayed by the coordinator, or on shard 0's end of a loopback mesh —
-    /// and returns the error the worker stops with.
+    /// that starts round 0, with `forged` arriving on shard 0's end of a
+    /// loopback mesh as its data frame, and returns the error the worker
+    /// stops with.
     #[cfg(unix)]
-    fn serve_forged_frame(mesh: bool, forged: &[u8]) -> std::io::Error {
+    fn serve_forged_frame(forged: &[u8]) -> std::io::Error {
         let g = ShardedTopology::from_topology(&ring(8), 2).unwrap();
         let mut ends = SocketLoopback::unix().build::<u64>(&g).unwrap();
-        let (mut plane, mut shard0) = if mesh {
-            let shard1 = ends.pop().expect("shard 1's endpoint");
-            (DataPlane::Mesh(shard1), ends.pop())
-        } else {
-            (DataPlane::Relay, None)
-        };
+        let shard1 = ends.pop().expect("shard 1's endpoint");
+        let mut shard0 = ends.pop().expect("shard 0's endpoint");
         let (mut coordinator, mut link) = std::os::unix::net::UnixStream::pair().unwrap();
         std::thread::scope(|scope| {
             let worker = scope.spawn(|| {
                 let nodes: Vec<Gossip> = g.shard_nodes(1).map(|_| Gossip::new(3)).collect();
-                serve_shard_on(&mut link, &g, 1, nodes, &mut plane)
+                let opts = ServeOptions::default();
+                serve_shard_with(&mut link, &g, 1, nodes, shard1, &opts)
             });
             let vote = read_frame(&mut coordinator).expect("initial vote");
             assert_eq!(vote.header.kind, FrameKind::Vote);
@@ -2691,16 +2324,7 @@ mod tests {
                 to: 1,
             };
             write_frame(&mut coordinator, start, &[0]).expect("round start");
-            match &mut shard0 {
-                Some(shard0) => forge(shard0, forged),
-                None => {
-                    let sent = read_frame(&mut coordinator).expect("the worker's data frame");
-                    assert_eq!(sent.header.kind, FrameKind::Data);
-                    coordinator
-                        .write_all(forged)
-                        .expect("relay the forged frame");
-                }
-            }
+            forge(&mut shard0, forged);
             // A worker that accepted the frame now fails on the closed link
             // instead of waiting for the next round forever.
             coordinator
@@ -2854,38 +2478,28 @@ mod tests {
         assert_logically_equal(&run, &once, "async, every broadcast entry twice");
     }
 
-    /// Forged frames reaching a worker are typed errors, never panics: an
-    /// entry whose slot lies below or above the receiving shard's slots,
-    /// and a non-data frame where a data frame is owed, on the relay and on
-    /// the mesh path.
+    /// Forged frames reaching a worker over the mesh are typed errors,
+    /// never panics: an entry whose slot lies below or above the receiving
+    /// shard's slots, and a non-data frame where a data frame is owed.
     #[cfg(unix)]
     #[test]
     fn forged_relay_and_mesh_frames_are_checked_transport_errors() {
         let own = ShardedTopology::from_topology(&ring(8), 2)
             .unwrap()
             .shard_slots(1);
-        let below = own.start as u32 - 1;
-        let above = own.end as u32;
-        for mesh in [false, true] {
-            for slot in [below, above] {
-                let err = serve_forged_frame(mesh, &one_entry_frame(slot)).to_string();
-                assert!(
-                    err.contains(&format!("slot {slot} ")) && err.contains("shard 1"),
-                    "mesh={mesh} slot {slot}: unexpected error: {err}"
-                );
-            }
-        }
-        let vote = frame(FrameKind::Vote, 0, &0u64.to_le_bytes());
-        for (mesh, expected) in [
-            (false, "expected a relayed data frame"),
-            (true, "expected a data frame from shard 0, got a Vote frame"),
-        ] {
-            let err = serve_forged_frame(mesh, &vote).to_string();
+        for slot in [own.start as u32 - 1, own.end as u32] {
+            let err = serve_forged_frame(&one_entry_frame(slot)).to_string();
             assert!(
-                err.contains(expected),
-                "mesh={mesh}: unexpected error: {err}"
+                err.contains(&format!("slot {slot} ")) && err.contains("shard 1"),
+                "slot {slot}: unexpected error: {err}"
             );
         }
+        let vote = frame(FrameKind::Vote, 0, &0u64.to_le_bytes());
+        let err = serve_forged_frame(&vote).to_string();
+        assert!(
+            err.contains("expected a data frame from shard 0, got a Vote frame"),
+            "unexpected error: {err}"
+        );
     }
 
     /// Runs `run` on its own thread and waits at most a minute for it, so a

@@ -1,10 +1,12 @@
 //! Property-based executor equivalence: on random topologies with random
 //! halting schedules, every driver of the round kernel — the
 //! single-threaded driver on `Topology` and on a multi-shard
-//! `ShardedTopology`, `ExecutionMode::Parallel`, and the threaded driver
+//! `ShardedTopology`, `ExecutionMode::Parallel`, the threaded driver
 //! under **every transport backend** (in-process staging queues and the
-//! wire-codec'd socket loopback) — must produce the outputs, round counts
-//! and message accounting of an independent reference loop.
+//! wire-codec'd socket loopback), and the worker-process driver (worker
+//! threads on a TCP mesh, paced by the coordinator) — must produce the
+//! outputs, round counts and message accounting of an independent
+//! reference loop.
 //!
 //! This is the engine contract stated in `dcme_congest::executor`: every
 //! `Executor` is bit-for-bit equivalent (all metrics except wall-clock
@@ -31,11 +33,12 @@ use dcme_baselines::degree_plus_one::{self, DegreePlusOneNode};
 use dcme_baselines::ultrafast::{self, UltrafastNode};
 use dcme_congest::transport::InProcessTransport;
 use dcme_congest::{
-    Entry, ExecutionMode, FaultPlan, FaultyTransport, InProcess, Inbox, MessageSize, NodeAlgorithm,
-    NodeContext, Outbox, RecordingSink, RunMetrics, RunOutcome, ShardPlan, ShardSliceTopology,
-    ShardTopologyView, ShardedExecutor, ShardedTopology, Simulator, SimulatorConfig,
-    SocketLoopback, Topology, TopologyError, TopologyView, TraceEvent, Transport, TransportBuilder,
-    TransportError, TransportMessage,
+    coordinate, serve_shard_with, CoordinateSpec, Entry, ExecutionMode, FaultPlan, FaultyTransport,
+    InProcess, Inbox, MessageSize, NodeAlgorithm, NodeContext, Outbox, RecordingSink, RunMetrics,
+    RunOutcome, ServeOptions, ShardPlan, ShardSliceTopology, ShardTopologyView, ShardedExecutor,
+    ShardedTopology, Simulator, SimulatorConfig, SocketLoopback, Topology, TopologyError,
+    TopologyView, TraceEvent, Transport, TransportBuilder, TransportError, TransportMessage,
+    WireMessage, WorkerMesh,
 };
 use dcme_graphs::generators::{self, GraphFamily};
 use dcme_graphs::{streaming, InducedSubgraph};
@@ -283,6 +286,17 @@ fn assert_matches_oracle<O: PartialEq + std::fmt::Debug>(
     Ok(())
 }
 
+/// Asserts a sharded driver's split: one phase timing per shard, and every
+/// message on exactly one side of a shard boundary (none across one shard).
+fn assert_shard_split(m: &RunMetrics, shards: usize) -> Result<(), TestCaseError> {
+    prop_assert_eq!(m.shard_phase_nanos.len(), shards, "shard timings");
+    prop_assert_eq!(m.intra_shard_messages + m.cross_shard_messages, m.messages);
+    if shards == 1 {
+        prop_assert_eq!(m.cross_shard_messages, 0);
+    }
+    Ok(())
+}
+
 /// Runs `mk()` with a round cap of `cap` on every driver: the
 /// single-threaded driver on `g` and on a `shards`-shard copy,
 /// `ExecutionMode::Parallel { threads }`, and the threaded driver over the
@@ -322,6 +336,66 @@ fn every_driver<A: NodeAlgorithm>(
             ),
         ),
     ]
+}
+
+/// Runs `mk()` with a round cap of `cap` on the worker-process driver: one
+/// thread per shard standing in for a worker process, each building its
+/// slice of `g` from the plan and serving it over a socketpair to the
+/// coordinator and a TCP loopback mesh to the other workers.
+fn remote_run<A: NodeAlgorithm>(
+    g: &Topology,
+    shards: usize,
+    cap: u64,
+    mk: impl Fn() -> Vec<A>,
+) -> RunOutcome<A::Output>
+where
+    A::Output: WireMessage,
+{
+    let n = g.num_nodes();
+    let stream = |emit: &mut dyn FnMut(usize, usize)| {
+        for (u, v) in g.edges() {
+            emit(u, v);
+        }
+    };
+    let plan = ShardPlan::from_edge_stream(n, shards, stream).expect("a valid edge stream");
+    let mut nodes = mk();
+    let mut shares: Vec<Vec<A>> = (0..shards)
+        .rev()
+        .map(|s| nodes.split_off(plan.shard_nodes(s).start))
+        .collect();
+    shares.reverse();
+    // Every mesh listener is bound before any worker dials.
+    let listeners: Vec<std::net::TcpListener> = (0..shards)
+        .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind a mesh listener"))
+        .collect();
+    let peers: Vec<(u16, String)> = listeners
+        .iter()
+        .enumerate()
+        .map(|(s, l)| (s as u16, l.local_addr().unwrap().to_string()))
+        .collect();
+    let (links, ends): (Vec<_>, Vec<_>) = (0..shards)
+        .map(|_| std::os::unix::net::UnixStream::pair().expect("a socketpair"))
+        .unzip();
+    std::thread::scope(|scope| {
+        let workers = ends.into_iter().zip(listeners).zip(shares).enumerate();
+        for (shard, ((mut link, listener), nodes)) in workers {
+            let (plan, peers) = (plan.clone(), &peers);
+            scope.spawn(move || {
+                let slice = ShardSliceTopology::build(plan, shard, stream).expect("slice build");
+                let mesh = WorkerMesh::connect(shard as u16, shards, peers, &listener)
+                    .expect("mesh connect");
+                let opts = ServeOptions::default();
+                serve_shard_with(&mut link, &slice, shard, nodes, mesh, &opts).expect("worker");
+            });
+        }
+        let spec = CoordinateSpec {
+            num_nodes: n,
+            shards,
+            max_rounds: cap,
+            progress: false,
+        };
+        coordinate::<A::Output, _>(links, &spec).expect("coordinator")
+    })
 }
 
 /// A deterministic workload with a per-node halting schedule: node `v`
@@ -755,14 +829,11 @@ proptest! {
                 "parallel" => threads,
                 _ => shards,
             };
-            prop_assert_eq!(m.shard_phase_nanos.len(), shard_count, "{} shards", name);
             if shard_count == 0 {
+                prop_assert_eq!(m.shard_phase_nanos.len(), 0, "{} shards", name);
                 prop_assert_eq!(m.intra_shard_messages + m.cross_shard_messages, 0);
             } else {
-                prop_assert_eq!(m.intra_shard_messages + m.cross_shard_messages, m.messages);
-            }
-            if shard_count == 1 {
-                prop_assert_eq!(m.cross_shard_messages, 0);
+                assert_shard_split(m, shard_count)?;
             }
         }
         // Transport counters describe the backend: the in-memory queues
@@ -772,6 +843,11 @@ proptest! {
         prop_assert_eq!(inproc.wire_bytes_sent, 0);
         prop_assert_eq!(sock.wire_bytes_sent > 0, shards > 1 && sock.rounds > 0);
 
+        // The worker-process driver, with its shard split.
+        let remote = remote_run(&g, shards, 1_000_000, mk);
+        assert_matches_oracle("remote", &oracle, &remote)?;
+        assert_shard_split(&remote.metrics, shards)?;
+
         // Per-port messages next to broadcasts: both entry kinds cross the
         // same shard pairs in one round, on every driver and transport.
         let mixed = || ttls.iter().map(|&t| MixedSender::new(ttl_seed, t)).collect::<Vec<_>>();
@@ -779,6 +855,9 @@ proptest! {
         for (name, run) in &every_driver(&g, shards, threads, 1_000_000, mixed) {
             assert_matches_oracle(name, &oracle, run)?;
         }
+        let remote = remote_run(&g, shards, 1_000_000, mixed);
+        assert_matches_oracle("remote", &oracle, &remote)?;
+        assert_shard_split(&remote.metrics, shards)?;
     }
 
     /// The in-process transport carries one entry per broadcasting sender
@@ -1022,7 +1101,7 @@ proptest! {
     #[test]
     fn round_cap_agrees_across_executors(
         size in 8usize..40,
-        cap in 1u64..6,
+        cap in 0u64..6,
         shards in 1usize..5,
         threads in 1usize..4,
     ) {
@@ -1035,6 +1114,7 @@ proptest! {
         for (name, run) in every_driver(&g, shards, threads, cap, mk) {
             assert_matches_oracle(name, &oracle, &run)?;
         }
+        assert_matches_oracle("remote", &oracle, &remote_run(&g, shards, cap, mk))?;
     }
 }
 
