@@ -94,11 +94,11 @@ impl<M> Outbox<M> {
 /// An inbox is a zero-copy *view* into the round engine's buffers.  Port
 /// `p` yields
 ///
-/// * the message in the node's inbox slot for `p` — one slot per port in
-///   the engine's per-run [`RoundState`] arena — if one landed there: every
-///   per-port message, every message a transport carried one entry per
-///   edge (the wire, the fault layer), and every broadcast from a node the
-///   kernel keeps no value for;
+/// * the message in the node's inbox slot for `p`, if one landed there:
+///   every per-port message, every message a transport carried one entry
+///   per edge (the wire, the fault layer), and every broadcast from a node
+///   the kernel keeps no value for.  A kernel allocates its slots the first
+///   time it fills one; until then it hands its nodes no slots at all;
 /// * else the *broadcast value* of the neighbour behind `p`, if the kernel
 ///   running this node keeps values for that neighbour: the nodes of its
 ///   own shard, and in one process the nodes its shard's ports lead to, if
@@ -106,11 +106,11 @@ impl<M> Outbox<M> {
 ///   value, which each receiver pulls through its row of neighbours,
 ///   instead of one slot written per edge.
 ///
-/// Because the CONGEST model allows at most one message per edge per round,
-/// a port yields at most one message (the engine rejects algorithms that try
-/// to send twice over the same port in one round).
-///
-/// [`RoundState`]: crate::executor::RoundState
+/// The node's ports are those of its slots, or of its row of neighbours
+/// when it has no slots.  Because the CONGEST model allows at most one
+/// message per edge per round, a port yields at most one message (the
+/// engine rejects algorithms that try to send twice over the same port in
+/// one round).
 #[derive(Debug)]
 pub struct Inbox<'a, M> {
     slots: &'a [Option<M>],
@@ -140,7 +140,8 @@ impl<'a, M> Inbox<'a, M> {
 
     /// An inbox whose port `p` yields `slots[p]`, else the value of the
     /// neighbour `neighbors[p]`, if it is one of the nodes `values` holds,
-    /// from `value_base` on.
+    /// from `value_base` on.  `slots` is one slot per port, or empty when
+    /// the kernel has none.
     pub(crate) fn pulled(
         slots: &'a [Option<M>],
         neighbors: &'a [u32],
@@ -163,19 +164,18 @@ impl<'a, M> Inbox<'a, M> {
     /// Iterator over `(port, message)` pairs in port order.
     pub fn iter(&self) -> impl Iterator<Item = (Port, &'a M)> {
         let inbox = *self;
-        (0..inbox.slots.len()).filter_map(move |p| inbox.from_port(p).map(|m| (p, m)))
+        let ports = inbox.slots.len().max(inbox.neighbors.len());
+        (0..ports).filter_map(move |p| inbox.from_port(p).map(|m| (p, m)))
     }
 
     /// The message that arrived on `port`, if any.
     #[inline]
     pub fn from_port(&self, port: Port) -> Option<&'a M> {
-        match self.slots.get(port)? {
-            Some(msg) => Some(msg),
-            None => {
-                let u = *self.neighbors.get(port)? as usize;
-                self.values.get(u.wrapping_sub(self.value_base))?.as_ref()
-            }
+        if let Some(Some(msg)) = self.slots.get(port) {
+            return Some(msg);
         }
+        let u = *self.neighbors.get(port)? as usize;
+        self.values.get(u.wrapping_sub(self.value_base))?.as_ref()
     }
 
     /// Number of messages received.
@@ -285,6 +285,27 @@ mod tests {
         assert_eq!((pulled.len(), pulled.is_empty()), (2, false));
         assert_eq!((reference.len(), reference.is_empty()), (2, false));
         let silent = Inbox::pulled(&[None, None], &[6, 9], &values, 4);
+        assert_eq!((silent.len(), silent.is_empty()), (0, true));
+        // A kernel that filled no slot hands out none: the row of
+        // neighbours bounds the ports.  Without port 0's slot message, the
+        // inbox is the slot inbox with that slot empty.
+        let slotless = Inbox::pulled(&[], &[3, 5, 6, 2, 9], &values, 4);
+        let reference = Inbox::from_slots(&[None, Some("five"), None, None, None]);
+        assert!(slotless.iter().eq(reference.iter()));
+        for p in 0..7 {
+            assert_eq!(slotless.from_port(p), reference.from_port(p), "port {p}");
+        }
+        assert_eq!((slotless.len(), slotless.is_empty()), (1, false));
+        assert_eq!((reference.len(), reference.is_empty()), (1, false));
+        // Neighbours 7 and 5 broadcast, and they sit behind the last ports.
+        let slotless = Inbox::pulled(&[], &[2, 6, 7, 5], &values, 4);
+        let reference = Inbox::from_slots(&[None, None, Some("seven"), Some("five")]);
+        assert!(slotless.iter().eq(reference.iter()));
+        for p in 0..6 {
+            assert_eq!(slotless.from_port(p), reference.from_port(p), "port {p}");
+        }
+        assert_eq!((slotless.len(), slotless.is_empty()), (2, false));
+        let silent = Inbox::pulled(&[], &[6, 9], &values, 4);
         assert_eq!((silent.len(), silent.is_empty()), (0, true));
         // The iterator borrows the engine's buffers, not the view.
         let ports: Vec<_> = {

@@ -8,10 +8,10 @@
 //! # One kernel
 //!
 //! Every round of every run is executed by a crate-private `ShardKernel`:
-//! one shard's nodes, contexts and inbox slots, one broadcast value per
-//! node of a range around its own nodes (see "The zero-allocation round
-//! loop" below), the lists of slots and values filled this round, its
-//! compact active list and counters.  It runs a round in three steps —
+//! one shard's nodes and inbox slots, one broadcast value per node of a
+//! range around its own nodes (see "Slots and values" below), the lists of
+//! slots and values filled this round, its compact active list and
+//! counters.  It runs a round in three steps —
 //!
 //! 1. **send + route**: clear the slots and values filled last round, ask
 //!    every active node for its outbox, and route each message through the
@@ -93,36 +93,46 @@
 //! counters), regardless of thread, shard or process count.  Tests assert
 //! this against an independent reference loop.
 //!
-//! # The zero-allocation round loop
+//! # Slots and values
 //!
-//! Inbox slots live in the [`RoundState`] arena: a flat, CSR-indexed vector
-//! with one slot per directed edge, allocated once per run.  A message from
+//! Each kernel owns its shard's inbox slots, one per port of the shard's
+//! nodes, indexed by the flat slot contract ([`TopologyView::port_range`];
+//! a shard's range is [`ShardTopologyView::shard_slots`]).  A message from
 //! `v` over port `p` lands in the slot of the reverse port at the receiving
-//! endpoint.  Each kernel owns a contiguous sub-range of the arena (its
-//! shard's nodes' slots), and one broadcast value per node of a range,
-//! allocated once per kernel.  The range is the shard's own nodes, widened
-//! to every node its ports lead to when the kernel's view holds those
-//! nodes' rows (in one process, not in a worker process) and the widening
-//! adds at most one value per eight of the shard's slots.  Source rows
-//! ascend, so one pass over their ends finds the range.  A broadcast from
-//! `v` writes one value in each kernel that keeps one for `v`, not one slot
-//! per port, and the receivers read it where they would have read their
-//! slots: the paper's elimination stage, whose nodes broadcast every round
-//! and compute one compare, is almost all such delivery.  A dense graph in
-//! few shards keeps a value for every node in every kernel; a sparse graph
-//! in many shards, whose remote senders reach a shard through about one
-//! port each and span the graph, keeps its own nodes' values only, and its
-//! cross-shard broadcasts land in slots.  The kernel clears only the slots
-//! and values it filled (its two lists), so quiet rounds cost `O(active)`
-//! rather than `O(n + m)`; its active list shrinks as nodes halt, so
-//! halted nodes stop costing even an `is_halted()` check per round.
+//! endpoint.  The slots are allocated the first time one is filled — by a
+//! per-port message into the own shard, a wire or fault entry, or a
+//! broadcast from a node the kernel keeps no value for — so a kernel that
+//! fills none never allocates them, and its receivers read no slot.
+//!
+//! The kernel also keeps one broadcast value per node of a range, allocated
+//! once per kernel: the shard's own nodes, widened to every node its ports
+//! lead to when the kernel's view holds those nodes' rows (in one process,
+//! not in a worker process) and the widening adds at most one value per
+//! eight of the shard's slots.  Source rows ascend, so one pass over their
+//! ends finds the range.  A broadcast from `v` writes one value in each
+//! kernel that keeps one for `v`, not one slot per port, and the receivers
+//! read it through their source rows: the paper's elimination stage, whose
+//! nodes broadcast every round and compute one compare, is almost all such
+//! delivery.  A dense graph in few shards keeps a value for every node in
+//! every kernel and allocates no slot; a sparse graph in many shards, whose
+//! remote senders reach a shard through about one port each and span the
+//! graph, keeps its own nodes' values only, and its cross-shard broadcasts
+//! land in slots.
+//!
+//! A node's [`NodeContext`] is built where the kernel calls the node, from
+//! its id, the length of its port range and the view's `n` and Δ; no run
+//! stores one per node.  The kernel clears only the slots and values it
+//! filled (its two lists), so quiet rounds cost `O(active)` rather than
+//! `O(n + m)`; its active list shrinks as nodes halt, so halted nodes stop
+//! costing even an `is_halted()` check per round.  Slots and values die
+//! with the kernel, so no run can hear another's messages.
 //!
 //! # Sharded barrier protocol
 //!
 //! The [`ShardedExecutor`] runs one party per shard; party `w` owns,
-//! exclusively and lock-free, the slice of inbox slots of shard `w`'s
-//! nodes and its kernel's values, so **every write to a slot or value is
-//! performed by the thread that owns it**, and shard `w`'s [`Transport`]
+//! exclusively and lock-free, its kernel's inbox slots and values, so
+//! **every write to a slot or value is performed by the thread that owns
+//! it**, and shard `w`'s [`Transport`]
 //! endpoint, so staging a cross-shard message takes no lock.  There is no
 //! coordinator: every party decides each round itself, from the active
 //! counts all parties publish.  Per round all parties cross three
@@ -189,31 +199,6 @@ use crate::transport::{
     Entry, InProcess, Transport, TransportBuilder, TransportError, TransportMessage,
 };
 
-/// The reusable per-run slot arena of the round engine: one inbox slot per
-/// directed edge, CSR-indexed (node `v`'s ports occupy
-/// `topology.port_range(v)`), allocated once per run and recycled every
-/// round.  See the [module docs](self) for how drivers split it by shard.
-#[derive(Debug)]
-pub struct RoundState<M> {
-    slots: Vec<Option<M>>,
-}
-
-impl<M> Default for RoundState<M> {
-    fn default() -> Self {
-        Self { slots: Vec::new() }
-    }
-}
-
-impl<M: MessageSize + Clone> RoundState<M> {
-    /// Creates an arena pre-sized for `topology`: one inbox slot per
-    /// directed edge.
-    pub fn new(topology: &impl TopologyView) -> Self {
-        Self {
-            slots: (0..topology.num_directed_edges()).map(|_| None).collect(),
-        }
-    }
-}
-
 /// A strategy for driving the synchronous round loop on a topology
 /// representation `T`.
 ///
@@ -239,13 +224,10 @@ impl<M: MessageSize + Clone> RoundState<M> {
 ///   default) no events are constructed at all.
 pub trait Executor<T: TopologyView = Topology> {
     /// Drives `nodes` (already initialised) to completion or to `max_rounds`.
-    #[allow(clippy::too_many_arguments)]
     fn drive<A: NodeAlgorithm>(
         &self,
         topology: &T,
         nodes: &mut [A],
-        contexts: &[NodeContext],
-        state: &mut RoundState<A::Message>,
         max_rounds: u64,
         metrics: &mut RunMetrics,
         tracer: &dyn TraceSink,
@@ -255,22 +237,28 @@ pub trait Executor<T: TopologyView = Topology> {
 /// One shard's share of the round engine — the kernel every driver runs
 /// (see the [module docs](self)).
 ///
-/// `nodes`, `contexts` and `slots` are exactly the shard's nodes, contexts
-/// and inbox slots; indices into them are global ids minus `node_base` and
-/// global slots minus `slot_base`.  `values` holds one broadcast value per
-/// node of [`value_nodes`] (the shard's nodes, perhaps widened to the
-/// nodes its ports lead to), indexed by global id minus `value_base`.  `L`
-/// says how the shard, its messages' destinations and its ports' sources
-/// are looked up in `T`.
+/// `nodes` are exactly the shard's nodes, indexed by global id minus
+/// `node_base`.  `slots` is empty until the kernel fills its first slot,
+/// then holds one slot per global slot of `own`, indexed by global slot
+/// minus `own.start`.  `values` holds one broadcast value per node of
+/// [`value_nodes`] (the shard's nodes, perhaps widened to the nodes its
+/// ports lead to), indexed by global id minus `value_base`.  `L` says how
+/// the shard, its messages' destinations and its ports' sources are looked
+/// up in `T`.
 pub(crate) struct ShardKernel<'a, A: NodeAlgorithm, T: ?Sized, L> {
     topology: &'a T,
     lookup: PhantomData<L>,
     shard: usize,
     nodes: &'a mut [A],
-    contexts: &'a [NodeContext],
     node_base: NodeId,
-    slots: &'a mut [Option<A::Message>],
-    slot_base: usize,
+    /// What every node's context shares: `n` and Δ (node, degree and round
+    /// are set per call).
+    context: NodeContext,
+    /// The shard's global slot range.
+    own: core::ops::Range<usize>,
+    /// The shard's inbox slots: none until the first is filled (see
+    /// [`slots_to_fill`]).
+    slots: Vec<Option<A::Message>>,
     /// The message each node of [`value_nodes`] broadcast into the shard
     /// this round, for its neighbours in the shard to pull.
     values: Vec<Option<A::Message>>,
@@ -294,26 +282,28 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         topology: &'a T,
         shard: usize,
         nodes: &'a mut [A],
-        contexts: &'a [NodeContext],
-        slots: &'a mut [Option<A::Message>],
         delivery: DeliveryMode,
         tracer: &'a dyn TraceSink,
     ) -> Self {
         let node_range = L::nodes(topology, shard);
-        let slot_range = L::slots(topology, shard);
         let value_range = value_nodes::<T, L>(topology, shard);
         assert_eq!(nodes.len(), node_range.len(), "one node per shard node");
-        assert_eq!(contexts.len(), node_range.len(), "one context per node");
-        assert_eq!(slots.len(), slot_range.len(), "one slot per shard port");
+        let (n, max_degree) = L::globals(topology);
         Self {
             topology,
             lookup: PhantomData,
             shard,
             nodes,
-            contexts,
             node_base: node_range.start,
-            slots,
-            slot_base: slot_range.start,
+            context: NodeContext {
+                node: 0,
+                degree: 0,
+                n,
+                max_degree,
+                round: 0,
+            },
+            own: L::slots(topology, shard),
+            slots: Vec::new(),
             values: (0..value_range.len()).map(|_| None).collect(),
             value_base: value_range.start,
             delivery,
@@ -351,9 +341,8 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             sync.drained()?;
             active = self.receive_compact(round);
         }
-        let mut report = self.finish();
-        report.syscall_batches = sync.stage().syscall_batches();
-        Ok(report)
+        self.report.syscall_batches = sync.stage().syscall_batches();
+        Ok(self.report)
     }
 
     /// Fills the active list with the shard's nodes that have not halted
@@ -391,18 +380,19 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             self.report.cross_shard_messages,
         );
         let t = Instant::now();
-        let (shard, node_base) = (self.shard, self.node_base);
-        let own = self.slot_base..self.slot_base + self.slots.len();
+        let shard = self.shard;
         send_and_route::<A, T, L, X>(
             self.topology,
             shard,
-            round,
+            NodeContext {
+                round,
+                ..self.context
+            },
             self.nodes,
-            self.contexts,
-            node_base,
+            self.node_base,
             &self.active,
-            &own,
-            self.slots,
+            &self.own,
+            &mut self.slots,
             &mut self.touched,
             &mut self.values,
             self.value_base,
@@ -476,10 +466,10 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         let s0 = self.report.stale_overwrites;
         let t = Instant::now();
         let (topology, shard, delivery) = (self.topology, self.shard, self.delivery);
-        let own = self.slot_base..self.slot_base + self.slots.len();
         let value_base = self.value_base;
         let mut stray = None;
         let Self {
+            own,
             slots,
             touched,
             values,
@@ -487,6 +477,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             report,
             ..
         } = self;
+        let own = &*own;
         // The one fill rule, for a slot and for a value alike.
         let mut put =
             |cells: &mut [Option<A::Message>], filled: &mut Vec<usize>, i, sender, msg| {
@@ -507,7 +498,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             Entry::Port { slot, sender, msg } => {
                 if own.contains(&(slot as usize)) {
                     let i = slot as usize - own.start;
-                    put(slots, touched, i, sender as usize, msg);
+                    put(slots_to_fill(slots, own), touched, i, sender as usize, msg);
                 } else {
                     stray.get_or_insert(TransportError::SlotOutsideShard { shard, slot });
                 }
@@ -524,8 +515,9 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
                 } else if v.wrapping_sub(value_base) < values.len() {
                     put(values, broadcast, v - value_base, v, msg);
                 } else {
+                    let cells = slots_to_fill(slots, own);
                     for &slot in run {
-                        put(slots, touched, slot as usize - own.start, v, msg.clone());
+                        put(cells, touched, slot as usize - own.start, v, msg.clone());
                     }
                 }
             }
@@ -554,25 +546,33 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     fn receive_compact(&mut self, round: u64) -> usize {
         self.phase_start(round, TracePhase::Receive);
         let t = Instant::now();
-        let (shard, node_base, slot_base) = (self.shard, self.node_base, self.slot_base);
-        let value_base = self.value_base;
+        let (shard, node_base, value_base) = (self.shard, self.node_base, self.value_base);
         let Self {
             topology,
             nodes,
-            contexts,
+            context,
+            own,
             slots,
             values,
             active,
             ..
         } = self;
         for &v in active.iter() {
-            let ctx = NodeContext {
-                round,
-                ..contexts[v - node_base]
-            };
             let r = L::port_range(topology, shard, v);
-            let own = &slots[r.start - slot_base..r.end - slot_base];
-            let inbox = Inbox::pulled(own, L::source_row(topology, v), values, value_base);
+            let ctx = NodeContext {
+                node: v,
+                degree: r.len(),
+                round,
+                ..*context
+            };
+            // A kernel that filled no slot yet hands out none.
+            let mine = slots.get(r.start - own.start..r.end - own.start);
+            let inbox = Inbox::pulled(
+                mine.unwrap_or_default(),
+                L::source_row(topology, v),
+                values,
+                value_base,
+            );
             nodes[v - node_base].receive(&ctx, &inbox);
         }
         active.retain(|&v| !nodes[v - node_base].is_halted());
@@ -580,17 +580,6 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         self.report.phase_nanos.receive += nanos;
         self.phase_end(round, TracePhase::Receive, nanos);
         self.active.len()
-    }
-
-    /// Ends the run: clears the slots filled in the final round — the
-    /// touched list dies with the kernel, so a reused arena would otherwise
-    /// replay them as phantom messages — and returns the shard's counters.
-    /// The values die with the kernel too.
-    fn finish(self) -> RunMetrics {
-        for i in self.touched {
-            self.slots[i] = None;
-        }
-        self.report
     }
 
     fn phase_start(&self, round: u64, phase: TracePhase) {
@@ -616,9 +605,10 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
 }
 
 /// The loops of [`ShardKernel::send_route`]: clear the slots and values
-/// filled last round, then ask every active node for its outbox and route
-/// each message: a broadcast into `values`, a per-port message into this
-/// shard's slot range `own`, or either to `stage`.
+/// filled last round, then ask every active node for its outbox, under its
+/// context (`shared`, with the node's id and degree), and route each
+/// message: a broadcast into `values`, a per-port message into this shard's
+/// slot range `own`, or either to `stage`.
 ///
 /// Every message's slot is read from the sender's destination-table row.
 /// The row ascends, so a broadcast's ports into each shard are one run of
@@ -636,13 +626,12 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
 fn send_and_route<A, T, L, X>(
     topology: &T,
     shard: usize,
-    round: u64,
+    shared: NodeContext,
     nodes: &mut [A],
-    contexts: &[NodeContext],
     node_base: NodeId,
     active: &[NodeId],
     own: &core::ops::Range<usize>,
-    slots: &mut [Option<A::Message>],
+    slots: &mut Vec<Option<A::Message>>,
     touched: &mut Vec<usize>,
     values: &mut [Option<A::Message>],
     value_base: NodeId,
@@ -662,20 +651,21 @@ fn send_and_route<A, T, L, X>(
         values[i] = None;
     }
     for &v in active {
+        let row = L::dest_row(topology, v).expect("a shard holds its nodes' rows");
         let ctx = NodeContext {
-            round,
-            ..contexts[v - node_base]
+            node: v,
+            degree: row.len(),
+            ..shared
         };
-        let own_row = || L::dest_row(topology, v).expect("a shard holds its nodes' rows");
         match nodes[v - node_base].send(&ctx) {
             Outbox::Silent => {}
             Outbox::Broadcast(msg) => {
-                let (bits, mut row) = (msg.bit_size(), own_row());
-                while let Some(&first) = row.first() {
+                let (bits, mut rest) = (msg.bit_size(), row);
+                while let Some(&first) = rest.first() {
                     let to = L::shard_of_slot(topology, first as usize);
                     let end = L::slots(topology, to).end;
-                    let (run, rest) = row.split_at(row.partition_point(|&s| (s as usize) < end));
-                    row = rest;
+                    let (run, tail) = rest.split_at(rest.partition_point(|&s| (s as usize) < end));
+                    rest = tail;
                     report.record(run.len() as u64, bits);
                     if to == shard {
                         values[v - value_base] = Some(msg.clone());
@@ -687,13 +677,12 @@ fn send_and_route<A, T, L, X>(
                 }
             }
             Outbox::PerPort(list) => {
-                let row = own_row();
                 for (p, msg) in list {
                     assert!(p < row.len(), "node {v} sent on nonexistent port {p}");
                     let dest = row[p] as usize;
                     report.record(1, msg.bit_size());
                     if own.contains(&dest) {
-                        fill(slots, dest - own.start, msg, v, touched);
+                        fill(slots_to_fill(slots, own), dest - own.start, msg, v, touched);
                     } else {
                         report.cross_shard_messages += 1;
                         let to = L::shard_of_slot(topology, dest);
@@ -703,6 +692,26 @@ fn send_and_route<A, T, L, X>(
             }
         }
     }
+}
+
+/// The kernel's inbox slots for the shard's slot range `own`, ready for a
+/// fill: allocated, every slot empty, the first time a slot is filled.  The
+/// test is one length check; the allocation is out of line.
+#[inline]
+fn slots_to_fill<'s, M>(
+    slots: &'s mut Vec<Option<M>>,
+    own: &core::ops::Range<usize>,
+) -> &'s mut [Option<M>] {
+    if slots.len() != own.len() {
+        allocate_slots(slots, own.len());
+    }
+    slots
+}
+
+#[cold]
+#[inline(never)]
+fn allocate_slots<M>(slots: &mut Vec<Option<M>>, len: usize) {
+    slots.resize_with(len, || None);
 }
 
 /// Writes `msg` into the kernel-owned cell `i` — an inbox slot or a
@@ -757,6 +766,9 @@ fn value_nodes<T: ?Sized, L: ShardLookup<T>>(
 /// as an argument, so the routing loop holds the topology itself, not a
 /// wrapper around it.
 pub(crate) trait ShardLookup<T: ?Sized> {
+    /// The graph's node count `n` and maximum degree Δ, which every node's
+    /// context carries.
+    fn globals(topology: &T) -> (usize, u32);
     /// The shard's node range.
     fn nodes(topology: &T, shard: usize) -> core::ops::Range<NodeId>;
     /// The shard's slot range.
@@ -783,6 +795,10 @@ pub(crate) trait ShardLookup<T: ?Sized> {
 pub(crate) struct ShardRows;
 
 impl<T: ShardTopologyView + ?Sized> ShardLookup<T> for ShardRows {
+    fn globals(topology: &T) -> (usize, u32) {
+        (topology.num_nodes(), topology.max_degree())
+    }
+
     fn nodes(topology: &T, shard: usize) -> core::ops::Range<NodeId> {
         topology.shard_nodes(shard)
     }
@@ -824,6 +840,10 @@ impl<T: ShardTopologyView + ?Sized> ShardLookup<T> for ShardRows {
 struct WholeGraph;
 
 impl<T: TopologyView + ?Sized> ShardLookup<T> for WholeGraph {
+    fn globals(topology: &T) -> (usize, u32) {
+        (topology.num_nodes(), topology.max_degree())
+    }
+
     fn nodes(topology: &T, _shard: usize) -> core::ops::Range<NodeId> {
         0..topology.num_nodes()
     }
@@ -1029,23 +1049,14 @@ impl<T: TopologyView> Executor<T> for SequentialExecutor {
         &self,
         topology: &T,
         nodes: &mut [A],
-        contexts: &[NodeContext],
-        state: &mut RoundState<A::Message>,
         max_rounds: u64,
         metrics: &mut RunMetrics,
         tracer: &dyn TraceSink,
     ) {
         let mut rounds = Rounds::lead(nodes.len(), 1, max_rounds, tracer);
         let sync = PhaseSync::new(1);
-        let kernel = ShardKernel::<_, _, WholeGraph>::new(
-            topology,
-            0,
-            nodes,
-            contexts,
-            &mut state.slots,
-            DeliveryMode::Strict,
-            tracer,
-        );
+        let kernel =
+            ShardKernel::<_, _, WholeGraph>::new(topology, 0, nodes, DeliveryMode::Strict, tracer);
         let done = Party::new(&sync, 0, OneShard, &mut rounds, false).run(kernel);
         sync.rethrow();
         if let Some((mut report, _)) = done {
@@ -1287,8 +1298,8 @@ impl<'p, 't, X> Party<'p, 't, X> {
     /// panics poisons the protocol and crosses exactly one more barrier,
     /// the one its peers wait at, so every party stops there.
     /// `AssertUnwindSafe` is sound because after a poisoning panic the
-    /// possibly-inconsistent node and arena state is never touched again:
-    /// the driver re-throws the panic.
+    /// possibly-inconsistent node state is never touched again: the driver
+    /// re-throws the panic.
     fn run<A, T, L>(
         mut self,
         kernel: ShardKernel<'_, A, T, L>,
@@ -1378,18 +1389,11 @@ impl<B: TransportBuilder> Executor<ShardedTopology> for ShardedExecutor<B> {
         &self,
         topology: &ShardedTopology,
         nodes: &mut [A],
-        contexts: &[NodeContext],
-        state: &mut RoundState<A::Message>,
         max_rounds: u64,
         metrics: &mut RunMetrics,
         tracer: &dyn TraceSink,
     ) {
         let shard_count = topology.num_shards();
-        assert_eq!(
-            state.slots.len(),
-            topology.num_directed_edges(),
-            "arena must be pre-sized for this topology"
-        );
         let mut lead = Rounds::lead(nodes.len(), shard_count, max_rounds, tracer);
         let endpoints = self
             .builder
@@ -1402,13 +1406,11 @@ impl<B: TransportBuilder> Executor<ShardedTopology> for ShardedExecutor<B> {
         );
         let sync = PhaseSync::new(shard_count);
         let delivery = self.delivery;
-        let party = |s, nodes, contexts, slots, transport, rounds: &mut Rounds<'_>| {
+        let party = |s, nodes, transport, rounds: &mut Rounds<'_>| {
             if tracer.enabled() {
                 tracer.emit(&TraceEvent::WorkerStart { shard: s });
             }
-            let kernel = ShardKernel::<_, _, ShardRows>::new(
-                topology, s, nodes, contexts, slots, delivery, tracer,
-            );
+            let kernel = ShardKernel::<_, _, ShardRows>::new(topology, s, nodes, delivery, tracer);
             let done = Party::new(&sync, s, transport, rounds, s == 0).run(kernel);
             if tracer.enabled() {
                 tracer.emit(&TraceEvent::WorkerEnd { shard: s });
@@ -1417,37 +1419,28 @@ impl<B: TransportBuilder> Executor<ShardedTopology> for ShardedExecutor<B> {
         };
 
         // Hand each party what it owns: its transport endpoint and the
-        // exclusive slices of its shard's nodes, contexts and inbox slots
-        // (consecutive by the flat slot contract, so a split_at_mut chain
-        // suffices).  Shard 0 runs on this thread, every other shard on a
-        // thread of its own.
-        let mut rest_slots: &mut [Option<A::Message>] = &mut state.slots;
-        let mut rest_nodes: &mut [A] = nodes;
-        let mut rest_ctxs: &[NodeContext] = contexts;
+        // exclusive slice of its shard's nodes.  Shard 0 runs on this
+        // thread, every other shard on a thread of its own.
+        let mut rest: &mut [A] = nodes;
         let mut shares = Vec::with_capacity(shard_count);
         for (s, transport) in endpoints.into_iter().enumerate() {
-            let (my_slots, tail) = rest_slots.split_at_mut(topology.shard_slots(s).len());
-            rest_slots = tail;
-            let (my_nodes, tail) = rest_nodes.split_at_mut(topology.shard_nodes(s).len());
-            rest_nodes = tail;
-            let (my_ctxs, tail) = rest_ctxs.split_at(topology.shard_nodes(s).len());
-            rest_ctxs = tail;
-            shares.push((s, my_nodes, my_ctxs, my_slots, transport));
+            let (mine, tail) = rest.split_at_mut(topology.shard_nodes(s).len());
+            rest = tail;
+            shares.push((s, mine, transport));
         }
         let mut shares = shares.into_iter();
-        let (_, nodes0, contexts0, slots0, transport0) =
-            shares.next().expect("a sharded topology has a shard");
+        let (_, nodes0, transport0) = shares.next().expect("a sharded topology has a shard");
         let done: Vec<_> = std::thread::scope(|scope| {
             let party = &party;
             let others: Vec<_> = shares
-                .map(|(s, nodes, contexts, slots, transport)| {
+                .map(|(s, nodes, transport)| {
                     scope.spawn(move || {
                         let mut rounds = Rounds::follow(max_rounds);
-                        party(s, nodes, contexts, slots, transport, &mut rounds)
+                        party(s, nodes, transport, &mut rounds)
                     })
                 })
                 .collect();
-            let first = party(0, nodes0, contexts0, slots0, transport0, &mut lead);
+            let first = party(0, nodes0, transport0, &mut lead);
             std::iter::once(first)
                 .chain(
                     others
@@ -1473,10 +1466,12 @@ mod tests {
     use super::*;
     use crate::topology::Port;
 
-    /// Broadcasts its id once and keeps every `(port, message)` it heard.
+    /// Broadcasts its id once, or sends it over `port` only, and keeps
+    /// every `(port, message)` it heard.
     #[derive(Default)]
     struct Announce {
         id: u64,
+        port: Option<Port>,
         heard: Option<Vec<(Port, u64)>>,
     }
 
@@ -1489,7 +1484,10 @@ mod tests {
         }
 
         fn send(&mut self, _ctx: &NodeContext) -> Outbox<u64> {
-            Outbox::Broadcast(self.id)
+            match self.port {
+                Some(p) => Outbox::PerPort(vec![(p, self.id)]),
+                None => Outbox::Broadcast(self.id),
+            }
         }
 
         fn receive(&mut self, _ctx: &NodeContext, inbox: &Inbox<'_, u64>) {
@@ -1505,51 +1503,53 @@ mod tests {
         }
     }
 
-    /// One broadcast round on a ring of 64 in four shards, driven kernel by
-    /// kernel over [`InProcess`].  The ports of shards 1 and 2 lead one node
-    /// past each end of their range, so those kernels keep values for the
-    /// two and take their broadcasts as values: no slot is filled.  The
-    /// edge 63–0 makes the ports of shards 0 and 3 span the ring, more
-    /// values than their 32 slots afford, so they keep values for their own
-    /// nodes only, and each remote neighbour's broadcast fills a slot.
-    #[test]
-    fn a_kernel_takes_remote_broadcasts_as_values_when_it_can_afford_them() {
-        let (n, shards) = (64, 4);
-        let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
-        let g = ShardedTopology::from_topology(&Topology::from_edges(n, &edges).unwrap(), shards);
-        let g = g.unwrap();
-        let mut nodes: Vec<Announce> = (0..n).map(|_| Announce::default()).collect();
-        let contexts: Vec<NodeContext> = (0..n)
-            .map(|node| NodeContext {
-                node,
-                degree: 2,
-                n,
-                max_degree: 2,
-                round: 0,
+    /// `n` initialised announcers on a ring, each of degree 2; `port_of`
+    /// picks the nodes that send over one port instead of broadcasting.
+    fn ring_announcers(n: usize, port_of: impl Fn(usize) -> Option<Port>) -> Vec<Announce> {
+        (0..n)
+            .map(|node| {
+                let mut a = Announce {
+                    port: port_of(node),
+                    ..Announce::default()
+                };
+                a.init(&NodeContext {
+                    node,
+                    degree: 2,
+                    n,
+                    max_degree: 2,
+                    round: 0,
+                });
+                a
             })
-            .collect();
-        for (node, ctx) in nodes.iter_mut().zip(&contexts) {
-            node.init(ctx);
-        }
-        let mut state = RoundState::new(&g);
-        let (mut rest_nodes, mut rest_slots) = (&mut nodes[..], &mut state.slots[..]);
+            .collect()
+    }
+
+    /// Per shard, after one round: the nodes its kernel keeps values for,
+    /// the values set, the slots filled and the slots allocated.
+    type KernelState = (core::ops::Range<NodeId>, usize, usize, usize);
+
+    fn kernel_state<A: NodeAlgorithm, T: ?Sized, L>(k: &ShardKernel<'_, A, T, L>) -> KernelState {
+        let kept = k.value_base..k.value_base + k.values.len();
+        (kept, k.broadcast.len(), k.touched.len(), k.slots.len())
+    }
+
+    /// Runs one round of `nodes` on `g`, kernel by kernel over
+    /// [`InProcess`], and returns every kernel's [`KernelState`].
+    fn one_sharded_round(g: &ShardedTopology, nodes: &mut [Announce]) -> Vec<KernelState> {
+        let mut rest = nodes;
         let mut kernels = Vec::new();
-        for s in 0..shards {
-            let (own_nodes, tail) = rest_nodes.split_at_mut(g.shard_nodes(s).len());
-            rest_nodes = tail;
-            let (own_slots, tail) = rest_slots.split_at_mut(g.shard_slots(s).len());
-            rest_slots = tail;
+        for s in 0..g.num_shards() {
+            let (own, tail) = rest.split_at_mut(g.shard_nodes(s).len());
+            rest = tail;
             kernels.push(ShardKernel::<_, _, ShardRows>::new(
-                &g,
+                g,
                 s,
-                own_nodes,
-                &contexts[g.shard_nodes(s)],
-                own_slots,
+                own,
                 DeliveryMode::Strict,
-                &crate::trace::NoTrace,
+                &NoTrace,
             ));
         }
-        let mut endpoints = InProcess.build::<u64>(&g).unwrap();
+        let mut endpoints = InProcess.build::<u64>(g).unwrap();
         for (kernel, endpoint) in kernels.iter_mut().zip(&mut endpoints) {
             kernel.admit();
             kernel.send_route(0, endpoint);
@@ -1558,25 +1558,96 @@ mod tests {
         for (kernel, endpoint) in kernels.iter_mut().zip(&mut endpoints) {
             kernel.deliver(0, |sink| endpoint.drain(0, sink)).unwrap();
         }
-        // Per shard: the nodes it keeps values for, and the slots filled.
-        let want = [(0..16, 2), (15..33, 0), (31..49, 0), (48..64, 2)];
-        for (kernel, (kept, filled)) in kernels.iter().zip(want) {
-            let s = kernel.shard;
-            let base = kernel.value_base;
-            assert_eq!(base..base + kernel.values.len(), kept, "shard {s}");
-            // Every node broadcast, so every value is set.
-            assert_eq!(kernel.broadcast.len(), kept.len(), "shard {s}");
-            assert_eq!(kernel.touched.len(), filled, "shard {s}");
-        }
+        let states = kernels.iter().map(kernel_state).collect();
         for kernel in &mut kernels {
             assert_eq!(kernel.receive_compact(0), 0);
         }
-        drop(kernels);
+        states
+    }
+
+    /// Runs one round of `nodes` on `g` in the single-threaded driver's
+    /// kernel and returns its [`KernelState`].
+    fn one_whole_round(g: &Topology, nodes: &mut [Announce]) -> KernelState {
+        let mut kernel =
+            ShardKernel::<_, _, WholeGraph>::new(g, 0, nodes, DeliveryMode::Strict, &NoTrace);
+        kernel.admit();
+        kernel.send_route(0, &mut OneShard);
+        kernel.deliver(0, |sink| OneShard.drain(0, sink)).unwrap();
+        let state = kernel_state(&kernel);
+        assert_eq!(kernel.receive_compact(0), 0);
+        state
+    }
+
+    /// What every node of the ring `g` heard when each of its neighbours
+    /// but `quiet` sent it its id.
+    fn heard_on_ring(g: &impl TopologyView, quiet: &[(NodeId, NodeId)]) -> Vec<Vec<(Port, u64)>> {
+        (0..g.num_nodes())
+            .map(|v| {
+                (0..2)
+                    .map(|p| (p, g.neighbor_at(v, p)))
+                    .filter(|&(_, u)| !quiet.contains(&(u, v)))
+                    .map(|(p, u)| (p, u as u64))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn heard(nodes: &[Announce]) -> Vec<Vec<(Port, u64)>> {
+        nodes.iter().map(|a| a.heard.clone().unwrap()).collect()
+    }
+
+    /// One broadcast round on a ring of 64 in four shards, driven kernel by
+    /// kernel over [`InProcess`].  The ports of shards 1 and 2 lead one node
+    /// past each end of their range, so those kernels keep values for the
+    /// two and take their broadcasts as values: no slot is filled, and none
+    /// is allocated.  The edge 63–0 makes the ports of shards 0 and 3 span
+    /// the ring, more values than their 32 slots afford, so they keep
+    /// values for their own nodes only, and each remote neighbour's
+    /// broadcast fills a slot: the first fill allocates all 32.
+    #[test]
+    fn a_kernel_takes_remote_broadcasts_as_values_when_it_can_afford_them() {
+        let (n, shards) = (64, 4);
+        let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        let g = ShardedTopology::from_topology(&Topology::from_edges(n, &edges).unwrap(), shards);
+        let g = g.unwrap();
+        let mut nodes = ring_announcers(n, |_| None);
+        // Per shard: the nodes it keeps values for, the values set (every
+        // node broadcast), the slots filled and the slots allocated.
+        let want = [
+            (0..16, 16, 2, 32),
+            (15..33, 18, 0, 0),
+            (31..49, 18, 0, 0),
+            (48..64, 16, 2, 32),
+        ];
+        assert_eq!(one_sharded_round(&g, &mut nodes), want);
         // Every receiver heard each neighbour on exactly the port behind
         // which it sits, as a value or from a slot alike.
-        for (v, node) in nodes.iter().enumerate() {
-            let want: Vec<(Port, u64)> = (0..2).map(|p| (p, g.neighbor_at(v, p) as u64)).collect();
-            assert_eq!(node.heard, Some(want), "node {v}");
-        }
+        assert_eq!(heard(&nodes), heard_on_ring(&g, &[]));
+
+        // One per-port message into its own shard makes shard 1 allocate
+        // its 32 slots, and fills one; the other kernels are as before.
+        let mut nodes = ring_announcers(n, |v| (v == 20).then_some(0));
+        let mut want = want;
+        want[1] = (15..33, 17, 1, 32);
+        assert_eq!(one_sharded_round(&g, &mut nodes), want);
+        assert_eq!(heard(&nodes), heard_on_ring(&g, &[(20, 21)]));
+    }
+
+    /// The single-threaded driver's kernel keeps a value for every node, so
+    /// a broadcast-only round allocates no slot; one per-port message
+    /// allocates every slot of the graph and fills one.
+    #[test]
+    fn a_single_threaded_kernel_allocates_slots_on_the_first_per_port_message() {
+        let n = 8;
+        let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        let g = Topology::from_edges(n, &edges).unwrap();
+        let mut nodes = ring_announcers(n, |_| None);
+        assert_eq!(one_whole_round(&g, &mut nodes), (0..n, n, 0, 0));
+        assert_eq!(heard(&nodes), heard_on_ring(&g, &[]));
+
+        // Node 3 sends over port 0 only, to node 2.
+        let mut nodes = ring_announcers(n, |v| (v == 3).then_some(0));
+        assert_eq!(one_whole_round(&g, &mut nodes), (0..n, n - 1, 1, 2 * n));
+        assert_eq!(heard(&nodes), heard_on_ring(&g, &[(3, 4)]));
     }
 }

@@ -28,8 +28,8 @@
 //!   kernel, run by a single-threaded driver
 //!   ([`executor::SequentialExecutor`]), one thread per shard
 //!   ([`executor::ShardedExecutor`]) or one process per shard
-//!   ([`transport::serve_shard_with`]), over the zero-allocation
-//!   [`executor::RoundState`] slot arena, all producing identical results,
+//!   ([`transport::serve_shard_with`]), whose kernels allocate inbox
+//!   slots only when a round fills one, all producing identical results,
 //! * [`metrics::RunMetrics`] and [`bandwidth`] — round, message and bit
 //!   accounting so experiments can check the CONGEST `O(log n)`-bit bound,
 //!   plus a JSON-lines writer ([`metrics::JsonLinesWriter`]) for
@@ -87,7 +87,7 @@ pub mod wire;
 
 pub use algorithm::{Inbox, MessageSize, NodeAlgorithm, NodeContext, Outbox};
 pub use bandwidth::BandwidthReport;
-pub use executor::{DeliveryMode, Executor, RoundState, SequentialExecutor, ShardedExecutor};
+pub use executor::{DeliveryMode, Executor, SequentialExecutor, ShardedExecutor};
 pub use faults::{
     run_faulty, FaultEvent, FaultKind, FaultPlan, FaultyRun, FaultyTransport, InvariantViolation,
 };

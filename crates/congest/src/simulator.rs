@@ -36,7 +36,7 @@
 //! built on the same semantics.
 
 use crate::algorithm::{NodeAlgorithm, NodeContext};
-use crate::executor::{Executor, RoundState, SequentialExecutor, ShardedExecutor};
+use crate::executor::{Executor, SequentialExecutor, ShardedExecutor};
 use crate::metrics::RunMetrics;
 use crate::sharded::ShardedTopology;
 use crate::topology::{Topology, TopologyView};
@@ -192,27 +192,21 @@ impl<'a, T: TopologyView> Simulator<'a, T> {
             "need exactly one algorithm instance per node"
         );
 
-        let contexts: Vec<NodeContext> = (0..n)
-            .map(|v| NodeContext {
+        let max_degree = self.topology.max_degree();
+        for (v, node) in nodes.iter_mut().enumerate() {
+            node.init(&NodeContext {
                 node: v,
                 degree: self.topology.degree(v),
                 n,
-                max_degree: self.topology.max_degree(),
+                max_degree,
                 round: 0,
-            })
-            .collect();
-
-        for (node, ctx) in nodes.iter_mut().zip(&contexts) {
-            node.init(ctx);
+            });
         }
 
         let mut metrics = RunMetrics::default();
-        let mut state: RoundState<A::Message> = RoundState::new(self.topology);
         executor.drive(
             self.topology,
             &mut nodes,
-            &contexts,
-            &mut state,
             self.config.max_rounds,
             &mut metrics,
             self.tracer,
@@ -762,10 +756,10 @@ mod tests {
 
     #[test]
     fn sharded_run_leaves_a_clean_arena_for_reuse() {
-        // Regression: kernels track touched slots locally, so they must
-        // retire their final-round slots on exit — otherwise a reused arena
-        // replays the previous run's messages as phantoms.
-        use crate::executor::{Executor, RoundState, SequentialExecutor, ShardedExecutor};
+        // Regression: a run's kernels own its inbox slots and values and
+        // drop them when it ends, so a second run on the same topology
+        // starts with empty inboxes, whatever the first left in flight.
+        use crate::executor::{Executor, SequentialExecutor, ShardedExecutor};
         use crate::sharded::ShardedTopology;
 
         /// Never sends; records how many messages arrived in its one round.
@@ -795,55 +789,40 @@ mod tests {
 
         let dense = Topology::from_edges(2, &[(0, 1)]).unwrap();
         let g = ShardedTopology::from_topology(&dense, 2).unwrap();
-        let contexts: Vec<NodeContext> = (0..2)
-            .map(|v| NodeContext {
+
+        // Run 1 (sharded): both nodes broadcast in their final round.
+        let mut gossips: Vec<GossipSum> = (0..2).map(|_| GossipSum::new(1)).collect();
+        for (v, node) in gossips.iter_mut().enumerate() {
+            node.init(&NodeContext {
                 node: v,
                 degree: 1,
                 n: 2,
                 max_degree: 1,
                 round: 0,
-            })
-            .collect();
-        let mut state: RoundState<u64> = RoundState::new(&g);
-
-        // Run 1 (sharded): both nodes broadcast in their final round.
-        let mut gossips: Vec<GossipSum> = (0..2).map(|_| GossipSum::new(1)).collect();
-        for (node, ctx) in gossips.iter_mut().zip(&contexts) {
-            node.init(ctx);
+            });
         }
         let mut metrics = RunMetrics::default();
-        ShardedExecutor::new().drive(
-            &g,
-            &mut gossips,
-            &contexts,
-            &mut state,
-            1000,
-            &mut metrics,
-            &NoTrace,
-        );
+        ShardedExecutor::new().drive(&g, &mut gossips, 1000, &mut metrics, &NoTrace);
         assert_eq!(metrics.messages, 2);
 
-        // Run 2 reuses the arena: pure listeners must hear *nothing*.
-        let mut listeners = vec![
-            HearOnce {
-                heard: 0,
-                done: false
-            };
-            2
-        ];
-        let mut metrics = RunMetrics::default();
-        SequentialExecutor.drive(
-            &g,
-            &mut listeners,
-            &contexts,
-            &mut state,
-            1000,
-            &mut metrics,
-            &NoTrace,
-        );
+        // Run 2, on the same topology under either driver: pure listeners
+        // must hear *nothing*.
+        let listeners = || {
+            vec![
+                HearOnce {
+                    heard: 0,
+                    done: false
+                };
+                2
+            ]
+        };
+        let (mut seq, mut par) = (listeners(), listeners());
+        SequentialExecutor.drive(&g, &mut seq, 1000, &mut RunMetrics::default(), &NoTrace);
+        ShardedExecutor::new().drive(&g, &mut par, 1000, &mut RunMetrics::default(), &NoTrace);
+        let heard = |nodes: &[HearOnce]| nodes.iter().map(HearOnce::output).collect::<Vec<_>>();
         assert_eq!(
-            [listeners[0].output(), listeners[1].output()],
-            [0, 0],
+            [heard(&seq), heard(&par)],
+            [[0, 0], [0, 0]],
             "stale messages leaked from the previous sharded run"
         );
     }

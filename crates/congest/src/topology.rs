@@ -122,8 +122,7 @@ impl std::error::Error for TopologyError {}
 ///
 /// [`Topology`] (one global CSR) and
 /// [`ShardedTopology`](crate::sharded::ShardedTopology) (the same CSR cut
-/// into node-range shards) both implement this trait, so the
-/// [`RoundState`](crate::executor::RoundState) arena, every
+/// into node-range shards) both implement this trait, so every
 /// [`Executor`](crate::executor::Executor) and the
 /// [`Simulator`](crate::Simulator) work with either representation.
 ///
@@ -141,7 +140,7 @@ pub trait TopologyView: Sync {
     fn num_nodes(&self) -> usize;
 
     /// Number of directed edges (`2 ·` undirected edges) — the size of any
-    /// flat per-port buffer, such as the round engine's inbox arena.
+    /// flat per-port buffer, such as the round engine's inbox slots.
     fn num_directed_edges(&self) -> usize;
 
     /// Maximum degree `Δ`.
@@ -247,7 +246,7 @@ impl Topology {
     }
 
     /// Number of directed edges (`2 · num_edges`) — the size of any flat
-    /// per-port buffer, such as the round engine's inbox arena.
+    /// per-port buffer, such as the round engine's inbox slots.
     #[inline]
     pub fn num_directed_edges(&self) -> usize {
         self.csr.neighbors.len()
@@ -256,9 +255,8 @@ impl Topology {
     /// The CSR index range of node `v`'s ports: slot `port_range(v).start + p`
     /// of a flat per-port buffer belongs to `(v, p)`.
     ///
-    /// This is the indexing contract shared by the round engine's
-    /// [`RoundState`](crate::executor::RoundState) arena and by the
-    /// node-range shards of a
+    /// This is the indexing contract shared by the round engine's inbox
+    /// slots (see [`crate::executor`]) and by the node-range shards of a
     /// [`ShardedTopology`](crate::sharded::ShardedTopology).
     #[inline]
     pub fn port_range(&self, v: NodeId) -> core::ops::Range<usize> {

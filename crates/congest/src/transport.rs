@@ -1366,7 +1366,6 @@ where
     A::Output: WireMessage,
 {
     let node_range = topology.shard_nodes(shard);
-    let slot_range = topology.shard_slots(shard);
     assert_eq!(
         nodes.len(),
         node_range.len(),
@@ -1376,20 +1375,16 @@ where
     check_wire_shard_count(topology.num_shards())?;
     let me = shard as u16;
 
-    let contexts: Vec<NodeContext> = node_range
-        .clone()
-        .map(|v| NodeContext {
+    let max_degree = topology.max_degree();
+    for (v, node) in node_range.clone().zip(nodes.iter_mut()) {
+        node.init(&NodeContext {
             node: v,
             degree: topology.degree_from(shard, v),
             n,
-            max_degree: topology.max_degree(),
+            max_degree,
             round: 0,
-        })
-        .collect();
-    for (node, ctx) in nodes.iter_mut().zip(&contexts) {
-        node.init(ctx);
+        });
     }
-    let mut slots: Vec<Option<A::Message>> = (0..slot_range.len()).map(|_| None).collect();
 
     // Trace capture is strictly local until the final Trace frame: the
     // recorder's epoch is this worker's monotonic origin (the documented
@@ -1406,8 +1401,6 @@ where
         topology,
         shard,
         &mut nodes,
-        &contexts,
-        &mut slots,
         DeliveryMode::Strict,
         tracer,
     );

@@ -544,6 +544,67 @@ impl NodeAlgorithm for MixedSender {
     }
 }
 
+/// Runs a [`MixedSender`] and folds every [`NodeContext`] field it is
+/// handed, in `init`, `send` and `receive`, into its output: a driver that
+/// derives a node's id, degree, `n`, Δ or round other than the reference
+/// loop does changes the output.
+#[derive(Clone)]
+struct ContextEcho {
+    inner: MixedSender,
+    folded: u64,
+}
+
+impl ContextEcho {
+    fn new(seed: u64, ttl: u64) -> Self {
+        Self {
+            inner: MixedSender::new(seed, ttl),
+            folded: 0,
+        }
+    }
+
+    /// Folds the context of one call of `step` (0 init, 1 send, 2 receive).
+    fn fold(&mut self, step: u64, ctx: &NodeContext) {
+        let fields = [
+            ctx.node as u64,
+            ctx.degree as u64,
+            ctx.n as u64,
+            u64::from(ctx.max_degree),
+            ctx.round,
+        ];
+        for (i, field) in fields.into_iter().enumerate() {
+            self.folded = mix([self.folded, step, i as u64, field]);
+        }
+    }
+}
+
+impl NodeAlgorithm for ContextEcho {
+    type Message = u64;
+    type Output = u64;
+
+    fn init(&mut self, ctx: &NodeContext) {
+        self.fold(0, ctx);
+        self.inner.init(ctx);
+    }
+
+    fn send(&mut self, ctx: &NodeContext) -> Outbox<u64> {
+        self.fold(1, ctx);
+        self.inner.send(ctx)
+    }
+
+    fn receive(&mut self, ctx: &NodeContext, inbox: &Inbox<'_, u64>) {
+        self.fold(2, ctx);
+        self.inner.receive(ctx, inbox);
+    }
+
+    fn is_halted(&self) -> bool {
+        self.inner.is_halted()
+    }
+
+    fn output(&self) -> u64 {
+        self.folded ^ self.inner.output()
+    }
+}
+
 /// Derives a ragged-but-deterministic halting schedule from one seed.
 fn schedule(n: usize, seed: u64) -> Vec<u64> {
     (0..n as u64)
@@ -850,7 +911,10 @@ proptest! {
 
         // Per-port messages next to broadcasts: both entry kinds cross the
         // same shard pairs in one round, on every driver and transport.
-        let mixed = || ttls.iter().map(|&t| MixedSender::new(ttl_seed, t)).collect::<Vec<_>>();
+        // Each node folds every context it is handed into its output, so a
+        // driver must also derive each node's id, degree, `n`, Δ and round
+        // as the reference loop does.
+        let mixed = || ttls.iter().map(|&t| ContextEcho::new(ttl_seed, t)).collect::<Vec<_>>();
         let oracle = reference_run(&g, mixed(), 1_000_000);
         for (name, run) in &every_driver(&g, shards, threads, 1_000_000, mixed) {
             assert_matches_oracle(name, &oracle, run)?;

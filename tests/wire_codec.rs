@@ -8,9 +8,10 @@
 //!   payload occupies **exactly** `MessageSize::bit_size()` bits, so the
 //!   wire carries precisely what the simulator's accounting charges.
 //! * **Malformed input safety** — truncated and corrupted frames, mutated
-//!   `ShardPlan` bytes and mutated Output frame payloads come back as
-//!   errors, never panics, and so do mutated `RunMetrics` and `RoundRow`
-//!   JSONL rows.
+//!   sealed data frames (through `FrameBuffer` and `read_frame`), Peers
+//!   frames, `ShardPlan` bytes, Output frame payloads and stamped trace
+//!   payloads come back as errors, never panics, and so do mutated
+//!   `RunMetrics` and `RoundRow` JSONL rows.
 //! * **Bandwidth cross-check** — the paper algorithms' messages, pushed
 //!   through the codec, never encode wider than the `max_message_bits` the
 //!   simulator recorded for the run (and hence stay within the E12
@@ -27,12 +28,15 @@ use dcme_coloring::list::{self, ListMessage};
 use dcme_coloring::reduction::InputColor;
 use dcme_coloring::trial::{self, TrialMessage};
 use dcme_coloring::TrialConfig;
+use dcme_congest::transport::{parse_peers, write_peers};
 use dcme_congest::wire::{
-    decode_payload, encode_payload, for_each_data_entry, DataFrameBuilder, FrameBuffer,
+    decode_payload, encode_payload, for_each_data_entry, read_frame, DataFrameBuilder, Frame,
+    FrameBuffer,
 };
 use dcme_congest::{
-    decode_output_payload, encode_output_payload, BandwidthReport, ExecutionMode, MessageSize,
-    PhaseTimings, RoundRow, RunMetrics, ShardPlan, WireMessage,
+    decode_output_payload, decode_stamped, encode_output_payload, encode_stamped, BandwidthReport,
+    ExecutionMode, FaultKind, MessageSize, PhaseTimings, RoundRow, RunMetrics, ShardPlan,
+    TraceEvent, TracePhase, WireMessage,
 };
 use dcme_graphs::coloring::Coloring;
 use dcme_graphs::generators;
@@ -214,6 +218,119 @@ proptest! {
         let _ = decode_output_payload::<u64>(&bytes, |_, _| Ok(()));
     }
 
+    /// Workers read data frames from bytes another process sent: through
+    /// a `FrameBuffer` on the nonblocking mesh, through `read_frame` on a
+    /// blocking link.  A mutated sealed frame, fed to the buffer in random
+    /// pieces, yields frames or an error, never a panic, and both readers
+    /// yield the same complete frames before they stop.
+    #[test]
+    fn mutated_data_frames_decode_or_fail_cleanly(
+        entries in 0usize..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut builder = DataFrameBuilder::new();
+        for sender in 0..entries as u32 {
+            let msg = ListMessage::Propose {
+                color: rng.random_range(0..1000u64),
+                priority: rng.random_range(0..u64::MAX),
+            };
+            builder.push(rng.random_range(0..u32::MAX), sender, &msg);
+        }
+        let mut bytes = Vec::new();
+        builder.seal(rng.random_range(0..u64::MAX), 0, 1, &mut bytes);
+        mutate(&mut bytes, &mut rng);
+
+        // Blocking reads, until the first error (running out of bytes too).
+        let mut blocking = Vec::new();
+        let mut rest = &bytes[..];
+        while let Ok(frame) = read_frame(&mut rest) {
+            blocking.push(frame);
+        }
+        // Buffered reads, until a frame is incomplete at the end or bad.
+        let (mut fb, mut buffered, mut fed) = (FrameBuffer::new(), Vec::new(), 0);
+        loop {
+            match fb.next_frame() {
+                Ok(Some(frame)) => buffered.push(frame),
+                Ok(None) if fed < bytes.len() => {
+                    let to = rng.random_range(fed + 1..bytes.len() + 1);
+                    fb.feed(&bytes[fed..to]);
+                    fed = to;
+                }
+                Ok(None) | Err(_) => break,
+            }
+        }
+        prop_assert_eq!(&buffered, &blocking);
+        for frame in &buffered {
+            let _ = for_each_data_entry::<ListMessage>(&frame.payload, |_, _, _| {});
+        }
+    }
+
+    /// Workers and the coordinator exchange mesh addresses in Peers frames.
+    /// A mutated frame, or a frame with a mutated payload, decodes to an
+    /// error or to a peer list that re-encodes to exactly that payload,
+    /// never a panic.
+    #[test]
+    fn mutated_peers_frames_decode_or_fail_cleanly(
+        count in 0usize..4,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let peers: Vec<(u16, String)> = (0..count)
+            .map(|_| {
+                let (len, wide) = (rng.random_range(0..24usize), rng.random_bool(0.3));
+                let addr = (0..len)
+                    .map(|_| char::from(rng.random_range(b' '..b'~')))
+                    .chain(wide.then_some('ü'))
+                    .collect();
+                (rng.random_range(0..u16::MAX), addr)
+            })
+            .collect();
+        let frame_of = |peers: &[(u16, String)]| {
+            let mut bytes = Vec::new();
+            write_peers(&mut bytes, 1, 0, peers).unwrap();
+            bytes
+        };
+        let mut bytes = frame_of(&peers);
+        let intact = read_frame(&mut &bytes[..]).unwrap();
+        prop_assert_eq!(parse_peers(&intact).unwrap(), peers);
+
+        let payload = {
+            let mut payload = intact.payload.clone();
+            mutate(&mut payload, &mut rng);
+            payload
+        };
+        if let Ok(list) = parse_peers(&Frame { payload: payload.clone(), ..intact }) {
+            let again = read_frame(&mut &frame_of(&list)[..]).unwrap();
+            prop_assert_eq!(again.payload, payload);
+        }
+        mutate(&mut bytes, &mut rng);
+        if let Ok(frame) = read_frame(&mut &bytes[..]) {
+            let _ = parse_peers(&frame);
+        }
+    }
+
+    /// The coordinator decodes each worker's stamped trace from bytes
+    /// another process sent.  Every event kind round-trips, and a mutated
+    /// payload decodes to an error or to events that re-encode to as many
+    /// bytes, never a panic.
+    #[test]
+    fn mutated_stamped_traces_decode_or_fail_cleanly(
+        count in 0usize..6,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let events: Vec<(u64, TraceEvent)> = (0..count)
+            .map(|_| (rng.random_range(0..u64::MAX), random_event(&mut rng)))
+            .collect();
+        let mut bytes = encode_stamped(&events);
+        prop_assert_eq!(decode_stamped(&bytes).unwrap(), events);
+        mutate(&mut bytes, &mut rng);
+        if let Ok(events) = decode_stamped(&bytes) {
+            prop_assert_eq!(encode_stamped(&events).len(), bytes.len());
+        }
+    }
+
     /// `exp_diff` reads JSONL rows from files anyone may edit: mutated
     /// `RunMetrics` and `RoundRow` lines parse or return an error, never
     /// panic.
@@ -239,6 +356,72 @@ proptest! {
             let _ = RunMetrics::from_json(&text);
             let _ = RoundRow::from_json(&text);
         }
+    }
+}
+
+/// One trace event of a random kind, with random fields.
+fn random_event(rng: &mut StdRng) -> TraceEvent {
+    let mut n = || rng.random_range(0..u64::MAX);
+    let (round, a, b, c, d) = (n(), n() as usize, n() as usize, n(), n());
+    let phase = [TracePhase::Send, TracePhase::Deliver, TracePhase::Receive][(c % 3) as usize];
+    let kind = [
+        FaultKind::Dropped,
+        FaultKind::Duplicated,
+        FaultKind::Delayed { rounds: d },
+        FaultKind::Retransmitted,
+        FaultKind::PartitionDropped,
+        FaultKind::PartitionDeferred { until_round: d },
+    ][(c % 6) as usize];
+    match rng.random_range(0..12u32) {
+        0 => TraceEvent::RunStart {
+            nodes: a,
+            shards: b,
+        },
+        1 => TraceEvent::RunEnd { rounds: round },
+        2 => TraceEvent::RoundStart { round, active: a },
+        3 => TraceEvent::RoundEnd {
+            round,
+            active: a,
+            nanos: c,
+        },
+        4 => TraceEvent::PhaseStart {
+            round,
+            shard: a,
+            phase,
+        },
+        5 => TraceEvent::PhaseEnd {
+            round,
+            shard: a,
+            phase,
+            nanos: d,
+        },
+        6 => TraceEvent::ShardFlush {
+            round,
+            shard: a,
+            wire_bytes: c,
+            nanos: d,
+        },
+        7 => TraceEvent::ShardDrain {
+            round,
+            shard: a,
+            nanos: c,
+            stale: d,
+        },
+        8 => TraceEvent::ShardRound {
+            round,
+            shard: a,
+            messages: c,
+            bits: d,
+            cross: round ^ c,
+        },
+        9 => TraceEvent::Fault {
+            round,
+            from: a,
+            to: b,
+            kind,
+        },
+        10 => TraceEvent::WorkerStart { shard: a },
+        _ => TraceEvent::WorkerEnd { shard: b },
     }
 }
 
