@@ -264,10 +264,14 @@ pub(crate) struct ShardKernel<'a, A: NodeAlgorithm, T: ?Sized, L> {
     values: Vec<Option<A::Message>>,
     value_base: NodeId,
     delivery: DeliveryMode,
-    /// Shard-local indices of the slots filled this round.
-    touched: Vec<usize>,
-    /// Indices into `values` of the values set this round.
-    broadcast: Vec<usize>,
+    /// Shard-local indices of the slots filled this round; sized to the
+    /// shard's slot count when the slots are allocated, so it never
+    /// regrows.  Slot indices fit in `u32`, as the destination table holds
+    /// them.
+    touched: Vec<u32>,
+    /// Indices into `values` of the values set this round; sized to the
+    /// value count at construction.
+    broadcast: Vec<u32>,
     /// Global ids of the shard's still-active nodes, ascending.
     active: Vec<NodeId>,
     /// The shard's counters and phase timings.
@@ -308,7 +312,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             value_base: value_range.start,
             delivery,
             touched: Vec::new(),
-            broadcast: Vec::new(),
+            broadcast: Vec::with_capacity(value_range.len()),
             active: Vec::new(),
             report: RunMetrics::default(),
             tracer,
@@ -479,26 +483,26 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         } = self;
         let own = &*own;
         // The one fill rule, for a slot and for a value alike.
-        let mut put =
-            |cells: &mut [Option<A::Message>], filled: &mut Vec<usize>, i, sender, msg| {
-                match delivery {
-                    DeliveryMode::Strict => fill(cells, i, msg, sender, filled),
-                    // Newest wins: transports drain stale copies before the
-                    // current round's messages.
-                    DeliveryMode::Async => {
-                        if cells[i].replace(msg).is_some() {
-                            report.stale_overwrites += 1;
-                        } else {
-                            filled.push(i);
-                        }
+        let mut put = |cells: &mut [Option<A::Message>], filled: &mut Vec<u32>, i, sender, msg| {
+            match delivery {
+                DeliveryMode::Strict => fill(cells, i, msg, sender, filled),
+                // Newest wins: transports drain stale copies before the
+                // current round's messages.
+                DeliveryMode::Async => {
+                    if cells[i].replace(msg).is_some() {
+                        report.stale_overwrites += 1;
+                    } else {
+                        filled.push(i as u32);
                     }
                 }
-            };
+            }
+        };
         drain(&mut |entry| match entry {
             Entry::Port { slot, sender, msg } => {
                 if own.contains(&(slot as usize)) {
                     let i = slot as usize - own.start;
-                    put(slots_to_fill(slots, own), touched, i, sender as usize, msg);
+                    let cells = slots_to_fill(slots, touched, own);
+                    put(cells, touched, i, sender as usize, msg);
                 } else {
                     stray.get_or_insert(TransportError::SlotOutsideShard { shard, slot });
                 }
@@ -515,7 +519,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
                 } else if v.wrapping_sub(value_base) < values.len() {
                     put(values, broadcast, v - value_base, v, msg);
                 } else {
-                    let cells = slots_to_fill(slots, own);
+                    let cells = slots_to_fill(slots, touched, own);
                     for &slot in run {
                         put(cells, touched, slot as usize - own.start, v, msg.clone());
                     }
@@ -632,10 +636,10 @@ fn send_and_route<A, T, L, X>(
     active: &[NodeId],
     own: &core::ops::Range<usize>,
     slots: &mut Vec<Option<A::Message>>,
-    touched: &mut Vec<usize>,
+    touched: &mut Vec<u32>,
     values: &mut [Option<A::Message>],
     value_base: NodeId,
-    broadcast: &mut Vec<usize>,
+    broadcast: &mut Vec<u32>,
     report: &mut RunMetrics,
     stage: &mut X,
 ) where
@@ -645,10 +649,10 @@ fn send_and_route<A, T, L, X>(
     X: Transport<A::Message>,
 {
     for i in touched.drain(..) {
-        slots[i] = None;
+        slots[i as usize] = None;
     }
     for i in broadcast.drain(..) {
-        values[i] = None;
+        values[i as usize] = None;
     }
     for &v in active {
         let row = L::dest_row(topology, v).expect("a shard holds its nodes' rows");
@@ -669,7 +673,7 @@ fn send_and_route<A, T, L, X>(
                     report.record(run.len() as u64, bits);
                     if to == shard {
                         values[v - value_base] = Some(msg.clone());
-                        broadcast.push(v - value_base);
+                        broadcast.push((v - value_base) as u32);
                     } else {
                         report.cross_shard_messages += run.len() as u64;
                         stage.stage_broadcast(to, v as u32, msg.clone(), run);
@@ -682,7 +686,8 @@ fn send_and_route<A, T, L, X>(
                     let dest = row[p] as usize;
                     report.record(1, msg.bit_size());
                     if own.contains(&dest) {
-                        fill(slots_to_fill(slots, own), dest - own.start, msg, v, touched);
+                        let cells = slots_to_fill(slots, touched, own);
+                        fill(cells, dest - own.start, msg, v, touched);
                     } else {
                         report.cross_shard_messages += 1;
                         let to = L::shard_of_slot(topology, dest);
@@ -695,36 +700,39 @@ fn send_and_route<A, T, L, X>(
 }
 
 /// The kernel's inbox slots for the shard's slot range `own`, ready for a
-/// fill: allocated, every slot empty, the first time a slot is filled.  The
-/// test is one length check; the allocation is out of line.
+/// fill: allocated, every slot empty, the first time a slot is filled, and
+/// `touched` sized to list every one of them.  The test is one length
+/// check; the allocation is out of line.
 #[inline]
 fn slots_to_fill<'s, M>(
     slots: &'s mut Vec<Option<M>>,
+    touched: &mut Vec<u32>,
     own: &core::ops::Range<usize>,
 ) -> &'s mut [Option<M>] {
     if slots.len() != own.len() {
-        allocate_slots(slots, own.len());
+        allocate_slots(slots, touched, own.len());
     }
     slots
 }
 
 #[cold]
 #[inline(never)]
-fn allocate_slots<M>(slots: &mut Vec<Option<M>>, len: usize) {
+fn allocate_slots<M>(slots: &mut Vec<Option<M>>, touched: &mut Vec<u32>, len: usize) {
     slots.resize_with(len, || None);
+    touched.reserve_exact(len);
 }
 
 /// Writes `msg` into the kernel-owned cell `i` — an inbox slot or a
 /// broadcast value — and lists it in `filled`, enforcing the one message
 /// per edge per round CONGEST contract.
-fn fill<M>(cells: &mut [Option<M>], i: usize, msg: M, sender: NodeId, filled: &mut Vec<usize>) {
+fn fill<M>(cells: &mut [Option<M>], i: usize, msg: M, sender: NodeId, filled: &mut Vec<u32>) {
     let cell = &mut cells[i];
     assert!(
         cell.is_none(),
         "node {sender} sent two messages over the same port in one round"
     );
     *cell = Some(msg);
-    filled.push(i);
+    filled.push(i as u32);
 }
 
 /// A kernel keeps at most one value beyond its own nodes for every this many

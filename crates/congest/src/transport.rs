@@ -20,7 +20,8 @@
 //! * [`SocketLoopback`] — every shard pair is connected by a real socket
 //!   (Unix-domain or TCP loopback) and every cross-shard message crosses it
 //!   through the [`wire`](crate::wire) codec: length-prefixed,
-//!   round-sequenced frames of bit-exact payloads.  Each shard's endpoint
+//!   round-sequenced frames of bit-exact payloads, one entry per edge, a
+//!   broadcast encoded once per destination shard.  Each shard's endpoint
 //!   is a [`WorkerMesh`], the same endpoint a worker process drives.  Same
 //!   process, real kernel wire — this is what makes the CONGEST bandwidth
 //!   accounting verifiable against actual encoded bytes.
@@ -56,21 +57,26 @@
 //!
 //! 1. finish writing its own sealed frames, *reading opportunistically* so
 //!    peers are never blocked on a full buffer;
-//! 2. keep reading raw bytes until one complete frame per peer is buffered,
-//!    validating each frame's **header** (kind, round, shard pair) the
-//!    moment it completes — a late, duplicate or out-of-round frame is a
-//!    typed [`TransportError`] here, not a panic (no payload decoding yet);
-//! 3. decode payloads and deliver.
+//! 2. keep reading raw bytes until one complete frame per peer is at the
+//!    front of its inbox, validating each frame's **header** (kind, round,
+//!    shard pair) the moment it completes — a late, duplicate or
+//!    out-of-round frame is a typed [`TransportError`] here, not a panic
+//!    (no payload decoding yet);
+//! 3. decode each frame where it lies, deliver, and drop it.
 //!
 //! A pass over every peer that makes no progress spins (with `yield_now`)
 //! for a few passes, then parks in one blocking call on one stalled link,
 //! bounded by the read/write timeouts set when the link was created.
 //!
 //! Step 1 performs no decoding and cannot fail on algorithm-level
-//! violations; by the time steps 2–3 can fail, every byte this shard owes
-//! its peers is already handed to the kernel, so an error (returned to the
-//! driver, which aborts the run) or a panic (CONGEST double-send in the
-//! sink) unwinds without stranding a peer mid-read.
+//! violations; by the time steps 2–3 can fail on them, every byte this
+//! shard owes its peers is already handed to the kernel, so an error
+//! (returned to the driver, which aborts the run) or a panic (CONGEST
+//! double-send in the sink) unwinds without stranding a peer mid-read.  A
+//! link's own failure — its peer closed its end, or an I/O call failed — is
+//! a typed [`TransportError::PeerClosed`] or [`TransportError::Io`] naming
+//! the peer and the round, in any step; one that `flush`'s opportunistic
+//! write meets is kept on the link and returned by that round's drain.
 
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
@@ -87,8 +93,8 @@ use crate::trace::{
 };
 use crate::wire::{
     for_each_data_entry, get_u16, get_u32, get_u64, put_u16, put_u32, put_u64, read_frame,
-    write_frame, DataFrameBuilder, Frame, FrameBuffer, FrameHeader, FrameKind, WireError,
-    WireMessage,
+    seal_frame, write_frame, DataFrameBuilder, Frame, FrameBuffer, FrameHeader, FrameKind,
+    WireError, WireMessage, FRAME_PREFIX_BYTES,
 };
 
 /// The pseudo shard index of the coordinator in remote frames.
@@ -117,14 +123,17 @@ fn check_wire_shard_count(shards: usize) -> std::io::Result<()> {
 ///
 /// This is how a **late, duplicate or out-of-round frame** manifests: a
 /// frame stamped with round `r' != r` sitting at the front of the inbound
-/// buffer when the round-`r` deliver barrier drains it.  Before this type
-/// existed the socket backend asserted the invariant with a panic deep in
-/// its decode step; now the validation is an explicit, typed error at the
-/// transport seam (the executor still aborts the run on it — through its
-/// poison barriers — but callers driving a transport directly can observe
-/// and test the failure).  Kernel-level I/O failures (a peer closing its
-/// socket mid-run) remain panics: they are infrastructure collapse, not a
-/// protocol state that a test can construct and assert on.
+/// buffer when the round-`r` deliver barrier drains it.  The validation is
+/// an explicit, typed error at the transport seam (the executor still
+/// aborts the run on it — through its poison barriers — but callers driving
+/// a transport directly can observe and test the failure).
+///
+/// A mesh link's I/O failures are typed too, and name the peer shard and
+/// the round: [`TransportError::PeerClosed`] when the peer closed its end,
+/// [`TransportError::Io`] for any other failed call.  A failure that
+/// `flush`'s opportunistic write meets is kept on the link and returned by
+/// that round's `drain`.  A peer that stalls without closing is not yet
+/// detected: no wait of the drain has a deadline.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum TransportError {
@@ -153,6 +162,23 @@ pub enum TransportError {
         /// The sender the entry names.
         sender: u32,
     },
+    /// The peer shard closed its end of the link (a read met the end of
+    /// the stream, or a write a closed or reset connection).
+    PeerClosed {
+        /// The peer that closed its end.
+        shard: usize,
+        /// The round the link failed in.
+        round: u64,
+    },
+    /// Another I/O call on the link to a peer shard failed.
+    Io {
+        /// The peer at the other end of the link.
+        shard: usize,
+        /// The round the link failed in.
+        round: u64,
+        /// The failed call's error.
+        source: std::io::Error,
+    },
 }
 
 impl std::fmt::Display for TransportError {
@@ -168,6 +194,17 @@ impl std::fmt::Display for TransportError {
                 f,
                 "a broadcast entry from node {sender} reached shard {shard}, which it has no port into"
             ),
+            TransportError::PeerClosed { shard, round } => {
+                write!(f, "shard {shard} closed its mesh link in round {round}")
+            }
+            TransportError::Io {
+                shard,
+                round,
+                source,
+            } => write!(
+                f,
+                "the mesh link to shard {shard} failed in round {round}: {source}"
+            ),
         }
     }
 }
@@ -176,9 +213,11 @@ impl std::error::Error for TransportError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TransportError::Wire(e) => Some(e),
+            TransportError::Io { source, .. } => Some(source),
             TransportError::Protocol(_)
             | TransportError::SlotOutsideShard { .. }
-            | TransportError::BroadcastOutsideShard { .. } => None,
+            | TransportError::BroadcastOutsideShard { .. }
+            | TransportError::PeerClosed { .. } => None,
         }
     }
 }
@@ -258,11 +297,11 @@ pub trait Transport<M: TransportMessage>: Send {
     /// slots, ascending, one slot per port.
     ///
     /// The default stages one entry per slot of `dests`, in port order, so
-    /// a backend that encodes or inspects every edge (the wire mesh, the
-    /// fault layer) sees exactly the per-edge stream, and its entries land
-    /// in slots.  [`InProcess`] keeps one [`Entry::Broadcast`] instead,
-    /// which lands as one value wherever the receiving kernel keeps one for
-    /// the sender.
+    /// a backend that inspects every edge (the fault layer) sees exactly
+    /// the per-edge stream, and its entries land in slots.  [`WorkerMesh`]
+    /// writes the same per-edge entries but encodes the message once.
+    /// [`InProcess`] keeps one [`Entry::Broadcast`] instead, which lands as
+    /// one value wherever the receiving kernel keeps one for the sender.
     fn stage_broadcast(&mut self, to: usize, sender: u32, msg: M, dests: &[u32]) {
         for &slot in dests {
             self.stage(to, slot, sender, msg.clone());
@@ -503,16 +542,10 @@ impl LoopbackStream {
             }
         }
     }
+}
 
-    fn write_nb(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            LoopbackStream::Unix(s) => s.write(bytes),
-            LoopbackStream::Tcp(s) => s.write(bytes),
-        }
-    }
-
-    fn read_nb(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+impl Read for LoopbackStream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
             #[cfg(unix)]
             LoopbackStream::Unix(s) => s.read(buf),
@@ -521,21 +554,56 @@ impl LoopbackStream {
     }
 }
 
+impl Write for LoopbackStream {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        match self {
+            #[cfg(unix)]
+            LoopbackStream::Unix(s) => s.write(bytes),
+            LoopbackStream::Tcp(s) => s.write(bytes),
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        match self {
+            #[cfg(unix)]
+            LoopbackStream::Unix(s) => s.flush(),
+            LoopbackStream::Tcp(s) => s.flush(),
+        }
+    }
+}
+
+/// Whether a nonblocking or park-bounded call ended without an error to
+/// report: it would block, its park window passed, or a signal cut it
+/// short.
+fn retry_later(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    matches!(e.kind(), WouldBlock | TimedOut | Interrupted)
+}
+
 /// One [`WorkerMesh`] link: a duplex stream that carries this shard's
-/// frames to `peer` and `peer`'s frames back.
+/// frames to `peer` and `peer`'s frames back.  Each direction holds its
+/// round's data frame once: the outbound frame is built where the socket
+/// writes it from, and the inbound one is read in place and decoded where
+/// it lies.
+///
+/// Its calls return the stream's `io::Error`s; the drain turns them into
+/// typed [`TransportError`]s naming `peer` and the round.
 #[derive(Debug)]
 struct PeerLink {
     peer: u16,
     stream: LoopbackStream,
-    /// Messages staged for `peer` this round, pre-encoding.
+    /// This round's data frame for `peer`, built in place: its entries as
+    /// they are staged, then, sealed, the bytes the socket writes from.
     batch: DataFrameBuilder,
-    /// Sealed-but-unwritten frame bytes.
-    out: Vec<u8>,
+    /// How many bytes of the sealed frame the socket has taken.
     out_pos: usize,
-    /// Raw inbound bytes, reassembled into frames.
+    /// Inbound bytes, read in place.  After step 2 of the drain the frame
+    /// at its front is `peer`'s, with its header checked for the round;
+    /// step 3 decodes it there and drops it.
     inbox: FrameBuffer,
-    /// The (single) complete inbound frame of the current round.
-    frame: Option<Frame>,
+    /// The first failure `flush`'s opportunistic write met, which this
+    /// round's drain returns.
+    failed: Option<TransportError>,
     /// Kernel write batches issued on this link (one per successful
     /// `write` syscall) — the coalescing evidence behind the
     /// `syscall_batches` run metric.
@@ -552,128 +620,106 @@ impl PeerLink {
             peer,
             stream,
             batch: DataFrameBuilder::new(),
-            out: Vec::new(),
             out_pos: 0,
             inbox: FrameBuffer::new(),
-            frame: None,
+            failed: None,
             writes: 0,
         })
     }
 
-    /// Nonblocking write pass over the pending bytes; true if it progressed.
-    fn pump_out(&mut self) -> bool {
-        let mut progressed = false;
-        while self.out_pos < self.out.len() {
-            match self.stream.write_nb(&self.out[self.out_pos..]) {
-                Ok(0) => panic!("loopback transport peer closed its socket"),
-                Ok(n) => {
-                    self.out_pos += n;
-                    self.writes += 1;
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => panic!("loopback transport write failed: {e}"),
+    /// The typed error for `source`, met on this link in `round`:
+    /// [`TransportError::PeerClosed`] if it says the peer closed its end,
+    /// else [`TransportError::Io`].
+    fn failure(&self, round: u64, source: std::io::Error) -> TransportError {
+        use std::io::ErrorKind::{
+            BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof, WriteZero,
+        };
+        let shard = self.peer as usize;
+        match source.kind() {
+            UnexpectedEof | WriteZero | BrokenPipe | ConnectionReset | ConnectionAborted => {
+                TransportError::PeerClosed { shard, round }
             }
+            _ => TransportError::Io {
+                shard,
+                round,
+                source,
+            },
         }
-        if self.out_pos == self.out.len() {
-            self.out.clear();
+    }
+
+    /// Writes once from the sealed frame's pending bytes; true if the
+    /// socket took any.  Once it has taken the whole frame, the builder is
+    /// cleared for the next round.
+    fn write_some(&mut self) -> std::io::Result<bool> {
+        let pending = &self.batch.sealed()[self.out_pos..];
+        if pending.is_empty() {
+            return Ok(false);
+        }
+        let n = match self.stream.write(pending) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => n,
+            Err(e) if retry_later(&e) => return Ok(false),
+            Err(e) => return Err(e),
+        };
+        self.out_pos += n;
+        self.writes += 1;
+        if self.write_done() {
+            self.batch.clear();
             self.out_pos = 0;
         }
-        progressed
+        Ok(true)
+    }
+
+    /// Reads once into the inbox; true if bytes arrived.
+    fn read_some(&mut self) -> std::io::Result<bool> {
+        match self.inbox.read_from(&mut self.stream) {
+            Ok(0) => Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(_) => Ok(true),
+            Err(e) if retry_later(&e) => Ok(false),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Nonblocking write pass over the pending bytes; true if it progressed.
+    fn pump_out(&mut self) -> std::io::Result<bool> {
+        let mut progressed = false;
+        while self.write_some()? {
+            progressed = true;
+        }
+        Ok(progressed)
     }
 
     fn write_done(&self) -> bool {
-        self.out_pos == self.out.len()
+        self.out_pos == self.batch.sealed().len()
     }
 
-    /// Nonblocking read pass into the frame buffer; true if it progressed.
-    fn pump_in(&mut self) -> bool {
+    /// Nonblocking read pass into the inbox; true if it progressed.
+    fn pump_in(&mut self) -> std::io::Result<bool> {
         let mut progressed = false;
-        let mut buf = [0u8; 16 * 1024];
-        loop {
-            match self.stream.read_nb(&mut buf) {
-                Ok(0) => panic!("loopback transport peer closed its socket"),
-                Ok(n) => {
-                    self.inbox.feed(&buf[..n]);
-                    progressed = true;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => panic!("loopback transport read failed: {e}"),
-            }
+        while self.read_some()? {
+            progressed = true;
         }
-        progressed
+        Ok(progressed)
     }
 
     /// Blocks (bounded by [`READINESS_WAIT`]) until this link has inbound
-    /// bytes, feeding whatever arrives; true if bytes arrived.  The kernel
+    /// bytes, reading whatever arrives; true if bytes arrived.  The kernel
     /// parks the thread and wakes it on arrival — the poll-based
     /// replacement for spinning through `yield_now` while a peer computes.
-    fn wait_in(&mut self) -> bool {
-        if self.stream.set_nonblocking(false).is_err() {
-            std::thread::yield_now();
-            return false;
-        }
-        let mut buf = [0u8; 16 * 1024];
-        let progressed = match self.stream.read_nb(&mut buf) {
-            Ok(0) => panic!("loopback transport peer closed its socket"),
-            Ok(n) => {
-                self.inbox.feed(&buf[..n]);
-                true
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                false
-            }
-            Err(e) => panic!("loopback transport read failed: {e}"),
-        };
-        self.stream
-            .set_nonblocking(true)
-            .expect("restoring nonblocking mode");
-        progressed
+    fn wait_in(&mut self) -> std::io::Result<bool> {
+        self.stream.set_nonblocking(false)?;
+        let read = self.read_some();
+        self.stream.set_nonblocking(true)?;
+        read
     }
 
     /// Blocks (bounded by [`READINESS_WAIT`]) until this link's socket can
     /// absorb more of the pending outbound bytes; true if any were written.
-    fn wait_out(&mut self) -> bool {
-        if self.stream.set_nonblocking(false).is_err() {
-            std::thread::yield_now();
-            return false;
-        }
-        let progressed = match self.stream.write_nb(&self.out[self.out_pos..]) {
-            Ok(0) => panic!("loopback transport peer closed its socket"),
-            Ok(n) => {
-                self.out_pos += n;
-                self.writes += 1;
-                true
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                false
-            }
-            Err(e) => panic!("loopback transport write failed: {e}"),
-        };
-        self.stream
-            .set_nonblocking(true)
-            .expect("restoring nonblocking mode");
-        if self.out_pos == self.out.len() {
-            self.out.clear();
-            self.out_pos = 0;
-        }
-        progressed
+    fn wait_out(&mut self) -> std::io::Result<bool> {
+        self.stream.set_nonblocking(false)?;
+        let written = self.write_some();
+        self.stream.set_nonblocking(true)?;
+        written
     }
 }
 
@@ -684,11 +730,13 @@ impl PeerLink {
 /// drain parks on one pending link with `park` instead, so on an
 /// oversubscribed machine it stops competing with the very peer it waits
 /// for.  `rotor` rotates the parked link, so one slow peer cannot starve
-/// the others' readiness.
+/// the others' readiness.  A failed park is the link's typed error in
+/// `round`.
 fn spin_then_park(
     links: &mut [PeerLink],
     rotor: &mut usize,
-    park: fn(&mut PeerLink) -> bool,
+    round: u64,
+    park: fn(&mut PeerLink) -> std::io::Result<bool>,
     mut pass: impl FnMut(&mut PeerLink) -> Result<(bool, bool), TransportError>,
 ) -> Result<(), TransportError> {
     let mut idle: u32 = 0;
@@ -712,7 +760,8 @@ fn spin_then_park(
             if idle < SPIN_PASSES {
                 std::thread::yield_now();
             } else {
-                park(&mut links[pending[*rotor % pending.len()]]);
+                let link = &mut links[pending[*rotor % pending.len()]];
+                park(link).map_err(|e| link.failure(round, e))?;
                 *rotor += 1;
             }
         }
@@ -789,20 +838,20 @@ pub fn write_plan<L: Write>(link: &mut L, plan: &ShardPlan, to: u16) -> std::io:
     let bytes = plan.to_bytes();
     let total = bytes.len().div_ceil(PLAN_CHUNK_BYTES) as u32;
     for (seq, chunk) in bytes.chunks(PLAN_CHUNK_BYTES).enumerate() {
-        let mut payload = Vec::with_capacity(8 + chunk.len());
-        put_u32(&mut payload, seq as u32);
-        put_u32(&mut payload, total);
-        payload.extend_from_slice(chunk);
-        write_frame(
-            link,
-            FrameHeader {
-                kind: FrameKind::Topology,
-                round: 0,
-                from: COORDINATOR,
-                to,
-            },
-            &payload,
-        )?;
+        // Built in place behind room for the prefix, and written in one call.
+        let mut frame = Vec::with_capacity(FRAME_PREFIX_BYTES + 8 + chunk.len());
+        frame.resize(FRAME_PREFIX_BYTES, 0);
+        put_u32(&mut frame, seq as u32);
+        put_u32(&mut frame, total);
+        frame.extend_from_slice(chunk);
+        let header = FrameHeader {
+            kind: FrameKind::Topology,
+            round: 0,
+            from: COORDINATOR,
+            to,
+        };
+        seal_frame(&mut frame, header);
+        link.write_all(&frame)?;
     }
     link.flush()
 }
@@ -827,7 +876,14 @@ pub fn read_plan<L: Read>(link: &mut L, me: u16) -> std::io::Result<ShardPlan> {
         if total == 0 || seq != next || seq >= total {
             return Err(protocol_error("Topology chunks out of sequence"));
         }
-        bytes.extend_from_slice(&frame.payload[8..]);
+        if bytes.is_empty() {
+            // The first chunk's payload becomes the plan's bytes: a plan of
+            // one chunk is held once.
+            bytes = frame.payload;
+            bytes.drain(..8);
+        } else {
+            bytes.extend_from_slice(&frame.payload[8..]);
+        }
         next += 1;
         if next == total {
             break;
@@ -1065,36 +1121,56 @@ impl WorkerMesh {
                 .collect::<std::io::Result<_>>()?,
         })
     }
+
+    /// The link to shard `to`.
+    fn link_to(&mut self, to: usize) -> &mut PeerLink {
+        debug_assert_ne!(to, self.me as usize, "a shard stages nothing for itself");
+        &mut self.links[to - usize::from(to > self.me as usize)]
+    }
 }
 
 impl<M: TransportMessage> Transport<M> for WorkerMesh {
     fn stage(&mut self, to: usize, slot: u32, sender: u32, msg: M) {
-        debug_assert_ne!(to, self.me as usize, "a shard stages nothing for itself");
-        let i = to - usize::from(to > self.me as usize);
-        self.links[i].batch.push(slot, sender, &msg);
+        self.link_to(to).batch.push(slot, sender, &msg);
     }
 
+    /// Encodes the broadcast once for shard `to` and repeats its entry once
+    /// per slot of `dests`: the bytes the default's per-slot `stage` would
+    /// write.
+    fn stage_broadcast(&mut self, to: usize, sender: u32, msg: M, dests: &[u32]) {
+        self.link_to(to).batch.push_run(dests, sender, &msg);
+    }
+
+    /// Seals one frame per peer and writes what each socket takes now; a
+    /// failed write is kept on its link for this round's drain to return.
     fn flush(&mut self, round: u64) -> u64 {
         let mut bytes = 0;
         for link in &mut self.links {
             debug_assert!(link.write_done(), "previous round's frame still pending");
-            bytes += link.batch.seal(round, self.me, link.peer, &mut link.out);
+            bytes += link.batch.seal(round, self.me, link.peer).len() as u64;
             // Opportunistic write so the drain has less to do.
-            link.pump_out();
+            if let Err(e) = link.pump_out() {
+                link.failed = Some(link.failure(round, e));
+            }
         }
         bytes
     }
 
     /// The three-step drain of the [module docs](self): finish this
     /// shard's writes (reading opportunistically), buffer one
-    /// header-validated frame per peer, then decode and deliver in
-    /// ascending peer order.
+    /// header-validated frame per peer, then decode each where it lies and
+    /// deliver, in ascending peer order.
     ///
     /// # Errors
     ///
     /// A late, duplicate or out-of-round frame, or a non-data frame on a
-    /// mesh connection, is a typed [`TransportError`].
+    /// mesh connection, is a typed [`TransportError`]; so is a peer that
+    /// closed its end ([`TransportError::PeerClosed`]) or another failed
+    /// I/O call ([`TransportError::Io`]), this round's flush included.
     fn drain(&mut self, round: u64, sink: &mut dyn FnMut(Entry<M>)) -> Result<(), TransportError> {
+        if let Some(e) = self.links.iter_mut().find_map(|link| link.failed.take()) {
+            return Err(e);
+        }
         let mut rotor: usize = 0;
 
         // Step 1: hand every byte we owe to the kernel, reading as we go so
@@ -1103,45 +1179,60 @@ impl<M: TransportMessage> Transport<M> for WorkerMesh {
         // that peer computes: after a short spin, park in a bounded
         // blocking write on one stalled link, letting the kernel wake us
         // the moment space frees up.
-        spin_then_park(&mut self.links, &mut rotor, PeerLink::wait_out, |link| {
-            let progressed = link.pump_out() | link.pump_in();
-            Ok((progressed, link.write_done()))
-        })?;
+        spin_then_park(
+            &mut self.links,
+            &mut rotor,
+            round,
+            PeerLink::wait_out,
+            |link| {
+                let wrote = link.pump_out().map_err(|e| link.failure(round, e))?;
+                let read = link.pump_in().map_err(|e| link.failure(round, e))?;
+                Ok((wrote | read, link.write_done()))
+            },
+        )?;
 
-        // Step 2: buffer raw bytes until one complete frame per peer is in
-        // hand, validating each frame's header the moment it materializes.
-        // This is where the "every round-r frame arrives before the round-r
-        // barrier" assumption is *checked* instead of assumed: a frame
-        // stamped with any other round — late, duplicated, or forged — is a
-        // typed [`TransportError`], not a decode-time surprise.  Decoding of
-        // payloads still waits for step 3 so peers can always finish their
-        // own step 1.  The parks are bounded blocking reads on one
-        // frame-less link: the kernel wakes us the instant its bytes arrive.
+        // Step 2: read raw bytes until one complete frame per peer is at the
+        // front of its inbox, validating each frame's header the moment it
+        // completes.  This is where the "every round-r frame arrives before
+        // the round-r barrier" assumption is *checked* instead of assumed: a
+        // frame stamped with any other round — late, duplicated, or forged —
+        // is a typed [`TransportError`], not a decode-time surprise.
+        // Decoding of payloads still waits for step 3 so peers can always
+        // finish their own step 1.  The parks are bounded blocking reads on
+        // one frame-less link: the kernel wakes us the instant its bytes
+        // arrive.
         let me = self.me;
-        spin_then_park(&mut self.links, &mut rotor, PeerLink::wait_in, |link| {
-            if link.frame.is_some() {
-                return Ok((false, true));
-            }
-            let progressed = link.pump_in();
-            let Some(frame) = link.inbox.next_frame()? else {
-                return Ok((progressed, false));
-            };
-            if frame.header.kind != FrameKind::Data {
-                return Err(TransportError::Protocol(format!(
-                    "expected a data frame from shard {}, got a {:?} frame",
-                    link.peer, frame.header.kind
-                )));
-            }
-            frame.header.expect(round, link.peer, me)?;
-            link.frame = Some(frame);
-            Ok((true, true))
-        })?;
+        spin_then_park(
+            &mut self.links,
+            &mut rotor,
+            round,
+            PeerLink::wait_in,
+            |link| {
+                let mut progressed = false;
+                if link.inbox.front()?.is_none() {
+                    progressed = link.pump_in().map_err(|e| link.failure(round, e))?;
+                }
+                let Some((header, _)) = link.inbox.front()? else {
+                    return Ok((progressed, false));
+                };
+                if header.kind != FrameKind::Data {
+                    return Err(TransportError::Protocol(format!(
+                        "expected a data frame from shard {}, got a {:?} frame",
+                        link.peer, header.kind
+                    )));
+                }
+                header.expect(round, link.peer, me)?;
+                Ok((progressed, true))
+            },
+        )?;
 
-        // Step 3: decode and deliver in ascending peer order (headers were
-        // already validated as the frames arrived).
+        // Step 3: decode each frame where it lies and deliver, in ascending
+        // peer order (headers were already validated as the frames
+        // arrived), then drop it.
         for link in &mut self.links {
-            let frame = link.frame.take().expect("step 2 buffered a frame per peer");
-            for_each_port_entry(&frame.payload, sink)?;
+            let (_, payload) = link.inbox.front()?.expect("step 2 left a frame per peer");
+            for_each_port_entry(payload, sink)?;
+            link.inbox.pop_front();
         }
         Ok(())
     }
@@ -1243,36 +1334,37 @@ fn parse_stats(frame: &Frame) -> std::io::Result<WorkerStats> {
     })
 }
 
-/// Encodes a worker's final [`Output`](FrameKind::Output) frame payload:
-/// every [`RunMetrics::COUNTERS`] value of `shard` in registry order and its
-/// `phase_nanos` (`send`, `deliver`, `receive`), all `u64`; then a `u32`
-/// count and one `[node u32][bits u16][aux u8][payload]` entry per output,
-/// for the consecutive nodes from `first_node` on.
+/// Appends a worker's final [`Output`](FrameKind::Output) frame payload to
+/// `payload`: every [`RunMetrics::COUNTERS`] value of `shard` in registry
+/// order and its `phase_nanos` (`send`, `deliver`, `receive`), all `u64`;
+/// then a `u32` count and one `[node u32][bits u16][aux u8][payload]` entry
+/// per output, for the consecutive nodes from `first_node` on.  A worker
+/// appends it behind room for the frame prefix, so the frame is built in
+/// place.
 pub fn encode_output_payload<O: WireMessage>(
+    payload: &mut Vec<u8>,
     shard: &RunMetrics,
     first_node: usize,
     outputs: impl ExactSizeIterator<Item = O>,
-) -> Vec<u8> {
-    let mut payload = Vec::new();
+) {
     for c in RunMetrics::COUNTERS {
-        put_u64(&mut payload, (c.get)(shard));
+        put_u64(payload, (c.get)(shard));
     }
     let t = shard.phase_nanos;
     for v in [t.send, t.deliver, t.receive] {
-        put_u64(&mut payload, v);
+        put_u64(payload, v);
     }
-    put_u32(&mut payload, outputs.len() as u32);
+    put_u32(payload, outputs.len() as u32);
     let mut w = crate::wire::BitWriter::new();
     for (i, out) in outputs.enumerate() {
         w.clear();
         let aux = out.encode(&mut w);
         let bits = u16::try_from(w.bits_written()).expect("output exceeds u16 bits");
-        put_u32(&mut payload, (first_node + i) as u32);
+        put_u32(payload, (first_node + i) as u32);
         payload.extend_from_slice(&bits.to_le_bytes());
         payload.push(aux);
         payload.extend_from_slice(w.as_bytes());
     }
-    payload
 }
 
 /// Decodes a payload written by [`encode_output_payload`]: returns the
@@ -1435,17 +1527,17 @@ where
     }
     report.peak_rss_bytes = crate::metrics::process_peak_rss_bytes();
     let outputs = nodes.iter().map(|node| node.output());
-    let payload = encode_output_payload(&report, node_range.start, outputs);
-    write_frame(
-        link,
-        FrameHeader {
-            kind: FrameKind::Output,
-            round,
-            from: me,
-            to: COORDINATOR,
-        },
-        &payload,
-    )?;
+    // Built in place behind room for the prefix, and written in one call.
+    let mut frame = vec![0; FRAME_PREFIX_BYTES];
+    encode_output_payload(&mut frame, &report, node_range.start, outputs);
+    let header = FrameHeader {
+        kind: FrameKind::Output,
+        round,
+        from: me,
+        to: COORDINATOR,
+    };
+    seal_frame(&mut frame, header);
+    link.write_all(&frame)?;
     link.flush()?;
     Ok(())
 }
@@ -2104,14 +2196,11 @@ mod tests {
     }
 
     /// Writes raw bytes from shard 0's endpoint to shard 1, bypassing the
-    /// staging and sealing path entirely.
+    /// staging and sealing path entirely.  The forged frames are small, so
+    /// the nonblocking socket takes them whole.
     #[cfg(unix)]
     fn forge(shard0: &mut WorkerMesh, bytes: &[u8]) {
-        let link = &mut shard0.links[0];
-        link.out.extend_from_slice(bytes);
-        while !link.write_done() {
-            link.pump_out();
-        }
+        shard0.links[0].stream.write_all(bytes).expect("forge");
     }
 
     /// One frame of `kind` from shard 0 to shard 1, length prefix included.
@@ -2145,6 +2234,37 @@ mod tests {
                 assert_eq!((expected, got), (0, 5));
             }
             other => panic!("expected a RoundMismatch, got {other}"),
+        }
+    }
+
+    /// A peer that closes its end of the link mid-round is a typed error
+    /// naming it and the round, never a panic: when it closes after shard
+    /// 0's flush, the drain's read meets the end of the stream; when it
+    /// closes before, the flush's write fails, and the drain returns that.
+    #[cfg(unix)]
+    #[test]
+    fn a_peer_closing_mid_round_is_a_checked_transport_error() {
+        for close_before_flush in [false, true] {
+            let mut t = forged_pair();
+            let shard1 = t.pop().expect("shard 1's endpoint");
+            let mut shard0 = t.pop().expect("shard 0's endpoint");
+            Transport::<u64>::stage(&mut shard0, 1, 9, 3, 7);
+            if close_before_flush {
+                drop(shard1);
+                Transport::<u64>::flush(&mut shard0, 3);
+            } else {
+                Transport::<u64>::flush(&mut shard0, 3);
+                drop(shard1);
+            }
+            let err = Transport::<u64>::drain(&mut shard0, 3, &mut |_| {
+                panic!("nothing must be delivered from a closed link")
+            })
+            .expect_err("a closed link must be an error");
+            assert!(
+                matches!(err, TransportError::PeerClosed { shard: 1, round: 3 }),
+                "closed before the flush: {close_before_flush}: {err}"
+            );
+            assert_eq!(err.to_string(), "shard 1 closed its mesh link in round 3");
         }
     }
 
@@ -2335,9 +2455,7 @@ mod tests {
     fn one_entry_frame(slot: u32) -> Vec<u8> {
         let mut batch = DataFrameBuilder::new();
         batch.push(slot, 0, &7u64);
-        let mut out = Vec::new();
-        batch.seal(0, 0, 1, &mut out);
-        out
+        batch.seal(0, 0, 1).to_vec()
     }
 
     /// [`InProcess`], except that shard `w` delivers each broadcast entry
@@ -2516,32 +2634,57 @@ mod tests {
         }
     }
 
-    /// Frames larger than a kernel socket buffer: a ring plus the chords
-    /// `i — i + n/2 − 1`, nearly all of which cross the two-shard cut, so a
-    /// round's frame overfills a Unix socketpair and the drain takes its
-    /// write-stall path (and sometimes parks) without deadlocking.
-    /// Loopback TCP buffers grow past the frame; that run checks the
+    /// Frames larger than a kernel socket buffer, under TCP and Unix
+    /// loopback, drain without deadlocking and match the sequential
+    /// executor.  Two graphs in two shards:
+    ///
+    /// * a ring plus the chords `i — i + n/2 − 1` on 40 000 nodes: nearly
+    ///   every chord crosses the cut, so a round's frame overfills a Unix
+    ///   socketpair and the drain takes its write-stall path (and
+    ///   sometimes parks);
+    /// * a circulant on 2·10^5 nodes whose shifts `n/4 + 1` and `n/2 − 1`
+    ///   put about three quarters of its edges across the cut, so a
+    ///   round's frame runs to megabytes and spans many read windows.
+    ///
+    /// Loopback TCP buffers grow past the frame; those runs check the
     /// outputs only.
     #[test]
     fn frames_larger_than_a_socket_buffer_drain_without_deadlock() {
-        let n = 40_000;
-        let edges: Vec<(usize, usize)> = (0..n)
-            .map(|i| (i, (i + 1) % n))
-            .chain((0..n / 2).map(|i| (i, i + n / 2 - 1)))
-            .collect();
-        let dense = Topology::from_edges(n, &edges).unwrap();
-        let seq = Simulator::new(&dense).run(mk(n));
-        let g = Arc::new(ShardedTopology::from_topology(&dense, 2).unwrap());
-        let mut backends = vec![("tcp loopback", SocketLoopback::tcp())];
-        #[cfg(unix)]
-        backends.push(("unix loopback", SocketLoopback::unix()));
-        for (what, backend) in backends {
-            let g = Arc::clone(&g);
-            let out = within_deadline(what, move || {
-                Simulator::new(&*g)
-                    .run_with_executor(mk(n), &ShardedExecutor::with_transport(backend))
-            });
-            assert_logically_equal(&seq, &out, what);
+        let chords = |n: usize| -> Vec<(usize, usize)> {
+            (0..n)
+                .map(|i| (i, (i + 1) % n))
+                .chain((0..n / 2).map(|i| (i, i + n / 2 - 1)))
+                .collect()
+        };
+        let circulant = |n: usize| -> Vec<(usize, usize)> {
+            [n / 4 + 1, n / 2 - 1]
+                .into_iter()
+                .flat_map(|shift| (0..n).map(move |i| (i, (i + shift) % n)))
+                .collect()
+        };
+        for (n, edges, windows) in [
+            (40_000, chords(40_000), 1),
+            (200_000, circulant(200_000), 16),
+        ] {
+            let dense = Topology::from_edges(n, &edges).unwrap();
+            let seq = Simulator::new(&dense).run(mk(n));
+            let g = Arc::new(ShardedTopology::from_topology(&dense, 2).unwrap());
+            let mut backends = vec![("tcp loopback", SocketLoopback::tcp())];
+            #[cfg(unix)]
+            backends.push(("unix loopback", SocketLoopback::unix()));
+            for (what, backend) in backends {
+                let g = Arc::clone(&g);
+                let out = within_deadline(what, move || {
+                    Simulator::new(&*g)
+                        .run_with_executor(mk(n), &ShardedExecutor::with_transport(backend))
+                });
+                assert_logically_equal(&seq, &out, what);
+                let frame = out.metrics.wire_bytes_sent / (2 * out.metrics.rounds);
+                assert!(
+                    frame > windows * crate::wire::READ_WINDOW as u64,
+                    "{what}, n = {n}: the average frame must span {windows} read windows"
+                );
+            }
         }
     }
 }

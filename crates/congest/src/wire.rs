@@ -63,6 +63,15 @@
 //! Decoders verify the length prefix, the entry count, exact payload
 //! consumption and zero padding bits; every malformed input is reported as a
 //! [`WireError`] — never a panic.
+//!
+//! # One copy per direction
+//!
+//! A round's data frame can run to tens of megabytes, so each side holds it
+//! once: a [`DataFrameBuilder`] encodes entries straight into the buffer the
+//! socket writes from, and a [`FrameBuffer`] reads the socket straight into
+//! its own memory, where the frame is decoded.  Large control frames are
+//! built in place behind [`FRAME_PREFIX_BYTES`] of room ([`seal_frame`]),
+//! and [`read_frame`] reads a payload straight into its own `Vec`.
 
 use crate::algorithm::MessageSize;
 
@@ -73,6 +82,21 @@ pub const MAX_FRAME_BODY: usize = 1 << 28;
 
 /// Size of the fixed frame header (`kind` + `round` + `from` + `to`).
 pub const FRAME_HEADER_BYTES: usize = 1 + 8 + 2 + 2;
+
+/// The length prefix and the header: every frame starts with this many
+/// bytes, and a frame built in place leaves this much room at its front for
+/// [`seal_frame`].
+pub const FRAME_PREFIX_BYTES: usize = 4 + FRAME_HEADER_BYTES;
+
+/// The room a [`DataFrameBuilder`] leaves before its entries: the frame
+/// prefix and the entry count.
+const DATA_PREFIX_BYTES: usize = FRAME_PREFIX_BYTES + 4;
+
+/// The bytes of a data entry before its payload: slot, sender, bits, aux.
+const ENTRY_HEADER_BYTES: usize = 4 + 4 + 2 + 1;
+
+/// The least a [`FrameBuffer`] grows by, and so its first allocation.
+pub const READ_WINDOW: usize = 64 * 1024;
 
 /// A decoding error of the wire codec.
 ///
@@ -531,7 +555,8 @@ impl FrameHeader {
     }
 }
 
-/// A fully received frame: header plus owned payload bytes.
+/// A frame read off a blocking link ([`read_frame`]): header plus owned
+/// payload bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// The decoded header.
@@ -582,153 +607,290 @@ pub(crate) fn get_u64(bytes: &[u8], at: usize) -> Result<u64, WireError> {
         })
 }
 
+/// Fills in the length prefix and header of a frame built in place:
+/// `frame` holds [`FRAME_PREFIX_BYTES`] of room, then the payload.  Returns
+/// the frame's length, length prefix included.
+///
+/// # Panics
+///
+/// Panics if `frame` is shorter than the room or its body exceeds
+/// [`MAX_FRAME_BODY`].
+pub fn seal_frame(frame: &mut [u8], header: FrameHeader) -> usize {
+    assert!(
+        frame.len() >= FRAME_PREFIX_BYTES && frame.len() - 4 <= MAX_FRAME_BODY,
+        "a frame needs room for its prefix and a body within MAX_FRAME_BODY"
+    );
+    let body_len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&body_len.to_le_bytes());
+    frame[4] = header.kind.to_u8();
+    frame[5..13].copy_from_slice(&header.round.to_le_bytes());
+    frame[13..15].copy_from_slice(&header.from.to_le_bytes());
+    frame[15..17].copy_from_slice(&header.to.to_le_bytes());
+    frame.len()
+}
+
 /// Appends one complete frame (`length prefix + header + payload`) to `out`;
 /// returns the number of bytes appended.
 pub fn frame_into(out: &mut Vec<u8>, header: FrameHeader, payload: &[u8]) -> usize {
-    let body_len = FRAME_HEADER_BYTES + payload.len();
-    assert!(
-        body_len <= MAX_FRAME_BODY,
-        "frame body exceeds MAX_FRAME_BODY"
-    );
-    put_u32(out, body_len as u32);
-    out.push(header.kind.to_u8());
-    put_u64(out, header.round);
-    put_u16(out, header.from);
-    put_u16(out, header.to);
+    let at = out.len();
+    out.resize(at + FRAME_PREFIX_BYTES, 0);
     out.extend_from_slice(payload);
-    4 + body_len
+    seal_frame(&mut out[at..], header)
 }
 
-/// Parses a frame body (everything after the length prefix).
-pub fn parse_body(body: &[u8]) -> Result<Frame, WireError> {
-    if body.len() < FRAME_HEADER_BYTES {
-        return Err(WireError::Truncated {
-            needed: FRAME_HEADER_BYTES,
-            got: body.len(),
+/// The body length a frame's length prefix claims, checked against
+/// [`MAX_FRAME_BODY`] and against the header every body holds.
+fn body_len(prefix: &[u8]) -> Result<usize, WireError> {
+    let len = get_u32(prefix, 0)? as usize;
+    if len > MAX_FRAME_BODY {
+        return Err(WireError::BadLength {
+            len,
+            limit: MAX_FRAME_BODY,
         });
     }
-    let kind = FrameKind::from_u8(body[0])?;
-    let round = get_u64(body, 1)?;
-    let from = get_u16(body, 9)?;
-    let to = get_u16(body, 11)?;
-    Ok(Frame {
-        header: FrameHeader {
-            kind,
-            round,
-            from,
-            to,
-        },
-        payload: body[FRAME_HEADER_BYTES..].to_vec(),
+    if len < FRAME_HEADER_BYTES {
+        return Err(WireError::Truncated {
+            needed: FRAME_HEADER_BYTES,
+            got: len,
+        });
+    }
+    Ok(len)
+}
+
+/// The length, prefix included, that the length prefix at the front of
+/// `bytes` claims, once those 4 bytes are there.
+fn claimed_len(bytes: &[u8]) -> Option<usize> {
+    get_u32(bytes, 0).ok().map(|len| 4 + len as usize)
+}
+
+/// Decodes the header at the front of a frame body.
+fn parse_header(body: &[u8]) -> Result<FrameHeader, WireError> {
+    Ok(FrameHeader {
+        kind: FrameKind::from_u8(*body.first().ok_or(WireError::Truncated {
+            needed: FRAME_HEADER_BYTES,
+            got: 0,
+        })?)?,
+        round: get_u64(body, 1)?,
+        from: get_u16(body, 9)?,
+        to: get_u16(body, 11)?,
     })
 }
 
-/// Incremental frame reassembly over an untrusted byte stream.
+/// Incremental frame reassembly over an untrusted byte stream, in place.
 ///
-/// Feed raw bytes as they arrive ([`FrameBuffer::feed`]) and pull complete
-/// frames ([`FrameBuffer::next_frame`]); partial frames stay buffered.  Used
-/// by the nonblocking socket-loopback transport; blocking links use
-/// [`read_frame`] instead.
+/// [`FrameBuffer::read_from`] reads the stream straight into the buffer's
+/// own memory; [`FrameBuffer::front`] returns the complete frame at the
+/// front, its payload borrowed where it lies, and
+/// [`FrameBuffer::pop_front`] drops it.  Partial frames stay buffered.
+///
+/// The memory grows only when unread bytes fill more than half of it, and
+/// then by what has arrived of the frame in progress (the first one not yet
+/// complete), never past what its length prefix says it lacks, and by at
+/// least [`READ_WINDOW`].  So a forged length prefix cannot make it allocate
+/// ahead of the bytes.  Used by the nonblocking worker mesh; blocking links
+/// use [`read_frame`] instead.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
+    /// The buffer's memory; `buf[start..end]` holds the unread bytes.
     buf: Vec<u8>,
     start: usize,
+    end: usize,
 }
 
 impl FrameBuffer {
-    /// Creates an empty buffer.
+    /// Creates an empty buffer; it allocates on its first read.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Appends raw stream bytes.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        // Compact lazily so the buffer does not grow without bound.
-        if self.start > 4096 && self.start * 2 > self.buf.len() {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-        self.buf.extend_from_slice(bytes);
+    /// Reads once from `source` into the free memory after the unread
+    /// bytes, first making room; returns the bytes read, 0 at the end of
+    /// the stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns `source`'s error, with nothing read.
+    pub fn read_from(&mut self, source: &mut impl std::io::Read) -> std::io::Result<usize> {
+        self.make_room();
+        let n = source.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
     }
 
-    /// Pops the next complete frame, `Ok(None)` if more bytes are needed.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        let avail = &self.buf[self.start..];
+    /// When no memory is free after the unread bytes: moves them to the
+    /// front, and if they then fill more than half the memory, grows it
+    /// (see the type's docs).
+    fn make_room(&mut self) {
+        if self.end < self.buf.len() {
+            return;
+        }
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        if self.end * 2 >= self.buf.len() {
+            let (arrived, lacking) = self.current_frame();
+            let grow = arrived.min(lacking).max(READ_WINDOW);
+            self.buf.resize(self.buf.len() + grow, 0);
+        }
+    }
+
+    /// Of the first incomplete frame: the bytes that have arrived, and the
+    /// bytes its length prefix says it still lacks (0 until the prefix is
+    /// whole).
+    fn current_frame(&self) -> (usize, usize) {
+        let mut at = self.start;
+        loop {
+            match claimed_len(&self.buf[at..self.end]) {
+                Some(len) if len <= self.end - at => at += len,
+                Some(len) => return (self.end - at, at + len - self.end),
+                None => return (self.end - at, 0),
+            }
+        }
+    }
+
+    /// The complete frame at the front: its header and its payload, where
+    /// it lies.  `Ok(None)` while bytes of it are missing.
+    ///
+    /// # Errors
+    ///
+    /// A length prefix past [`MAX_FRAME_BODY`] or too short for a header,
+    /// or an unknown frame kind, is a [`WireError`].
+    pub fn front(&self) -> Result<Option<(FrameHeader, &[u8])>, WireError> {
+        let avail = &self.buf[self.start..self.end];
         if avail.len() < 4 {
             return Ok(None);
         }
-        let body_len = get_u32(avail, 0)? as usize;
-        if body_len > MAX_FRAME_BODY {
-            return Err(WireError::BadLength {
-                len: body_len,
-                limit: MAX_FRAME_BODY,
-            });
-        }
-        if avail.len() < 4 + body_len {
+        let len = body_len(avail)?;
+        let Some(body) = avail.get(4..4 + len) else {
             return Ok(None);
+        };
+        Ok(Some((parse_header(body)?, &body[FRAME_HEADER_BYTES..])))
+    }
+
+    /// Drops the frame at the front, which [`FrameBuffer::front`] returned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no complete frame is at the front.
+    pub fn pop_front(&mut self) {
+        let len = claimed_len(&self.buf[self.start..self.end]).unwrap_or(usize::MAX);
+        assert!(
+            len <= self.end - self.start,
+            "no complete frame at the front"
+        );
+        self.start += len;
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
         }
-        let frame = parse_body(&avail[4..4 + body_len])?;
-        self.start += 4 + body_len;
-        Ok(Some(frame))
+    }
+
+    /// The bytes of memory the buffer holds.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 }
 
-/// Reads exactly one frame from a blocking stream.
+/// Reads exactly one frame from a blocking stream: its length prefix and
+/// header in one call, then its payload straight into the frame's own
+/// `Vec`.
+///
+/// # Errors
+///
+/// Propagates the stream's errors; a malformed prefix or header is an
+/// [`InvalidData`](std::io::ErrorKind::InvalidData) error carrying its
+/// [`WireError`].
 pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Frame> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let body_len = u32::from_le_bytes(len) as usize;
-    if body_len > MAX_FRAME_BODY {
-        return Err(WireError::BadLength {
-            len: body_len,
-            limit: MAX_FRAME_BODY,
-        }
-        .into());
-    }
-    let mut body = vec![0u8; body_len];
-    r.read_exact(&mut body)?;
-    parse_body(&body).map_err(Into::into)
+    let mut prefix = [0u8; FRAME_PREFIX_BYTES];
+    r.read_exact(&mut prefix)?;
+    let len = body_len(&prefix)?;
+    let header = parse_header(&prefix[4..])?;
+    let mut payload = vec![0u8; len - FRAME_HEADER_BYTES];
+    r.read_exact(&mut payload)?;
+    Ok(Frame { header, payload })
 }
 
-/// Writes one complete frame to a blocking stream; returns bytes written.
+/// Writes one complete frame to a blocking stream in one call; returns
+/// bytes written.  The payload is copied behind the prefix first, which
+/// suits small frames; large ones are built in place ([`seal_frame`]).
 pub fn write_frame(
     w: &mut impl std::io::Write,
     header: FrameHeader,
     payload: &[u8],
 ) -> std::io::Result<u64> {
-    let mut out = Vec::with_capacity(4 + FRAME_HEADER_BYTES + payload.len());
+    let mut out = Vec::with_capacity(FRAME_PREFIX_BYTES + payload.len());
     let n = frame_into(&mut out, header, payload);
     w.write_all(&out)?;
     Ok(n as u64)
 }
 
-/// Accumulates routed messages into one `Data` frame body.
+/// Builds one `Data` frame in place: entries are encoded straight into the
+/// buffer the frame is written from, after room for its length prefix,
+/// header and entry count, which [`DataFrameBuilder::seal`] fills in.
 ///
-/// Reusable across rounds (`seal` resets it, keeping the allocations), so
-/// the transport hot path performs no per-message allocation.
-#[derive(Debug, Default)]
+/// Reusable across rounds: [`DataFrameBuilder::clear`] drops the frame and
+/// keeps the allocation, so the transport hot path performs no per-message
+/// allocation.
+#[derive(Debug)]
 pub struct DataFrameBuilder {
-    entries: Vec<u8>,
+    /// The frame: room for the prefix and the entry count, then the
+    /// entries.
+    frame: Vec<u8>,
     count: u32,
+    sealed: bool,
     scratch: BitWriter,
+}
+
+impl Default for DataFrameBuilder {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl DataFrameBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            frame: vec![0; DATA_PREFIX_BYTES],
+            count: 0,
+            sealed: false,
+            scratch: BitWriter::new(),
+        }
     }
 
     /// Appends one routed message (`destination slot`, `sender`, payload).
     pub fn push<M: WireMessage>(&mut self, slot: u32, sender: u32, msg: &M) {
+        self.push_run(&[slot], sender, msg);
+    }
+
+    /// Appends `sender`'s message once per slot of `slots`, encoding it
+    /// once: exactly the bytes of one [`DataFrameBuilder::push`] per slot.
+    pub fn push_run<M: WireMessage>(&mut self, slots: &[u32], sender: u32, msg: &M) {
+        debug_assert!(!self.sealed, "clear a sealed frame before pushing");
+        let Some((&first, rest)) = slots.split_first() else {
+            return;
+        };
         self.scratch.clear();
         let aux = msg.encode(&mut self.scratch);
         let bits = u16::try_from(self.scratch.bits_written()).expect("payload exceeds u16 bits");
-        put_u32(&mut self.entries, slot);
-        put_u32(&mut self.entries, sender);
-        put_u16(&mut self.entries, bits);
-        self.entries.push(aux);
-        self.entries.extend_from_slice(self.scratch.as_bytes());
-        self.count += 1;
+        let payload = self.scratch.as_bytes();
+        let frame = &mut self.frame;
+        frame.reserve(slots.len() * (ENTRY_HEADER_BYTES + payload.len()));
+        let at = frame.len();
+        put_u32(frame, first);
+        put_u32(frame, sender);
+        put_u16(frame, bits);
+        frame.push(aux);
+        frame.extend_from_slice(payload);
+        // Every later entry of the run is its slot, then the first entry's
+        // bytes after the slot.
+        let tail = at + 4..frame.len();
+        for &slot in rest {
+            put_u32(frame, slot);
+            frame.extend_from_within(tail.clone());
+        }
+        self.count += slots.len() as u32;
     }
 
     /// Number of staged messages.
@@ -741,30 +903,38 @@ impl DataFrameBuilder {
         self.count == 0
     }
 
-    /// Appends the finished frame (length prefix included) to `out` and
-    /// resets the builder; returns the bytes appended.
-    pub fn seal(&mut self, round: u64, from: u16, to: u16, out: &mut Vec<u8>) -> u64 {
+    /// Fills in the frame's length prefix, header and entry count, and
+    /// returns the finished frame.  The builder holds it
+    /// ([`DataFrameBuilder::sealed`]) until [`DataFrameBuilder::clear`].
+    pub fn seal(&mut self, round: u64, from: u16, to: u16) -> &[u8] {
         let header = FrameHeader {
             kind: FrameKind::Data,
             round,
             from,
             to,
         };
-        let body_len = FRAME_HEADER_BYTES + 4 + self.entries.len();
-        assert!(
-            body_len <= MAX_FRAME_BODY,
-            "data frame exceeds MAX_FRAME_BODY"
-        );
-        put_u32(out, body_len as u32);
-        out.push(header.kind.to_u8());
-        put_u64(out, header.round);
-        put_u16(out, header.from);
-        put_u16(out, header.to);
-        put_u32(out, self.count);
-        out.extend_from_slice(&self.entries);
-        self.entries.clear();
+        self.frame[FRAME_PREFIX_BYTES..DATA_PREFIX_BYTES]
+            .copy_from_slice(&self.count.to_le_bytes());
+        seal_frame(&mut self.frame, header);
+        self.sealed = true;
+        &self.frame
+    }
+
+    /// The sealed frame, length prefix included; empty until
+    /// [`DataFrameBuilder::seal`].
+    pub fn sealed(&self) -> &[u8] {
+        if self.sealed {
+            &self.frame
+        } else {
+            &[]
+        }
+    }
+
+    /// Drops the frame, sealed or not, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.frame.truncate(DATA_PREFIX_BYTES);
         self.count = 0;
-        (4 + body_len) as u64
+        self.sealed = false;
     }
 }
 
@@ -787,16 +957,16 @@ pub fn for_each_data_entry<M: WireMessage>(
             needed: at + 11,
             got: payload.len(),
         })?;
-        let nbytes = (bits as usize).div_ceil(8);
+        let (nbytes, at_payload) = ((bits as usize).div_ceil(8), at + ENTRY_HEADER_BYTES);
         let body = payload
-            .get(at + 11..at + 11 + nbytes)
+            .get(at_payload..at_payload + nbytes)
             .ok_or(WireError::Truncated {
-                needed: at + 11 + nbytes,
+                needed: at_payload + nbytes,
                 got: payload.len(),
             })?;
         let msg = decode_payload::<M>(bits, aux, body)?;
         sink(slot, sender, msg);
-        at += 11 + nbytes;
+        at = at_payload + nbytes;
     }
     if at != payload.len() {
         return Err(WireError::TrailingBytes(payload.len() - at));
@@ -853,6 +1023,15 @@ mod tests {
         assert!(decode_payload::<()>(2, 0, &[0, 0]).is_err());
     }
 
+    /// Reads all of `bytes` into `fb`, at most `step` bytes per read.
+    fn read_all(fb: &mut FrameBuffer, bytes: &[u8], step: usize) {
+        let mut fed = 0;
+        while fed < bytes.len() {
+            let to = bytes.len().min(fed + step);
+            fed += fb.read_from(&mut &bytes[fed..to]).unwrap();
+        }
+    }
+
     #[test]
     fn frame_round_trips_through_buffer() {
         let header = FrameHeader {
@@ -864,16 +1043,15 @@ mod tests {
         let mut out = Vec::new();
         frame_into(&mut out, header, &[9, 9, 9]);
         let mut fb = FrameBuffer::new();
-        // Feed byte by byte: partial prefixes must return Ok(None).
-        for b in &out[..out.len() - 1] {
-            fb.feed(&[*b]);
-        }
-        assert_eq!(fb.next_frame().unwrap(), None);
-        fb.feed(&out[out.len() - 1..]);
-        let frame = fb.next_frame().unwrap().unwrap();
-        assert_eq!(frame.header, header);
-        assert_eq!(frame.payload, vec![9, 9, 9]);
-        assert_eq!(fb.next_frame().unwrap(), None);
+        // Read byte by byte: partial prefixes must return Ok(None).
+        read_all(&mut fb, &out[..out.len() - 1], 1);
+        assert_eq!(fb.front().unwrap(), None);
+        read_all(&mut fb, &out[out.len() - 1..], 1);
+        let (got, payload) = fb.front().unwrap().unwrap();
+        assert_eq!(got, header);
+        assert_eq!(payload, [9, 9, 9]);
+        fb.pop_front();
+        assert_eq!(fb.front().unwrap(), None);
     }
 
     #[test]
@@ -896,30 +1074,32 @@ mod tests {
             let mut out = Vec::new();
             frame_into(&mut out, header, &[5, 6, 7, 8]);
             let mut fb = FrameBuffer::new();
-            fb.feed(&out);
-            let frame = fb.next_frame().unwrap().unwrap();
-            assert_eq!(frame.header, header);
-            assert_eq!(frame.payload, vec![5, 6, 7, 8]);
+            read_all(&mut fb, &out, out.len());
+            let (got, payload) = fb.front().unwrap().unwrap();
+            assert_eq!(got, header);
+            assert_eq!(payload, [5, 6, 7, 8]);
         }
     }
 
     #[test]
     fn malformed_frames_are_errors_not_panics() {
         // Unknown kind (8 is the first unassigned tag).
-        let mut body = vec![8u8];
-        body.extend_from_slice(&0u64.to_le_bytes());
-        body.extend_from_slice(&0u16.to_le_bytes());
-        body.extend_from_slice(&0u16.to_le_bytes());
-        assert_eq!(parse_body(&body), Err(WireError::BadKind(8)));
+        let mut frame = (FRAME_HEADER_BYTES as u32).to_le_bytes().to_vec();
+        frame.push(8u8);
+        frame.extend_from_slice(&0u64.to_le_bytes());
+        frame.extend_from_slice(&0u16.to_le_bytes());
+        frame.extend_from_slice(&0u16.to_le_bytes());
+        let mut fb = FrameBuffer::new();
+        read_all(&mut fb, &frame, frame.len());
+        assert_eq!(fb.front(), Err(WireError::BadKind(8)));
         // Truncated header.
-        assert!(matches!(
-            parse_body(&[0u8; 5]),
-            Err(WireError::Truncated { .. })
-        ));
+        let mut fb = FrameBuffer::new();
+        read_all(&mut fb, &[5, 0, 0, 0, 0, 0, 0, 0, 0], 9);
+        assert!(matches!(fb.front(), Err(WireError::Truncated { .. })));
         // Oversized length prefix.
         let mut fb = FrameBuffer::new();
-        fb.feed(&(u32::MAX).to_le_bytes());
-        assert!(matches!(fb.next_frame(), Err(WireError::BadLength { .. })));
+        read_all(&mut fb, &(u32::MAX).to_le_bytes(), 4);
+        assert!(matches!(fb.front(), Err(WireError::BadLength { .. })));
     }
 
     #[test]
@@ -929,25 +1109,26 @@ mod tests {
         b.push(11, 2, &0u64);
         b.push(4_000_000_000, 3, &u64::MAX);
         assert_eq!(b.len(), 3);
-        let mut out = Vec::new();
-        let n = b.seal(7, 1, 2, &mut out);
-        assert_eq!(n as usize, out.len());
+        let out = b.seal(7, 1, 2).to_vec();
+        assert_eq!(b.sealed(), out);
+        b.clear();
         assert!(b.is_empty());
+        assert!(b.sealed().is_empty());
 
         let mut fb = FrameBuffer::new();
-        fb.feed(&out);
-        let frame = fb.next_frame().unwrap().unwrap();
-        frame.header.expect(7, 1, 2).unwrap();
+        read_all(&mut fb, &out, out.len());
+        let (header, payload) = fb.front().unwrap().unwrap();
+        header.expect(7, 1, 2).unwrap();
         assert_eq!(
-            frame.header.expect(8, 1, 2),
+            header.expect(8, 1, 2),
             Err(WireError::RoundMismatch {
                 expected: 8,
                 got: 7
             })
         );
-        assert!(frame.header.expect(7, 2, 1).is_err());
+        assert!(header.expect(7, 2, 1).is_err());
         let mut got = Vec::new();
-        for_each_data_entry::<u64>(&frame.payload, |slot, sender, msg| {
+        for_each_data_entry::<u64>(payload, |slot, sender, msg| {
             got.push((slot, sender, msg));
         })
         .unwrap();
@@ -957,12 +1138,12 @@ mod tests {
         );
 
         // Truncating the payload anywhere must produce an error, not a panic.
-        for cut in 0..frame.payload.len() {
-            let res = for_each_data_entry::<u64>(&frame.payload[..cut], |_, _, _: u64| {});
+        for cut in 0..payload.len() {
+            let res = for_each_data_entry::<u64>(&payload[..cut], |_, _, _: u64| {});
             assert!(res.is_err(), "cut at {cut} must error");
         }
         // An inflated count over the same bytes is a truncation error.
-        let mut inflated = frame.payload.clone();
+        let mut inflated = payload.to_vec();
         inflated[0] = inflated[0].wrapping_add(1);
         assert!(for_each_data_entry::<u64>(&inflated, |_, _, _: u64| {}).is_err());
     }

@@ -8,10 +8,14 @@
 //!   payload occupies **exactly** `MessageSize::bit_size()` bits, so the
 //!   wire carries precisely what the simulator's accounting charges.
 //! * **Malformed input safety** — truncated and corrupted frames, mutated
-//!   sealed data frames (through `FrameBuffer` and `read_frame`), Peers
-//!   frames, `ShardPlan` bytes, Output frame payloads and stamped trace
-//!   payloads come back as errors, never panics, and so do mutated
-//!   `RunMetrics` and `RoundRow` JSONL rows.
+//!   sealed data frames (read in place through `FrameBuffer` in random
+//!   pieces, and through `read_frame`), Peers frames, `ShardPlan` bytes,
+//!   Output frame payloads and stamped trace payloads come back as errors,
+//!   never panics, and so do mutated `RunMetrics` and `RoundRow` JSONL rows.
+//!   A forged length prefix cannot make a `FrameBuffer` allocate ahead of
+//!   the bytes.
+//! * **One encoding per broadcast** — `DataFrameBuilder::push_run` seals
+//!   exactly the bytes of one `push` per slot.
 //! * **Bandwidth cross-check** — the paper algorithms' messages, pushed
 //!   through the codec, never encode wider than the `max_message_bits` the
 //!   simulator recorded for the run (and hence stay within the E12
@@ -31,7 +35,7 @@ use dcme_coloring::TrialConfig;
 use dcme_congest::transport::{parse_peers, write_peers};
 use dcme_congest::wire::{
     decode_payload, encode_payload, for_each_data_entry, read_frame, DataFrameBuilder, Frame,
-    FrameBuffer,
+    FrameBuffer, WireError, MAX_FRAME_BODY, READ_WINDOW,
 };
 use dcme_congest::{
     decode_output_payload, decode_stamped, encode_output_payload, encode_stamped, BandwidthReport,
@@ -86,11 +90,8 @@ proptest! {
         let mut builder = DataFrameBuilder::new();
         builder.push(3, 0, &ListMessage::Propose { color: a, priority: b });
         builder.push(9, 1, &ListMessage::Finalized { color: b });
-        let mut sealed = Vec::new();
-        builder.seal(5, 0, 1, &mut sealed);
-        let mut fb = FrameBuffer::new();
-        fb.feed(&sealed);
-        let frame = fb.next_frame().expect("well-formed").expect("complete");
+        let sealed = builder.seal(5, 0, 1).to_vec();
+        let frame = read_whole(&sealed);
         // The intact frame decodes.
         let mut n = 0;
         for_each_data_entry::<ListMessage>(&frame.payload, |_, _, _| n += 1).expect("intact");
@@ -121,11 +122,8 @@ proptest! {
         builder.push(1, 0, &UltrafastMessage::Try { color: a });
         builder.push(2, 1, &UltrafastMessage::Fallback { color: a, id: b });
         builder.push(3, 2, &UltrafastMessage::Adopt { color: b });
-        let mut sealed = Vec::new();
-        builder.seal(2, 1, 0, &mut sealed);
-        let mut fb = FrameBuffer::new();
-        fb.feed(&sealed);
-        let frame = fb.next_frame().expect("well-formed").expect("complete");
+        let sealed = builder.seal(2, 1, 0).to_vec();
+        let frame = read_whole(&sealed);
         let mut n = 0;
         for_each_data_entry::<UltrafastMessage>(&frame.payload, |_, _, _| n += 1).expect("intact");
         prop_assert_eq!(n, 3);
@@ -145,11 +143,8 @@ proptest! {
         let mut builder = DataFrameBuilder::new();
         builder.push(7, 0, &D1Message::Propose { color: a, priority: b });
         builder.push(8, 1, &D1Message::Finalized { color: b });
-        let mut sealed = Vec::new();
-        builder.seal(3, 0, 1, &mut sealed);
-        let mut fb = FrameBuffer::new();
-        fb.feed(&sealed);
-        let frame = fb.next_frame().expect("well-formed").expect("complete");
+        let sealed = builder.seal(3, 0, 1).to_vec();
+        let frame = read_whole(&sealed);
         for cut in 0..frame.payload.len() {
             prop_assert!(
                 for_each_data_entry::<D1Message>(&frame.payload[..cut], |_, _, _| {}).is_err(),
@@ -205,7 +200,8 @@ proptest! {
             receive: u64::MAX,
         };
         let outputs: Vec<u64> = (0..nodes).map(|_| rng.random_range(0..u64::MAX)).collect();
-        let mut bytes = encode_output_payload(&shard, first, outputs.iter().copied());
+        let mut bytes = Vec::new();
+        encode_output_payload(&mut bytes, &shard, first, outputs.iter().copied());
         let mut back = Vec::new();
         let decoded = decode_output_payload::<u64>(&bytes, |node, out| {
             back.push((node, out));
@@ -218,10 +214,12 @@ proptest! {
         let _ = decode_output_payload::<u64>(&bytes, |_, _| Ok(()));
     }
 
-    /// Workers read data frames from bytes another process sent: through
-    /// a `FrameBuffer` on the nonblocking mesh, through `read_frame` on a
-    /// blocking link.  A mutated sealed frame, fed to the buffer in random
-    /// pieces, yields frames or an error, never a panic, and both readers
+    /// Workers read data frames from bytes another process sent: in place
+    /// through a `FrameBuffer` on the nonblocking mesh, through `read_frame`
+    /// on a blocking link.  A sealed frame read in random pieces, from one
+    /// byte up to the whole frame, yields the header and payload of one
+    /// whole read, and of `read_frame`.  A mutated one, read the same way,
+    /// yields frames or a `WireError`, never a panic, and both readers
     /// yield the same complete frames before they stop.
     #[test]
     fn mutated_data_frames_decode_or_fail_cleanly(
@@ -237,33 +235,55 @@ proptest! {
             };
             builder.push(rng.random_range(0..u32::MAX), sender, &msg);
         }
-        let mut bytes = Vec::new();
-        builder.seal(rng.random_range(0..u64::MAX), 0, 1, &mut bytes);
-        mutate(&mut bytes, &mut rng);
+        let mut bytes = builder.seal(rng.random_range(0..u64::MAX), 0, 1).to_vec();
+        let (whole, stop) = read_in_place(&bytes, |left| left);
+        prop_assert_eq!(stop, None);
+        prop_assert_eq!(&whole, &vec![read_frame(&mut &bytes[..]).unwrap()]);
+        let (pieces, stop) = read_in_place(&bytes, |left| rng.random_range(1..left + 1));
+        prop_assert_eq!(stop, None);
+        prop_assert_eq!(&pieces, &whole);
 
+        mutate(&mut bytes, &mut rng);
         // Blocking reads, until the first error (running out of bytes too).
         let mut blocking = Vec::new();
         let mut rest = &bytes[..];
         while let Ok(frame) = read_frame(&mut rest) {
             blocking.push(frame);
         }
-        // Buffered reads, until a frame is incomplete at the end or bad.
-        let (mut fb, mut buffered, mut fed) = (FrameBuffer::new(), Vec::new(), 0);
-        loop {
-            match fb.next_frame() {
-                Ok(Some(frame)) => buffered.push(frame),
-                Ok(None) if fed < bytes.len() => {
-                    let to = rng.random_range(fed + 1..bytes.len() + 1);
-                    fb.feed(&bytes[fed..to]);
-                    fed = to;
-                }
-                Ok(None) | Err(_) => break,
-            }
-        }
+        // Reads in place, until a frame is incomplete at the end or bad.
+        let (buffered, _) = read_in_place(&bytes, |left| rng.random_range(1..left + 1));
         prop_assert_eq!(&buffered, &blocking);
         for frame in &buffered {
             let _ = for_each_data_entry::<ListMessage>(&frame.payload, |_, _, _| {});
         }
+    }
+
+    /// A broadcast is encoded once per destination shard and its entry
+    /// repeated per slot: `push_run(slots, sender, msg)` seals exactly the
+    /// bytes of one `push` per slot, for `u64`, `ListMessage` and
+    /// `UltrafastMessage` payloads, behind entries pushed one by one.
+    #[test]
+    fn push_run_seals_the_bytes_of_one_push_per_slot(
+        len in 0usize..9,
+        a in 0u64..1_000_000,
+        b in 0u64..u64::MAX,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let slots: Vec<u32> = (0..len).map(|_| rng.random_range(0..u32::MAX)).collect();
+        let sender = rng.random_range(0..u32::MAX);
+        let round = rng.random_range(0..u64::MAX);
+        let (run, one_by_one) = run_and_pushes(&slots, sender, round, &b);
+        prop_assert_eq!(run, one_by_one);
+        let propose = ListMessage::Propose { color: a, priority: b };
+        let (run, one_by_one) = run_and_pushes(&slots, sender, round, &propose);
+        prop_assert_eq!(run, one_by_one);
+        let fallback = UltrafastMessage::Fallback { color: a, id: b };
+        let (run, one_by_one) = run_and_pushes(&slots, sender, round, &fallback);
+        prop_assert_eq!(run, one_by_one);
+        let adopt = UltrafastMessage::Adopt { color: a };
+        let (run, one_by_one) = run_and_pushes(&slots, sender, round, &adopt);
+        prop_assert_eq!(run, one_by_one);
     }
 
     /// Workers and the coordinator exchange mesh addresses in Peers frames.
@@ -422,6 +442,95 @@ fn random_event(rng: &mut StdRng) -> TraceEvent {
         },
         10 => TraceEvent::WorkerStart { shard: a },
         _ => TraceEvent::WorkerEnd { shard: b },
+    }
+}
+
+/// Two sealed frames, each behind one entry pushed on its own: one with
+/// `msg` pushed as a run over `slots`, one with it pushed once per slot.
+fn run_and_pushes<M: WireMessage>(
+    slots: &[u32],
+    sender: u32,
+    round: u64,
+    msg: &M,
+) -> (Vec<u8>, Vec<u8>) {
+    let (mut run, mut one_by_one) = (DataFrameBuilder::new(), DataFrameBuilder::new());
+    for builder in [&mut run, &mut one_by_one] {
+        builder.push(7, 3, msg);
+    }
+    run.push_run(slots, sender, msg);
+    for &slot in slots {
+        one_by_one.push(slot, sender, msg);
+    }
+    assert_eq!(run.len(), one_by_one.len());
+    let run = run.seal(round, 0, 1).to_vec();
+    (run, one_by_one.seal(round, 0, 1).to_vec())
+}
+
+/// The one frame of `bytes`, read in place in one read.
+fn read_whole(bytes: &[u8]) -> Frame {
+    match read_in_place(bytes, |left| left) {
+        (frames, None) if frames.len() == 1 => frames.into_iter().next().unwrap(),
+        other => panic!("one well-formed frame expected, got {other:?}"),
+    }
+}
+
+/// Reads `bytes` into a fresh `FrameBuffer`, each read taking at most
+/// `piece(left)` of the `left` bytes not yet read (`1..=left`), and takes
+/// each complete frame as it reaches the front: its header and a copy of
+/// its payload, then drops it.  Returns the frames and the `WireError`
+/// that stopped the reads, if one did.
+fn read_in_place(
+    bytes: &[u8],
+    mut piece: impl FnMut(usize) -> usize,
+) -> (Vec<Frame>, Option<WireError>) {
+    let (mut fb, mut frames, mut read) = (FrameBuffer::new(), Vec::new(), 0);
+    loop {
+        match fb.front() {
+            Ok(Some((header, payload))) => {
+                let payload = payload.to_vec();
+                frames.push(Frame { header, payload });
+                fb.pop_front();
+            }
+            Ok(None) if read < bytes.len() => {
+                let to = read + piece(bytes.len() - read);
+                read += fb.read_from(&mut &bytes[read..to]).unwrap();
+            }
+            Ok(None) => return (frames, None),
+            Err(e) => return (frames, Some(e)),
+        }
+    }
+}
+
+/// A forged length prefix cannot make a `FrameBuffer` allocate ahead of
+/// the bytes: after a prefix that claims `MAX_FRAME_BODY`, the buffer holds
+/// at most the bytes that arrived plus one read window while they are few,
+/// and at most twice them plus one window as they grow; no frame is ever
+/// complete.
+#[test]
+fn a_forged_length_prefix_grows_the_frame_buffer_only_with_the_bytes() {
+    let mut forged = (MAX_FRAME_BODY as u32).to_le_bytes().to_vec();
+    forged.extend_from_slice(&[0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0]);
+    for piece in [1, forged.len()] {
+        let mut fb = FrameBuffer::new();
+        for chunk in forged.chunks(piece) {
+            assert_eq!(fb.read_from(&mut &chunk[..]).unwrap(), chunk.len());
+            assert_eq!(fb.front(), Ok(None));
+        }
+        assert!(
+            fb.capacity() <= forged.len() + READ_WINDOW,
+            "{} bytes arrived, the buffer holds {}",
+            forged.len(),
+            fb.capacity()
+        );
+    }
+    let mut fb = FrameBuffer::new();
+    let mut arrived = fb.read_from(&mut &forged[..]).unwrap();
+    let junk = [0xA5u8; 4096];
+    while arrived < 1 << 20 {
+        arrived += fb.read_from(&mut &junk[..]).unwrap();
+        assert_eq!(fb.front(), Ok(None));
+        let bound = 2 * arrived + READ_WINDOW;
+        assert!(fb.capacity() <= bound, "{} > {bound}", fb.capacity());
     }
 }
 
