@@ -88,17 +88,117 @@ impl<M> Outbox<M> {
     }
 }
 
+/// Inbox slots: one message and one presence bit per slot.
+///
+/// The messages sit in one plain array and the bits in `u64` mark words,
+/// slot `i`'s bit being bit `i % 64` of word `i / 64`.  A slot whose bit is
+/// clear holds no message, whatever its entry in the array.  The array is
+/// allocated the first time a slot is filled, every entry a copy of that
+/// message, so slots that are never filled cost nothing.  A clear zeroes
+/// only the mark words that fills have set since the last clear; a cleared
+/// slot's old message stays until a fill overwrites it.
+///
+/// The round engine keeps one per kernel and hands each node a view of its
+/// own range.  An inbox built by hand (a reference loop, a test) takes its
+/// slots from [`PortSlots::new`].
+#[derive(Debug)]
+pub struct PortSlots<M> {
+    /// Every slot's message, or none before the first fill.
+    msgs: Vec<M>,
+    /// One presence bit per slot; none before the first fill.
+    marks: Vec<u64>,
+    /// The mark words set since the last clear.  Word indices fit in
+    /// `u32`, as slot indices do.
+    dirty: Vec<u32>,
+    /// The slot count.
+    len: usize,
+}
+
+impl<M> PortSlots<M> {
+    /// `len` slots, none filled and none allocated.
+    pub(crate) fn unfilled(len: usize) -> Self {
+        Self {
+            msgs: Vec::new(),
+            marks: Vec::new(),
+            dirty: Vec::new(),
+            len,
+        }
+    }
+
+    /// Empties every slot filled since the last clear, and keeps the
+    /// allocation.
+    pub(crate) fn clear(&mut self) {
+        for w in self.dirty.drain(..) {
+            self.marks[w as usize] = 0;
+        }
+    }
+
+    /// How many slots hold a message.
+    #[cfg(test)]
+    pub(crate) fn filled(&self) -> usize {
+        self.marks.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// How many slots are allocated: all of them, or none before the first
+    /// fill.
+    #[cfg(test)]
+    pub(crate) fn allocated(&self) -> usize {
+        self.msgs.len()
+    }
+}
+
+impl<M: Clone> PortSlots<M> {
+    /// Slots holding `slots`' messages: slot `p` holds `slots[p]`, or no
+    /// message where that is `None`.
+    pub fn new(slots: &[Option<M>]) -> Self {
+        let mut out = Self::unfilled(slots.len());
+        for (i, msg) in slots.iter().enumerate() {
+            if let Some(msg) = msg {
+                out.fill(i, msg.clone());
+            }
+        }
+        out
+    }
+
+    /// Puts `msg` into slot `i` and marks it; returns whether the slot
+    /// already held a message, which `msg` replaces.  The first fill
+    /// allocates every slot.
+    #[inline]
+    pub(crate) fn fill(&mut self, i: usize, msg: M) -> bool {
+        if self.msgs.is_empty() {
+            self.allocate(&msg);
+        }
+        let (word, bit) = (&mut self.marks[i / 64], 1u64 << (i % 64));
+        if *word == 0 {
+            self.dirty.push((i / 64) as u32);
+        }
+        let again = *word & bit != 0;
+        *word |= bit;
+        self.msgs[i] = msg;
+        again
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn allocate(&mut self, msg: &M) {
+        self.msgs = vec![msg.clone(); self.len];
+        self.marks = vec![0; self.len.div_ceil(64)];
+        self.dirty.reserve_exact(self.marks.len());
+    }
+}
+
 /// The messages a node received in one round, indexed by the port on which
 /// they arrived.
 ///
 /// An inbox is a zero-copy *view* into the round engine's buffers.  Port
 /// `p` yields
 ///
-/// * the message in the node's inbox slot for `p`, if one landed there:
-///   every per-port message, every message a transport carried one entry
-///   per edge (the wire, the fault layer), and every broadcast from a node
-///   the kernel keeps no value for.  A kernel allocates its slots the first
-///   time it fills one; until then it hands its nodes no slots at all;
+/// * the message in the node's inbox slot for `p`, if its presence bit is
+///   set (see [`PortSlots`]): every per-port message, every message a
+///   transport carried one entry per edge (the wire, the fault layer), and
+///   every broadcast from a node the kernel keeps no value for.  A kernel
+///   allocates its slots the first time it fills one; until then it hands
+///   its nodes no slots at all;
 /// * else the *broadcast value* of the neighbour behind `p`, if the kernel
 ///   running this node keeps values for that neighbour: the nodes of its
 ///   own shard, and in one process the nodes its shard's ports lead to, if
@@ -113,7 +213,12 @@ impl<M> Outbox<M> {
 /// one round).
 #[derive(Debug)]
 pub struct Inbox<'a, M> {
-    slots: &'a [Option<M>],
+    /// The messages of the node's slots, one per port, or none.
+    slots: &'a [M],
+    /// The mark words the slots' presence bits sit in, port `p`'s at bit
+    /// `first + p`.
+    marks: &'a [u64],
+    first: usize,
     /// The neighbour behind each port; empty when no values are pulled.
     neighbors: &'a [u32],
     /// The broadcast values of nodes `value_base..value_base + values.len()`.
@@ -132,24 +237,27 @@ impl<M> Clone for Inbox<'_, M> {
 impl<M> Copy for Inbox<'_, M> {}
 
 impl<'a, M> Inbox<'a, M> {
-    /// Creates an inbox viewing one slot per port (`slots[p]` holds the
+    /// Creates an inbox viewing one slot per port (slot `p` holds the
     /// message that arrived on port `p`, if any).
-    pub fn from_slots(slots: &'a [Option<M>]) -> Self {
-        Self::pulled(slots, &[], &[], 0)
+    pub fn from_slots(slots: &'a PortSlots<M>) -> Self {
+        Self::pulled(slots, 0..slots.len, &[], &[], 0)
     }
 
-    /// An inbox whose port `p` yields `slots[p]`, else the value of the
-    /// neighbour `neighbors[p]`, if it is one of the nodes `values` holds,
-    /// from `value_base` on.  `slots` is one slot per port, or empty when
-    /// the kernel has none.
+    /// An inbox whose port `p` yields the message in slot `ports.start + p`
+    /// of `slots`, else the value of the neighbour `neighbors[p]`, if it is
+    /// one of the nodes `values` holds, from `value_base` on.  Slots that
+    /// are not allocated yet give the inbox none.
     pub(crate) fn pulled(
-        slots: &'a [Option<M>],
+        slots: &'a PortSlots<M>,
+        ports: core::ops::Range<usize>,
         neighbors: &'a [u32],
         values: &'a [Option<M>],
         value_base: usize,
     ) -> Self {
         Self {
-            slots,
+            first: ports.start,
+            slots: slots.msgs.get(ports).unwrap_or_default(),
+            marks: &slots.marks,
             neighbors,
             values,
             value_base,
@@ -158,7 +266,14 @@ impl<'a, M> Inbox<'a, M> {
 
     /// An empty inbox.
     pub fn empty() -> Self {
-        Self::from_slots(&[])
+        Self {
+            slots: &[],
+            marks: &[],
+            first: 0,
+            neighbors: &[],
+            values: &[],
+            value_base: 0,
+        }
     }
 
     /// Iterator over `(port, message)` pairs in port order.
@@ -171,8 +286,11 @@ impl<'a, M> Inbox<'a, M> {
     /// The message that arrived on `port`, if any.
     #[inline]
     pub fn from_port(&self, port: Port) -> Option<&'a M> {
-        if let Some(Some(msg)) = self.slots.get(port) {
-            return Some(msg);
+        if port < self.slots.len() {
+            let bit = self.first + port;
+            if self.marks[bit / 64] & (1 << (bit % 64)) != 0 {
+                return Some(&self.slots[port]);
+            }
         }
         let u = *self.neighbors.get(port)? as usize;
         self.values.get(u.wrapping_sub(self.value_base))?.as_ref()
@@ -256,7 +374,7 @@ mod tests {
 
     #[test]
     fn inbox_views_slots_in_port_order() {
-        let slots = [Some("a"), None, Some("c"), Some("d")];
+        let slots = PortSlots::new(&[Some("a"), None, Some("c"), Some("d")]);
         let inbox = Inbox::from_slots(&slots);
         let collected: Vec<_> = inbox.iter().map(|(p, m)| (p, *m)).collect();
         assert_eq!(collected, vec![(0, "a"), (2, "c"), (3, "d")]);
@@ -267,6 +385,33 @@ mod tests {
         assert!(!inbox.is_empty());
         assert!(Inbox::<u64>::empty().is_empty());
         assert_eq!(Inbox::<u64>::empty().len(), 0);
+        // Slots with no message allocate nothing and yield nothing.
+        let none = PortSlots::<u64>::new(&[None, None]);
+        assert_eq!(none.allocated(), 0);
+        assert!(Inbox::from_slots(&none).is_empty());
+    }
+
+    /// A node's ports start anywhere in its kernel's slots, so its view
+    /// reads presence bits from an offset, across mark words.
+    #[test]
+    fn a_view_reads_its_range_across_mark_words() {
+        let mut all = vec![None; 130];
+        for i in [0, 61, 63, 64, 66, 127, 128, 129] {
+            all[i] = Some(i);
+        }
+        let slots = PortSlots::new(&all);
+        assert_eq!((slots.allocated(), slots.filled()), (130, 8));
+        for ports in [0..3, 62..66, 63..65, 60..130, 127..130, 129..130] {
+            let inbox = Inbox::pulled(&slots, ports.clone(), &[], &[], 0);
+            let want: Vec<_> = all[ports.clone()]
+                .iter()
+                .enumerate()
+                .filter_map(|(p, m)| m.map(|m| (p, m)))
+                .collect();
+            let got: Vec<_> = inbox.iter().map(|(p, &m)| (p, m)).collect();
+            assert_eq!(got, want, "ports {ports:?}");
+            assert_eq!(inbox.from_port(ports.len()), None);
+        }
     }
 
     #[test]
@@ -275,22 +420,28 @@ mod tests {
         // silent.  Port 0's message sits in its slot, ports 1 and 2 lead to
         // nodes 5 and 6, and ports 3 and 4 to nodes 2 and 9, outside it.
         let values = [Some("four"), Some("five"), None, Some("seven")];
-        let slots = [Some("slot"), None, None, None, None];
-        let pulled = Inbox::pulled(&slots, &[3, 5, 6, 2, 9], &values, 4);
-        let reference = Inbox::from_slots(&[Some("slot"), Some("five"), None, None, None]);
+        let slots = PortSlots::new(&[Some("slot"), None, None, None, None]);
+        let pulled = Inbox::pulled(&slots, 0..5, &[3, 5, 6, 2, 9], &values, 4);
+        let reference = PortSlots::new(&[Some("slot"), Some("five"), None, None, None]);
+        let reference = Inbox::from_slots(&reference);
         assert!(pulled.iter().eq(reference.iter()));
         for p in 0..7 {
             assert_eq!(pulled.from_port(p), reference.from_port(p), "port {p}");
         }
         assert_eq!((pulled.len(), pulled.is_empty()), (2, false));
         assert_eq!((reference.len(), reference.is_empty()), (2, false));
-        let silent = Inbox::pulled(&[None, None], &[6, 9], &values, 4);
+        // Allocated slots, every one cleared.
+        let mut cleared = PortSlots::new(&[Some("old"), None]);
+        cleared.clear();
+        let silent = Inbox::pulled(&cleared, 0..2, &[6, 9], &values, 4);
         assert_eq!((silent.len(), silent.is_empty()), (0, true));
         // A kernel that filled no slot hands out none: the row of
         // neighbours bounds the ports.  Without port 0's slot message, the
         // inbox is the slot inbox with that slot empty.
-        let slotless = Inbox::pulled(&[], &[3, 5, 6, 2, 9], &values, 4);
-        let reference = Inbox::from_slots(&[None, Some("five"), None, None, None]);
+        let unfilled = PortSlots::unfilled(5);
+        let slotless = Inbox::pulled(&unfilled, 0..5, &[3, 5, 6, 2, 9], &values, 4);
+        let reference = PortSlots::new(&[None, Some("five"), None, None, None]);
+        let reference = Inbox::from_slots(&reference);
         assert!(slotless.iter().eq(reference.iter()));
         for p in 0..7 {
             assert_eq!(slotless.from_port(p), reference.from_port(p), "port {p}");
@@ -298,18 +449,19 @@ mod tests {
         assert_eq!((slotless.len(), slotless.is_empty()), (1, false));
         assert_eq!((reference.len(), reference.is_empty()), (1, false));
         // Neighbours 7 and 5 broadcast, and they sit behind the last ports.
-        let slotless = Inbox::pulled(&[], &[2, 6, 7, 5], &values, 4);
-        let reference = Inbox::from_slots(&[None, None, Some("seven"), Some("five")]);
+        let slotless = Inbox::pulled(&unfilled, 0..4, &[2, 6, 7, 5], &values, 4);
+        let reference = PortSlots::new(&[None, None, Some("seven"), Some("five")]);
+        let reference = Inbox::from_slots(&reference);
         assert!(slotless.iter().eq(reference.iter()));
         for p in 0..6 {
             assert_eq!(slotless.from_port(p), reference.from_port(p), "port {p}");
         }
         assert_eq!((slotless.len(), slotless.is_empty()), (2, false));
-        let silent = Inbox::pulled(&[], &[6, 9], &values, 4);
+        let silent = Inbox::pulled(&unfilled, 0..2, &[6, 9], &values, 4);
         assert_eq!((silent.len(), silent.is_empty()), (0, true));
         // The iterator borrows the engine's buffers, not the view.
         let ports: Vec<_> = {
-            let inbox = Inbox::pulled(&slots, &[3, 5, 6, 2, 9], &values, 4);
+            let inbox = Inbox::pulled(&slots, 0..5, &[3, 5, 6, 2, 9], &values, 4);
             inbox.iter()
         }
         .map(|(p, _)| p)

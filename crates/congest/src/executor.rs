@@ -10,10 +10,10 @@
 //! Every round of every run is executed by a crate-private `ShardKernel`:
 //! one shard's nodes and inbox slots, one broadcast value per node of a
 //! range around its own nodes (see "Slots and values" below), the lists of
-//! slots and values filled this round, its compact active list and
-//! counters.  It runs a round in three steps —
+//! the slots' mark words and the values set this round, its compact active
+//! list and counters.  It runs a round in three steps —
 //!
-//! 1. **send + route**: clear the slots and values filled last round, ask
+//! 1. **send + route**: clear the slots and values set last round, ask
 //!    every active node for its outbox, and route each message through the
 //!    sender's row of the destination table (a shard's
 //!    [`dest_row`](ShardTopologyView::dest_row), or a whole graph's
@@ -32,7 +32,7 @@
 //!    not empty);
 //! 3. **receive + compact**: hand every active node its inbox — a
 //!    zero-copy [`Inbox`] view whose port `p` yields the node's slot `p` if
-//!    a message landed there, else the value of the neighbour behind `p` if
+//!    its presence bit is set, else the value of the neighbour behind `p` if
 //!    the kernel keeps one for it (read from the node's source row,
 //!    [`ShardTopologyView::source_row`] or [`TopologyView::neighbor_row`])
 //!    — and drop the nodes that halted from the active list.
@@ -97,12 +97,16 @@
 //!
 //! Each kernel owns its shard's inbox slots, one per port of the shard's
 //! nodes, indexed by the flat slot contract ([`TopologyView::port_range`];
-//! a shard's range is [`ShardTopologyView::shard_slots`]).  A message from
-//! `v` over port `p` lands in the slot of the reverse port at the receiving
-//! endpoint.  The slots are allocated the first time one is filled — by a
-//! per-port message into the own shard, a wire or fault entry, or a
-//! broadcast from a node the kernel keeps no value for — so a kernel that
-//! fills none never allocates them, and its receivers read no slot.
+//! a shard's range is [`ShardTopologyView::shard_slots`]).  They are a
+//! [`PortSlots`]: a plain message per slot and a presence bit per slot in
+//! `u64` mark words, so a slot costs the message's size and one bit, not an
+//! `Option` tag padded to the message's alignment.  A message from `v` over
+//! port `p` lands in the slot of the reverse port at the receiving endpoint
+//! and sets its bit.  The slots are allocated the first time one is
+//! filled — by a per-port message into the own shard, a wire or fault
+//! entry, or a broadcast from a node the kernel keeps no value for — each a
+//! copy of that message, so a kernel that fills none never allocates them,
+//! and its receivers read no slot.
 //!
 //! The kernel also keeps one broadcast value per node of a range, allocated
 //! once per kernel: the shard's own nodes, widened to every node its ports
@@ -117,13 +121,16 @@
 //! every kernel and allocates no slot; a sparse graph in many shards, whose
 //! remote senders reach a shard through about one port each and span the
 //! graph, keeps its own nodes' values only, and its cross-shard broadcasts
-//! land in slots.
+//! land in slots.  A value stays an `Option`, and the values set are listed
+//! by index: values marked like the slots took less memory but made the
+//! receive step slower.
 //!
 //! A node's [`NodeContext`] is built where the kernel calls the node, from
 //! its id, the length of its port range and the view's `n` and Δ; no run
-//! stores one per node.  The kernel clears only the slots and values it
-//! filled (its two lists), so quiet rounds cost `O(active)` rather than
-//! `O(n + m)`; its active list shrinks as nodes halt, so halted nodes stop
+//! stores one per node.  The kernel clears only what it set: the mark
+//! words its fills dirtied, zeroed whole, and the values it lists, so quiet
+//! rounds cost `O(active)` rather than `O(n + m)`, and no slot's message is
+//! touched; its active list shrinks as nodes halt, so halted nodes stop
 //! costing even an `is_halted()` check per round.  Slots and values die
 //! with the kernel, so no run can hear another's messages.
 //!
@@ -176,9 +183,9 @@
 //! `RunMetrics::phase_nanos`, and only shard 0's `Rounds` records the run
 //! shape and traces it.
 //!
-//! Under [`DeliveryMode::Strict`] (the default) a second write to a slot,
-//! or a second value from one sender, in one round is a CONGEST violation
-//! and panics; under [`DeliveryMode::Async`] — used by fault-injected runs
+//! Under [`DeliveryMode::Strict`] (the default) a second write to a slot
+//! (its bit already set), or a second value from one sender, in one round
+//! is a CONGEST violation and panics; under [`DeliveryMode::Async`] — used by fault-injected runs
 //! whose transport may deliver stale, duplicated or delayed copies — the
 //! slot or value keeps the **most recently drained** message and each
 //! overwritten slot or value counts once in `RunMetrics::stale_overwrites`.
@@ -190,7 +197,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-use crate::algorithm::{Inbox, MessageSize, NodeAlgorithm, NodeContext, Outbox};
+use crate::algorithm::{Inbox, MessageSize, NodeAlgorithm, NodeContext, Outbox, PortSlots};
 use crate::metrics::{PhaseTimings, RunMetrics};
 use crate::sharded::{ShardTopologyView, ShardedTopology};
 use crate::topology::{NodeId, Topology, TopologyView};
@@ -238,9 +245,9 @@ pub trait Executor<T: TopologyView = Topology> {
 /// (see the [module docs](self)).
 ///
 /// `nodes` are exactly the shard's nodes, indexed by global id minus
-/// `node_base`.  `slots` is empty until the kernel fills its first slot,
-/// then holds one slot per global slot of `own`, indexed by global slot
-/// minus `own.start`.  `values` holds one broadcast value per node of
+/// `node_base`.  `slots` holds one slot per global slot of `own`, indexed
+/// by global slot minus `own.start`, allocated on its first fill.
+/// `values` holds one broadcast value per node of
 /// [`value_nodes`] (the shard's nodes, perhaps widened to the nodes its
 /// ports lead to), indexed by global id minus `value_base`.  `L` says how
 /// the shard, its messages' destinations and its ports' sources are looked
@@ -256,19 +263,13 @@ pub(crate) struct ShardKernel<'a, A: NodeAlgorithm, T: ?Sized, L> {
     context: NodeContext,
     /// The shard's global slot range.
     own: core::ops::Range<usize>,
-    /// The shard's inbox slots: none until the first is filled (see
-    /// [`slots_to_fill`]).
-    slots: Vec<Option<A::Message>>,
+    /// The shard's inbox slots: none allocated until the first is filled.
+    slots: PortSlots<A::Message>,
     /// The message each node of [`value_nodes`] broadcast into the shard
     /// this round, for its neighbours in the shard to pull.
     values: Vec<Option<A::Message>>,
     value_base: NodeId,
     delivery: DeliveryMode,
-    /// Shard-local indices of the slots filled this round; sized to the
-    /// shard's slot count when the slots are allocated, so it never
-    /// regrows.  Slot indices fit in `u32`, as the destination table holds
-    /// them.
-    touched: Vec<u32>,
     /// Indices into `values` of the values set this round; sized to the
     /// value count at construction.
     broadcast: Vec<u32>,
@@ -293,6 +294,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         let value_range = value_nodes::<T, L>(topology, shard);
         assert_eq!(nodes.len(), node_range.len(), "one node per shard node");
         let (n, max_degree) = L::globals(topology);
+        let own = L::slots(topology, shard);
         Self {
             topology,
             lookup: PhantomData,
@@ -306,12 +308,11 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
                 max_degree,
                 round: 0,
             },
-            own: L::slots(topology, shard),
-            slots: Vec::new(),
+            slots: PortSlots::unfilled(own.len()),
+            own,
             values: (0..value_range.len()).map(|_| None).collect(),
             value_base: value_range.start,
             delivery,
-            touched: Vec::new(),
             broadcast: Vec::with_capacity(value_range.len()),
             active: Vec::new(),
             report: RunMetrics::default(),
@@ -362,7 +363,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         self.active.len()
     }
 
-    /// The send step: clears the slots and values filled last round, asks
+    /// The send step: clears the slots and values set last round, asks
     /// every active node for its outbox and routes each message.  A
     /// broadcast becomes the sender's value if any of its ports lead into
     /// this shard, and is staged once per other shard its ports reach, with
@@ -397,7 +398,6 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             &self.active,
             &self.own,
             &mut self.slots,
-            &mut self.touched,
             &mut self.values,
             self.value_base,
             &mut self.broadcast,
@@ -446,8 +446,8 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     /// [`value_nodes`]), else into each slot of the sender's run of its
     /// [`dest_row`](ShardTopologyView::dest_row) that this shard owns (found
     /// by binary search on the ascending row).  Both follow the kernel's
-    /// [`DeliveryMode`], and both are listed for the next send step to
-    /// clear.
+    /// [`DeliveryMode`]; a slot is marked, and a value listed, for the
+    /// next send step to clear.
     ///
     /// # Errors
     ///
@@ -475,34 +475,30 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         let Self {
             own,
             slots,
-            touched,
             values,
             broadcast,
             report,
             ..
         } = self;
         let own = &*own;
-        // The one fill rule, for a slot and for a value alike.
-        let mut put = |cells: &mut [Option<A::Message>], filled: &mut Vec<u32>, i, sender, msg| {
-            match delivery {
-                DeliveryMode::Strict => fill(cells, i, msg, sender, filled),
-                // Newest wins: transports drain stale copies before the
-                // current round's messages.
-                DeliveryMode::Async => {
-                    if cells[i].replace(msg).is_some() {
-                        report.stale_overwrites += 1;
-                    } else {
-                        filled.push(i as u32);
+        // The one rule for a second message into a slot or a value in one
+        // round, which `again` says this write was.
+        let mut check = |again: bool, sender| {
+            if again {
+                match delivery {
+                    DeliveryMode::Strict => {
+                        panic!("node {sender} sent two messages over the same port in one round")
                     }
+                    // Newest wins: transports drain stale copies before the
+                    // current round's messages.
+                    DeliveryMode::Async => report.stale_overwrites += 1,
                 }
             }
         };
         drain(&mut |entry| match entry {
             Entry::Port { slot, sender, msg } => {
                 if own.contains(&(slot as usize)) {
-                    let i = slot as usize - own.start;
-                    let cells = slots_to_fill(slots, touched, own);
-                    put(cells, touched, i, sender as usize, msg);
+                    check(slots.fill(slot as usize - own.start, msg), sender);
                 } else {
                     stray.get_or_insert(TransportError::SlotOutsideShard { shard, slot });
                 }
@@ -517,11 +513,15 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
                 if run.is_empty() {
                     stray.get_or_insert(TransportError::BroadcastOutsideShard { shard, sender });
                 } else if v.wrapping_sub(value_base) < values.len() {
-                    put(values, broadcast, v - value_base, v, msg);
+                    let i = v - value_base;
+                    let again = values[i].replace(msg).is_some();
+                    if !again {
+                        broadcast.push(i as u32);
+                    }
+                    check(again, sender);
                 } else {
-                    let cells = slots_to_fill(slots, touched, own);
                     for &slot in run {
-                        put(cells, touched, slot as usize - own.start, v, msg.clone());
+                        check(slots.fill(slot as usize - own.start, msg.clone()), sender);
                     }
                 }
             }
@@ -569,10 +569,9 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
                 round,
                 ..*context
             };
-            // A kernel that filled no slot yet hands out none.
-            let mine = slots.get(r.start - own.start..r.end - own.start);
             let inbox = Inbox::pulled(
-                mine.unwrap_or_default(),
+                slots,
+                r.start - own.start..r.end - own.start,
                 L::source_row(topology, v),
                 values,
                 value_base,
@@ -609,7 +608,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
 }
 
 /// The loops of [`ShardKernel::send_route`]: clear the slots and values
-/// filled last round, then ask every active node for its outbox, under its
+/// set last round, then ask every active node for its outbox, under its
 /// context (`shared`, with the node's id and degree), and route each
 /// message: a broadcast into `values`, a per-port message into this shard's
 /// slot range `own`, or either to `stage`.
@@ -635,8 +634,7 @@ fn send_and_route<A, T, L, X>(
     node_base: NodeId,
     active: &[NodeId],
     own: &core::ops::Range<usize>,
-    slots: &mut Vec<Option<A::Message>>,
-    touched: &mut Vec<u32>,
+    slots: &mut PortSlots<A::Message>,
     values: &mut [Option<A::Message>],
     value_base: NodeId,
     broadcast: &mut Vec<u32>,
@@ -648,9 +646,7 @@ fn send_and_route<A, T, L, X>(
     L: ShardLookup<T>,
     X: Transport<A::Message>,
 {
-    for i in touched.drain(..) {
-        slots[i as usize] = None;
-    }
+    slots.clear();
     for i in broadcast.drain(..) {
         values[i as usize] = None;
     }
@@ -686,8 +682,10 @@ fn send_and_route<A, T, L, X>(
                     let dest = row[p] as usize;
                     report.record(1, msg.bit_size());
                     if own.contains(&dest) {
-                        let cells = slots_to_fill(slots, touched, own);
-                        fill(cells, dest - own.start, msg, v, touched);
+                        assert!(
+                            !slots.fill(dest - own.start, msg),
+                            "node {v} sent two messages over the same port in one round"
+                        );
                     } else {
                         report.cross_shard_messages += 1;
                         let to = L::shard_of_slot(topology, dest);
@@ -697,42 +695,6 @@ fn send_and_route<A, T, L, X>(
             }
         }
     }
-}
-
-/// The kernel's inbox slots for the shard's slot range `own`, ready for a
-/// fill: allocated, every slot empty, the first time a slot is filled, and
-/// `touched` sized to list every one of them.  The test is one length
-/// check; the allocation is out of line.
-#[inline]
-fn slots_to_fill<'s, M>(
-    slots: &'s mut Vec<Option<M>>,
-    touched: &mut Vec<u32>,
-    own: &core::ops::Range<usize>,
-) -> &'s mut [Option<M>] {
-    if slots.len() != own.len() {
-        allocate_slots(slots, touched, own.len());
-    }
-    slots
-}
-
-#[cold]
-#[inline(never)]
-fn allocate_slots<M>(slots: &mut Vec<Option<M>>, touched: &mut Vec<u32>, len: usize) {
-    slots.resize_with(len, || None);
-    touched.reserve_exact(len);
-}
-
-/// Writes `msg` into the kernel-owned cell `i` — an inbox slot or a
-/// broadcast value — and lists it in `filled`, enforcing the one message
-/// per edge per round CONGEST contract.
-fn fill<M>(cells: &mut [Option<M>], i: usize, msg: M, sender: NodeId, filled: &mut Vec<u32>) {
-    let cell = &mut cells[i];
-    assert!(
-        cell.is_none(),
-        "node {sender} sent two messages over the same port in one round"
-    );
-    *cell = Some(msg);
-    filled.push(i as u32);
 }
 
 /// A kernel keeps at most one value beyond its own nodes for every this many
@@ -1538,7 +1500,12 @@ mod tests {
 
     fn kernel_state<A: NodeAlgorithm, T: ?Sized, L>(k: &ShardKernel<'_, A, T, L>) -> KernelState {
         let kept = k.value_base..k.value_base + k.values.len();
-        (kept, k.broadcast.len(), k.touched.len(), k.slots.len())
+        (
+            kept,
+            k.broadcast.len(),
+            k.slots.filled(),
+            k.slots.allocated(),
+        )
     }
 
     /// Runs one round of `nodes` on `g`, kernel by kernel over
@@ -1588,7 +1555,7 @@ mod tests {
 
     /// What every node of the ring `g` heard when each of its neighbours
     /// but `quiet` sent it its id.
-    fn heard_on_ring(g: &impl TopologyView, quiet: &[(NodeId, NodeId)]) -> Vec<Vec<(Port, u64)>> {
+    fn heard_on_ring(g: &impl TopologyView, quiet: &[(NodeId, NodeId)]) -> Heard {
         (0..g.num_nodes())
             .map(|v| {
                 (0..2)
@@ -1600,7 +1567,10 @@ mod tests {
             .collect()
     }
 
-    fn heard(nodes: &[Announce]) -> Vec<Vec<(Port, u64)>> {
+    /// What each node heard: its `(port, message)` pairs in port order.
+    type Heard = Vec<Vec<(Port, u64)>>;
+
+    fn heard(nodes: &[Announce]) -> Heard {
         nodes.iter().map(|a| a.heard.clone().unwrap()).collect()
     }
 
@@ -1657,5 +1627,97 @@ mod tests {
         let mut nodes = ring_announcers(n, |v| (v == 3).then_some(0));
         assert_eq!(one_whole_round(&g, &mut nodes), (0..n, n - 1, 1, 2 * n));
         assert_eq!(heard(&nodes), heard_on_ring(&g, &[(3, 4)]));
+    }
+
+    /// A ring of 50 has 100 slots, node `v`'s ports at slots `2v` and
+    /// `2v + 1`, whose presence bits fill one mark word and 36 bits of a
+    /// second.
+    const MARKED_RING: usize = 50;
+
+    /// Runs the deliver step of round 0 in the single-threaded kernel over
+    /// the ring of [`MARKED_RING`] announcers, none of which sent: `slots`
+    /// feeds the drain `(slot, message)` entries from node 7.  Then every
+    /// node receives and halts, and round 1's send step clears the slots.
+    /// Returns, after the deliver step and after the clear, the slots
+    /// filled and allocated, the stale overwrites counted, and what every
+    /// node heard.
+    fn deliver_into_marks(
+        delivery: DeliveryMode,
+        slots: &[(u32, u64)],
+    ) -> ([(usize, usize); 2], u64, Heard) {
+        let n = MARKED_RING;
+        let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        let g = Topology::from_edges(n, &edges).unwrap();
+        let mut nodes = ring_announcers(n, |_| None);
+        let mut kernel =
+            ShardKernel::<_, _, WholeGraph>::new(&g, 0, &mut nodes, delivery, &NoTrace);
+        kernel.admit();
+        let feed = |sink: &mut dyn FnMut(Entry<u64>)| {
+            for &(slot, msg) in slots {
+                sink(Entry::Port {
+                    slot,
+                    sender: 7,
+                    msg,
+                });
+            }
+            Ok::<_, TransportError>(())
+        };
+        kernel.deliver(0, feed).unwrap();
+        let delivered = (kernel.slots.filled(), kernel.slots.allocated());
+        assert_eq!(kernel.receive_compact(0), 0);
+        kernel.send_route(1, &mut OneShard);
+        let cleared = (kernel.slots.filled(), kernel.slots.allocated());
+        assert!(Inbox::pulled(&kernel.slots, 0..2 * n, &[], &[], 0).is_empty());
+        let stale = kernel.report.stale_overwrites;
+        drop(kernel);
+        ([delivered, cleared], stale, heard(&nodes))
+    }
+
+    /// What every node of the ring of [`MARKED_RING`] hears when `slots`
+    /// hold these messages and no other slot or value does.
+    fn heard_from_slots(slots: &[(u32, u64)]) -> Heard {
+        (0..MARKED_RING)
+            .map(|v| {
+                (0..2)
+                    .filter_map(|p| {
+                        let slot = (2 * v + p) as u32;
+                        slots
+                            .iter()
+                            .find(|&&(s, _)| s == slot)
+                            .map(|&(_, m)| (p, m))
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Fills at the first and last bit of the first mark word, the first of
+    /// the second and the last slot, in the partial second word: each
+    /// message reaches exactly the node and port of its slot, and the next
+    /// round's clear unmarks every slot and keeps the allocation.
+    #[test]
+    fn marked_slots_fill_across_mark_words_and_clear_the_next_round() {
+        let slots = [(0, 10), (63, 11), (64, 12), (99, 13)];
+        let (counts, stale, heard) = deliver_into_marks(DeliveryMode::Strict, &slots);
+        assert_eq!(counts, [(4, 100), (0, 100)]);
+        assert_eq!(stale, 0);
+        assert_eq!(heard, heard_from_slots(&slots));
+    }
+
+    #[test]
+    #[should_panic(expected = "node 7 sent two messages over the same port in one round")]
+    fn a_strict_kernel_rejects_a_second_fill_of_one_slot() {
+        deliver_into_marks(DeliveryMode::Strict, &[(64, 1), (99, 2), (64, 3)]);
+    }
+
+    /// Under `Async` a second fill of one slot keeps the newer message and
+    /// counts one stale overwrite.
+    #[test]
+    fn an_async_kernel_counts_a_second_fill_of_one_slot_once() {
+        let (counts, stale, heard) =
+            deliver_into_marks(DeliveryMode::Async, &[(64, 1), (99, 2), (64, 3)]);
+        assert_eq!(counts, [(2, 100), (0, 100)]);
+        assert_eq!(stale, 1);
+        assert_eq!(heard, heard_from_slots(&[(64, 3), (99, 2)]));
     }
 }

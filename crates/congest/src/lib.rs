@@ -29,7 +29,8 @@
 //!   ([`executor::SequentialExecutor`]), one thread per shard
 //!   ([`executor::ShardedExecutor`]) or one process per shard
 //!   ([`transport::serve_shard_with`]), whose kernels allocate inbox
-//!   slots only when a round fills one, all producing identical results,
+//!   slots ([`algorithm::PortSlots`], one presence bit each) only when a
+//!   round fills one, all producing identical results,
 //! * [`metrics::RunMetrics`] and [`bandwidth`] — round, message and bit
 //!   accounting so experiments can check the CONGEST `O(log n)`-bit bound,
 //!   plus a JSON-lines writer ([`metrics::JsonLinesWriter`]) for
@@ -85,7 +86,7 @@ pub mod trace;
 pub mod transport;
 pub mod wire;
 
-pub use algorithm::{Inbox, MessageSize, NodeAlgorithm, NodeContext, Outbox};
+pub use algorithm::{Inbox, MessageSize, NodeAlgorithm, NodeContext, Outbox, PortSlots};
 pub use bandwidth::BandwidthReport;
 pub use executor::{DeliveryMode, Executor, SequentialExecutor, ShardedExecutor};
 pub use faults::{

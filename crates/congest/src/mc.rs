@@ -44,7 +44,7 @@
 //! soundness in both directions: it must find the seeded violation and
 //! must pass the hardened variant under the same budget.
 
-use crate::algorithm::{Inbox, NodeAlgorithm, NodeContext, Outbox};
+use crate::algorithm::{Inbox, NodeAlgorithm, NodeContext, Outbox, PortSlots};
 use crate::topology::TopologyView;
 
 /// Hard ceiling on instance size: exhaustive exploration is only honest on
@@ -468,9 +468,8 @@ impl<T: TopologyView> Search<'_, T> {
                 round,
                 ..self.contexts[v]
             };
-            let r = self.topology.port_range(v);
-            let inbox = Inbox::from_slots(&slots[r]);
-            world.nodes[v].receive(&ctx, &inbox);
+            let mine = PortSlots::new(&slots[self.topology.port_range(v)]);
+            world.nodes[v].receive(&ctx, &Inbox::from_slots(&mine));
         }
         self.committed_violation(&world.nodes)
     }

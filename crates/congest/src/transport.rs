@@ -1347,6 +1347,11 @@ pub fn encode_output_payload<O: WireMessage>(
     first_node: usize,
     outputs: impl ExactSizeIterator<Item = O>,
 ) {
+    // Reserved once: the counters, phase times and count, and per output
+    // its 7 header bytes and its size in memory, which bounds what the
+    // outputs here (`u64`s and small enums of them) encode to.
+    let entry = 7 + std::mem::size_of::<O>();
+    payload.reserve((RunMetrics::COUNTERS.len() + 3) * 8 + 4 + outputs.len() * entry);
     for c in RunMetrics::COUNTERS {
         put_u64(payload, (c.get)(shard));
     }

@@ -34,11 +34,11 @@ use dcme_baselines::ultrafast::{self, UltrafastNode};
 use dcme_congest::transport::InProcessTransport;
 use dcme_congest::{
     coordinate, serve_shard_with, CoordinateSpec, Entry, ExecutionMode, FaultPlan, FaultyTransport,
-    InProcess, Inbox, MessageSize, NodeAlgorithm, NodeContext, Outbox, RecordingSink, RunMetrics,
-    RunOutcome, ServeOptions, ShardPlan, ShardSliceTopology, ShardTopologyView, ShardedExecutor,
-    ShardedTopology, Simulator, SimulatorConfig, SocketLoopback, Topology, TopologyError,
-    TopologyView, TraceEvent, Transport, TransportBuilder, TransportError, TransportMessage,
-    WireMessage, WorkerMesh,
+    InProcess, Inbox, MessageSize, NodeAlgorithm, NodeContext, Outbox, PortSlots, RecordingSink,
+    RunMetrics, RunOutcome, ServeOptions, ShardPlan, ShardSliceTopology, ShardTopologyView,
+    ShardedExecutor, ShardedTopology, Simulator, SimulatorConfig, SocketLoopback, Topology,
+    TopologyError, TopologyView, TraceEvent, Transport, TransportBuilder, TransportError,
+    TransportMessage, WireMessage, WorkerMesh,
 };
 use dcme_graphs::generators::{self, GraphFamily};
 use dcme_graphs::{streaming, InducedSubgraph};
@@ -248,7 +248,8 @@ fn reference_run<A: NodeAlgorithm>(
             }
         }
         for &v in &active {
-            nodes[v].receive(&ctx(v, round), &Inbox::from_slots(&slots[g.port_range(v)]));
+            let mine = PortSlots::new(&slots[g.port_range(v)]);
+            nodes[v].receive(&ctx(v, round), &Inbox::from_slots(&mine));
         }
         active.retain(|&v| !nodes[v].is_halted());
         round += 1;
