@@ -185,7 +185,8 @@
 //!
 //! Under [`DeliveryMode::Strict`] (the default) a second write to a slot
 //! (its bit already set), or a second value from one sender, in one round
-//! is a CONGEST violation and panics; under [`DeliveryMode::Async`] — used by fault-injected runs
+//! is a CONGEST violation and panics, once the drain has returned; under
+//! [`DeliveryMode::Async`] — used by fault-injected runs
 //! whose transport may deliver stale, duplicated or delayed copies — the
 //! slot or value keeps the **most recently drained** message and each
 //! overwritten slot or value counts once in `RunMetrics::stale_overwrites`.
@@ -460,7 +461,11 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
     /// # Panics
     ///
     /// Under [`DeliveryMode::Strict`], panics when a slot or a value is
-    /// written twice in one round.
+    /// written twice in one round, naming the first sender that wrote one
+    /// again.  The sink only records it: the panic comes once `drain` has
+    /// returned, and only if neither `drain` nor a misplaced entry failed,
+    /// because a wire drain delivers while its shard still owes its peers
+    /// bytes and must not unwind then.
     fn deliver<E: From<TransportError>>(
         &mut self,
         round: u64,
@@ -471,7 +476,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         let t = Instant::now();
         let (topology, shard, delivery) = (self.topology, self.shard, self.delivery);
         let value_base = self.value_base;
-        let mut stray = None;
+        let (mut stray, mut twice) = (None, None);
         let Self {
             own,
             slots,
@@ -483,11 +488,11 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         let own = &*own;
         // The one rule for a second message into a slot or a value in one
         // round, which `again` says this write was.
-        let mut check = |again: bool, sender| {
+        let mut check = |again: bool, sender: u32| {
             if again {
                 match delivery {
                     DeliveryMode::Strict => {
-                        panic!("node {sender} sent two messages over the same port in one round")
+                        twice.get_or_insert(sender);
                     }
                     // Newest wins: transports drain stale copies before the
                     // current round's messages.
@@ -528,6 +533,9 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         })?;
         if let Some(e) = stray {
             return Err(e.into());
+        }
+        if let Some(sender) = twice {
+            panic!("node {sender} sent two messages over the same port in one round");
         }
         let nanos = t.elapsed().as_nanos() as u64;
         self.report.phase_nanos.deliver += nanos;

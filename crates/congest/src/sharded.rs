@@ -531,7 +531,10 @@ impl ShardedTopology {
         let ends = self.shard_nodes(s).map(|v| self.topology.port_range(v).end);
         let g = &self.topology;
         ShardSliceTopology {
-            plan: self.plan(),
+            n: g.num_nodes(),
+            max_degree: g.max_degree(),
+            node_start: self.node_start.clone(),
+            slot_start: self.slot_start.clone(),
             shard: s,
             offsets: std::iter::once(slots.start)
                 .chain(ends)
@@ -555,16 +558,22 @@ impl ShardedTopology {
 /// shard's rows**: the worker-side product of the scale-out construction
 /// split.
 ///
-/// Holds the `O(n)` [`ShardPlan`] plus the owned shard's `O(m/S)` rows:
-/// each own node's neighbours in port order (its
-/// [`source_row`](ShardTopologyView::source_row)) and its row of the
-/// destination table — all the round kernel reads.  It is identical to
-/// the corresponding shard of the full [`ShardedTopology`] build — the
+/// Holds the plan's shape — `n`, Δ and the `O(S)` node and slot
+/// boundaries, not its `O(n)` degree header, which only the build reads —
+/// plus the owned shard's `O(m/S)` rows: each own node's neighbours in port
+/// order (its [`source_row`](ShardTopologyView::source_row)) and its row of
+/// the destination table — all the round kernel reads.  It is identical
+/// to the corresponding shard of the full [`ShardedTopology`] build — the
 /// equivalence proptest pins this — so a mesh worker serving it is
 /// indistinguishable on the wire from one holding the whole graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSliceTopology {
-    plan: ShardPlan,
+    n: usize,
+    max_degree: u32,
+    /// Shard `s` owns nodes `node_start[s]..node_start[s + 1]`.
+    node_start: Vec<usize>,
+    /// Shard `s` owns flat slots `slot_start[s]..slot_start[s + 1]`.
+    slot_start: Vec<usize>,
     shard: usize,
     /// The ports of the shard's `i`-th node are `offsets[i]..offsets[i + 1]`,
     /// counted from the shard's first slot.
@@ -656,16 +665,14 @@ impl ShardSliceTopology {
         Ok(Self {
             offsets: own_offsets.iter().map(|&o| o - own_offsets[0]).collect(),
             neighbors: csr.neighbors[own_ports].to_vec(),
-            plan,
+            // The degree header is dropped here: no lookup reads it.
+            n: plan.n,
+            max_degree: plan.max_degree,
+            node_start: plan.node_start,
+            slot_start: plan.slot_start,
             shard,
             dest: csr.dest,
         })
-    }
-
-    /// The pass-1 plan the slice was built from.
-    #[inline]
-    pub fn plan(&self) -> &ShardPlan {
-        &self.plan
     }
 
     /// The shard index this slice owns.
@@ -678,7 +685,7 @@ impl ShardSliceTopology {
     /// `v` is not a node of the shard.
     #[inline]
     fn own_ports(&self, v: NodeId) -> Option<core::ops::Range<usize>> {
-        let i = v.checked_sub(self.plan.node_start[self.shard])?;
+        let i = v.checked_sub(self.node_start[self.shard])?;
         Some(*self.offsets.get(i)?..*self.offsets.get(i + 1)?)
     }
 }
@@ -802,52 +809,52 @@ impl ShardTopologyView for ShardedTopology {
 impl ShardTopologyView for ShardSliceTopology {
     #[inline]
     fn num_nodes(&self) -> usize {
-        self.plan.n
+        self.n
     }
 
     #[inline]
     fn num_shards(&self) -> usize {
-        self.plan.num_shards()
+        self.node_start.len() - 1
     }
 
     #[inline]
     fn max_degree(&self) -> u32 {
-        self.plan.max_degree
+        self.max_degree
     }
 
     #[inline]
     fn shard_nodes(&self, s: usize) -> core::ops::Range<NodeId> {
-        self.plan.shard_nodes(s)
+        self.node_start[s]..self.node_start[s + 1]
     }
 
     #[inline]
     fn shard_slots(&self, s: usize) -> core::ops::Range<usize> {
-        self.plan.slot_start[s]..self.plan.slot_start[s + 1]
+        self.slot_start[s]..self.slot_start[s + 1]
     }
 
     #[inline]
     fn shard_of_slot(&self, slot: usize) -> usize {
-        self.plan.slot_start.partition_point(|&s| s <= slot) - 1
+        self.slot_start.partition_point(|&s| s <= slot) - 1
     }
 
     #[inline]
     fn degree_from(&self, shard: usize, v: NodeId) -> usize {
         debug_assert_eq!(shard, self.shard, "a slice only serves its own shard");
-        let i = v - self.plan.node_start[self.shard];
+        let i = v - self.node_start[self.shard];
         self.offsets[i + 1] - self.offsets[i]
     }
 
     #[inline]
     fn port_range_from(&self, shard: usize, v: NodeId) -> core::ops::Range<usize> {
         debug_assert_eq!(shard, self.shard, "a slice only serves its own shard");
-        let i = v - self.plan.node_start[self.shard];
-        let base = self.plan.slot_start[self.shard];
+        let i = v - self.node_start[self.shard];
+        let base = self.slot_start[self.shard];
         base + self.offsets[i]..base + self.offsets[i + 1]
     }
 
     #[inline]
     fn row_nodes(&self) -> core::ops::Range<NodeId> {
-        self.plan.shard_nodes(self.shard)
+        self.shard_nodes(self.shard)
     }
 
     #[inline]

@@ -50,33 +50,36 @@
 //! # Deadlock discipline of the socket drain
 //!
 //! One nonblocking drain, [`WorkerMesh`]'s, serves shard threads
-//! ([`SocketLoopback`]) and worker processes alike.  All shards drain concurrently, so a naive "write everything,
-//! then read everything" ordering can deadlock once frames outgrow the
-//! kernel socket buffers.  The drain therefore runs three strictly ordered
-//! steps:
+//! ([`SocketLoopback`]) and worker processes alike.  All shards drain
+//! concurrently, so a naive "write everything, then read everything"
+//! ordering can deadlock once frames outgrow the kernel socket buffers.
+//! Each link reads into one fixed window ([`FrameBuffer`]) and decodes its
+//! peer's frame there as the bytes arrive ([`DataDecoder`]): the header
+//! (kind, round, shard pair) once its prefix is in — a late, duplicate or
+//! out-of-round frame is a typed [`TransportError`], not a panic — then
+//! every entry that is whole.  The drain runs two strictly ordered steps:
 //!
-//! 1. finish writing its own sealed frames, *reading opportunistically* so
-//!    peers are never blocked on a full buffer;
-//! 2. keep reading raw bytes until one complete frame per peer is at the
-//!    front of its inbox, validating each frame's **header** (kind, round,
-//!    shard pair) the moment it completes — a late, duplicate or
-//!    out-of-round frame is a typed [`TransportError`] here, not a panic
-//!    (no payload decoding yet);
-//! 3. decode each frame where it lies, deliver, and drop it.
+//! 1. finish writing its own sealed frames, and between write attempts
+//!    read and decode at most one window per link, so peers are never
+//!    blocked on a full buffer;
+//! 2. read and decode until every peer's frame is done.
 //!
 //! A pass over every peer that makes no progress spins (with `yield_now`)
 //! for a few passes, then parks in one blocking call on one stalled link,
 //! bounded by the read/write timeouts set when the link was created.
 //!
-//! Step 1 performs no decoding and cannot fail on algorithm-level
-//! violations; by the time steps 2–3 can fail on them, every byte this
-//! shard owes its peers is already handed to the kernel, so an error
-//! (returned to the driver, which aborts the run) or a panic (CONGEST
-//! double-send in the sink) unwinds without stranding a peer mid-read.  A
-//! link's own failure — its peer closed its end, or an I/O call failed — is
-//! a typed [`TransportError::PeerClosed`] or [`TransportError::Io`] naming
-//! the peer and the round, in any step; one that `flush`'s opportunistic
-//! write meets is kept on the link and returned by that round's drain.
+//! Nothing may fail or panic while this shard still owes its peers bytes,
+//! or a peer could be stranded mid-write.  So a decode error met in step 1
+//! is held on its link until the writes are done, and that link's later
+//! bytes are read and dropped meanwhile; the kernel's CONGEST double-send
+//! check records its first offender in the sink and panics only after the
+//! drain returns.  By then every byte this shard owes is handed to the
+//! kernel, so an error (returned to the driver, which aborts the run) or
+//! the panic unwinds without stranding a peer.  A link's own failure — its
+//! peer closed its end, or an I/O call failed — is a typed
+//! [`TransportError::PeerClosed`] or [`TransportError::Io`] naming the peer
+//! and the round, in either step; one that `flush`'s opportunistic write
+//! meets is kept on the link and returned by that round's drain.
 
 use std::io::{Read, Write};
 use std::sync::{Arc, Mutex};
@@ -92,9 +95,9 @@ use crate::trace::{
     TraceSink,
 };
 use crate::wire::{
-    for_each_data_entry, get_u16, get_u32, get_u64, put_u16, put_u32, put_u64, read_frame,
-    seal_frame, write_frame, DataFrameBuilder, Frame, FrameBuffer, FrameHeader, FrameKind,
-    WireError, WireMessage, FRAME_PREFIX_BYTES,
+    get_u16, get_u32, get_u64, put_u16, put_u32, put_u64, read_frame, seal_frame, write_frame,
+    DataDecoder, DataFrameBuilder, Frame, FrameBuffer, FrameHeader, FrameKind, WireError,
+    WireMessage, FRAME_PREFIX_BYTES,
 };
 
 /// The pseudo shard index of the coordinator in remote frames.
@@ -313,10 +316,13 @@ pub trait Transport<M: TransportMessage>: Send {
     fn flush(&mut self, round: u64) -> u64;
 
     /// Delivers every entry addressed to this shard for `round` to `sink`,
-    /// in sending-shard order and, within one sender shard, in staging
-    /// order.  The receiving kernel writes an [`Entry::Port`] into its slot
-    /// and an [`Entry::Broadcast`] into the sender's value, or into the
-    /// sender's slots if it keeps no value for the sender.
+    /// within one sender shard in staging order.  Entries of different
+    /// sender shards may interleave: [`WorkerMesh`] decodes each peer's
+    /// frame as its bytes arrive.  A slot is only ever written from one
+    /// sender, so the order across sender shards changes nothing the
+    /// kernel keeps.  The receiving kernel writes an [`Entry::Port`] into
+    /// its slot and an [`Entry::Broadcast`] into the sender's value, or
+    /// into the sender's slots if it keeps no value for the sender.
     ///
     /// # Errors
     ///
@@ -581,10 +587,10 @@ fn retry_later(e: &std::io::Error) -> bool {
 }
 
 /// One [`WorkerMesh`] link: a duplex stream that carries this shard's
-/// frames to `peer` and `peer`'s frames back.  Each direction holds its
-/// round's data frame once: the outbound frame is built where the socket
-/// writes it from, and the inbound one is read in place and decoded where
-/// it lies.
+/// frames to `peer` and `peer`'s frames back.  The outbound frame is built
+/// where the socket writes it from; the inbound one is read into one fixed
+/// window and decoded there as its bytes arrive, so the link holds one
+/// window of it, whatever its length.
 ///
 /// Its calls return the stream's `io::Error`s; the drain turns them into
 /// typed [`TransportError`]s naming `peer` and the round.
@@ -597,12 +603,14 @@ struct PeerLink {
     batch: DataFrameBuilder,
     /// How many bytes of the sealed frame the socket has taken.
     out_pos: usize,
-    /// Inbound bytes, read in place.  After step 2 of the drain the frame
-    /// at its front is `peer`'s, with its header checked for the round;
-    /// step 3 decodes it there and drops it.
+    /// Inbound bytes: one fixed read window.
     inbox: FrameBuffer,
+    /// `peer`'s data frame for the round being drained, decoded from
+    /// `inbox` as its bytes arrive.
+    frame: DataDecoder,
     /// The first failure `flush`'s opportunistic write met, which this
-    /// round's drain returns.
+    /// round's drain returns, or a decode error of the drain's step 1,
+    /// held until this shard's writes are done.
     failed: Option<TransportError>,
     /// Kernel write batches issued on this link (one per successful
     /// `write` syscall) — the coalescing evidence behind the
@@ -622,6 +630,7 @@ impl PeerLink {
             batch: DataFrameBuilder::new(),
             out_pos: 0,
             inbox: FrameBuffer::new(),
+            frame: DataDecoder::new(),
             failed: None,
             writes: 0,
         })
@@ -670,7 +679,7 @@ impl PeerLink {
         Ok(true)
     }
 
-    /// Reads once into the inbox; true if bytes arrived.
+    /// Reads once into the window; true if bytes arrived.
     fn read_some(&mut self) -> std::io::Result<bool> {
         match self.inbox.read_from(&mut self.stream) {
             Ok(0) => Err(std::io::ErrorKind::UnexpectedEof.into()),
@@ -693,13 +702,30 @@ impl PeerLink {
         self.out_pos == self.batch.sealed().len()
     }
 
-    /// Nonblocking read pass into the inbox; true if it progressed.
-    fn pump_in(&mut self) -> std::io::Result<bool> {
-        let mut progressed = false;
-        while self.read_some()? {
-            progressed = true;
-        }
-        Ok(progressed)
+    /// Decodes what the window holds of `peer`'s data frame for `round`
+    /// into `sink`, one [`Entry::Port`] per entry: bytes from outside the
+    /// process never make a broadcast entry, and the receiving kernel
+    /// range-checks every slot they name.  True once the frame is done.
+    fn decode<M: WireMessage>(
+        &mut self,
+        round: u64,
+        me: u16,
+        sink: &mut dyn FnMut(Entry<M>),
+    ) -> Result<bool, TransportError> {
+        let peer = self.peer;
+        let check = |header: FrameHeader| {
+            if header.kind != FrameKind::Data {
+                return Err(TransportError::Protocol(format!(
+                    "expected a data frame from shard {peer}, got a {:?} frame",
+                    header.kind
+                )));
+            }
+            Ok(header.expect(round, peer, me)?)
+        };
+        let mut port = |slot, sender, msg| sink(Entry::Port { slot, sender, msg });
+        let used = self.frame.decode(self.inbox.unread(), check, &mut port)?;
+        self.inbox.consume(used);
+        Ok(self.frame.is_done())
     }
 
     /// Blocks (bounded by [`READINESS_WAIT`]) until this link has inbound
@@ -729,9 +755,10 @@ impl PeerLink {
 /// progress yields the CPU; after [`SPIN_PASSES`] of them in a row the
 /// drain parks on one pending link with `park` instead, so on an
 /// oversubscribed machine it stops competing with the very peer it waits
-/// for.  `rotor` rotates the parked link, so one slow peer cannot starve
-/// the others' readiness.  A failed park is the link's typed error in
-/// `round`.
+/// for.  The parked link is the first pending one at or after `rotor`
+/// (else the first pending one), and `rotor` moves past it, so one slow
+/// peer cannot starve the others' readiness.  A failed park is the link's
+/// typed error in `round`.
 fn spin_then_park(
     links: &mut [PeerLink],
     rotor: &mut usize,
@@ -741,18 +768,20 @@ fn spin_then_park(
 ) -> Result<(), TransportError> {
     let mut idle: u32 = 0;
     loop {
-        let mut pending: Vec<usize> = Vec::new();
-        let mut progressed = false;
+        let (mut progressed, mut first, mut next) = (false, None, None);
         for (i, link) in links.iter_mut().enumerate() {
             let (moved, done) = pass(link)?;
             progressed |= moved;
             if !done {
-                pending.push(i);
+                first.get_or_insert(i);
+                if i >= *rotor {
+                    next.get_or_insert(i);
+                }
             }
         }
-        if pending.is_empty() {
+        let Some(stalled) = next.or(first) else {
             return Ok(());
-        }
+        };
         if progressed {
             idle = 0;
         } else {
@@ -760,9 +789,9 @@ fn spin_then_park(
             if idle < SPIN_PASSES {
                 std::thread::yield_now();
             } else {
-                let link = &mut links[pending[*rotor % pending.len()]];
+                let link = &mut links[stalled];
                 park(link).map_err(|e| link.failure(round, e))?;
-                *rotor += 1;
+                *rotor = stalled + 1;
             }
         }
     }
@@ -1023,18 +1052,6 @@ pub fn read_peers<L: Read>(
     Ok(peers)
 }
 
-/// Decodes a data frame's payload into `sink`, one [`Entry::Port`] per wire
-/// entry: bytes from outside the process never make a broadcast entry, and
-/// the receiving kernel range-checks every slot they name.
-fn for_each_port_entry<M: WireMessage>(
-    payload: &[u8],
-    sink: &mut dyn FnMut(Entry<M>),
-) -> Result<(), WireError> {
-    for_each_data_entry(payload, |slot, sender, msg| {
-        sink(Entry::Port { slot, sender, msg })
-    })
-}
-
 // ---------------------------------------------------------------------------
 // The direct worker↔worker data mesh
 // ---------------------------------------------------------------------------
@@ -1048,7 +1065,7 @@ fn for_each_port_entry<M: WireMessage>(
 /// [`SocketLoopback`] builds one per shard thread over socketpairs or TCP
 /// loopback.  Either way it is a [`Transport`]: per round it seals one data
 /// frame per peer — empty if nothing crossed that pair, so receivers always
-/// know how many frames to expect — and drains with the three-step
+/// know how many frames to expect — and drains with the two-step
 /// spin-then-park discipline, which is deadlock-free once every shard's
 /// sealed bytes are handed to the kernel.
 #[derive(Debug)]
@@ -1122,6 +1139,13 @@ impl WorkerMesh {
         })
     }
 
+    /// Returns the first failure a link holds: a failed write of `flush`,
+    /// or a decode error of the drain's step 1.
+    fn take_failure(&mut self) -> Result<(), TransportError> {
+        let failed = self.links.iter_mut().find_map(|link| link.failed.take());
+        failed.map_or(Ok(()), Err)
+    }
+
     /// The link to shard `to`.
     fn link_to(&mut self, to: usize) -> &mut PeerLink {
         debug_assert_ne!(to, self.me as usize, "a shard stages nothing for itself");
@@ -1156,29 +1180,33 @@ impl<M: TransportMessage> Transport<M> for WorkerMesh {
         bytes
     }
 
-    /// The three-step drain of the [module docs](self): finish this
-    /// shard's writes (reading opportunistically), buffer one
-    /// header-validated frame per peer, then decode each where it lies and
-    /// deliver, in ascending peer order.
+    /// The two-step drain of the [module docs](self): finish this shard's
+    /// writes while reading and decoding at most one window per link and
+    /// pass, then read and decode until every peer's frame is done.
     ///
     /// # Errors
     ///
-    /// A late, duplicate or out-of-round frame, or a non-data frame on a
-    /// mesh connection, is a typed [`TransportError`]; so is a peer that
-    /// closed its end ([`TransportError::PeerClosed`]) or another failed
-    /// I/O call ([`TransportError::Io`]), this round's flush included.
+    /// A late, duplicate or out-of-round frame, a malformed one, or a
+    /// non-data frame on a mesh connection, is a typed [`TransportError`];
+    /// so is a peer that closed its end ([`TransportError::PeerClosed`]) or
+    /// another failed I/O call ([`TransportError::Io`]), this round's flush
+    /// included.
     fn drain(&mut self, round: u64, sink: &mut dyn FnMut(Entry<M>)) -> Result<(), TransportError> {
-        if let Some(e) = self.links.iter_mut().find_map(|link| link.failed.take()) {
-            return Err(e);
+        self.take_failure()?;
+        let (me, mut rotor) = (self.me, 0);
+        for link in &mut self.links {
+            link.frame = DataDecoder::new();
         }
-        let mut rotor: usize = 0;
 
-        // Step 1: hand every byte we owe to the kernel, reading as we go so
-        // no peer ever stalls on a full buffer waiting for us.  A sweep
-        // without progress means some peer's socket buffer is full while
-        // that peer computes: after a short spin, park in a bounded
-        // blocking write on one stalled link, letting the kernel wake us
-        // the moment space frees up.
+        // Step 1: hand every byte we owe to the kernel.  Between write
+        // attempts each link reads once into its window and decodes what is
+        // whole, so no peer ever stalls on a full buffer waiting for us.  A
+        // decode error is held on its link, whose later bytes are read and
+        // dropped, until the writes are done.  A sweep without progress
+        // means some peer's socket buffer is full while that peer computes:
+        // after a short spin, park in a bounded blocking write on one
+        // stalled link, letting the kernel wake us the moment space frees
+        // up.
         spin_then_park(
             &mut self.links,
             &mut rotor,
@@ -1186,55 +1214,41 @@ impl<M: TransportMessage> Transport<M> for WorkerMesh {
             PeerLink::wait_out,
             |link| {
                 let wrote = link.pump_out().map_err(|e| link.failure(round, e))?;
-                let read = link.pump_in().map_err(|e| link.failure(round, e))?;
+                let mut read = false;
+                if !link.frame.is_done() {
+                    read = link.read_some().map_err(|e| link.failure(round, e))?;
+                    if link.failed.is_none() {
+                        link.failed = link.decode(round, me, sink).err();
+                    }
+                    if link.failed.is_some() {
+                        link.inbox.consume(link.inbox.unread().len());
+                    }
+                }
                 Ok((wrote | read, link.write_done()))
             },
         )?;
+        self.take_failure()?;
 
-        // Step 2: read raw bytes until one complete frame per peer is at the
-        // front of its inbox, validating each frame's header the moment it
-        // completes.  This is where the "every round-r frame arrives before
-        // the round-r barrier" assumption is *checked* instead of assumed: a
-        // frame stamped with any other round — late, duplicated, or forged —
-        // is a typed [`TransportError`], not a decode-time surprise.
-        // Decoding of payloads still waits for step 3 so peers can always
-        // finish their own step 1.  The parks are bounded blocking reads on
-        // one frame-less link: the kernel wakes us the instant its bytes
-        // arrive.
-        let me = self.me;
+        // Step 2: every byte we owe is handed over, so read and decode
+        // until every peer's frame is done; any error now returns at once.
+        // The parks are bounded blocking reads on one unfinished link: the
+        // kernel wakes us the instant its bytes arrive.
         spin_then_park(
             &mut self.links,
             &mut rotor,
             round,
             PeerLink::wait_in,
             |link| {
-                let mut progressed = false;
-                if link.inbox.front()?.is_none() {
-                    progressed = link.pump_in().map_err(|e| link.failure(round, e))?;
+                let mut read = false;
+                while !link.decode(round, me, sink)? {
+                    if !link.read_some().map_err(|e| link.failure(round, e))? {
+                        return Ok((read, false));
+                    }
+                    read = true;
                 }
-                let Some((header, _)) = link.inbox.front()? else {
-                    return Ok((progressed, false));
-                };
-                if header.kind != FrameKind::Data {
-                    return Err(TransportError::Protocol(format!(
-                        "expected a data frame from shard {}, got a {:?} frame",
-                        link.peer, header.kind
-                    )));
-                }
-                header.expect(round, link.peer, me)?;
-                Ok((progressed, true))
+                Ok((read, true))
             },
-        )?;
-
-        // Step 3: decode each frame where it lies and deliver, in ascending
-        // peer order (headers were already validated as the frames
-        // arrived), then drop it.
-        for link in &mut self.links {
-            let (_, payload) = link.inbox.front()?.expect("step 2 left a frame per peer");
-            for_each_port_entry(payload, sink)?;
-            link.inbox.pop_front();
-        }
-        Ok(())
+        )
     }
 
     fn syscall_batches(&self) -> u64 {
@@ -2639,6 +2653,128 @@ mod tests {
         }
     }
 
+    /// A circulant on `n` nodes whose shifts `n/4 + 1` and `n/2 − 1` put
+    /// about three quarters of its edges across any cut into two or three
+    /// shards, so a round's frames run to many read windows.
+    fn circulant(n: usize) -> Topology {
+        let edges: Vec<(usize, usize)> = [n / 4 + 1, n / 2 - 1]
+            .into_iter()
+            .flat_map(|shift| (0..n).map(move |i| (i, (i + shift) % n)))
+            .collect();
+        Topology::from_edges(n, &edges).unwrap()
+    }
+
+    /// What one [`Watched`] endpoint saw: the most times one of its drains
+    /// switched from one sending shard's entries to another's, and the
+    /// receive memory of each of its links when it was dropped.
+    type Watch = (usize, Vec<usize>);
+
+    /// A socket-loopback backend whose endpoints report a [`Watch`] each
+    /// when the run drops them.
+    #[derive(Clone)]
+    struct Watched {
+        backend: SocketLoopback,
+        seen: Arc<Mutex<Vec<Watch>>>,
+    }
+
+    struct WatchedEndpoint {
+        inner: WorkerMesh,
+        /// Each shard's first node, to tell an entry's sending shard.
+        starts: Vec<usize>,
+        switches: usize,
+        seen: Arc<Mutex<Vec<Watch>>>,
+    }
+
+    impl<M: TransportMessage> Transport<M> for WatchedEndpoint {
+        fn stage(&mut self, to: usize, slot: u32, sender: u32, msg: M) {
+            Transport::<M>::stage(&mut self.inner, to, slot, sender, msg);
+        }
+
+        fn stage_broadcast(&mut self, to: usize, sender: u32, msg: M, dests: &[u32]) {
+            Transport::<M>::stage_broadcast(&mut self.inner, to, sender, msg, dests);
+        }
+
+        fn flush(&mut self, round: u64) -> u64 {
+            Transport::<M>::flush(&mut self.inner, round)
+        }
+
+        fn drain(
+            &mut self,
+            round: u64,
+            sink: &mut dyn FnMut(Entry<M>),
+        ) -> Result<(), TransportError> {
+            let (starts, mut last, mut switches) = (&self.starts, None, 0);
+            let drained = Transport::<M>::drain(&mut self.inner, round, &mut |entry| {
+                if let Entry::Port { sender, .. } = entry {
+                    let from = starts.partition_point(|&s| s <= sender as usize);
+                    switches += usize::from(last.replace(from).is_some_and(|l| l != from));
+                }
+                sink(entry)
+            });
+            self.switches = self.switches.max(switches);
+            drained
+        }
+    }
+
+    impl Drop for WatchedEndpoint {
+        fn drop(&mut self) {
+            let memory = self.inner.links.iter().map(|l| l.inbox.capacity());
+            let watch = (self.switches, memory.collect());
+            // A poisoned lock means a run already failed; a panic in drop
+            // would abort the test process instead of reporting it.
+            if let Ok(mut seen) = self.seen.lock() {
+                seen.push(watch);
+            }
+        }
+    }
+
+    impl TransportBuilder for Watched {
+        type Transport<M: TransportMessage> = WatchedEndpoint;
+
+        fn build<M: TransportMessage>(
+            &self,
+            topology: &ShardedTopology,
+        ) -> std::io::Result<Vec<WatchedEndpoint>> {
+            let starts: Vec<usize> = (0..topology.num_shards())
+                .map(|s| topology.shard_nodes(s).start)
+                .collect();
+            let endpoints = self.backend.build::<M>(topology)?.into_iter();
+            Ok(endpoints
+                .map(|inner| WatchedEndpoint {
+                    inner,
+                    starts: starts.clone(),
+                    switches: 0,
+                    seen: Arc::clone(&self.seen),
+                })
+                .collect())
+        }
+    }
+
+    /// Runs gossip on `dense` in `shards` shard threads over `backend`,
+    /// watched, within the deadline; returns the outcome and every
+    /// endpoint's [`Watch`].
+    fn run_watched(
+        what: &str,
+        dense: &Arc<Topology>,
+        shards: usize,
+        backend: SocketLoopback,
+    ) -> (RunOutcome<u64>, Vec<Watch>) {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let watched = Watched {
+            backend,
+            seen: Arc::clone(&seen),
+        };
+        let dense = Arc::clone(dense);
+        let out = within_deadline(what, move || {
+            let n = dense.num_nodes();
+            let g = ShardedTopology::from_topology(&*dense, shards).unwrap();
+            Simulator::new(&g).run_with_executor(mk(n), &ShardedExecutor::with_transport(watched))
+        });
+        let watches = std::mem::take(&mut *seen.lock().expect("watch lock"));
+        assert_eq!(watches.len(), shards, "{what}: one watch per endpoint");
+        (out, watches)
+    }
+
     /// Frames larger than a kernel socket buffer, under TCP and Unix
     /// loopback, drain without deadlocking and match the sequential
     /// executor.  Two graphs in two shards:
@@ -2647,49 +2783,144 @@ mod tests {
     ///   every chord crosses the cut, so a round's frame overfills a Unix
     ///   socketpair and the drain takes its write-stall path (and
     ///   sometimes parks);
-    /// * a circulant on 2·10^5 nodes whose shifts `n/4 + 1` and `n/2 − 1`
-    ///   put about three quarters of its edges across the cut, so a
-    ///   round's frame runs to megabytes and spans many read windows.
+    /// * the [`circulant`] on 2·10^5 nodes, whose round's frame runs to
+    ///   megabytes and spans many read windows.
     ///
-    /// Loopback TCP buffers grow past the frame; those runs check the
-    /// outputs only.
+    /// Whatever a frame's length, every link's receive buffer holds
+    /// exactly one read window after the run.  Loopback TCP buffers grow
+    /// past the frame; those runs check the outputs and that bound only.
     #[test]
     fn frames_larger_than_a_socket_buffer_drain_without_deadlock() {
-        let chords = |n: usize| -> Vec<(usize, usize)> {
-            (0..n)
+        let chords = |n: usize| -> Topology {
+            let edges: Vec<(usize, usize)> = (0..n)
                 .map(|i| (i, (i + 1) % n))
                 .chain((0..n / 2).map(|i| (i, i + n / 2 - 1)))
-                .collect()
+                .collect();
+            Topology::from_edges(n, &edges).unwrap()
         };
-        let circulant = |n: usize| -> Vec<(usize, usize)> {
-            [n / 4 + 1, n / 2 - 1]
-                .into_iter()
-                .flat_map(|shift| (0..n).map(move |i| (i, (i + shift) % n)))
-                .collect()
-        };
-        for (n, edges, windows) in [
-            (40_000, chords(40_000), 1),
-            (200_000, circulant(200_000), 16),
-        ] {
-            let dense = Topology::from_edges(n, &edges).unwrap();
+        for (dense, windows) in [(chords(40_000), 1), (circulant(200_000), 16)] {
+            let n = dense.num_nodes();
             let seq = Simulator::new(&dense).run(mk(n));
-            let g = Arc::new(ShardedTopology::from_topology(&dense, 2).unwrap());
+            let dense = Arc::new(dense);
             let mut backends = vec![("tcp loopback", SocketLoopback::tcp())];
             #[cfg(unix)]
             backends.push(("unix loopback", SocketLoopback::unix()));
             for (what, backend) in backends {
-                let g = Arc::clone(&g);
-                let out = within_deadline(what, move || {
-                    Simulator::new(&*g)
-                        .run_with_executor(mk(n), &ShardedExecutor::with_transport(backend))
-                });
+                let (out, watches) = run_watched(what, &dense, 2, backend);
                 assert_logically_equal(&seq, &out, what);
                 let frame = out.metrics.wire_bytes_sent / (2 * out.metrics.rounds);
                 assert!(
                     frame > windows * crate::wire::READ_WINDOW as u64,
                     "{what}, n = {n}: the average frame must span {windows} read windows"
                 );
+                for (_, memory) in &watches {
+                    assert_eq!(memory, &[crate::wire::READ_WINDOW], "{what}, n = {n}");
+                }
             }
         }
+    }
+
+    /// In three shards over Unix socketpairs, each shard's frames for both
+    /// peers outgrow the socket buffers, so its drain reads the two
+    /// peers' frames a window at a time and their entries interleave.  The
+    /// run still matches the sequential executor.
+    #[cfg(unix)]
+    #[test]
+    fn entries_of_two_peers_interleave_and_match_the_sequential_executor() {
+        let dense = circulant(40_000);
+        let seq = Simulator::new(&dense).run(mk(dense.num_nodes()));
+        let what = "three unix shards";
+        let (out, watches) = run_watched(what, &Arc::new(dense), 3, SocketLoopback::unix());
+        assert_logically_equal(&seq, &out, what);
+        assert!(
+            watches.iter().any(|&(switches, _)| switches > 1),
+            "no drain interleaved its peers' entries: {watches:?}"
+        );
+    }
+
+    /// Serves shard 1 of the [`circulant`] on 40 000 nodes in two shards,
+    /// whose round-0 frame for shard 0 outgrows a Unix socketpair, against
+    /// a stand-in coordinator that starts round 0, with `forged` arriving
+    /// from shard 0 as its data frame.  The test drains shard 0's end of
+    /// the mesh meanwhile: it returns once shard 1 has written its whole
+    /// frame.  Returns the entries shard 0 received, the entries shard 1
+    /// owed it, and how the worker ended.
+    #[cfg(unix)]
+    fn serve_forged_while_owing(
+        forged: Vec<u8>,
+    ) -> (usize, usize, std::thread::Result<std::io::Result<()>>) {
+        within_deadline("a worker owing a large frame", move || {
+            let dense = circulant(40_000);
+            let g = ShardedTopology::from_topology(&dense, 2).unwrap();
+            let cut = g.shard_nodes(1).start;
+            let owed = dense
+                .edges()
+                .filter(|&(u, v)| (u < cut) != (v < cut))
+                .count();
+            let mut ends = SocketLoopback::unix().build::<u64>(&g).unwrap();
+            let shard1 = ends.pop().expect("shard 1's endpoint");
+            let mut shard0 = ends.pop().expect("shard 0's endpoint");
+            let (mut coordinator, mut link) = std::os::unix::net::UnixStream::pair().unwrap();
+            std::thread::scope(|scope| {
+                let worker = scope.spawn(|| {
+                    let nodes: Vec<Gossip> = g.shard_nodes(1).map(|_| Gossip::new(3)).collect();
+                    let opts = ServeOptions::default();
+                    serve_shard_with(&mut link, &g, 1, nodes, shard1, &opts)
+                });
+                read_frame(&mut coordinator).expect("initial vote");
+                let start = FrameHeader {
+                    kind: FrameKind::RoundStart,
+                    round: 0,
+                    from: COORDINATOR,
+                    to: 1,
+                };
+                write_frame(&mut coordinator, start, &[0]).expect("round start");
+                forge(&mut shard0, &forged);
+                let mut got = 0;
+                Transport::<u64>::drain(&mut shard0, 0, &mut |_| got += 1)
+                    .expect("shard 1 writes its whole frame before it fails");
+                coordinator
+                    .shutdown(std::net::Shutdown::Both)
+                    .expect("close the coordinator link");
+                (got, owed, worker.join())
+            })
+        })
+    }
+
+    /// A shard that meets a malformed frame, or a double send under
+    /// [`DeliveryMode::Strict`], while it still owes its peer a frame
+    /// larger than the socket buffers, fails only after its writes are
+    /// done: its peer receives the whole frame, and both sides finish.
+    #[cfg(unix)]
+    #[test]
+    fn a_failure_met_while_owing_a_frame_waits_for_the_writes() {
+        let slot = ShardedTopology::from_topology(&circulant(40_000), 2)
+            .unwrap()
+            .shard_slots(1)
+            .start as u32;
+        // A frame whose count claims one entry more than its body holds.
+        let mut short = one_entry_frame(slot);
+        short[FRAME_PREFIX_BYTES] = 2;
+        let (got, owed, worker) = serve_forged_while_owing(short);
+        assert_eq!(got, owed);
+        let err = worker
+            .expect("the worker returns")
+            .expect_err("a malformed frame");
+        assert!(err.to_string().contains("truncated input"), "{err}");
+
+        let mut twice = DataFrameBuilder::new();
+        twice.push(slot, 0, &7u64);
+        twice.push(slot, 0, &8u64);
+        let (got, owed, worker) = serve_forged_while_owing(twice.seal(0, 0, 1).to_vec());
+        assert_eq!(got, owed);
+        let payload = worker.expect_err("a double send panics");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(
+            message.contains("node 0 sent two messages over the same port"),
+            "{message}"
+        );
     }
 }

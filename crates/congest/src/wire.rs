@@ -66,12 +66,15 @@
 //!
 //! # One copy per direction
 //!
-//! A round's data frame can run to tens of megabytes, so each side holds it
-//! once: a [`DataFrameBuilder`] encodes entries straight into the buffer the
-//! socket writes from, and a [`FrameBuffer`] reads the socket straight into
-//! its own memory, where the frame is decoded.  Large control frames are
-//! built in place behind [`FRAME_PREFIX_BYTES`] of room ([`seal_frame`]),
-//! and [`read_frame`] reads a payload straight into its own `Vec`.
+//! A round's data frame can run to tens of megabytes.  The sending side
+//! holds it once: a [`DataFrameBuilder`] encodes entries straight into the
+//! buffer the socket writes from.  The receiving side does not hold it at
+//! all: a [`FrameBuffer`] reads the socket into one fixed window of
+//! [`READ_WINDOW`] bytes per link, and a [`DataDecoder`] decodes each entry
+//! there as soon as its bytes are in, so a link's receive memory is one
+//! window whatever a frame's length.  Large control frames are built in
+//! place behind [`FRAME_PREFIX_BYTES`] of room ([`seal_frame`]), and
+//! [`read_frame`] reads a payload straight into its own `Vec`.
 
 use crate::algorithm::MessageSize;
 
@@ -95,8 +98,12 @@ const DATA_PREFIX_BYTES: usize = FRAME_PREFIX_BYTES + 4;
 /// The bytes of a data entry before its payload: slot, sender, bits, aux.
 const ENTRY_HEADER_BYTES: usize = 4 + 4 + 2 + 1;
 
-/// The least a [`FrameBuffer`] grows by, and so its first allocation.
+/// The memory of a [`FrameBuffer`]: one fixed window per link.
 pub const READ_WINDOW: usize = 64 * 1024;
+
+// The largest data entry, a payload of `u16::MAX` bits behind its header,
+// fits in one window, so the bytes a decoder leaves unread never fill it.
+const _: () = assert!(ENTRY_HEADER_BYTES + (u16::MAX as usize).div_ceil(8) < READ_WINDOW);
 
 /// A decoding error of the wire codec.
 ///
@@ -657,12 +664,6 @@ fn body_len(prefix: &[u8]) -> Result<usize, WireError> {
     Ok(len)
 }
 
-/// The length, prefix included, that the length prefix at the front of
-/// `bytes` claims, once those 4 bytes are there.
-fn claimed_len(bytes: &[u8]) -> Option<usize> {
-    get_u32(bytes, 0).ok().map(|len| 4 + len as usize)
-}
-
 /// Decodes the header at the front of a frame body.
 fn parse_header(body: &[u8]) -> Result<FrameHeader, WireError> {
     Ok(FrameHeader {
@@ -676,117 +677,81 @@ fn parse_header(body: &[u8]) -> Result<FrameHeader, WireError> {
     })
 }
 
-/// Incremental frame reassembly over an untrusted byte stream, in place.
+/// One fixed read window over an untrusted byte stream.
 ///
-/// [`FrameBuffer::read_from`] reads the stream straight into the buffer's
-/// own memory; [`FrameBuffer::front`] returns the complete frame at the
-/// front, its payload borrowed where it lies, and
-/// [`FrameBuffer::pop_front`] drops it.  Partial frames stay buffered.
-///
-/// The memory grows only when unread bytes fill more than half of it, and
-/// then by what has arrived of the frame in progress (the first one not yet
-/// complete), never past what its length prefix says it lacks, and by at
-/// least [`READ_WINDOW`].  So a forged length prefix cannot make it allocate
-/// ahead of the bytes.  Used by the nonblocking worker mesh; blocking links
-/// use [`read_frame`] instead.
+/// [`FrameBuffer::read_from`] reads the stream straight into the window,
+/// behind the bytes not yet consumed; a [`DataDecoder`] decodes
+/// [`FrameBuffer::unread`] where it lies, and [`FrameBuffer::consume`]
+/// drops the bytes it used.  The window is [`READ_WINDOW`] bytes, allocated
+/// on the first read, and it never grows, whatever a length prefix claims.
+/// A decoder consumes every entry that is whole, and the largest entry fits
+/// in the window, so what it leaves never fills the window.  Used by the
+/// nonblocking worker mesh; blocking links use [`read_frame`] instead.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
-    /// The buffer's memory; `buf[start..end]` holds the unread bytes.
+    /// The window; `buf[start..end]` holds the unread bytes.
     buf: Vec<u8>,
     start: usize,
     end: usize,
 }
 
 impl FrameBuffer {
-    /// Creates an empty buffer; it allocates on its first read.
+    /// Creates an empty buffer; it allocates its window on its first read.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Reads once from `source` into the free memory after the unread
-    /// bytes, first making room; returns the bytes read, 0 at the end of
-    /// the stream.
+    /// Moves the unread bytes to the front of the window and reads once
+    /// from `source` into the memory behind them; returns the bytes read, 0
+    /// at the end of the stream.
     ///
     /// # Errors
     ///
     /// Returns `source`'s error, with nothing read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the unread bytes fill the whole window, which a caller
+    /// that decodes after every read never lets happen.
     pub fn read_from(&mut self, source: &mut impl std::io::Read) -> std::io::Result<usize> {
-        self.make_room();
+        if self.buf.is_empty() {
+            self.buf = vec![0; READ_WINDOW];
+        } else if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        assert!(
+            self.end < READ_WINDOW,
+            "the unread bytes fill the read window"
+        );
         let n = source.read(&mut self.buf[self.end..])?;
         self.end += n;
         Ok(n)
     }
 
-    /// When no memory is free after the unread bytes: moves them to the
-    /// front, and if they then fill more than half the memory, grows it
-    /// (see the type's docs).
-    fn make_room(&mut self) {
-        if self.end < self.buf.len() {
-            return;
-        }
-        if self.start > 0 {
-            self.buf.copy_within(self.start..self.end, 0);
-            self.end -= self.start;
-            self.start = 0;
-        }
-        if self.end * 2 >= self.buf.len() {
-            let (arrived, lacking) = self.current_frame();
-            let grow = arrived.min(lacking).max(READ_WINDOW);
-            self.buf.resize(self.buf.len() + grow, 0);
-        }
+    /// The bytes read and not yet consumed.
+    pub fn unread(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
     }
 
-    /// Of the first incomplete frame: the bytes that have arrived, and the
-    /// bytes its length prefix says it still lacks (0 until the prefix is
-    /// whole).
-    fn current_frame(&self) -> (usize, usize) {
-        let mut at = self.start;
-        loop {
-            match claimed_len(&self.buf[at..self.end]) {
-                Some(len) if len <= self.end - at => at += len,
-                Some(len) => return (self.end - at, at + len - self.end),
-                None => return (self.end - at, 0),
-            }
-        }
-    }
-
-    /// The complete frame at the front: its header and its payload, where
-    /// it lies.  `Ok(None)` while bytes of it are missing.
-    ///
-    /// # Errors
-    ///
-    /// A length prefix past [`MAX_FRAME_BODY`] or too short for a header,
-    /// or an unknown frame kind, is a [`WireError`].
-    pub fn front(&self) -> Result<Option<(FrameHeader, &[u8])>, WireError> {
-        let avail = &self.buf[self.start..self.end];
-        if avail.len() < 4 {
-            return Ok(None);
-        }
-        let len = body_len(avail)?;
-        let Some(body) = avail.get(4..4 + len) else {
-            return Ok(None);
-        };
-        Ok(Some((parse_header(body)?, &body[FRAME_HEADER_BYTES..])))
-    }
-
-    /// Drops the frame at the front, which [`FrameBuffer::front`] returned.
+    /// Drops the first `n` unread bytes.
     ///
     /// # Panics
     ///
-    /// Panics if no complete frame is at the front.
-    pub fn pop_front(&mut self) {
-        let len = claimed_len(&self.buf[self.start..self.end]).unwrap_or(usize::MAX);
+    /// Panics if fewer than `n` bytes are unread.
+    pub fn consume(&mut self, n: usize) {
         assert!(
-            len <= self.end - self.start,
-            "no complete frame at the front"
+            n <= self.end - self.start,
+            "consumed bytes that were not read"
         );
-        self.start += len;
+        self.start += n;
         if self.start == self.end {
             (self.start, self.end) = (0, 0);
         }
     }
 
-    /// The bytes of memory the buffer holds.
+    /// The bytes of memory the buffer holds: 0 before its first read,
+    /// [`READ_WINDOW`] after it.
     pub fn capacity(&self) -> usize {
         self.buf.capacity()
     }
@@ -938,8 +903,133 @@ impl DataFrameBuilder {
     }
 }
 
+/// The one decoder of `Data` frames: it decodes a frame's entries as its
+/// bytes arrive, in pieces of any size.
+///
+/// [`DataDecoder::decode`] takes the frame's next bytes, from its length
+/// prefix on.  Once the prefix and header are in, it hands the header to
+/// the caller's check; then it decodes every entry that is whole and
+/// returns how many bytes it used.  The bytes it leaves must be offered
+/// again, with more behind them.  It checks what [`for_each_data_entry`],
+/// which runs it over a whole payload, checks: the entry count, each
+/// entry's length against the body the length prefix leaves, zero padding,
+/// canonical payloads and no trailing bytes.  So it never waits for a byte
+/// the length prefix does not claim, and every malformed frame is a
+/// [`WireError`], never a panic.
+#[derive(Debug, Default)]
+pub struct DataDecoder {
+    /// The payload's decoded bytes and its length, once the header is in.
+    payload: Option<(usize, usize)>,
+    /// The entries left to decode, once the count is in.
+    left: Option<u32>,
+}
+
+impl DataDecoder {
+    /// A decoder for one frame, which has not seen its length prefix yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Decodes from `bytes`, the frame's next bytes: its prefix and header
+    /// once all 17 bytes are in, handing the header to `check`, then the
+    /// entry count and every whole entry, each to `sink(slot, sender,
+    /// message)`.  Returns the bytes it used.
+    ///
+    /// # Errors
+    ///
+    /// `check`'s error, or a [`WireError`] for a malformed prefix, header,
+    /// count or entry.  After an error the decoder is spent.
+    pub fn decode<M: WireMessage, E: From<WireError>>(
+        &mut self,
+        bytes: &[u8],
+        check: impl FnOnce(FrameHeader) -> Result<(), E>,
+        sink: &mut impl FnMut(u32, u32, M),
+    ) -> Result<usize, E> {
+        let mut used = 0;
+        if self.payload.is_none() {
+            if bytes.len() < 4 {
+                return Ok(0);
+            }
+            let len = body_len(bytes)?;
+            if bytes.len() < FRAME_PREFIX_BYTES {
+                return Ok(0);
+            }
+            check(parse_header(&bytes[4..])?)?;
+            self.payload = Some((0, len - FRAME_HEADER_BYTES));
+            used = FRAME_PREFIX_BYTES;
+        }
+        Ok(used + self.entries(&bytes[used..], sink)?)
+    }
+
+    /// Whether the frame's last entry is decoded.
+    pub fn is_done(&self) -> bool {
+        self.left == Some(0)
+    }
+
+    /// Decodes the entry count, if it is not in yet, then every whole
+    /// entry from `bytes`, the payload's next bytes; returns the bytes it
+    /// used.
+    fn entries<M: WireMessage>(
+        &mut self,
+        bytes: &[u8],
+        sink: &mut impl FnMut(u32, u32, M),
+    ) -> Result<usize, WireError> {
+        let Some((mut at, len)) = self.payload else {
+            return Ok(0);
+        };
+        let mut used = 0;
+        let mut left = match self.left {
+            Some(left) => left,
+            None if len - at < 4 => {
+                return Err(WireError::Truncated {
+                    needed: at + 4,
+                    got: len,
+                })
+            }
+            None => match bytes.get(..4) {
+                Some(count) => {
+                    (used, at) = (4, at + 4);
+                    u32::from_le_bytes(count.try_into().expect("4 bytes"))
+                }
+                None => return Ok(0),
+            },
+        };
+        while left > 0 {
+            let rest = &bytes[used..];
+            let truncated = |needed| WireError::Truncated {
+                needed: at + needed,
+                got: len,
+            };
+            if len - at < ENTRY_HEADER_BYTES {
+                return Err(truncated(ENTRY_HEADER_BYTES));
+            }
+            let Some(head) = rest.get(..ENTRY_HEADER_BYTES) else {
+                break;
+            };
+            let bits = u16::from_le_bytes([head[8], head[9]]);
+            let size = ENTRY_HEADER_BYTES + (bits as usize).div_ceil(8);
+            if len - at < size {
+                return Err(truncated(size));
+            }
+            let Some(entry) = rest.get(..size) else {
+                break;
+            };
+            let msg = decode_payload::<M>(bits, head[10], &entry[ENTRY_HEADER_BYTES..])?;
+            let word = |i: usize| u32::from_le_bytes(head[i..i + 4].try_into().expect("4 bytes"));
+            sink(word(0), word(4), msg);
+            (used, at, left) = (used + size, at + size, left - 1);
+        }
+        if left == 0 && at != len {
+            return Err(WireError::TrailingBytes(len - at));
+        }
+        (self.payload, self.left) = (Some((at, len)), Some(left));
+        Ok(used)
+    }
+}
+
 /// Decodes every entry of a `Data` frame payload, invoking
-/// `sink(slot, sender, message)` per entry.
+/// `sink(slot, sender, message)` per entry: the [`DataDecoder`] run over
+/// the whole payload at once.
 ///
 /// Validates the entry count, per-entry lengths, zero padding and exact
 /// payload consumption; any malformation is a [`WireError`].
@@ -947,30 +1037,12 @@ pub fn for_each_data_entry<M: WireMessage>(
     payload: &[u8],
     mut sink: impl FnMut(u32, u32, M),
 ) -> Result<(), WireError> {
-    let count = get_u32(payload, 0)?;
-    let mut at = 4usize;
-    for _ in 0..count {
-        let slot = get_u32(payload, at)?;
-        let sender = get_u32(payload, at + 4)?;
-        let bits = get_u16(payload, at + 8)?;
-        let aux = *payload.get(at + 10).ok_or(WireError::Truncated {
-            needed: at + 11,
-            got: payload.len(),
-        })?;
-        let (nbytes, at_payload) = ((bits as usize).div_ceil(8), at + ENTRY_HEADER_BYTES);
-        let body = payload
-            .get(at_payload..at_payload + nbytes)
-            .ok_or(WireError::Truncated {
-                needed: at_payload + nbytes,
-                got: payload.len(),
-            })?;
-        let msg = decode_payload::<M>(bits, aux, body)?;
-        sink(slot, sender, msg);
-        at = at_payload + nbytes;
-    }
-    if at != payload.len() {
-        return Err(WireError::TrailingBytes(payload.len() - at));
-    }
+    let mut decoder = DataDecoder {
+        payload: Some((0, payload.len())),
+        left: None,
+    };
+    decoder.entries(payload, &mut sink)?;
+    debug_assert!(decoder.is_done(), "a whole payload decodes to its end");
     Ok(())
 }
 
@@ -1023,35 +1095,51 @@ mod tests {
         assert!(decode_payload::<()>(2, 0, &[0, 0]).is_err());
     }
 
-    /// Reads all of `bytes` into `fb`, at most `step` bytes per read.
-    fn read_all(fb: &mut FrameBuffer, bytes: &[u8], step: usize) {
-        let mut fed = 0;
-        while fed < bytes.len() {
-            let to = bytes.len().min(fed + step);
-            fed += fb.read_from(&mut &bytes[fed..to]).unwrap();
+    /// The headers a decode checked, the `u64` entries it decoded, and
+    /// whether the frame was done after each read.
+    type Decoded = (Vec<FrameHeader>, Vec<(u32, u32, u64)>, Vec<bool>);
+
+    /// Reads `bytes` through a `FrameBuffer`, at most `step` bytes per
+    /// read, and decodes them with a `DataDecoder` after every read; the
+    /// first error stops it.
+    fn decode_in_steps(bytes: &[u8], step: usize) -> Result<Decoded, WireError> {
+        let (mut fb, mut decoder) = (FrameBuffer::new(), DataDecoder::new());
+        let (mut headers, mut entries, mut done) = (Vec::new(), Vec::new(), Vec::new());
+        for piece in bytes.chunks(step) {
+            assert_eq!(fb.read_from(&mut &piece[..]).unwrap(), piece.len());
+            let check = |header| {
+                headers.push(header);
+                Ok::<_, WireError>(())
+            };
+            let used = decoder.decode(fb.unread(), check, &mut |slot, sender, msg| {
+                entries.push((slot, sender, msg));
+            })?;
+            fb.consume(used);
+            done.push(decoder.is_done());
         }
+        Ok((headers, entries, done))
     }
 
     #[test]
     fn frame_round_trips_through_buffer() {
+        let mut b = DataFrameBuilder::new();
+        b.push(10, 1, &5u64);
+        b.push(11, 2, &300u64);
+        let out = b.seal(42, 3, 0).to_vec();
+        // Read byte by byte: the header is checked once its 17 bytes are
+        // in, each entry is decoded once it is whole, and the frame is done
+        // at its last byte only.
+        let (headers, entries, done) = decode_in_steps(&out, 1).unwrap();
         let header = FrameHeader {
-            kind: FrameKind::Vote,
+            kind: FrameKind::Data,
             round: 42,
             from: 3,
             to: 0,
         };
-        let mut out = Vec::new();
-        frame_into(&mut out, header, &[9, 9, 9]);
-        let mut fb = FrameBuffer::new();
-        // Read byte by byte: partial prefixes must return Ok(None).
-        read_all(&mut fb, &out[..out.len() - 1], 1);
-        assert_eq!(fb.front().unwrap(), None);
-        read_all(&mut fb, &out[out.len() - 1..], 1);
-        let (got, payload) = fb.front().unwrap().unwrap();
-        assert_eq!(got, header);
-        assert_eq!(payload, [9, 9, 9]);
-        fb.pop_front();
-        assert_eq!(fb.front().unwrap(), None);
+        assert_eq!(headers, [header]);
+        assert_eq!(entries, [(10, 1, 5), (11, 2, 300)]);
+        assert_eq!(done.iter().position(|&d| d), Some(out.len() - 1));
+        assert_eq!(decode_in_steps(&out, out.len()).unwrap().1, entries);
     }
 
     #[test]
@@ -1073,11 +1161,9 @@ mod tests {
             };
             let mut out = Vec::new();
             frame_into(&mut out, header, &[5, 6, 7, 8]);
-            let mut fb = FrameBuffer::new();
-            read_all(&mut fb, &out, out.len());
-            let (got, payload) = fb.front().unwrap().unwrap();
-            assert_eq!(got, header);
-            assert_eq!(payload, [5, 6, 7, 8]);
+            let frame = read_frame(&mut &out[..]).unwrap();
+            assert_eq!(frame.header, header);
+            assert_eq!(frame.payload, [5, 6, 7, 8]);
         }
     }
 
@@ -1089,17 +1175,27 @@ mod tests {
         frame.extend_from_slice(&0u64.to_le_bytes());
         frame.extend_from_slice(&0u16.to_le_bytes());
         frame.extend_from_slice(&0u16.to_le_bytes());
-        let mut fb = FrameBuffer::new();
-        read_all(&mut fb, &frame, frame.len());
-        assert_eq!(fb.front(), Err(WireError::BadKind(8)));
+        assert_eq!(
+            decode_in_steps(&frame, frame.len()),
+            Err(WireError::BadKind(8))
+        );
         // Truncated header.
-        let mut fb = FrameBuffer::new();
-        read_all(&mut fb, &[5, 0, 0, 0, 0, 0, 0, 0, 0], 9);
-        assert!(matches!(fb.front(), Err(WireError::Truncated { .. })));
+        let short = [5, 0, 0, 0, 0, 0, 0, 0, 0];
+        assert!(matches!(
+            decode_in_steps(&short, short.len()),
+            Err(WireError::Truncated { .. })
+        ));
         // Oversized length prefix.
-        let mut fb = FrameBuffer::new();
-        read_all(&mut fb, &(u32::MAX).to_le_bytes(), 4);
-        assert!(matches!(fb.front(), Err(WireError::BadLength { .. })));
+        assert!(matches!(
+            decode_in_steps(&u32::MAX.to_le_bytes(), 4),
+            Err(WireError::BadLength { .. })
+        ));
+        // A data header with no room for the entry count.
+        frame[4] = 0;
+        assert!(matches!(
+            decode_in_steps(&frame, 1),
+            Err(WireError::Truncated { .. })
+        ));
     }
 
     #[test]
@@ -1115,9 +1211,7 @@ mod tests {
         assert!(b.is_empty());
         assert!(b.sealed().is_empty());
 
-        let mut fb = FrameBuffer::new();
-        read_all(&mut fb, &out, out.len());
-        let (header, payload) = fb.front().unwrap().unwrap();
+        let Frame { header, payload } = read_frame(&mut &out[..]).unwrap();
         header.expect(7, 1, 2).unwrap();
         assert_eq!(
             header.expect(8, 1, 2),
@@ -1128,7 +1222,7 @@ mod tests {
         );
         assert!(header.expect(7, 2, 1).is_err());
         let mut got = Vec::new();
-        for_each_data_entry::<u64>(payload, |slot, sender, msg| {
+        for_each_data_entry::<u64>(&payload, |slot, sender, msg| {
             got.push((slot, sender, msg));
         })
         .unwrap();

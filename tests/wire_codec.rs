@@ -8,12 +8,15 @@
 //!   payload occupies **exactly** `MessageSize::bit_size()` bits, so the
 //!   wire carries precisely what the simulator's accounting charges.
 //! * **Malformed input safety** — truncated and corrupted frames, mutated
-//!   sealed data frames (read in place through `FrameBuffer` in random
-//!   pieces, and through `read_frame`), Peers frames, `ShardPlan` bytes,
-//!   Output frame payloads and stamped trace payloads come back as errors,
-//!   never panics, and so do mutated `RunMetrics` and `RoundRow` JSONL rows.
-//!   A forged length prefix cannot make a `FrameBuffer` allocate ahead of
-//!   the bytes.
+//!   sealed data frames (decoded by a `DataDecoder` as they arrive through
+//!   a `FrameBuffer` in random pieces, and read by `read_frame`), Peers
+//!   frames, `ShardPlan` bytes, Output frame payloads and stamped trace
+//!   payloads come back as errors, never panics, and so do mutated
+//!   `RunMetrics` and `RoundRow` JSONL rows.  A data frame decoded in
+//!   pieces yields what `for_each_data_entry` yields on its whole payload,
+//!   and never waits for a byte its length prefix does not claim.  A forged
+//!   length prefix cannot make a `FrameBuffer` hold more than one read
+//!   window.
 //! * **One encoding per broadcast** — `DataFrameBuilder::push_run` seals
 //!   exactly the bytes of one `push` per slot.
 //! * **Bandwidth cross-check** — the paper algorithms' messages, pushed
@@ -34,8 +37,8 @@ use dcme_coloring::trial::{self, TrialMessage};
 use dcme_coloring::TrialConfig;
 use dcme_congest::transport::{parse_peers, write_peers};
 use dcme_congest::wire::{
-    decode_payload, encode_payload, for_each_data_entry, read_frame, DataFrameBuilder, Frame,
-    FrameBuffer, WireError, MAX_FRAME_BODY, READ_WINDOW,
+    decode_payload, encode_payload, for_each_data_entry, read_frame, DataDecoder, DataFrameBuilder,
+    Frame, FrameBuffer, FrameHeader, WireError, MAX_FRAME_BODY, READ_WINDOW,
 };
 use dcme_congest::{
     decode_output_payload, decode_stamped, encode_output_payload, encode_stamped, BandwidthReport,
@@ -91,7 +94,7 @@ proptest! {
         builder.push(3, 0, &ListMessage::Propose { color: a, priority: b });
         builder.push(9, 1, &ListMessage::Finalized { color: b });
         let sealed = builder.seal(5, 0, 1).to_vec();
-        let frame = read_whole(&sealed);
+        let frame = read_frame(&mut &sealed[..]).unwrap();
         // The intact frame decodes.
         let mut n = 0;
         for_each_data_entry::<ListMessage>(&frame.payload, |_, _, _| n += 1).expect("intact");
@@ -123,7 +126,7 @@ proptest! {
         builder.push(2, 1, &UltrafastMessage::Fallback { color: a, id: b });
         builder.push(3, 2, &UltrafastMessage::Adopt { color: b });
         let sealed = builder.seal(2, 1, 0).to_vec();
-        let frame = read_whole(&sealed);
+        let frame = read_frame(&mut &sealed[..]).unwrap();
         let mut n = 0;
         for_each_data_entry::<UltrafastMessage>(&frame.payload, |_, _, _| n += 1).expect("intact");
         prop_assert_eq!(n, 3);
@@ -144,7 +147,7 @@ proptest! {
         builder.push(7, 0, &D1Message::Propose { color: a, priority: b });
         builder.push(8, 1, &D1Message::Finalized { color: b });
         let sealed = builder.seal(3, 0, 1).to_vec();
-        let frame = read_whole(&sealed);
+        let frame = read_frame(&mut &sealed[..]).unwrap();
         for cut in 0..frame.payload.len() {
             prop_assert!(
                 for_each_data_entry::<D1Message>(&frame.payload[..cut], |_, _, _| {}).is_err(),
@@ -214,13 +217,14 @@ proptest! {
         let _ = decode_output_payload::<u64>(&bytes, |_, _| Ok(()));
     }
 
-    /// Workers read data frames from bytes another process sent: in place
-    /// through a `FrameBuffer` on the nonblocking mesh, through `read_frame`
-    /// on a blocking link.  A sealed frame read in random pieces, from one
-    /// byte up to the whole frame, yields the header and payload of one
-    /// whole read, and of `read_frame`.  A mutated one, read the same way,
-    /// yields frames or a `WireError`, never a panic, and both readers
-    /// yield the same complete frames before they stop.
+    /// Workers read data frames from bytes another process sent: through
+    /// a `FrameBuffer` and a `DataDecoder` on the nonblocking mesh, through
+    /// `read_frame` on a blocking link.  A sealed frame decoded in random
+    /// pieces, from one byte up to the whole frame, yields the header of
+    /// `read_frame` and the entries pushed.  A mutated one, decoded the
+    /// same way, yields entries and then an error, the frame's end or a
+    /// wait for more bytes, never a panic, and exactly what it yields when
+    /// decoded in one piece.
     #[test]
     fn mutated_data_frames_decode_or_fail_cleanly(
         entries in 0usize..4,
@@ -228,33 +232,67 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut builder = DataFrameBuilder::new();
+        let mut pushed = Vec::new();
         for sender in 0..entries as u32 {
             let msg = ListMessage::Propose {
                 color: rng.random_range(0..1000u64),
                 priority: rng.random_range(0..u64::MAX),
             };
-            builder.push(rng.random_range(0..u32::MAX), sender, &msg);
+            let slot = rng.random_range(0..u32::MAX);
+            builder.push(slot, sender, &msg);
+            pushed.push((slot, sender, msg));
         }
         let mut bytes = builder.seal(rng.random_range(0..u64::MAX), 0, 1).to_vec();
-        let (whole, stop) = read_in_place(&bytes, |left| left);
-        prop_assert_eq!(stop, None);
-        prop_assert_eq!(&whole, &vec![read_frame(&mut &bytes[..]).unwrap()]);
-        let (pieces, stop) = read_in_place(&bytes, |left| rng.random_range(1..left + 1));
-        prop_assert_eq!(stop, None);
+        let whole = stream::<ListMessage>(&bytes, |left| left);
+        let header = read_frame(&mut &bytes[..]).unwrap().header;
+        prop_assert_eq!(&whole, &(Some(header), pushed, Streamed::Done));
+        let ones = stream::<ListMessage>(&bytes, |_| 1);
+        prop_assert_eq!(&ones, &whole);
+        let pieces = stream::<ListMessage>(&bytes, |left| rng.random_range(1..left + 1));
         prop_assert_eq!(&pieces, &whole);
 
         mutate(&mut bytes, &mut rng);
-        // Blocking reads, until the first error (running out of bytes too).
-        let mut blocking = Vec::new();
-        let mut rest = &bytes[..];
-        while let Ok(frame) = read_frame(&mut rest) {
-            blocking.push(frame);
+        let whole = stream::<ListMessage>(&bytes, |left| left);
+        let pieces = stream::<ListMessage>(&bytes, |left| rng.random_range(1..left + 1));
+        prop_assert_eq!(pieces, whole);
+    }
+
+    /// The streamed decoder is the whole-payload decoder fed in pieces.  A
+    /// sealed frame of `u64`, `ListMessage` or `UltrafastMessage` entries,
+    /// fed in random pieces from one byte to the whole frame, yields
+    /// exactly the entries `for_each_data_entry` yields on its payload.  A
+    /// mutated frame yields that decode's entries up to its first error and
+    /// then the same error, or all of them; where its bytes hold less than
+    /// the frame its length prefix claims, it yields some of them and
+    /// waits, or fails.  It never panics, and never waits for a byte the
+    /// length prefix does not claim.
+    #[test]
+    fn data_frames_fed_in_pieces_decode_as_their_whole_payload(
+        entries in 0usize..6,
+        kind in 0u32..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut builder = DataFrameBuilder::new();
+        for sender in 0..entries as u32 {
+            let (slot, a) = (rng.random_range(0..u32::MAX), rng.random_range(0..1000u64));
+            let b = rng.random_range(0..u64::MAX);
+            match kind {
+                0 => builder.push(slot, sender, &b),
+                1 => builder.push(slot, sender, &ListMessage::Propose { color: a, priority: b }),
+                _ => builder.push(slot, sender, &UltrafastMessage::Fallback { color: a, id: b }),
+            }
         }
-        // Reads in place, until a frame is incomplete at the end or bad.
-        let (buffered, _) = read_in_place(&bytes, |left| rng.random_range(1..left + 1));
-        prop_assert_eq!(&buffered, &blocking);
-        for frame in &buffered {
-            let _ = for_each_data_entry::<ListMessage>(&frame.payload, |_, _, _| {});
+        let mut bytes = builder.seal(rng.random_range(0..u64::MAX), 1, 0).to_vec();
+        for mutated in [false, true] {
+            if mutated {
+                mutate(&mut bytes, &mut rng);
+            }
+            match kind {
+                0 => check_pieces::<u64>(&bytes, &mut rng, mutated)?,
+                1 => check_pieces::<ListMessage>(&bytes, &mut rng, mutated)?,
+                _ => check_pieces::<UltrafastMessage>(&bytes, &mut rng, mutated)?,
+            }
         }
     }
 
@@ -466,71 +504,123 @@ fn run_and_pushes<M: WireMessage>(
     (run, one_by_one.seal(round, 0, 1).to_vec())
 }
 
-/// The one frame of `bytes`, read in place in one read.
-fn read_whole(bytes: &[u8]) -> Frame {
-    match read_in_place(bytes, |left| left) {
-        (frames, None) if frames.len() == 1 => frames.into_iter().next().unwrap(),
-        other => panic!("one well-formed frame expected, got {other:?}"),
+/// How a streamed decode of a frame's bytes ended.
+#[derive(Debug, PartialEq)]
+enum Streamed {
+    /// The frame's last entry was decoded.
+    Done,
+    /// Every byte was read, and the decoder waits for more.
+    Waiting,
+    /// The decoder failed.
+    Failed(WireError),
+}
+
+/// What a streamed decode yielded: the header it checked, the entries it
+/// decoded, and how it ended.
+type StreamedFrame<M> = (Option<FrameHeader>, Vec<(u32, u32, M)>, Streamed);
+
+/// Reads `bytes` into a fresh `FrameBuffer`, each read taking at most
+/// `piece(left)` of the `left` bytes not yet read (`1..=left`), and decodes
+/// what is unread with one `DataDecoder` after every read, accepting any
+/// header.
+fn stream<M: WireMessage>(bytes: &[u8], mut piece: impl FnMut(usize) -> usize) -> StreamedFrame<M> {
+    let (mut fb, mut decoder, mut read) = (FrameBuffer::new(), DataDecoder::new(), 0);
+    let (mut header, mut entries) = (None, Vec::new());
+    loop {
+        let check = |h| {
+            header = Some(h);
+            Ok::<_, WireError>(())
+        };
+        let sink = &mut |slot, sender, msg| entries.push((slot, sender, msg));
+        match decoder.decode(fb.unread(), check, sink) {
+            Ok(used) => fb.consume(used),
+            Err(e) => return (header, entries, Streamed::Failed(e)),
+        }
+        if decoder.is_done() {
+            return (header, entries, Streamed::Done);
+        }
+        if read == bytes.len() {
+            return (header, entries, Streamed::Waiting);
+        }
+        let to = read + piece(bytes.len() - read);
+        read += fb.read_from(&mut &bytes[read..to]).unwrap();
     }
 }
 
-/// Reads `bytes` into a fresh `FrameBuffer`, each read taking at most
-/// `piece(left)` of the `left` bytes not yet read (`1..=left`), and takes
-/// each complete frame as it reaches the front: its header and a copy of
-/// its payload, then drops it.  Returns the frames and the `WireError`
-/// that stopped the reads, if one did.
-fn read_in_place(
+/// Decodes `bytes` in one piece, one byte at a time and in random pieces:
+/// all three yield the same, which is what `read_frame` and
+/// `for_each_data_entry` yield where the bytes hold the frame the length
+/// prefix claims (and all its entries for an intact frame), and otherwise
+/// never the frame's end, and a wait only for bytes the prefix claims.
+fn check_pieces<M: WireMessage + PartialEq + core::fmt::Debug>(
     bytes: &[u8],
-    mut piece: impl FnMut(usize) -> usize,
-) -> (Vec<Frame>, Option<WireError>) {
-    let (mut fb, mut frames, mut read) = (FrameBuffer::new(), Vec::new(), 0);
-    loop {
-        match fb.front() {
-            Ok(Some((header, payload))) => {
-                let payload = payload.to_vec();
-                frames.push(Frame { header, payload });
-                fb.pop_front();
+    rng: &mut StdRng,
+    mutated: bool,
+) -> Result<(), TestCaseError> {
+    let whole = stream::<M>(bytes, |left| left);
+    prop_assert_eq!(&stream::<M>(bytes, |_| 1), &whole);
+    prop_assert_eq!(
+        &stream::<M>(bytes, |left| rng.random_range(1..left + 1)),
+        &whole
+    );
+    let (header, entries, end) = whole;
+    match read_frame(&mut &bytes[..]) {
+        Ok(frame) => {
+            let mut expected = Vec::new();
+            let decoded = for_each_data_entry::<M>(&frame.payload, |slot, sender, msg| {
+                expected.push((slot, sender, msg));
+            });
+            prop_assert_eq!(header, Some(frame.header));
+            prop_assert_eq!(entries, expected);
+            match decoded {
+                Ok(()) => prop_assert_eq!(end, Streamed::Done),
+                Err(e) => prop_assert_eq!(end, Streamed::Failed(e)),
             }
-            Ok(None) if read < bytes.len() => {
-                let to = read + piece(bytes.len() - read);
-                read += fb.read_from(&mut &bytes[read..to]).unwrap();
+        }
+        Err(_) => {
+            prop_assert!(mutated, "an intact frame reads whole");
+            prop_assert_ne!(&end, &Streamed::Done);
+            if end == Streamed::Waiting {
+                let claimed = bytes.get(..4).map_or(usize::MAX, |prefix| {
+                    4 + u32::from_le_bytes(prefix.try_into().unwrap()) as usize
+                });
+                prop_assert!(
+                    claimed > bytes.len(),
+                    "waits for a byte the prefix does not claim"
+                );
             }
-            Ok(None) => return (frames, None),
-            Err(e) => return (frames, Some(e)),
         }
     }
+    Ok(())
 }
 
 /// A forged length prefix cannot make a `FrameBuffer` allocate ahead of
-/// the bytes: after a prefix that claims `MAX_FRAME_BODY`, the buffer holds
-/// at most the bytes that arrived plus one read window while they are few,
-/// and at most twice them plus one window as they grow; no frame is ever
-/// complete.
+/// the bytes: after a prefix that claims `MAX_FRAME_BODY`, read a byte at a
+/// time and whole, and then 1 MiB of entries read 4 KiB at a time, the
+/// buffer holds exactly one read window; the decoder takes every whole
+/// entry, and the frame is never done.
 #[test]
 fn a_forged_length_prefix_grows_the_frame_buffer_only_with_the_bytes() {
     let mut forged = (MAX_FRAME_BODY as u32).to_le_bytes().to_vec();
     forged.extend_from_slice(&[0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0]);
-    for piece in [1, forged.len()] {
-        let mut fb = FrameBuffer::new();
-        for chunk in forged.chunks(piece) {
-            assert_eq!(fb.read_from(&mut &chunk[..]).unwrap(), chunk.len());
-            assert_eq!(fb.front(), Ok(None));
-        }
-        assert!(
-            fb.capacity() <= forged.len() + READ_WINDOW,
-            "{} bytes arrived, the buffer holds {}",
-            forged.len(),
-            fb.capacity()
-        );
+    let mut builder = DataFrameBuilder::new();
+    builder.push(9, 3, &12_345u64);
+    let entry = builder.seal(1, 0, 1)[forged.len() + 4..].to_vec();
+    let mut body = u32::MAX.to_le_bytes().to_vec();
+    while body.len() < 1 << 20 {
+        body.extend_from_slice(&entry);
     }
-    let mut fb = FrameBuffer::new();
-    let mut arrived = fb.read_from(&mut &forged[..]).unwrap();
-    let junk = [0xA5u8; 4096];
-    while arrived < 1 << 20 {
-        arrived += fb.read_from(&mut &junk[..]).unwrap();
-        assert_eq!(fb.front(), Ok(None));
-        let bound = 2 * arrived + READ_WINDOW;
-        assert!(fb.capacity() <= bound, "{} > {bound}", fb.capacity());
+    for piece in [1, forged.len()] {
+        let (mut fb, mut decoder, mut got) = (FrameBuffer::new(), DataDecoder::new(), 0);
+        for chunk in forged.chunks(piece).chain(body.chunks(4096)) {
+            assert_eq!(fb.read_from(&mut &chunk[..]).unwrap(), chunk.len());
+            let check = |h: FrameHeader| h.expect(1, 0, 1);
+            let used = decoder.decode(fb.unread(), check, &mut |_, _, _: u64| got += 1);
+            fb.consume(used.unwrap());
+            assert!(!decoder.is_done());
+            assert_eq!(fb.capacity(), READ_WINDOW);
+        }
+        assert_eq!(got, (body.len() - 4) / entry.len());
     }
 }
 
