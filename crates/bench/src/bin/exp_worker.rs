@@ -397,15 +397,21 @@ fn run_coordinator(
     let t = std::time::Instant::now();
     let outcome = transport::coordinate_traced::<u64, _>(links, &spec, trace_sink.as_ref());
     let wall = t.elapsed();
+    // Reap every worker, then report the coordinator's own error, which
+    // names the shard and the round, ahead of any worker's exit status.
+    let mut failed = None;
     for mut child in children {
         let status = child.wait()?;
         if !status.success() {
-            return Err(std::io::Error::other(format!(
-                "a worker process exited with {status}"
-            )));
+            failed.get_or_insert(status);
         }
     }
     let mut outcome = outcome?;
+    if let Some(status) = failed {
+        return Err(std::io::Error::other(format!(
+            "a worker process exited with {status}"
+        )));
+    }
     // Fold the coordinator's own high-water mark in (max-merge semantics).
     outcome.metrics.peak_rss_bytes = outcome
         .metrics

@@ -15,9 +15,8 @@
 //!
 //! 1. **send + route**: clear the slots and values set last round, ask
 //!    every active node for its outbox, and route each message through the
-//!    sender's row of the destination table (a shard's
-//!    [`dest_row`](ShardTopologyView::dest_row), or a whole graph's
-//!    [`dest_slots`](TopologyView::dest_slots)).  A sender's row ascends,
+//!    sender's row of the destination table
+//!    ([`dest_row`](ShardTopologyView::dest_row)).  A sender's row ascends,
 //!    so its ports into one shard are one run of it.  A broadcast with a
 //!    run in the sender's own shard is stored once, as the sender's value,
 //!    and is staged once per other shard it reaches, with that run
@@ -34,8 +33,8 @@
 //!    zero-copy [`Inbox`] view whose port `p` yields the node's slot `p` if
 //!    its presence bit is set, else the value of the neighbour behind `p` if
 //!    the kernel keeps one for it (read from the node's source row,
-//!    [`ShardTopologyView::source_row`] or [`TopologyView::neighbor_row`])
-//!    — and drop the nodes that halted from the active list.
+//!    [`ShardTopologyView::source_row`]) — and drop the nodes that halted
+//!    from the active list.
 //!
 //! So one rule holds for every driver: a broadcast arrives as a value in
 //! every kernel that keeps one for its sender, and every other message
@@ -62,12 +61,12 @@
 //! until every shard has delivered, then receives and compacts.  The
 //! drivers differ only in their sync:
 //!
-//! * [`SequentialExecutor`] runs one kernel over the whole graph on the
-//!   caller's thread, as a one-party run of the in-process barriers.  The
-//!   graph is its only shard, so every broadcast is stored as a value and
-//!   every per-port message is routed straight into a slot, found in the
-//!   view's own destination table ([`TopologyView::dest_slots`]), the table
-//!   every topology type stores; its stage holds nothing.
+//! * [`SequentialExecutor`] runs one kernel on the caller's thread, as a
+//!   one-party run of the in-process barriers, over the [`Topology`] behind
+//!   its view ([`TopologyView::whole`]): a `Topology` is one shard owning
+//!   every node and slot, so every broadcast is stored as a value and every
+//!   per-port message is routed straight into a slot; its stage holds
+//!   nothing.
 //! * [`ShardedExecutor`] runs one kernel per shard of a
 //!   [`ShardedTopology`], shard 0 on the caller's thread and every other
 //!   shard on a thread of its own, and moves cross-shard messages through a
@@ -192,7 +191,6 @@
 //! overwritten slot or value counts once in `RunMetrics::stale_overwrites`.
 
 use std::any::Any;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -212,7 +210,8 @@ use crate::transport::{
 ///
 /// The trait is generic over [`TopologyView`] so a strategy can either work
 /// with any representation ([`SequentialExecutor`] implements `Executor<T>`
-/// for every `T: TopologyView`) or demand a specific one
+/// for every `T: TopologyView`, and runs on the [`Topology`] behind it) or
+/// demand a specific one
 /// ([`ShardedExecutor`] implements only `Executor<ShardedTopology>`,
 /// because it needs the shard layout).
 ///
@@ -250,12 +249,13 @@ pub trait Executor<T: TopologyView = Topology> {
 /// by global slot minus `own.start`, allocated on its first fill.
 /// `values` holds one broadcast value per node of
 /// [`value_nodes`] (the shard's nodes, perhaps widened to the nodes its
-/// ports lead to), indexed by global id minus `value_base`.  `L` says how
-/// the shard, its messages' destinations and its ports' sources are looked
-/// up in `T`.
-pub(crate) struct ShardKernel<'a, A: NodeAlgorithm, T: ?Sized, L> {
-    topology: &'a T,
-    lookup: PhantomData<L>,
+/// ports lead to), indexed by global id minus `value_base`.  The kernel
+/// reads its shard, its messages' destinations and its ports' sources from
+/// the view `V`: a [`ShardedTopology`], a worker's
+/// [`ShardSliceTopology`](crate::sharded::ShardSliceTopology), or, for the
+/// single-threaded driver, a [`Topology`] as its only shard.
+pub(crate) struct ShardKernel<'a, A: NodeAlgorithm, V: ShardTopologyView> {
+    topology: &'a V,
     shard: usize,
     nodes: &'a mut [A],
     node_base: NodeId,
@@ -282,31 +282,29 @@ pub(crate) struct ShardKernel<'a, A: NodeAlgorithm, T: ?Sized, L> {
     traced: bool,
 }
 
-impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L> {
+impl<'a, A: NodeAlgorithm, V: ShardTopologyView> ShardKernel<'a, A, V> {
     /// A kernel for `shard` of `topology`; [`ShardKernel::run`] runs it.
     pub(crate) fn new(
-        topology: &'a T,
+        topology: &'a V,
         shard: usize,
         nodes: &'a mut [A],
         delivery: DeliveryMode,
         tracer: &'a dyn TraceSink,
     ) -> Self {
-        let node_range = L::nodes(topology, shard);
-        let value_range = value_nodes::<T, L>(topology, shard);
+        let node_range = topology.shard_nodes(shard);
+        let value_range = value_nodes(topology, shard);
         assert_eq!(nodes.len(), node_range.len(), "one node per shard node");
-        let (n, max_degree) = L::globals(topology);
-        let own = L::slots(topology, shard);
+        let own = topology.shard_slots(shard);
         Self {
             topology,
-            lookup: PhantomData,
             shard,
             nodes,
             node_base: node_range.start,
             context: NodeContext {
                 node: 0,
                 degree: 0,
-                n,
-                max_degree,
+                n: topology.num_nodes(),
+                max_degree: topology.max_degree(),
                 round: 0,
             },
             slots: PortSlots::unfilled(own.len()),
@@ -387,7 +385,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
         );
         let t = Instant::now();
         let shard = self.shard;
-        send_and_route::<A, T, L, X>(
+        send_and_route(
             self.topology,
             shard,
             NodeContext {
@@ -510,7 +508,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             }
             Entry::Broadcast { sender, msg } => {
                 let v = sender as usize;
-                let run = L::dest_row(topology, v).map_or(&[][..], |row| {
+                let run = topology.dest_row(v).map_or(&[][..], |row| {
                     let start = row.partition_point(|&s| (s as usize) < own.start);
                     let len = row[start..].partition_point(|&s| (s as usize) < own.end);
                     &row[start..start + len]
@@ -570,7 +568,7 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             ..
         } = self;
         for &v in active.iter() {
-            let r = L::port_range(topology, shard, v);
+            let r = topology.port_range_from(shard, v);
             let ctx = NodeContext {
                 node: v,
                 degree: r.len(),
@@ -580,7 +578,9 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
             let inbox = Inbox::pulled(
                 slots,
                 r.start - own.start..r.end - own.start,
-                L::source_row(topology, v),
+                topology
+                    .source_row(v)
+                    .expect("a shard holds its nodes' rows"),
                 values,
                 value_base,
             );
@@ -634,8 +634,8 @@ impl<'a, A: NodeAlgorithm, T: ?Sized, L: ShardLookup<T>> ShardKernel<'a, A, T, L
 /// a fifth slower.
 #[allow(clippy::too_many_arguments)]
 #[inline(never)]
-fn send_and_route<A, T, L, X>(
-    topology: &T,
+fn send_and_route<A, V, X>(
+    topology: &V,
     shard: usize,
     shared: NodeContext,
     nodes: &mut [A],
@@ -650,8 +650,7 @@ fn send_and_route<A, T, L, X>(
     stage: &mut X,
 ) where
     A: NodeAlgorithm,
-    T: ?Sized,
-    L: ShardLookup<T>,
+    V: ShardTopologyView,
     X: Transport<A::Message>,
 {
     slots.clear();
@@ -659,7 +658,7 @@ fn send_and_route<A, T, L, X>(
         values[i as usize] = None;
     }
     for &v in active {
-        let row = L::dest_row(topology, v).expect("a shard holds its nodes' rows");
+        let row = topology.dest_row(v).expect("a shard holds its nodes' rows");
         let ctx = NodeContext {
             node: v,
             degree: row.len(),
@@ -670,8 +669,8 @@ fn send_and_route<A, T, L, X>(
             Outbox::Broadcast(msg) => {
                 let (bits, mut rest) = (msg.bit_size(), row);
                 while let Some(&first) = rest.first() {
-                    let to = L::shard_of_slot(topology, first as usize);
-                    let end = L::slots(topology, to).end;
+                    let to = topology.shard_of_slot(first as usize);
+                    let end = topology.shard_slots(to).end;
                     let (run, tail) = rest.split_at(rest.partition_point(|&s| (s as usize) < end));
                     rest = tail;
                     report.record(run.len() as u64, bits);
@@ -696,7 +695,7 @@ fn send_and_route<A, T, L, X>(
                         );
                     } else {
                         report.cross_shard_messages += 1;
-                        let to = L::shard_of_slot(topology, dest);
+                        let to = topology.shard_of_slot(dest);
                         stage.stage(to, dest as u32, v as u32, msg);
                     }
                 }
@@ -711,147 +710,31 @@ const SLOTS_PER_VALUE: usize = 8;
 
 /// The nodes whose broadcasts `shard`'s kernel keeps as values: its own
 /// nodes, widened to every node a port of the shard leads to if the view
-/// holds their rows ([`ShardLookup::row_nodes`]) and the widening adds at
-/// most one value per [`SLOTS_PER_VALUE`] slots of the shard.  Source rows
-/// ascend, so their ends bound those nodes in one pass.  A broadcast from
-/// outside the range lands in slots.  So a sparse graph cut into many
-/// shards, whose remote senders reach a shard through about one port each
-/// and span the graph, costs no more memory than one value per own node.
-fn value_nodes<T: ?Sized, L: ShardLookup<T>>(
-    topology: &T,
-    shard: usize,
-) -> core::ops::Range<NodeId> {
-    let own = L::nodes(topology, shard);
-    let rows = L::row_nodes(topology);
+/// holds their rows ([`ShardTopologyView::row_nodes`]) and the widening
+/// adds at most one value per [`SLOTS_PER_VALUE`] slots of the shard.
+/// Source rows ascend, so their ends bound those nodes in one pass.  A
+/// broadcast from outside the range lands in slots.  So a sparse graph cut
+/// into many shards, whose remote senders reach a shard through about one
+/// port each and span the graph, costs no more memory than one value per
+/// own node.
+fn value_nodes(topology: &impl ShardTopologyView, shard: usize) -> core::ops::Range<NodeId> {
+    let own = topology.shard_nodes(shard);
+    let rows = topology.row_nodes();
     let (mut lo, mut hi) = (own.start, own.end);
     for v in own.clone() {
-        let row = L::source_row(topology, v);
+        let row = topology
+            .source_row(v)
+            .expect("a shard holds its nodes' rows");
         if let (Some(&first), Some(&last)) = (row.first(), row.last()) {
             lo = lo.min(first as usize);
             hi = hi.max(last as usize + 1);
         }
     }
     let reach = lo.max(rows.start)..hi.min(rows.end);
-    if (reach.len() - own.len()) * SLOTS_PER_VALUE <= L::slots(topology, shard).len() {
+    if (reach.len() - own.len()) * SLOTS_PER_VALUE <= topology.shard_slots(shard).len() {
         reach
     } else {
         own
-    }
-}
-
-/// How a [`ShardKernel`] finds its shard in a topology `T`, and the global
-/// slots the messages of node `v` land in.  The lookups take the topology
-/// as an argument, so the routing loop holds the topology itself, not a
-/// wrapper around it.
-pub(crate) trait ShardLookup<T: ?Sized> {
-    /// The graph's node count `n` and maximum degree Δ, which every node's
-    /// context carries.
-    fn globals(topology: &T) -> (usize, u32);
-    /// The shard's node range.
-    fn nodes(topology: &T, shard: usize) -> core::ops::Range<NodeId>;
-    /// The shard's slot range.
-    fn slots(topology: &T, shard: usize) -> core::ops::Range<usize>;
-    /// The global slot range of `v`'s own inbox.
-    fn port_range(topology: &T, shard: usize, v: NodeId) -> core::ops::Range<usize>;
-    /// The nodes whose rows `T` holds (see
-    /// [`ShardTopologyView::row_nodes`]), the shard's among them: the widest
-    /// range a kernel keeps values for.
-    fn row_nodes(topology: &T) -> core::ops::Range<NodeId>;
-    /// The destination-table row of node `v` (see
-    /// [`ShardTopologyView::dest_row`]), or `None` if `v` is outside
-    /// [`ShardLookup::row_nodes`].
-    fn dest_row(topology: &T, v: NodeId) -> Option<&[u32]>;
-    /// The source row of `v`, a node of the shard: the neighbour behind
-    /// each of its ports (see [`ShardTopologyView::source_row`]).
-    fn source_row(topology: &T, v: NodeId) -> &[u32];
-    /// The shard owning global slot `slot`.
-    fn shard_of_slot(topology: &T, slot: usize) -> usize;
-}
-
-/// One shard of a [`ShardTopologyView`], routed through its
-/// [`dest_row`](ShardTopologyView::dest_row)s.
-pub(crate) struct ShardRows;
-
-impl<T: ShardTopologyView + ?Sized> ShardLookup<T> for ShardRows {
-    fn globals(topology: &T) -> (usize, u32) {
-        (topology.num_nodes(), topology.max_degree())
-    }
-
-    fn nodes(topology: &T, shard: usize) -> core::ops::Range<NodeId> {
-        topology.shard_nodes(shard)
-    }
-
-    fn slots(topology: &T, shard: usize) -> core::ops::Range<usize> {
-        topology.shard_slots(shard)
-    }
-
-    #[inline]
-    fn port_range(topology: &T, shard: usize, v: NodeId) -> core::ops::Range<usize> {
-        topology.port_range_from(shard, v)
-    }
-
-    fn row_nodes(topology: &T) -> core::ops::Range<NodeId> {
-        topology.row_nodes()
-    }
-
-    #[inline]
-    fn dest_row(topology: &T, v: NodeId) -> Option<&[u32]> {
-        topology.dest_row(v)
-    }
-
-    #[inline]
-    fn source_row(topology: &T, v: NodeId) -> &[u32] {
-        topology
-            .source_row(v)
-            .expect("a shard holds its nodes' rows")
-    }
-
-    #[inline]
-    fn shard_of_slot(topology: &T, slot: usize) -> usize {
-        topology.shard_of_slot(slot)
-    }
-}
-
-/// Any [`TopologyView`] as one shard owning every node and slot, for the
-/// single-threaded driver, routed through the view's
-/// [`dest_slots`](TopologyView::dest_slots) rows.
-struct WholeGraph;
-
-impl<T: TopologyView + ?Sized> ShardLookup<T> for WholeGraph {
-    fn globals(topology: &T) -> (usize, u32) {
-        (topology.num_nodes(), topology.max_degree())
-    }
-
-    fn nodes(topology: &T, _shard: usize) -> core::ops::Range<NodeId> {
-        0..topology.num_nodes()
-    }
-
-    fn slots(topology: &T, _shard: usize) -> core::ops::Range<usize> {
-        0..topology.num_directed_edges()
-    }
-
-    #[inline]
-    fn port_range(topology: &T, _shard: usize, v: NodeId) -> core::ops::Range<usize> {
-        topology.port_range(v)
-    }
-
-    fn row_nodes(topology: &T) -> core::ops::Range<NodeId> {
-        0..topology.num_nodes()
-    }
-
-    #[inline]
-    fn dest_row(topology: &T, v: NodeId) -> Option<&[u32]> {
-        Some(topology.dest_slots(v))
-    }
-
-    #[inline]
-    fn source_row(topology: &T, v: NodeId) -> &[u32] {
-        topology.neighbor_row(v)
-    }
-
-    #[inline]
-    fn shard_of_slot(_topology: &T, _slot: usize) -> usize {
-        0
     }
 }
 
@@ -1033,8 +916,7 @@ impl<T: TopologyView> Executor<T> for SequentialExecutor {
     ) {
         let mut rounds = Rounds::lead(nodes.len(), 1, max_rounds, tracer);
         let sync = PhaseSync::new(1);
-        let kernel =
-            ShardKernel::<_, _, WholeGraph>::new(topology, 0, nodes, DeliveryMode::Strict, tracer);
+        let kernel = ShardKernel::new(topology.whole(), 0, nodes, DeliveryMode::Strict, tracer);
         let done = Party::new(&sync, 0, OneShard, &mut rounds, false).run(kernel);
         sync.rethrow();
         if let Some((mut report, _)) = done {
@@ -1278,14 +1160,10 @@ impl<'p, 't, X> Party<'p, 't, X> {
     /// `AssertUnwindSafe` is sound because after a poisoning panic the
     /// possibly-inconsistent node state is never touched again: the driver
     /// re-throws the panic.
-    fn run<A, T, L>(
-        mut self,
-        kernel: ShardKernel<'_, A, T, L>,
-    ) -> Option<(RunMetrics, PhaseTimings)>
+    fn run<A, V>(mut self, kernel: ShardKernel<'_, A, V>) -> Option<(RunMetrics, PhaseTimings)>
     where
         A: NodeAlgorithm,
-        T: ?Sized,
-        L: ShardLookup<T>,
+        V: ShardTopologyView,
         X: Transport<A::Message>,
     {
         let ran = catch_unwind(AssertUnwindSafe(|| match kernel.run(&mut self) {
@@ -1388,7 +1266,7 @@ impl<B: TransportBuilder> Executor<ShardedTopology> for ShardedExecutor<B> {
             if tracer.enabled() {
                 tracer.emit(&TraceEvent::WorkerStart { shard: s });
             }
-            let kernel = ShardKernel::<_, _, ShardRows>::new(topology, s, nodes, delivery, tracer);
+            let kernel = ShardKernel::new(topology, s, nodes, delivery, tracer);
             let done = Party::new(&sync, s, transport, rounds, s == 0).run(kernel);
             if tracer.enabled() {
                 tracer.emit(&TraceEvent::WorkerEnd { shard: s });
@@ -1506,7 +1384,9 @@ mod tests {
     /// the values set, the slots filled and the slots allocated.
     type KernelState = (core::ops::Range<NodeId>, usize, usize, usize);
 
-    fn kernel_state<A: NodeAlgorithm, T: ?Sized, L>(k: &ShardKernel<'_, A, T, L>) -> KernelState {
+    fn kernel_state<A: NodeAlgorithm, V: ShardTopologyView>(
+        k: &ShardKernel<'_, A, V>,
+    ) -> KernelState {
         let kept = k.value_base..k.value_base + k.values.len();
         (
             kept,
@@ -1524,13 +1404,7 @@ mod tests {
         for s in 0..g.num_shards() {
             let (own, tail) = rest.split_at_mut(g.shard_nodes(s).len());
             rest = tail;
-            kernels.push(ShardKernel::<_, _, ShardRows>::new(
-                g,
-                s,
-                own,
-                DeliveryMode::Strict,
-                &NoTrace,
-            ));
+            kernels.push(ShardKernel::new(g, s, own, DeliveryMode::Strict, &NoTrace));
         }
         let mut endpoints = InProcess.build::<u64>(g).unwrap();
         for (kernel, endpoint) in kernels.iter_mut().zip(&mut endpoints) {
@@ -1551,8 +1425,7 @@ mod tests {
     /// Runs one round of `nodes` on `g` in the single-threaded driver's
     /// kernel and returns its [`KernelState`].
     fn one_whole_round(g: &Topology, nodes: &mut [Announce]) -> KernelState {
-        let mut kernel =
-            ShardKernel::<_, _, WholeGraph>::new(g, 0, nodes, DeliveryMode::Strict, &NoTrace);
+        let mut kernel = ShardKernel::new(g, 0, nodes, DeliveryMode::Strict, &NoTrace);
         kernel.admit();
         kernel.send_route(0, &mut OneShard);
         kernel.deliver(0, |sink| OneShard.drain(0, sink)).unwrap();
@@ -1657,8 +1530,7 @@ mod tests {
         let edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
         let g = Topology::from_edges(n, &edges).unwrap();
         let mut nodes = ring_announcers(n, |_| None);
-        let mut kernel =
-            ShardKernel::<_, _, WholeGraph>::new(&g, 0, &mut nodes, delivery, &NoTrace);
+        let mut kernel = ShardKernel::new(&g, 0, &mut nodes, delivery, &NoTrace);
         kernel.admit();
         let feed = |sink: &mut dyn FnMut(Entry<u64>)| {
             for &(slot, msg) in slots {

@@ -25,7 +25,8 @@
 //!   node-range shards, with streaming construction for `n ≥ 10^7`
 //!   workloads,
 //! * [`executor::Executor`] — the round-loop strategy seam: one round
-//!   kernel, run by a single-threaded driver
+//!   kernel over one topology trait ([`sharded::ShardTopologyView`], which a
+//!   `Topology` implements as one shard), run by a single-threaded driver
 //!   ([`executor::SequentialExecutor`]), one thread per shard
 //!   ([`executor::ShardedExecutor`]) or one process per shard
 //!   ([`transport::serve_shard_with`]), whose kernels allocate inbox

@@ -58,7 +58,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::csr::{self, Csr, RankedRows, INDEX_LIMIT};
+use crate::csr::{self, RankedRows, INDEX_LIMIT};
 use crate::topology::{NodeId, Port, Topology, TopologyError, TopologyView};
 use crate::wire::{get_u32, get_u64, put_u32, put_u64, WireError};
 
@@ -416,9 +416,9 @@ impl ShardedTopology {
     /// [`ExecutionMode::Parallel`](crate::ExecutionMode::Parallel), and for
     /// workloads whose graph already fits in one arena).
     ///
-    /// The flat slot contract does not depend on the cut, so the view's
-    /// rows and destination table are copied as they are, in one linear
-    /// pass: no replay, no sort.  The result is structurally identical to
+    /// The flat slot contract does not depend on the cut, so the
+    /// [`Topology`] behind the view ([`TopologyView::whole`]) is cloned as
+    /// it is: no replay, no sort.  The result is structurally identical to
     /// the source — same port numbering, same flat slots — and runs are
     /// bit-for-bit reproducible across the representations.
     ///
@@ -435,27 +435,16 @@ impl ShardedTopology {
         if num_shards == 0 {
             return Err(TopologyError::ShardCountZero);
         }
-        let n = topology.num_nodes();
-        let slots = topology.num_directed_edges();
+        let g = topology.whole();
+        let (n, slots) = (g.num_nodes(), g.num_directed_edges());
         if let Some(value) = [n, slots].into_iter().find(|&x| x > INDEX_LIMIT) {
             let limit = INDEX_LIMIT;
             return Err(TopologyError::NodeRangeOverflow { value, limit });
         }
-        let degree: Vec<u32> = (0..n).map(|v| topology.degree(v) as u32).collect();
-        let mut csr = Csr {
-            offsets: Vec::with_capacity(n + 1),
-            neighbors: Vec::with_capacity(slots),
-            dest: Vec::with_capacity(slots),
-        };
-        csr.offsets.push(0);
-        for v in 0..n {
-            csr.neighbors.extend_from_slice(topology.neighbor_row(v));
-            csr.dest.extend_from_slice(topology.dest_slots(v));
-            csr.offsets.push(csr.neighbors.len());
-        }
-        let plan = ShardPlan::cut(degree, slots / 2, num_shards);
+        let degree = (0..n).map(|v| g.degree(v) as u32).collect();
+        let plan = ShardPlan::cut(degree, g.num_edges(), num_shards);
         Ok(Self {
-            topology: Topology::from_csr(csr, plan.num_edges),
+            topology: g.clone(),
             node_start: plan.node_start,
             slot_start: plan.slot_start,
         })
@@ -693,12 +682,14 @@ impl ShardSliceTopology {
 /// The topology surface the round kernel needs — everything it and the
 /// remote worker protocol touch (see [`crate::executor`]), abstracted so a
 /// shard can run on the full [`ShardedTopology`], on a worker's own
-/// [`ShardSliceTopology`], or, for the single-threaded driver, on any
-/// [`TopologyView`] taken as one shard.
+/// [`ShardSliceTopology`], or, for the single-threaded driver, on a
+/// [`Topology`]: one shard that owns every node and slot.
 ///
-/// The `*_from` accessors take the caller's shard explicitly, the shard the
-/// kernel's node `v` belongs to; a slice implementation only answers for
-/// the shard it owns and `debug_assert`s that.
+/// [`port_range_from`](Self::port_range_from) takes the caller's shard
+/// explicitly, the shard the kernel's node `v` belongs to; a slice only
+/// answers for the shard it owns and `debug_assert`s that.  A node's degree
+/// is the length of that range, and the slot its port `p` sends to is entry
+/// `p` of its [`dest_row`](Self::dest_row).
 pub trait ShardTopologyView {
     /// Total node count of the global graph.
     fn num_nodes(&self) -> usize;
@@ -712,24 +703,10 @@ pub trait ShardTopologyView {
     fn shard_slots(&self, s: usize) -> core::ops::Range<usize>;
     /// The shard owning flat slot `slot`.
     fn shard_of_slot(&self, slot: usize) -> usize;
-    /// Degree of `v`, which must belong to `shard`.
-    fn degree_from(&self, shard: usize, v: NodeId) -> usize;
-    /// The global inbox slot a message sent by `v` (of `shard`) over port
-    /// `p` lands in: entry `p` of `v`'s [`dest_row`](Self::dest_row).
-    fn dest_slot_from(&self, shard: usize, v: NodeId, p: Port) -> usize {
-        debug_assert!(
-            self.shard_nodes(shard).contains(&v),
-            "node {v} outside shard {shard}"
-        );
-        let row = self
-            .dest_row(v)
-            .expect("a view holds the rows of its shard's nodes");
-        row[p] as usize
-    }
     /// The global flat-slot range of `v`'s own inbox, `v` in `shard`.
     fn port_range_from(&self, shard: usize, v: NodeId) -> core::ops::Range<usize>;
-    /// The nodes whose rows the view holds: every node of a
-    /// [`ShardedTopology`], and the own shard's nodes of a
+    /// The nodes whose rows the view holds: every node of a [`Topology`] or
+    /// a [`ShardedTopology`], and the own shard's nodes of a
     /// [`ShardSliceTopology`].  A kernel keeps broadcast values for its own
     /// nodes and for some of these: a broadcast from a node outside them,
     /// whose row it cannot read, never arrives as a value.
@@ -778,12 +755,6 @@ impl ShardTopologyView for ShardedTopology {
     }
 
     #[inline]
-    fn degree_from(&self, shard: usize, v: NodeId) -> usize {
-        debug_assert_eq!(self.shard_of(v), shard);
-        self.topology.degree(v)
-    }
-
-    #[inline]
     fn port_range_from(&self, shard: usize, v: NodeId) -> core::ops::Range<usize> {
         debug_assert_eq!(self.shard_of(v), shard);
         self.topology.port_range(v)
@@ -796,13 +767,12 @@ impl ShardTopologyView for ShardedTopology {
 
     #[inline]
     fn dest_row(&self, v: NodeId) -> Option<&[u32]> {
-        (v < self.topology.num_nodes()).then(|| self.topology.dest_slots(v))
+        self.topology.dest_row(v)
     }
 
     #[inline]
     fn source_row(&self, v: NodeId) -> Option<&[u32]> {
-        let g = &self.topology;
-        (v < g.num_nodes()).then(|| TopologyView::neighbor_row(g, v))
+        self.topology.source_row(v)
     }
 }
 
@@ -835,13 +805,6 @@ impl ShardTopologyView for ShardSliceTopology {
     #[inline]
     fn shard_of_slot(&self, slot: usize) -> usize {
         self.slot_start.partition_point(|&s| s <= slot) - 1
-    }
-
-    #[inline]
-    fn degree_from(&self, shard: usize, v: NodeId) -> usize {
-        debug_assert_eq!(shard, self.shard, "a slice only serves its own shard");
-        let i = v - self.node_start[self.shard];
-        self.offsets[i + 1] - self.offsets[i]
     }
 
     #[inline]
@@ -903,6 +866,10 @@ impl TopologyView for ShardedTopology {
     fn port_range(&self, v: NodeId) -> core::ops::Range<usize> {
         self.topology.port_range(v)
     }
+
+    fn whole(&self) -> &Topology {
+        &self.topology
+    }
 }
 
 #[cfg(test)]
@@ -938,6 +905,39 @@ mod tests {
                 assert_eq!(sharded.dest_slot(v, p), dense.port_range(u).start + rp);
             }
         }
+    }
+
+    /// Asserts that `view` answers as shard `s` of `full`: the nodes and
+    /// slots of every shard, the owner of every slot, and the port range and
+    /// rows of every node of `s`.  It holds no other row, and none past the
+    /// last node.  A worker's slice is such a view, and so is the
+    /// [`Topology`] behind a one-shard cut, which the single-threaded driver
+    /// runs on.
+    fn assert_shard_view(full: &ShardedTopology, view: &dyn ShardTopologyView, s: usize) {
+        assert_eq!(view.num_shards(), full.num_shards());
+        for t in 0..full.num_shards() {
+            assert_eq!(view.shard_nodes(t), full.shard_nodes(t), "shard {t}");
+            assert_eq!(view.shard_slots(t), full.shard_slots(t), "shard {t}");
+        }
+        for slot in 0..full.num_directed_edges() {
+            assert_eq!(view.shard_of_slot(slot), full.shard_of_slot(slot), "{slot}");
+        }
+        let (own, n) = (full.shard_nodes(s), TopologyView::num_nodes(full));
+        assert_eq!(view.row_nodes(), own);
+        for v in 0..n {
+            let held = own.contains(&v);
+            assert_eq!(view.dest_row(v), full.dest_row(v).filter(|_| held), "{v}");
+            assert_eq!(
+                view.source_row(v),
+                full.source_row(v).filter(|_| held),
+                "{v}"
+            );
+            if held {
+                let ports = ShardTopologyView::port_range_from(full, s, v);
+                assert_eq!(view.port_range_from(s, v), ports, "{v}");
+            }
+        }
+        assert_eq!((view.dest_row(n), view.source_row(n)), (None, None));
     }
 
     fn ring_edges(n: usize) -> Vec<(NodeId, NodeId)> {
@@ -1013,7 +1013,7 @@ mod tests {
     fn slice_dest_slot_past_the_degree_panics() {
         let plan = ShardPlan::from_edge_stream(9, 2, mixed_stream(9)).unwrap();
         let slice = ShardSliceTopology::build(plan, 0, mixed_stream(9)).unwrap();
-        let _ = slice.dest_slot_from(0, 0, 4);
+        let _ = slice.dest_row(0).unwrap()[4];
     }
 
     #[test]
@@ -1038,6 +1038,10 @@ mod tests {
         assert_eq!(TopologyView::max_degree(&g), 0);
         for v in 0..5 {
             assert_eq!(TopologyView::degree(&g, v), 0);
+        }
+        for n in [0, 5] {
+            let one = ShardedTopology::from_edge_stream(n, 1, |_| {}).unwrap();
+            assert_shard_view(&one, one.whole(), 0);
         }
     }
 
@@ -1170,29 +1174,21 @@ mod tests {
                 assert_eq!(slice, full.shard_slice(s), "n={n} shards={shards} s={s}");
                 // The trait surface agrees too (what the worker round loop
                 // actually consumes).
+                assert_shard_view(&full, &slice, s);
                 for v in ShardTopologyView::shard_nodes(&slice, s) {
-                    assert_eq!(
-                        slice.port_range_from(s, v),
-                        ShardTopologyView::port_range_from(&full, s, v)
-                    );
-                    for p in 0..slice.degree_from(s, v) {
-                        assert_eq!(slice.dest_slot_from(s, v, p), full.dest_slot(v, p));
+                    let own = slice.dest_row(v).expect("a slice holds its shard's rows");
+                    assert_eq!(own.len(), slice.port_range_from(s, v).len());
+                    for (p, &slot) in own.iter().enumerate() {
+                        assert_eq!(slot as usize, full.dest_slot(v, p));
                     }
                     let row = full.dest_row(v).expect("the full build holds every row");
-                    assert_eq!(slice.dest_row(v), Some(row));
                     assert!(row.windows(2).all(|w| w[0] < w[1]), "row {v} ascends");
                     let sources = TopologyView::neighbor_row(&full, v);
                     assert_eq!(full.source_row(v), Some(sources));
-                    assert_eq!(slice.source_row(v), Some(sources));
                 }
-                // A slice holds no row outside its shard; nobody holds one
-                // past the last node.
-                let own = ShardTopologyView::shard_nodes(&slice, s);
-                assert_eq!(slice.row_nodes(), own);
-                let mut outside = (0..=n).filter(|v| !own.contains(v));
-                assert!(
-                    outside.all(|v| slice.dest_row(v).is_none() && slice.source_row(v).is_none())
-                );
+            }
+            if shards == 1 {
+                assert_shard_view(&full, full.whole(), 0);
             }
             assert_eq!(full.row_nodes(), 0..n);
             assert_eq!(full.dest_row(n), None);

@@ -16,6 +16,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::csr::{self, Csr};
+use crate::sharded::ShardTopologyView;
 
 /// Identifier of a node: a dense index in `0..n`.
 pub type NodeId = usize;
@@ -118,13 +119,16 @@ impl core::fmt::Display for TopologyError {
 
 impl std::error::Error for TopologyError {}
 
-/// The read-only topology interface the round engine is written against.
+/// The read-only topology interface the [`Simulator`](crate::Simulator) and
+/// every [`Executor`](crate::executor::Executor) are written against.
 ///
 /// [`Topology`] (one global CSR) and
 /// [`ShardedTopology`](crate::sharded::ShardedTopology) (the same CSR cut
-/// into node-range shards) both implement this trait, so every
-/// [`Executor`](crate::executor::Executor) and the
-/// [`Simulator`](crate::Simulator) work with either representation.
+/// into node-range shards) both implement this trait, so both run under
+/// either.  The round kernel itself reads a
+/// [`ShardTopologyView`]: the sharded driver's `ShardedTopology`, or the
+/// single-threaded driver's [`whole`](TopologyView::whole) `Topology`, one
+/// shard that owns every node and slot.
 ///
 /// # The flat slot contract
 ///
@@ -172,6 +176,11 @@ pub trait TopologyView: Sync {
     /// The flat slot range of node `v`'s ports (see the trait docs for the
     /// indexing contract).
     fn port_range(&self, v: NodeId) -> core::ops::Range<usize>;
+
+    /// The [`Topology`] behind the view: the view itself, or the graph a
+    /// [`ShardedTopology`](crate::sharded::ShardedTopology) cuts into
+    /// shards.  The single-threaded driver runs on it as one shard.
+    fn whole(&self) -> &Topology;
 }
 
 /// An undirected communication graph in compressed adjacency form.
@@ -278,6 +287,14 @@ impl Topology {
     #[inline]
     fn row(&self, v: NodeId) -> &[u32] {
         &self.csr.neighbors[self.port_range(v)]
+    }
+
+    /// Node `v`'s row of `table`, the neighbours or the destination table,
+    /// or `None` past the last node.
+    #[inline]
+    fn held_row<'t>(&self, v: NodeId, table: &'t [u32]) -> Option<&'t [u32]> {
+        let end = *self.csr.offsets.get(v + 1)?;
+        Some(&table[self.csr.offsets[v]..end])
     }
 
     /// The neighbours of `v`, in port order (ascending).
@@ -434,6 +451,59 @@ impl TopologyView for Topology {
     #[inline]
     fn port_range(&self, v: NodeId) -> core::ops::Range<usize> {
         Topology::port_range(self, v)
+    }
+
+    fn whole(&self) -> &Topology {
+        self
+    }
+}
+
+/// A `Topology` is one shard that owns every node and every slot: the view
+/// the single-threaded driver runs its kernel on.
+impl ShardTopologyView for Topology {
+    fn num_nodes(&self) -> usize {
+        Topology::num_nodes(self)
+    }
+
+    fn num_shards(&self) -> usize {
+        1
+    }
+
+    fn max_degree(&self) -> u32 {
+        Topology::max_degree(self)
+    }
+
+    fn shard_nodes(&self, _s: usize) -> core::ops::Range<NodeId> {
+        0..Topology::num_nodes(self)
+    }
+
+    #[inline]
+    fn shard_slots(&self, _s: usize) -> core::ops::Range<usize> {
+        0..Topology::num_directed_edges(self)
+    }
+
+    #[inline]
+    fn shard_of_slot(&self, _slot: usize) -> usize {
+        0
+    }
+
+    #[inline]
+    fn port_range_from(&self, _shard: usize, v: NodeId) -> core::ops::Range<usize> {
+        Topology::port_range(self, v)
+    }
+
+    fn row_nodes(&self) -> core::ops::Range<NodeId> {
+        0..Topology::num_nodes(self)
+    }
+
+    #[inline]
+    fn dest_row(&self, v: NodeId) -> Option<&[u32]> {
+        self.held_row(v, &self.csr.dest)
+    }
+
+    #[inline]
+    fn source_row(&self, v: NodeId) -> Option<&[u32]> {
+        self.held_row(v, &self.csr.neighbors)
     }
 }
 

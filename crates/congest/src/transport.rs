@@ -86,7 +86,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::algorithm::{MessageSize, NodeAlgorithm, NodeContext};
-use crate::executor::{DeliveryMode, RoundSync, Rounds, ShardKernel, ShardRows};
+use crate::executor::{DeliveryMode, RoundSync, Rounds, ShardKernel};
 use crate::metrics::{PhaseTimings, RunMetrics};
 use crate::sharded::{ShardPlan, ShardTopologyView, ShardedTopology};
 use crate::simulator::RunOutcome;
@@ -106,6 +106,35 @@ pub const COORDINATOR: u16 = u16::MAX;
 /// Frames address shards as `u16`, and [`COORDINATOR`] reserves `u16::MAX`,
 /// so wire-facing backends support at most this many shards.
 pub const MAX_WIRE_SHARDS: usize = u16::MAX as usize;
+
+/// Whether `e`, met on a link, says the peer at its other end closed it.
+fn peer_closed(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::{
+        BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof, WriteZero,
+    };
+    matches!(
+        e.kind(),
+        UnexpectedEof | WriteZero | BrokenPipe | ConnectionReset | ConnectionAborted
+    )
+}
+
+/// Reads the next frame from the control link to `peer`, a shard or the
+/// [`COORDINATOR`], in `round`: a failed read names the peer and the
+/// round, and says so when the peer closed the link.
+fn read_control(link: &mut impl Read, peer: u16, round: u64) -> std::io::Result<Frame> {
+    read_frame(link).map_err(|e| {
+        let peer = match peer {
+            COORDINATOR => "the coordinator".to_string(),
+            shard => format!("shard {shard}"),
+        };
+        let what = if peer_closed(&e) {
+            format!("{peer} closed its control link in round {round}")
+        } else {
+            format!("the control link to {peer} failed in round {round}: {e}")
+        };
+        std::io::Error::new(e.kind(), what)
+    })
+}
 
 /// Rejects shard layouts the `u16` frame addressing cannot represent.
 fn check_wire_shard_count(shards: usize) -> std::io::Result<()> {
@@ -640,19 +669,15 @@ impl PeerLink {
     /// [`TransportError::PeerClosed`] if it says the peer closed its end,
     /// else [`TransportError::Io`].
     fn failure(&self, round: u64, source: std::io::Error) -> TransportError {
-        use std::io::ErrorKind::{
-            BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof, WriteZero,
-        };
         let shard = self.peer as usize;
-        match source.kind() {
-            UnexpectedEof | WriteZero | BrokenPipe | ConnectionReset | ConnectionAborted => {
-                TransportError::PeerClosed { shard, round }
-            }
-            _ => TransportError::Io {
+        if peer_closed(&source) {
+            TransportError::PeerClosed { shard, round }
+        } else {
+            TransportError::Io {
                 shard,
                 round,
                 source,
-            },
+            }
         }
     }
 
@@ -1459,7 +1484,9 @@ pub fn decode_output_payload<O: WireMessage>(
 ///
 /// # Errors
 ///
-/// Propagates link I/O failures and protocol violations as `io::Error`.
+/// Propagates link I/O failures and protocol violations as `io::Error`.  A
+/// failed read of a `RoundStart` names the coordinator and the round, and
+/// says so when the coordinator closed the link.
 ///
 /// # Panics
 ///
@@ -1490,7 +1517,7 @@ where
     for (v, node) in node_range.clone().zip(nodes.iter_mut()) {
         node.init(&NodeContext {
             node: v,
-            degree: topology.degree_from(shard, v),
+            degree: topology.port_range_from(shard, v).len(),
             n,
             max_degree,
             round: 0,
@@ -1508,13 +1535,7 @@ where
     if let Some(cap) = &capture {
         cap.emit(&TraceEvent::WorkerStart { shard });
     }
-    let kernel = ShardKernel::<_, _, ShardRows>::new(
-        topology,
-        shard,
-        &mut nodes,
-        DeliveryMode::Strict,
-        tracer,
-    );
+    let kernel = ShardKernel::new(topology, shard, &mut nodes, DeliveryMode::Strict, tracer);
     let mut frames = Frames {
         link: &mut *link,
         mesh,
@@ -1598,7 +1619,7 @@ impl<M: TransportMessage, L: Read + Write> RoundSync<M> for Frames<'_, L> {
             write_stats(self.link, self.me, &stats)?;
         }
         write_vote(self.link, round, self.me, active as u64)?;
-        let frame = read_frame(self.link)?;
+        let frame = read_control(self.link, COORDINATOR, round)?;
         if frame.header.kind != FrameKind::RoundStart {
             return Err(protocol_error("expected a RoundStart frame"));
         }
@@ -1667,7 +1688,9 @@ pub struct CoordinateSpec {
 ///
 /// # Errors
 ///
-/// Propagates link I/O failures and protocol violations as `io::Error`.
+/// Propagates link I/O failures and protocol violations as `io::Error`.  A
+/// failed read after the initial votes names the shard and the round, and
+/// says so when the shard closed its link.
 pub fn coordinate<O: WireMessage, L: Read + Write>(
     links: Vec<L>,
     spec: &CoordinateSpec,
@@ -1763,7 +1786,7 @@ pub fn coordinate_traced<O: WireMessage, L: Read + Write>(
             // A worker may precede its vote with one out-of-band Stats
             // frame; the link is ordered, so telemetry can only appear here.
             let frame = loop {
-                let frame = read_frame(link)?;
+                let frame = read_control(link, s as u16, round)?;
                 if frame.header.kind != FrameKind::Stats {
                     break frame;
                 }
@@ -1800,7 +1823,7 @@ pub fn coordinate_traced<O: WireMessage, L: Read + Write>(
         // blob; the ordered link means it can only appear here.  The blob
         // is validated either way and merged only when a sink is attached.
         let frame = loop {
-            let frame = read_frame(link)?;
+            let frame = read_control(link, s as u16, round)?;
             if frame.header.kind != FrameKind::Trace {
                 break frame;
             }
@@ -2285,6 +2308,56 @@ mod tests {
             );
             assert_eq!(err.to_string(), "shard 1 closed its mesh link in round 3");
         }
+    }
+
+    /// A closed control link stops the run with an error that names its
+    /// peer and the round.  The stand-ins write their side of the protocol
+    /// ahead and then close their end for writing.  Shard 1 votes for rounds
+    /// 0 and 1 only, so the coordinator stops in round 1; a coordinator that
+    /// starts round 0 only stops a worker in round 1.
+    #[cfg(unix)]
+    #[test]
+    fn a_closed_control_link_names_its_peer_and_the_round() {
+        use std::net::Shutdown;
+        use std::os::unix::net::UnixStream;
+        let (links, ends): (Vec<_>, Vec<_>) = (0..2).map(|_| UnixStream::pair().unwrap()).unzip();
+        for (shard, (mut end, rounds)) in ends.iter().zip([3, 2]).enumerate() {
+            for round in 0..rounds {
+                write_vote(&mut end, round, shard as u16, 1).unwrap();
+            }
+        }
+        ends[1].shutdown(Shutdown::Write).unwrap();
+        let spec = CoordinateSpec {
+            num_nodes: 2,
+            shards: 2,
+            max_rounds: 10,
+            progress: false,
+        };
+        let err = coordinate::<u64, _>(links, &spec).expect_err("shard 1 closed its link");
+        assert_eq!(
+            err.to_string(),
+            "shard 1 closed its control link in round 1"
+        );
+
+        let g = ShardedTopology::from_topology(&ring(4), 1).unwrap();
+        let mesh = SocketLoopback::unix().build::<u64>(&g).unwrap().pop();
+        let (mut coordinator, mut link) = UnixStream::pair().unwrap();
+        let start = FrameHeader {
+            kind: FrameKind::RoundStart,
+            round: 0,
+            from: COORDINATOR,
+            to: 0,
+        };
+        write_frame(&mut coordinator, start, &[0]).unwrap();
+        coordinator.shutdown(Shutdown::Write).unwrap();
+        let nodes = (0..4).map(|_| Gossip::new(3)).collect();
+        let opts = ServeOptions::default();
+        let err = serve_shard_with(&mut link, &g, 0, nodes, mesh.unwrap(), &opts)
+            .expect_err("the coordinator closed its link");
+        assert_eq!(
+            err.to_string(),
+            "the coordinator closed its control link in round 1"
+        );
     }
 
     /// The shard-count/host-list mismatch gate: every malformed peer list —

@@ -168,9 +168,15 @@ impl Oracle {
                 self.port_range(v),
                 "{name}: v={v}"
             );
-            for p in 0..slice.degree_from(s, v) {
+            let row = slice.dest_row(v).expect("a slice holds its shard's rows");
+            assert_eq!(
+                row.len(),
+                slice.port_range_from(s, v).len(),
+                "{name}: v={v}"
+            );
+            for (p, &slot) in row.iter().enumerate() {
                 let want = self.dest_slot(v, p);
-                assert_eq!(slice.dest_slot_from(s, v, p), want, "{name}: ({v}, {p})");
+                assert_eq!(slot as usize, want, "{name}: ({v}, {p})");
             }
         }
     }
