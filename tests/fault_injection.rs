@@ -383,3 +383,154 @@ fn mc_baselines_keep_properness_under_one_duplicate() {
     );
     assert!(matches!(dpo, McVerdict::Pass { .. }), "degree+1: {dpo:?}");
 }
+
+/// The exact verdict of the checker on a table of small instances: the
+/// violated edge and its one-fault trace where the unprotected fixture
+/// breaks, and the execution count where a run passes.  These pin the
+/// search order (positions by round, then sender, then receiving slot; at
+/// each position no fault before drop, duplicate and delay; the last
+/// position varied first) and how executions are counted.
+#[test]
+fn mc_verdicts_are_pinned_on_small_instances() {
+    use mc::{Counterexample, FaultAction, McFault};
+
+    let triangle = Topology::from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
+    let path = Topology::from_edges(2, &[(0, 1)]).unwrap();
+    let star = generators::star(4);
+    // Hub 4 comes last, so the edge-balanced cut of `from_topology` would
+    // keep edge 0–1 inside one shard.
+    let bowtie =
+        Topology::from_edges(5, &[(0, 1), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)]).unwrap();
+    let claw = Topology::from_edges(4, &[(0, 3), (1, 3), (2, 3)]).unwrap();
+    let square = Topology::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).unwrap();
+
+    let default = McConfig::default();
+    let delays_only = McConfig {
+        allow_drop: false,
+        allow_duplicate: false,
+        ..McConfig::default()
+    };
+    let fault_free = McConfig {
+        max_faults: 0,
+        ..McConfig::default()
+    };
+    let one_duplicate = McConfig {
+        max_faults: 1,
+        allow_drop: false,
+        allow_delay: false,
+        require_termination: false,
+        ..McConfig::default()
+    };
+    let two_faults_three_runs = McConfig {
+        max_faults: 2,
+        max_executions: 3,
+        ..McConfig::default()
+    };
+
+    let unprotected = |g: &Topology, config: &McConfig| {
+        let n = g.num_nodes();
+        mc::check(g, || vec![GreedyUnprotected::new(); n], config)
+    };
+    let robust = |g: &Topology, grace: u64, config: &McConfig| {
+        let n = g.num_nodes();
+        mc::check(g, || vec![GreedyRobust::new(grace); n], config)
+    };
+    let violated = |(u, v, color): (usize, usize, u64), round, kind, slot, sender, receiver| {
+        McVerdict::Violated(Counterexample {
+            violation: Violation::ImproperEdge { u, v, color },
+            trace: vec![FaultAction {
+                round,
+                slot,
+                sender,
+                receiver,
+                kind,
+            }],
+        })
+    };
+    let pass = |executions| McVerdict::Pass { executions };
+    let ring6 = generators::ring(6);
+    let pipeline = || trial_nodes(&ring6).0;
+
+    let cases = [
+        (
+            "unprotected triangle",
+            unprotected(&triangle, &default),
+            violated((1, 2, 1), 2, McFault::Drop, 5, 1, 2),
+        ),
+        (
+            "unprotected triangle, delays only",
+            unprotected(&triangle, &delays_only),
+            violated((1, 2, 1), 2, McFault::Delay, 5, 1, 2),
+        ),
+        (
+            "unprotected path",
+            unprotected(&path, &default),
+            violated((0, 1, 0), 1, McFault::Drop, 1, 0, 1),
+        ),
+        (
+            "unprotected star(4)",
+            unprotected(&star, &default),
+            violated((0, 4, 0), 1, McFault::Drop, 7, 0, 4),
+        ),
+        (
+            "unprotected bowtie",
+            unprotected(&bowtie, &default),
+            violated((2, 3, 0), 1, McFault::Drop, 6, 2, 3),
+        ),
+        (
+            "unprotected bowtie, delays only",
+            unprotected(&bowtie, &delays_only),
+            violated((2, 3, 0), 1, McFault::Delay, 6, 2, 3),
+        ),
+        ("robust triangle", robust(&triangle, 1, &default), pass(80)),
+        ("robust path", robust(&path, 1, &default), pass(23)),
+        ("robust bowtie", robust(&bowtie, 1, &default), pass(158)),
+        ("unprotected claw", unprotected(&claw, &default), pass(47)),
+        ("robust claw", robust(&claw, 1, &default), pass(65)),
+        (
+            "unprotected triangle, no faults",
+            unprotected(&triangle, &fault_free),
+            pass(1),
+        ),
+        (
+            "pipeline ring(6), no faults",
+            mc::check(&ring6, pipeline, &fault_free),
+            pass(1),
+        ),
+        (
+            "pipeline ring(6), one duplicate",
+            mc::check(&ring6, pipeline, &one_duplicate),
+            pass(38),
+        ),
+        (
+            "ultrafast 4-cycle, one duplicate",
+            mc::check(
+                &square,
+                || (0..4).map(|_| UltrafastNode::new(11)).collect::<Vec<_>>(),
+                &one_duplicate,
+            ),
+            pass(22),
+        ),
+        (
+            "degree+1 4-cycle, one duplicate",
+            mc::check(
+                &square,
+                || {
+                    (0..4)
+                        .map(|_| DegreePlusOneNode::new(11))
+                        .collect::<Vec<_>>()
+                },
+                &one_duplicate,
+            ),
+            pass(24),
+        ),
+        (
+            "robust(2) triangle, two faults, three executions",
+            robust(&triangle, 2, &two_faults_three_runs),
+            McVerdict::ExecutionBudgetExhausted { executions: 4 },
+        ),
+    ];
+    for (name, got, want) in cases {
+        assert_eq!(got, want, "{name}");
+    }
+}
