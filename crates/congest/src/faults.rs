@@ -37,8 +37,9 @@
 //! inbox slots).  To subject *every* edge of a graph to faults, shard the
 //! topology so no edge is intra-shard (e.g. one node per shard on tiny
 //! instances, or use enough shards that the cross-shard fraction is large).
-//! The exhaustive explorer in [`crate::mc`] sidesteps sharding entirely and
-//! faults every edge of its tiny instances directly.
+//! The exhaustive explorer in [`crate::mc`] cuts its tiny instances one
+//! node per shard, so that every edge crosses this layer, and places its
+//! faults by a script instead of the seeded draw.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -192,6 +193,40 @@ impl FaultPlan {
             r += 1;
         }
         r
+    }
+
+    /// The seeded draw for the `seq`-th message staged from shard `from` to
+    /// shard `to` in `round`: a pure function of them and the plan.  `None`
+    /// delivers the message in its round.
+    fn draw(&self, round: u64, from: u16, to: u16, seq: u32) -> Option<FaultKind> {
+        if self.is_partitioned(from, to, round) {
+            return Some(if self.retransmit {
+                FaultKind::PartitionDeferred {
+                    until_round: self.partition_clear_round(from, to, round),
+                }
+            } else {
+                FaultKind::PartitionDropped
+            });
+        }
+        let pair = ((from as u64) << 16) | to as u64;
+        let word = decision_word(self.seed, round, pair, seq);
+        let roll = (word % 1000) as u32;
+        let drop_at = self.drop_per_mille as u32;
+        let dup_at = drop_at + self.dup_per_mille as u32;
+        let delay_at = dup_at + self.delay_per_mille as u32;
+        if roll < delay_at && self.retransmit {
+            // The overlay masks whatever fault was rolled.
+            Some(FaultKind::Retransmitted)
+        } else if roll < drop_at {
+            Some(FaultKind::Dropped)
+        } else if roll < dup_at {
+            Some(FaultKind::Duplicated)
+        } else if roll < delay_at {
+            let rounds = 1 + (word >> 32) % self.max_delay.max(1);
+            Some(FaultKind::Delayed { rounds })
+        } else {
+            None
+        }
     }
 
     /// Renders the plan as a compact, order-stable spec string, e.g.
@@ -393,6 +428,26 @@ impl FaultTracer {
     }
 }
 
+/// One message a [`Script`] was asked about: sent by `sender` in `round`
+/// into inbox slot `slot` of shard `to`.  Ordered by round, then sender,
+/// then slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) struct Sent {
+    pub(crate) round: u64,
+    pub(crate) sender: u32,
+    pub(crate) slot: u32,
+    pub(crate) to: u16,
+}
+
+/// The model checker's fates ([`crate::mc`]): the fault placed on the
+/// message into each `(round, slot)`, every other message delivered in its
+/// round, and every message the layer asked about, from every shard.
+#[derive(Debug, Default)]
+pub(crate) struct Script {
+    pub(crate) faults: BTreeMap<(u64, u32), FaultKind>,
+    pub(crate) sent: Vec<Sent>,
+}
+
 /// A [`TransportBuilder`] that wraps any inner backend with the
 /// seed-deterministic fault layer described in the [module docs](self).
 ///
@@ -404,6 +459,8 @@ impl FaultTracer {
 #[derive(Debug, Clone, Default)]
 pub struct FaultyTransport<B: TransportBuilder = crate::transport::InProcess> {
     plan: FaultPlan,
+    /// Takes the plan's place when set.
+    script: Option<Arc<Mutex<Script>>>,
     inner: B,
     log: FaultLog,
     tracer: FaultTracer,
@@ -420,9 +477,18 @@ impl<B: TransportBuilder> FaultyTransport<B> {
     pub fn new(plan: FaultPlan, inner: B) -> Self {
         Self {
             plan,
+            script: None,
             inner,
             log: FaultLog::default(),
             tracer: FaultTracer::default(),
+        }
+    }
+
+    /// Wraps `inner` with the faults `script` places.
+    pub(crate) fn scripted(script: Arc<Mutex<Script>>, inner: B) -> Self {
+        Self {
+            script: Some(script),
+            ..Self::new(FaultPlan::default(), inner)
         }
     }
 
@@ -460,6 +526,7 @@ impl<B: TransportBuilder> TransportBuilder for FaultyTransport<B> {
             .map(|(shard, inner)| FaultyLayer {
                 shard,
                 plan: self.plan.clone(),
+                script: self.script.clone(),
                 log: self.log.clone(),
                 tracer: self.tracer.clone(),
                 pend: (0..shards).map(|_| Vec::new()).collect(),
@@ -479,12 +546,14 @@ type FutureCell<M> = BTreeMap<u64, Staged<M>>;
 /// One shard's endpoint of the fault layer produced by [`FaultyTransport`],
 /// wrapping that shard's inner endpoint.  Holds each round's staged
 /// messages back until `flush`, where the per-message fault decisions are
-/// taken; delayed/duplicated copies wait in a per-destination future map
-/// keyed by their delivery round.
+/// taken, from the plan's seeded draw or from a script of placements;
+/// delayed/duplicated copies wait in a per-destination future map keyed by
+/// their delivery round.
 #[derive(Debug)]
 pub struct FaultyLayer<T, M> {
     shard: usize,
     plan: FaultPlan,
+    script: Option<Arc<Mutex<Script>>>,
     log: FaultLog,
     tracer: FaultTracer,
     /// This round's staged messages per destination shard.
@@ -513,10 +582,27 @@ impl<T: Transport<M>, M: TransportMessage> Transport<M> for FaultyLayer<T, M> {
                 self.inner.stage(to, slot, sender, msg);
             }
             let staged = std::mem::take(&mut self.pend[to]);
-            let pair = ((from as u64) << 16) | to as u64;
             for (seq, (slot, sender, msg)) in staged.into_iter().enumerate() {
                 let seq = seq as u32;
-                let event = |kind| FaultEvent {
+                let Some(kind) = self.fate(round, to as u16, seq, slot, sender) else {
+                    self.inner.stage(to, slot, sender, msg);
+                    continue;
+                };
+                match kind {
+                    FaultKind::Dropped | FaultKind::PartitionDropped => {}
+                    FaultKind::Duplicated => {
+                        self.schedule(to, round + 1, slot, sender, msg.clone());
+                        self.inner.stage(to, slot, sender, msg);
+                    }
+                    FaultKind::Delayed { rounds } => {
+                        self.schedule(to, round + rounds, slot, sender, msg)
+                    }
+                    FaultKind::PartitionDeferred { until_round } => {
+                        self.schedule(to, until_round, slot, sender, msg)
+                    }
+                    FaultKind::Retransmitted => self.inner.stage(to, slot, sender, msg),
+                }
+                self.record(FaultEvent {
                     round,
                     from: from as u16,
                     to: to as u16,
@@ -524,41 +610,7 @@ impl<T: Transport<M>, M: TransportMessage> Transport<M> for FaultyLayer<T, M> {
                     slot,
                     sender,
                     kind,
-                };
-                if self.plan.is_partitioned(from as u16, to as u16, round) {
-                    if self.plan.retransmit {
-                        let until_round =
-                            self.plan
-                                .partition_clear_round(from as u16, to as u16, round);
-                        self.schedule(to, until_round, slot, sender, msg);
-                        self.record(event(FaultKind::PartitionDeferred { until_round }));
-                    } else {
-                        self.record(event(FaultKind::PartitionDropped));
-                    }
-                    continue;
-                }
-                let word = decision_word(self.plan.seed, round, pair, seq);
-                let roll = (word % 1000) as u32;
-                let drop_at = self.plan.drop_per_mille as u32;
-                let dup_at = drop_at + self.plan.dup_per_mille as u32;
-                let delay_at = dup_at + self.plan.delay_per_mille as u32;
-                if roll < delay_at && self.plan.retransmit {
-                    // The overlay masks whatever fault was rolled.
-                    self.inner.stage(to, slot, sender, msg);
-                    self.record(event(FaultKind::Retransmitted));
-                } else if roll < drop_at {
-                    self.record(event(FaultKind::Dropped));
-                } else if roll < dup_at {
-                    self.schedule(to, round + 1, slot, sender, msg.clone());
-                    self.inner.stage(to, slot, sender, msg);
-                    self.record(event(FaultKind::Duplicated));
-                } else if roll < delay_at {
-                    let rounds = 1 + (word >> 32) % self.plan.max_delay.max(1);
-                    self.schedule(to, round + rounds, slot, sender, msg);
-                    self.record(event(FaultKind::Delayed { rounds }));
-                } else {
-                    self.inner.stage(to, slot, sender, msg);
-                }
+                });
             }
         }
         self.inner.flush(round)
@@ -574,6 +626,23 @@ impl<T: Transport<M>, M: TransportMessage> Transport<M> for FaultyLayer<T, M> {
 }
 
 impl<T, M> FaultyLayer<T, M> {
+    /// The layer's one per-message decision: what becomes of the `seq`-th
+    /// message staged for shard `to` in `round`, sent by `sender` into
+    /// `slot`.  `None` delivers it in its round.
+    fn fate(&self, round: u64, to: u16, seq: u32, slot: u32, sender: u32) -> Option<FaultKind> {
+        let Some(script) = &self.script else {
+            return self.plan.draw(round, self.shard as u16, to, seq);
+        };
+        let mut script = script.lock().unwrap_or_else(|e| e.into_inner());
+        script.sent.push(Sent {
+            round,
+            sender,
+            slot,
+            to,
+        });
+        script.faults.get(&(round, slot)).copied()
+    }
+
     /// Logs one fault decision and mirrors it to the attached trace sink.
     fn record(&self, e: FaultEvent) {
         self.tracer.emit(&e);

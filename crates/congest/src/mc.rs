@@ -29,23 +29,60 @@
 //!
 //! # Determinism and replay
 //!
-//! The explorer injects faults directly at the delivery step of a
-//! single-threaded round loop — no transport, no threads — so a
-//! counterexample trace (a list of [`FaultAction`]s) replays exactly with
-//! [`replay`]: same graph, same algorithm constructor, same trace, same
-//! violation.
+//! The checker routes no message itself.  Each explored schedule is one
+//! [`ShardedExecutor`] run of the engine, over the graph cut into one node
+//! per shard so that every edge crosses shards, through the fault layer
+//! ([`FaultyTransport`] over [`InProcess`], under [`DeliveryMode::Async`]).
+//! The layer takes each message's fate from the schedule's script of
+//! faults, keyed by `(round, slot)`, and records every message it is asked
+//! about.  Each node's committed color is recorded after `init` and after
+//! each `receive`.  A run is a function of the graph, the algorithm and its
+//! faults, so a counterexample trace (a list of [`FaultAction`]s) replays
+//! exactly with [`replay`]: same graph, same algorithm constructor, same
+//! trace, same violation.  [`check`] and [`replay`] run a schedule and read
+//! its verdict through one function.
+//!
+//! One explored schedule costs one run from round 0, of at most
+//! `max_rounds` rounds, with a kernel per node, each but the first on a
+//! thread of its own: up to 7 threads, spawned anew for every run.
 //!
 //! Delayed and duplicated messages arrive exactly **one round late**
 //! (`max_delay = 1` in the fault-plan vocabulary); longer delays add
 //! nothing on instances this small and would square the branching factor.
+//!
+//! # Search order
+//!
+//! Each message of a run is a *position*, and positions are ordered by
+//! round, then sender, then receiving slot.  A schedule gives each position
+//! no fault or one [`McFault`], and the search visits schedules depth
+//! first:
+//!
+//! * at each position, no fault comes before [`McFault::Drop`],
+//!   [`McFault::Duplicate`] and [`McFault::Delay`], each if allowed and if
+//!   the budget has a fault left;
+//! * the last position is varied first.  The next schedule keeps the
+//!   faults before it and re-runs from round 0, fault-free after it.
+//!
+//! A schedule that breaks properness is reported from the first round that
+//! shows a violation, in [`check_coloring`]'s scan order, and counts no
+//! execution.  Every other schedule counts one; one that reaches the round
+//! bound with a node still running counts it before it is reported as
+//! [`Violation::NoTermination`].
 //!
 //! The [`fixtures`] module ships a pair of tiny greedy coloring algorithms
 //! — one intentionally unprotected, one hardened — that pin the explorer's
 //! soundness in both directions: it must find the seeded violation and
 //! must pass the hardened variant under the same budget.
 
-use crate::algorithm::{Inbox, NodeAlgorithm, NodeContext, Outbox, PortSlots};
+use std::sync::{Arc, Mutex};
+
+use crate::algorithm::{Inbox, NodeAlgorithm, NodeContext, Outbox};
+use crate::executor::{DeliveryMode, ShardedExecutor};
+use crate::faults::{check_coloring, FaultKind, FaultyTransport, InvariantViolation, Script, Sent};
+use crate::sharded::ShardedTopology;
+use crate::simulator::{Simulator, SimulatorConfig};
 use crate::topology::TopologyView;
+use crate::transport::InProcess;
 
 /// Hard ceiling on instance size: exhaustive exploration is only honest on
 /// graphs at most this large.
@@ -57,7 +94,8 @@ pub const MC_MAX_ROUNDS: u64 = 6;
 /// An algorithm the model checker can interrogate mid-run: a cloneable
 /// [`NodeAlgorithm`] that exposes the color it has irrevocably committed
 /// to (as opposed to [`NodeAlgorithm::output`], which is only meaningful
-/// at termination).
+/// at termination).  Its runs must be deterministic: the checker re-runs
+/// every schedule from round 0.
 pub trait CheckableAlgorithm: NodeAlgorithm + Clone {
     /// The color this node has committed to, if any.  Once `Some`, it must
     /// never change — the properness invariant is checked against it after
@@ -208,274 +246,43 @@ impl Default for McConfig {
     }
 }
 
-/// One branch's mutable execution state.
-struct World<A: CheckableAlgorithm> {
-    nodes: Vec<A>,
-    /// Stale copies in flight: `(delivery round, slot, sender, message)`.
-    carry: Vec<(u64, usize, u32, A::Message)>,
-    trace: Vec<FaultAction>,
+/// A node under the checker: the algorithm, and the color it had committed
+/// to after `init` and after each of its `receive` calls, its output.
+struct Watched<A> {
+    node: A,
+    colors: Vec<Option<u64>>,
 }
 
-impl<A: CheckableAlgorithm> Clone for World<A> {
-    fn clone(&self) -> Self {
-        Self {
-            nodes: self.nodes.clone(),
-            carry: self.carry.clone(),
-            trace: self.trace.clone(),
-        }
-    }
-}
+impl<A: CheckableAlgorithm> NodeAlgorithm for Watched<A> {
+    type Message = A::Message;
+    type Output = Vec<Option<u64>>;
 
-/// One round's messages, one per directed edge, as `(slot, sender,
-/// message)`.
-type Sent<M> = Vec<(usize, u32, M)>;
-
-enum Flow {
-    Clean,
-    Found(Counterexample),
-    Exhausted,
-}
-
-struct Search<'a, T: TopologyView> {
-    topology: &'a T,
-    config: &'a McConfig,
-    contexts: Vec<NodeContext>,
-    /// `slot_owner[s]` is the node whose port range contains slot `s`.
-    slot_owner: Vec<u32>,
-    executions: u64,
-}
-
-impl<T: TopologyView> Search<'_, T> {
-    /// Counts one complete execution against the ceiling.
-    fn leaf(&mut self) -> Flow {
-        self.executions += 1;
-        if self.executions > self.config.max_executions {
-            Flow::Exhausted
-        } else {
-            Flow::Clean
-        }
+    fn init(&mut self, ctx: &NodeContext) {
+        self.node.init(ctx);
+        self.colors.push(self.node.committed_color());
     }
 
-    fn committed_violation<A: CheckableAlgorithm>(&self, nodes: &[A]) -> Option<Violation> {
-        for v in 0..nodes.len() {
-            if let Some(c) = nodes[v].committed_color() {
-                for p in 0..self.topology.degree(v) {
-                    let u = self.topology.neighbor_at(v, p);
-                    if u > v && nodes[u].committed_color() == Some(c) {
-                        return Some(Violation::ImproperEdge {
-                            u: v,
-                            v: u,
-                            color: c,
-                        });
-                    }
-                }
-            }
-        }
-        None
+    fn send(&mut self, ctx: &NodeContext) -> Outbox<A::Message> {
+        self.node.send(ctx)
     }
 
-    fn explore_round<A: CheckableAlgorithm>(
-        &mut self,
-        mut world: World<A>,
-        round: u64,
-        budget_left: u32,
-    ) -> Flow {
-        if world.nodes.iter().all(|n| n.is_halted()) {
-            return self.leaf();
-        }
-        if round >= self.config.max_rounds {
-            let flow = self.leaf();
-            if !matches!(flow, Flow::Clean) {
-                return flow;
-            }
-            if self.config.require_termination {
-                return Flow::Found(Counterexample {
-                    violation: Violation::NoTermination { rounds: round },
-                    trace: std::mem::take(&mut world.trace),
-                });
-            }
-            return Flow::Clean;
-        }
-        // The send phase is fault-independent, so it runs once, before the
-        // branch point; only delivery decisions are explored.
-        let (active, msgs) = self.send(&mut world.nodes, round);
-        let mut chosen: Vec<Option<McFault>> = Vec::with_capacity(msgs.len());
-        self.explore_decisions(&world, round, &active, &msgs, &mut chosen, budget_left)
+    fn receive(&mut self, ctx: &NodeContext, inbox: &Inbox<'_, A::Message>) {
+        self.node.receive(ctx, inbox);
+        self.colors.push(self.node.committed_color());
     }
 
-    /// Enumerates the fault assignment for this round's messages, depth
-    /// first, fault-free deliveries before faulted ones.
-    fn explore_decisions<A: CheckableAlgorithm>(
-        &mut self,
-        world: &World<A>,
-        round: u64,
-        active: &[usize],
-        msgs: &[(usize, u32, A::Message)],
-        chosen: &mut Vec<Option<McFault>>,
-        budget_left: u32,
-    ) -> Flow {
-        if chosen.len() == msgs.len() {
-            return self.apply_and_continue(world, round, active, msgs, chosen, budget_left);
-        }
-        chosen.push(None);
-        let flow = self.explore_decisions(world, round, active, msgs, chosen, budget_left);
-        chosen.pop();
-        if !matches!(flow, Flow::Clean) {
-            return flow;
-        }
-        if budget_left > 0 {
-            for (kind, allowed) in [
-                (McFault::Drop, self.config.allow_drop),
-                (McFault::Duplicate, self.config.allow_duplicate),
-                (McFault::Delay, self.config.allow_delay),
-            ] {
-                if !allowed {
-                    continue;
-                }
-                chosen.push(Some(kind));
-                let flow =
-                    self.explore_decisions(world, round, active, msgs, chosen, budget_left - 1);
-                chosen.pop();
-                if !matches!(flow, Flow::Clean) {
-                    return flow;
-                }
-            }
-        }
-        Flow::Clean
+    fn is_halted(&self) -> bool {
+        self.node.is_halted()
     }
 
-    fn apply_and_continue<A: CheckableAlgorithm>(
-        &mut self,
-        world: &World<A>,
-        round: u64,
-        active: &[usize],
-        msgs: &[(usize, u32, A::Message)],
-        chosen: &[Option<McFault>],
-        budget_left: u32,
-    ) -> Flow {
-        let mut child = world.clone();
-        if let Some(violation) = self.step(&mut child, round, active, msgs, chosen) {
-            return Flow::Found(Counterexample {
-                violation,
-                trace: std::mem::take(&mut child.trace),
-            });
-        }
-        self.explore_round(child, round + 1, budget_left)
-    }
-
-    /// The initial world: `mk`'s nodes, initialised, with nothing in flight.
-    fn start<A: CheckableAlgorithm>(&self, mk: &impl Fn() -> Vec<A>) -> World<A> {
-        let mut nodes = mk();
-        assert_eq!(
-            nodes.len(),
-            self.topology.num_nodes(),
-            "need exactly one algorithm instance per node"
-        );
-        for (v, node) in nodes.iter_mut().enumerate() {
-            node.init(&self.contexts[v]);
-        }
-        World {
-            nodes,
-            carry: Vec::new(),
-            trace: Vec::new(),
-        }
-    }
-
-    /// The send step of one round: the active nodes, and every message they
-    /// send.
-    fn send<A: CheckableAlgorithm>(
-        &self,
-        nodes: &mut [A],
-        round: u64,
-    ) -> (Vec<usize>, Sent<A::Message>) {
-        let active: Vec<usize> = (0..nodes.len())
-            .filter(|&v| !nodes[v].is_halted())
-            .collect();
-        let mut msgs = Vec::new();
-        for &v in &active {
-            let ctx = NodeContext {
-                round,
-                ..self.contexts[v]
-            };
-            let row = self.topology.dest_slots(v);
-            match nodes[v].send(&ctx) {
-                Outbox::Silent => {}
-                Outbox::Broadcast(m) => {
-                    msgs.extend(row.iter().map(|&slot| (slot as usize, v as u32, m.clone())));
-                }
-                Outbox::PerPort(list) => {
-                    msgs.extend(
-                        list.into_iter()
-                            .map(|(p, m)| (row[p] as usize, v as u32, m)),
-                    );
-                }
-            }
-        }
-        (active, msgs)
-    }
-
-    /// The rest of one round, with one fault decision per message of
-    /// `msgs`: delivers the messages, recording each fault in the world's
-    /// trace, runs the receive step, and checks properness.  The explorer
-    /// clones the world before each step; replay does not.
-    fn step<A: CheckableAlgorithm>(
-        &self,
-        world: &mut World<A>,
-        round: u64,
-        active: &[usize],
-        msgs: &[(usize, u32, A::Message)],
-        chosen: &[Option<McFault>],
-    ) -> Option<Violation> {
-        let mut slots: Vec<Option<A::Message>> = (0..self.topology.num_directed_edges())
-            .map(|_| None)
-            .collect();
-        // Stale copies scheduled for this round land first, so a fresh
-        // message over the same edge wins the slot (newest-wins, matching
-        // the async delivery mode of the executors).
-        let mut rest = Vec::new();
-        for (r, slot, sender, msg) in world.carry.drain(..) {
-            if r == round {
-                slots[slot] = Some(msg);
-            } else {
-                rest.push((r, slot, sender, msg));
-            }
-        }
-        world.carry = rest;
-        for (i, (slot, sender, msg)) in msgs.iter().enumerate() {
-            let action = |kind| FaultAction {
-                round,
-                slot: *slot as u32,
-                sender: *sender,
-                receiver: self.slot_owner[*slot],
-                kind,
-            };
-            match chosen[i] {
-                None => slots[*slot] = Some(msg.clone()),
-                Some(McFault::Drop) => world.trace.push(action(McFault::Drop)),
-                Some(McFault::Duplicate) => {
-                    slots[*slot] = Some(msg.clone());
-                    world.carry.push((round + 1, *slot, *sender, msg.clone()));
-                    world.trace.push(action(McFault::Duplicate));
-                }
-                Some(McFault::Delay) => {
-                    world.carry.push((round + 1, *slot, *sender, msg.clone()));
-                    world.trace.push(action(McFault::Delay));
-                }
-            }
-        }
-        for &v in active {
-            let ctx = NodeContext {
-                round,
-                ..self.contexts[v]
-            };
-            let mine = PortSlots::new(&slots[self.topology.port_range(v)]);
-            world.nodes[v].receive(&ctx, &Inbox::from_slots(&mine));
-        }
-        self.committed_violation(&world.nodes)
+    fn output(&self) -> Vec<Option<u64>> {
+        self.colors.clone()
     }
 }
 
-fn make_search<'a, T: TopologyView>(topology: &'a T, config: &'a McConfig) -> Search<'a, T> {
+/// Checks the bounds that keep the checker exhaustive, and cuts `topology`
+/// into one node per shard.
+fn cut(topology: &impl TopologyView, config: &McConfig) -> ShardedTopology {
     let n = topology.num_nodes();
     assert!(
         n <= MC_MAX_NODES,
@@ -486,28 +293,93 @@ fn make_search<'a, T: TopologyView>(topology: &'a T, config: &'a McConfig) -> Se
         "the model checker explores at most {MC_MAX_ROUNDS} rounds, got {}",
         config.max_rounds
     );
-    let contexts: Vec<NodeContext> = (0..n)
-        .map(|v| NodeContext {
-            node: v,
-            degree: topology.degree(v),
-            n,
-            max_degree: topology.max_degree(),
-            round: 0,
-        })
-        .collect();
-    let mut slot_owner = vec![0u32; topology.num_directed_edges()];
-    for v in 0..n {
-        for s in topology.port_range(v) {
-            slot_owner[s] = v as u32;
+    ShardedTopology::one_node_per_shard(topology)
+}
+
+/// Runs one schedule: `mk`'s nodes on `cut` for up to `config.max_rounds`
+/// rounds, with the faults of `trace` placed by `(round, slot)` and every
+/// other message delivered in its round.  Returns every message the run
+/// sent, in position order, and its verdict: the first round's properness
+/// violation; else [`Violation::NoTermination`] if a node was still running
+/// at the bound and `config` requires termination; else none.
+fn run<A: CheckableAlgorithm>(
+    cut: &ShardedTopology,
+    mk: impl Fn() -> Vec<A>,
+    trace: &[FaultAction],
+    config: &McConfig,
+) -> (Vec<Sent>, Option<Violation>) {
+    let fate = |kind| match kind {
+        McFault::Drop => FaultKind::Dropped,
+        McFault::Duplicate => FaultKind::Duplicated,
+        McFault::Delay => FaultKind::Delayed { rounds: 1 },
+    };
+    let script = Arc::new(Mutex::new(Script {
+        // Reversed, so that the first action at a `(round, slot)` counts.
+        faults: trace
+            .iter()
+            .rev()
+            .map(|a| ((a.round, a.slot), fate(a.kind)))
+            .collect(),
+        sent: Vec::new(),
+    }));
+    let nodes = mk().into_iter().map(|node| Watched {
+        node,
+        colors: Vec::new(),
+    });
+    let layer = FaultyTransport::scripted(Arc::clone(&script), InProcess);
+    let sim = SimulatorConfig {
+        max_rounds: config.max_rounds,
+        ..SimulatorConfig::default()
+    };
+    let outcome = Simulator::with_config(cut, sim).run_with_executor(
+        nodes.collect(),
+        &ShardedExecutor::with_transport(layer).with_delivery(DeliveryMode::Async),
+    );
+    let colors = outcome.outputs;
+    let improper = (0..outcome.metrics.rounds as usize).find_map(|round| {
+        let committed: Vec<_> = colors
+            .iter()
+            .map(|c| c[(round + 1).min(c.len() - 1)])
+            .collect();
+        match check_coloring(cut, &committed, false)? {
+            InvariantViolation::ImproperEdge { u, v, color } => {
+                Some(Violation::ImproperEdge { u, v, color })
+            }
+            InvariantViolation::Unfinished { .. } => None,
+        }
+    });
+    let unfinished = outcome.metrics.hit_round_cap && config.require_termination;
+    let violation = improper.or(unfinished.then_some(Violation::NoTermination {
+        rounds: config.max_rounds,
+    }));
+    let mut sent = std::mem::take(&mut script.lock().unwrap_or_else(|e| e.into_inner()).sent);
+    sent.sort();
+    (sent, violation)
+}
+
+/// Moves `fates`, one per position of the last run, to the next schedule
+/// in search order (see the [module docs](self)): the last position whose
+/// fate can advance takes its next fate, and the positions after it go.
+/// Returns `false` once every schedule of `budget` faults or fewer has run.
+fn advance(fates: &mut Vec<Option<McFault>>, budget: u32, config: &McConfig) -> bool {
+    let kinds = [
+        (McFault::Drop, config.allow_drop),
+        (McFault::Duplicate, config.allow_duplicate),
+        (McFault::Delay, config.allow_delay),
+    ];
+    while let Some(fate) = fates.pop() {
+        if fate.is_none() && fates.iter().flatten().count() as u32 >= budget {
+            continue;
+        }
+        if let Some(&(next, _)) = kinds
+            .iter()
+            .find(|&&(k, allowed)| allowed && Some(k) > fate)
+        {
+            fates.push(Some(next));
+            return true;
         }
     }
-    Search {
-        topology,
-        config,
-        contexts,
-        slot_owner,
-        executions: 0,
-    }
+    false
 }
 
 /// Exhaustively explores every placement of up to `config.max_faults`
@@ -523,22 +395,47 @@ pub fn check<T: TopologyView, A: CheckableAlgorithm, F: Fn() -> Vec<A>>(
     mk: F,
     config: &McConfig,
 ) -> McVerdict {
-    let mut search = make_search(topology, config);
+    let cut = cut(topology, config);
+    let mut executions = 0;
     for budget in 0..=config.max_faults {
-        let world = search.start(&mk);
-        match search.explore_round(world, 0, budget) {
-            Flow::Clean => {}
-            Flow::Found(ce) => return McVerdict::Violated(ce),
-            Flow::Exhausted => {
-                return McVerdict::ExecutionBudgetExhausted {
-                    executions: search.executions,
+        let (mut positions, mut fates): (Vec<Sent>, Vec<Option<McFault>>) = Default::default();
+        loop {
+            let placed = positions.iter().zip(&fates);
+            let trace: Vec<FaultAction> = placed
+                .filter_map(|(at, fate)| {
+                    Some(FaultAction {
+                        round: at.round,
+                        slot: at.slot,
+                        sender: at.sender,
+                        // In the cut, shard `to` is node `to`.
+                        receiver: at.to as u32,
+                        kind: (*fate)?,
+                    })
+                })
+                .collect();
+            let (sent, violation) = run(&cut, &mk, &trace, config);
+            if !matches!(violation, Some(Violation::ImproperEdge { .. })) {
+                executions += 1;
+                if executions > config.max_executions {
+                    return McVerdict::ExecutionBudgetExhausted { executions };
                 }
+            }
+            if let Some(violation) = violation {
+                return McVerdict::Violated(Counterexample { violation, trace });
+            }
+            assert!(
+                sent.starts_with(&positions[..fates.len()]),
+                "a re-run sent other messages before its first new fate: \
+                 the algorithm must be deterministic"
+            );
+            fates.resize(sent.len(), None);
+            positions = sent;
+            if !advance(&mut fates, budget, config) {
+                break;
             }
         }
     }
-    McVerdict::Pass {
-        executions: search.executions,
-    }
+    McVerdict::Pass { executions }
 }
 
 /// Re-executes one run deterministically, injecting exactly the faults of
@@ -551,32 +448,7 @@ pub fn replay<T: TopologyView, A: CheckableAlgorithm, F: Fn() -> Vec<A>>(
     trace: &[FaultAction],
     config: &McConfig,
 ) -> Option<Violation> {
-    let search = make_search(topology, config);
-    let mut world = search.start(&mk);
-    for round in 0..config.max_rounds {
-        if world.nodes.iter().all(|n| n.is_halted()) {
-            return None;
-        }
-        let (active, msgs) = search.send(&mut world.nodes, round);
-        let chosen: Vec<Option<McFault>> = msgs
-            .iter()
-            .map(|(slot, _, _)| {
-                trace
-                    .iter()
-                    .find(|a| a.round == round && a.slot == *slot as u32)
-                    .map(|a| a.kind)
-            })
-            .collect();
-        if let Some(v) = search.step(&mut world, round, &active, &msgs, &chosen) {
-            return Some(v);
-        }
-    }
-    if world.nodes.iter().any(|n| !n.is_halted()) {
-        return Some(Violation::NoTermination {
-            rounds: config.max_rounds,
-        });
-    }
-    None
+    run(&cut(topology, config), mk, trace, config).1
 }
 
 pub mod fixtures {
@@ -937,6 +809,30 @@ mod tests {
             verdict,
             McVerdict::ExecutionBudgetExhausted { executions: 4 }
         ));
+    }
+
+    #[test]
+    fn mc_replay_reports_no_termination_only_when_required() {
+        let config = McConfig {
+            max_rounds: 2,
+            max_faults: 0,
+            require_termination: false,
+            ..McConfig::default()
+        };
+        let mk = || vec![GreedyRobust::new(1); 3];
+        assert_eq!(
+            check(&triangle(), mk, &config),
+            McVerdict::Pass { executions: 1 }
+        );
+        assert_eq!(replay(&triangle(), mk, &[], &config), None);
+        let required = McConfig {
+            require_termination: true,
+            ..config
+        };
+        assert_eq!(
+            replay(&triangle(), mk, &[], &required),
+            Some(Violation::NoTermination { rounds: 2 })
+        );
     }
 
     #[test]

@@ -450,6 +450,23 @@ impl ShardedTopology {
         })
     }
 
+    /// `topology` cut into one shard per node, so that every edge crosses
+    /// shards (an empty graph gets one empty shard): the model checker's
+    /// cut, which sends every message through its fault layer
+    /// ([`crate::mc`]).
+    pub(crate) fn one_node_per_shard(topology: &impl TopologyView) -> Self {
+        let g = topology.whole();
+        let n = g.num_nodes();
+        let ends = (0..n).map(|v| (v + 1, g.port_range(v).end));
+        let empty = (n == 0).then_some((0, 0));
+        let (node_start, slot_start) = std::iter::once((0, 0)).chain(ends).chain(empty).unzip();
+        Self {
+            topology: g.clone(),
+            node_start,
+            slot_start,
+        }
+    }
+
     /// Number of shards `S`.
     #[inline]
     pub fn num_shards(&self) -> usize {
@@ -953,6 +970,20 @@ mod tests {
             assert_eq!(sharded.num_shards(), s);
             assert_same_structure(&dense, &sharded);
         }
+    }
+
+    #[test]
+    fn one_node_per_shard_puts_every_edge_across_shards() {
+        let edges = [(0, 1), (0, 4), (1, 4), (2, 3), (2, 4), (3, 4)];
+        let dense = Topology::from_edges(5, &edges).unwrap();
+        let g = ShardedTopology::one_node_per_shard(&dense);
+        assert_eq!(g.num_shards(), 5);
+        for v in 0..5 {
+            assert_eq!(g.shard_nodes(v), v..v + 1);
+            assert_eq!(g.shard_slots(v), dense.port_range(v));
+        }
+        let empty = ShardedTopology::one_node_per_shard(&Topology::from_edges(0, &[]).unwrap());
+        assert_eq!((empty.num_shards(), empty.shard_slots(0)), (1, 0..0));
     }
 
     #[test]
