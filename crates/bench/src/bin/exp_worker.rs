@@ -55,7 +55,7 @@
 //! ```
 
 use std::net::{TcpListener, TcpStream};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 
 use dcme_bench::workloads;
 use dcme_congest::{
@@ -399,19 +399,11 @@ fn run_coordinator(
     let wall = t.elapsed();
     // Reap every worker, then report the coordinator's own error, which
     // names the shard and the round, ahead of any worker's exit status.
-    let mut failed = None;
+    let mut statuses = Vec::with_capacity(children.len());
     for mut child in children {
-        let status = child.wait()?;
-        if !status.success() {
-            failed.get_or_insert(status);
-        }
+        statuses.push(child.wait()?);
     }
-    let mut outcome = outcome?;
-    if let Some(status) = failed {
-        return Err(std::io::Error::other(format!(
-            "a worker process exited with {status}"
-        )));
-    }
+    let mut outcome = with_worker_failures(outcome, &statuses)?;
     // Fold the coordinator's own high-water mark in (max-merge semantics).
     outcome.metrics.peak_rss_bytes = outcome
         .metrics
@@ -522,6 +514,28 @@ fn mesh_handshake(params: &Params, links: &mut [TcpStream]) -> std::io::Result<(
     Ok(())
 }
 
+/// The run's result once every worker is reaped: the coordinator's own
+/// result if every worker succeeded, else an error that adds each failed
+/// worker's shard (the coordinator spawns worker `s` for shard `s`) and
+/// exit status to the coordinator's error, e.g. `shard 1: signal: 9
+/// (SIGKILL)`.
+fn with_worker_failures<T>(run: std::io::Result<T>, statuses: &[ExitStatus]) -> std::io::Result<T> {
+    let failed: Vec<String> = statuses
+        .iter()
+        .enumerate()
+        .filter(|(_, status)| !status.success())
+        .map(|(shard, status)| format!("shard {shard}: {status}"))
+        .collect();
+    if failed.is_empty() {
+        return run;
+    }
+    let workers = format!("worker processes failed: {}", failed.join(", "));
+    Err(std::io::Error::other(match run {
+        Ok(_) => workers,
+        Err(e) => format!("{e}; {workers}"),
+    }))
+}
+
 fn check_equal(seq: &RunMetrics, multi: &RunMetrics) -> std::io::Result<()> {
     let pairs = [
         ("rounds", seq.rounds, multi.rounds),
@@ -544,4 +558,34 @@ fn check_equal(seq: &RunMetrics, multi: &RunMetrics) -> std::io::Result<()> {
         return Err(std::io::Error::other("active_per_round diverged"));
     }
     Ok(())
+}
+
+#[cfg(all(test, unix))]
+mod tests {
+    use super::*;
+    use std::os::unix::process::ExitStatusExt;
+
+    #[test]
+    fn failed_workers_are_named_by_shard_and_exit_status() {
+        let (ok, exit_1, killed) = (0, 256, 9);
+        let statuses = |raw: &[i32]| -> Vec<ExitStatus> {
+            raw.iter().map(|&r| ExitStatus::from_raw(r)).collect()
+        };
+        assert_eq!(
+            with_worker_failures(Ok(7), &statuses(&[ok, ok])).unwrap(),
+            7
+        );
+        let err = with_worker_failures(Ok(7), &statuses(&[exit_1, killed])).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "worker processes failed: shard 0: exit status: 1, shard 1: signal: 9 (SIGKILL)"
+        );
+        let lost = std::io::Error::other("shard 1 closed its control link in round 5");
+        let err = with_worker_failures::<()>(Err(lost), &statuses(&[ok, killed])).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "shard 1 closed its control link in round 5; \
+             worker processes failed: shard 1: signal: 9 (SIGKILL)"
+        );
+    }
 }
