@@ -567,25 +567,17 @@ mod tests {
 
     #[test]
     fn failed_workers_are_named_by_shard_and_exit_status() {
-        let (ok, exit_1, killed) = (0, 256, 9);
-        let statuses = |raw: &[i32]| -> Vec<ExitStatus> {
-            raw.iter().map(|&r| ExitStatus::from_raw(r)).collect()
-        };
-        assert_eq!(
-            with_worker_failures(Ok(7), &statuses(&[ok, ok])).unwrap(),
-            7
-        );
-        let err = with_worker_failures(Ok(7), &statuses(&[exit_1, killed])).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "worker processes failed: shard 0: exit status: 1, shard 1: signal: 9 (SIGKILL)"
-        );
+        // Raw wait statuses: success, exit code 1, and killed by SIGKILL.
+        let [ok, exit_1, killed] = [0, 256, 9].map(ExitStatus::from_raw);
+        assert_eq!(with_worker_failures(Ok(7), &[ok, ok]).unwrap(), 7);
+        let err = with_worker_failures(Ok(7), &[exit_1, killed]).unwrap_err();
+        let failed =
+            "worker processes failed: shard 0: exit status: 1, shard 1: signal: 9 (SIGKILL)";
+        assert_eq!(err.to_string(), failed);
         let lost = std::io::Error::other("shard 1 closed its control link in round 5");
-        let err = with_worker_failures::<()>(Err(lost), &statuses(&[ok, killed])).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "shard 1 closed its control link in round 5; \
-             worker processes failed: shard 1: signal: 9 (SIGKILL)"
-        );
+        let err = with_worker_failures::<()>(Err(lost), &[ok, killed]).unwrap_err();
+        let failed = "shard 1 closed its control link in round 5; \
+                      worker processes failed: shard 1: signal: 9 (SIGKILL)";
+        assert_eq!(err.to_string(), failed);
     }
 }

@@ -428,24 +428,14 @@ impl FaultTracer {
     }
 }
 
-/// One message a [`Script`] was asked about: sent by `sender` in `round`
-/// into inbox slot `slot` of shard `to`.  Ordered by round, then sender,
-/// then slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Sent {
-    pub(crate) round: u64,
-    pub(crate) sender: u32,
-    pub(crate) slot: u32,
-    pub(crate) to: u16,
-}
-
 /// The model checker's fates ([`crate::mc`]): the fault placed on the
 /// message into each `(round, slot)`, every other message delivered in its
-/// round, and every message the layer asked about, from every shard.
+/// round, and every message the layer asked about, from every shard, as
+/// `(round, sender, slot)`.
 #[derive(Debug, Default)]
 pub(crate) struct Script {
     pub(crate) faults: BTreeMap<(u64, u32), FaultKind>,
-    pub(crate) sent: Vec<Sent>,
+    pub(crate) sent: Vec<(u64, u32, u32)>,
 }
 
 /// A [`TransportBuilder`] that wraps any inner backend with the
@@ -634,12 +624,7 @@ impl<T, M> FaultyLayer<T, M> {
             return self.plan.draw(round, self.shard as u16, to, seq);
         };
         let mut script = script.lock().unwrap_or_else(|e| e.into_inner());
-        script.sent.push(Sent {
-            round,
-            sender,
-            slot,
-            to,
-        });
+        script.sent.push((round, sender, slot));
         script.faults.get(&(round, slot)).copied()
     }
 

@@ -51,7 +51,8 @@
 //!   async-delivery execution mode ([`executor::DeliveryMode`]) faulted
 //!   runs require,
 //! * [`mc`] — a bounded model checker that exhaustively explores message
-//!   fault placements on tiny instances and reports minimal counterexample
+//!   fault placements on tiny instances, each as one sharded run of the
+//!   engine through the fault layer, and reports minimal counterexample
 //!   traces against the coloring invariants,
 //! * [`trace`] — the out-of-band observability seam ([`trace::TraceSink`]):
 //!   per-round / per-phase / per-shard trace events emitted by every

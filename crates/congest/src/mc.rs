@@ -30,21 +30,16 @@
 //! # Determinism and replay
 //!
 //! The checker routes no message itself.  Each explored schedule is one
-//! [`ShardedExecutor`] run of the engine, over the graph cut into one node
-//! per shard so that every edge crosses shards, through the fault layer
-//! ([`FaultyTransport`] over [`InProcess`], under [`DeliveryMode::Async`]).
-//! The layer takes each message's fate from the schedule's script of
-//! faults, keyed by `(round, slot)`, and records every message it is asked
-//! about.  Each node's committed color is recorded after `init` and after
-//! each `receive`.  A run is a function of the graph, the algorithm and its
-//! faults, so a counterexample trace (a list of [`FaultAction`]s) replays
-//! exactly with [`replay`]: same graph, same algorithm constructor, same
-//! trace, same violation.  [`check`] and [`replay`] run a schedule and read
-//! its verdict through one function.
-//!
-//! One explored schedule costs one run from round 0, of at most
-//! `max_rounds` rounds, with a kernel per node, each but the first on a
-//! thread of its own: up to 7 threads, spawned anew for every run.
+//! [`ShardedExecutor`] run ([`InProcess`], [`DeliveryMode::Async`]) over
+//! the graph cut one node per shard, so every edge crosses the fault layer
+//! ([`FaultyTransport`]), which takes each message's fate from the
+//! schedule's faults, keyed by `(round, slot)`.  Committed colors are
+//! recorded after `init` and after each `receive`.  A run is a function of
+//! the graph, the algorithm and its faults, so a counterexample trace (a
+//! list of [`FaultAction`]s) replays exactly with [`replay`], which runs it
+//! through the same function as [`check`].  One explored schedule costs
+//! one run from round 0 of at most `max_rounds` rounds, with a shard
+//! thread spawned for each node but the first: up to 7 threads per run.
 //!
 //! Delayed and duplicated messages arrive exactly **one round late**
 //! (`max_delay = 1` in the fault-plan vocabulary); longer delays add
@@ -52,22 +47,16 @@
 //!
 //! # Search order
 //!
-//! Each message of a run is a *position*, and positions are ordered by
-//! round, then sender, then receiving slot.  A schedule gives each position
-//! no fault or one [`McFault`], and the search visits schedules depth
-//! first:
-//!
-//! * at each position, no fault comes before [`McFault::Drop`],
-//!   [`McFault::Duplicate`] and [`McFault::Delay`], each if allowed and if
-//!   the budget has a fault left;
-//! * the last position is varied first.  The next schedule keeps the
-//!   faults before it and re-runs from round 0, fault-free after it.
-//!
-//! A schedule that breaks properness is reported from the first round that
-//! shows a violation, in [`check_coloring`]'s scan order, and counts no
-//! execution.  Every other schedule counts one; one that reaches the round
-//! bound with a node still running counts it before it is reported as
-//! [`Violation::NoTermination`].
+//! Each message of a run is a *position*; positions are ordered by round,
+//! then sender, then receiving slot.  The search is depth first: at each
+//! position no fault comes before [`McFault::Drop`], [`McFault::Duplicate`]
+//! and [`McFault::Delay`] (each if allowed and the budget has a fault
+//! left), and the last position is varied first.  The next schedule keeps
+//! the faults before that position and re-runs from round 0.  A schedule
+//! that breaks properness is reported from the first round that shows a
+//! violation, in [`check_coloring`]'s scan order, and counts no execution;
+//! every other schedule counts one, and one that reaches the round bound
+//! with a node running counts it before [`Violation::NoTermination`].
 //!
 //! The [`fixtures`] module ships a pair of tiny greedy coloring algorithms
 //! — one intentionally unprotected, one hardened — that pin the explorer's
@@ -78,7 +67,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::algorithm::{Inbox, NodeAlgorithm, NodeContext, Outbox};
 use crate::executor::{DeliveryMode, ShardedExecutor};
-use crate::faults::{check_coloring, FaultKind, FaultyTransport, InvariantViolation, Script, Sent};
+use crate::faults::{check_coloring, FaultKind, FaultyTransport, InvariantViolation, Script};
 use crate::sharded::ShardedTopology;
 use crate::simulator::{Simulator, SimulatorConfig};
 use crate::topology::TopologyView;
@@ -91,12 +80,12 @@ pub const MC_MAX_NODES: usize = 8;
 /// Hard ceiling on explored rounds.
 pub const MC_MAX_ROUNDS: u64 = 6;
 
-/// An algorithm the model checker can interrogate mid-run: a cloneable
+/// An algorithm the model checker can interrogate mid-run: a
 /// [`NodeAlgorithm`] that exposes the color it has irrevocably committed
 /// to (as opposed to [`NodeAlgorithm::output`], which is only meaningful
 /// at termination).  Its runs must be deterministic: the checker re-runs
 /// every schedule from round 0.
-pub trait CheckableAlgorithm: NodeAlgorithm + Clone {
+pub trait CheckableAlgorithm: NodeAlgorithm {
     /// The color this node has committed to, if any.  Once `Some`, it must
     /// never change — the properness invariant is checked against it after
     /// every round.
@@ -307,7 +296,7 @@ fn run<A: CheckableAlgorithm>(
     mk: impl Fn() -> Vec<A>,
     trace: &[FaultAction],
     config: &McConfig,
-) -> (Vec<Sent>, Option<Violation>) {
+) -> (Vec<(u64, u32, u32)>, Option<Violation>) {
     let fate = |kind| match kind {
         McFault::Drop => FaultKind::Dropped,
         McFault::Duplicate => FaultKind::Duplicated,
@@ -398,18 +387,20 @@ pub fn check<T: TopologyView, A: CheckableAlgorithm, F: Fn() -> Vec<A>>(
     let cut = cut(topology, config);
     let mut executions = 0;
     for budget in 0..=config.max_faults {
-        let (mut positions, mut fates): (Vec<Sent>, Vec<Option<McFault>>) = Default::default();
+        // The last run's messages, and the schedule's fates for a prefix
+        // of them: every later message runs fault-free.
+        let (mut positions, mut fates) = (Vec::new(), Vec::new());
         loop {
             let placed = positions.iter().zip(&fates);
             let trace: Vec<FaultAction> = placed
-                .filter_map(|(at, fate)| {
+                .filter_map(|(&(round, sender, slot), &fate)| {
                     Some(FaultAction {
-                        round: at.round,
-                        slot: at.slot,
-                        sender: at.sender,
-                        // In the cut, shard `to` is node `to`.
-                        receiver: at.to as u32,
-                        kind: (*fate)?,
+                        round,
+                        slot,
+                        sender,
+                        // In the cut, the shard owning a slot is its node.
+                        receiver: cut.shard_of_slot(slot as usize) as u32,
+                        kind: fate?,
                     })
                 })
                 .collect();
@@ -809,30 +800,6 @@ mod tests {
             verdict,
             McVerdict::ExecutionBudgetExhausted { executions: 4 }
         ));
-    }
-
-    #[test]
-    fn mc_replay_reports_no_termination_only_when_required() {
-        let config = McConfig {
-            max_rounds: 2,
-            max_faults: 0,
-            require_termination: false,
-            ..McConfig::default()
-        };
-        let mk = || vec![GreedyRobust::new(1); 3];
-        assert_eq!(
-            check(&triangle(), mk, &config),
-            McVerdict::Pass { executions: 1 }
-        );
-        assert_eq!(replay(&triangle(), mk, &[], &config), None);
-        let required = McConfig {
-            require_termination: true,
-            ..config
-        };
-        assert_eq!(
-            replay(&triangle(), mk, &[], &required),
-            Some(Violation::NoTermination { rounds: 2 })
-        );
     }
 
     #[test]

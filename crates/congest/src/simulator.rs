@@ -32,8 +32,8 @@
 //! [`crate::faults::FaultyTransport`] are accepted newest-wins instead of
 //! panicking; algorithms opt in via
 //! [`NodeAlgorithm::tolerates_async_delivery`].  See [`crate::faults`] for
-//! the fault model and [`crate::mc`] for the exhaustive schedule explorer
-//! built on the same semantics.
+//! the fault model and [`crate::mc`] for the exhaustive schedule explorer,
+//! which runs each schedule as such a sharded run.
 
 use crate::algorithm::{NodeAlgorithm, NodeContext};
 use crate::executor::{Executor, SequentialExecutor, ShardedExecutor};

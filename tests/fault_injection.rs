@@ -11,10 +11,12 @@
 //!   panic, never a silently wrong coloring.
 //! * **Exhaustive schedule exploration** (`dcme_congest::mc`) — the
 //!   bounded model checker walks *every* fault placement on tiny
-//!   instances.  The `mc_`-prefixed tests are the CI smoke: the checker
-//!   must find the seeded violation in the intentionally unprotected
-//!   fixture (and replay it), and must pass the hardened fixture and the
-//!   paper pipeline under the same bounds.
+//!   instances, each as one sharded engine run through the same fault
+//!   layer, one node per shard.  The `mc_`-prefixed tests are the CI
+//!   smoke: the checker must find the seeded violation in the
+//!   intentionally unprotected fixture (and replay it), and must pass the
+//!   hardened fixture and the paper pipeline under the same bounds; one
+//!   table pins its exact verdicts on small instances.
 
 use std::sync::Arc;
 
@@ -304,6 +306,33 @@ fn mc_finds_and_replays_the_seeded_violation() {
         mc::replay(&g, mk, &[], &config),
         None,
         "fault-free replay is clean"
+    );
+}
+
+/// `replay` reads `require_termination` as `check` does: a run that hits
+/// the round bound is a violation only if termination is required.
+#[test]
+fn mc_replay_reports_no_termination_only_when_required() {
+    let g = Topology::from_edges(3, &[(0, 1), (1, 2), (0, 2)]).unwrap();
+    let mk = || vec![GreedyRobust::new(1); 3];
+    let config = McConfig {
+        max_rounds: 2,
+        max_faults: 0,
+        require_termination: false,
+        ..McConfig::default()
+    };
+    assert_eq!(
+        mc::check(&g, mk, &config),
+        McVerdict::Pass { executions: 1 }
+    );
+    assert_eq!(mc::replay(&g, mk, &[], &config), None);
+    let required = McConfig {
+        require_termination: true,
+        ..config
+    };
+    assert_eq!(
+        mc::replay(&g, mk, &[], &required),
+        Some(Violation::NoTermination { rounds: 2 })
     );
 }
 
